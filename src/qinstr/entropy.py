@@ -15,7 +15,13 @@ import numpy as np
 
 from .errors import DimensionMismatch, LabelMismatch
 from .matcore import SUPPORT_CUTOFF
-from .qstate import ClassicalDist, DensityMatrix, fidelity_like_support_check, validate_density
+from .qstate import (
+    ClassicalDist,
+    DensityMatrix,
+    density_eigvals,
+    fidelity_like_support_check,
+    validate_density,
+)
 
 INF = math.inf
 
@@ -44,6 +50,13 @@ class StateFamily:
 def vn_entropy(rho: DensityMatrix, cutoff: float = SUPPORT_CUTOFF) -> float:
     vals = rho.spectral().eigenvalues
     return float(-sum(v * math.log(v) for v in vals if v > cutoff))
+
+
+def vn_entropies(stack, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
+    """vn_entropy of each state of an (n, d, d) stack, checked by density_eigvals."""
+    vals = density_eigvals(stack)
+    kept = vals > cutoff
+    return -np.sum(np.where(kept, vals * np.log(np.where(kept, vals, 1.0)), 0.0), axis=-1)
 
 
 def q_rel_entropy(
@@ -88,6 +101,17 @@ def c_rel_entropy(p: ClassicalDist, q: ClassicalDist, cutoff: float = SUPPORT_CU
             return INF
         total += pj * math.log(pj / qj)
     return total
+
+
+def mutual_info(joint: np.ndarray, p_row: np.ndarray, p_col: np.ndarray) -> float:
+    """S_c(P_if | P_i x P_f) of a joint table and its marginals.
+
+    Only p > 0 cells count: p <= min(P_i, P_f) keeps every term finite.
+    """
+    a, w = np.nonzero(joint > 0.0)
+    p = joint[a, w]
+    total = np.sum(p * (np.log(p) - np.log(p_row[a]) - np.log(p_col[w])))
+    return max(float(total), 0.0)
 
 
 def mixed_rel_entropy(

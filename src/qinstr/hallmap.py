@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from . import matcore
-from .entropy import chi_against, q_rel_entropy
+from .entropy import chi_against, mutual_info, q_rel_entropy
 from .errors import DimensionMismatch, SingularAprioriState
 from .infobounds import (
     BoundCheck,
@@ -23,14 +23,7 @@ from .infobounds import (
     classical_mutual_info,
     quantum_info_gain,
 )
-from .instrument import (
-    AposterioriFamily,
-    Instrument,
-    KrausMap,
-    ZERO_PROB_TOL,
-    a_posteriori,
-    povm_of,
-)
+from .instrument import Instrument, KrausMap, ZERO_PROB_TOL, povm_of
 from .qstate import ClassicalDist, DensityMatrix, Ensemble, a_priori_state, validate_density
 
 INVERTIBILITY_TOL = 1e-9
@@ -76,12 +69,6 @@ def build_hall_instrument(e: Ensemble) -> HallInstrument:
     return HallInstrument(base=base, source_ensemble=e)
 
 
-def hall_a_posteriori(
-    h: HallInstrument, rho: DensityMatrix, default: Optional[DensityMatrix] = None
-) -> AposterioriFamily:
-    return a_posteriori(h.base, rho, default)
-
-
 def dual_ensemble(e: Ensemble, ins: Instrument) -> DualEnsemble:
     """sigma_i(omega) = eta^{1/2} E(omega) eta^{1/2} / P_f(omega)."""
     if e.dim != ins.dim_in:
@@ -102,18 +89,6 @@ def dual_ensemble(e: Ensemble, ins: Instrument) -> DualEnsemble:
         probs=ClassicalDist(ins.outcomes, p_f),
         states=tuple(states),
     )
-
-
-def _ic_from_joint(joint: np.ndarray) -> float:
-    p_r = joint.sum(axis=1)
-    p_c = joint.sum(axis=0)
-    total = 0.0
-    for i in range(joint.shape[0]):
-        for j in range(joint.shape[1]):
-            p = joint[i, j]
-            if p > ZERO_PROB_TOL:
-                total += p * math.log(p / (p_r[i] * p_c[j]))
-    return max(total, 0.0)
 
 
 def verify_duality(
@@ -138,7 +113,8 @@ def verify_duality(
             max_dev = max(max_dev, abs(val - ms.cond_in_given_out[a, w]))
 
     i_c_orig = classical_mutual_info(ms)
-    i_c_dual = _ic_from_joint(joint_dual / joint_dual.sum())
+    joint_dual = joint_dual / joint_dual.sum()
+    i_c_dual = mutual_info(joint_dual, joint_dual.sum(axis=1), joint_dual.sum(axis=0))
     checks = (
         BoundCheck("duality_conditional_law", max_dev, 0.0, kind="eq"),
         BoundCheck("duality_ic", i_c_dual, i_c_orig, kind="eq"),

@@ -150,6 +150,41 @@ def a_posteriori(
     return AposterioriFamily(dist, tuple(states), default)
 
 
+def _apply_to_stack(ins: Instrument, rhos: np.ndarray) -> np.ndarray:
+    """Unnormalized outputs [outcome, n] of every map on an (n, d1, d1) stack."""
+    return np.stack([
+        np.einsum("kij,njl,kml->nim", k, rhos, k.conj())
+        for k in (np.stack(m.kraus) for m in ins.maps)
+    ])
+
+
+def a_posteriori_stack(ins: Instrument, rhos: np.ndarray) -> tuple:
+    """a_posteriori for each state of an (n, d1, d1) stack: outcome probabilities
+    and conditional states, both indexed [outcome, n], maximally mixed on null
+    outcomes. The states are not validated here."""
+    outs = _apply_to_stack(ins, rhos)
+    tr = np.trace(outs, axis1=-2, axis2=-1).real
+    live = tr > ZERO_PROB_TOL
+    d2 = ins.dim_out
+    states = np.where(
+        live[..., None, None],
+        outs / np.where(live, tr, 1.0)[..., None, None],
+        np.eye(d2) / d2,
+    )
+    probs = np.maximum(tr, 0.0)
+    return probs / probs.sum(axis=0), states
+
+
+def min_output_purity(ins: Instrument, kets: np.ndarray) -> float:
+    """Least purity of the normalized non-null outputs, over every outcome and
+    every unit ket of an (n, d1) stack; 1 when there are none."""
+    outs = _apply_to_stack(ins, np.einsum("ni,nj->nij", kets, kets.conj()))
+    tr = np.trace(outs, axis1=-2, axis2=-1).real
+    live = tr > ZERO_PROB_TOL
+    purity = np.einsum("onij,onji->on", outs, outs).real[live] / tr[live] ** 2
+    return float(np.min(purity, initial=1.0))
+
+
 def total_channel(ins: Instrument, rho: DensityMatrix) -> DensityMatrix:
     """Non-selective post-measurement state."""
     if rho.dim != ins.dim_in:

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import InitVar, dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import matcore
-from .errors import BadTrace, DimensionMismatch, LabelMismatch, NotPositive
+from .errors import BadTrace, DimensionMismatch, LabelMismatch, NotHermitian, NotPositive
 
 DENSITY_TOL = 1e-10
 POVM_SUM_TOL = 1e-9
@@ -20,13 +20,16 @@ class DensityMatrix:
     """Positive semidefinite unit-trace Hermitian matrix.
 
     The spectral decomposition is computed once at construction (it doubles as
-    the positivity check) and cached for entropy evaluations.
+    the positivity check) and cached for entropy evaluations. A caller that
+    already holds ``herm_eig(mat)`` passes it as ``spectrum`` so it is not
+    computed twice; the checks still run on it.
     """
 
     mat: np.ndarray
+    spectrum: InitVar[Optional[matcore.SpectralDecomp]] = field(default=None, kw_only=True)
     _spec: matcore.SpectralDecomp = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, spectrum):
         mat = matcore.as_matrix(self.mat)
         matcore.check_hermitian(mat, DENSITY_TOL)
         mat = np.ascontiguousarray(0.5 * (mat + mat.conj().T))
@@ -35,7 +38,7 @@ class DensityMatrix:
         tr = float(np.trace(mat).real)
         if abs(tr - 1.0) > DENSITY_TOL:
             raise BadTrace(f"trace {tr} differs from 1 by more than {DENSITY_TOL:.1e}")
-        spec = matcore.herm_eig(mat)
+        spec = matcore.herm_eig(mat) if spectrum is None else spectrum
         if spec.eigenvalues[0] < -DENSITY_TOL:
             raise NotPositive(f"minimum eigenvalue {spec.eigenvalues[0]:.3e} below -{DENSITY_TOL:.1e}")
         object.__setattr__(self, "_spec", spec)
@@ -55,21 +58,48 @@ def validate_density(m, tol: float = DENSITY_TOL) -> DensityMatrix:
     """Check/repair a candidate density matrix.
 
     Eigenvalues in (-tol, 0) are clamped to 0 and the trace renormalized;
-    anything more negative is a hard error.
+    anything more negative is a hard error. Without clamping, the decomposition
+    made here is the one the returned state keeps.
     """
     m = matcore.as_matrix(m)
     matcore.check_hermitian(m, tol)
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > tol:
         raise BadTrace(f"trace {tr} differs from 1 by more than {tol:.1e}")
-    vals, vecs = matcore.herm_eig(m)
+    spec = matcore.herm_eig(m)
+    vals, vecs = spec
     if vals[0] < -tol:
         raise NotPositive(f"minimum eigenvalue {vals[0]:.3e} below -{tol:.1e}")
     if vals[0] < 0.0:
         vals = np.maximum(vals, 0.0)
         vals = vals / vals.sum()
-        m = (vecs * vals) @ vecs.conj().T
-    return DensityMatrix(m)
+        return DensityMatrix((vecs * vals) @ vecs.conj().T)
+    return DensityMatrix(m, spectrum=spec)
+
+
+def density_eigvals(stack, tol: float = DENSITY_TOL) -> np.ndarray:
+    """Eigenvalues (ascending) of each matrix of an (n, d, d) stack, with
+    validate_density's checks and clamping, from one batched ``eigvalsh``."""
+    a = np.asarray(stack, dtype=np.complex128)
+    if not np.all(np.isfinite(a)):
+        raise NotHermitian("stack contains NaN/Inf entries")
+    adj = a.conj().swapaxes(-1, -2)
+    dev = float(np.max(np.abs(a - adj), initial=0.0))
+    if dev > tol:
+        raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds {tol:.1e}")
+    tr = np.trace(a, axis1=-2, axis2=-1).real
+    worst = float(np.max(np.abs(tr - 1.0), initial=0.0))
+    if worst > tol:
+        raise BadTrace(f"trace differs from 1 by {worst:.3e}, more than {tol:.1e}")
+    vals = np.linalg.eigvalsh(0.5 * (a + adj))
+    low = float(np.min(vals, initial=0.0))
+    if low < -tol:
+        raise NotPositive(f"minimum eigenvalue {low:.3e} below -{tol:.1e}")
+    clamp = vals[:, 0] < 0.0
+    if np.any(clamp):
+        fixed = np.maximum(vals[clamp], 0.0)
+        vals[clamp] = fixed / fixed.sum(axis=-1, keepdims=True)
+    return vals
 
 
 @dataclass(frozen=True)

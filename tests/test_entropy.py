@@ -10,6 +10,7 @@ from qinstr.entropy import (
     chi_quantity,
     mixed_rel_entropy,
     q_rel_entropy,
+    vn_entropies,
     vn_entropy,
 )
 from qinstr.instrument import random_instrument, total_channel
@@ -46,6 +47,22 @@ class TestVnEntropy:
             rho = rand_dm(3, seed)
             s = vn_entropy(rho)
             assert -1e-12 <= s <= math.log(3) + 1e-9
+
+
+class TestVnEntropies:
+    def test_matches_per_state_entropy(self):
+        states = [rand_dm(4, seed) for seed in range(6)] + [pure_state([1, 2j, 0, 1])]
+        batched = vn_entropies(np.stack([s.mat for s in states]))
+        for s, value in zip(states, batched):
+            assert abs(value - vn_entropy(s)) < 1e-12
+
+    def test_clamps_tiny_negativity(self):
+        m = np.diag([0.7 + 1e-11, 0.3, -1e-11])
+        value = vn_entropies(m[None])[0]
+        assert abs(value - vn_entropy(validate_density(m))) < 1e-12
+
+    def test_empty_stack(self):
+        assert vn_entropies(np.zeros((0, 3, 3))).shape == (0,)
 
 
 class TestQRelEntropy:

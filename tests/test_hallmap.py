@@ -7,7 +7,6 @@ from qinstr.errors import SingularAprioriState
 from qinstr.hallmap import (
     build_hall_instrument,
     dual_ensemble,
-    hall_a_posteriori,
     hall_bound,
     new_bound,
     verify_duality,
@@ -18,7 +17,13 @@ from qinstr.infobounds import (
     entropy_panel,
     random_ensemble,
 )
-from qinstr.instrument import Instrument, KrausMap, outcome_probs, random_instrument
+from qinstr.instrument import (
+    Instrument,
+    KrausMap,
+    a_posteriori,
+    outcome_probs,
+    random_instrument,
+)
 from qinstr.qstate import Ensemble, a_priori_state, maximally_mixed, pure_state
 
 KET0 = pure_state([1, 0])
@@ -76,7 +81,7 @@ class TestBuildHallInstrument:
         # pi_{eta_i}(a) = rho_i(a)
         e = zero_plus_ensemble()
         h = build_hall_instrument(e)
-        fam = hall_a_posteriori(h, a_priori_state(e))
+        fam = a_posteriori(h.base, a_priori_state(e))
         for rho, post in zip(e.states, fam.states):
             assert np.max(np.abs(post.mat - rho.mat)) < 1e-9
 
@@ -84,7 +89,7 @@ class TestBuildHallInstrument:
         # single Kraus operator per outcome
         e = random_ensemble(2, 3, np.random.default_rng(3))
         h = build_hall_instrument(e)
-        fam = hall_a_posteriori(h, PLUS)
+        fam = a_posteriori(h.base, PLUS)
         for p, s in zip(fam.probs.probs, fam.states):
             if p > 1e-12:
                 assert s.purity() >= 1 - 1e-9

@@ -5,6 +5,7 @@ import pytest
 
 from qinstr.entropy import chi_quantity, StateFamily, vn_entropy
 from qinstr.errors import InfiniteQuantity
+from qinstr.harness import ACCEPTANCE_GRID, Scenario, run_scenario
 from qinstr.infobounds import (
     analyze,
     check_bounds,
@@ -17,6 +18,7 @@ from qinstr.infobounds import (
     quantum_info_gain,
     random_density,
     random_ensemble,
+    random_pure,
     scutaru_chains,
 )
 from qinstr.instrument import Instrument, KrausMap, random_instrument
@@ -118,6 +120,15 @@ class TestClassicalMutualInfo:
             - shannon(ms.joint.ravel())
         )
         assert abs(classical_mutual_info(ms) - expected) < 1e-10
+
+    def test_rare_letter_is_finite(self):
+        # P_i x P_f = 1e-14 on the rare cell: I_c is H(p), not +inf
+        eps = 1e-7
+        e = Ensemble((0, 1), np.array([1 - eps, eps]), (KET0, KET1))
+        entropy = -((1 - eps) * math.log1p(-eps) + eps * math.log(eps))
+        assert abs(classical_mutual_info(analyze(e, projective_qubit())) - entropy) < 1e-12
+        report = run_scenario(Scenario(e, projective_qubit()))
+        assert abs(report.panel["classical_mi"] - entropy) < 1e-12
 
     def test_product_joint_gives_zero(self):
         # identity instrument: outcome carries no letter information
@@ -257,6 +268,54 @@ class TestGroenewoldLindblad:
         ins = random_instrument(3, 2, 3, 2, seed=500 + seed)
         _, report = groenewold_lindblad_check(ins, trials=20, seed=seed, n_demix=3)
         assert report.all_pass(), report.to_json()
+
+
+def sequential_gl(ins, trials, seed, n_demix=5):
+    """The GL check one DensityMatrix at a time, from the per-state functions."""
+    rng = np.random.default_rng(seed)
+    d1 = ins.dim_in
+    min_purity = 1.0
+    for _ in range(trials):
+        rho = random_pure(d1, rng).mat
+        for m in ins.maps:
+            out = m.apply(rho)
+            tr = float(np.trace(out).real)
+            if tr > 1e-12:
+                min_purity = min(min_purity, float(np.trace(out @ out).real) / tr**2)
+    purity_preserving = min_purity >= 1.0 - 1e-8
+    checks = []
+    if purity_preserving:
+        gains = [quantum_info_gain(ins, random_density(d1, rng)) for _ in range(trials)]
+        checks.append(("gl_info_gain_nonneg", 0.0, min(gains)))
+    for _ in range(n_demix):
+        e = random_ensemble(d1, int(rng.integers(2, 4)), rng)
+        ms = analyze(e, ins)
+        rhs = classical_mutual_info(ms) + sum(
+            p * quantum_info_gain(ins, rho) for p, rho in zip(e.probs, e.states)
+        )
+        checks.append(("gl_chain", rhs, quantum_info_gain(ins, ms.a_priori)))
+    return purity_preserving, checks
+
+
+GL_CASES = [
+    (random_instrument(d1, d2, no, kp, seed=index), 20, index, 5)
+    for index, (d1, d2, _nl, no, kp) in enumerate(ACCEPTANCE_GRID)
+] + [
+    (projective_qubit(), 50, 0, 5),
+    (random_instrument(2, 3, 3, 1, seed=42), 50, 1, 5),
+    (random_instrument(2, 2, 1, 2, seed=7), 50, 2, 5),
+] + [(random_instrument(3, 2, 3, 2, seed=500 + s), 20, s, 3) for s in range(5)]
+
+
+@pytest.mark.parametrize("ins, trials, seed, n_demix", GL_CASES)
+def test_batched_gl_matches_sequential(ins, trials, seed, n_demix):
+    pp, report = groenewold_lindblad_check(ins, trials=trials, seed=seed, n_demix=n_demix)
+    ref_pp, ref_checks = sequential_gl(ins, trials, seed, n_demix)
+    assert pp == ref_pp
+    assert [c.name for c in report.checks] == [name for name, _, _ in ref_checks]
+    for c, (_name, lhs, rhs) in zip(report.checks, ref_checks):
+        assert abs(c.lhs - lhs) <= 1e-12
+        assert abs(c.rhs - rhs) <= 1e-12
 
 
 class TestCompoundStates:

@@ -6,8 +6,10 @@ from qinstr.instrument import (
     Instrument,
     KrausMap,
     a_posteriori,
+    a_posteriori_stack,
     apply_outcome,
     channel_roundtrip,
+    min_output_purity,
     outcome_probs,
     povm_of,
     random_instrument,
@@ -149,6 +151,39 @@ class TestAposteriori:
             for p, s in zip(fam.probs.probs, fam.states):
                 if p > 1e-12:
                     assert s.purity() >= 1 - 1e-9
+
+
+class TestStacks:
+    def test_a_posteriori_stack_matches_per_state(self):
+        ins = random_instrument(3, 2, 3, 2, seed=9)
+        rng = np.random.default_rng(9)
+        states = []
+        for _ in range(4):
+            g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            states.append(validate_density(g @ g.conj().T / np.trace(g @ g.conj().T).real))
+        probs, posts = a_posteriori_stack(ins, np.stack([s.mat for s in states]))
+        for n, rho in enumerate(states):
+            fam = a_posteriori(ins, rho)
+            assert np.allclose(probs[:, n], fam.probs.probs, atol=1e-12)
+            for w, post in enumerate(fam.states):
+                assert np.allclose(posts[w, n], post.mat, atol=1e-12)
+
+    def test_null_outcome_is_maximally_mixed(self):
+        probs, posts = a_posteriori_stack(projective_qubit(), KET0.mat[None])
+        assert np.allclose(probs[:, 0], [1.0, 0.0])
+        assert np.allclose(posts[1, 0], maximally_mixed(2).mat)
+
+    def test_min_output_purity(self):
+        kets = np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex) / [[1.0], [np.sqrt(2)]]
+        assert abs(min_output_purity(projective_qubit(), kets) - 1.0) < 1e-12
+        # Kraus operators |k><j| / sqrt(2): every input goes to I/2
+        units = tuple(
+            np.outer(np.eye(2)[k], np.eye(2)[j]).astype(complex) / np.sqrt(2)
+            for k in range(2)
+            for j in range(2)
+        )
+        depolarize = Instrument((0,), (KrausMap(2, 2, units),))
+        assert abs(min_output_purity(depolarize, kets) - 0.5) < 1e-12
 
 
 class TestTotalChannel:

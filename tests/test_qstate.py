@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from qinstr import qstate
-from qinstr.errors import BadTrace, DimensionMismatch, NotPositive
+from qinstr import matcore, qstate
+from qinstr.entropy import vn_entropies
+from qinstr.errors import BadTrace, DimensionMismatch, NotHermitian, NotPositive
 from qinstr.qstate import (
     ClassicalDist,
     DensityMatrix,
@@ -39,6 +40,10 @@ class TestValidateDensity:
     def test_rejects_bad_trace(self):
         with pytest.raises(BadTrace):
             validate_density(np.diag([0.6, 0.6]))
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NotHermitian):
+            validate_density(np.array([[0.5, 0.1], [0.0, 0.5]]))
 
 
 class TestAprioriState:
@@ -123,3 +128,57 @@ class TestJson:
 def test_density_matrix_requires_unit_trace():
     with pytest.raises(BadTrace):
         DensityMatrix(np.eye(2))
+
+
+def ginibre(dim, rng):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+class TestDecomposeOnce:
+    def test_keeps_its_own_decomposition(self):
+        rng = np.random.default_rng(0)
+        for dim in range(2, 9):
+            for _ in range(5):
+                rho = validate_density(ginibre(dim, rng))
+                vals, vecs = rho.spectral()
+                ref_vals, ref_vecs = matcore.herm_eig(rho.mat)
+                assert np.array_equal(vals, ref_vals)
+                assert np.array_equal(vecs, ref_vecs)
+
+    def _count_eigs(self, monkeypatch):
+        calls = []
+        herm_eig = matcore.herm_eig
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return herm_eig(*args, **kwargs)
+
+        monkeypatch.setattr(matcore, "herm_eig", counting)
+        return calls
+
+    def test_one_eig_without_clamping(self, monkeypatch):
+        m = ginibre(3, np.random.default_rng(1))
+        calls = self._count_eigs(monkeypatch)
+        validate_density(m)
+        assert len(calls) == 1
+
+    def test_clamping_redecomposes(self, monkeypatch):
+        calls = self._count_eigs(monkeypatch)
+        dm = validate_density(np.diag([0.7 + 1e-11, 0.3, -1e-11]))
+        assert len(calls) == 2
+        assert dm.spectral().eigenvalues[0] >= 0.0
+
+
+BAD_DENSITIES = [
+    (NotHermitian, np.array([[0.5, 0.1], [0.0, 0.5]])),
+    (BadTrace, np.diag([0.6, 0.6])),
+    (NotPositive, np.diag([1.5, -0.5])),
+]
+
+
+@pytest.mark.parametrize("error, m", BAD_DENSITIES)
+def test_vn_entropies_rejects(error, m):
+    with pytest.raises(error):
+        vn_entropies(np.stack([np.eye(2) / 2, m]))
