@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import hallmap, infobounds, matcore
+from . import hallmap, matcore
 from .errors import (
     QinstrError,
     SchemaError,
@@ -63,7 +63,13 @@ def splitmix64(x: int) -> int:
 
 
 def default_tol() -> float:
-    return float(os.environ.get("QINSTR_TOL", INEQ_TOL))
+    raw = os.environ.get("QINSTR_TOL")
+    if raw is None:
+        return INEQ_TOL
+    try:
+        return float(raw)
+    except ValueError:
+        raise SchemaError(f"QINSTR_TOL must be a number, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -85,6 +91,8 @@ class Scenario:
             )
         if self.log_base not in ("e", "2"):
             raise SchemaError(f"log_base must be 'e' or '2', got {self.log_base!r}")
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise SchemaError(f"tol must be finite and non-negative, got {self.tol!r}")
 
     def to_json(self) -> dict:
         obj = {
@@ -133,13 +141,17 @@ class AnalysisReport:
     fingerprint: str
     seed: int
     log_base: str
+    tol: float  # every check is judged at this tolerance (BoundCheck.passes)
     panel: dict
-    checks: tuple  # BoundCheck records paired with their tolerances
+    checks: tuple  # BoundCheck records
     quantum_info_gain: float
     purity_preserving: bool
     hall_skipped: Optional[str]  # reason, or None if Hall section ran
     default_state_sensitivity: Optional[float]
-    overall_pass: bool
+
+    @property
+    def overall_pass(self) -> bool:
+        return BoundReport(self.checks).all_pass(self.tol)
 
     def _scale(self, x: float) -> float:
         x = float(x)
@@ -148,17 +160,10 @@ class AnalysisReport:
         return x
 
     def check_rows(self) -> list:
-        rows = []
-        for check, tol in self.checks:
-            rows.append(
-                {
-                    "name": check.name,
-                    "lhs": self._scale(check.lhs),
-                    "rhs": self._scale(check.rhs),
-                    "slack": self._scale(check.slack),
-                    "pass": bool(check.passes(tol)),
-                }
-            )
+        rows = BoundReport(self.checks).to_json(self.tol)
+        for row in rows:
+            for key in ("lhs", "rhs", "slack"):
+                row[key] = self._scale(row[key])
         return rows
 
     def to_json(self) -> dict:
@@ -176,14 +181,6 @@ class AnalysisReport:
         }
 
 
-def _collect(report: BoundReport) -> list:
-    out = []
-    for c in report.checks:
-        tol = report.eq_tol if c.kind == "eq" else report.ineq_tol
-        out.append((c, tol))
-    return out
-
-
 def _fingerprint(s: Scenario) -> str:
     blob = json.dumps(s.to_json(), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -191,28 +188,23 @@ def _fingerprint(s: Scenario) -> str:
 
 def run_scenario(s: Scenario) -> AnalysisReport:
     """Full analysis pipeline for one (ensemble, instrument) pair."""
-    eq_tol = min(infobounds.EQ_TOL, s.tol)
     ms = analyze(s.ensemble, s.instrument, s.default_state)
     panel = entropy_panel(ms)
 
-    checks = []
-    checks += _collect(check_identities(panel, tol=eq_tol))
-    checks += _collect(check_bounds(panel, tol=s.tol))
+    checks = [*check_identities(panel).checks, *check_bounds(panel).checks]
 
     purity_preserving, gl_report = groenewold_lindblad_check(
         s.instrument, trials=s.gl_trials, seed=s.seed, n_demix=s.gl_demix
     )
-    checks += _collect(gl_report)
+    checks += gl_report.checks
 
     cs = compound_states(ms)
-    checks += _collect(cs.consistency)
-    checks += _collect(scutaru_chains(ms, cs, tol=s.tol))
+    checks += cs.consistency.checks
+    checks += scutaru_chains(ms, cs).checks
 
     hall_skipped = None
     try:
-        checks += _collect(hallmap.verify_duality(s.ensemble, s.instrument, ms))
-        checks += _collect(hallmap.hall_bound(s.ensemble, s.instrument, ms))
-        checks += _collect(hallmap.new_bound(s.ensemble, s.instrument, ms))
+        checks += hallmap.hall_section(ms).checks
     except SingularAprioriState as exc:
         hall_skipped = str(exc)
 
@@ -229,18 +221,17 @@ def run_scenario(s: Scenario) -> AnalysisReport:
             )
         )
 
-    overall = all(c.passes(tol) for c, tol in checks)
     return AnalysisReport(
         fingerprint=_fingerprint(s),
         seed=s.seed,
         log_base=s.log_base,
+        tol=s.tol,
         panel=panel.to_json(),
         checks=tuple(checks),
         quantum_info_gain=quantum_info_gain(s.instrument, ms.a_priori, s.default_state),
         purity_preserving=purity_preserving,
         hall_skipped=hall_skipped,
         default_state_sensitivity=sensitivity,
-        overall_pass=overall,
     )
 
 

@@ -41,8 +41,7 @@ class BoundCheck:
     name: str
     lhs: float
     rhs: float
-    kind: str = "ge"  # "ge": pass iff slack >= -tol; "eq": pass iff |slack| <= tol;
-    # "data": informational only, always passes
+    kind: str = "ge"  # "ge" inequality, "eq" equality, "data" informational
 
     @property
     def slack(self) -> float:
@@ -51,10 +50,12 @@ class BoundCheck:
         return self.rhs - self.lhs
 
     def passes(self, tol: float) -> bool:
+        """The one tolerance policy: an inequality passes iff slack >= -tol, an
+        equality iff |slack| <= min(EQ_TOL, tol); data always passes."""
         if self.kind == "data":
             return True
         if self.kind == "eq":
-            return abs(self.slack) <= tol
+            return abs(self.slack) <= min(EQ_TOL, tol)
         if math.isinf(self.rhs):
             return True
         return self.slack >= -tol
@@ -63,23 +64,18 @@ class BoundCheck:
 @dataclass(frozen=True)
 class BoundReport:
     checks: tuple
-    eq_tol: float = EQ_TOL
-    ineq_tol: float = INEQ_TOL
 
-    def all_pass(self) -> bool:
-        return all(
-            c.passes(self.eq_tol if c.kind == "eq" else self.ineq_tol)
-            for c in self.checks
-        )
+    def all_pass(self, tol: float = INEQ_TOL) -> bool:
+        return all(c.passes(tol) for c in self.checks)
 
-    def to_json(self) -> list:
+    def to_json(self, tol: float = INEQ_TOL) -> list:
         return [
             {
                 "name": c.name,
                 "lhs": float(c.lhs),
                 "rhs": float(c.rhs),
                 "slack": float(c.slack),
-                "pass": bool(c.passes(self.eq_tol if c.kind == "eq" else self.ineq_tol)),
+                "pass": bool(c.passes(tol)),
             }
             for c in self.checks
         ]
@@ -226,7 +222,7 @@ def entropy_panel(ms: MeasurementStatistics) -> EntropyPanel:
     )
 
 
-def check_identities(panel: EntropyPanel, tol: float = EQ_TOL) -> BoundReport:
+def check_identities(panel: EntropyPanel) -> BoundReport:
     """Both decompositions of the joint chi plus the tripartite chain rules."""
     values = panel.to_json().values()
     if any(math.isinf(v) for v in values):
@@ -263,10 +259,10 @@ def check_identities(panel: EntropyPanel, tol: float = EQ_TOL) -> BoundReport:
             kind="eq",
         ),
     )
-    return BoundReport(checks, eq_tol=tol)
+    return BoundReport(checks)
 
 
-def check_bounds(panel: EntropyPanel, tol: float = INEQ_TOL) -> BoundReport:
+def check_bounds(panel: EntropyPanel) -> BoundReport:
     """The four inequality families of the mutual-entropy section."""
     checks = (
         BoundCheck("sww", panel.classical_mi + panel.mean_chi_given_out, panel.chi_initial),
@@ -278,7 +274,7 @@ def check_bounds(panel: EntropyPanel, tol: float = INEQ_TOL) -> BoundReport:
         ),
         BoundCheck("lower_bound", panel.chi_post, panel.classical_mi + panel.mean_chi_given_out),
     )
-    return BoundReport(checks, ineq_tol=tol)
+    return BoundReport(checks)
 
 
 def quantum_info_gain(
@@ -481,7 +477,7 @@ def compound_states(ms: MeasurementStatistics) -> CompoundStates:
 
 
 def scutaru_chains(
-    ms: MeasurementStatistics, cs: Optional[CompoundStates] = None, tol: float = INEQ_TOL
+    ms: MeasurementStatistics, cs: Optional[CompoundStates] = None
 ) -> BoundReport:
     """Both compound-state inequality chains, one record per link."""
     if cs is None:
@@ -508,7 +504,7 @@ def scutaru_chains(
         BoundCheck("scutaru2_chi_eps_i_ge_gamma", gamma_rel, chi_eps_i),
         BoundCheck("scutaru2_chi_tau_f_ge_gamma", gamma_rel, chi_tau_f),
     )
-    return BoundReport(checks, ineq_tol=tol)
+    return BoundReport(checks)
 
 
 def merge_outcomes(ins: Instrument, w1, w2) -> Instrument:

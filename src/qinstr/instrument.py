@@ -235,10 +235,10 @@ def random_instrument(
         for _ in range(n_outcomes)
     ]
     s = sum(k.conj().T @ k for group in raw for k in group)
-    vals, _ = matcore.herm_eig(s)
-    if vals[0] < 1e-12:
-        raise SingularNormalizer(f"normalizer eigenvalue {vals[0]:.3e} too small")
-    s_inv_sqrt = matcore.spectral_apply(s, lambda x: x ** -0.5)
+    spec = matcore.herm_eig(s)
+    if spec.eigenvalues[0] < 1e-12:
+        raise SingularNormalizer(f"normalizer eigenvalue {spec.eigenvalues[0]:.3e} too small")
+    s_inv_sqrt = matcore.spectral_apply(spec, lambda x: x ** -0.5)
     maps = tuple(
         KrausMap(d1, d2, tuple(k @ s_inv_sqrt for k in group)) for group in raw
     )

@@ -60,16 +60,17 @@ def herm_eig(a: np.ndarray, herm_tol: float = HERM_TOL) -> SpectralDecomp:
 
 
 def spectral_apply(
-    a: np.ndarray,
+    spec: SpectralDecomp,
     f: Callable[[float], float],
     support_cutoff: float = SUPPORT_CUTOFF,
 ) -> np.ndarray:
-    """Return U f(L) U^dag with f applied only to eigenvalues above the cutoff.
+    """Return U f(L) U^dag from a decomposition (L, U), with f applied only to
+    eigenvalues above the cutoff.
 
     Eigenvalues <= support_cutoff map to 0 (support-restricted functional
     calculus), so e.g. log and x**-1/2 are safe on rank-deficient inputs.
     """
-    vals, vecs = herm_eig(a)
+    vals, vecs = spec
     fvals = np.array([f(v) if v > support_cutoff else 0.0 for v in vals])
     return (vecs * fvals) @ vecs.conj().T
 

@@ -58,7 +58,7 @@ def _verdict(number, ok, detail):
 
 
 def _named(report, name):
-    return [c for c, _tol in report.checks if c.name == name]
+    return [c for c in report.checks if c.name == name]
 
 
 @pytest.fixture(scope="session")

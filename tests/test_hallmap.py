@@ -3,15 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from qinstr import hallmap
 from qinstr.errors import SingularAprioriState
-from qinstr.hallmap import (
-    build_hall_instrument,
-    dual_ensemble,
-    hall_bound,
-    new_bound,
-    verify_duality,
-)
+from qinstr.hallmap import build_hall_instrument, dual_ensemble, hall_section
+from qinstr.harness import random_scenario, run_scenario
 from qinstr.infobounds import (
+    BoundReport,
     analyze,
     classical_mutual_info,
     entropy_panel,
@@ -43,6 +40,17 @@ def zero_plus_ensemble():
 
 def orthogonal_ensemble():
     return Ensemble((0, 1), np.array([0.5, 0.5]), (KET0, KET1))
+
+
+DUALITY = ("duality_conditional_law", "duality_ic")
+HALL = ("hall_bound",)
+NEW = ("new_bound", "new_d_term_nonneg", "new_iq_identity", "new_le_holevo", "new_vs_hall_data")
+
+
+def hall_checks(e, ins, names):
+    """The named checks of hall_section's report on (e, ins)."""
+    report = hall_section(analyze(e, ins))
+    return BoundReport(tuple(report[name] for name in names))
 
 
 class TestBuildHallInstrument:
@@ -133,7 +141,7 @@ class TestVerifyDuality:
     def test_desk_example(self):
         e = zero_plus_ensemble()
         ins = projective_qubit()
-        report = verify_duality(e, ins)
+        report = hall_checks(e, ins, DUALITY)
         assert report.all_pass(), report.to_json()
         assert abs(report["duality_ic"].rhs - 0.2157615543388356) < 1e-10
         assert abs(report["duality_ic"].lhs - 0.2157615543388356) < 1e-9
@@ -146,13 +154,13 @@ class TestVerifyDuality:
             e.dim, int(rng.integers(2, 4)), int(rng.integers(2, 4)), int(rng.integers(1, 3)),
             seed=200 + seed,
         )
-        report = verify_duality(e, ins)
+        report = hall_checks(e, ins, DUALITY)
         assert report.all_pass(), report.to_json()
 
 
 class TestHallBound:
     def test_desk_example(self):
-        report = hall_bound(zero_plus_ensemble(), projective_qubit())
+        report = hall_checks(zero_plus_ensemble(), projective_qubit(), HALL)
         assert report.all_pass()
         check = report["hall_bound"]
         assert check.lhs == pytest.approx(0.2157615543388356, abs=1e-10)
@@ -166,7 +174,7 @@ class TestHallBound:
             e.dim, int(rng.integers(2, 4)), int(rng.integers(2, 4)), int(rng.integers(1, 3)),
             seed=400 + seed,
         )
-        assert hall_bound(e, ins).all_pass()
+        assert hall_checks(e, ins, HALL).all_pass()
 
 
 class TestNewBound:
@@ -175,14 +183,14 @@ class TestNewBound:
         # Hall instrument leaves them pure, so every I_q term vanishes and the
         # bound degenerates to Holevo: I_c = chi = log 2
         e = orthogonal_ensemble()
-        report = new_bound(e, projective_qubit())
+        report = hall_checks(e, projective_qubit(), NEW)
         assert report.all_pass(), report.to_json()
         nb = report["new_bound"]
         assert abs(nb.lhs - math.log(2)) < 1e-9
         assert abs(nb.rhs - math.log(2)) < 1e-9
 
     def test_desk_example(self):
-        report = new_bound(zero_plus_ensemble(), projective_qubit())
+        report = hall_checks(zero_plus_ensemble(), projective_qubit(), NEW)
         assert report.all_pass(), report.to_json()
         nb = report["new_bound"]
         assert nb.lhs == pytest.approx(0.2157615543388356, abs=1e-10)
@@ -191,7 +199,7 @@ class TestNewBound:
     def test_iq_identity(self):
         # I_q{eta_i; J} = chi_initial
         e = zero_plus_ensemble()
-        report = new_bound(e, projective_qubit())
+        report = hall_checks(e, projective_qubit(), NEW)
         idt = report["new_iq_identity"]
         assert abs(idt.slack) < 1e-9
         assert abs(idt.rhs - 0.4164955306996875) < 1e-10
@@ -204,7 +212,7 @@ class TestNewBound:
             e.dim, int(rng.integers(2, 4)), int(rng.integers(2, 4)), int(rng.integers(1, 3)),
             seed=600 + seed,
         )
-        report = new_bound(e, ins)
+        report = hall_checks(e, ins, NEW)
         assert report.all_pass(), report.to_json()
 
     def test_strictly_improves_somewhere(self):
@@ -214,13 +222,42 @@ class TestNewBound:
             rng = np.random.default_rng(700 + seed)
             e = random_ensemble(2, 2, rng)
             ins = random_instrument(2, 2, 2, 1, seed=800 + seed)
-            report = new_bound(e, ins)
+            report = hall_checks(e, ins, NEW)
             panel = entropy_panel(analyze(e, ins))
             best = max(best, panel.chi_initial - report["new_bound"].rhs)
         assert best > 1e-6
 
     def test_new_vs_hall_recorded_as_data(self):
-        report = new_bound(zero_plus_ensemble(), projective_qubit())
+        report = hall_checks(zero_plus_ensemble(), projective_qubit(), NEW)
         check = report["new_vs_hall_data"]
         assert check.kind == "data"
         assert check.passes(0.0)  # informational, never fails
+
+
+class TestHallSection:
+    def test_check_names_in_order(self):
+        report = hall_section(analyze(zero_plus_ensemble(), projective_qubit()))
+        assert [c.name for c in report.checks] == [*DUALITY, *HALL, *NEW]
+
+    def test_skipped_on_singular_a_priori(self):
+        e = Ensemble((0, 1), np.array([0.5, 0.5]), (KET0, KET0))
+        with pytest.raises(SingularAprioriState):
+            hall_section(analyze(e, projective_qubit()))
+
+    def test_run_scenario_builds_the_dual_once(self, monkeypatch):
+        calls = {"build_hall_instrument": 0, "dual_ensemble": 0}
+
+        def counted(name):
+            inner = getattr(hallmap, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(hallmap, name, counted(name))
+        report = run_scenario(random_scenario(3, 2, 3, 3, 2, seed=11))
+        assert report.hall_skipped is None
+        assert calls == {"build_hall_instrument": 1, "dual_ensemble": 1}

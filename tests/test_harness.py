@@ -12,6 +12,7 @@ from qinstr.harness import (
     emit_report,
     example_scenario,
     main,
+    random_scenario,
     run_random_suite,
     run_scenario,
     scenario_from_json,
@@ -107,6 +108,25 @@ class TestRunScenario:
         # the null cells carry zero weight, so the panel is insensitive
         assert report.default_state_sensitivity < 1e-9
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-3])
+    @pytest.mark.parametrize("seed", [7, 99, 12345])
+    def test_every_check_judged_at_scenario_tol(self, seed, tol):
+        # one policy for every stage: inequalities at tol, equalities at
+        # min(1e-9, tol), data never fails
+        report = run_scenario(random_scenario(3, 3, 3, 3, 2, seed, tol=tol))
+        assert report.hall_skipped is None
+        rows = report.check_rows()
+        assert len(rows) == len(report.checks)
+        for check, row in zip(report.checks, rows):
+            if check.kind == "data":
+                expected = True
+            elif check.kind == "eq":
+                expected = abs(check.slack) <= min(1e-9, tol)
+            else:
+                expected = math.isinf(check.rhs) or check.slack >= -tol
+            assert row["pass"] == expected, (check, tol)
+        assert report.overall_pass == all(row["pass"] for row in rows)
+
     def test_deterministic_json(self):
         s = example_scenario("zero-one-plus")
         out1 = emit_report(run_scenario(s), "json")
@@ -201,6 +221,17 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"ensemble": {"letters": []}}))
         assert main(["analyze", str(path)]) == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tol_is_input_error(self, tmp_path, capsys, tol):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(example_scenario("zero-one-plus").to_json()))
+        assert main(["analyze", str(path), "--tol", tol]) == 2
+
+    def test_unparsable_env_tol_is_input_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("QINSTR_TOL", "abc")
+        assert main(["random", "--trials", "1"]) == 2
+        assert "QINSTR_TOL" in capsys.readouterr().err
 
     def test_random_command(self, capsys):
         code = main(["random", "--trials", "2", "--seed", "3"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qinstr import matcore
 from qinstr.errors import DimensionMismatch, UnknownOutcome
 from qinstr.instrument import (
     Instrument,
@@ -234,3 +235,15 @@ class TestRandomInstrument:
         ins = random_instrument(2, 2, 1, 4, seed=19)
         out = total_channel(ins, PLUS)
         assert abs(np.trace(out.mat).real - 1.0) < 1e-10
+
+    def test_normalizer_decomposed_once(self, monkeypatch):
+        calls = []
+        herm_eig = matcore.herm_eig
+
+        def counted(a):
+            calls.append(a)
+            return herm_eig(a)
+
+        monkeypatch.setattr(matcore, "herm_eig", counted)
+        random_instrument(3, 2, 3, 2, seed=13)
+        assert len(calls) == 1
