@@ -1,10 +1,10 @@
 """Quantum instruments, measurement entropies and information bounds."""
 
-from ._kernels import BACKEND as EIG_BACKEND
 from .qstate import ClassicalDist, DensityMatrix, Ensemble, Povm
 from .instrument import AposterioriFamily, Instrument, KrausMap
 
 __version__ = "0.1.0"
+EIG_BACKEND = "lapack"  # matcore.herm_eig is numpy.linalg.eigh
 
 __all__ = [
     "EIG_BACKEND",

@@ -20,7 +20,7 @@ from .infobounds import (
     quantum_info_gain,
 )
 from .instrument import Instrument, KrausMap, ZERO_PROB_TOL, povm_of
-from .qstate import ClassicalDist, Ensemble, a_priori_state, validate_density
+from .qstate import ClassicalDist, DensityMatrix, Ensemble, validate_density
 
 INVERTIBILITY_TOL = 1e-9
 
@@ -42,9 +42,9 @@ class DualEnsemble:
     states: tuple  # one per positive-probability outcome; None on null outcomes
 
 
-def build_hall_instrument(e: Ensemble) -> HallInstrument:
-    """Kraus operators sqrt(P_a) rho_a^{1/2} eta^{-1/2}, one per letter."""
-    eta = a_priori_state(e)
+def build_hall_instrument(e: Ensemble, eta: DensityMatrix) -> HallInstrument:
+    """Kraus operators sqrt(P_a) rho_a^{1/2} eta^{-1/2}, one per letter, where
+    ``eta`` is the a priori state of ``e``."""
     vals, _ = eta.spectral()
     if vals[0] <= INVERTIBILITY_TOL:
         raise SingularAprioriState(
@@ -61,11 +61,11 @@ def build_hall_instrument(e: Ensemble) -> HallInstrument:
     return HallInstrument(base=base, source_ensemble=e)
 
 
-def dual_ensemble(e: Ensemble, ins: Instrument) -> DualEnsemble:
-    """sigma_i(omega) = eta^{1/2} E(omega) eta^{1/2} / P_f(omega)."""
+def dual_ensemble(e: Ensemble, ins: Instrument, eta: DensityMatrix) -> DualEnsemble:
+    """sigma_i(omega) = eta^{1/2} E(omega) eta^{1/2} / P_f(omega), where ``eta``
+    is the a priori state of ``e``."""
     if e.dim != ins.dim_in:
         raise DimensionMismatch(f"ensemble dim {e.dim} vs instrument dim_in {ins.dim_in}")
-    eta = a_priori_state(e)
     sqrt_eta = matcore.spectral_apply(eta.spectral(), np.sqrt)
     effects = povm_of(ins).effects
     p_f = np.array([max(float(np.trace(eff @ eta.mat).real), 0.0) for eff in effects])
@@ -95,8 +95,8 @@ def hall_section(ms: MeasurementStatistics) -> BoundReport:
       Hall's bound (recorded as data, not asserted).
     """
     e, ins, eta = ms.ensemble, ms.instrument, ms.a_priori
-    h = build_hall_instrument(e)
-    dual = dual_ensemble(e, ins)
+    h = build_hall_instrument(e, eta)
+    dual = dual_ensemble(e, ins, eta)
     effects_j = povm_of(h.base).effects
     i_c = classical_mutual_info(ms)
 

@@ -44,10 +44,10 @@ from .instrument import (
 from .qstate import (
     DensityMatrix,
     Ensemble,
+    density_from_json,
     ensemble_from_json,
     ensemble_to_json,
     pure_state,
-    validate_density,
 )
 
 LN2 = math.log(2.0)
@@ -119,9 +119,7 @@ def scenario_from_json(obj: dict, tol_override: Optional[float] = None,
         options = obj.get("options", {})
         default_state = None
         if "default_state" in options:
-            default_state = validate_density(
-                matcore.matrix_from_json(options["default_state"])
-            )
+            default_state = density_from_json(options["default_state"])
         return Scenario(
             ensemble=ensemble,
             instrument=instrument,

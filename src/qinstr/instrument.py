@@ -235,7 +235,9 @@ def random_instrument(
         for _ in range(n_outcomes)
     ]
     s = sum(k.conj().T @ k for group in raw for k in group)
-    spec = matcore.herm_eig(s)
+    # jacobi_eig, not herm_eig: its rounding sets the generated Kraus
+    # operators' last digits, which scenario fingerprints hash
+    spec = matcore.jacobi_eig(s)
     if spec.eigenvalues[0] < 1e-12:
         raise SingularNormalizer(f"normalizer eigenvalue {spec.eigenvalues[0]:.3e} too small")
     s_inv_sqrt = matcore.spectral_apply(spec, lambda x: x ** -0.5)

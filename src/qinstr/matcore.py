@@ -1,18 +1,22 @@
-"""Dense complex linear algebra: Hermitian eigendecomposition via cyclic Jacobi,
-spectral functions on the support, Kronecker products and partial traces.
+"""Dense complex linear algebra: Hermitian eigendecomposition, spectral
+functions on the support, Kronecker products and partial traces.
 
 Conventions (project-wide): row-major complex128 arrays, eigenvectors stored as
-columns, eigenvalues ascending. The Jacobi kernel comes from ``_kernels``
-(compiled extension when available, numpy fallback otherwise).
+columns, eigenvalues ascending. ``herm_eig`` is LAPACK (``numpy.linalg.eigh``)
+and serves every computation. ``jacobi_eig`` is a numpy cyclic Jacobi kept for
+input canonicalisation only: its rounding sets the last digits of generated
+Kraus operators (``random_instrument``) and of clamp-repaired states read from
+JSON, and scenario fingerprints hash those digits, so those two call sites
+must not change solver.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._kernels import jacobi_sweeps
 from .errors import DimensionMismatch, NoConvergence, NotHermitian
 
 HERM_TOL = 1e-10
@@ -45,18 +49,83 @@ def check_hermitian(a: np.ndarray, tol: float = HERM_TOL) -> None:
 
 
 def herm_eig(a: np.ndarray, herm_tol: float = HERM_TOL) -> SpectralDecomp:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations."""
+    """Eigendecomposition of a Hermitian matrix (of its Hermitian part) by LAPACK."""
+    a = as_matrix(a)
+    check_hermitian(a, herm_tol)
+    try:
+        vals, vecs = np.linalg.eigh(0.5 * (a + a.conj().T))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigh failed: {exc}") from exc
+    return SpectralDecomp(vals, vecs)
+
+
+def jacobi_eig(a: np.ndarray, herm_tol: float = HERM_TOL) -> SpectralDecomp:
+    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+
+    Only for input canonicalisation (see the module docstring); use herm_eig
+    everywhere else.
+    """
     a = as_matrix(a)
     check_hermitian(a, herm_tol)
     n = a.shape[0]
     work = np.ascontiguousarray(0.5 * (a + a.conj().T))
     vecs = np.eye(n, dtype=np.complex128)
     off_tol = OFF_DIAG_TOL * max(1.0, float(np.linalg.norm(work)))
-    if not jacobi_sweeps(work, vecs, MAX_SWEEPS, off_tol):
+    if not _jacobi_sweeps(work, vecs, MAX_SWEEPS, off_tol):
         raise NoConvergence(f"Jacobi did not converge in {MAX_SWEEPS} sweeps")
     vals = np.diag(work).real.copy()
     order = np.argsort(vals, kind="stable")
     return SpectralDecomp(vals[order], np.ascontiguousarray(vecs[:, order]))
+
+
+def _off_norm(a: np.ndarray) -> float:
+    off = a - np.diag(np.diag(a))
+    return float(np.linalg.norm(off))
+
+
+def _jacobi_sweeps(a: np.ndarray, v: np.ndarray, max_sweeps: int, off_tol: float) -> bool:
+    """Run cyclic Jacobi sweeps in place on ``a`` (accumulating the rotations in
+    ``v``); return True once the off-diagonal Frobenius norm is <= off_tol."""
+    n = a.shape[0]
+    if n < 2:
+        return True
+    for _ in range(max_sweeps):
+        if _off_norm(a) <= off_tol:
+            return True
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                mag = abs(apq)
+                if mag == 0.0:
+                    continue
+                phase = apq / mag
+                app = a[p, p].real
+                aqq = a[q, q].real
+                tau = (aqq - app) / (2.0 * mag)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                sp = s * phase
+                # A <- J^dag A J with J the rotation in the (p, q) plane
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p - np.conj(sp) * col_q
+                a[:, q] = sp * col_p + c * col_q
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = c * row_p - sp * row_q
+                a[q, :] = np.conj(sp) * row_p + c * row_q
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                a[p, p] = a[p, p].real
+                a[q, q] = a[q, q].real
+                vcol_p = v[:, p].copy()
+                v[:, p] = c * vcol_p - np.conj(sp) * v[:, q]
+                v[:, q] = sp * vcol_p + c * v[:, q]
+    return _off_norm(a) <= off_tol
 
 
 def spectral_apply(

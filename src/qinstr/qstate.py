@@ -54,19 +54,20 @@ class DensityMatrix:
         return float(np.trace(self.mat @ self.mat).real)
 
 
-def validate_density(m, tol: float = DENSITY_TOL) -> DensityMatrix:
+def validate_density(m, tol: float = DENSITY_TOL, *, eig=None) -> DensityMatrix:
     """Check/repair a candidate density matrix.
 
     Eigenvalues in (-tol, 0) are clamped to 0 and the trace renormalized;
     anything more negative is a hard error. Without clamping, the decomposition
-    made here is the one the returned state keeps.
+    made here is the one the returned state keeps. ``eig`` is the eigensolver
+    (``matcore.herm_eig`` when None).
     """
     m = matcore.as_matrix(m)
     matcore.check_hermitian(m, tol)
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > tol:
         raise BadTrace(f"trace {tr} differs from 1 by more than {tol:.1e}")
-    spec = matcore.herm_eig(m)
+    spec = (matcore.herm_eig if eig is None else eig)(m)
     vals, vecs = spec
     if vals[0] < -tol:
         raise NotPositive(f"minimum eigenvalue {vals[0]:.3e} below -{tol:.1e}")
@@ -235,6 +236,14 @@ def ensemble_to_json(e: Ensemble) -> dict:
     }
 
 
+def density_from_json(rows: list) -> DensityMatrix:
+    """A state read from JSON, validated with ``matcore.jacobi_eig``: a clamp
+    repair rebuilds the matrix from the eigendecomposition, and scenario
+    fingerprints hash the repaired matrix, so its digits must not depend on
+    the solver that serves the analysis."""
+    return validate_density(matcore.matrix_from_json(rows), eig=matcore.jacobi_eig)
+
+
 def ensemble_from_json(obj: dict) -> Ensemble:
-    states = tuple(validate_density(matcore.matrix_from_json(m)) for m in obj["states"])
+    states = tuple(density_from_json(m) for m in obj["states"])
     return Ensemble(tuple(obj["letters"]), np.array(obj["probs"], dtype=float), states)

@@ -115,9 +115,10 @@ def test_criterion_4_desk_orthogonal_projective():
     chi = report.panel["chi_initial"]
     holevo = _named(report, "holevo")[0]
     from qinstr.hallmap import build_hall_instrument
+    from qinstr.qstate import a_priori_state
 
     s = example_scenario("orthogonal-projective")
-    h = build_hall_instrument(s.ensemble)
+    h = build_hall_instrument(s.ensemble, a_priori_state(s.ensemble))
     # with orthogonal pure letters the Kraus operator M(a) is the projector
     # |a><a|, i.e. the letter state itself
     dev = max(

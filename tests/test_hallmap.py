@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qinstr import hallmap
+from qinstr import hallmap, infobounds, qstate
 from qinstr.errors import SingularAprioriState
 from qinstr.hallmap import build_hall_instrument, dual_ensemble, hall_section
 from qinstr.harness import random_scenario, run_scenario
@@ -56,39 +56,40 @@ def hall_checks(e, ins, names):
 class TestBuildHallInstrument:
     def test_orthogonal_pair_gives_projectors(self):
         # eta = I/2, so M(a) = sqrt(1/2) |a><a| (I/2)^{-1/2} = |a><a|
-        h = build_hall_instrument(orthogonal_ensemble())
+        e = orthogonal_ensemble()
+        h = build_hall_instrument(e, a_priori_state(e))
         assert np.allclose(h.base.maps[0].kraus[0], np.diag([1.0, 0.0]), atol=1e-10)
         assert np.allclose(h.base.maps[1].kraus[0], np.diag([0.0, 1.0]), atol=1e-10)
 
     def test_single_letter_is_identity(self):
         e = Ensemble(("only",), np.array([1.0]), (maximally_mixed(2),))
-        h = build_hall_instrument(e)
+        h = build_hall_instrument(e, a_priori_state(e))
         assert np.allclose(h.base.maps[0].kraus[0], np.eye(2), atol=1e-10)
 
     def test_singular_a_priori_rejected(self):
         e = Ensemble((0, 1), np.array([0.5, 0.5]), (KET0, KET0))
         with pytest.raises(SingularAprioriState):
-            build_hall_instrument(e)
+            build_hall_instrument(e, a_priori_state(e))
 
     def test_normalization_holds(self):
         rng = np.random.default_rng(0)
         for seed in range(5):
             e = random_ensemble(3, 3, np.random.default_rng(seed))
-            h = build_hall_instrument(e)
+            h = build_hall_instrument(e, a_priori_state(e))
             total = sum(m.effect() for m in h.base.maps)
             assert np.max(np.abs(total - np.eye(3))) < 1e-9
 
     def test_reproduces_letter_probabilities_on_eta(self):
         # P_J(a | eta_i) = P_i(a)
         e = zero_plus_ensemble()
-        h = build_hall_instrument(e)
+        h = build_hall_instrument(e, a_priori_state(e))
         probs = outcome_probs(h.base, a_priori_state(e))
         assert np.allclose(probs.probs, e.probs, atol=1e-10)
 
     def test_posteriors_on_eta_are_letter_states(self):
         # pi_{eta_i}(a) = rho_i(a)
         e = zero_plus_ensemble()
-        h = build_hall_instrument(e)
+        h = build_hall_instrument(e, a_priori_state(e))
         fam = a_posteriori(h.base, a_priori_state(e))
         for rho, post in zip(e.states, fam.states):
             assert np.max(np.abs(post.mat - rho.mat)) < 1e-9
@@ -96,7 +97,7 @@ class TestBuildHallInstrument:
     def test_pure_inputs_stay_pure(self):
         # single Kraus operator per outcome
         e = random_ensemble(2, 3, np.random.default_rng(3))
-        h = build_hall_instrument(e)
+        h = build_hall_instrument(e, a_priori_state(e))
         fam = a_posteriori(h.base, PLUS)
         for p, s in zip(fam.probs.probs, fam.states):
             if p > 1e-12:
@@ -107,13 +108,13 @@ class TestDualEnsemble:
     def test_identity_instrument_returns_eta(self):
         e = zero_plus_ensemble()
         ins = Instrument((0,), (KrausMap(2, 2, (np.eye(2, dtype=complex),)),))
-        dual = dual_ensemble(e, ins)
+        dual = dual_ensemble(e, ins, a_priori_state(e))
         assert np.allclose(dual.states[0].mat, a_priori_state(e).mat, atol=1e-10)
 
     def test_barycenter_is_eta(self):
         e = random_ensemble(3, 2, np.random.default_rng(5))
         ins = random_instrument(3, 2, 3, 2, seed=6)
-        dual = dual_ensemble(e, ins)
+        dual = dual_ensemble(e, ins, a_priori_state(e))
         mix = sum(
             p * s.mat for p, s in zip(dual.probs.probs, dual.states) if s is not None
         )
@@ -122,7 +123,7 @@ class TestDualEnsemble:
     def test_probs_match_outcome_probs(self):
         e = zero_plus_ensemble()
         ins = projective_qubit()
-        dual = dual_ensemble(e, ins)
+        dual = dual_ensemble(e, ins, a_priori_state(e))
         assert np.allclose(dual.probs.probs, [0.75, 0.25], atol=1e-10)
 
     def test_null_outcome_gets_none(self):
@@ -132,7 +133,7 @@ class TestDualEnsemble:
         # representable; instead feed KET0-only ensemble support through the
         # z-projective instrument and check the unused branch on a pure eta.
         single = Ensemble(("a",), np.array([1.0]), (KET1,))
-        dual = dual_ensemble(single, projective_qubit())
+        dual = dual_ensemble(single, projective_qubit(), a_priori_state(single))
         assert dual.states[0] is None  # outcome 0 has zero probability
         assert dual.states[1] is not None
 
@@ -261,3 +262,21 @@ class TestHallSection:
         report = run_scenario(random_scenario(3, 2, 3, 3, 2, seed=11))
         assert report.hall_skipped is None
         assert calls == {"build_hall_instrument": 1, "dual_ensemble": 1}
+
+    def test_run_scenario_builds_the_a_priori_state_once(self, monkeypatch):
+        # the Hall section reuses analyze's eta; with no null outcomes there is
+        # no second analyze, so eta is built exactly once
+        calls = []
+        a_priori_state = qstate.a_priori_state
+
+        def counted(e):
+            calls.append(e)
+            return a_priori_state(e)
+
+        for mod in (qstate, infobounds, hallmap):
+            if hasattr(mod, "a_priori_state"):
+                monkeypatch.setattr(mod, "a_priori_state", counted)
+        report = run_scenario(random_scenario(3, 2, 3, 3, 2, seed=11))
+        assert report.hall_skipped is None
+        assert report.default_state_sensitivity is None
+        assert len(calls) == 1

@@ -9,6 +9,7 @@ import pytest
 from qinstr.harness import (
     EXAMPLE_NAMES,
     Scenario,
+    _fingerprint,
     emit_report,
     example_scenario,
     main,
@@ -19,6 +20,7 @@ from qinstr.harness import (
     splitmix64,
 )
 from qinstr.errors import SchemaError, UnknownFormat
+from qinstr.infobounds import random_pure
 from qinstr.instrument import random_instrument
 from qinstr.qstate import Ensemble, pure_state
 
@@ -70,6 +72,38 @@ class TestScenarioJson:
         s2 = scenario_from_json(s.to_json(), tol_override=1e-5, base_override="2")
         assert s2.tol == 1e-5
         assert s2.log_base == "2"
+
+
+class TestGoldenFingerprints:
+    """The input contract: seeded scenarios hash to these values, so a change
+    to the generators or to the solvers behind them fails here first."""
+
+    @staticmethod
+    def _roundtrip(s):
+        return scenario_from_json(json.loads(json.dumps(s.to_json())))
+
+    @pytest.mark.parametrize("spec,expected", [
+        ((2, 2, 3, 3, 2, 7), "4dbc43409d64acd4"),
+        ((3, 2, 2, 4, 1, 99), "9bec63adee0774ee"),
+        ((5, 5, 3, 3, 2, 11), "7fc10edea4eeda1b"),
+    ])
+    def test_random_scenario(self, spec, expected):
+        s = random_scenario(*spec)
+        assert _fingerprint(s) == expected
+        assert _fingerprint(self._roundtrip(s)) == expected
+
+    def test_pure_letters(self):
+        # reading the pure letters back clamps their tiny negative eigenvalues,
+        # so the round trip hashes the repaired matrices
+        rng = np.random.default_rng(5)
+        states = (random_pure(3, rng), random_pure(3, rng))
+        s = Scenario(
+            ensemble=Ensemble((0, 1), np.array([0.3, 0.7]), states),
+            instrument=random_instrument(3, 2, 3, 1, seed=5),
+            seed=5,
+        )
+        assert _fingerprint(s) == "cb12254c3f3b049b"
+        assert _fingerprint(self._roundtrip(s)) == "f20fe675733174fa"
 
 
 class TestRunScenario:

@@ -238,12 +238,12 @@ class TestRandomInstrument:
 
     def test_normalizer_decomposed_once(self, monkeypatch):
         calls = []
-        herm_eig = matcore.herm_eig
+        jacobi_eig = matcore.jacobi_eig
 
         def counted(a):
             calls.append(a)
-            return herm_eig(a)
+            return jacobi_eig(a)
 
-        monkeypatch.setattr(matcore, "herm_eig", counted)
+        monkeypatch.setattr(matcore, "jacobi_eig", counted)
         random_instrument(3, 2, 3, 2, seed=13)
         assert len(calls) == 1

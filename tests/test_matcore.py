@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qinstr
 from qinstr import matcore
-from qinstr._kernels import BACKEND, jacobi_sweeps
-from qinstr._kernels.jacobi_py import jacobi_sweeps as jacobi_sweeps_py
-from qinstr.errors import DimensionMismatch, NotHermitian
+from qinstr.errors import DimensionMismatch, NoConvergence, NotHermitian
 
 
 def random_hermitian(dim, seed):
@@ -59,20 +58,36 @@ class TestHermEig:
         assert np.max(np.abs((vecs * vals) @ vecs.conj().T - a)) < 1e-9
 
 
-class TestKernelTwins:
-    def test_backends_agree(self):
-        # the compiled kernel and the numpy fallback diagonalize identically
-        a = random_hermitian(6, 3)
-        work1 = np.ascontiguousarray(a.copy())
-        v1 = np.eye(6, dtype=complex)
-        work2 = np.ascontiguousarray(a.copy())
-        v2 = np.eye(6, dtype=complex)
-        assert jacobi_sweeps(work1, v1, 100, 1e-13)
-        assert jacobi_sweeps_py(work2, v2, 100, 1e-13)
-        assert np.allclose(np.sort(np.diag(work1).real), np.sort(np.diag(work2).real), atol=1e-12)
+class TestSolvers:
+    """LAPACK (herm_eig) against the numpy Jacobi kept for input canonicalisation."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10 ** 6))
+    def test_herm_eig_agrees_with_jacobi_eig(self, dim, seed):
+        a = random_hermitian(dim, seed)
+        lapack = matcore.herm_eig(a)
+        jacobi = matcore.jacobi_eig(a)
+        assert np.max(np.abs(lapack.eigenvalues - jacobi.eigenvalues)) < 1e-10
+        for vals, vecs in (lapack, jacobi):
+            assert np.all(np.diff(vals) >= 0)
+            assert np.max(np.abs((vecs * vals) @ vecs.conj().T - a)) < 1e-9
+
+    def test_eigh_failure_is_no_convergence(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NoConvergence):
+            matcore.herm_eig(np.eye(2))
+
+    def test_jacobi_rejects_bad_input(self):
+        with pytest.raises(NotHermitian):
+            matcore.jacobi_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(NotHermitian):
+            matcore.jacobi_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_backend_identified(self):
-        assert BACKEND in ("cython", "python")
+        assert qinstr.EIG_BACKEND == "lapack"
 
 
 class TestSpectralApply:
