@@ -1,8 +1,13 @@
 """Von Neumann entropy, relative entropies and chi-quantities.
 
-All quantities are in nats. +inf is a first-class value (Python ``math.inf``)
-propagated through sums; conversion to bits is a presentation concern handled
-by the harness.
+All quantities are in nats; conversion to bits is a presentation concern
+handled by the harness. Every chi of the pipeline is the mutual entropy of a
+family against its own barycenter, which ``chi_against`` evaluates as an
+entropy difference from cached spectra: finite in finite dimension, with no
+support test. The relative entropies (``q_rel_entropy``, ``c_rel_entropy``,
+``mixed_rel_entropy``) take arbitrary pairs, so they test supports and return
++inf (Python ``math.inf``) when one leaves the other; no pipeline stage calls
+them.
 """
 
 from __future__ import annotations
@@ -47,21 +52,19 @@ class StateFamily:
         return validate_density(mix)
 
 
-def vn_entropy(rho: DensityMatrix, cutoff: float = SUPPORT_CUTOFF) -> float:
+def vn_entropy(rho: DensityMatrix) -> float:
     vals = rho.spectral().eigenvalues
-    return float(-sum(v * math.log(v) for v in vals if v > cutoff))
+    return float(-sum(v * math.log(v) for v in vals if v > SUPPORT_CUTOFF))
 
 
-def vn_entropies(stack, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
+def vn_entropies(stack) -> np.ndarray:
     """vn_entropy of each state of an (n, d, d) stack, checked by density_eigvals."""
     vals = density_eigvals(stack)
-    kept = vals > cutoff
+    kept = vals > SUPPORT_CUTOFF
     return -np.sum(np.where(kept, vals * np.log(np.where(kept, vals, 1.0)), 0.0), axis=-1)
 
 
-def q_rel_entropy(
-    sigma: DensityMatrix, tau: DensityMatrix, cutoff: float = SUPPORT_CUTOFF
-) -> float:
+def q_rel_entropy(sigma: DensityMatrix, tau: DensityMatrix) -> float:
     """Tr{sigma (log sigma - log tau)}, +inf when supp(sigma) leaves supp(tau).
 
     Evaluated through both spectral decompositions:
@@ -70,34 +73,34 @@ def q_rel_entropy(
     """
     if sigma.dim != tau.dim:
         raise DimensionMismatch(f"dims {sigma.dim} and {tau.dim} differ")
-    if not fidelity_like_support_check(sigma, tau, cutoff):
+    if not fidelity_like_support_check(sigma, tau):
         return INF
     svals, svecs = sigma.spectral()
     tvals, tvecs = tau.spectral()
     overlap = np.abs(svecs.conj().T @ tvecs) ** 2  # [j, k]
     total = 0.0
     for j, lj in enumerate(svals):
-        if lj <= cutoff:
+        if lj <= SUPPORT_CUTOFF:
             continue
         total += lj * math.log(lj)
         for k, mk in enumerate(tvals):
             w = overlap[j, k]
-            if mk > cutoff:
+            if mk > SUPPORT_CUTOFF:
                 total -= lj * w * math.log(mk)
-            elif lj * w > cutoff:
+            elif lj * w > SUPPORT_CUTOFF:
                 return INF  # residual weight on the kernel of tau
     return total
 
 
-def c_rel_entropy(p: ClassicalDist, q: ClassicalDist, cutoff: float = SUPPORT_CUTOFF) -> float:
+def c_rel_entropy(p: ClassicalDist, q: ClassicalDist) -> float:
     """Kullback-Leibler divergence, with 0 log(0/q) = 0."""
     if p.labels != q.labels:
         raise LabelMismatch("distributions live on different label sets")
     total = 0.0
     for pj, qj in zip(p.probs, q.probs):
-        if pj <= cutoff:
+        if pj <= SUPPORT_CUTOFF:
             continue
-        if qj <= cutoff:
+        if qj <= SUPPORT_CUTOFF:
             return INF
         total += pj * math.log(pj / qj)
     return total
@@ -117,7 +120,6 @@ def mutual_info(joint: np.ndarray, p_row: np.ndarray, p_col: np.ndarray) -> floa
 def mixed_rel_entropy(
     f1: tuple[ClassicalDist, Sequence[DensityMatrix]],
     f2: tuple[ClassicalDist, Sequence[DensityMatrix]],
-    cutoff: float = SUPPORT_CUTOFF,
 ) -> float:
     """Relative entropy of two classical/quantum families:
     S_c(P1|P2) + sum_w P1(w) S_q(s1(w)|s2(w))."""
@@ -130,38 +132,34 @@ def mixed_rel_entropy(
     dims = {s.dim for s in list(states1) + list(states2)}
     if len(dims) != 1:
         raise DimensionMismatch(f"states have inconsistent dims {dims}")
-    total = c_rel_entropy(p1, p2, cutoff)
+    total = c_rel_entropy(p1, p2)
     if math.isinf(total):
         return INF
     for w, s1, s2 in zip(p1.probs, states1, states2):
-        if w <= cutoff:
+        if w <= SUPPORT_CUTOFF:
             continue
-        term = q_rel_entropy(s1, s2, cutoff)
+        term = q_rel_entropy(s1, s2)
         if math.isinf(term):
             return INF
         total += w * term
     return total
 
 
-def chi_quantity(f: StateFamily, cutoff: float = SUPPORT_CUTOFF) -> float:
+def chi_quantity(f: StateFamily) -> float:
     """Mean quantum relative entropy of the members to their barycenter."""
-    sigma = f.barycenter()
-    return chi_against(f.weights.probs, f.members, sigma, cutoff)
+    return chi_against(f.weights.probs, f.members, f.barycenter())
 
 
 def chi_against(
-    weights: np.ndarray,
-    members: Sequence[DensityMatrix],
-    sigma: DensityMatrix,
-    cutoff: float = SUPPORT_CUTOFF,
+    weights: np.ndarray, members: Sequence[DensityMatrix], barycenter: DensityMatrix
 ) -> float:
-    """sum_b w_b S_q(tau_b | sigma) with an explicit reference state."""
-    total = 0.0
-    for w, m in zip(weights, members):
-        if w <= cutoff:
-            continue
-        term = q_rel_entropy(m, sigma, cutoff)
-        if math.isinf(term):
-            return INF
-        total += w * term
-    return total
+    """chi{w, members} = sum_b w_b S_q(member_b | barycenter), evaluated as
+    S(barycenter) - sum_b w_b S(member_b) from the cached spectra.
+
+    Holds only when barycenter = sum_b w_b member_b (up to rounding): then
+    every member's support lies in the barycenter's, the relative-entropy form
+    is finite, and the two forms agree. Members of weight <= SUPPORT_CUTOFF
+    are skipped.
+    """
+    mean = sum(w * vn_entropy(m) for w, m in zip(weights, members) if w > SUPPORT_CUTOFF)
+    return float(vn_entropy(barycenter) - mean)

@@ -4,13 +4,12 @@ strengthened upper bound on the classical mutual information."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matcore
-from .entropy import chi_against, mutual_info, q_rel_entropy
+from .entropy import chi_against, mutual_info
 from .errors import DimensionMismatch, SingularAprioriState
 from .infobounds import (
     BoundCheck,
@@ -19,7 +18,8 @@ from .infobounds import (
     classical_mutual_info,
     quantum_info_gain,
 )
-from .instrument import Instrument, KrausMap, ZERO_PROB_TOL, povm_of
+from .instrument import Instrument, KrausMap, povm_of
+from .matcore import SUPPORT_CUTOFF
 from .qstate import ClassicalDist, DensityMatrix, Ensemble, validate_density
 
 INVERTIBILITY_TOL = 1e-9
@@ -72,7 +72,7 @@ def dual_ensemble(e: Ensemble, ins: Instrument, eta: DensityMatrix) -> DualEnsem
     p_f = p_f / p_f.sum()
     states = []
     for eff, p in zip(effects, p_f):
-        if p > ZERO_PROB_TOL:
+        if p > SUPPORT_CUTOFF:
             states.append(validate_density(sqrt_eta @ eff @ sqrt_eta / p))
         else:
             states.append(None)
@@ -113,16 +113,13 @@ def hall_section(ms: MeasurementStatistics) -> BoundReport:
     joint_dual = joint_dual / joint_dual.sum()
     i_c_dual = mutual_info(joint_dual, joint_dual.sum(axis=1), joint_dual.sum(axis=0))
 
-    chi_dual = 0.0
-    d_term = 0.0
-    min_gain = math.inf
-    for p, sigma in zip(p_f, dual.states):
-        if sigma is None or p <= ZERO_PROB_TOL:
-            continue
-        chi_dual += p * q_rel_entropy(sigma, eta)
-        gain = quantum_info_gain(h.base, sigma)
-        min_gain = min(min_gain, gain)
-        d_term += p * gain
+    live = [
+        (p, sigma) for p, sigma in zip(p_f, dual.states)
+        if sigma is not None and p > SUPPORT_CUTOFF
+    ]
+    chi_dual = chi_against([p for p, _ in live], [sigma for _, sigma in live], eta)
+    gains = [quantum_info_gain(h.base, sigma) for _, sigma in live]
+    d_term = sum(p * gain for (p, _), gain in zip(live, gains))
 
     chi_initial = chi_against(e.probs, e.states, eta)
     new_rhs = chi_initial - d_term
@@ -131,7 +128,7 @@ def hall_section(ms: MeasurementStatistics) -> BoundReport:
         BoundCheck("duality_ic", i_c_dual, i_c, kind="eq"),
         BoundCheck("hall_bound", i_c, chi_dual),
         BoundCheck("new_bound", i_c, new_rhs),
-        BoundCheck("new_d_term_nonneg", 0.0, min_gain),
+        BoundCheck("new_d_term_nonneg", 0.0, min(gains)),
         BoundCheck("new_iq_identity", quantum_info_gain(h.base, eta), chi_initial, kind="eq"),
         BoundCheck("new_le_holevo", new_rhs, chi_initial),
         BoundCheck("new_vs_hall_data", new_rhs, chi_dual, kind="data"),

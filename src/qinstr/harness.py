@@ -209,7 +209,7 @@ def run_scenario(s: Scenario) -> AnalysisReport:
     # a posteriori default-state sensitivity: only relevant when some outcome
     # actually has zero probability for some input state
     sensitivity = None
-    if np.any(ms.cond_out_given_in <= 1e-12) and s.default_state is None:
+    if np.any(ms.cond_out_given_in <= matcore.SUPPORT_CUTOFF) and s.default_state is None:
         alt = pure_state([1.0] + [0.0] * (s.instrument.dim_out - 1))
         panel_alt = entropy_panel(analyze(s.ensemble, s.instrument, alt))
         sensitivity = float(

@@ -10,17 +10,17 @@ from typing import Optional
 import numpy as np
 
 from . import matcore
-from .entropy import chi_against, mutual_info, vn_entropies, vn_entropy, q_rel_entropy
+from .entropy import chi_against, mutual_info, vn_entropies, vn_entropy
 from .errors import DimensionMismatch, InfiniteQuantity
 from .instrument import (
     Instrument,
     KrausMap,
-    ZERO_PROB_TOL,
     a_posteriori,
     a_posteriori_stack,
     min_output_purity,
     total_channel,
 )
+from .matcore import SUPPORT_CUTOFF
 from .qstate import (
     ClassicalDist,
     DensityMatrix,
@@ -45,7 +45,7 @@ class BoundCheck:
 
     @property
     def slack(self) -> float:
-        if math.isinf(self.rhs) and math.isinf(self.lhs):
+        if math.isinf(self.rhs) and self.lhs == self.rhs:
             return 0.0
         return self.rhs - self.lhs
 
@@ -56,8 +56,6 @@ class BoundCheck:
             return True
         if self.kind == "eq":
             return abs(self.slack) <= min(EQ_TOL, tol)
-        if math.isinf(self.rhs):
-            return True
         return self.slack >= -tol
 
 
@@ -160,7 +158,7 @@ def analyze(
 
     cond_if = np.zeros((n_l, n_o))
     for w in range(n_o):
-        if p_f[w] > ZERO_PROB_TOL:
+        if p_f[w] > SUPPORT_CUTOFF:
             cond_if[:, w] = joint[:, w] / p_f[w]
 
     mean_fam = a_posteriori(ins, eta_i, default)
@@ -186,34 +184,31 @@ def classical_mutual_info(ms: MeasurementStatistics) -> float:
 
 
 def entropy_panel(ms: MeasurementStatistics) -> EntropyPanel:
-    """All chi-quantities and mutual entropies in their closed forms."""
+    """All chi-quantities and mutual entropies in their closed forms, each chi
+    against its family's own barycenter (rho_f(w) for column w of the
+    posterior grid, eta_f^a for row a)."""
     e = ms.ensemble
     eta_i, eta_f = ms.a_priori, ms.post_a_priori
     p_i = ms.input_marginal.probs
     p_f = ms.output_marginal.probs
+    grid = ms.posterior_letter_states
 
-    chi_initial = chi_against(p_i, e.states, eta_i)
-    chi_post = chi_against(p_i, ms.post_letter_states, eta_f)
-    chi_out = chi_against(p_f, ms.posterior_mean_states, eta_f)
-
-    chi_joint = 0.0
-    mean_chi_given_out = 0.0
-    mean_chi_given_in = 0.0
-    for a in range(len(e.letters)):
-        for w in range(len(ms.instrument.outcomes)):
-            p = ms.joint[a, w]
-            if p <= ZERO_PROB_TOL:
-                continue
-            state = ms.posterior_letter_states[a][w]
-            chi_joint += p * q_rel_entropy(state, eta_f)
-            mean_chi_given_out += p * q_rel_entropy(state, ms.posterior_mean_states[w])
-            mean_chi_given_in += p * q_rel_entropy(state, ms.post_letter_states[a])
-
+    chi_joint = chi_against(ms.joint.ravel(), [s for row in grid for s in row], eta_f)
+    mean_chi_given_out = sum(
+        p * chi_against(ms.cond_in_given_out[:, w], [row[w] for row in grid], rho_w)
+        for w, (p, rho_w) in enumerate(zip(p_f, ms.posterior_mean_states))
+        if p > SUPPORT_CUTOFF
+    )
+    mean_chi_given_in = sum(
+        p * chi_against(ms.cond_out_given_in[a], grid[a], eta_a)
+        for a, (p, eta_a) in enumerate(zip(p_i, ms.post_letter_states))
+        if p > SUPPORT_CUTOFF
+    )
     i_c = classical_mutual_info(ms)
     return EntropyPanel(
-        chi_initial=chi_initial,
-        chi_post=chi_post,
-        chi_out=chi_out,
+        chi_initial=chi_against(p_i, e.states, eta_i),
+        chi_post=chi_against(p_i, ms.post_letter_states, eta_f),
+        chi_out=chi_against(p_f, ms.posterior_mean_states, eta_f),
         chi_joint=chi_joint,
         mean_chi_given_out=mean_chi_given_out,
         mean_chi_given_in=mean_chi_given_in,
@@ -287,7 +282,7 @@ def quantum_info_gain(
     mean = sum(
         p * vn_entropy(s)
         for p, s in zip(fam.probs.probs, fam.states)
-        if p > ZERO_PROB_TOL
+        if p > SUPPORT_CUTOFF
     )
     return vn_entropy(eta) - mean
 
@@ -327,7 +322,7 @@ def _gains(ins: Instrument, rhos: np.ndarray) -> tuple:
     """quantum_info_gain of each state of a stack, and the outcome probabilities."""
     probs, posts = a_posteriori_stack(ins, rhos)
     s_post = vn_entropies(posts.reshape(-1, ins.dim_out, ins.dim_out)).reshape(probs.shape)
-    mean = np.sum(np.where(probs > ZERO_PROB_TOL, probs * s_post, 0.0), axis=0)
+    mean = np.sum(np.where(probs > SUPPORT_CUTOFF, probs * s_post, 0.0), axis=0)
     return vn_entropies(rhos) - mean, probs
 
 
@@ -416,7 +411,7 @@ def compound_states(ms: MeasurementStatistics) -> CompoundStates:
     mm1 = np.eye(d1, dtype=np.complex128) / d1
     mm2 = np.eye(d2, dtype=np.complex128) / d2
     for w in range(n_o):
-        if p_f[w] > ZERO_PROB_TOL:
+        if p_f[w] > SUPPORT_CUTOFF:
             m = sum(
                 ms.cond_in_given_out[a, w]
                 * matcore.kron(e.states[a].mat, ms.post_letter_states[a].mat)
@@ -429,14 +424,14 @@ def compound_states(ms: MeasurementStatistics) -> CompoundStates:
         eps_f.append(validate_density(matcore.partial_trace(m, "first", d1, d2)))
 
     eta_if = validate_density(
-        sum(p_f[w] * eps_if[w].mat for w in range(n_o) if p_f[w] > ZERO_PROB_TOL)
+        sum(p_f[w] * eps_if[w].mat for w in range(n_o) if p_f[w] > SUPPORT_CUTOFF)
     )
     tau_f = tuple(
         validate_density(
             sum(
                 ms.cond_out_given_in[a, w] * ms.posterior_mean_states[w].mat
                 for w in range(n_o)
-                if ms.cond_out_given_in[a, w] > ZERO_PROB_TOL
+                if ms.cond_out_given_in[a, w] > SUPPORT_CUTOFF
             )
         )
         for a in range(n_l)
@@ -445,7 +440,7 @@ def compound_states(ms: MeasurementStatistics) -> CompoundStates:
         sum(
             p_f[w] * matcore.kron(eps_i[w].mat, ms.posterior_mean_states[w].mat)
             for w in range(n_o)
-            if p_f[w] > ZERO_PROB_TOL
+            if p_f[w] > SUPPORT_CUTOFF
         )
     )
 
@@ -491,9 +486,9 @@ def scutaru_chains(
     chi_eps_i = chi_against(p_f, cs.eps_i, eta_i)
     chi_eps_f = chi_against(p_f, cs.eps_f, eta_f)
     chi_tau_f = chi_against(p_i, cs.tau_f, eta_f)
-    gamma_rel = q_rel_entropy(
-        cs.gamma_if, validate_density(matcore.kron(eta_i.mat, eta_f.mat))
-    )
+    # S(gamma_if | eta_i (x) eta_f): gamma's marginals are eta_i and eta_f
+    # (the compound_tr*_gamma rows), so it is a mutual information
+    gamma_rel = vn_entropy(eta_i) + vn_entropy(eta_f) - vn_entropy(cs.gamma_if)
 
     checks = (
         BoundCheck("scutaru1_ic_ge_chi_eps_if", chi_eps_if, i_c),

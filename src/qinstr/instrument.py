@@ -14,16 +14,15 @@ from .errors import (
     SingularNormalizer,
     UnknownOutcome,
 )
+from .matcore import SUPPORT_CUTOFF
 from .qstate import (
+    POVM_SUM_TOL,
     ClassicalDist,
     DensityMatrix,
     Povm,
     maximally_mixed,
     validate_density,
 )
-
-NORMALIZATION_TOL = 1e-9
-ZERO_PROB_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ class Instrument:
             raise DimensionMismatch("Kraus maps have inconsistent dimensions")
         total = sum(m.effect() for m in maps)
         dev = np.max(np.abs(total - np.eye(d1)))
-        if dev > NORMALIZATION_TOL:
+        if dev > POVM_SUM_TOL:
             raise DimensionMismatch(
                 f"sum of effects deviates from identity by {dev:.3e}"
             )
@@ -141,7 +140,7 @@ def a_posteriori(
         out = m.apply(rho.mat)
         tr = float(np.trace(out).real)
         probs.append(max(tr, 0.0))
-        if tr > ZERO_PROB_TOL:
+        if tr > SUPPORT_CUTOFF:
             states.append(validate_density(out / tr))
         else:
             states.append(default)
@@ -164,7 +163,7 @@ def a_posteriori_stack(ins: Instrument, rhos: np.ndarray) -> tuple:
     outcomes. The states are not validated here."""
     outs = _apply_to_stack(ins, rhos)
     tr = np.trace(outs, axis1=-2, axis2=-1).real
-    live = tr > ZERO_PROB_TOL
+    live = tr > SUPPORT_CUTOFF
     d2 = ins.dim_out
     states = np.where(
         live[..., None, None],
@@ -180,7 +179,7 @@ def min_output_purity(ins: Instrument, kets: np.ndarray) -> float:
     every unit ket of an (n, d1) stack; 1 when there are none."""
     outs = _apply_to_stack(ins, np.einsum("ni,nj->nij", kets, kets.conj()))
     tr = np.trace(outs, axis1=-2, axis2=-1).real
-    live = tr > ZERO_PROB_TOL
+    live = tr > SUPPORT_CUTOFF
     purity = np.einsum("onij,onji->on", outs, outs).real[live] / tr[live] ** 2
     return float(np.min(purity, initial=1.0))
 
@@ -213,7 +212,7 @@ def channel_roundtrip(ins: Instrument) -> Instrument:
         vals, vecs = matcore.herm_eig(choi)
         kraus = []
         for lam, vec in zip(vals, vecs.T):
-            if lam > ZERO_PROB_TOL:
+            if lam > SUPPORT_CUTOFF:
                 kraus.append(np.sqrt(lam) * vec.reshape(d1, d2).T)
         new_maps.append(KrausMap(d1, d2, tuple(kraus)))
     return Instrument(ins.outcomes, tuple(new_maps))
@@ -238,7 +237,7 @@ def random_instrument(
     # jacobi_eig, not herm_eig: its rounding sets the generated Kraus
     # operators' last digits, which scenario fingerprints hash
     spec = matcore.jacobi_eig(s)
-    if spec.eigenvalues[0] < 1e-12:
+    if spec.eigenvalues[0] < SUPPORT_CUTOFF:
         raise SingularNormalizer(f"normalizer eigenvalue {spec.eigenvalues[0]:.3e} too small")
     s_inv_sqrt = matcore.spectral_apply(spec, lambda x: x ** -0.5)
     maps = tuple(

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, NotHermitian
 
-HERM_TOL = 1e-10
-SUPPORT_CUTOFF = 1e-12
+HERM_TOL = 1e-10  # Hermiticity; qstate also judges traces, sums and positivity at it
+SUPPORT_CUTOFF = 1e-12  # eigenvalues and weights at or below it are outside the support
 MAX_SWEEPS = 100
 OFF_DIAG_TOL = 1e-13
 
@@ -40,18 +40,18 @@ def as_matrix(entries) -> np.ndarray:
     return a
 
 
-def check_hermitian(a: np.ndarray, tol: float = HERM_TOL) -> None:
+def check_hermitian(a: np.ndarray) -> None:
     if a.shape[0] != a.shape[1]:
         raise NotHermitian(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
     dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    if dev > tol:
-        raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds {tol:.1e}")
+    if dev > HERM_TOL:
+        raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds {HERM_TOL:.1e}")
 
 
-def herm_eig(a: np.ndarray, herm_tol: float = HERM_TOL) -> SpectralDecomp:
+def herm_eig(a: np.ndarray) -> SpectralDecomp:
     """Eigendecomposition of a Hermitian matrix (of its Hermitian part) by LAPACK."""
     a = as_matrix(a)
-    check_hermitian(a, herm_tol)
+    check_hermitian(a)
     try:
         vals, vecs = np.linalg.eigh(0.5 * (a + a.conj().T))
     except np.linalg.LinAlgError as exc:
@@ -59,14 +59,14 @@ def herm_eig(a: np.ndarray, herm_tol: float = HERM_TOL) -> SpectralDecomp:
     return SpectralDecomp(vals, vecs)
 
 
-def jacobi_eig(a: np.ndarray, herm_tol: float = HERM_TOL) -> SpectralDecomp:
+def jacobi_eig(a: np.ndarray) -> SpectralDecomp:
     """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
 
     Only for input canonicalisation (see the module docstring); use herm_eig
     everywhere else.
     """
     a = as_matrix(a)
-    check_hermitian(a, herm_tol)
+    check_hermitian(a)
     n = a.shape[0]
     work = np.ascontiguousarray(0.5 * (a + a.conj().T))
     vecs = np.eye(n, dtype=np.complex128)

@@ -9,9 +9,9 @@ import numpy as np
 
 from . import matcore
 from .errors import BadTrace, DimensionMismatch, LabelMismatch, NotHermitian, NotPositive
+from .matcore import HERM_TOL
 
-DENSITY_TOL = 1e-10
-POVM_SUM_TOL = 1e-9
+POVM_SUM_TOL = 1e-9  # sum of effects against the identity, POVM or instrument
 PROB_TOL = 1e-12
 
 
@@ -31,16 +31,16 @@ class DensityMatrix:
 
     def __post_init__(self, spectrum):
         mat = matcore.as_matrix(self.mat)
-        matcore.check_hermitian(mat, DENSITY_TOL)
+        matcore.check_hermitian(mat)
         mat = np.ascontiguousarray(0.5 * (mat + mat.conj().T))
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
         tr = float(np.trace(mat).real)
-        if abs(tr - 1.0) > DENSITY_TOL:
-            raise BadTrace(f"trace {tr} differs from 1 by more than {DENSITY_TOL:.1e}")
+        if abs(tr - 1.0) > HERM_TOL:
+            raise BadTrace(f"trace {tr} differs from 1 by more than {HERM_TOL:.1e}")
         spec = matcore.herm_eig(mat) if spectrum is None else spectrum
-        if spec.eigenvalues[0] < -DENSITY_TOL:
-            raise NotPositive(f"minimum eigenvalue {spec.eigenvalues[0]:.3e} below -{DENSITY_TOL:.1e}")
+        if spec.eigenvalues[0] < -HERM_TOL:
+            raise NotPositive(f"minimum eigenvalue {spec.eigenvalues[0]:.3e} below -{HERM_TOL:.1e}")
         object.__setattr__(self, "_spec", spec)
 
     @property
@@ -54,23 +54,23 @@ class DensityMatrix:
         return float(np.trace(self.mat @ self.mat).real)
 
 
-def validate_density(m, tol: float = DENSITY_TOL, *, eig=None) -> DensityMatrix:
+def validate_density(m, *, eig=None) -> DensityMatrix:
     """Check/repair a candidate density matrix.
 
-    Eigenvalues in (-tol, 0) are clamped to 0 and the trace renormalized;
+    Eigenvalues in (-HERM_TOL, 0) are clamped to 0 and the trace renormalized;
     anything more negative is a hard error. Without clamping, the decomposition
     made here is the one the returned state keeps. ``eig`` is the eigensolver
     (``matcore.herm_eig`` when None).
     """
     m = matcore.as_matrix(m)
-    matcore.check_hermitian(m, tol)
+    matcore.check_hermitian(m)
     tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > tol:
-        raise BadTrace(f"trace {tr} differs from 1 by more than {tol:.1e}")
+    if abs(tr - 1.0) > HERM_TOL:
+        raise BadTrace(f"trace {tr} differs from 1 by more than {HERM_TOL:.1e}")
     spec = (matcore.herm_eig if eig is None else eig)(m)
     vals, vecs = spec
-    if vals[0] < -tol:
-        raise NotPositive(f"minimum eigenvalue {vals[0]:.3e} below -{tol:.1e}")
+    if vals[0] < -HERM_TOL:
+        raise NotPositive(f"minimum eigenvalue {vals[0]:.3e} below -{HERM_TOL:.1e}")
     if vals[0] < 0.0:
         vals = np.maximum(vals, 0.0)
         vals = vals / vals.sum()
@@ -78,7 +78,7 @@ def validate_density(m, tol: float = DENSITY_TOL, *, eig=None) -> DensityMatrix:
     return DensityMatrix(m, spectrum=spec)
 
 
-def density_eigvals(stack, tol: float = DENSITY_TOL) -> np.ndarray:
+def density_eigvals(stack) -> np.ndarray:
     """Eigenvalues (ascending) of each matrix of an (n, d, d) stack, with
     validate_density's checks and clamping, from one batched ``eigvalsh``."""
     a = np.asarray(stack, dtype=np.complex128)
@@ -86,16 +86,16 @@ def density_eigvals(stack, tol: float = DENSITY_TOL) -> np.ndarray:
         raise NotHermitian("stack contains NaN/Inf entries")
     adj = a.conj().swapaxes(-1, -2)
     dev = float(np.max(np.abs(a - adj), initial=0.0))
-    if dev > tol:
-        raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds {tol:.1e}")
+    if dev > HERM_TOL:
+        raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds {HERM_TOL:.1e}")
     tr = np.trace(a, axis1=-2, axis2=-1).real
     worst = float(np.max(np.abs(tr - 1.0), initial=0.0))
-    if worst > tol:
-        raise BadTrace(f"trace differs from 1 by {worst:.3e}, more than {tol:.1e}")
+    if worst > HERM_TOL:
+        raise BadTrace(f"trace differs from 1 by {worst:.3e}, more than {HERM_TOL:.1e}")
     vals = np.linalg.eigvalsh(0.5 * (a + adj))
     low = float(np.min(vals, initial=0.0))
-    if low < -tol:
-        raise NotPositive(f"minimum eigenvalue {low:.3e} below -{tol:.1e}")
+    if low < -HERM_TOL:
+        raise NotPositive(f"minimum eigenvalue {low:.3e} below -{HERM_TOL:.1e}")
     clamp = vals[:, 0] < 0.0
     if np.any(clamp):
         fixed = np.maximum(vals[clamp], 0.0)
@@ -118,7 +118,7 @@ class ClassicalDist:
         if np.any(probs < -PROB_TOL):
             raise NotPositive(f"negative probability {probs.min():.3e}")
         probs = np.maximum(probs, 0.0)
-        if abs(probs.sum() - 1.0) > 1e-10:
+        if abs(probs.sum() - 1.0) > HERM_TOL:
             raise BadTrace(f"probabilities sum to {probs.sum()}, not 1")
         probs = probs / probs.sum()
         probs.setflags(write=False)
@@ -145,9 +145,8 @@ class Povm:
         if len(dims) != 1:
             raise DimensionMismatch(f"effects have inconsistent shapes {dims}")
         for label, e in zip(outcomes, effects):
-            matcore.check_hermitian(e, DENSITY_TOL)
             vals, _ = matcore.herm_eig(e)
-            if vals[0] < -DENSITY_TOL:
+            if vals[0] < -HERM_TOL:
                 raise NotPositive(f"effect {label!r} has eigenvalue {vals[0]:.3e}")
         total = sum(effects)
         dev = np.max(np.abs(total - np.eye(total.shape[0])))
@@ -202,19 +201,17 @@ def a_priori_state(e: Ensemble) -> DensityMatrix:
     return validate_density(mix)
 
 
-def fidelity_like_support_check(
-    sigma: DensityMatrix, tau: DensityMatrix, cutoff: float = matcore.SUPPORT_CUTOFF
-) -> bool:
+def fidelity_like_support_check(sigma: DensityMatrix, tau: DensityMatrix) -> bool:
     """True iff supp(sigma) is contained in supp(tau)."""
     if sigma.dim != tau.dim:
         raise DimensionMismatch(f"dims {sigma.dim} and {tau.dim} differ")
     vals, vecs = tau.spectral()
-    keep = vals <= cutoff
+    keep = vals <= matcore.SUPPORT_CUTOFF
     if not np.any(keep):
         return True
     comp = vecs[:, keep]  # columns spanning the kernel of tau
     block = comp.conj().T @ sigma.mat @ comp
-    return float(np.max(np.abs(block))) <= cutoff
+    return float(np.max(np.abs(block))) <= matcore.SUPPORT_CUTOFF
 
 
 def pure_state(vec: Sequence[complex]) -> DensityMatrix:

@@ -7,6 +7,7 @@ from qinstr.entropy import chi_quantity, StateFamily, vn_entropy
 from qinstr.errors import InfiniteQuantity
 from qinstr.harness import ACCEPTANCE_GRID, Scenario, run_scenario
 from qinstr.infobounds import (
+    BoundCheck,
     analyze,
     check_bounds,
     check_identities,
@@ -92,6 +93,19 @@ class TestAnalyze:
         assert np.max(np.abs(mix - ms.post_a_priori.mat)) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "lhs, rhs, passes",
+    [
+        (0.0, -math.inf, False),
+        (0.0, math.inf, True),
+        (math.inf, math.inf, True),
+        (math.inf, -math.inf, False),
+    ],
+)
+def test_infinite_rhs_is_judged_by_slack(lhs, rhs, passes):
+    assert BoundCheck("x", lhs, rhs).passes(1e-8) is passes
+
+
 class TestClassicalMutualInfo:
     def test_zero_plus_frozen_value(self):
         ms = analyze(zero_plus_ensemble(), projective_qubit())
@@ -129,6 +143,8 @@ class TestClassicalMutualInfo:
         assert abs(classical_mutual_info(analyze(e, projective_qubit())) - entropy) < 1e-12
         report = run_scenario(Scenario(e, projective_qubit()))
         assert abs(report.panel["classical_mi"] - entropy) < 1e-12
+        assert all(math.isfinite(c.lhs) and math.isfinite(c.rhs) for c in report.checks)
+        assert report.overall_pass
 
     def test_product_joint_gives_zero(self):
         # identity instrument: outcome carries no letter information
