@@ -3,7 +3,7 @@
 All quantities are in nats; conversion to bits is a presentation concern
 handled by the harness. Every chi of the pipeline is the mutual entropy of a
 family against its own barycenter, which ``chi_against`` evaluates as an
-entropy difference from cached spectra: finite in finite dimension, with no
+entropy difference from entropy vectors: finite in finite dimension, with no
 support test. The relative entropies (``q_rel_entropy``, ``c_rel_entropy``,
 ``mixed_rel_entropy``) take arbitrary pairs, so they test supports and return
 +inf (Python ``math.inf``) when one leaves the other; no pipeline stage calls
@@ -52,16 +52,18 @@ class StateFamily:
         return validate_density(mix)
 
 
+def _entropy(vals: np.ndarray) -> np.ndarray:
+    """-sum l log l over the eigenvalues above SUPPORT_CUTOFF (last axis)."""
+    return -np.sum(vals * np.log(np.where(vals > SUPPORT_CUTOFF, vals, 1.0)), axis=-1)
+
+
 def vn_entropy(rho: DensityMatrix) -> float:
-    vals = rho.spectral().eigenvalues
-    return float(-sum(v * math.log(v) for v in vals if v > SUPPORT_CUTOFF))
+    return float(_entropy(rho.spectral().eigenvalues))
 
 
 def vn_entropies(stack) -> np.ndarray:
     """vn_entropy of each state of an (n, d, d) stack, checked by density_eigvals."""
-    vals = density_eigvals(stack)
-    kept = vals > SUPPORT_CUTOFF
-    return -np.sum(np.where(kept, vals * np.log(np.where(kept, vals, 1.0)), 0.0), axis=-1)
+    return _entropy(density_eigvals(stack))
 
 
 def q_rel_entropy(sigma: DensityMatrix, tau: DensityMatrix) -> float:
@@ -147,19 +149,24 @@ def mixed_rel_entropy(
 
 def chi_quantity(f: StateFamily) -> float:
     """Mean quantum relative entropy of the members to their barycenter."""
-    return chi_against(f.weights.probs, f.members, f.barycenter())
+    members = [vn_entropy(m) for m in f.members]
+    return chi_against(f.weights.probs, members, vn_entropy(f.barycenter()))
 
 
-def chi_against(
-    weights: np.ndarray, members: Sequence[DensityMatrix], barycenter: DensityMatrix
-) -> float:
+def weighted_sum(weights, values) -> np.ndarray:
+    """sum_b w_b values_b over the members of weight > SUPPORT_CUTOFF; the last
+    axis indexes the members, leading axes broadcast."""
+    w = np.asarray(weights, dtype=np.float64)
+    return np.sum(np.where(w > SUPPORT_CUTOFF, w * values, 0.0), axis=-1)
+
+
+def chi_against(weights, entropies, barycenter_entropy) -> np.ndarray:
     """chi{w, members} = sum_b w_b S_q(member_b | barycenter), evaluated as
-    S(barycenter) - sum_b w_b S(member_b) from the cached spectra.
+    S(barycenter) - sum_b w_b S(member_b) from the members' entropies.
 
     Holds only when barycenter = sum_b w_b member_b (up to rounding): then
     every member's support lies in the barycenter's, the relative-entropy form
     is finite, and the two forms agree. Members of weight <= SUPPORT_CUTOFF
-    are skipped.
+    are skipped. Families stacked on leading axes give one chi each.
     """
-    mean = sum(w * vn_entropy(m) for w, m in zip(weights, members) if w > SUPPORT_CUTOFF)
-    return float(vn_entropy(barycenter) - mean)
+    return barycenter_entropy - weighted_sum(weights, entropies)

@@ -7,6 +7,7 @@ import argparse
 import hashlib
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -93,6 +94,13 @@ class Scenario:
             raise SchemaError(f"log_base must be 'e' or '2', got {self.log_base!r}")
         if not (math.isfinite(self.tol) and self.tol >= 0.0):
             raise SchemaError(f"tol must be finite and non-negative, got {self.tol!r}")
+        for name, least in (("gl_trials", 1), ("gl_demix", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, float) and value.is_integer():
+                value = int(value)  # an integral float reads as its integer
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise SchemaError(f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
     def to_json(self) -> dict:
         obj = {
@@ -126,9 +134,9 @@ def scenario_from_json(obj: dict, tol_override: Optional[float] = None,
             log_base=base_override or options.get("log_base", "e"),
             tol=tol_override if tol_override is not None else float(options.get("tol", default_tol())),
             default_state=default_state,
-            gl_trials=int(options.get("gl_trials", 100)),
-            gl_demix=int(options.get("gl_demix", 5)),
-            seed=int(options.get("seed", 0)),
+            gl_trials=options.get("gl_trials", 100),
+            gl_demix=options.get("gl_demix", 5),
+            seed=options.get("seed", 0),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed scenario: {exc}") from exc
@@ -434,6 +442,8 @@ def main(argv=None) -> int:
             print(emit_report(report, args.format))
             return 0 if report.overall_pass else 1
         if args.command == "random":
+            if args.trials < 1:
+                raise SchemaError(f"--trials must be at least 1, got {args.trials}")
             reports, summary = run_random_suite(
                 args.d1,
                 args.d2,

@@ -4,21 +4,21 @@ closed forms, identities, inequalities and compound states."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import matcore
-from .entropy import chi_against, mutual_info, vn_entropies, vn_entropy
+from .entropy import chi_against, mutual_info, vn_entropies, vn_entropy, weighted_sum
 from .errors import DimensionMismatch, InfiniteQuantity
 from .instrument import (
     Instrument,
     KrausMap,
-    a_posteriori,
+    _apply_to_stack,
+    _posteriors,
     a_posteriori_stack,
     min_output_purity,
-    total_channel,
 )
 from .matcore import SUPPORT_CUTOFF
 from .qstate import (
@@ -90,8 +90,9 @@ class MeasurementStatistics:
     """Everything derivable from one (ensemble, instrument) pair.
 
     The joint table is indexed [letter, outcome]; posterior_letter_states is a
-    matching 2-D grid of a posteriori states (the default state on null cells,
-    which carry zero weight everywhere).
+    matching grid of a posteriori states (the default state on null cells,
+    which carry zero weight everywhere). The output-side states are arrays,
+    checked where their entropies are taken (``vn_entropies``).
     """
 
     ensemble: Ensemble
@@ -101,11 +102,11 @@ class MeasurementStatistics:
     output_marginal: ClassicalDist
     cond_out_given_in: np.ndarray  # P_{f|i}(omega|alpha), [letter, outcome]
     cond_in_given_out: np.ndarray  # P_{i|f}(alpha|omega), [letter, outcome]
-    posterior_letter_states: tuple  # grid [letter][outcome] of DensityMatrix
-    posterior_mean_states: tuple  # rho_f(omega) per outcome
-    post_letter_states: tuple  # eta_f^alpha per letter
+    posterior_letter_states: np.ndarray  # [letter, outcome, d2, d2]
+    posterior_mean_states: np.ndarray  # rho_f(omega), [outcome, d2, d2]
+    post_letter_states: np.ndarray  # eta_f^alpha, [letter, d2, d2]
     a_priori: DensityMatrix  # eta_i
-    post_a_priori: DensityMatrix  # eta_f
+    post_a_priori: np.ndarray  # eta_f, [d2, d2]
 
 
 @dataclass(frozen=True)
@@ -120,61 +121,45 @@ class EntropyPanel:
     tripartite: float
 
     def to_json(self) -> dict:
-        return {
-            "chi_initial": self.chi_initial,
-            "chi_post": self.chi_post,
-            "chi_out": self.chi_out,
-            "chi_joint": self.chi_joint,
-            "mean_chi_given_out": self.mean_chi_given_out,
-            "mean_chi_given_in": self.mean_chi_given_in,
-            "classical_mi": self.classical_mi,
-            "tripartite": self.tripartite,
-        }
+        return asdict(self)
 
 
 def analyze(
     e: Ensemble, ins: Instrument, default: Optional[DensityMatrix] = None
 ) -> MeasurementStatistics:
-    """Joint/conditional probabilities and all post-measurement state families."""
+    """Joint/conditional probabilities and all post-measurement state families.
+
+    The instrument is applied once, to the stack of letter states, giving the
+    grid of I_w(rho_a); the other families are linear in it:
+    I_w(eta_i) = sum_a P_a I_w(rho_a), eta_f^a = sum_w I_w(rho_a) and
+    eta_f = sum_a P_a eta_f^a.
+    """
     if e.dim != ins.dim_in:
         raise DimensionMismatch(f"ensemble dim {e.dim} vs instrument dim_in {ins.dim_in}")
-    eta_i = a_priori_state(e)
-    n_l = len(e.letters)
-    n_o = len(ins.outcomes)
+    outs = _apply_to_stack(ins, np.stack([s.mat for s in e.states]))
+    # column n_l is the outcome-wise output of eta_i
+    outs = np.concatenate([outs, np.einsum("a,waij->wij", e.probs, outs)[:, None]], axis=1)
+    cond, posts = _posteriors(outs, default)
+    totals = outs.sum(axis=0)
 
-    cond_fi = np.zeros((n_l, n_o))
-    post_grid = []
-    post_letter = []
-    for a, rho_a in enumerate(e.states):
-        fam = a_posteriori(ins, rho_a, default)
-        cond_fi[a, :] = fam.probs.probs
-        post_grid.append(fam.states)
-        post_letter.append(total_channel(ins, rho_a))
-
+    cond_fi = cond[:, :-1].T
     joint = e.probs[:, None] * cond_fi
     joint = joint / joint.sum()
     p_f = joint.sum(axis=0)
-    output_marginal = ClassicalDist(ins.outcomes, p_f)
-
-    cond_if = np.zeros((n_l, n_o))
-    for w in range(n_o):
-        if p_f[w] > SUPPORT_CUTOFF:
-            cond_if[:, w] = joint[:, w] / p_f[w]
-
-    mean_fam = a_posteriori(ins, eta_i, default)
+    cond_if = np.divide(joint, p_f, out=np.zeros_like(joint), where=p_f > SUPPORT_CUTOFF)
     return MeasurementStatistics(
         ensemble=e,
         instrument=ins,
         joint=joint,
         input_marginal=e.prior(),
-        output_marginal=output_marginal,
+        output_marginal=ClassicalDist(ins.outcomes, p_f),
         cond_out_given_in=cond_fi,
         cond_in_given_out=cond_if,
-        posterior_letter_states=tuple(tuple(row) for row in post_grid),
-        posterior_mean_states=mean_fam.states,
-        post_letter_states=tuple(post_letter),
-        a_priori=eta_i,
-        post_a_priori=total_channel(ins, eta_i),
+        posterior_letter_states=posts[:, :-1].swapaxes(0, 1),
+        posterior_mean_states=posts[:, -1],
+        post_letter_states=totals[:-1],
+        a_priori=a_priori_state(e),
+        post_a_priori=totals[-1],
     )
 
 
@@ -186,32 +171,35 @@ def classical_mutual_info(ms: MeasurementStatistics) -> float:
 def entropy_panel(ms: MeasurementStatistics) -> EntropyPanel:
     """All chi-quantities and mutual entropies in their closed forms, each chi
     against its family's own barycenter (rho_f(w) for column w of the
-    posterior grid, eta_f^a for row a)."""
+    posterior grid, eta_f^a for row a). The output-side entropies come from
+    one batched vn_entropies call, which also checks every state."""
     e = ms.ensemble
-    eta_i, eta_f = ms.a_priori, ms.post_a_priori
+    n_l, n_o = ms.joint.shape
+    d2 = ms.instrument.dim_out
     p_i = ms.input_marginal.probs
     p_f = ms.output_marginal.probs
-    grid = ms.posterior_letter_states
+    s_grid, s_mean, s_post, s_eta_f = np.split(
+        vn_entropies(np.concatenate([
+            ms.posterior_letter_states.reshape(-1, d2, d2),
+            ms.posterior_mean_states,
+            ms.post_letter_states,
+            ms.post_a_priori[None],
+        ])),
+        np.cumsum([n_l * n_o, n_o, n_l]),
+    )
+    s_grid = s_grid.reshape(n_l, n_o)
+    s_eta_f = s_eta_f[0]
+    s_letters = [vn_entropy(s) for s in e.states]
 
-    chi_joint = chi_against(ms.joint.ravel(), [s for row in grid for s in row], eta_f)
-    mean_chi_given_out = sum(
-        p * chi_against(ms.cond_in_given_out[:, w], [row[w] for row in grid], rho_w)
-        for w, (p, rho_w) in enumerate(zip(p_f, ms.posterior_mean_states))
-        if p > SUPPORT_CUTOFF
-    )
-    mean_chi_given_in = sum(
-        p * chi_against(ms.cond_out_given_in[a], grid[a], eta_a)
-        for a, (p, eta_a) in enumerate(zip(p_i, ms.post_letter_states))
-        if p > SUPPORT_CUTOFF
-    )
+    chi_joint = chi_against(ms.joint.ravel(), s_grid.ravel(), s_eta_f)
     i_c = classical_mutual_info(ms)
     return EntropyPanel(
-        chi_initial=chi_against(p_i, e.states, eta_i),
-        chi_post=chi_against(p_i, ms.post_letter_states, eta_f),
-        chi_out=chi_against(p_f, ms.posterior_mean_states, eta_f),
+        chi_initial=chi_against(p_i, s_letters, vn_entropy(ms.a_priori)),
+        chi_post=chi_against(p_i, s_post, s_eta_f),
+        chi_out=chi_against(p_f, s_mean, s_eta_f),
         chi_joint=chi_joint,
-        mean_chi_given_out=mean_chi_given_out,
-        mean_chi_given_in=mean_chi_given_in,
+        mean_chi_given_out=weighted_sum(p_f, chi_against(ms.cond_in_given_out.T, s_grid.T, s_mean)),
+        mean_chi_given_in=weighted_sum(p_i, chi_against(ms.cond_out_given_in, s_grid, s_post)),
         classical_mi=i_c,
         tripartite=i_c + chi_joint,
     )
@@ -278,13 +266,8 @@ def quantum_info_gain(
     """Entropy of the input minus mean entropy of the a posteriori states."""
     if eta.dim != ins.dim_in:
         raise DimensionMismatch(f"state dim {eta.dim} vs instrument dim_in {ins.dim_in}")
-    fam = a_posteriori(ins, eta, default)
-    mean = sum(
-        p * vn_entropy(s)
-        for p, s in zip(fam.probs.probs, fam.states)
-        if p > SUPPORT_CUTOFF
-    )
-    return vn_entropy(eta) - mean
+    gains, _, _ = _gains(ins, eta.mat[None], default)
+    return gains[0]
 
 
 def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
@@ -318,12 +301,13 @@ def _ginibre_states(g: np.ndarray) -> np.ndarray:
     return m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
 
 
-def _gains(ins: Instrument, rhos: np.ndarray) -> tuple:
-    """quantum_info_gain of each state of a stack, and the outcome probabilities."""
-    probs, posts = a_posteriori_stack(ins, rhos)
+def _gains(ins: Instrument, rhos: np.ndarray, default: Optional[DensityMatrix] = None) -> tuple:
+    """quantum_info_gain of each state of a stack, the outcome probabilities
+    [outcome, n] and the states' entropies."""
+    probs, posts = a_posteriori_stack(ins, rhos, default)
     s_post = vn_entropies(posts.reshape(-1, ins.dim_out, ins.dim_out)).reshape(probs.shape)
-    mean = np.sum(np.where(probs > SUPPORT_CUTOFF, probs * s_post, 0.0), axis=0)
-    return vn_entropies(rhos) - mean, probs
+    s_in = vn_entropies(rhos)
+    return s_in - weighted_sum(probs.T, s_post.T), probs, s_in
 
 
 def _chain_checks(ins: Instrument, rng: np.random.Generator, n_demix: int) -> list:
@@ -336,7 +320,7 @@ def _chain_checks(ins: Instrument, rng: np.random.Generator, n_demix: int) -> li
         priors.append(probs / probs.sum())
         letters.append(_ginibre_states(rng.standard_normal((n, 2, ins.dim_in, ins.dim_in))))
     etas = [np.einsum("a,aij->ij", p, rhos)[None] for p, rhos in zip(priors, letters)]
-    gains, cond = _gains(ins, np.concatenate(letters + etas))
+    gains, cond, _ = _gains(ins, np.concatenate(letters + etas))
     bounds = np.cumsum([len(p) for p in priors])[:-1]
     checks = []
     for p, letter_gains, cond_fi, eta_gain in zip(
@@ -376,7 +360,7 @@ def groenewold_lindblad_check(
 
     checks = []
     if purity_preserving:
-        gains, _ = _gains(ins, _ginibre_states(rng.standard_normal((trials, 2, d1, d1))))
+        gains, _, _ = _gains(ins, _ginibre_states(rng.standard_normal((trials, 2, d1, d1))))
         checks.append(BoundCheck("gl_info_gain_nonneg", 0.0, float(np.min(gains))))
 
     # chain inequality on random demixtures (equivalent form of the
@@ -388,14 +372,15 @@ def groenewold_lindblad_check(
 
 @dataclass(frozen=True)
 class CompoundStates:
-    """The bipartite compound states on H1 (x) H2 and their building blocks."""
+    """The bipartite compound states on H1 (x) H2 and their building blocks, as
+    arrays; scutaru_chains takes their entropies, which also checks them."""
 
-    eps_if: tuple  # per outcome, on H1 (x) H2
-    eps_i: tuple  # per outcome, on H1
-    eps_f: tuple  # per outcome, on H2
-    eta_if: DensityMatrix
-    tau_f: tuple  # per letter, on H2
-    gamma_if: DensityMatrix
+    eps_if: np.ndarray  # [outcome, d1 d2, d1 d2]
+    eps_i: np.ndarray  # [outcome, d1, d1]
+    eps_f: np.ndarray  # [outcome, d2, d2]
+    eta_if: np.ndarray  # [d1 d2, d1 d2]
+    tau_f: np.ndarray  # [letter, d2, d2]
+    gamma_if: np.ndarray  # [d1 d2, d1 d2]
     consistency: BoundReport
 
 
@@ -403,67 +388,38 @@ def compound_states(ms: MeasurementStatistics) -> CompoundStates:
     e = ms.ensemble
     d1 = e.dim
     d2 = ms.instrument.dim_out
-    n_l = len(e.letters)
-    n_o = len(ms.instrument.outcomes)
     p_f = ms.output_marginal.probs
+    live = p_f > SUPPORT_CUTOFF
+    w_f = np.where(live, p_f, 0.0)
+    rho_f = ms.posterior_mean_states
 
-    eps_if, eps_i, eps_f = [], [], []
-    mm1 = np.eye(d1, dtype=np.complex128) / d1
-    mm2 = np.eye(d2, dtype=np.complex128) / d2
-    for w in range(n_o):
-        if p_f[w] > SUPPORT_CUTOFF:
-            m = sum(
-                ms.cond_in_given_out[a, w]
-                * matcore.kron(e.states[a].mat, ms.post_letter_states[a].mat)
-                for a in range(n_l)
-            )
-        else:
-            m = matcore.kron(mm1, mm2)  # zero-weight filler, excluded everywhere
-        eps_if.append(validate_density(m))
-        eps_i.append(validate_density(matcore.partial_trace(m, "second", d1, d2)))
-        eps_f.append(validate_density(matcore.partial_trace(m, "first", d1, d2)))
-
-    eta_if = validate_density(
-        sum(p_f[w] * eps_if[w].mat for w in range(n_o) if p_f[w] > SUPPORT_CUTOFF)
+    letters = np.stack([s.mat for s in e.states])
+    eps_if = np.einsum(
+        "aw,amn->wmn", ms.cond_in_given_out, matcore.kron(letters, ms.post_letter_states)
     )
-    tau_f = tuple(
-        validate_density(
-            sum(
-                ms.cond_out_given_in[a, w] * ms.posterior_mean_states[w].mat
-                for w in range(n_o)
-                if ms.cond_out_given_in[a, w] > SUPPORT_CUTOFF
-            )
-        )
-        for a in range(n_l)
-    )
-    gamma_if = validate_density(
-        sum(
-            p_f[w] * matcore.kron(eps_i[w].mat, ms.posterior_mean_states[w].mat)
-            for w in range(n_o)
-            if p_f[w] > SUPPORT_CUTOFF
-        )
-    )
+    eps_if[~live] = np.eye(d1 * d2) / (d1 * d2)  # zero-weight filler, excluded everywhere
+    eps_i = matcore.partial_trace(eps_if, "second", d1, d2)
+    eps_f = matcore.partial_trace(eps_if, "first", d1, d2)
+    eta_if = np.einsum("w,wmn->mn", w_f, eps_if)
+    cond_fi = ms.cond_out_given_in
+    tau_f = np.einsum("aw,wij->aij", np.where(cond_fi > SUPPORT_CUTOFF, cond_fi, 0.0), rho_f)
+    gamma_if = np.einsum("w,wmn->mn", w_f, matcore.kron(eps_i, rho_f))
 
     def dev(a, b):
         return float(np.max(np.abs(a - b)))
 
-    eta_i, eta_f = ms.a_priori, ms.post_a_priori
+    eta_i, eta_f = ms.a_priori.mat, ms.post_a_priori
     checks = (
-        BoundCheck("compound_tr2_eta_if", dev(matcore.partial_trace(eta_if.mat, "second", d1, d2), eta_i.mat), 0.0, kind="eq"),
-        BoundCheck("compound_tr1_eta_if", dev(matcore.partial_trace(eta_if.mat, "first", d1, d2), eta_f.mat), 0.0, kind="eq"),
-        BoundCheck("compound_tr2_gamma", dev(matcore.partial_trace(gamma_if.mat, "second", d1, d2), eta_i.mat), 0.0, kind="eq"),
-        BoundCheck("compound_tr1_gamma", dev(matcore.partial_trace(gamma_if.mat, "first", d1, d2), eta_f.mat), 0.0, kind="eq"),
-        BoundCheck(
-            "compound_tau_mix",
-            dev(sum(p * t.mat for p, t in zip(e.probs, tau_f)), eta_f.mat),
-            0.0,
-            kind="eq",
-        ),
+        BoundCheck("compound_tr2_eta_if", dev(matcore.partial_trace(eta_if, "second", d1, d2), eta_i), 0.0, kind="eq"),
+        BoundCheck("compound_tr1_eta_if", dev(matcore.partial_trace(eta_if, "first", d1, d2), eta_f), 0.0, kind="eq"),
+        BoundCheck("compound_tr2_gamma", dev(matcore.partial_trace(gamma_if, "second", d1, d2), eta_i), 0.0, kind="eq"),
+        BoundCheck("compound_tr1_gamma", dev(matcore.partial_trace(gamma_if, "first", d1, d2), eta_f), 0.0, kind="eq"),
+        BoundCheck("compound_tau_mix", dev(np.einsum("a,aij->ij", e.probs, tau_f), eta_f), 0.0, kind="eq"),
     )
     return CompoundStates(
-        eps_if=tuple(eps_if),
-        eps_i=tuple(eps_i),
-        eps_f=tuple(eps_f),
+        eps_if=eps_if,
+        eps_i=eps_i,
+        eps_f=eps_f,
         eta_if=eta_if,
         tau_f=tau_f,
         gamma_if=gamma_if,
@@ -474,21 +430,27 @@ def compound_states(ms: MeasurementStatistics) -> CompoundStates:
 def scutaru_chains(
     ms: MeasurementStatistics, cs: Optional[CompoundStates] = None
 ) -> BoundReport:
-    """Both compound-state inequality chains, one record per link."""
+    """Both compound-state inequality chains, one record per link; the
+    entropies come from one batched vn_entropies call per dimension."""
     if cs is None:
         cs = compound_states(ms)
+    n_o, n_l = len(cs.eps_f), len(cs.tau_f)
     p_i = ms.input_marginal.probs
     p_f = ms.output_marginal.probs
-    eta_i, eta_f = ms.a_priori, ms.post_a_priori
     i_c = classical_mutual_info(ms)
 
-    chi_eps_if = chi_against(p_f, cs.eps_if, cs.eta_if)
-    chi_eps_i = chi_against(p_f, cs.eps_i, eta_i)
-    chi_eps_f = chi_against(p_f, cs.eps_f, eta_f)
-    chi_tau_f = chi_against(p_i, cs.tau_f, eta_f)
+    s_joint = vn_entropies(np.concatenate([cs.eps_if, cs.eta_if[None], cs.gamma_if[None]]))
+    s_eps_i = vn_entropies(cs.eps_i)
+    s_out = vn_entropies(np.concatenate([cs.eps_f, cs.tau_f, ms.post_a_priori[None]]))
+    s_eta_i, s_eta_f = vn_entropy(ms.a_priori), s_out[-1]
+
+    chi_eps_if = chi_against(p_f, s_joint[:n_o], s_joint[n_o])
+    chi_eps_i = chi_against(p_f, s_eps_i, s_eta_i)
+    chi_eps_f = chi_against(p_f, s_out[:n_o], s_eta_f)
+    chi_tau_f = chi_against(p_i, s_out[n_o:n_o + n_l], s_eta_f)
     # S(gamma_if | eta_i (x) eta_f): gamma's marginals are eta_i and eta_f
     # (the compound_tr*_gamma rows), so it is a mutual information
-    gamma_rel = vn_entropy(eta_i) + vn_entropy(eta_f) - vn_entropy(cs.gamma_if)
+    gamma_rel = s_eta_i + s_eta_f - s_joint[-1]
 
     checks = (
         BoundCheck("scutaru1_ic_ge_chi_eps_if", chi_eps_if, i_c),

@@ -1,9 +1,12 @@
 """Completely positive instruments in Kraus form: channel action, POV measure,
-outcome probabilities, a posteriori states and seeded random generation."""
+outcome probabilities, a posteriori states and seeded random generation. The
+analysis applies an instrument to stacks through ``Instrument.channel_matrix``;
+the per-state functions are a public convenience and the tests' reference."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -11,6 +14,7 @@ import numpy as np
 from . import matcore
 from .errors import (
     DimensionMismatch,
+    LabelMismatch,
     SingularNormalizer,
     UnknownOutcome,
 )
@@ -68,6 +72,8 @@ class Instrument:
         maps = tuple(self.maps)
         if len(outcomes) != len(maps) or not maps:
             raise DimensionMismatch("need one Kraus map per outcome")
+        if any(outcomes.index(o) != i for i, o in enumerate(outcomes)):
+            raise LabelMismatch(f"duplicate outcome labels in {outcomes!r}")
         d1 = maps[0].dim_in
         d2 = maps[0].dim_out
         if any(m.dim_in != d1 or m.dim_out != d2 for m in maps):
@@ -89,6 +95,15 @@ class Instrument:
     def dim_out(self) -> int:
         return self.maps[0].dim_out
 
+    @cached_property
+    def channel_matrix(self) -> np.ndarray:
+        """The instrument as one channel rho -> (+)_w I_w(rho): the matrix
+        (outcome-major, d2*d2 rows per outcome, by d1*d1) that takes the
+        row-major vec(rho) to the stacked vec(I_w(rho))."""
+        return np.concatenate([
+            matcore.kron(np.stack(m.kraus), np.conj(m.kraus)).sum(axis=0) for m in self.maps
+        ])
+
     def map_for(self, outcome) -> KrausMap:
         try:
             return self.maps[self.outcomes.index(outcome)]
@@ -102,7 +117,6 @@ class AposterioriFamily:
 
     probs: ClassicalDist
     states: tuple
-    default_state: DensityMatrix
 
 
 def apply_outcome(ins: Instrument, rho: DensityMatrix, outcome) -> np.ndarray:
@@ -146,30 +160,40 @@ def a_posteriori(
             states.append(default)
     probs = np.array(probs)
     dist = ClassicalDist(ins.outcomes, probs / probs.sum())
-    return AposterioriFamily(dist, tuple(states), default)
+    return AposterioriFamily(dist, tuple(states))
 
 
 def _apply_to_stack(ins: Instrument, rhos: np.ndarray) -> np.ndarray:
-    """Unnormalized outputs [outcome, n] of every map on an (n, d1, d1) stack."""
-    return np.stack([
-        np.einsum("kij,njl,kml->nim", k, rhos, k.conj())
-        for k in (np.stack(m.kraus) for m in ins.maps)
-    ])
+    """Unnormalized outputs [outcome, n] of every map on an (n, d1, d1) stack,
+    from one product with the instrument's channel matrix."""
+    n, d1, d2 = len(rhos), ins.dim_in, ins.dim_out
+    outs = np.reshape(rhos, (n, d1 * d1)) @ ins.channel_matrix.T
+    return outs.reshape(n, len(ins.maps), d2, d2).swapaxes(0, 1)
 
 
-def a_posteriori_stack(ins: Instrument, rhos: np.ndarray) -> tuple:
+def a_posteriori_stack(
+    ins: Instrument, rhos: np.ndarray, default: Optional[DensityMatrix] = None
+) -> tuple:
     """a_posteriori for each state of an (n, d1, d1) stack: outcome probabilities
-    and conditional states, both indexed [outcome, n], maximally mixed on null
-    outcomes. The states are not validated here."""
-    outs = _apply_to_stack(ins, rhos)
+    and conditional states, both indexed [outcome, n]. The states are not
+    validated here."""
+    return _posteriors(_apply_to_stack(ins, rhos), default)
+
+
+def _posteriors(outs: np.ndarray, default: Optional[DensityMatrix] = None) -> tuple:
+    """Probabilities (normalized over the outcome axis 0) and normalized states
+    of unnormalized outputs; ``default`` (maximally mixed when None) on null
+    cells."""
+    d2 = outs.shape[-1]
+    if default is None:
+        fill = np.eye(d2) / d2
+    elif default.dim != d2:
+        raise DimensionMismatch(f"default dim {default.dim} vs dim_out {d2}")
+    else:
+        fill = default.mat
     tr = np.trace(outs, axis1=-2, axis2=-1).real
     live = tr > SUPPORT_CUTOFF
-    d2 = ins.dim_out
-    states = np.where(
-        live[..., None, None],
-        outs / np.where(live, tr, 1.0)[..., None, None],
-        np.eye(d2) / d2,
-    )
+    states = np.where(live[..., None, None], outs / np.where(live, tr, 1.0)[..., None, None], fill)
     probs = np.maximum(tr, 0.0)
     return probs / probs.sum(axis=0), states
 

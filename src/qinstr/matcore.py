@@ -145,21 +145,24 @@ def spectral_apply(
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(as_matrix(a), as_matrix(b))
+    """a (x) b; for stacks, the product of each pair (leading axes broadcast)."""
+    out = np.einsum("...ij,...kl->...ikjl", a, b)
+    *batch, m, p, n, q = out.shape
+    return out.reshape(*batch, m * p, n * q)
 
 
 def partial_trace(a: np.ndarray, subsystem: str, d1: int, d2: int) -> np.ndarray:
-    """Trace out one factor of a matrix on H1 (x) H2."""
-    a = as_matrix(a)
-    if a.shape != (d1 * d2, d1 * d2):
+    """Trace out one factor of a matrix on H1 (x) H2, or of each matrix of a stack."""
+    a = np.asarray(a, dtype=np.complex128)
+    if a.shape[-2:] != (d1 * d2, d1 * d2):
         raise DimensionMismatch(
             f"expected a {d1 * d2}x{d1 * d2} matrix for dims ({d1},{d2}), got {a.shape}"
         )
-    blocks = a.reshape(d1, d2, d1, d2)
+    blocks = a.reshape(a.shape[:-2] + (d1, d2, d1, d2))
     if subsystem == "first":
-        return np.einsum("ijik->jk", blocks)
+        return np.einsum("...ijik->...jk", blocks)
     if subsystem == "second":
-        return np.einsum("ijkj->ik", blocks)
+        return np.einsum("...ijkj->...ik", blocks)
     raise DimensionMismatch(f"subsystem must be 'first' or 'second', got {subsystem!r}")
 
 

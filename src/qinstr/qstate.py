@@ -174,6 +174,8 @@ class Ensemble:
         states = tuple(self.states)
         if not (len(letters) == probs.shape[0] == len(states)):
             raise LabelMismatch("letters, probs and states differ in length")
+        if any(letters.index(a) != i for i, a in enumerate(letters)):
+            raise LabelMismatch(f"duplicate letter labels in {letters!r}")
         if np.any(probs <= 0.0):
             raise NotPositive("letter probabilities must be strictly positive")
         if abs(probs.sum() - 1.0) > PROB_TOL:

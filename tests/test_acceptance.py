@@ -15,12 +15,14 @@ from qinstr.harness import (
     emit_report,
     example_scenario,
     main,
+    random_scenario,
     run_acceptance_suite,
     run_scenario,
+    splitmix64,
 )
 from qinstr.infobounds import analyze, classical_mutual_info, entropy_panel
-from qinstr.instrument import random_instrument, total_channel
-from qinstr.qstate import validate_density
+from qinstr.instrument import a_posteriori, random_instrument, total_channel
+from qinstr.qstate import a_priori_state, validate_density
 
 MASTER_SEED = 20240817
 TRIALS = 200
@@ -85,6 +87,39 @@ def test_criterion_1_inequality_suite(suite):
     )
 
 
+def rel_entropy_panel(s):
+    """The six panel chi's in their q_rel_entropy form, from states built one at
+    a time and validated (validate_density) by the per-state a_posteriori and
+    total_channel: independent of the stacked path the report takes."""
+    e, ins = s.ensemble, s.instrument
+    eta_i = a_priori_state(e)
+    eta_f = total_channel(ins, eta_i)
+    grid = [a_posteriori(ins, rho) for rho in e.states]
+    post_letter = [total_channel(ins, rho) for rho in e.states]
+    post_mean = a_posteriori(ins, eta_i).states
+    joint = e.probs[:, None] * np.array([fam.probs.probs for fam in grid])
+    joint = joint / joint.sum()
+    p_f = joint.sum(axis=0)
+    cells = [(a, w) for a, w in zip(*np.nonzero(joint > 1e-12))]
+
+    def rel(weights, members, barycenter):
+        return sum(p * q_rel_entropy(m, barycenter) for p, m in zip(weights, members) if p > 1e-12)
+
+    def mean_over_cells(barycenter_of):
+        return sum(
+            joint[a, w] * q_rel_entropy(grid[a].states[w], barycenter_of(a, w)) for a, w in cells
+        )
+
+    return {
+        "chi_initial": rel(e.probs, e.states, eta_i),
+        "chi_post": rel(e.probs, post_letter, eta_f),
+        "chi_out": rel(p_f, post_mean, eta_f),
+        "chi_joint": mean_over_cells(lambda a, w: eta_f),
+        "mean_chi_given_out": mean_over_cells(lambda a, w: post_mean[w]),
+        "mean_chi_given_in": mean_over_cells(lambda a, w: post_letter[a]),
+    }
+
+
 def test_criterion_2_identity_suite(suite):
     reports, _ = suite
     worst = 0.0
@@ -92,7 +127,20 @@ def test_criterion_2_identity_suite(suite):
         for name in IDENTITY_NAMES:
             for c in _named(r, name):
                 worst = max(worst, abs(c.slack))
-    _verdict(2, worst <= 1e-9, f"max identity deviation {worst:.3e} (<= 1e-9)")
+    # the identity rows agree by construction, so every panel chi is also held
+    # to its relative-entropy form, computed one state at a time
+    worst_chi = 0.0
+    for index, r in enumerate(reports):
+        d1, d2, nl, no, kp = ACCEPTANCE_GRID[index % len(ACCEPTANCE_GRID)]
+        s = random_scenario(d1, d2, nl, no, kp, splitmix64(MASTER_SEED + index))
+        for name, value in rel_entropy_panel(s).items():
+            worst_chi = max(worst_chi, abs(r.panel[name] - value))
+    _verdict(
+        2,
+        worst <= 1e-9 and worst_chi <= 1e-10,
+        f"max identity deviation {worst:.3e} (<= 1e-9), max panel chi deviation "
+        f"from the q_rel_entropy form {worst_chi:.3e} (<= 1e-10)",
+    )
 
 
 def test_criterion_3_desk_zero_one_plus():
@@ -254,8 +302,6 @@ def test_criterion_9_determinism_and_interface(tmp_path, capsys):
 def test_suite_cross_check_against_direct_panel(suite):
     # spot-check three suite reports against an independent re-derivation of
     # I_c from the joint table
-    from qinstr.harness import random_scenario, splitmix64
-
     for index in (0, 57, 143):
         d1, d2, nl, no, kp = ACCEPTANCE_GRID[index % len(ACCEPTANCE_GRID)]
         seed = splitmix64(MASTER_SEED + index)

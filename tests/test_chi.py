@@ -30,6 +30,14 @@ def rel_form(weights, members, barycenter):
     return sum(w * q_rel_entropy(m, barycenter) for w, m in zip(weights, members) if w > 1e-12)
 
 
+def states(stack):
+    """validate_density of each matrix of a stack (a grid keeps its shape)."""
+    stack = np.asarray(stack)
+    if stack.ndim == 2:
+        return validate_density(stack)
+    return [states(m) for m in stack]
+
+
 def projective(d):
     eye = np.eye(d)
     maps = tuple(KrausMap(d, d, (np.outer(eye[k], eye[k]).astype(complex),)) for k in range(d))
@@ -63,20 +71,21 @@ def test_every_chi_matches_the_relative_entropy_form(s):
     ms = analyze(s.ensemble, s.instrument)
     panel = entropy_panel(ms)
     p_i, p_f = ms.input_marginal.probs, ms.output_marginal.probs
-    eta_i, eta_f = ms.a_priori, ms.post_a_priori
-    grid = ms.posterior_letter_states
+    eta_i, eta_f = ms.a_priori, states(ms.post_a_priori)
+    grid = states(ms.posterior_letter_states)
+    post_letter, post_mean = states(ms.post_letter_states), states(ms.posterior_mean_states)
     cells = [(a, w) for a in range(len(grid)) for w in range(len(p_f)) if ms.joint[a, w] > 1e-12]
     expected = {
         "chi_initial": rel_form(p_i, s.ensemble.states, eta_i),
-        "chi_post": rel_form(p_i, ms.post_letter_states, eta_f),
-        "chi_out": rel_form(p_f, ms.posterior_mean_states, eta_f),
+        "chi_post": rel_form(p_i, post_letter, eta_f),
+        "chi_out": rel_form(p_f, post_mean, eta_f),
         "chi_joint": rel_form(ms.joint.ravel(), [x for row in grid for x in row], eta_f),
         "mean_chi_given_out": sum(
-            ms.joint[a, w] * q_rel_entropy(grid[a][w], ms.posterior_mean_states[w])
+            ms.joint[a, w] * q_rel_entropy(grid[a][w], post_mean[w])
             for a, w in cells
         ),
         "mean_chi_given_in": sum(
-            ms.joint[a, w] * q_rel_entropy(grid[a][w], ms.post_letter_states[a])
+            ms.joint[a, w] * q_rel_entropy(grid[a][w], post_letter[a])
             for a, w in cells
         ),
     }
@@ -87,18 +96,18 @@ def test_every_chi_matches_the_relative_entropy_form(s):
     chains = scutaru_chains(ms, cs)
     kron = validate_density(matcore.kron(eta_i.mat, eta_f.mat))
     links = {
-        "scutaru1_ic_ge_chi_eps_if": rel_form(p_f, cs.eps_if, cs.eta_if),
-        "scutaru1_chi_eps_if_ge_chi_eps_i": rel_form(p_f, cs.eps_i, eta_i),
-        "scutaru1_chi_eps_if_ge_chi_eps_f": rel_form(p_f, cs.eps_f, eta_f),
-        "scutaru2_ic_ge_chi_tau_f": rel_form(p_i, cs.tau_f, eta_f),
-        "scutaru2_chi_eps_i_ge_gamma": q_rel_entropy(cs.gamma_if, kron),
+        "scutaru1_ic_ge_chi_eps_if": rel_form(p_f, states(cs.eps_if), states(cs.eta_if)),
+        "scutaru1_chi_eps_if_ge_chi_eps_i": rel_form(p_f, states(cs.eps_i), eta_i),
+        "scutaru1_chi_eps_if_ge_chi_eps_f": rel_form(p_f, states(cs.eps_f), eta_f),
+        "scutaru2_ic_ge_chi_tau_f": rel_form(p_i, states(cs.tau_f), eta_f),
+        "scutaru2_chi_eps_i_ge_gamma": q_rel_entropy(states(cs.gamma_if), kron),
     }
     for name, value in links.items():
         assert abs(chains[name].lhs - value) <= 1e-10, name
 
     if eta_i.spectral().eigenvalues[0] > 1e-9:
         dual = dual_ensemble(s.ensemble, s.instrument, eta_i)
-        live = [(p, x) for p, x in zip(dual.probs.probs, dual.states) if x is not None]
+        live = [(p, states(x)) for p, x in zip(dual.probs.probs, dual.states) if p > 1e-12]
         chi_dual = rel_form([p for p, _ in live], [x for _, x in live], eta_i)
         assert abs(hall_section(ms)["hall_bound"].rhs - chi_dual) <= 1e-10
 

@@ -109,15 +109,13 @@ class TestDualEnsemble:
         e = zero_plus_ensemble()
         ins = Instrument((0,), (KrausMap(2, 2, (np.eye(2, dtype=complex),)),))
         dual = dual_ensemble(e, ins, a_priori_state(e))
-        assert np.allclose(dual.states[0].mat, a_priori_state(e).mat, atol=1e-10)
+        assert np.allclose(dual.states[0], a_priori_state(e).mat, atol=1e-10)
 
     def test_barycenter_is_eta(self):
         e = random_ensemble(3, 2, np.random.default_rng(5))
         ins = random_instrument(3, 2, 3, 2, seed=6)
         dual = dual_ensemble(e, ins, a_priori_state(e))
-        mix = sum(
-            p * s.mat for p, s in zip(dual.probs.probs, dual.states) if s is not None
-        )
+        mix = sum(p * s for p, s in zip(dual.probs.probs, dual.states) if p > 1e-12)
         assert np.max(np.abs(mix - a_priori_state(e).mat)) < 1e-9
 
     def test_probs_match_outcome_probs(self):
@@ -134,8 +132,8 @@ class TestDualEnsemble:
         # z-projective instrument and check the unused branch on a pure eta.
         single = Ensemble(("a",), np.array([1.0]), (KET1,))
         dual = dual_ensemble(single, projective_qubit(), a_priori_state(single))
-        assert dual.states[0] is None  # outcome 0 has zero probability
-        assert dual.states[1] is not None
+        assert not dual.states[0].any()  # outcome 0 has zero probability
+        assert np.allclose(dual.states[1], KET1.mat)
 
 
 class TestVerifyDuality:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qinstr import matcore
 from qinstr.harness import (
     EXAMPLE_NAMES,
     Scenario,
@@ -19,10 +20,10 @@ from qinstr.harness import (
     scenario_from_json,
     splitmix64,
 )
-from qinstr.errors import SchemaError, UnknownFormat
+from qinstr.errors import LabelMismatch, SchemaError, UnknownFormat
 from qinstr.infobounds import random_pure
-from qinstr.instrument import random_instrument
-from qinstr.qstate import Ensemble, pure_state
+from qinstr.instrument import Instrument, random_instrument
+from qinstr.qstate import DensityMatrix, Ensemble, pure_state
 
 
 class TestSplitmix:
@@ -297,3 +298,91 @@ class TestTolEnv:
         obj = example_scenario("zero-one-plus").to_json()
         del obj["options"]["tol"]
         assert scenario_from_json(obj).tol == 1e-8
+
+
+class TestInputContract:
+    """Malformed options and labels are input errors (exit 2), never a traceback
+    or a silently altered run."""
+
+    @staticmethod
+    def _analyze(tmp_path, mutate):
+        obj = example_scenario("zero-one-plus").to_json()
+        mutate(obj)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(obj))
+        return main(["analyze", str(path)])
+
+    @pytest.mark.parametrize("name,value", [
+        ("gl_trials", 0),
+        ("gl_trials", -1),
+        ("gl_trials", 1.5),
+        ("gl_demix", -1),
+        ("seed", -1),
+    ])
+    def test_bad_count_option_is_schema_error(self, tmp_path, capsys, name, value):
+        def mutate(obj):
+            obj["options"][name] = value
+
+        assert self._analyze(tmp_path, mutate) == 2
+        assert f"{name} must be an integer" in capsys.readouterr().err
+        obj = example_scenario("zero-one-plus").to_json()
+        mutate(obj)
+        with pytest.raises(SchemaError):
+            scenario_from_json(obj)
+
+    def test_integral_float_option_reads_as_its_integer(self):
+        obj = example_scenario("zero-one-plus").to_json()
+        expected = _fingerprint(scenario_from_json(obj))
+        obj["options"].update(gl_trials=100.0, gl_demix=5.0, seed=0.0)
+        s = scenario_from_json(obj)
+        assert (s.gl_trials, s.gl_demix, s.seed) == (100, 5, 0)
+        assert _fingerprint(s) == expected
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_random_trials_below_one_is_schema_error(self, capsys, trials):
+        assert main(["random", "--trials", trials]) == 2
+        assert "--trials" in capsys.readouterr().err
+
+    def test_duplicate_letter_labels_rejected(self, tmp_path, capsys):
+        with pytest.raises(LabelMismatch):
+            Ensemble((0, 0), np.array([0.5, 0.5]), (pure_state([1, 0]), pure_state([0, 1])))
+
+        def mutate(obj):
+            obj["ensemble"]["letters"] = ["zero", "zero"]
+
+        assert self._analyze(tmp_path, mutate) == 2
+
+    def test_duplicate_outcome_labels_rejected(self, tmp_path, capsys):
+        ins = example_scenario("zero-one-plus").instrument
+        with pytest.raises(LabelMismatch):
+            Instrument((0, 0), ins.maps)
+
+        def mutate(obj):
+            obj["instrument"]["outcomes"] = [1, 1]
+
+        assert self._analyze(tmp_path, mutate) == 2
+
+
+def test_run_scenario_does_no_per_state_work(monkeypatch):
+    """The instrument is applied to stacks and their entropies come from batched
+    eigvalsh calls; a per-cell path (one validated state, one herm_eig each)
+    would raise these counts by tens (83 states and 91 herm_eig calls before
+    the stacked path, on this scenario)."""
+    s = random_scenario(3, 3, 4, 4, 2, 7)
+    counts = dict.fromkeys(("states", "herm_eig", "eigvalsh"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted("states", DensityMatrix.__post_init__))
+    monkeypatch.setattr(matcore, "herm_eig", counted("herm_eig", matcore.herm_eig))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    report = run_scenario(s)
+    assert report.overall_pass and report.hall_skipped is None
+    assert counts["states"] <= 1  # the a priori state
+    assert counts["herm_eig"] <= 1  # its decomposition, which the Hall section reuses
+    assert counts["eigvalsh"] <= 10

@@ -23,7 +23,7 @@ from qinstr.infobounds import (
     scutaru_chains,
 )
 from qinstr.instrument import Instrument, KrausMap, random_instrument
-from qinstr.qstate import ClassicalDist, Ensemble, maximally_mixed, pure_state
+from qinstr.qstate import ClassicalDist, Ensemble, maximally_mixed, pure_state, validate_density
 
 KET0 = pure_state([1, 0])
 KET1 = pure_state([0, 1])
@@ -79,18 +79,18 @@ class TestAnalyze:
             if p_f[w] < 1e-12:
                 continue
             mix = sum(
-                ms.cond_in_given_out[a, w] * ms.posterior_letter_states[a][w].mat
+                ms.cond_in_given_out[a, w] * validate_density(ms.posterior_letter_states[a][w]).mat
                 for a in range(len(e.letters))
             )
-            assert np.max(np.abs(mix - ms.posterior_mean_states[w].mat)) < 1e-9
+            assert np.max(np.abs(mix - validate_density(ms.posterior_mean_states[w]).mat)) < 1e-9
 
     def test_post_a_priori_is_mean_of_post_letters(self):
         rng = np.random.default_rng(2)
         e = random_ensemble(2, 3, rng)
         ins = random_instrument(2, 3, 2, 2, seed=3)
         ms = analyze(e, ins)
-        mix = sum(p * s.mat for p, s in zip(e.probs, ms.post_letter_states))
-        assert np.max(np.abs(mix - ms.post_a_priori.mat)) < 1e-10
+        mix = sum(p * validate_density(s).mat for p, s in zip(e.probs, ms.post_letter_states))
+        assert np.max(np.abs(mix - validate_density(ms.post_a_priori).mat)) < 1e-10
 
 
 @pytest.mark.parametrize(
@@ -345,10 +345,10 @@ class TestCompoundStates:
         e = random_ensemble(2, 2, rng)
         ins = random_instrument(2, 3, 2, 2, seed=21)
         cs = compound_states(analyze(e, ins))
-        assert cs.eps_if[0].dim == 6
-        assert cs.eps_i[0].dim == 2
-        assert cs.eps_f[0].dim == 3
-        assert cs.gamma_if.dim == 6
+        assert validate_density(cs.eps_if[0]).dim == 6
+        assert validate_density(cs.eps_i[0]).dim == 2
+        assert validate_density(cs.eps_f[0]).dim == 3
+        assert validate_density(cs.gamma_if).dim == 6
 
     @pytest.mark.parametrize("seed", range(5))
     def test_consistency_random(self, seed):
