@@ -108,15 +108,18 @@ def c_rel_entropy(p: ClassicalDist, q: ClassicalDist) -> float:
     return total
 
 
-def mutual_info(joint: np.ndarray, p_row: np.ndarray, p_col: np.ndarray) -> float:
-    """S_c(P_if | P_i x P_f) of a joint table and its marginals.
+def mutual_info(joint: np.ndarray, p_row: np.ndarray, p_col: np.ndarray) -> np.ndarray:
+    """S_c(P_if | P_i x P_f) of a joint table [row, col] and its marginals;
+    tables stacked on leading axes give one each.
 
     Only p > 0 cells count: p <= min(P_i, P_f) keeps every term finite.
     """
-    a, w = np.nonzero(joint > 0.0)
-    p = joint[a, w]
-    total = np.sum(p * (np.log(p) - np.log(p_row[a]) - np.log(p_col[w])))
-    return max(float(total), 0.0)
+    live = joint > 0.0
+    rows = np.where(live, p_row[..., :, None], 1.0)
+    cols = np.where(live, p_col[..., None, :], 1.0)
+    p = np.where(live, joint, 1.0)
+    total = np.sum(np.where(live, p * (np.log(p) - np.log(rows) - np.log(cols)), 0.0), axis=(-2, -1))
+    return np.maximum(total, 0.0)
 
 
 def mixed_rel_entropy(

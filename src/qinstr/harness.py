@@ -125,6 +125,8 @@ def scenario_from_json(obj: dict, tol_override: Optional[float] = None,
         ensemble = ensemble_from_json(obj["ensemble"])
         instrument = instrument_from_json(obj["instrument"])
         options = obj.get("options", {})
+        if not isinstance(options, dict):
+            raise SchemaError(f"options must be an object, got {type(options).__name__}")
         default_state = None
         if "default_state" in options:
             default_state = density_from_json(options["default_state"])
@@ -138,7 +140,7 @@ def scenario_from_json(obj: dict, tol_override: Optional[float] = None,
             gl_demix=options.get("gl_demix", 5),
             seed=options.get("seed", 0),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed scenario: {exc}") from exc
 
 

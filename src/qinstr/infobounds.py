@@ -165,7 +165,7 @@ def analyze(
 
 def classical_mutual_info(ms: MeasurementStatistics) -> float:
     """S_c(P_if | P_i x P_f) from the joint table."""
-    return mutual_info(ms.joint, ms.input_marginal.probs, ms.output_marginal.probs)
+    return float(mutual_info(ms.joint, ms.input_marginal.probs, ms.output_marginal.probs))
 
 
 def entropy_panel(ms: MeasurementStatistics) -> EntropyPanel:
@@ -310,32 +310,6 @@ def _gains(ins: Instrument, rhos: np.ndarray, default: Optional[DensityMatrix] =
     return s_in - weighted_sum(probs.T, s_post.T), probs, s_in
 
 
-def _chain_checks(ins: Instrument, rng: np.random.Generator, n_demix: int) -> list:
-    """gl_chain on random_ensemble demixtures: I_c + sum_a P_a I_q(rho_a) <= I_q(eta)."""
-    priors, letters = [], []
-    for _ in range(n_demix):
-        n = int(rng.integers(2, 4))
-        probs = rng.uniform(size=n)  # random_ensemble's draws, in its order
-        probs = np.maximum(probs / probs.sum(), 0.05)
-        priors.append(probs / probs.sum())
-        letters.append(_ginibre_states(rng.standard_normal((n, 2, ins.dim_in, ins.dim_in))))
-    etas = [np.einsum("a,aij->ij", p, rhos)[None] for p, rhos in zip(priors, letters)]
-    gains, cond, _ = _gains(ins, np.concatenate(letters + etas))
-    bounds = np.cumsum([len(p) for p in priors])[:-1]
-    checks = []
-    for p, letter_gains, cond_fi, eta_gain in zip(
-        priors,
-        np.split(gains[:-n_demix], bounds),
-        np.split(cond[:, :-n_demix], bounds, axis=1),
-        gains[-n_demix:],
-    ):
-        joint = p[:, None] * cond_fi.T
-        joint = joint / joint.sum()
-        rhs = mutual_info(joint, p, joint.sum(axis=0)) + float(p @ letter_gains)
-        checks.append(BoundCheck("gl_chain", rhs, float(eta_gain)))
-    return checks
-
-
 def groenewold_lindblad_check(
     ins: Instrument, trials: int = 100, seed: int = 0, n_demix: int = 5
 ) -> tuple[bool, BoundReport]:
@@ -343,12 +317,16 @@ def groenewold_lindblad_check(
 
     Returns (purity_preserving, report). The gain-positivity record is only
     emitted for instruments classified purity-preserving; the chain inequality
-    (the instrument-level equivalent of the strengthened Holevo bound) is
-    checked unconditionally on random demixtures.
+    I_c + sum_a P_a I_q(rho_a) <= I_q(eta) (the instrument-level equivalent of
+    the strengthened Holevo bound) is checked unconditionally on random
+    demixtures.
 
-    Each part runs on one stack of states and draws the same random numbers as
-    ``random_pure``, ``random_density`` and ``random_ensemble`` would, trial
-    after trial.
+    The random numbers are those ``random_pure``, ``random_density`` and
+    ``random_ensemble`` would draw, trial after trial; only the draws loop.
+    The trial states, the demixtures' letters and their barycenters eta form
+    one stack, whose gains come from one ``_gains`` call, and the chain rows
+    are computed together from priors and outcome laws padded to three
+    letters.
     """
     rng = np.random.default_rng(seed)
     d1 = ins.dim_in
@@ -358,15 +336,37 @@ def groenewold_lindblad_check(
     kets = kets / np.linalg.norm(kets, axis=1, keepdims=True)
     purity_preserving = min_output_purity(ins, kets) >= 1.0 - PURITY_TOL
 
+    n_trials = trials if purity_preserving else 0
+    draws = [rng.standard_normal((n_trials, 2, d1, d1))]
+    priors = np.zeros((n_demix, 3))
+    slots = np.zeros((n_demix, 3), dtype=bool)  # [demixture, letter] in use
+    for j in range(n_demix):
+        n = int(rng.integers(2, 4))
+        probs = rng.uniform(size=n)  # random_ensemble's draws, in its order
+        probs = np.maximum(probs / probs.sum(), 0.05)
+        priors[j, :n] = probs / probs.sum()
+        slots[j, :n] = True
+        draws.append(rng.standard_normal((n, 2, d1, d1)))
+    states = _ginibre_states(np.concatenate(draws))
+    letters = np.zeros((n_demix, 3, d1, d1), dtype=np.complex128)
+    letters[slots] = states[n_trials:]
+    etas = np.einsum("ja,jamn->jmn", priors, letters)
+    gains, cond, _ = _gains(ins, np.concatenate([states, etas]))
+    parts = [n_trials, len(states)]
+    trial_gains, flat_gains, eta_gains = np.split(gains, parts)
+
     checks = []
     if purity_preserving:
-        gains, _, _ = _gains(ins, _ginibre_states(rng.standard_normal((trials, 2, d1, d1))))
-        checks.append(BoundCheck("gl_info_gain_nonneg", 0.0, float(np.min(gains))))
+        checks.append(BoundCheck("gl_info_gain_nonneg", 0.0, float(np.min(trial_gains))))
 
-    # chain inequality on random demixtures (equivalent form of the
-    # strengthened Holevo bound; holds for every instrument)
-    if n_demix:
-        checks += _chain_checks(ins, rng, n_demix)
+    letter_gains = np.zeros((n_demix, 3))
+    letter_gains[slots] = flat_gains
+    laws = np.zeros((n_demix, 3, len(cond)))  # P(w | rho_a), [demixture, letter, outcome]
+    laws[slots] = np.split(cond, parts, axis=1)[1].T
+    joint = priors[:, :, None] * laws
+    joint = joint / joint.sum(axis=(1, 2), keepdims=True)
+    rhs = mutual_info(joint, priors, joint.sum(axis=1)) + np.sum(priors * letter_gains, axis=1)
+    checks += [BoundCheck("gl_chain", float(r), float(g)) for r, g in zip(rhs, eta_gains)]
     return purity_preserving, BoundReport(tuple(checks))
 
 

@@ -172,11 +172,11 @@ class Ensemble:
         letters = tuple(self.letters)
         probs = np.asarray(self.probs, dtype=np.float64)
         states = tuple(self.states)
-        if not (len(letters) == probs.shape[0] == len(states)):
+        if probs.shape != (len(letters),) or len(states) != len(letters):
             raise LabelMismatch("letters, probs and states differ in length")
         if any(letters.index(a) != i for i, a in enumerate(letters)):
             raise LabelMismatch(f"duplicate letter labels in {letters!r}")
-        if np.any(probs <= 0.0):
+        if not np.all(probs > 0.0):  # NaN fails too
             raise NotPositive("letter probabilities must be strictly positive")
         if abs(probs.sum() - 1.0) > PROB_TOL:
             raise BadTrace(f"letter probabilities sum to {probs.sum()}, not 1")
@@ -236,11 +236,21 @@ def ensemble_to_json(e: Ensemble) -> dict:
 
 
 def density_from_json(rows: list) -> DensityMatrix:
-    """A state read from JSON, validated with ``matcore.jacobi_eig``: a clamp
-    repair rebuilds the matrix from the eigendecomposition, and scenario
-    fingerprints hash the repaired matrix, so its digits must not depend on
-    the solver that serves the analysis."""
-    return validate_density(matcore.matrix_from_json(rows), eig=matcore.jacobi_eig)
+    """A state read from JSON, decomposed by ``matcore.herm_eig``.
+
+    A state whose least eigenvalue is <= HERM_TOL is validated with
+    ``matcore.jacobi_eig`` instead: a clamp repair rebuilds the matrix from the
+    eigendecomposition, and scenario fingerprints hash the repaired matrix, so
+    its digits must not depend on the solver that serves the analysis. Above
+    HERM_TOL neither solver clamps (Jacobi's eigenvalues of a state are good to
+    ~1e-13), and both keep the symmetrized input. Every check of
+    ``validate_density`` runs on either path.
+    """
+    m = matcore.matrix_from_json(rows)
+    spec = matcore.herm_eig(m)
+    if spec.eigenvalues[0] > HERM_TOL:
+        return DensityMatrix(m, spectrum=spec)
+    return validate_density(m, eig=matcore.jacobi_eig)
 
 
 def ensemble_from_json(obj: dict) -> Ensemble:

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qinstr import matcore
+from qinstr import harness, infobounds, matcore
 from qinstr.harness import (
     EXAMPLE_NAMES,
     Scenario,
@@ -21,7 +23,7 @@ from qinstr.harness import (
     splitmix64,
 )
 from qinstr.errors import LabelMismatch, SchemaError, UnknownFormat
-from qinstr.infobounds import random_pure
+from qinstr.infobounds import _gains, groenewold_lindblad_check, random_pure
 from qinstr.instrument import Instrument, random_instrument
 from qinstr.qstate import DensityMatrix, Ensemble, pure_state
 
@@ -80,22 +82,35 @@ class TestGoldenFingerprints:
     to the generators or to the solvers behind them fails here first."""
 
     @staticmethod
-    def _roundtrip(s):
-        return scenario_from_json(json.loads(json.dumps(s.to_json())))
+    def _roundtrip(s, monkeypatch):
+        """The scenario read back from its JSON, and the jacobi_eig calls that took."""
+        calls = []
+        jacobi_eig = matcore.jacobi_eig
+
+        def counting(a):
+            calls.append(1)
+            return jacobi_eig(a)
+
+        text = json.dumps(s.to_json())
+        with monkeypatch.context() as patch:
+            patch.setattr(matcore, "jacobi_eig", counting)
+            return scenario_from_json(json.loads(text)), len(calls)
 
     @pytest.mark.parametrize("spec,expected", [
         ((2, 2, 3, 3, 2, 7), "4dbc43409d64acd4"),
         ((3, 2, 2, 4, 1, 99), "9bec63adee0774ee"),
         ((5, 5, 3, 3, 2, 11), "7fc10edea4eeda1b"),
     ])
-    def test_random_scenario(self, spec, expected):
+    def test_random_scenario(self, spec, expected, monkeypatch):
         s = random_scenario(*spec)
         assert _fingerprint(s) == expected
-        assert _fingerprint(self._roundtrip(s)) == expected
+        read, jacobi_calls = self._roundtrip(s, monkeypatch)
+        assert _fingerprint(read) == expected
+        assert jacobi_calls == 0  # full-rank letters: no clamp is possible
 
-    def test_pure_letters(self):
+    def test_pure_letters(self, monkeypatch):
         # reading the pure letters back clamps their tiny negative eigenvalues,
-        # so the round trip hashes the repaired matrices
+        # so the round trip hashes the repaired matrices, repaired by Jacobi
         rng = np.random.default_rng(5)
         states = (random_pure(3, rng), random_pure(3, rng))
         s = Scenario(
@@ -104,7 +119,9 @@ class TestGoldenFingerprints:
             seed=5,
         )
         assert _fingerprint(s) == "cb12254c3f3b049b"
-        assert _fingerprint(self._roundtrip(s)) == "f20fe675733174fa"
+        read, jacobi_calls = self._roundtrip(s, monkeypatch)
+        assert _fingerprint(read) == "f20fe675733174fa"
+        assert jacobi_calls == 2
 
 
 class TestRunScenario:
@@ -362,14 +379,80 @@ class TestInputContract:
 
         assert self._analyze(tmp_path, mutate) == 2
 
+    def test_options_not_an_object_is_schema_error(self, tmp_path, capsys):
+        def mutate(obj):
+            obj["options"] = []
+
+        assert self._analyze(tmp_path, mutate) == 2
+        assert "options must be an object" in capsys.readouterr().err
+
+    def test_infinite_dimension_is_schema_error(self, tmp_path, capsys):
+        def mutate(obj):
+            obj["instrument"]["dim_in"] = math.inf
+
+        assert self._analyze(tmp_path, mutate) == 2
+        assert "schema error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("probs", [0.5, None, [0.5, math.nan]])
+    def test_malformed_letter_probs_rejected(self, tmp_path, capsys, probs):
+        # a scalar or null is no list of probabilities, and NaN is not positive
+        def mutate(obj):
+            obj["ensemble"]["probs"] = probs
+
+        assert self._analyze(tmp_path, mutate) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def _field_paths(node, prefix=()):
+    """Every key path below the root of a JSON tree, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _field_paths(child, prefix + (key,))
+
+
+# replacements for one field; none is a large finite count, which a dimension,
+# gl_trials or gl_demix would turn into a real allocation
+_MUTATIONS = ("drop", "negate", "x", [], {}, None, math.nan, math.inf, -math.inf, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(EXAMPLE_NAMES),
+    data=st.data(),
+    mutation=st.sampled_from(_MUTATIONS),
+)
+def test_any_one_field_mutation_exits_cleanly(tmp_path_factory, name, data, mutation):
+    """Drop, retype, negate, NaN, ±Infinity or zero any one field of an example
+    scenario: `qinstr analyze` answers 0, 1 or 2 and never raises."""
+    obj = example_scenario(name).to_json()
+    *parent_path, key = data.draw(st.sampled_from(list(_field_paths(obj))))
+    parent = obj
+    for step in parent_path:
+        parent = parent[step]
+    if mutation == "drop":
+        del parent[key]
+    elif mutation == "negate":
+        value = parent[key]
+        parent[key] = -value if isinstance(value, (int, float)) and not isinstance(value, bool) else None
+    else:
+        parent[key] = mutation
+    path = tmp_path_factory.mktemp("mutated") / "scenario.json"
+    path.write_text(json.dumps(obj))
+    assert main(["analyze", str(path)]) in (0, 1, 2)
+
 
 def test_run_scenario_does_no_per_state_work(monkeypatch):
     """The instrument is applied to stacks and their entropies come from batched
     eigvalsh calls; a per-cell path (one validated state, one herm_eig each)
     would raise these counts by tens (83 states and 91 herm_eig calls before
-    the stacked path, on this scenario)."""
-    s = random_scenario(3, 3, 4, 4, 2, 7)
-    counts = dict.fromkeys(("states", "herm_eig", "eigvalsh"), 0)
+    the stacked path, on the two-Kraus scenario). The GL check takes every
+    gain from one stacked _gains call (it made two, and 12 eigvalsh calls in
+    all, on the one-Kraus scenario, which is purity-preserving and so draws
+    trial states)."""
+    names = ("states", "herm_eig", "eigvalsh", "gl_gains")
+    counts = dict.fromkeys(names, 0)
+    in_gl = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -378,11 +461,29 @@ def test_run_scenario_does_no_per_state_work(monkeypatch):
 
         return wrapper
 
+    def gl_check(*args, **kwargs):
+        in_gl.append(True)
+        try:
+            return groenewold_lindblad_check(*args, **kwargs)
+        finally:
+            in_gl.pop()
+
+    def gains(*args, **kwargs):
+        counts["gl_gains"] += bool(in_gl)
+        return _gains(*args, **kwargs)
+
     monkeypatch.setattr(DensityMatrix, "__post_init__", counted("states", DensityMatrix.__post_init__))
     monkeypatch.setattr(matcore, "herm_eig", counted("herm_eig", matcore.herm_eig))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
-    report = run_scenario(s)
-    assert report.overall_pass and report.hall_skipped is None
-    assert counts["states"] <= 1  # the a priori state
-    assert counts["herm_eig"] <= 1  # its decomposition, which the Hall section reuses
-    assert counts["eigvalsh"] <= 10
+    monkeypatch.setattr(harness, "groenewold_lindblad_check", gl_check)
+    monkeypatch.setattr(infobounds, "_gains", gains)
+    for kraus in (2, 1):
+        s = random_scenario(3, 3, 4, 4, kraus, 7)
+        counts.update(dict.fromkeys(names, 0))
+        report = run_scenario(s)
+        assert report.overall_pass and report.hall_skipped is None
+        assert report.purity_preserving == (kraus == 1)
+        assert counts["states"] <= 1  # the a priori state
+        assert counts["herm_eig"] <= 1  # its decomposition, which the Hall section reuses
+        assert counts["eigvalsh"] <= 10
+        assert counts["gl_gains"] == 1

@@ -320,7 +320,10 @@ GL_CASES = [
     (projective_qubit(), 50, 0, 5),
     (random_instrument(2, 3, 3, 1, seed=42), 50, 1, 5),
     (random_instrument(2, 2, 1, 2, seed=7), 50, 2, 5),
-] + [(random_instrument(3, 2, 3, 2, seed=500 + s), 20, s, 3) for s in range(5)]
+] + [(random_instrument(3, 2, 3, 2, seed=500 + s), 20, s, 3) for s in range(5)] + [
+    (random_instrument(2, 3, 3, 1, seed=42), 20, 3, 0),
+    (random_instrument(2, 2, 1, 2, seed=7), 20, 3, 0),
+]
 
 
 @pytest.mark.parametrize("ins, trials, seed, n_demix", GL_CASES)

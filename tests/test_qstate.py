@@ -9,6 +9,7 @@ from qinstr.qstate import (
     DensityMatrix,
     Ensemble,
     a_priori_state,
+    density_from_json,
     ensemble_from_json,
     ensemble_to_json,
     fidelity_like_support_check,
@@ -123,6 +124,25 @@ class TestJson:
         assert np.allclose(e2.probs, e.probs)
         for s1, s2 in zip(e.states, e2.states):
             assert np.allclose(s1.mat, s2.mat)
+
+    @pytest.mark.parametrize("least", [0.0, 1e-17, -1e-17, 1e-11, 1e-9, None])
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_read_state_equals_jacobi_validation(self, least, dim):
+        # LAPACK decomposes; only a least eigenvalue <= HERM_TOL goes on to
+        # Jacobi, and either way the matrix is the one Jacobi validation gives
+        rng = np.random.default_rng(dim)
+        for _ in range(10):
+            spectrum = rng.uniform(0.05, 1.0, dim)
+            if least is not None:
+                spectrum[0] = 0.0
+                spectrum *= (1.0 - least) / spectrum.sum()
+                spectrum[0] = least
+            else:
+                spectrum /= spectrum.sum()
+            q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+            m = (q * spectrum) @ q.conj().T
+            read = density_from_json(matcore.matrix_to_json(m))
+            assert np.array_equal(read.mat, validate_density(m, eig=matcore.jacobi_eig).mat)
 
 
 def test_density_matrix_requires_unit_trace():
