@@ -25,7 +25,6 @@ from .qstate import (
     DensityMatrix,
     density_eigvals,
     fidelity_like_support_check,
-    validate_density,
 )
 
 INF = math.inf
@@ -48,8 +47,7 @@ class StateFamily:
         object.__setattr__(self, "members", members)
 
     def barycenter(self) -> DensityMatrix:
-        mix = sum(w * m.mat for w, m in zip(self.weights.probs, self.members))
-        return validate_density(mix)
+        return DensityMatrix(sum(w * m.mat for w, m in zip(self.weights.probs, self.members)))
 
 
 def _entropy(vals: np.ndarray) -> np.ndarray:

@@ -26,13 +26,6 @@ INVERTIBILITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class HallInstrument:
-    """Instrument with one Kraus operator per letter, built from an ensemble."""
-
-    base: Instrument
-
-
-@dataclass(frozen=True)
 class DualEnsemble:
     """Outcome-indexed ensemble whose barycenter is the original a priori state."""
 
@@ -40,9 +33,14 @@ class DualEnsemble:
     states: np.ndarray  # [outcome, d1, d1]; the zero matrix on null outcomes
 
 
-def build_hall_instrument(e: Ensemble, eta: DensityMatrix) -> HallInstrument:
+def build_hall_instrument(e: Ensemble, eta: DensityMatrix) -> Instrument:
     """Kraus operators sqrt(P_a) rho_a^{1/2} eta^{-1/2}, one per letter, where
-    ``eta`` is the a priori state of ``e``."""
+    ``eta`` is the a priori state of ``e``.
+
+    Raises SingularAprioriState when eta's least eigenvalue is <=
+    INVERTIBILITY_TOL, or when it is so small that rounding in eta^{-1/2}
+    leaves the effects' sum off the identity by more than POVM_SUM_TOL.
+    """
     vals, _ = eta.spectral()
     if vals[0] <= INVERTIBILITY_TOL:
         raise SingularAprioriState(
@@ -55,8 +53,12 @@ def build_hall_instrument(e: Ensemble, eta: DensityMatrix) -> HallInstrument:
         )
         for p, rho in zip(e.probs, e.states)
     )
-    base = Instrument(e.letters, maps)
-    return HallInstrument(base=base)
+    try:
+        return Instrument(e.letters, maps)
+    except DimensionMismatch as exc:
+        raise SingularAprioriState(
+            f"a priori state eigenvalue {vals[0]:.3e}: Hall instrument's {exc}"
+        ) from exc
 
 
 def dual_ensemble(e: Ensemble, ins: Instrument, eta: DensityMatrix) -> DualEnsemble:
@@ -98,14 +100,14 @@ def hall_section(ms: MeasurementStatistics) -> BoundReport:
 
     p_f = dual.probs.probs
     live = p_f > SUPPORT_CUTOFF
-    effects_j = np.stack([m.effect() for m in h.base.maps])
+    effects_j = np.stack([m.effect() for m in h.maps])
     law = np.einsum("aij,wji->wa", effects_j, dual.states[live]).real  # P_J(a | sigma_w)
     max_dev = np.max(np.abs(law - ms.cond_in_given_out[:, live].T))
     joint_dual = p_f[live, None] * np.maximum(law, 0.0)
     joint_dual = joint_dual / joint_dual.sum()
     i_c_dual = mutual_info(joint_dual, joint_dual.sum(axis=1), joint_dual.sum(axis=0))
 
-    gains, _, s_in = _gains(h.base, np.concatenate([dual.states[live], eta.mat[None]]))
+    gains, _, s_in = _gains(h, np.concatenate([dual.states[live], eta.mat[None]]))
     chi_dual = chi_against(p_f[live], s_in[:-1], s_in[-1])
     d_term = p_f[live] @ gains[:-1]
 

@@ -26,7 +26,6 @@ from .qstate import (
     DensityMatrix,
     Ensemble,
     a_priori_state,
-    validate_density,
 )
 
 EQ_TOL = 1e-9
@@ -274,7 +273,7 @@ def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
     """Normalized Ginibre state G G^dag / Tr."""
     g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
     m = g @ g.conj().T
-    return validate_density(m / np.trace(m).real)
+    return DensityMatrix(m / np.trace(m).real)
 
 
 def random_pure(dim: int, rng: np.random.Generator) -> DensityMatrix:
@@ -427,13 +426,9 @@ def compound_states(ms: MeasurementStatistics) -> CompoundStates:
     )
 
 
-def scutaru_chains(
-    ms: MeasurementStatistics, cs: Optional[CompoundStates] = None
-) -> BoundReport:
+def scutaru_chains(ms: MeasurementStatistics, cs: CompoundStates) -> BoundReport:
     """Both compound-state inequality chains, one record per link; the
     entropies come from one batched vn_entropies call per dimension."""
-    if cs is None:
-        cs = compound_states(ms)
     n_o, n_l = len(cs.eps_f), len(cs.tau_f)
     p_i = ms.input_marginal.probs
     p_f = ms.output_marginal.probs

@@ -25,7 +25,6 @@ from .qstate import (
     DensityMatrix,
     Povm,
     maximally_mixed,
-    validate_density,
 )
 
 
@@ -155,7 +154,7 @@ def a_posteriori(
         tr = float(np.trace(out).real)
         probs.append(max(tr, 0.0))
         if tr > SUPPORT_CUTOFF:
-            states.append(validate_density(out / tr))
+            states.append(DensityMatrix(out / tr))
         else:
             states.append(default)
     probs = np.array(probs)
@@ -212,8 +211,7 @@ def total_channel(ins: Instrument, rho: DensityMatrix) -> DensityMatrix:
     """Non-selective post-measurement state."""
     if rho.dim != ins.dim_in:
         raise DimensionMismatch(f"state dim {rho.dim} vs instrument dim_in {ins.dim_in}")
-    out = sum(m.apply(rho.mat) for m in ins.maps)
-    return validate_density(out)
+    return DensityMatrix(sum(m.apply(rho.mat) for m in ins.maps))
 
 
 def channel_roundtrip(ins: Instrument) -> Instrument:

@@ -4,12 +4,14 @@ functions on the support, Kronecker products and partial traces.
 Conventions (project-wide): row-major complex128 arrays, eigenvectors stored as
 columns, eigenvalues ascending. ``herm_eig`` is LAPACK (``numpy.linalg.eigh``)
 and serves every computation, including the validation of every state read
-from JSON. ``jacobi_eig`` is a numpy cyclic Jacobi kept for input
+from JSON. States are checked, never repaired, except at ingest
+(``qstate.density_from_json``), which clamps eigenvalues in [-HERM_TOL, 0) of
+a state read from JSON. ``jacobi_eig`` is a numpy cyclic Jacobi kept for input
 canonicalisation only: its rounding sets the last digits of generated Kraus
-operators (``random_instrument``) and of clamp-repaired states read from JSON,
-and scenario fingerprints hash those digits, so those two call sites must not
+operators (``random_instrument``) and of the states that ingest clamps, and
+scenario fingerprints hash those digits, so those two call sites must not
 change solver. At ingest it runs only on states whose least eigenvalue is
-<= HERM_TOL, the only ones a clamp can reach (``qstate.density_from_json``).
+<= HERM_TOL, the only ones the clamp can reach.
 """
 
 from __future__ import annotations

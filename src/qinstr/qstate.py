@@ -1,4 +1,12 @@
-"""Density matrices, POVMs, classical distributions and letter-state ensembles."""
+"""Density matrices, POVMs, classical distributions and letter-state ensembles.
+
+States and probabilities are checked against their definitions and kept as
+given, never repaired: ``_hermitian_part`` and ``_check_positive`` hold the
+rules of a state, and both ``DensityMatrix`` and ``density_eigvals`` apply
+them. The one repair is at ingest (``density_from_json``): a state read from
+JSON with a least eigenvalue in [-HERM_TOL, 0) is clamped, because scenario
+fingerprints hash the digits that clamp has always produced.
+"""
 
 from __future__ import annotations
 
@@ -15,14 +23,41 @@ POVM_SUM_TOL = 1e-9  # sum of effects against the identity, POVM or instrument
 PROB_TOL = 1e-12
 
 
+def _hermitian_part(a) -> np.ndarray:
+    """The Hermitian part of a (..., d, d) stack of candidate states, once every
+    entry is finite, each matrix square, Hermitian within HERM_TOL and of unit
+    trace within HERM_TOL."""
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise NotHermitian(f"expected square matrices, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NotHermitian("matrix contains NaN/Inf entries")
+    adj = a.conj().swapaxes(-1, -2)
+    dev = float(np.abs(a - adj).max(initial=0.0))
+    if dev > HERM_TOL:
+        raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds {HERM_TOL:.1e}")
+    worst = float(np.abs(a.trace(axis1=-2, axis2=-1).real - 1.0).max(initial=0.0))
+    if worst > HERM_TOL:
+        raise BadTrace(f"trace differs from 1 by {worst:.3e}, more than {HERM_TOL:.1e}")
+    return 0.5 * (a + adj)
+
+
+def _check_positive(least: float) -> None:
+    """The positivity rule, on a least eigenvalue (NaN fails it)."""
+    if not least >= -HERM_TOL:
+        raise NotPositive(f"minimum eigenvalue {least:.3e} below -{HERM_TOL:.1e}")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Positive semidefinite unit-trace Hermitian matrix.
 
-    The spectral decomposition is computed once at construction (it doubles as
-    the positivity check) and cached for entropy evaluations. A caller that
-    already holds ``herm_eig(mat)`` passes it as ``spectrum`` so it is not
-    computed twice; the checks still run on it.
+    The checks keep the input (its Hermitian part) and never repair it: an
+    eigenvalue in [-HERM_TOL, 0) stays, and every entropy leaves it out of the
+    support. The spectral decomposition is computed once at construction (it
+    doubles as the positivity check) and cached for entropy evaluations. A
+    caller that already holds ``herm_eig(mat)`` passes it as ``spectrum`` so it
+    is not computed twice; the checks still run on it.
     """
 
     mat: np.ndarray
@@ -30,17 +65,13 @@ class DensityMatrix:
     _spec: matcore.SpectralDecomp = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, spectrum):
-        mat = matcore.as_matrix(self.mat)
-        matcore.check_hermitian(mat)
-        mat = np.ascontiguousarray(0.5 * (mat + mat.conj().T))
+        if np.ndim(self.mat) != 2:
+            raise DimensionMismatch(f"expected a 2-D matrix, got ndim={np.ndim(self.mat)}")
+        mat = np.ascontiguousarray(_hermitian_part(self.mat))
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
-        tr = float(np.trace(mat).real)
-        if abs(tr - 1.0) > HERM_TOL:
-            raise BadTrace(f"trace {tr} differs from 1 by more than {HERM_TOL:.1e}")
         spec = matcore.herm_eig(mat) if spectrum is None else spectrum
-        if spec.eigenvalues[0] < -HERM_TOL:
-            raise NotPositive(f"minimum eigenvalue {spec.eigenvalues[0]:.3e} below -{HERM_TOL:.1e}")
+        _check_positive(spec.eigenvalues[0])
         object.__setattr__(self, "_spec", spec)
 
     @property
@@ -54,73 +85,31 @@ class DensityMatrix:
         return float(np.trace(self.mat @ self.mat).real)
 
 
-def validate_density(m, *, eig=None) -> DensityMatrix:
-    """Check/repair a candidate density matrix.
-
-    Eigenvalues in (-HERM_TOL, 0) are clamped to 0 and the trace renormalized;
-    anything more negative is a hard error. Without clamping, the decomposition
-    made here is the one the returned state keeps. ``eig`` is the eigensolver
-    (``matcore.herm_eig`` when None).
-    """
-    m = matcore.as_matrix(m)
-    matcore.check_hermitian(m)
-    tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > HERM_TOL:
-        raise BadTrace(f"trace {tr} differs from 1 by more than {HERM_TOL:.1e}")
-    spec = (matcore.herm_eig if eig is None else eig)(m)
-    vals, vecs = spec
-    if vals[0] < -HERM_TOL:
-        raise NotPositive(f"minimum eigenvalue {vals[0]:.3e} below -{HERM_TOL:.1e}")
-    if vals[0] < 0.0:
-        vals = np.maximum(vals, 0.0)
-        vals = vals / vals.sum()
-        return DensityMatrix((vecs * vals) @ vecs.conj().T)
-    return DensityMatrix(m, spectrum=spec)
-
-
 def density_eigvals(stack) -> np.ndarray:
-    """Eigenvalues (ascending) of each matrix of an (n, d, d) stack, with
-    validate_density's checks and clamping, from one batched ``eigvalsh``."""
-    a = np.asarray(stack, dtype=np.complex128)
-    if not np.all(np.isfinite(a)):
-        raise NotHermitian("stack contains NaN/Inf entries")
-    adj = a.conj().swapaxes(-1, -2)
-    dev = float(np.max(np.abs(a - adj), initial=0.0))
-    if dev > HERM_TOL:
-        raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds {HERM_TOL:.1e}")
-    tr = np.trace(a, axis1=-2, axis2=-1).real
-    worst = float(np.max(np.abs(tr - 1.0), initial=0.0))
-    if worst > HERM_TOL:
-        raise BadTrace(f"trace differs from 1 by {worst:.3e}, more than {HERM_TOL:.1e}")
-    vals = np.linalg.eigvalsh(0.5 * (a + adj))
-    low = float(np.min(vals, initial=0.0))
-    if low < -HERM_TOL:
-        raise NotPositive(f"minimum eigenvalue {low:.3e} below -{HERM_TOL:.1e}")
-    clamp = vals[:, 0] < 0.0
-    if np.any(clamp):
-        fixed = np.maximum(vals[clamp], 0.0)
-        vals[clamp] = fixed / fixed.sum(axis=-1, keepdims=True)
+    """Eigenvalues (ascending) of each matrix of an (n, d, d) stack, from one
+    batched ``eigvalsh``, under DensityMatrix's checks (nothing is repaired)."""
+    vals = np.linalg.eigvalsh(_hermitian_part(stack))
+    _check_positive(float(vals.min(initial=0.0)))
     return vals
 
 
 @dataclass(frozen=True)
 class ClassicalDist:
-    """Probability distribution over a finite label set."""
+    """Probability distribution over a finite label set, kept as given once
+    every entry is >= -PROB_TOL and the sum is 1 within HERM_TOL."""
 
     labels: tuple
     probs: np.ndarray
 
     def __post_init__(self):
         labels = tuple(self.labels)
-        probs = np.asarray(self.probs, dtype=np.float64)
+        probs = np.array(self.probs, dtype=np.float64)
         if probs.ndim != 1 or len(labels) != probs.shape[0]:
             raise LabelMismatch("labels and probabilities differ in length")
-        if np.any(probs < -PROB_TOL):
-            raise NotPositive(f"negative probability {probs.min():.3e}")
-        probs = np.maximum(probs, 0.0)
+        if not np.all(probs >= -PROB_TOL):  # NaN fails too
+            raise NotPositive(f"negative or NaN probability in {probs}")
         if abs(probs.sum() - 1.0) > HERM_TOL:
             raise BadTrace(f"probabilities sum to {probs.sum()}, not 1")
-        probs = probs / probs.sum()
         probs.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", probs)
@@ -199,8 +188,7 @@ class Ensemble:
 
 def a_priori_state(e: Ensemble) -> DensityMatrix:
     """Barycenter of the ensemble."""
-    mix = sum(p * s.mat for p, s in zip(e.probs, e.states))
-    return validate_density(mix)
+    return DensityMatrix(sum(p * s.mat for p, s in zip(e.probs, e.states)))
 
 
 def fidelity_like_support_check(sigma: DensityMatrix, tau: DensityMatrix) -> bool:
@@ -236,21 +224,29 @@ def ensemble_to_json(e: Ensemble) -> dict:
 
 
 def density_from_json(rows: list) -> DensityMatrix:
-    """A state read from JSON, decomposed by ``matcore.herm_eig``.
+    """A state read from JSON, decomposed by ``matcore.herm_eig``; the one place
+    where a state is repaired.
 
-    A state whose least eigenvalue is <= HERM_TOL is validated with
-    ``matcore.jacobi_eig`` instead: a clamp repair rebuilds the matrix from the
-    eigendecomposition, and scenario fingerprints hash the repaired matrix, so
-    its digits must not depend on the solver that serves the analysis. Above
-    HERM_TOL neither solver clamps (Jacobi's eigenvalues of a state are good to
-    ~1e-13), and both keep the symmetrized input. Every check of
-    ``validate_density`` runs on either path.
+    A state whose least eigenvalue is <= HERM_TOL is decomposed again by
+    ``matcore.jacobi_eig``. If Jacobi's least eigenvalue lies in
+    [-HERM_TOL, 0), its negative eigenvalues are clamped to 0, the spectrum is
+    renormalized and the matrix rebuilt from it. Scenario fingerprints hash
+    the states read, so these digits must not depend on the solver that serves
+    the analysis, nor change. Above HERM_TOL neither solver clamps (Jacobi's
+    eigenvalues of a state are good to ~1e-13), and both keep the symmetrized
+    input. Every check of ``DensityMatrix`` runs on either path, before the
+    clamp.
     """
     m = matcore.matrix_from_json(rows)
     spec = matcore.herm_eig(m)
     if spec.eigenvalues[0] > HERM_TOL:
         return DensityMatrix(m, spectrum=spec)
-    return validate_density(m, eig=matcore.jacobi_eig)
+    rho = DensityMatrix(m, spectrum=matcore.jacobi_eig(m))
+    vals, vecs = rho.spectral()
+    if vals[0] >= 0.0:
+        return rho
+    vals = np.maximum(vals, 0.0)
+    return DensityMatrix((vecs * (vals / vals.sum())) @ vecs.conj().T)
 
 
 def ensemble_from_json(obj: dict) -> Ensemble:

@@ -22,7 +22,7 @@ from qinstr.harness import (
 )
 from qinstr.infobounds import analyze, classical_mutual_info, entropy_panel
 from qinstr.instrument import a_posteriori, random_instrument, total_channel
-from qinstr.qstate import a_priori_state, validate_density
+from qinstr.qstate import DensityMatrix, a_priori_state
 
 MASTER_SEED = 20240817
 TRIALS = 200
@@ -89,7 +89,7 @@ def test_criterion_1_inequality_suite(suite):
 
 def rel_entropy_panel(s):
     """The six panel chi's in their q_rel_entropy form, from states built one at
-    a time and validated (validate_density) by the per-state a_posteriori and
+    a time and checked (DensityMatrix) by the per-state a_posteriori and
     total_channel: independent of the stacked path the report takes."""
     e, ins = s.ensemble, s.instrument
     eta_i = a_priori_state(e)
@@ -171,7 +171,7 @@ def test_criterion_4_desk_orthogonal_projective():
     # |a><a|, i.e. the letter state itself
     dev = max(
         float(np.max(np.abs(m.kraus[0] - rho.mat)))
-        for m, rho in zip(h.base.maps, s.ensemble.states)
+        for m, rho in zip(h.maps, s.ensemble.states)
     )
     ok = (
         abs(i_c - math.log(2)) <= 1e-10
@@ -233,7 +233,7 @@ def test_criterion_7_uhlmann_monotonicity():
     def rand_dm(dim):
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         m = g @ g.conj().T
-        return validate_density(m / np.trace(m).real)
+        return DensityMatrix(m / np.trace(m).real)
 
     worst_channel = -math.inf
     for k in range(100):
@@ -245,8 +245,8 @@ def test_criterion_7_uhlmann_monotonicity():
     worst_pt = -math.inf
     for k in range(100):
         s12, t12 = rand_dm(4), rand_dm(4)
-        s1 = validate_density(matcore.partial_trace(s12.mat, "second", 2, 2))
-        t1 = validate_density(matcore.partial_trace(t12.mat, "second", 2, 2))
+        s1 = DensityMatrix(matcore.partial_trace(s12.mat, "second", 2, 2))
+        t1 = DensityMatrix(matcore.partial_trace(t12.mat, "second", 2, 2))
         worst_pt = max(worst_pt, q_rel_entropy(s1, t1) - q_rel_entropy(s12, t12))
 
     ok = worst_channel <= 1e-8 and worst_pt <= 1e-8

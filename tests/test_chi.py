@@ -22,7 +22,7 @@ from qinstr.infobounds import (
     scutaru_chains,
 )
 from qinstr.instrument import Instrument, KrausMap, random_instrument
-from qinstr.qstate import Ensemble, pure_state, validate_density
+from qinstr.qstate import DensityMatrix, Ensemble, pure_state
 
 
 def rel_form(weights, members, barycenter):
@@ -31,10 +31,10 @@ def rel_form(weights, members, barycenter):
 
 
 def states(stack):
-    """validate_density of each matrix of a stack (a grid keeps its shape)."""
+    """DensityMatrix of each matrix of a stack (a grid keeps its shape)."""
     stack = np.asarray(stack)
     if stack.ndim == 2:
-        return validate_density(stack)
+        return DensityMatrix(stack)
     return [states(m) for m in stack]
 
 
@@ -51,7 +51,7 @@ def rare_direction_ensemble(lam=7e-10):
     states = (
         pure_state([1, 0, 0]),
         pure_state([inv, inv, 0]),
-        validate_density(np.diag([0.5 - lam / 2, 0.5 - lam / 2, lam])),
+        DensityMatrix(np.diag([0.5 - lam / 2, 0.5 - lam / 2, lam])),
     )
     return Ensemble((0, 1, 2), np.array([0.5, 0.499, 0.001]), states)
 
@@ -94,7 +94,7 @@ def test_every_chi_matches_the_relative_entropy_form(s):
 
     cs = compound_states(ms)
     chains = scutaru_chains(ms, cs)
-    kron = validate_density(matcore.kron(eta_i.mat, eta_f.mat))
+    kron = DensityMatrix(matcore.kron(eta_i.mat, eta_f.mat))
     links = {
         "scutaru1_ic_ge_chi_eps_if": rel_form(p_f, states(cs.eps_if), states(cs.eta_if)),
         "scutaru1_chi_eps_if_ge_chi_eps_i": rel_form(p_f, states(cs.eps_i), eta_i),
@@ -160,7 +160,7 @@ def test_rare_letters_stay_finite(d, weight, lam, pure_outside, use_projective, 
         rare = 0.5 * rare + 0.5 * common[0].mat
     split = rng.uniform(0.2, 0.8)
     probs = np.array([(1 - weight) * split, (1 - weight) * (1 - split), weight])
-    e = Ensemble((0, 1, 2), probs, (*common, validate_density(rare)))
+    e = Ensemble((0, 1, 2), probs, (*common, DensityMatrix(rare)))
     ins = projective(d) if use_projective else random_instrument(d, d, 3, 1, seed=seed)
     report = run_scenario(Scenario(e, ins, gl_trials=10, gl_demix=1, seed=seed))
 

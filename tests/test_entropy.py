@@ -14,7 +14,7 @@ from qinstr.entropy import (
     vn_entropy,
 )
 from qinstr.instrument import random_instrument, total_channel
-from qinstr.qstate import ClassicalDist, maximally_mixed, pure_state, validate_density
+from qinstr.qstate import ClassicalDist, DensityMatrix, maximally_mixed, pure_state
 
 KET0 = pure_state([1, 0])
 KET1 = pure_state([0, 1])
@@ -25,7 +25,7 @@ def rand_dm(dim, seed):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
-    return validate_density(m / np.trace(m).real)
+    return DensityMatrix(m / np.trace(m).real)
 
 
 class TestVnEntropy:
@@ -38,7 +38,7 @@ class TestVnEntropy:
     def test_three_quarters(self):
         # -(3/4) log(3/4) - (1/4) log(1/4), scalar oracle
         expected = 0.75 * math.log(4 / 3) + 0.25 * math.log(4)
-        rho = validate_density(np.diag([0.75, 0.25]))
+        rho = DensityMatrix(np.diag([0.75, 0.25]))
         assert abs(vn_entropy(rho) - expected) < 1e-12
         assert abs(expected - 0.5623351446188083) < 1e-15
 
@@ -56,10 +56,14 @@ class TestVnEntropies:
         for s, value in zip(states, batched):
             assert abs(value - vn_entropy(s)) < 1e-12
 
-    def test_clamps_tiny_negativity(self):
+    def test_tiny_negativity_stays_outside_the_support(self):
+        # kept, not clamped: both entropies leave the eigenvalue -1e-11 out
         m = np.diag([0.7 + 1e-11, 0.3, -1e-11])
+        rho = DensityMatrix(m)
+        assert rho.spectral().eigenvalues[0] == -1e-11
         value = vn_entropies(m[None])[0]
-        assert abs(value - vn_entropy(validate_density(m))) < 1e-12
+        assert value == pytest.approx(-(0.7 + 1e-11) * math.log(0.7 + 1e-11) - 0.3 * math.log(0.3), abs=1e-15)
+        assert abs(value - vn_entropy(rho)) < 1e-15
 
     def test_empty_stack(self):
         assert vn_entropies(np.zeros((0, 3, 3))).shape == (0,)
@@ -74,8 +78,8 @@ class TestQRelEntropy:
         assert math.isinf(q_rel_entropy(KET0, KET1))
 
     def test_commuting_reduces_to_kl(self):
-        sigma = validate_density(np.diag([0.5, 0.5]))
-        tau = validate_density(np.diag([0.75, 0.25]))
+        sigma = DensityMatrix(np.diag([0.5, 0.5]))
+        tau = DensityMatrix(np.diag([0.75, 0.25]))
         expected = 0.5 * math.log(0.5 / 0.75) + 0.5 * math.log(0.5 / 0.25)
         assert abs(q_rel_entropy(sigma, tau) - expected) < 1e-12
         assert abs(expected - 0.14384103622589045) < 1e-15
@@ -106,8 +110,8 @@ class TestQRelEntropy:
             s12 = rand_dm(4, 6000 + k)
             t12 = rand_dm(4, 7000 + k)
             before = q_rel_entropy(s12, t12)
-            s1 = validate_density(matcore.partial_trace(s12.mat, "second", 2, 2))
-            t1 = validate_density(matcore.partial_trace(t12.mat, "second", 2, 2))
+            s1 = DensityMatrix(matcore.partial_trace(s12.mat, "second", 2, 2))
+            t1 = DensityMatrix(matcore.partial_trace(t12.mat, "second", 2, 2))
             assert q_rel_entropy(s1, t1) <= before + 1e-8
 
 
@@ -159,7 +163,7 @@ class TestMixedRelEntropy:
         for i in range(2):
             block1[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = p1.probs[i] * s1[i].mat
             block2[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = p2.probs[i] * s2[i].mat
-        direct = q_rel_entropy(validate_density(block1), validate_density(block2))
+        direct = q_rel_entropy(DensityMatrix(block1), DensityMatrix(block2))
         via_decomposition = mixed_rel_entropy((p1, s1), (p2, s2))
         assert abs(direct - via_decomposition) < 1e-9
 

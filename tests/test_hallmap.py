@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from qinstr import hallmap, infobounds, qstate
 from qinstr.errors import SingularAprioriState
 from qinstr.hallmap import build_hall_instrument, dual_ensemble, hall_section
-from qinstr.harness import random_scenario, run_scenario
+from qinstr.harness import Scenario, main, random_scenario, run_scenario, scenario_from_json
 from qinstr.infobounds import (
     BoundReport,
     analyze,
@@ -58,13 +59,13 @@ class TestBuildHallInstrument:
         # eta = I/2, so M(a) = sqrt(1/2) |a><a| (I/2)^{-1/2} = |a><a|
         e = orthogonal_ensemble()
         h = build_hall_instrument(e, a_priori_state(e))
-        assert np.allclose(h.base.maps[0].kraus[0], np.diag([1.0, 0.0]), atol=1e-10)
-        assert np.allclose(h.base.maps[1].kraus[0], np.diag([0.0, 1.0]), atol=1e-10)
+        assert np.allclose(h.maps[0].kraus[0], np.diag([1.0, 0.0]), atol=1e-10)
+        assert np.allclose(h.maps[1].kraus[0], np.diag([0.0, 1.0]), atol=1e-10)
 
     def test_single_letter_is_identity(self):
         e = Ensemble(("only",), np.array([1.0]), (maximally_mixed(2),))
         h = build_hall_instrument(e, a_priori_state(e))
-        assert np.allclose(h.base.maps[0].kraus[0], np.eye(2), atol=1e-10)
+        assert np.allclose(h.maps[0].kraus[0], np.eye(2), atol=1e-10)
 
     def test_singular_a_priori_rejected(self):
         e = Ensemble((0, 1), np.array([0.5, 0.5]), (KET0, KET0))
@@ -76,21 +77,21 @@ class TestBuildHallInstrument:
         for seed in range(5):
             e = random_ensemble(3, 3, np.random.default_rng(seed))
             h = build_hall_instrument(e, a_priori_state(e))
-            total = sum(m.effect() for m in h.base.maps)
+            total = sum(m.effect() for m in h.maps)
             assert np.max(np.abs(total - np.eye(3))) < 1e-9
 
     def test_reproduces_letter_probabilities_on_eta(self):
         # P_J(a | eta_i) = P_i(a)
         e = zero_plus_ensemble()
         h = build_hall_instrument(e, a_priori_state(e))
-        probs = outcome_probs(h.base, a_priori_state(e))
+        probs = outcome_probs(h, a_priori_state(e))
         assert np.allclose(probs.probs, e.probs, atol=1e-10)
 
     def test_posteriors_on_eta_are_letter_states(self):
         # pi_{eta_i}(a) = rho_i(a)
         e = zero_plus_ensemble()
         h = build_hall_instrument(e, a_priori_state(e))
-        fam = a_posteriori(h.base, a_priori_state(e))
+        fam = a_posteriori(h, a_priori_state(e))
         for rho, post in zip(e.states, fam.states):
             assert np.max(np.abs(post.mat - rho.mat)) < 1e-9
 
@@ -98,7 +99,7 @@ class TestBuildHallInstrument:
         # single Kraus operator per outcome
         e = random_ensemble(2, 3, np.random.default_rng(3))
         h = build_hall_instrument(e, a_priori_state(e))
-        fam = a_posteriori(h.base, PLUS)
+        fam = a_posteriori(h, PLUS)
         for p, s in zip(fam.probs.probs, fam.states):
             if p > 1e-12:
                 assert s.purity() >= 1 - 1e-9
@@ -242,6 +243,26 @@ class TestHallSection:
         e = Ensemble((0, 1), np.array([0.5, 0.5]), (KET0, KET0))
         with pytest.raises(SingularAprioriState):
             hall_section(analyze(e, projective_qubit()))
+
+    def test_near_singular_a_priori_is_skipped_not_malformed(self, tmp_path):
+        # eta's least eigenvalue ~1e-8 passes INVERTIBILITY_TOL, but rounding
+        # in eta^{-1/2} leaves J's effects ~8e-9 off the identity; this used
+        # to fail Instrument's input check and exit 2
+        eps = 1e-8
+        rng = np.random.default_rng(3)
+        v, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        v0, v1, v2 = v.T
+        mixed = (1 - eps / 0.3) * np.outer(v1, v1.conj()) + eps / 0.3 * np.outer(v2, v2.conj())
+        letters = (pure_state(v0), pure_state((v0 + v1) / np.sqrt(2)), qstate.DensityMatrix(mixed))
+        e = Ensemble((0, 1, 2), np.array([0.4, 0.3, 0.3]), letters)
+        s = Scenario(ensemble=e, instrument=random_instrument(3, 3, 2, 1, seed=0))
+        with pytest.raises(SingularAprioriState, match="deviates from identity"):
+            hall_section(analyze(e, s.instrument))
+        path = tmp_path / "near_singular.json"
+        path.write_text(json.dumps(s.to_json()))
+        assert main(["analyze", str(path)]) in (0, 1)
+        report = run_scenario(scenario_from_json(json.loads(path.read_text())))
+        assert "deviates from identity" in report.hall_skipped
 
     def test_run_scenario_builds_the_dual_once(self, monkeypatch):
         calls = {"build_hall_instrument": 0, "dual_ensemble": 0}

@@ -23,7 +23,7 @@ from qinstr.infobounds import (
     scutaru_chains,
 )
 from qinstr.instrument import Instrument, KrausMap, random_instrument
-from qinstr.qstate import ClassicalDist, Ensemble, maximally_mixed, pure_state, validate_density
+from qinstr.qstate import ClassicalDist, DensityMatrix, Ensemble, maximally_mixed, pure_state
 
 KET0 = pure_state([1, 0])
 KET1 = pure_state([0, 1])
@@ -79,18 +79,18 @@ class TestAnalyze:
             if p_f[w] < 1e-12:
                 continue
             mix = sum(
-                ms.cond_in_given_out[a, w] * validate_density(ms.posterior_letter_states[a][w]).mat
+                ms.cond_in_given_out[a, w] * DensityMatrix(ms.posterior_letter_states[a][w]).mat
                 for a in range(len(e.letters))
             )
-            assert np.max(np.abs(mix - validate_density(ms.posterior_mean_states[w]).mat)) < 1e-9
+            assert np.max(np.abs(mix - DensityMatrix(ms.posterior_mean_states[w]).mat)) < 1e-9
 
     def test_post_a_priori_is_mean_of_post_letters(self):
         rng = np.random.default_rng(2)
         e = random_ensemble(2, 3, rng)
         ins = random_instrument(2, 3, 2, 2, seed=3)
         ms = analyze(e, ins)
-        mix = sum(p * validate_density(s).mat for p, s in zip(e.probs, ms.post_letter_states))
-        assert np.max(np.abs(mix - validate_density(ms.post_a_priori).mat)) < 1e-10
+        mix = sum(p * DensityMatrix(s).mat for p, s in zip(e.probs, ms.post_letter_states))
+        assert np.max(np.abs(mix - DensityMatrix(ms.post_a_priori).mat)) < 1e-10
 
 
 @pytest.mark.parametrize(
@@ -348,10 +348,10 @@ class TestCompoundStates:
         e = random_ensemble(2, 2, rng)
         ins = random_instrument(2, 3, 2, 2, seed=21)
         cs = compound_states(analyze(e, ins))
-        assert validate_density(cs.eps_if[0]).dim == 6
-        assert validate_density(cs.eps_i[0]).dim == 2
-        assert validate_density(cs.eps_f[0]).dim == 3
-        assert validate_density(cs.gamma_if).dim == 6
+        assert DensityMatrix(cs.eps_if[0]).dim == 6
+        assert DensityMatrix(cs.eps_i[0]).dim == 2
+        assert DensityMatrix(cs.eps_f[0]).dim == 3
+        assert DensityMatrix(cs.gamma_if).dim == 6
 
     @pytest.mark.parametrize("seed", range(5))
     def test_consistency_random(self, seed):
@@ -367,7 +367,7 @@ class TestCompoundStates:
 class TestScutaruChains:
     def test_desk_example(self):
         ms = analyze(zero_plus_ensemble(), projective_qubit())
-        report = scutaru_chains(ms)
+        report = scutaru_chains(ms, compound_states(ms))
         assert report.all_pass(), report.to_json()
         # every link sits below I_c
         i_c = classical_mutual_info(ms)
@@ -375,7 +375,7 @@ class TestScutaruChains:
 
     def test_orthogonal_example(self):
         ms = analyze(orthogonal_ensemble(), projective_qubit())
-        report = scutaru_chains(ms)
+        report = scutaru_chains(ms, compound_states(ms))
         assert report.all_pass()
         # perfectly distinguishable: the first-chain bound is tight at log 2
         assert abs(report["scutaru1_ic_ge_chi_eps_if"].rhs - math.log(2)) < 1e-10
@@ -388,7 +388,8 @@ class TestScutaruChains:
             e.dim, int(rng.integers(2, 4)), int(rng.integers(2, 4)), int(rng.integers(1, 3)),
             seed=900 + seed,
         )
-        report = scutaru_chains(analyze(e, ins))
+        ms = analyze(e, ins)
+        report = scutaru_chains(ms, compound_states(ms))
         assert report.all_pass(), report.to_json()
 
 

@@ -16,7 +16,7 @@ from qinstr.instrument import (
     random_instrument,
     total_channel,
 )
-from qinstr.qstate import maximally_mixed, pure_state, validate_density
+from qinstr.qstate import DensityMatrix, maximally_mixed, pure_state
 
 KET0 = pure_state([1, 0])
 PLUS = pure_state([1 / np.sqrt(2), 1 / np.sqrt(2)])
@@ -83,7 +83,7 @@ class TestOutcomeProbs:
         assert np.allclose(probs.probs, [0.5, 0.5], atol=1e-12)
 
     def test_projective_diagonal(self):
-        rho = validate_density(np.diag([0.75, 0.25]))
+        rho = DensityMatrix(np.diag([0.75, 0.25]))
         probs = outcome_probs(projective_qubit(), rho)
         assert np.allclose(probs.probs, [0.75, 0.25], atol=1e-12)
 
@@ -92,7 +92,7 @@ class TestOutcomeProbs:
         ins = random_instrument(3, 2, 3, 2, seed=17)
         rng = np.random.default_rng(4)
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        rho = validate_density(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+        rho = DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T).real)
         via_effects = outcome_probs(ins, rho).probs
         via_action = np.array(
             [np.trace(apply_outcome(ins, rho, w)).real for w in ins.outcomes]
@@ -106,11 +106,11 @@ class TestOutcomeProbs:
         def rand_dm():
             g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             m = g @ g.conj().T
-            return validate_density(m / np.trace(m).real)
+            return DensityMatrix(m / np.trace(m).real)
 
         r1, r2 = rand_dm(), rand_dm()
         lam = 0.37
-        mixed = validate_density(lam * r1.mat + (1 - lam) * r2.mat)
+        mixed = DensityMatrix(lam * r1.mat + (1 - lam) * r2.mat)
         expect = lam * outcome_probs(ins, r1).probs + (1 - lam) * outcome_probs(ins, r2).probs
         assert np.max(np.abs(outcome_probs(ins, mixed).probs - expect)) < 1e-10
 
@@ -137,7 +137,7 @@ class TestAposteriori:
             d1, d2 = rng.integers(2, 4), rng.integers(2, 4)
             ins = random_instrument(int(d1), int(d2), int(rng.integers(2, 4)), int(rng.integers(1, 3)), seed=2000 + k)
             g = rng.standard_normal((d1, d1)) + 1j * rng.standard_normal((d1, d1))
-            rho = validate_density(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+            rho = DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T).real)
             fam = a_posteriori(ins, rho)
             mix = sum(p * s.mat for p, s in zip(fam.probs.probs, fam.states) if p > 1e-12)
             assert np.max(np.abs(mix - total_channel(ins, rho).mat)) < 1e-9
@@ -161,7 +161,7 @@ class TestStacks:
         states = []
         for _ in range(4):
             g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            states.append(validate_density(g @ g.conj().T / np.trace(g @ g.conj().T).real))
+            states.append(DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T).real))
         probs, posts = a_posteriori_stack(ins, np.stack([s.mat for s in states]))
         for n, rho in enumerate(states):
             fam = a_posteriori(ins, rho)

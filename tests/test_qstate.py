@@ -4,18 +4,19 @@ import pytest
 from qinstr import matcore, qstate
 from qinstr.entropy import vn_entropies
 from qinstr.errors import BadTrace, DimensionMismatch, NotHermitian, NotPositive
+from qinstr.matcore import HERM_TOL
 from qinstr.qstate import (
     ClassicalDist,
     DensityMatrix,
     Ensemble,
     a_priori_state,
+    density_eigvals,
     density_from_json,
     ensemble_from_json,
     ensemble_to_json,
     fidelity_like_support_check,
     maximally_mixed,
     pure_state,
-    validate_density,
 )
 
 KET0 = pure_state([1, 0])
@@ -23,28 +24,47 @@ KET1 = pure_state([0, 1])
 PLUS = pure_state([1 / np.sqrt(2), 1 / np.sqrt(2)])
 
 
+def read(m) -> DensityMatrix:
+    return density_from_json(matcore.matrix_to_json(m))
+
+
 class TestValidateDensity:
     def test_accepts_mixed(self):
-        dm = validate_density(np.diag([0.5, 0.5]))
+        dm = DensityMatrix(np.diag([0.5, 0.5]))
         assert dm.dim == 2
 
     def test_rejects_negative(self):
         with pytest.raises(NotPositive):
-            validate_density(np.diag([1.5, -0.5]))
+            DensityMatrix(np.diag([1.5, -0.5]))
+
+    def test_keeps_tiny_negativity(self):
+        m = np.diag([0.7 + 1e-11, 0.3, -1e-11])
+        dm = DensityMatrix(m)
+        assert np.array_equal(dm.mat, m)
+        assert dm.spectral().eigenvalues[0] == -1e-11
 
     def test_clamps_tiny_negativity(self):
-        dm = validate_density(np.diag([0.7 + 1e-11, 0.3, -1e-11]))
+        # only at ingest
+        dm = read(np.diag([0.7 + 1e-11, 0.3, -1e-11]))
         vals = dm.spectral().eigenvalues
         assert vals[0] >= 0.0
         assert abs(np.trace(dm.mat).real - 1.0) < 1e-12
 
     def test_rejects_bad_trace(self):
         with pytest.raises(BadTrace):
-            validate_density(np.diag([0.6, 0.6]))
+            DensityMatrix(np.diag([0.6, 0.6]))
+
+    def test_ingest_checks_the_trace_before_the_clamp(self):
+        with pytest.raises(BadTrace):
+            read(np.diag([0.7, 0.5, -1e-11]))
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
-            validate_density(np.array([[0.5, 0.1], [0.0, 0.5]]))
+            DensityMatrix(np.array([[0.5, 0.1], [0.0, 0.5]]))
+
+    def test_rejects_a_stack(self):
+        with pytest.raises(DimensionMismatch):
+            DensityMatrix(np.stack([np.eye(2) / 2] * 2))
 
 
 class TestAprioriState:
@@ -68,7 +88,7 @@ class TestAprioriState:
             g = np.random.default_rng(seed)
             m = g.standard_normal((2, 2)) + 1j * g.standard_normal((2, 2))
             m = m @ m.conj().T
-            return validate_density(m / np.trace(m).real)
+            return DensityMatrix(m / np.trace(m).real)
 
         s1, s2, s3 = rand_dm(1), rand_dm(2), rand_dm(3)
         lam = 0.3
@@ -77,7 +97,7 @@ class TestAprioriState:
         mixed_probs = lam * e1.probs + (1 - lam) * e2.probs
         # same letters, mixed letter states with matching conditional weights
         states = tuple(
-            validate_density(
+            DensityMatrix(
                 (lam * p1 * st1.mat + (1 - lam) * p2 * st2.mat) / (lam * p1 + (1 - lam) * p2)
             )
             for p1, st1, p2, st2 in zip(e1.probs, e1.states, e2.probs, e2.states)
@@ -115,6 +135,17 @@ class TestClassicalDist:
         with pytest.raises(BadTrace):
             ClassicalDist((0, 1), np.array([0.5, 0.6]))
 
+    @pytest.mark.parametrize("bad", [np.nan, -1e-9])
+    def test_rejects_nan_and_negative(self, bad):
+        with pytest.raises(NotPositive):
+            ClassicalDist((0, 1), np.array([bad, 0.5]))
+
+    def test_keeps_its_input(self):
+        probs = np.array([0.3, 0.7 + 1e-12, -1e-13])
+        d = ClassicalDist((0, 1, 2), probs)
+        assert np.array_equal(d.probs, probs)
+        assert probs.flags.writeable
+
 
 class TestJson:
     def test_ensemble_roundtrip(self):
@@ -125,11 +156,22 @@ class TestJson:
         for s1, s2 in zip(e.states, e2.states):
             assert np.allclose(s1.mat, s2.mat)
 
+    @staticmethod
+    def jacobi_clamp(m):
+        """The ingest rule, written out: the input when Jacobi's least
+        eigenvalue is >= 0, else the clamped and renormalized spectrum rebuilt
+        on Jacobi's eigenvectors; symmetrized, as DensityMatrix keeps it."""
+        vals, vecs = matcore.jacobi_eig(m)
+        if vals[0] < 0.0:
+            vals = np.maximum(vals, 0.0)
+            m = (vecs * (vals / vals.sum())) @ vecs.conj().T
+        return 0.5 * (m + m.conj().T)
+
     @pytest.mark.parametrize("least", [0.0, 1e-17, -1e-17, 1e-11, 1e-9, None])
     @pytest.mark.parametrize("dim", [2, 3, 5])
     def test_read_state_equals_jacobi_validation(self, least, dim):
         # LAPACK decomposes; only a least eigenvalue <= HERM_TOL goes on to
-        # Jacobi, and either way the matrix is the one Jacobi validation gives
+        # Jacobi, and either way the matrix is the one the Jacobi clamp gives
         rng = np.random.default_rng(dim)
         for _ in range(10):
             spectrum = rng.uniform(0.05, 1.0, dim)
@@ -141,8 +183,7 @@ class TestJson:
                 spectrum /= spectrum.sum()
             q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
             m = (q * spectrum) @ q.conj().T
-            read = density_from_json(matcore.matrix_to_json(m))
-            assert np.array_equal(read.mat, validate_density(m, eig=matcore.jacobi_eig).mat)
+            assert np.array_equal(read(m).mat, self.jacobi_clamp(m))
 
 
 def test_density_matrix_requires_unit_trace():
@@ -161,7 +202,7 @@ class TestDecomposeOnce:
         rng = np.random.default_rng(0)
         for dim in range(2, 9):
             for _ in range(5):
-                rho = validate_density(ginibre(dim, rng))
+                rho = DensityMatrix(ginibre(dim, rng))
                 vals, vecs = rho.spectral()
                 ref_vals, ref_vecs = matcore.herm_eig(rho.mat)
                 assert np.array_equal(vals, ref_vals)
@@ -181,12 +222,14 @@ class TestDecomposeOnce:
     def test_one_eig_without_clamping(self, monkeypatch):
         m = ginibre(3, np.random.default_rng(1))
         calls = self._count_eigs(monkeypatch)
-        validate_density(m)
+        DensityMatrix(m)
         assert len(calls) == 1
 
     def test_clamping_redecomposes(self, monkeypatch):
         calls = self._count_eigs(monkeypatch)
-        dm = validate_density(np.diag([0.7 + 1e-11, 0.3, -1e-11]))
+        # at ingest: LAPACK finds the state at the edge, Jacobi (not counted)
+        # decomposes it for the clamp, and the rebuilt state is decomposed once
+        dm = read(np.diag([0.7 + 1e-11, 0.3, -1e-11]))
         assert len(calls) == 2
         assert dm.spectral().eigenvalues[0] >= 0.0
 
@@ -202,3 +245,20 @@ BAD_DENSITIES = [
 def test_vn_entropies_rejects(error, m):
     with pytest.raises(error):
         vn_entropies(np.stack([np.eye(2) / 2, m]))
+
+
+# one rule set: each bad input fails DensityMatrix and density_eigvals alike
+BAD_STATES = [
+    (NotHermitian, np.array([[np.nan, 0.0], [0.0, 0.5]])),
+    (NotHermitian, np.full((2, 3), 1 / 3)),
+    *BAD_DENSITIES,
+    (NotPositive, np.diag([1.0 + 2 * HERM_TOL, -2 * HERM_TOL])),
+]
+
+
+@pytest.mark.parametrize("error, m", BAD_STATES)
+def test_density_matrix_and_density_eigvals_share_the_rules(error, m):
+    with pytest.raises(error):
+        DensityMatrix(m)
+    with pytest.raises(error):
+        density_eigvals(m[None])
