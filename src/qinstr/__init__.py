@@ -1,6 +1,6 @@
 """Quantum instruments, measurement entropies and information bounds."""
 
-from .qstate import ClassicalDist, DensityMatrix, Ensemble, Povm
+from .qstate import ClassicalDist, DensityMatrix, Ensemble
 from .instrument import AposterioriFamily, Instrument, KrausMap
 
 __version__ = "0.1.0"
@@ -11,7 +11,6 @@ __all__ = [
     "ClassicalDist",
     "DensityMatrix",
     "Ensemble",
-    "Povm",
     "AposterioriFamily",
     "Instrument",
     "KrausMap",

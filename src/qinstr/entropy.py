@@ -1,19 +1,18 @@
 """Von Neumann entropy, relative entropies and chi-quantities.
 
 All quantities are in nats; conversion to bits is a presentation concern
-handled by the harness. Every chi of the pipeline is the mutual entropy of a
-family against its own barycenter, which ``chi_against`` evaluates as an
-entropy difference from entropy vectors: finite in finite dimension, with no
-support test. The relative entropies (``q_rel_entropy``, ``c_rel_entropy``,
-``mixed_rel_entropy``) take arbitrary pairs, so they test supports and return
-+inf (Python ``math.inf``) when one leaves the other; no pipeline stage calls
-them.
+handled by the harness. Every chi is the mutual entropy of a family against
+its own barycenter, and ``chi_against`` is the one function that evaluates
+it, as an entropy difference from entropy vectors: finite in finite
+dimension, with no support test. The relative entropies (``q_rel_entropy``,
+``c_rel_entropy``, ``mixed_rel_entropy``) take arbitrary pairs, so they test
+supports and return +inf (Python ``math.inf``) when one leaves the other; no
+pipeline stage calls them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,26 +27,6 @@ from .qstate import (
 )
 
 INF = math.inf
-
-
-@dataclass(frozen=True)
-class StateFamily:
-    """Weighted family of density matrices on a common Hilbert space."""
-
-    weights: ClassicalDist
-    members: tuple
-
-    def __post_init__(self):
-        members = tuple(self.members)
-        if len(members) != len(self.weights.labels):
-            raise LabelMismatch("weights and members differ in length")
-        dims = {m.dim for m in members}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"members have inconsistent dims {dims}")
-        object.__setattr__(self, "members", members)
-
-    def barycenter(self) -> DensityMatrix:
-        return DensityMatrix(sum(w * m.mat for w, m in zip(self.weights.probs, self.members)))
 
 
 def _entropy(vals: np.ndarray) -> np.ndarray:
@@ -146,12 +125,6 @@ def mixed_rel_entropy(
             return INF
         total += w * term
     return total
-
-
-def chi_quantity(f: StateFamily) -> float:
-    """Mean quantum relative entropy of the members to their barycenter."""
-    members = [vn_entropy(m) for m in f.members]
-    return chi_against(f.weights.probs, members, vn_entropy(f.barycenter()))
 
 
 def weighted_sum(weights, values) -> np.ndarray:

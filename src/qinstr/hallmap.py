@@ -10,7 +10,7 @@ import numpy as np
 
 from . import matcore
 from .entropy import chi_against, mutual_info, vn_entropy
-from .errors import DimensionMismatch, SingularAprioriState
+from .errors import BadTrace, DimensionMismatch, SingularAprioriState
 from .infobounds import (
     BoundCheck,
     BoundReport,
@@ -18,7 +18,7 @@ from .infobounds import (
     _gains,
     classical_mutual_info,
 )
-from .instrument import Instrument, KrausMap
+from .instrument import POVM_SUM_TOL, Instrument, KrausMap
 from .matcore import SUPPORT_CUTOFF
 from .qstate import ClassicalDist, DensityMatrix, Ensemble
 
@@ -39,12 +39,14 @@ def build_hall_instrument(e: Ensemble, eta: DensityMatrix) -> Instrument:
 
     Raises SingularAprioriState when eta's least eigenvalue is <=
     INVERTIBILITY_TOL, or when it is so small that rounding in eta^{-1/2}
-    leaves the effects' sum off the identity by more than POVM_SUM_TOL.
+    leaves the effects' sum off the identity by more than POVM_SUM_TOL (the
+    Instrument's BadTrace). Each reason is fixed text: the eigenvalue and the
+    deviation are rounding noise there, and the report prints the reason.
     """
     vals, _ = eta.spectral()
     if vals[0] <= INVERTIBILITY_TOL:
         raise SingularAprioriState(
-            f"a priori state eigenvalue {vals[0]:.3e} below {INVERTIBILITY_TOL:.1e}"
+            f"a priori state is singular: least eigenvalue at or below {INVERTIBILITY_TOL:.1e}"
         )
     inv_sqrt = matcore.spectral_apply(eta.spectral(), lambda x: x ** -0.5)
     maps = tuple(
@@ -55,9 +57,10 @@ def build_hall_instrument(e: Ensemble, eta: DensityMatrix) -> Instrument:
     )
     try:
         return Instrument(e.letters, maps)
-    except DimensionMismatch as exc:
+    except BadTrace as exc:
         raise SingularAprioriState(
-            f"a priori state eigenvalue {vals[0]:.3e}: Hall instrument's {exc}"
+            "a priori state is near-singular: the Hall instrument's sum of effects"
+            f" deviates from identity by more than {POVM_SUM_TOL:.1e}"
         ) from exc
 
 
@@ -67,13 +70,12 @@ def dual_ensemble(e: Ensemble, ins: Instrument, eta: DensityMatrix) -> DualEnsem
     if e.dim != ins.dim_in:
         raise DimensionMismatch(f"ensemble dim {e.dim} vs instrument dim_in {ins.dim_in}")
     sqrt_eta = matcore.spectral_apply(eta.spectral(), np.sqrt)
-    effects = np.stack([m.effect() for m in ins.maps])
-    p_f = np.maximum(np.einsum("wij,ji->w", effects, eta.mat).real, 0.0)
+    p_f = np.maximum(np.einsum("wij,ji->w", ins.effects, eta.mat).real, 0.0)
     p_f = p_f / p_f.sum()
     states = np.divide(
-        sqrt_eta @ effects @ sqrt_eta,
+        sqrt_eta @ ins.effects @ sqrt_eta,
         p_f[:, None, None],
-        out=np.zeros_like(effects),
+        out=np.zeros_like(ins.effects),
         where=(p_f > SUPPORT_CUTOFF)[:, None, None],
     )
     return DualEnsemble(probs=ClassicalDist(ins.outcomes, p_f), states=states)
@@ -100,8 +102,7 @@ def hall_section(ms: MeasurementStatistics) -> BoundReport:
 
     p_f = dual.probs.probs
     live = p_f > SUPPORT_CUTOFF
-    effects_j = np.stack([m.effect() for m in h.maps])
-    law = np.einsum("aij,wji->wa", effects_j, dual.states[live]).real  # P_J(a | sigma_w)
+    law = np.einsum("aij,wji->wa", h.effects, dual.states[live]).real  # P_J(a | sigma_w)
     max_dev = np.max(np.abs(law - ms.cond_in_given_out[:, live].T))
     joint_dual = p_f[live, None] * np.maximum(law, 0.0)
     joint_dual = joint_dual / joint_dual.sum()

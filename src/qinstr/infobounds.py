@@ -31,6 +31,7 @@ from .qstate import (
 EQ_TOL = 1e-9
 INEQ_TOL = 1e-8
 PURITY_TOL = 1e-8
+PROB_FLOOR = 0.05  # letter probabilities of a generated ensemble are raised to it, then renormalized
 
 
 @dataclass(frozen=True)
@@ -282,12 +283,10 @@ def random_pure(dim: int, rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix(np.outer(v, v.conj()))
 
 
-def random_ensemble(
-    dim: int, n_letters: int, rng: np.random.Generator, prob_floor: float = 0.05
-) -> Ensemble:
+def random_ensemble(dim: int, n_letters: int, rng: np.random.Generator) -> Ensemble:
     probs = rng.uniform(size=n_letters)
     probs = probs / probs.sum()
-    probs = np.maximum(probs, prob_floor)
+    probs = np.maximum(probs, PROB_FLOOR)
     probs = probs / probs.sum()
     states = tuple(random_density(dim, rng) for _ in range(n_letters))
     return Ensemble(tuple(range(n_letters)), probs, states)
@@ -342,7 +341,7 @@ def groenewold_lindblad_check(
     for j in range(n_demix):
         n = int(rng.integers(2, 4))
         probs = rng.uniform(size=n)  # random_ensemble's draws, in its order
-        probs = np.maximum(probs / probs.sum(), 0.05)
+        probs = np.maximum(probs / probs.sum(), PROB_FLOOR)
         priors[j, :n] = probs / probs.sum()
         slots[j, :n] = True
         draws.append(rng.standard_normal((n, 2, d1, d1)))

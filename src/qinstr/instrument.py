@@ -1,7 +1,12 @@
 """Completely positive instruments in Kraus form: channel action, POV measure,
-outcome probabilities, a posteriori states and seeded random generation. The
-analysis applies an instrument to stacks through ``Instrument.channel_matrix``;
-the per-state functions are a public convenience and the tests' reference."""
+outcome probabilities, a posteriori states and seeded random generation.
+
+An instrument's POV measure is the dual action of its maps on the identity,
+E(w) = sum_k K_k^dag K_k, held once as ``Instrument.effects``; the effect-sum
+rule (sum_w E(w) = 1 within POVM_SUM_TOL) is checked there, at construction.
+The analysis applies an instrument to stacks through
+``Instrument.channel_matrix``; the per-state functions are a public
+convenience and the tests' reference."""
 
 from __future__ import annotations
 
@@ -13,19 +18,16 @@ import numpy as np
 
 from . import matcore
 from .errors import (
+    BadTrace,
     DimensionMismatch,
     LabelMismatch,
     SingularNormalizer,
     UnknownOutcome,
 )
 from .matcore import SUPPORT_CUTOFF
-from .qstate import (
-    POVM_SUM_TOL,
-    ClassicalDist,
-    DensityMatrix,
-    Povm,
-    maximally_mixed,
-)
+from .qstate import ClassicalDist, DensityMatrix, maximally_mixed
+
+POVM_SUM_TOL = 1e-9  # sum of an instrument's effects against the identity
 
 
 @dataclass(frozen=True)
@@ -51,13 +53,6 @@ class KrausMap:
             out += k @ rho @ k.conj().T
         return out
 
-    def effect(self) -> np.ndarray:
-        """sum_k K_k^dag K_k on H1."""
-        out = np.zeros((self.dim_in, self.dim_in), dtype=np.complex128)
-        for k in self.kraus:
-            out += k.conj().T @ k
-        return out
-
 
 @dataclass(frozen=True)
 class Instrument:
@@ -77,14 +72,11 @@ class Instrument:
         d2 = maps[0].dim_out
         if any(m.dim_in != d1 or m.dim_out != d2 for m in maps):
             raise DimensionMismatch("Kraus maps have inconsistent dimensions")
-        total = sum(m.effect() for m in maps)
-        dev = np.max(np.abs(total - np.eye(d1)))
-        if dev > POVM_SUM_TOL:
-            raise DimensionMismatch(
-                f"sum of effects deviates from identity by {dev:.3e}"
-            )
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "maps", maps)
+        dev = np.max(np.abs(self.effects.sum(axis=0) - np.eye(d1)))
+        if dev > POVM_SUM_TOL:
+            raise BadTrace(f"sum of effects deviates from identity by {dev:.3e}")
 
     @property
     def dim_in(self) -> int:
@@ -93,6 +85,15 @@ class Instrument:
     @property
     def dim_out(self) -> int:
         return self.maps[0].dim_out
+
+    @cached_property
+    def effects(self) -> np.ndarray:
+        """The POV measure [outcome, d1, d1]: E(w) = sum_k K_k^dag K_k = V^dag V,
+        with V = [K_1; K_2; ...] the outcome's Kraus operators stacked by rows."""
+        stacked = [np.concatenate(m.kraus) for m in self.maps]
+        effects = np.stack([v.conj().T @ v for v in stacked])
+        effects.setflags(write=False)
+        return effects
 
     @cached_property
     def channel_matrix(self) -> np.ndarray:
@@ -125,17 +126,10 @@ def apply_outcome(ins: Instrument, rho: DensityMatrix, outcome) -> np.ndarray:
     return ins.map_for(outcome).apply(rho.mat)
 
 
-def povm_of(ins: Instrument) -> Povm:
-    return Povm(ins.outcomes, tuple(m.effect() for m in ins.maps))
-
-
 def outcome_probs(ins: Instrument, rho: DensityMatrix) -> ClassicalDist:
     if rho.dim != ins.dim_in:
         raise DimensionMismatch(f"state dim {rho.dim} vs instrument dim_in {ins.dim_in}")
-    probs = np.array(
-        [float(np.trace(m.effect() @ rho.mat).real) for m in ins.maps]
-    )
-    probs = np.maximum(probs, 0.0)
+    probs = np.maximum(np.einsum("wij,ji->w", ins.effects, rho.mat).real, 0.0)
     return ClassicalDist(ins.outcomes, probs / probs.sum())
 
 

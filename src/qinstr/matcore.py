@@ -132,19 +132,15 @@ def _jacobi_sweeps(a: np.ndarray, v: np.ndarray, max_sweeps: int, off_tol: float
     return _off_norm(a) <= off_tol
 
 
-def spectral_apply(
-    spec: SpectralDecomp,
-    f: Callable[[float], float],
-    support_cutoff: float = SUPPORT_CUTOFF,
-) -> np.ndarray:
+def spectral_apply(spec: SpectralDecomp, f: Callable[[float], float]) -> np.ndarray:
     """Return U f(L) U^dag from a decomposition (L, U), with f applied only to
-    eigenvalues above the cutoff.
+    eigenvalues above SUPPORT_CUTOFF.
 
-    Eigenvalues <= support_cutoff map to 0 (support-restricted functional
+    Eigenvalues <= SUPPORT_CUTOFF map to 0 (support-restricted functional
     calculus), so e.g. log and x**-1/2 are safe on rank-deficient inputs.
     """
     vals, vecs = spec
-    fvals = np.array([f(v) if v > support_cutoff else 0.0 for v in vals])
+    fvals = np.array([f(v) if v > SUPPORT_CUTOFF else 0.0 for v in vals])
     return (vecs * fvals) @ vecs.conj().T
 
 

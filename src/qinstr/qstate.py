@@ -1,17 +1,20 @@
-"""Density matrices, POVMs, classical distributions and letter-state ensembles.
+"""Density matrices, classical distributions and letter-state ensembles.
 
 States and probabilities are checked against their definitions and kept as
 given, never repaired: ``_hermitian_part`` and ``_check_positive`` hold the
 rules of a state, and both ``DensityMatrix`` and ``density_eigvals`` apply
-them. The one repair is at ingest (``density_from_json``): a state read from
-JSON with a least eigenvalue in [-HERM_TOL, 0) is clamped, because scenario
-fingerprints hash the digits that clamp has always produced.
+them. A state's spectrum has one source, the ``herm_eig`` that
+``DensityMatrix`` runs at construction. The one repair is at ingest
+(``density_from_json``): a valid state read from JSON whose Jacobi least
+eigenvalue is negative is clamped, because scenario fingerprints hash the
+digits that clamp has always produced. An instrument's POV measure lives on
+the instrument (``instrument.Instrument.effects``).
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +22,6 @@ from . import matcore
 from .errors import BadTrace, DimensionMismatch, LabelMismatch, NotHermitian, NotPositive
 from .matcore import HERM_TOL
 
-POVM_SUM_TOL = 1e-9  # sum of effects against the identity, POVM or instrument
 PROB_TOL = 1e-12
 
 
@@ -54,23 +56,21 @@ class DensityMatrix:
 
     The checks keep the input (its Hermitian part) and never repair it: an
     eigenvalue in [-HERM_TOL, 0) stays, and every entropy leaves it out of the
-    support. The spectral decomposition is computed once at construction (it
-    doubles as the positivity check) and cached for entropy evaluations. A
-    caller that already holds ``herm_eig(mat)`` passes it as ``spectrum`` so it
-    is not computed twice; the checks still run on it.
+    support. The spectral decomposition (``matcore.herm_eig``) is computed once
+    at construction, where it doubles as the positivity check, and cached for
+    entropy evaluations.
     """
 
     mat: np.ndarray
-    spectrum: InitVar[Optional[matcore.SpectralDecomp]] = field(default=None, kw_only=True)
     _spec: matcore.SpectralDecomp = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, spectrum):
+    def __post_init__(self):
         if np.ndim(self.mat) != 2:
             raise DimensionMismatch(f"expected a 2-D matrix, got ndim={np.ndim(self.mat)}")
         mat = np.ascontiguousarray(_hermitian_part(self.mat))
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
-        spec = matcore.herm_eig(mat) if spectrum is None else spectrum
+        spec = matcore.herm_eig(mat)
         _check_positive(spec.eigenvalues[0])
         object.__setattr__(self, "_spec", spec)
 
@@ -116,37 +116,6 @@ class ClassicalDist:
 
     def __getitem__(self, label) -> float:
         return float(self.probs[self.labels.index(label)])
-
-
-@dataclass(frozen=True)
-class Povm:
-    """Positive effects summing to the identity."""
-
-    outcomes: tuple
-    effects: tuple
-
-    def __post_init__(self):
-        outcomes = tuple(self.outcomes)
-        effects = tuple(matcore.as_matrix(e) for e in self.effects)
-        if len(outcomes) != len(effects):
-            raise LabelMismatch("outcomes and effects differ in length")
-        dims = {e.shape for e in effects}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"effects have inconsistent shapes {dims}")
-        for label, e in zip(outcomes, effects):
-            vals, _ = matcore.herm_eig(e)
-            if vals[0] < -HERM_TOL:
-                raise NotPositive(f"effect {label!r} has eigenvalue {vals[0]:.3e}")
-        total = sum(effects)
-        dev = np.max(np.abs(total - np.eye(total.shape[0])))
-        if dev > POVM_SUM_TOL:
-            raise BadTrace(f"effects sum deviates from identity by {dev:.3e}")
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "effects", effects)
-
-    @property
-    def dim(self) -> int:
-        return self.effects[0].shape[0]
 
 
 @dataclass(frozen=True)
@@ -224,25 +193,23 @@ def ensemble_to_json(e: Ensemble) -> dict:
 
 
 def density_from_json(rows: list) -> DensityMatrix:
-    """A state read from JSON, decomposed by ``matcore.herm_eig``; the one place
-    where a state is repaired.
+    """A state read from JSON; the one place where a state is repaired.
 
-    A state whose least eigenvalue is <= HERM_TOL is decomposed again by
-    ``matcore.jacobi_eig``. If Jacobi's least eigenvalue lies in
-    [-HERM_TOL, 0), its negative eigenvalues are clamped to 0, the spectrum is
-    renormalized and the matrix rebuilt from it. Scenario fingerprints hash
-    the states read, so these digits must not depend on the solver that serves
-    the analysis, nor change. Above HERM_TOL neither solver clamps (Jacobi's
-    eigenvalues of a state are good to ~1e-13), and both keep the symmetrized
-    input. Every check of ``DensityMatrix`` runs on either path, before the
-    clamp.
+    A state whose least eigenvalue (LAPACK's, from ``DensityMatrix``) is <=
+    HERM_TOL is decomposed again by ``matcore.jacobi_eig``. If Jacobi's least
+    eigenvalue is negative, the negative eigenvalues are clamped to 0, the
+    spectrum is renormalized and the matrix rebuilt from it. Scenario
+    fingerprints hash the states read, so these digits must not depend on the
+    solver that serves the analysis, nor change. Above HERM_TOL Jacobi could
+    not clamp (its eigenvalues of a state are good to ~1e-13), so it does not
+    run. Jacobi takes the checked ``rho.mat``, which is exactly Hermitian, so
+    its own symmetrization leaves the input unchanged. Every check of
+    ``DensityMatrix`` runs before the clamp.
     """
-    m = matcore.matrix_from_json(rows)
-    spec = matcore.herm_eig(m)
-    if spec.eigenvalues[0] > HERM_TOL:
-        return DensityMatrix(m, spectrum=spec)
-    rho = DensityMatrix(m, spectrum=matcore.jacobi_eig(m))
-    vals, vecs = rho.spectral()
+    rho = DensityMatrix(matcore.matrix_from_json(rows))
+    if rho.spectral().eigenvalues[0] > HERM_TOL:
+        return rho
+    vals, vecs = matcore.jacobi_eig(rho.mat)
     if vals[0] >= 0.0:
         return rho
     vals = np.maximum(vals, 0.0)

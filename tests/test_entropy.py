@@ -5,9 +5,8 @@ import pytest
 
 from qinstr import matcore
 from qinstr.entropy import (
-    StateFamily,
     c_rel_entropy,
-    chi_quantity,
+    chi_against,
     mixed_rel_entropy,
     q_rel_entropy,
     vn_entropies,
@@ -176,33 +175,36 @@ class TestMixedRelEntropy:
 
 
 class TestChiQuantity:
+    """chi of a family against its own barycenter, through ``chi_against``."""
+
+    @staticmethod
+    def chi(probs, members):
+        bary = DensityMatrix(sum(p * m.mat for p, m in zip(probs, members)))
+        return chi_against(probs, [vn_entropy(m) for m in members], vn_entropy(bary))
+
     def test_equal_members(self):
         rho = rand_dm(2, 20)
-        fam = StateFamily(ClassicalDist((0, 1), np.array([0.5, 0.5])), (rho, rho))
-        assert abs(chi_quantity(fam)) < 1e-10
+        assert abs(self.chi([0.5, 0.5], (rho, rho))) < 1e-10
 
     def test_orthogonal_pure_pair(self):
-        fam = StateFamily(ClassicalDist((0, 1), np.array([0.5, 0.5])), (KET0, KET1))
-        assert abs(chi_quantity(fam) - math.log(2)) < 1e-10
+        assert abs(self.chi([0.5, 0.5], (KET0, KET1)) - math.log(2)) < 1e-10
 
     def test_zero_plus_pair_against_eigen_oracle(self):
-        fam = StateFamily(ClassicalDist((0, 1), np.array([0.5, 0.5])), (KET0, PLUS))
         # barycenter [[3/4,1/4],[1/4,1/4]] has eigenvalues (1 +- 1/sqrt(2))/2;
         # members are pure so chi equals the barycenter entropy
         lam = np.array([(1 - 1 / math.sqrt(2)) / 2, (1 + 1 / math.sqrt(2)) / 2])
         expected = float(-(lam * np.log(lam)).sum())
         assert abs(expected - 0.4164955306996875) < 1e-12
-        assert abs(chi_quantity(fam) - expected) < 1e-10
+        assert abs(self.chi([0.5, 0.5], (KET0, PLUS)) - expected) < 1e-10
 
     def test_alt_chi_identity(self):
-        # chi = S(barycenter) - mean member entropy, on random families
+        # the entropy difference equals the mean relative entropy of the
+        # members to their barycenter, on random families
         for seed in range(20):
             rng = np.random.default_rng(800 + seed)
             probs = rng.uniform(0.1, 1.0, size=3)
             probs /= probs.sum()
             members = tuple(rand_dm(3, 900 + 3 * seed + j) for j in range(3))
-            fam = StateFamily(ClassicalDist((0, 1, 2), probs), members)
-            alt = vn_entropy(fam.barycenter()) - sum(
-                p * vn_entropy(m) for p, m in zip(probs, members)
-            )
-            assert abs(chi_quantity(fam) - alt) < 1e-8
+            bary = DensityMatrix(sum(p * m.mat for p, m in zip(probs, members)))
+            alt = sum(p * q_rel_entropy(m, bary) for p, m in zip(probs, members))
+            assert abs(self.chi(probs, members) - alt) < 1e-8

@@ -77,7 +77,7 @@ class TestBuildHallInstrument:
         for seed in range(5):
             e = random_ensemble(3, 3, np.random.default_rng(seed))
             h = build_hall_instrument(e, a_priori_state(e))
-            total = sum(m.effect() for m in h.maps)
+            total = h.effects.sum(axis=0)
             assert np.max(np.abs(total - np.eye(3))) < 1e-9
 
     def test_reproduces_letter_probabilities_on_eta(self):
@@ -263,6 +263,19 @@ class TestHallSection:
         assert main(["analyze", str(path)]) in (0, 1)
         report = run_scenario(scenario_from_json(json.loads(path.read_text())))
         assert "deviates from identity" in report.hall_skipped
+
+    def test_singular_skip_reason_is_free_of_rounding_noise(self):
+        # eta's least eigenvalue is exactly 0 for one ensemble and rounding
+        # noise (~1e-17) for the other; the reports must not tell them apart
+        reasons, least = [], []
+        for ket in ([1, 0], [0.6, 0.8j]):
+            letter = pure_state(ket)
+            e = Ensemble((0, 1), np.array([0.3, 0.7]), (letter, letter))
+            least.append(a_priori_state(e).spectral().eigenvalues[0])
+            reasons.append(run_scenario(Scenario(ensemble=e, instrument=projective_qubit())).hall_skipped)
+        assert least[0] == 0.0 and least[1] != 0.0
+        assert reasons[0] == reasons[1]
+        assert "a priori state is singular" in reasons[0]
 
     def test_run_scenario_builds_the_dual_once(self, monkeypatch):
         calls = {"build_hall_instrument": 0, "dual_ensemble": 0}

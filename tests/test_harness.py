@@ -22,7 +22,7 @@ from qinstr.harness import (
     scenario_from_json,
     splitmix64,
 )
-from qinstr.errors import LabelMismatch, SchemaError, UnknownFormat
+from qinstr.errors import BadTrace, LabelMismatch, SchemaError, UnknownFormat
 from qinstr.infobounds import _gains, groenewold_lindblad_check, random_pure
 from qinstr.instrument import Instrument, random_instrument
 from qinstr.qstate import DensityMatrix, Ensemble, pure_state
@@ -359,6 +359,20 @@ class TestInputContract:
     def test_random_trials_below_one_is_schema_error(self, capsys, trials):
         assert main(["random", "--trials", trials]) == 2
         assert "--trials" in capsys.readouterr().err
+
+    def test_effects_missing_the_identity_exit_two(self, tmp_path, capsys):
+        def mutate(obj):
+            rows = obj["instrument"]["kraus"][0][0]
+            for row in rows:
+                for z in row:
+                    z[0], z[1] = 0.9 * z[0], 0.9 * z[1]
+
+        assert self._analyze(tmp_path, mutate) == 2
+        assert "sum of effects deviates from identity" in capsys.readouterr().err
+        obj = example_scenario("zero-one-plus").to_json()
+        mutate(obj)
+        with pytest.raises(BadTrace, match="sum of effects"):
+            scenario_from_json(obj)
 
     def test_duplicate_letter_labels_rejected(self, tmp_path, capsys):
         with pytest.raises(LabelMismatch):

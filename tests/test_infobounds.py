@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qinstr.entropy import chi_quantity, StateFamily, vn_entropy
+from qinstr.entropy import q_rel_entropy
 from qinstr.errors import InfiniteQuantity
 from qinstr.harness import ACCEPTANCE_GRID, Scenario, run_scenario
 from qinstr.infobounds import (
@@ -170,13 +170,14 @@ class TestEntropyPanel:
         assert abs(panel.chi_initial - math.log(2)) < 1e-10
         assert abs(panel.classical_mi - math.log(2)) < 1e-10
 
-    def test_chi_initial_matches_chi_quantity(self):
+    def test_chi_initial_matches_relative_entropy_form(self):
+        # chi_initial = sum_a P_a S(rho_a | eta), one state at a time
         rng = np.random.default_rng(6)
         e = random_ensemble(3, 3, rng)
         ins = random_instrument(3, 2, 2, 2, seed=7)
-        panel = entropy_panel(analyze(e, ins))
-        fam = StateFamily(e.prior(), e.states)
-        assert abs(panel.chi_initial - chi_quantity(fam)) < 1e-10
+        ms = analyze(e, ins)
+        expected = sum(p * q_rel_entropy(s, ms.a_priori) for p, s in zip(e.probs, e.states))
+        assert abs(entropy_panel(ms).chi_initial - expected) < 1e-10
 
     def test_tripartite_sum(self):
         rng = np.random.default_rng(8)
@@ -398,7 +399,7 @@ class TestMergeOutcomes:
         ins = random_instrument(2, 2, 3, 2, seed=30)
         merged = merge_outcomes(ins, ins.outcomes[0], ins.outcomes[1])
         assert len(merged.outcomes) == 2
-        total = sum(m.effect() for m in merged.maps)
+        total = merged.effects.sum(axis=0)
         assert np.max(np.abs(total - np.eye(2))) < 1e-9
 
     @pytest.mark.parametrize("seed", range(10))

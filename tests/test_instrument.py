@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from qinstr import matcore
-from qinstr.errors import DimensionMismatch, UnknownOutcome
+from qinstr.errors import BadTrace, DimensionMismatch, UnknownOutcome
+from qinstr.infobounds import merge_outcomes
 from qinstr.instrument import (
     Instrument,
     KrausMap,
@@ -12,7 +13,6 @@ from qinstr.instrument import (
     channel_roundtrip,
     min_output_purity,
     outcome_probs,
-    povm_of,
     random_instrument,
     total_channel,
 )
@@ -56,21 +56,54 @@ class TestApplyOutcome:
             apply_outcome(identity_instrument(2), maximally_mixed(3), 0)
 
 
+def kraus_loop_effects(ins):
+    """E(w) = sum_k K_k^dag K_k, one Kraus operator at a time."""
+    out = []
+    for m in ins.maps:
+        e = np.zeros((ins.dim_in, ins.dim_in), dtype=complex)
+        for k in m.kraus:
+            e += k.conj().T @ k
+        out.append(e)
+    return np.array(out)
+
+
 class TestPovm:
+    """The instrument's POV measure, ``Instrument.effects``."""
+
     def test_identity(self):
-        povm = povm_of(identity_instrument())
-        assert np.allclose(povm.effects[0], np.eye(2))
+        assert np.allclose(identity_instrument().effects, [np.eye(2)])
 
     def test_projective(self):
-        povm = povm_of(projective_qubit())
-        assert np.allclose(povm.effects[0], np.diag([1.0, 0.0]))
-        assert np.allclose(povm.effects[1], np.diag([0.0, 1.0]))
+        effects = projective_qubit().effects
+        assert np.allclose(effects[0], np.diag([1.0, 0.0]))
+        assert np.allclose(effects[1], np.diag([0.0, 1.0]))
 
     def test_random_instrument_gives_valid_povm(self):
         ins = random_instrument(2, 3, 4, 2, seed=9)
-        povm = povm_of(ins)  # constructor re-checks PSD and sum-to-identity
-        total = sum(povm.effects)
-        assert np.max(np.abs(total - np.eye(2))) < 1e-9
+        assert ins.effects.shape == (4, 2, 2)
+        assert np.max(np.abs(ins.effects.sum(axis=0) - np.eye(2))) < 1e-9
+
+    @pytest.mark.parametrize("shape,seed", [((2, 3, 4, 2), 9), ((3, 2, 3, 1), 10), ((3, 3, 2, 3), 11)])
+    def test_matches_the_kraus_loop(self, shape, seed):
+        ins = random_instrument(*shape, seed=seed)
+        assert np.allclose(ins.effects, kraus_loop_effects(ins), rtol=0, atol=1e-14)
+
+    def test_merged_outcomes_with_unequal_kraus_counts(self):
+        ins = random_instrument(3, 2, 3, 2, seed=30)
+        merged = merge_outcomes(ins, ins.outcomes[0], ins.outcomes[1])
+        assert [len(m.kraus) for m in merged.maps] == [4, 2]
+        assert np.allclose(merged.effects, kraus_loop_effects(merged), rtol=0, atol=1e-14)
+        assert np.allclose(merged.effects[0], ins.effects[0] + ins.effects[1], rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_effects_are_positive(self, seed):
+        ins = random_instrument(3, 2, 4, 1, seed=40 + seed)
+        assert np.linalg.eigvalsh(ins.effects).min() >= -1e-14
+
+    def test_effects_missing_the_identity_are_a_bad_trace(self):
+        half = KrausMap(2, 2, (np.sqrt(0.5) * np.eye(2, dtype=complex),))
+        with pytest.raises(BadTrace, match="sum of effects deviates from identity by 5.000e-01"):
+            Instrument((0,), (half,))
 
 
 class TestOutcomeProbs:
@@ -228,8 +261,7 @@ class TestRandomInstrument:
 
     def test_normalization(self):
         ins = random_instrument(3, 2, 4, 2, seed=13)
-        total = sum(m.effect() for m in ins.maps)
-        assert np.max(np.abs(total - np.eye(3))) < 1e-9
+        assert np.max(np.abs(ins.effects.sum(axis=0) - np.eye(3))) < 1e-9
 
     def test_single_outcome_channel(self):
         ins = random_instrument(2, 2, 1, 4, seed=19)

@@ -106,7 +106,7 @@ class TestSpectralApply:
     def test_identity_function_reproduces(self):
         a = random_hermitian(5, 9)
         a = a @ a.conj().T  # PSD, full support
-        out = matcore.spectral_apply(matcore.herm_eig(a), lambda x: x, support_cutoff=0.0)
+        out = matcore.spectral_apply(matcore.herm_eig(a), lambda x: x)
         assert np.max(np.abs(out - a)) < 1e-9
 
 
