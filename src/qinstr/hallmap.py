@@ -9,14 +9,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .entropy import chi_against, mutual_info, vn_entropy
+from .entropy import chi_against, mutual_info
 from .errors import BadTrace, DimensionMismatch, SingularAprioriState
 from .infobounds import (
     BoundCheck,
     BoundReport,
     MeasurementStatistics,
     _gains,
-    classical_mutual_info,
 )
 from .instrument import POVM_SUM_TOL, Instrument, KrausMap
 from .matcore import SUPPORT_CUTOFF
@@ -93,12 +92,13 @@ def hall_section(ms: MeasurementStatistics) -> BoundReport:
       Hall's bound (recorded as data, not asserted).
 
     The information gains of J on the live dual states and on eta_i, and their
-    entropies, come from one stacked ``_gains`` call.
+    entropies, come from one stacked ``_gains`` call; I_c and the letters' and
+    eta_i's entropies are the scenario's (``ms.entropies``).
     """
     e, ins, eta = ms.ensemble, ms.instrument, ms.a_priori
     h = build_hall_instrument(e, eta)
     dual = dual_ensemble(e, ins, eta)
-    i_c = classical_mutual_info(ms)
+    i_c = ms.classical_mi
 
     p_f = dual.probs.probs
     live = p_f > SUPPORT_CUTOFF
@@ -112,7 +112,7 @@ def hall_section(ms: MeasurementStatistics) -> BoundReport:
     chi_dual = chi_against(p_f[live], s_in[:-1], s_in[-1])
     d_term = p_f[live] @ gains[:-1]
 
-    chi_initial = chi_against(e.probs, [vn_entropy(s) for s in e.states], vn_entropy(eta))
+    chi_initial = chi_against(e.probs, ms.entropies.letters, ms.entropies.eta_i)
     new_rhs = chi_initial - d_term
     return BoundReport((
         BoundCheck("duality_conditional_law", max_dev, 0.0, kind="eq"),

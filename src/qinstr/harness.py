@@ -32,7 +32,6 @@ from .infobounds import (
     compound_states,
     entropy_panel,
     groenewold_lindblad_check,
-    quantum_info_gain,
     random_ensemble,
     scutaru_chains,
 )
@@ -130,11 +129,14 @@ def scenario_from_json(obj: dict, tol_override: Optional[float] = None,
         default_state = None
         if "default_state" in options:
             default_state = density_from_json(options["default_state"])
+        tol = tol_override
+        if tol is None:  # QINSTR_TOL is read only when it supplies the tolerance
+            tol = float(options["tol"]) if "tol" in options else default_tol()
         return Scenario(
             ensemble=ensemble,
             instrument=instrument,
             log_base=base_override or options.get("log_base", "e"),
-            tol=tol_override if tol_override is not None else float(options.get("tol", default_tol())),
+            tol=tol,
             default_state=default_state,
             gl_trials=options.get("gl_trials", 100),
             gl_demix=options.get("gl_demix", 5),
@@ -236,7 +238,7 @@ def run_scenario(s: Scenario) -> AnalysisReport:
         tol=s.tol,
         panel=panel.to_json(),
         checks=tuple(checks),
-        quantum_info_gain=quantum_info_gain(s.instrument, ms.a_priori, s.default_state),
+        quantum_info_gain=ms.info_gain,
         purity_preserving=purity_preserving,
         hall_skipped=hall_skipped,
         default_state_sensitivity=sensitivity,

@@ -4,8 +4,9 @@ closed forms, identities, inequalities and compound states."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -18,7 +19,6 @@ from .instrument import (
     _apply_to_stack,
     _posteriors,
     a_posteriori_stack,
-    min_output_purity,
 )
 from .matcore import SUPPORT_CUTOFF
 from .qstate import (
@@ -31,6 +31,12 @@ from .qstate import (
 EQ_TOL = 1e-9
 INEQ_TOL = 1e-8
 PURITY_TOL = 1e-8
+# An output whose eigenvalues are l1 >> l2 has purity about 1 - 2 l2 / l1, and
+# l2 / l1 is about r**2 when the Kraus family's second singular value is r
+# times its first (up to a factor of order 1 that depends on the input). So a
+# purity deficit of PURITY_TOL is a relative second singular value of about
+# sqrt(PURITY_TOL / 2).
+RANK_ONE_TOL = math.sqrt(PURITY_TOL / 2)
 PROB_FLOOR = 0.05  # letter probabilities of a generated ensemble are raised to it, then renormalized
 
 
@@ -85,6 +91,17 @@ class BoundReport:
         raise KeyError(name)
 
 
+class ScenarioEntropies(NamedTuple):
+    """The von Neumann entropies of one scenario's states."""
+
+    grid: np.ndarray  # S(posterior_letter_states), [letter, outcome]
+    mean: np.ndarray  # S(rho_f(omega)), [outcome]
+    post: np.ndarray  # S(eta_f^alpha), [letter]
+    eta_f: float  # S(eta_f)
+    letters: np.ndarray  # S(rho_alpha), [letter]
+    eta_i: float  # S(eta_i)
+
+
 @dataclass(frozen=True)
 class MeasurementStatistics:
     """Everything derivable from one (ensemble, instrument) pair.
@@ -92,7 +109,9 @@ class MeasurementStatistics:
     The joint table is indexed [letter, outcome]; posterior_letter_states is a
     matching grid of a posteriori states (the default state on null cells,
     which carry zero weight everywhere). The output-side states are arrays,
-    checked where their entropies are taken (``vn_entropies``).
+    checked where their entropies are taken (``vn_entropies``). The entropies
+    and I_c are computed once, on first use, and every stage reads them from
+    here.
     """
 
     ensemble: Ensemble
@@ -108,6 +127,44 @@ class MeasurementStatistics:
     a_priori: DensityMatrix  # eta_i
     post_a_priori: np.ndarray  # eta_f, [d2, d2]
 
+    @cached_property
+    def entropies(self) -> ScenarioEntropies:
+        """Every state's entropy: the output side (the posterior grid, rho_f(w),
+        eta_f^a and eta_f) from one batched vn_entropies call, which also
+        checks each state; the letters and eta_i from their own decompositions."""
+        n_l, n_o = self.joint.shape
+        d2 = self.instrument.dim_out
+        s_grid, s_mean, s_post, s_eta_f = np.split(
+            vn_entropies(np.concatenate([
+                self.posterior_letter_states.reshape(-1, d2, d2),
+                self.posterior_mean_states,
+                self.post_letter_states,
+                self.post_a_priori[None],
+            ])),
+            np.cumsum([n_l * n_o, n_o, n_l]),
+        )
+        return ScenarioEntropies(
+            grid=s_grid.reshape(n_l, n_o),
+            mean=s_mean,
+            post=s_post,
+            eta_f=s_eta_f[0],
+            letters=np.array([vn_entropy(s) for s in self.ensemble.states]),
+            eta_i=vn_entropy(self.a_priori),
+        )
+
+    @cached_property
+    def classical_mi(self) -> float:
+        """I_c (``classical_mutual_info``)."""
+        return classical_mutual_info(self)
+
+    @property
+    def info_gain(self) -> float:
+        """I_q(eta_i), the quantum information gain on the a priori state. Its a
+        posteriori states are rho_f(w) (eta's column of the grid analyze
+        computed) and its outcome law is P_f, so no channel is applied again."""
+        s = self.entropies
+        return float(_info_gain(s.eta_i, self.output_marginal.probs, s.mean))
+
 
 @dataclass(frozen=True)
 class EntropyPanel:
@@ -121,7 +178,7 @@ class EntropyPanel:
     tripartite: float
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def analyze(
@@ -171,35 +228,19 @@ def classical_mutual_info(ms: MeasurementStatistics) -> float:
 def entropy_panel(ms: MeasurementStatistics) -> EntropyPanel:
     """All chi-quantities and mutual entropies in their closed forms, each chi
     against its family's own barycenter (rho_f(w) for column w of the
-    posterior grid, eta_f^a for row a). The output-side entropies come from
-    one batched vn_entropies call, which also checks every state."""
-    e = ms.ensemble
-    n_l, n_o = ms.joint.shape
-    d2 = ms.instrument.dim_out
+    posterior grid, eta_f^a for row a), from the scenario's entropies."""
+    s = ms.entropies
     p_i = ms.input_marginal.probs
     p_f = ms.output_marginal.probs
-    s_grid, s_mean, s_post, s_eta_f = np.split(
-        vn_entropies(np.concatenate([
-            ms.posterior_letter_states.reshape(-1, d2, d2),
-            ms.posterior_mean_states,
-            ms.post_letter_states,
-            ms.post_a_priori[None],
-        ])),
-        np.cumsum([n_l * n_o, n_o, n_l]),
-    )
-    s_grid = s_grid.reshape(n_l, n_o)
-    s_eta_f = s_eta_f[0]
-    s_letters = [vn_entropy(s) for s in e.states]
-
-    chi_joint = chi_against(ms.joint.ravel(), s_grid.ravel(), s_eta_f)
-    i_c = classical_mutual_info(ms)
+    chi_joint = chi_against(ms.joint.ravel(), s.grid.ravel(), s.eta_f)
+    i_c = ms.classical_mi
     return EntropyPanel(
-        chi_initial=chi_against(p_i, s_letters, vn_entropy(ms.a_priori)),
-        chi_post=chi_against(p_i, s_post, s_eta_f),
-        chi_out=chi_against(p_f, s_mean, s_eta_f),
+        chi_initial=chi_against(p_i, s.letters, s.eta_i),
+        chi_post=chi_against(p_i, s.post, s.eta_f),
+        chi_out=chi_against(p_f, s.mean, s.eta_f),
         chi_joint=chi_joint,
-        mean_chi_given_out=weighted_sum(p_f, chi_against(ms.cond_in_given_out.T, s_grid.T, s_mean)),
-        mean_chi_given_in=weighted_sum(p_i, chi_against(ms.cond_out_given_in, s_grid, s_post)),
+        mean_chi_given_out=weighted_sum(p_f, chi_against(ms.cond_in_given_out.T, s.grid.T, s.mean)),
+        mean_chi_given_in=weighted_sum(p_i, chi_against(ms.cond_out_given_in, s.grid, s.post)),
         classical_mi=i_c,
         tripartite=i_c + chi_joint,
     )
@@ -299,21 +340,55 @@ def _ginibre_states(g: np.ndarray) -> np.ndarray:
     return m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
 
 
+def _info_gain(s_in, probs, s_post) -> np.ndarray:
+    """The information gain S(rho) - sum_w P(w | rho) S(rho_w) from the input's
+    entropy and its a posteriori law and entropies (last axis: outcome)."""
+    return s_in - weighted_sum(probs, s_post)
+
+
 def _gains(ins: Instrument, rhos: np.ndarray, default: Optional[DensityMatrix] = None) -> tuple:
     """quantum_info_gain of each state of a stack, the outcome probabilities
     [outcome, n] and the states' entropies."""
     probs, posts = a_posteriori_stack(ins, rhos, default)
     s_post = vn_entropies(posts.reshape(-1, ins.dim_out, ins.dim_out)).reshape(probs.shape)
     s_in = vn_entropies(rhos)
-    return s_in - weighted_sum(probs.T, s_post.T), probs, s_in
+    return _info_gain(s_in, probs.T, s_post.T), probs, s_in
+
+
+def _rank_one(a: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a stack has rank <= 1 (a zero matrix has): its
+    second singular value is at most RANK_ONE_TOL times its first."""
+    if min(a.shape[-2:]) < 2:
+        return np.ones(len(a), dtype=bool)
+    s = np.linalg.svd(a, compute_uv=False)
+    return s[:, 1] <= RANK_ONE_TOL * s[:, 0]
+
+
+def _preserves_purity(ins: Instrument) -> bool:
+    """Whether the instrument takes every pure state to a pure state or to 0,
+    outcome by outcome: Ozawa's exact class (J. Math. Phys. 27, 759, 1986).
+
+    An outcome preserves purity iff its Kraus operators are all proportional
+    to one operator (the stacked vec(K_k) have rank <= 1), or they all share
+    one rank-1 range (measure-and-prepare: [K_1 | K_2 | ...] has rank <= 1).
+    The zero operators that pad ``Instrument.kraus_stack`` change neither rank.
+    """
+    kraus = ins.kraus_stack
+    n_o, width, d2, d1 = kraus.shape
+    proportional = _rank_one(kraus.reshape(n_o, width, d2 * d1))
+    if proportional.all():
+        return True
+    one_range = _rank_one(kraus.swapaxes(1, 2).reshape(n_o, d2, width * d1))
+    return bool(np.all(proportional | one_range))
 
 
 def groenewold_lindblad_check(
     ins: Instrument, trials: int = 100, seed: int = 0, n_demix: int = 5
 ) -> tuple[bool, BoundReport]:
-    """Empirical purity classification plus the information-gain inequalities.
+    """Exact purity classification plus the information-gain inequalities.
 
-    Returns (purity_preserving, report). The gain-positivity record is only
+    Returns (purity_preserving, report). The class is Ozawa's, read off the
+    Kraus operators (``_preserves_purity``). The gain-positivity record is only
     emitted for instruments classified purity-preserving; the chain inequality
     I_c + sum_a P_a I_q(rho_a) <= I_q(eta) (the instrument-level equivalent of
     the strengthened Holevo bound) is checked unconditionally on random
@@ -321,6 +396,8 @@ def groenewold_lindblad_check(
 
     The random numbers are those ``random_pure``, ``random_density`` and
     ``random_ensemble`` would draw, trial after trial; only the draws loop.
+    The ``trials`` pure states that once sampled the purity class are still
+    drawn, and dropped, so that every later draw stays as it was.
     The trial states, the demixtures' letters and their barycenters eta form
     one stack, whose gains come from one ``_gains`` call, and the chain rows
     are computed together from priors and outcome laws padded to three
@@ -329,10 +406,8 @@ def groenewold_lindblad_check(
     rng = np.random.default_rng(seed)
     d1 = ins.dim_in
 
-    kets = rng.standard_normal((trials, 2, d1))
-    kets = kets[:, 0] + 1j * kets[:, 1]
-    kets = kets / np.linalg.norm(kets, axis=1, keepdims=True)
-    purity_preserving = min_output_purity(ins, kets) >= 1.0 - PURITY_TOL
+    rng.standard_normal((trials, 2, d1))
+    purity_preserving = _preserves_purity(ins)
 
     n_trials = trials if purity_preserving else 0
     draws = [rng.standard_normal((n_trials, 2, d1, d1))]
@@ -426,22 +501,23 @@ def compound_states(ms: MeasurementStatistics) -> CompoundStates:
 
 
 def scutaru_chains(ms: MeasurementStatistics, cs: CompoundStates) -> BoundReport:
-    """Both compound-state inequality chains, one record per link; the
-    entropies come from one batched vn_entropies call per dimension."""
-    n_o, n_l = len(cs.eps_f), len(cs.tau_f)
+    """Both compound-state inequality chains, one record per link. S(eta_i),
+    S(eta_f) and I_c are the scenario's (``ms.entropies``); the compound
+    states' entropies come from one batched vn_entropies call per dimension."""
+    n_o = len(cs.eps_f)
     p_i = ms.input_marginal.probs
     p_f = ms.output_marginal.probs
-    i_c = classical_mutual_info(ms)
+    i_c = ms.classical_mi
+    s_eta_i, s_eta_f = ms.entropies.eta_i, ms.entropies.eta_f
 
     s_joint = vn_entropies(np.concatenate([cs.eps_if, cs.eta_if[None], cs.gamma_if[None]]))
     s_eps_i = vn_entropies(cs.eps_i)
-    s_out = vn_entropies(np.concatenate([cs.eps_f, cs.tau_f, ms.post_a_priori[None]]))
-    s_eta_i, s_eta_f = vn_entropy(ms.a_priori), s_out[-1]
+    s_out = vn_entropies(np.concatenate([cs.eps_f, cs.tau_f]))
 
     chi_eps_if = chi_against(p_f, s_joint[:n_o], s_joint[n_o])
     chi_eps_i = chi_against(p_f, s_eps_i, s_eta_i)
     chi_eps_f = chi_against(p_f, s_out[:n_o], s_eta_f)
-    chi_tau_f = chi_against(p_i, s_out[n_o:n_o + n_l], s_eta_f)
+    chi_tau_f = chi_against(p_i, s_out[n_o:], s_eta_f)
     # S(gamma_if | eta_i (x) eta_f): gamma's marginals are eta_i and eta_f
     # (the compound_tr*_gamma rows), so it is a mutual information
     gamma_rel = s_eta_i + s_eta_f - s_joint[-1]

@@ -40,6 +40,8 @@ class KrausMap:
 
     def __post_init__(self):
         kraus = tuple(matcore.as_matrix(k) for k in self.kraus)
+        if not kraus:
+            raise DimensionMismatch("a Kraus map needs at least one Kraus operator")
         for k in kraus:
             if k.shape != (self.dim_out, self.dim_in):
                 raise DimensionMismatch(
@@ -96,13 +98,25 @@ class Instrument:
         return effects
 
     @cached_property
+    def kraus_stack(self) -> np.ndarray:
+        """The Kraus operators [outcome, k, d2, d1]. An outcome with fewer
+        operators than the most is padded with zero operators, which change
+        neither its action nor its effect."""
+        width = max(len(m.kraus) for m in self.maps)
+        stack = np.zeros((len(self.maps), width, self.dim_out, self.dim_in), dtype=np.complex128)
+        for w, m in enumerate(self.maps):
+            stack[w, :len(m.kraus)] = m.kraus
+        stack.setflags(write=False)
+        return stack
+
+    @cached_property
     def channel_matrix(self) -> np.ndarray:
         """The instrument as one channel rho -> (+)_w I_w(rho): the matrix
         (outcome-major, d2*d2 rows per outcome, by d1*d1) that takes the
-        row-major vec(rho) to the stacked vec(I_w(rho))."""
-        return np.concatenate([
-            matcore.kron(np.stack(m.kraus), np.conj(m.kraus)).sum(axis=0) for m in self.maps
-        ])
+        row-major vec(rho) to the stacked vec(I_w(rho)), sum_k K_k (x) conj(K_k)
+        per outcome from one kron over the Kraus stack."""
+        k = self.kraus_stack
+        return matcore.kron(k, k.conj()).sum(axis=1).reshape(-1, self.dim_in * self.dim_in)
 
     def map_for(self, outcome) -> KrausMap:
         try:
@@ -189,16 +203,6 @@ def _posteriors(outs: np.ndarray, default: Optional[DensityMatrix] = None) -> tu
     states = np.where(live[..., None, None], outs / np.where(live, tr, 1.0)[..., None, None], fill)
     probs = np.maximum(tr, 0.0)
     return probs / probs.sum(axis=0), states
-
-
-def min_output_purity(ins: Instrument, kets: np.ndarray) -> float:
-    """Least purity of the normalized non-null outputs, over every outcome and
-    every unit ket of an (n, d1) stack; 1 when there are none."""
-    outs = _apply_to_stack(ins, np.einsum("ni,nj->nij", kets, kets.conj()))
-    tr = np.trace(outs, axis1=-2, axis2=-1).real
-    live = tr > SUPPORT_CUTOFF
-    purity = np.einsum("onij,onji->on", outs, outs).real[live] / tr[live] ** 2
-    return float(np.min(purity, initial=1.0))
 
 
 def total_channel(ins: Instrument, rho: DensityMatrix) -> DensityMatrix:

@@ -39,7 +39,7 @@ def as_matrix(entries) -> np.ndarray:
     a = np.ascontiguousarray(entries, dtype=np.complex128)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a.view(np.float64))):
+    if not np.isfinite(a).all():
         raise NotHermitian("matrix contains NaN/Inf entries")
     return a
 
@@ -53,11 +53,18 @@ def check_hermitian(a: np.ndarray) -> None:
 
 
 def herm_eig(a: np.ndarray) -> SpectralDecomp:
-    """Eigendecomposition of a Hermitian matrix (of its Hermitian part) by LAPACK."""
+    """Eigendecomposition of a Hermitian matrix (of its Hermitian part) by LAPACK.
+
+    A matrix equal to its adjoint, such as a checked state's, is its own
+    Hermitian part: it is decomposed as it is, with no second check.
+    """
     a = as_matrix(a)
-    check_hermitian(a)
+    adj = a.conj().T
+    if a.shape != adj.shape or not (a == adj).all():
+        check_hermitian(a)
+        a = 0.5 * (a + adj)
     try:
-        vals, vecs = np.linalg.eigh(0.5 * (a + a.conj().T))
+        vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigh failed: {exc}") from exc
     return SpectralDecomp(vals, vecs)
@@ -167,9 +174,10 @@ def partial_trace(a: np.ndarray, subsystem: str, d1: int, d2: int) -> np.ndarray
 
 
 def matrix_to_json(a: np.ndarray) -> list:
-    """Rows of [re, im] pairs."""
-    a = as_matrix(a)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+    """Rows of [re, im] pairs, for a matrix already checked (a state's or a
+    Kraus operator's): the entries are not checked again."""
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    return a.view(np.float64).reshape(*a.shape, 2).tolist()
 
 
 def matrix_from_json(rows: list) -> np.ndarray:

@@ -11,7 +11,6 @@ from qinstr.harness import Scenario, main, random_scenario, run_scenario, scenar
 from qinstr.infobounds import (
     BoundReport,
     analyze,
-    classical_mutual_info,
     entropy_panel,
     random_ensemble,
 )

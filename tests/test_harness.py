@@ -22,7 +22,7 @@ from qinstr.harness import (
     scenario_from_json,
     splitmix64,
 )
-from qinstr.errors import BadTrace, LabelMismatch, SchemaError, UnknownFormat
+from qinstr.errors import BadTrace, DimensionMismatch, LabelMismatch, SchemaError, UnknownFormat
 from qinstr.infobounds import _gains, groenewold_lindblad_check, random_pure
 from qinstr.instrument import Instrument, random_instrument
 from qinstr.qstate import DensityMatrix, Ensemble, pure_state
@@ -316,6 +316,22 @@ class TestTolEnv:
         del obj["options"]["tol"]
         assert scenario_from_json(obj).tol == 1e-8
 
+    def test_unparsable_env_is_not_read_when_the_file_sets_tol(self, monkeypatch, tmp_path, capsys):
+        # QINSTR_TOL is read only when it supplies the tolerance: a file with
+        # its own options.tol runs as with --tol, whatever the variable holds
+        obj = example_scenario("zero-one-plus").to_json()
+        obj["options"]["tol"] = 1e-7
+        monkeypatch.setenv("QINSTR_TOL", "abc")
+        assert scenario_from_json(obj).tol == 1e-7
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(obj))
+        assert main(["analyze", str(path)]) == 0
+        assert main(["analyze", str(path), "--tol", "1e-6"]) == 0
+        del obj["options"]["tol"]
+        path.write_text(json.dumps(obj))
+        assert main(["analyze", str(path)]) == 2
+        assert "QINSTR_TOL" in capsys.readouterr().err
+
 
 class TestInputContract:
     """Malformed options and labels are input errors (exit 2), never a traceback
@@ -372,6 +388,18 @@ class TestInputContract:
         obj = example_scenario("zero-one-plus").to_json()
         mutate(obj)
         with pytest.raises(BadTrace, match="sum of effects"):
+            scenario_from_json(obj)
+
+    def test_empty_kraus_tuple_exit_two(self, tmp_path, capsys):
+        def mutate(obj):
+            obj["instrument"]["kraus"][1] = []
+
+        assert self._analyze(tmp_path, mutate) == 2
+        err = capsys.readouterr().err
+        assert "at least one Kraus operator" in err and "malformed scenario" not in err
+        obj = example_scenario("zero-one-plus").to_json()
+        mutate(obj)
+        with pytest.raises(DimensionMismatch, match="at least one Kraus operator"):
             scenario_from_json(obj)
 
     def test_duplicate_letter_labels_rejected(self, tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from qinstr.entropy import q_rel_entropy
 from qinstr.errors import InfiniteQuantity
-from qinstr.harness import ACCEPTANCE_GRID, Scenario, run_scenario
+from qinstr.harness import ACCEPTANCE_GRID, Scenario, random_scenario, run_scenario
 from qinstr.infobounds import (
     BoundCheck,
     analyze,
@@ -23,7 +23,7 @@ from qinstr.infobounds import (
     scutaru_chains,
 )
 from qinstr.instrument import Instrument, KrausMap, random_instrument
-from qinstr.qstate import ClassicalDist, DensityMatrix, Ensemble, maximally_mixed, pure_state
+from qinstr.qstate import DensityMatrix, Ensemble, maximally_mixed, pure_state
 
 KET0 = pure_state([1, 0])
 KET1 = pure_state([0, 1])
@@ -34,6 +34,37 @@ def projective_qubit():
     p0 = np.diag([1.0, 0.0]).astype(complex)
     p1 = np.diag([0.0, 1.0]).astype(complex)
     return Instrument((0, 1), (KrausMap(2, 2, (p0,)), KrausMap(2, 2, (p1,))))
+
+
+def measure_and_prepare(p=0.3):
+    """Two outcomes, each with two Kraus operators |v><e_j| that share one
+    rank-1 range and are not proportional: each outcome prepares its own ket."""
+    eye = np.eye(2)
+    v = np.array([1.0, 1.0j, 0.0]) / np.sqrt(2)
+    u = np.array([0.0, 0.6, 0.8])
+    maps = tuple(
+        KrausMap(2, 3, tuple(np.sqrt(w) * np.outer(ket, eye[j]) for j in range(2)))
+        for w, ket in ((p, v), (1 - p, u))
+    )
+    return Instrument(("v", "u"), maps)
+
+
+def perturbed_pair(eps):
+    """One outcome with Kraus operators K and K + eps X, right-normalised as
+    random_instrument does; rank <= 1 fails by a relative second singular
+    value of about eps / 2."""
+    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    raw = (np.eye(2, dtype=complex), np.eye(2) + eps * x)
+    vals, vecs = np.linalg.eigh(sum(k.conj().T @ k for k in raw))
+    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    return Instrument((0,), (KrausMap(2, 2, tuple(k @ inv_sqrt for k in raw)),))
+
+
+def with_zero_outcome():
+    """The projective qubit plus an outcome whose operator is zero."""
+    ins = projective_qubit()
+    zero = KrausMap(2, 2, (np.zeros((2, 2), dtype=complex),))
+    return Instrument((0, 1, 2), ins.maps + (zero,))
 
 
 def zero_plus_ensemble():
@@ -324,7 +355,69 @@ GL_CASES = [
 ] + [(random_instrument(3, 2, 3, 2, seed=500 + s), 20, s, 3) for s in range(5)] + [
     (random_instrument(2, 3, 3, 1, seed=42), 20, 3, 0),
     (random_instrument(2, 2, 1, 2, seed=7), 20, 3, 0),
+] + [
+    (measure_and_prepare(), 50, 4, 3),
+    # relative second singular values 5e-6 and 5e-4, either side of the
+    # threshold sqrt(PURITY_TOL / 2) = 7.1e-5: purity deficits 5e-11 and 5e-7
+    (perturbed_pair(1e-5), 50, 5, 3),
+    (perturbed_pair(1e-3), 50, 6, 3),
+    (with_zero_outcome(), 50, 7, 3),
+    (merge_outcomes(random_instrument(2, 2, 3, 1, seed=8), 0, 1), 50, 8, 3),
 ]
+
+
+class TestPurityClass:
+    """The exact (Ozawa) purity class of groenewold_lindblad_check."""
+
+    def test_projective_and_depolarizing(self):
+        assert groenewold_lindblad_check(projective_qubit(), trials=2)[0]
+        # Kraus operators |k><j| / sqrt(2): every input goes to I/2
+        units = tuple(
+            np.outer(np.eye(2)[k], np.eye(2)[j]).astype(complex) / np.sqrt(2)
+            for k in range(2)
+            for j in range(2)
+        )
+        depolarize = Instrument((0,), (KrausMap(2, 2, units),))
+        assert not groenewold_lindblad_check(depolarize, trials=2)[0]
+
+    @pytest.mark.parametrize("ins, expected", [
+        (measure_and_prepare(), True),
+        (perturbed_pair(1e-5), True),
+        (perturbed_pair(1e-3), False),
+        (with_zero_outcome(), True),
+        (merge_outcomes(random_instrument(2, 2, 3, 1, seed=8), 0, 1), False),
+    ])
+    def test_classes(self, ins, expected):
+        assert groenewold_lindblad_check(ins, trials=2)[0] == expected
+
+
+class TestReportInfoGain:
+    """The report's I_q(eta_i) comes from analyze's eta column, not from a
+    second application of the instrument."""
+
+    @staticmethod
+    def _check(s):
+        ms = analyze(s.ensemble, s.instrument, s.default_state)
+        reference = quantum_info_gain(s.instrument, ms.a_priori)
+        assert abs(ms.info_gain - reference) <= 1e-12
+        assert abs(run_scenario(s).quantum_info_gain - reference) <= 1e-12
+
+    @pytest.mark.parametrize("shape", ACCEPTANCE_GRID[::7])
+    def test_random(self, shape):
+        self._check(random_scenario(*shape, seed=sum(shape)))
+
+    def test_null_outcome(self):
+        s = Scenario(ensemble=orthogonal_ensemble(), instrument=with_zero_outcome())
+        assert analyze(s.ensemble, s.instrument).output_marginal.probs[2] == 0.0
+        self._check(s)
+
+    def test_default_state(self):
+        s = Scenario(
+            ensemble=zero_plus_ensemble(),
+            instrument=with_zero_outcome(),
+            default_state=pure_state([0.6, 0.8]),
+        )
+        self._check(s)
 
 
 @pytest.mark.parametrize("ins, trials, seed, n_demix", GL_CASES)

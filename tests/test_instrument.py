@@ -11,7 +11,6 @@ from qinstr.instrument import (
     a_posteriori_stack,
     apply_outcome,
     channel_roundtrip,
-    min_output_purity,
     outcome_probs,
     random_instrument,
     total_channel,
@@ -104,6 +103,37 @@ class TestPovm:
         half = KrausMap(2, 2, (np.sqrt(0.5) * np.eye(2, dtype=complex),))
         with pytest.raises(BadTrace, match="sum of effects deviates from identity by 5.000e-01"):
             Instrument((0,), (half,))
+
+
+class TestKrausMap:
+    def test_empty_kraus_tuple_rejected(self):
+        with pytest.raises(DimensionMismatch, match="at least one Kraus operator"):
+            KrausMap(2, 2, ())
+
+
+def kraus_loop_channel_matrix(ins):
+    """The channel matrix one outcome and one Kraus operator at a time:
+    sum_k K_k (x) conj(K_k), summed in order."""
+    return np.concatenate([
+        sum(matcore.kron(k, k.conj()) for k in m.kraus) for m in ins.maps
+    ])
+
+
+class TestChannelMatrix:
+    @pytest.mark.parametrize("shape,seed", [((2, 3, 4, 2), 9), ((3, 2, 3, 1), 10), ((3, 3, 2, 3), 11)])
+    def test_equals_the_per_map_kron_loop(self, shape, seed):
+        ins = random_instrument(*shape, seed=seed)
+        assert np.array_equal(ins.channel_matrix, kraus_loop_channel_matrix(ins))
+
+    def test_ragged_kraus_counts(self):
+        ins = random_instrument(3, 2, 4, 1, seed=31)
+        merged = merge_outcomes(merge_outcomes(ins, 0, 1), "0+1", 2)
+        assert [len(m.kraus) for m in merged.maps] == [3, 1]
+        assert np.array_equal(merged.channel_matrix, kraus_loop_channel_matrix(merged))
+        ins = random_instrument(2, 3, 3, 2, seed=32)
+        merged = merge_outcomes(ins, 1, 2)
+        assert [len(m.kraus) for m in merged.maps] == [2, 4]
+        assert np.array_equal(merged.channel_matrix, kraus_loop_channel_matrix(merged))
 
 
 class TestOutcomeProbs:
@@ -206,18 +236,6 @@ class TestStacks:
         probs, posts = a_posteriori_stack(projective_qubit(), KET0.mat[None])
         assert np.allclose(probs[:, 0], [1.0, 0.0])
         assert np.allclose(posts[1, 0], maximally_mixed(2).mat)
-
-    def test_min_output_purity(self):
-        kets = np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex) / [[1.0], [np.sqrt(2)]]
-        assert abs(min_output_purity(projective_qubit(), kets) - 1.0) < 1e-12
-        # Kraus operators |k><j| / sqrt(2): every input goes to I/2
-        units = tuple(
-            np.outer(np.eye(2)[k], np.eye(2)[j]).astype(complex) / np.sqrt(2)
-            for k in range(2)
-            for j in range(2)
-        )
-        depolarize = Instrument((0,), (KrausMap(2, 2, units),))
-        assert abs(min_output_purity(depolarize, kets) - 0.5) < 1e-12
 
 
 class TestTotalChannel:

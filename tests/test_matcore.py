@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,10 +47,21 @@ class TestHermEig:
     def test_not_hermitian_rejected(self):
         with pytest.raises(NotHermitian):
             matcore.herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(NotHermitian, match="not square"):
+            matcore.herm_eig(np.ones((2, 3)))
 
     def test_nan_rejected(self):
         with pytest.raises(NotHermitian):
             matcore.herm_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hermitian_input_decomposed_as_its_hermitian_part(self, seed):
+        # an input equal to its adjoint skips the check and the symmetrisation
+        a = random_hermitian(4, seed)
+        a = 0.5 * (a + a.conj().T)
+        vals, vecs = matcore.herm_eig(a)
+        ref_vals, ref_vecs = np.linalg.eigh(0.5 * (a + a.conj().T))
+        assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10 ** 6))
@@ -190,3 +203,15 @@ class TestJson:
     def test_roundtrip(self):
         a = random_hermitian(3, 13)
         assert np.array_equal(matcore.matrix_from_json(matcore.matrix_to_json(a)), a)
+
+    def test_matches_the_per_entry_loop(self):
+        a = np.array([
+            [complex(-0.0, 1e-300), complex(1e17, -0.0)],
+            [complex(1e-300, -1e17), complex(-0.0, -0.0)],
+        ])
+        loop = [[[float(z.real), float(z.imag)] for z in row] for row in a]
+        got = matcore.matrix_to_json(a)
+        assert got == loop
+        # signs of zero survive, so the JSON text (and a fingerprint) is the same
+        assert json.dumps(got) == json.dumps(loop)
+        assert json.dumps(got).count("-0.0") == 4

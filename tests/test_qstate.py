@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qinstr import matcore, qstate
+from qinstr import matcore
 from qinstr.entropy import vn_entropies
 from qinstr.errors import BadTrace, DimensionMismatch, NotHermitian, NotPositive
 from qinstr.matcore import HERM_TOL
