@@ -18,12 +18,16 @@ import numpy as np
 
 from . import hallmap, matcore
 from .errors import (
+    InfiniteQuantity,
+    NoConvergence,
     QinstrError,
     SchemaError,
     SingularAprioriState,
+    SingularNormalizer,
     UnknownFormat,
 )
 from .infobounds import (
+    BoundCheck,
     BoundReport,
     INEQ_TOL,
     analyze,
@@ -51,6 +55,8 @@ from .qstate import (
 )
 
 LN2 = math.log(2.0)
+# rows that are not entropies, printed and judged as they are in either base
+_UNITLESS_ROWS = ("compound_", "duality_conditional_law")
 _MASK64 = (1 << 64) - 1
 
 
@@ -88,6 +94,11 @@ class Scenario:
             raise SchemaError(
                 f"ensemble dim {self.ensemble.dim} incompatible with "
                 f"instrument dim_in {self.instrument.dim_in}"
+            )
+        if self.default_state is not None and self.default_state.dim != self.instrument.dim_out:
+            raise SchemaError(
+                f"default_state dim {self.default_state.dim} incompatible with "
+                f"instrument dim_out {self.instrument.dim_out}"
             )
         if self.log_base not in ("e", "2"):
             raise SchemaError(f"log_base must be 'e' or '2', got {self.log_base!r}")
@@ -151,7 +162,7 @@ class AnalysisReport:
     fingerprint: str
     seed: int
     log_base: str
-    tol: float  # every check is judged at this tolerance (BoundCheck.passes)
+    tol: float  # every check is judged at this tolerance, in the report's unit
     panel: dict
     checks: tuple  # BoundCheck records
     quantum_info_gain: float
@@ -161,20 +172,22 @@ class AnalysisReport:
 
     @property
     def overall_pass(self) -> bool:
-        return BoundReport(self.checks).all_pass(self.tol)
+        return self._in_unit().all_pass(self.tol)
 
     def _scale(self, x: float) -> float:
-        x = float(x)
-        if self.log_base == "2" and math.isfinite(x):
-            return x / LN2
-        return x
+        return float(x) / LN2 if self.log_base == "2" else float(x)
+
+    def _in_unit(self) -> BoundReport:
+        """The checks in the report's unit: under base 2 an entropy row's lhs and
+        rhs in bits, so its slack and its pass are judged in bits too."""
+        return BoundReport(tuple(
+            c if self.log_base == "e" or c.name.startswith(_UNITLESS_ROWS)
+            else BoundCheck(c.name, self._scale(c.lhs), self._scale(c.rhs), c.kind)
+            for c in self.checks
+        ))
 
     def check_rows(self) -> list:
-        rows = BoundReport(self.checks).to_json(self.tol)
-        for row in rows:
-            for key in ("lhs", "rhs", "slack"):
-                row[key] = self._scale(row[key])
-        return rows
+        return self._in_unit().to_json(self.tol)
 
     def to_json(self) -> dict:
         return {
@@ -198,7 +211,7 @@ def _fingerprint(s: Scenario) -> str:
 
 def run_scenario(s: Scenario) -> AnalysisReport:
     """Full analysis pipeline for one (ensemble, instrument) pair."""
-    ms = analyze(s.ensemble, s.instrument, s.default_state)
+    ms = analyze(s.ensemble, s.instrument)
     panel = entropy_panel(ms)
 
     checks = [*check_identities(panel).checks, *check_bounds(panel).checks]
@@ -218,18 +231,10 @@ def run_scenario(s: Scenario) -> AnalysisReport:
     except SingularAprioriState as exc:
         hall_skipped = str(exc)
 
-    # a posteriori default-state sensitivity: only relevant when some outcome
-    # actually has zero probability for some input state
-    sensitivity = None
-    if np.any(ms.cond_out_given_in <= matcore.SUPPORT_CUTOFF) and s.default_state is None:
-        alt = pure_state([1.0] + [0.0] * (s.instrument.dim_out - 1))
-        panel_alt = entropy_panel(analyze(s.ensemble, s.instrument, alt))
-        sensitivity = float(
-            max(
-                abs(a - b) if math.isfinite(a) and math.isfinite(b) else 0.0
-                for a, b in zip(panel.to_json().values(), panel_alt.to_json().values())
-            )
-        )
+    # a null cell's a posteriori state reaches no number (instrument._posteriors),
+    # so the sensitivity to any default state is 0 by construction
+    null_cells = np.any(ms.cond_out_given_in <= matcore.SUPPORT_CUTOFF)
+    sensitivity = 0.0 if null_cells and s.default_state is None else None
 
     return AnalysisReport(
         fingerprint=_fingerprint(s),
@@ -480,6 +485,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except (NoConvergence, InfiniteQuantity, SingularNormalizer) as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2

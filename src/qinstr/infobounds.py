@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,11 +107,12 @@ class MeasurementStatistics:
     """Everything derivable from one (ensemble, instrument) pair.
 
     The joint table is indexed [letter, outcome]; posterior_letter_states is a
-    matching grid of a posteriori states (the default state on null cells,
-    which carry zero weight everywhere). The output-side states are arrays,
-    checked where their entropies are taken (``vn_entropies``). The entropies
-    and I_c are computed once, on first use, and every stage reads them from
-    here.
+    matching grid of a posteriori states. A null cell holds the fill I/d2
+    (``instrument._posteriors``) and weighs exactly 0 in cond_out_given_in,
+    joint and cond_in_given_out; a null rho_f(w) has P_f(w) <= SUPPORT_CUTOFF.
+    The output-side states are arrays, checked where their entropies are
+    taken (``vn_entropies``). The entropies and I_c are computed once, on
+    first use, and every stage reads them from here.
     """
 
     ensemble: Ensemble
@@ -181,9 +182,7 @@ class EntropyPanel:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def analyze(
-    e: Ensemble, ins: Instrument, default: Optional[DensityMatrix] = None
-) -> MeasurementStatistics:
+def analyze(e: Ensemble, ins: Instrument) -> MeasurementStatistics:
     """Joint/conditional probabilities and all post-measurement state families.
 
     The instrument is applied once, to the stack of letter states, giving the
@@ -196,7 +195,7 @@ def analyze(
     outs = _apply_to_stack(ins, np.stack([s.mat for s in e.states]))
     # column n_l is the outcome-wise output of eta_i
     outs = np.concatenate([outs, np.einsum("a,waij->wij", e.probs, outs)[:, None]], axis=1)
-    cond, posts = _posteriors(outs, default)
+    cond, posts = _posteriors(outs)
     totals = outs.sum(axis=0)
 
     cond_fi = cond[:, :-1].T
@@ -301,13 +300,11 @@ def check_bounds(panel: EntropyPanel) -> BoundReport:
     return BoundReport(checks)
 
 
-def quantum_info_gain(
-    ins: Instrument, eta: DensityMatrix, default: Optional[DensityMatrix] = None
-) -> float:
+def quantum_info_gain(ins: Instrument, eta: DensityMatrix) -> float:
     """Entropy of the input minus mean entropy of the a posteriori states."""
     if eta.dim != ins.dim_in:
         raise DimensionMismatch(f"state dim {eta.dim} vs instrument dim_in {ins.dim_in}")
-    gains, _, _ = _gains(ins, eta.mat[None], default)
+    gains, _, _ = _gains(ins, eta.mat[None])
     return gains[0]
 
 
@@ -346,10 +343,10 @@ def _info_gain(s_in, probs, s_post) -> np.ndarray:
     return s_in - weighted_sum(probs, s_post)
 
 
-def _gains(ins: Instrument, rhos: np.ndarray, default: Optional[DensityMatrix] = None) -> tuple:
+def _gains(ins: Instrument, rhos: np.ndarray) -> tuple:
     """quantum_info_gain of each state of a stack, the outcome probabilities
     [outcome, n] and the states' entropies."""
-    probs, posts = a_posteriori_stack(ins, rhos, default)
+    probs, posts = a_posteriori_stack(ins, rhos)
     s_post = vn_entropies(posts.reshape(-1, ins.dim_out, ins.dim_out)).reshape(probs.shape)
     s_in = vn_entropies(rhos)
     return _info_gain(s_in, probs.T, s_post.T), probs, s_in
@@ -474,8 +471,11 @@ def compound_states(ms: MeasurementStatistics) -> CompoundStates:
     eps_i = matcore.partial_trace(eps_if, "second", d1, d2)
     eps_f = matcore.partial_trace(eps_if, "first", d1, d2)
     eta_if = np.einsum("w,wmn->mn", w_f, eps_if)
+    # a letter's weight on a null rho_f(w) is dropped and the rest renormalized;
+    # dividing by 1 - 0.0 leaves a letter with no such weight bit-identical
     cond_fi = ms.cond_out_given_in
-    tau_f = np.einsum("aw,wij->aij", np.where(cond_fi > SUPPORT_CUTOFF, cond_fi, 0.0), rho_f)
+    dropped = np.where(live, 0.0, cond_fi).sum(axis=1)
+    tau_f = np.einsum("aw,wij->aij", np.where(live, cond_fi, 0.0), rho_f) / (1.0 - dropped)[:, None, None]
     gamma_if = np.einsum("w,wmn->mn", w_f, matcore.kron(eps_i, rho_f))
 
     def dev(a, b):

@@ -150,7 +150,7 @@ def outcome_probs(ins: Instrument, rho: DensityMatrix) -> ClassicalDist:
 def a_posteriori(
     ins: Instrument, rho: DensityMatrix, default: Optional[DensityMatrix] = None
 ) -> AposterioriFamily:
-    """Normalized conditional states; the fixed default on null outcomes."""
+    """Normalized conditional states by the null-cell rule of ``_posteriors``."""
     if default is None:
         default = maximally_mixed(ins.dim_out)
     if default.dim != ins.dim_out:
@@ -160,11 +160,9 @@ def a_posteriori(
     for outcome, m in zip(ins.outcomes, ins.maps):
         out = m.apply(rho.mat)
         tr = float(np.trace(out).real)
-        probs.append(max(tr, 0.0))
-        if tr > SUPPORT_CUTOFF:
-            states.append(DensityMatrix(out / tr))
-        else:
-            states.append(default)
+        live = tr > SUPPORT_CUTOFF
+        probs.append(tr if live else 0.0)
+        states.append(DensityMatrix(out / tr) if live else default)
     probs = np.array(probs)
     dist = ClassicalDist(ins.outcomes, probs / probs.sum())
     return AposterioriFamily(dist, tuple(states))
@@ -178,30 +176,23 @@ def _apply_to_stack(ins: Instrument, rhos: np.ndarray) -> np.ndarray:
     return outs.reshape(n, len(ins.maps), d2, d2).swapaxes(0, 1)
 
 
-def a_posteriori_stack(
-    ins: Instrument, rhos: np.ndarray, default: Optional[DensityMatrix] = None
-) -> tuple:
+def a_posteriori_stack(ins: Instrument, rhos: np.ndarray) -> tuple:
     """a_posteriori for each state of an (n, d1, d1) stack: outcome probabilities
     and conditional states, both indexed [outcome, n]. The states are not
     validated here."""
-    return _posteriors(_apply_to_stack(ins, rhos), default)
+    return _posteriors(_apply_to_stack(ins, rhos))
 
 
-def _posteriors(outs: np.ndarray, default: Optional[DensityMatrix] = None) -> tuple:
+def _posteriors(outs: np.ndarray) -> tuple:
     """Probabilities (normalized over the outcome axis 0) and normalized states
-    of unnormalized outputs; ``default`` (maximally mixed when None) on null
-    cells."""
-    d2 = outs.shape[-1]
-    if default is None:
-        fill = np.eye(d2) / d2
-    elif default.dim != d2:
-        raise DimensionMismatch(f"default dim {default.dim} vs dim_out {d2}")
-    else:
-        fill = default.mat
+    of unnormalized outputs, by the one null-cell rule: a cell is live iff its
+    trace is > SUPPORT_CUTOFF, and a null cell gets probability exactly 0 and
+    the fixed fill I/d2, so the fill reaches no number."""
+    fill = np.eye(outs.shape[-1]) / outs.shape[-1]
     tr = np.trace(outs, axis1=-2, axis2=-1).real
     live = tr > SUPPORT_CUTOFF
     states = np.where(live[..., None, None], outs / np.where(live, tr, 1.0)[..., None, None], fill)
-    probs = np.maximum(tr, 0.0)
+    probs = np.where(live, tr, 0.0)
     return probs / probs.sum(axis=0), states
 
 

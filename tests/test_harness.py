@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from qinstr import harness, infobounds, matcore
 from qinstr.harness import (
     EXAMPLE_NAMES,
+    AnalysisReport,
     Scenario,
     _fingerprint,
     emit_report,
@@ -22,8 +24,17 @@ from qinstr.harness import (
     scenario_from_json,
     splitmix64,
 )
-from qinstr.errors import BadTrace, DimensionMismatch, LabelMismatch, SchemaError, UnknownFormat
-from qinstr.infobounds import _gains, groenewold_lindblad_check, random_pure
+from qinstr.errors import (
+    BadTrace,
+    DimensionMismatch,
+    InfiniteQuantity,
+    LabelMismatch,
+    NoConvergence,
+    SchemaError,
+    SingularNormalizer,
+    UnknownFormat,
+)
+from qinstr.infobounds import BoundCheck, _gains, groenewold_lindblad_check, random_pure
 from qinstr.instrument import Instrument, random_instrument
 from qinstr.qstate import DensityMatrix, Ensemble, pure_state
 
@@ -154,11 +165,10 @@ class TestRunScenario:
 
     def test_sensitivity_reported_on_null_outcomes(self):
         # orthogonal letters with the z measurement yield zero-probability
-        # cells, so the default-state sensitivity scan runs
+        # cells; their a posteriori states carry weight 0, so the reported
+        # sensitivity is 0 by construction
         report = run_scenario(example_scenario("orthogonal-projective"))
-        assert report.default_state_sensitivity is not None
-        # the null cells carry zero weight, so the panel is insensitive
-        assert report.default_state_sensitivity < 1e-9
+        assert report.default_state_sensitivity == 0.0
 
     @pytest.mark.parametrize("tol", [0.0, 1e-3])
     @pytest.mark.parametrize("seed", [7, 99, 12345])
@@ -184,6 +194,41 @@ class TestRunScenario:
         out1 = emit_report(run_scenario(s), "json")
         out2 = emit_report(run_scenario(s), "json")
         assert out1 == out2
+
+
+class TestBase2Units:
+    """Under base 2 only the entropy rows are in bits, and every row passes or
+    fails on the slack it prints: tol is in the report's unit."""
+
+    UNITLESS = ("compound_tr2_eta_if", "compound_tr1_eta_if", "compound_tr2_gamma",
+                "compound_tr1_gamma", "compound_tau_mix", "duality_conditional_law")
+
+    def test_only_entropy_rows_are_scaled(self):
+        s = random_scenario(3, 3, 3, 3, 2, 7)
+        nats = run_scenario(s).check_rows()
+        bits = run_scenario(dataclasses.replace(s, log_base="2")).check_rows()
+        assert {row["name"] for row in nats} >= set(self.UNITLESS)
+        for e_row, b_row in zip(nats, bits):
+            assert b_row["name"] == e_row["name"]
+            if e_row["name"] in self.UNITLESS:
+                assert b_row == e_row
+            else:
+                assert (b_row["lhs"], b_row["rhs"]) == (e_row["lhs"] / math.log(2), e_row["rhs"] / math.log(2))
+            assert b_row["slack"] == b_row["rhs"] - b_row["lhs"]
+
+    def test_pass_agrees_with_the_printed_slack(self):
+        # 0.8e-8 nats over a rhs of 0 is a slack of -1.154e-8 bits: within
+        # tol 1e-8 in nats, beyond it in bits
+        report = AnalysisReport(
+            fingerprint="0", seed=0, log_base="2", tol=1e-8, panel={},
+            checks=(BoundCheck("x", 0.8e-8, 0.0),), quantum_info_gain=0.0,
+            purity_preserving=False, hall_skipped=None, default_state_sensitivity=None,
+        )
+        (row,) = report.check_rows()
+        assert row["slack"] == pytest.approx(-0.8e-8 / math.log(2), rel=1e-12)
+        assert row["pass"] is False and not report.overall_pass
+        nats = dataclasses.replace(report, log_base="e")
+        assert nats.check_rows()[0]["pass"] is True and nats.overall_pass
 
 
 @pytest.fixture(scope="module")
@@ -298,6 +343,20 @@ class TestCli:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["bogus"]) == 2
+
+    @pytest.mark.parametrize("error", [NoConvergence, InfiniteQuantity, SingularNormalizer])
+    def test_numerical_failure_exits_three(self, tmp_path, capsys, monkeypatch, error):
+        # a numerical step that fails is not an input error
+        def failing(*args, **kwargs):
+            raise error("stage failed")
+
+        monkeypatch.setattr(harness, "groenewold_lindblad_check", failing)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(example_scenario("zero-one-plus").to_json()))
+        assert main(["analyze", str(path)]) == 3
+        assert "numerical error: stage failed" in capsys.readouterr().err
+        assert main(["random", "--trials", "1"]) == 3
+        assert "numerical error: stage failed" in capsys.readouterr().err
 
 
 class TestTolEnv:
@@ -420,6 +479,18 @@ class TestInputContract:
             obj["instrument"]["outcomes"] = [1, 1]
 
         assert self._analyze(tmp_path, mutate) == 2
+
+    def test_wrong_dimension_default_state_exit_two(self, tmp_path, capsys):
+        # options.default_state reaches no number, yet it is still checked
+        def mutate(obj):
+            obj["options"]["default_state"] = matcore.matrix_to_json(np.eye(3) / 3)
+
+        assert self._analyze(tmp_path, mutate) == 2
+        assert "default_state dim 3 incompatible" in capsys.readouterr().err
+        obj = example_scenario("zero-one-plus").to_json()
+        mutate(obj)
+        with pytest.raises(SchemaError, match="default_state dim"):
+            scenario_from_json(obj)
 
     def test_options_not_an_object_is_schema_error(self, tmp_path, capsys):
         def mutate(obj):

@@ -1,10 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qinstr.entropy import q_rel_entropy
-from qinstr.errors import InfiniteQuantity
+from qinstr.errors import InfiniteQuantity, QinstrError
+from qinstr.hallmap import hall_section
 from qinstr.harness import ACCEPTANCE_GRID, Scenario, random_scenario, run_scenario
 from qinstr.infobounds import (
     BoundCheck,
@@ -23,6 +27,7 @@ from qinstr.infobounds import (
     scutaru_chains,
 )
 from qinstr.instrument import Instrument, KrausMap, random_instrument
+from qinstr.matcore import SUPPORT_CUTOFF
 from qinstr.qstate import DensityMatrix, Ensemble, maximally_mixed, pure_state
 
 KET0 = pure_state([1, 0])
@@ -397,7 +402,7 @@ class TestReportInfoGain:
 
     @staticmethod
     def _check(s):
-        ms = analyze(s.ensemble, s.instrument, s.default_state)
+        ms = analyze(s.ensemble, s.instrument)
         reference = quantum_info_gain(s.instrument, ms.a_priori)
         assert abs(ms.info_gain - reference) <= 1e-12
         assert abs(run_scenario(s).quantum_info_gain - reference) <= 1e-12
@@ -418,6 +423,109 @@ class TestReportInfoGain:
             default_state=pure_state([0.6, 0.8]),
         )
         self._check(s)
+
+
+def diagonal_instrument(effects, kraus=1, seed=0):
+    """One outcome per row of ``effects`` (each row the diagonal of E(w), the
+    columns summing to 1), with Kraus operators U diag(sqrt(E(w)) / sqrt(kraus))
+    for random unitaries U, so the a posteriori states are not diagonal."""
+    effects = np.asarray(effects, dtype=float)
+    rng = np.random.default_rng(seed)
+    d = effects.shape[1]
+
+    def unitary():
+        q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    maps = tuple(
+        KrausMap(d, d, tuple(unitary() @ np.diag(np.sqrt(row / kraus)) for _ in range(kraus)))
+        for row in effects
+    )
+    return Instrument(tuple(range(len(effects))), maps)
+
+
+def refill(ms, state):
+    """``ms`` with the a posteriori state of every null cell (a grid cell of
+    P(w | a) <= SUPPORT_CUTOFF, a column of P_f(w) <= SUPPORT_CUTOFF) replaced
+    by ``state``."""
+    grid = ms.posterior_letter_states.copy()
+    grid[ms.cond_out_given_in <= SUPPORT_CUTOFF] = state
+    mean = ms.posterior_mean_states.copy()
+    mean[ms.output_marginal.probs <= SUPPORT_CUTOFF] = state
+    return dataclasses.replace(ms, posterior_letter_states=grid, posterior_mean_states=mean)
+
+
+def downstream(ms):
+    """Every number the pipeline takes from ``ms``: the panel, I_q(eta), the
+    compound states and their rows, the Scutaru chains and the Hall section,
+    or the error it raises (``test_hallmap.test_near_null_dual_outcome_is_analyzed``)."""
+    cs = compound_states(ms)
+    rows = [*cs.consistency.checks, *scutaru_chains(ms, cs).checks]
+    try:
+        rows += hall_section(ms).checks
+    except QinstrError as exc:
+        rows.append(repr(exc))
+    arrays = [a.tobytes() for a in (cs.eps_if, cs.eps_i, cs.eps_f, cs.eta_if, cs.tau_f, cs.gamma_if)]
+    return entropy_panel(ms).to_json(), ms.info_gain, rows, arrays
+
+
+def assert_fill_reaches_no_number(e, ins, state):
+    ms = analyze(e, ins)
+    assert (ms.cond_out_given_in <= SUPPORT_CUTOFF).any()
+    assert downstream(refill(ms, state.mat)) == downstream(ms)
+
+
+class TestNullCells:
+    """A posteriori states are defined only up to null sets: whatever state a
+    null cell holds, no number moves."""
+
+    def test_sub_cutoff_cell_under_a_live_column(self):
+        # P(A|0) = 0.9e-12 is a null cell, but its conditional weight
+        # P(0|A) = 0.45e-12 / 0.4 = 1.125e-12 is above SUPPORT_CUTOFF
+        ins = diagonal_instrument([[0.9e-12, 0.8], [1 - 0.9e-12, 0.2]])
+        assert_fill_reaches_no_number(orthogonal_ensemble(), ins, PLUS)
+
+    def test_live_cell_under_a_null_column(self):
+        # P(A|1) = 7e-10 is live, but P_f(A) = 7e-13 makes rho_f(A) a null
+        # cell, which tau_f(1) must not take in
+        ins = diagonal_instrument([[0.0, 7e-10], [1.0, 1 - 7e-10]])
+        e = Ensemble((0, 1), np.array([0.999, 0.001]), (KET0, KET1))
+        assert_fill_reaches_no_number(e, ins, PLUS)
+        ms = analyze(e, ins)
+        assert abs(np.trace(compound_states(ms).tau_f[1]).real - 1.0) <= 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(2, 3),
+        n_letters=st.integers(2, 3),
+        n_outcomes=st.integers(2, 4),
+        kraus=st.integers(1, 2),
+        data=st.data(),
+    )
+    def test_random_scenarios_with_null_cells(self, d, n_letters, n_outcomes, kraus, data):
+        # effects: per basis vector, each outcome's weight is regular
+        # (>= 0.05 before normalization) or tiny (<= 9e-13); letters: pure
+        # states on a subset of the basis with amplitudes >= 0.1. So a cell's
+        # trace is >= 4e-5 or <= 9e-13, and a column is null only when all its
+        # cells are.
+        tiny = st.sampled_from([0.0, 1e-15, 3e-13, 9e-13])
+        regular = st.floats(0.05, 1.0)
+        raw = np.array([[data.draw(st.one_of(tiny, regular)) for _ in range(d)] for _ in range(n_outcomes)])
+        assume((raw.max(axis=0) >= 0.05).all())
+        effects = raw / raw.sum(axis=0)
+        letters = []
+        for _ in range(n_letters):
+            support = data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True))
+            amp = np.zeros(d, dtype=complex)
+            for k in support:
+                amp[k] = data.draw(st.floats(0.1, 1.0)) * np.exp(1j * data.draw(st.floats(0.0, 6.0)))
+            letters.append(pure_state(amp / np.linalg.norm(amp)))
+        priors = np.array([data.draw(st.floats(0.05, 1.0)) for _ in range(n_letters)])
+        e = Ensemble(tuple(range(n_letters)), priors / priors.sum(), tuple(letters))
+        seed = data.draw(st.integers(0, 2 ** 16))
+        ins = diagonal_instrument(effects, kraus, seed)
+        assume((analyze(e, ins).cond_out_given_in <= SUPPORT_CUTOFF).any())
+        assert_fill_reaches_no_number(e, ins, random_density(d, np.random.default_rng(seed)))
 
 
 @pytest.mark.parametrize("ins, trials, seed, n_demix", GL_CASES)
