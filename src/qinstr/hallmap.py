@@ -15,6 +15,7 @@ from .infobounds import (
     BoundCheck,
     BoundReport,
     MeasurementStatistics,
+    _UNITLESS_ROWS,
     _gains,
 )
 from .instrument import POVM_SUM_TOL, Instrument, KrausMap
@@ -115,7 +116,7 @@ def hall_section(ms: MeasurementStatistics) -> BoundReport:
     chi_initial = chi_against(e.probs, ms.entropies.letters, ms.entropies.eta_i)
     new_rhs = chi_initial - d_term
     return BoundReport((
-        BoundCheck("duality_conditional_law", max_dev, 0.0, kind="eq"),
+        BoundCheck(_UNITLESS_ROWS[-1], max_dev, 0.0, kind="eq"),  # duality_conditional_law
         BoundCheck("duality_ic", i_c_dual, i_c, kind="eq"),
         BoundCheck("hall_bound", i_c, chi_dual),
         BoundCheck("new_bound", i_c, new_rhs),

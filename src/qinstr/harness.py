@@ -30,6 +30,7 @@ from .infobounds import (
     BoundCheck,
     BoundReport,
     INEQ_TOL,
+    _UNITLESS_ROWS,
     analyze,
     check_bounds,
     check_identities,
@@ -55,8 +56,6 @@ from .qstate import (
 )
 
 LN2 = math.log(2.0)
-# rows that are not entropies, printed and judged as they are in either base
-_UNITLESS_ROWS = ("compound_", "duality_conditional_law")
 _MASK64 = (1 << 64) - 1
 
 
@@ -181,7 +180,7 @@ class AnalysisReport:
         """The checks in the report's unit: under base 2 an entropy row's lhs and
         rhs in bits, so its slack and its pass are judged in bits too."""
         return BoundReport(tuple(
-            c if self.log_base == "e" or c.name.startswith(_UNITLESS_ROWS)
+            c if self.log_base == "e" or c.name in _UNITLESS_ROWS
             else BoundCheck(c.name, self._scale(c.lhs), self._scale(c.rhs), c.kind)
             for c in self.checks
         ))

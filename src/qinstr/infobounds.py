@@ -38,6 +38,10 @@ PURITY_TOL = 1e-8
 # sqrt(PURITY_TOL / 2).
 RANK_ONE_TOL = math.sqrt(PURITY_TOL / 2)
 PROB_FLOOR = 0.05  # letter probabilities of a generated ensemble are raised to it, then renormalized
+# rows that are a deviation, not an entropy, read the same in either log base
+# (harness); compound_states and hallmap.hall_section name them from here
+_UNITLESS_ROWS = ("compound_tr2_eta_if", "compound_tr1_eta_if", "compound_tr2_gamma",
+                  "compound_tr1_gamma", "compound_tau_mix", "duality_conditional_law")
 
 
 @dataclass(frozen=True)
@@ -471,24 +475,27 @@ def compound_states(ms: MeasurementStatistics) -> CompoundStates:
     eps_i = matcore.partial_trace(eps_if, "second", d1, d2)
     eps_f = matcore.partial_trace(eps_if, "first", d1, d2)
     eta_if = np.einsum("w,wmn->mn", w_f, eps_if)
-    # a letter's weight on a null rho_f(w) is dropped and the rest renormalized;
-    # dividing by 1 - 0.0 leaves a letter with no such weight bit-identical
-    cond_fi = ms.cond_out_given_in
-    dropped = np.where(live, 0.0, cond_fi).sum(axis=1)
-    tau_f = np.einsum("aw,wij->aij", np.where(live, cond_fi, 0.0), rho_f) / (1.0 - dropped)[:, None, None]
+    # a letter's weight on a null rho_f(w) is dropped and the rest renormalized by
+    # its own sum (a letter that drops nothing is divided by 1.0); a letter with
+    # no live weight left gets the fill, as a null eps_if(w) does
+    kept = np.where(live, ms.cond_out_given_in, 0.0)
+    mass = np.where((kept != ms.cond_out_given_in).any(axis=1), kept.sum(axis=1), 1.0)
+    tau_f = np.einsum("aw,wij->aij", kept, rho_f) / np.where(mass > 0.0, mass, 1.0)[:, None, None]
+    tau_f[mass == 0.0] = np.eye(d2) / d2
     gamma_if = np.einsum("w,wmn->mn", w_f, matcore.kron(eps_i, rho_f))
 
     def dev(a, b):
         return float(np.max(np.abs(a - b)))
 
     eta_i, eta_f = ms.a_priori.mat, ms.post_a_priori
-    checks = (
-        BoundCheck("compound_tr2_eta_if", dev(matcore.partial_trace(eta_if, "second", d1, d2), eta_i), 0.0, kind="eq"),
-        BoundCheck("compound_tr1_eta_if", dev(matcore.partial_trace(eta_if, "first", d1, d2), eta_f), 0.0, kind="eq"),
-        BoundCheck("compound_tr2_gamma", dev(matcore.partial_trace(gamma_if, "second", d1, d2), eta_i), 0.0, kind="eq"),
-        BoundCheck("compound_tr1_gamma", dev(matcore.partial_trace(gamma_if, "first", d1, d2), eta_f), 0.0, kind="eq"),
-        BoundCheck("compound_tau_mix", dev(np.einsum("a,aij->ij", e.probs, tau_f), eta_f), 0.0, kind="eq"),
+    devs = (
+        dev(matcore.partial_trace(eta_if, "second", d1, d2), eta_i),
+        dev(matcore.partial_trace(eta_if, "first", d1, d2), eta_f),
+        dev(matcore.partial_trace(gamma_if, "second", d1, d2), eta_i),
+        dev(matcore.partial_trace(gamma_if, "first", d1, d2), eta_f),
+        dev(np.einsum("a,aij->ij", e.probs, tau_f), eta_f),
     )
+    checks = tuple(BoundCheck(name, x, 0.0, kind="eq") for name, x in zip(_UNITLESS_ROWS[:5], devs, strict=True))
     return CompoundStates(
         eps_if=eps_if,
         eps_i=eps_i,

@@ -494,6 +494,27 @@ class TestNullCells:
         ms = analyze(e, ins)
         assert abs(np.trace(compound_states(ms).tau_f[1]).real - 1.0) <= 1e-15
 
+    def test_letter_with_no_live_weight(self):
+        # P(B|1) = 1 is live, but P_f(B) = 1e-13 is null, so letter 1 keeps no
+        # live weight: tau_f(1) is the fill, not 0/0
+        ins = diagonal_instrument([[1.0, 0.0], [0.0, 1.0]])
+        e = Ensemble((0, 1), np.array([1 - 1e-13, 1e-13]), (KET0, KET1))
+        assert_fill_reaches_no_number(e, ins, PLUS)
+        tau_f = compound_states(analyze(e, ins)).tau_f
+        assert np.array_equal(tau_f[1], np.eye(2) / 2)
+        assert run_scenario(Scenario(e, ins)).overall_pass
+
+    def test_letter_with_little_live_weight(self):
+        # letter 1 keeps only P(A|1) = 2e-12 live (P_f(B) = 1e-15 is null):
+        # tau_f(1) is renormalized by that weight, not by 1 minus the dropped
+        # weight, which would leave its trace off by about 1e-4
+        ins = diagonal_instrument([[1.0, 2e-12], [0.0, 1 - 2e-12]])
+        e = Ensemble((0, 1), np.array([1 - 1e-15, 1e-15]), (KET0, KET1))
+        assert_fill_reaches_no_number(e, ins, PLUS)
+        tau_f = compound_states(analyze(e, ins)).tau_f
+        assert abs(np.trace(tau_f[1]).real - 1.0) <= 1e-15
+        assert run_scenario(Scenario(e, ins)).overall_pass
+
     @settings(max_examples=60, deadline=None)
     @given(
         d=st.integers(2, 3),
@@ -506,8 +527,9 @@ class TestNullCells:
         # effects: per basis vector, each outcome's weight is regular
         # (>= 0.05 before normalization) or tiny (<= 9e-13); letters: pure
         # states on a subset of the basis with amplitudes >= 0.1. So a cell's
-        # trace is >= 4e-5 or <= 9e-13, and a column is null only when all its
-        # cells are.
+        # trace is >= 4e-5 or <= 9e-13. Priors are regular or tiny too, so a
+        # column can be null under live cells, and a letter can keep no live
+        # weight at all.
         tiny = st.sampled_from([0.0, 1e-15, 3e-13, 9e-13])
         regular = st.floats(0.05, 1.0)
         raw = np.array([[data.draw(st.one_of(tiny, regular)) for _ in range(d)] for _ in range(n_outcomes)])
@@ -520,7 +542,9 @@ class TestNullCells:
             for k in support:
                 amp[k] = data.draw(st.floats(0.1, 1.0)) * np.exp(1j * data.draw(st.floats(0.0, 6.0)))
             letters.append(pure_state(amp / np.linalg.norm(amp)))
-        priors = np.array([data.draw(st.floats(0.05, 1.0)) for _ in range(n_letters)])
+        priors = np.array([data.draw(st.one_of(st.sampled_from([1e-15, 1e-13, 3e-13]), regular))
+                           for _ in range(n_letters)])
+        assume(priors.max() >= 0.05)
         e = Ensemble(tuple(range(n_letters)), priors / priors.sum(), tuple(letters))
         seed = data.draw(st.integers(0, 2 ** 16))
         ins = diagonal_instrument(effects, kraus, seed)
