@@ -49,12 +49,10 @@ def build_hall_instrument(e: Ensemble, eta: DensityMatrix) -> Instrument:
             f"a priori state is singular: least eigenvalue at or below {INVERTIBILITY_TOL:.1e}"
         )
     inv_sqrt = matcore.spectral_apply(eta.spectral(), lambda x: x ** -0.5)
-    maps = tuple(
-        KrausMap(
-            e.dim, e.dim, (np.sqrt(p) * matcore.spectral_apply(rho.spectral(), np.sqrt) @ inv_sqrt,)
-        )
-        for p, rho in zip(e.probs, e.states)
-    )
+    lam, u = e.spectra  # each letter's square root, on its support
+    roots = (u * np.sqrt(np.where(lam > SUPPORT_CUTOFF, lam, 0.0))[:, None]) @ u.conj().swapaxes(-1, -2)
+    kraus = np.sqrt(e.probs)[:, None, None] * roots @ inv_sqrt
+    maps = tuple(KrausMap(e.dim, e.dim, (k,)) for k in kraus)
     try:
         return Instrument(e.letters, maps)
     except BadTrace as exc:

@@ -189,23 +189,30 @@ class AnalysisReport:
         return self._in_unit().to_json(self.tol)
 
     def to_json(self) -> dict:
+        rows = self.check_rows()
         return {
             "fingerprint": self.fingerprint,
             "seed": self.seed,
             "log_base": self.log_base,
             "panel": {k: self._scale(v) for k, v in self.panel.items()},
-            "checks": self.check_rows(),
+            "checks": rows,
             "quantum_info_gain": self._scale(self.quantum_info_gain),
             "purity_preserving": self.purity_preserving,
             "hall_skipped": self.hall_skipped,
             "default_state_sensitivity": self.default_state_sensitivity,
-            "overall_pass": self.overall_pass,
+            "overall_pass": all(row["pass"] for row in rows),
         }
 
 
+def json_text(obj) -> str:
+    """One line of JSON with sorted keys: how reports and fingerprinted
+    scenarios are written. With no indent, CPython's json module writes it
+    with its C encoder; any indent selects the pure-Python one."""
+    return json.dumps(obj, sort_keys=True)
+
+
 def _fingerprint(s: Scenario) -> str:
-    blob = json.dumps(s.to_json(), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return hashlib.sha256(json_text(s.to_json()).encode()).hexdigest()[:16]
 
 
 def run_scenario(s: Scenario) -> AnalysisReport:
@@ -336,7 +343,7 @@ def summarize(reports: list, runtime: float) -> dict:
 
 def emit_report(r: AnalysisReport, fmt: str = "json") -> str:
     if fmt == "json":
-        return json.dumps(r.to_json(), sort_keys=True, indent=2)
+        return json_text(r.to_json())
     if fmt == "markdown":
         lines = [
             f"# Analysis report `{r.fingerprint}` (seed {r.seed}, base {r.log_base})",
@@ -462,16 +469,7 @@ def main(argv=None) -> int:
                 args.seed,
             )
             if args.format == "json":
-                print(
-                    json.dumps(
-                        {
-                            "summary": summary,
-                            "reports": [r.to_json() for r in reports],
-                        },
-                        sort_keys=True,
-                        indent=2,
-                    )
-                )
+                print(json_text({"summary": summary, "reports": [r.to_json() for r in reports]}))
             else:
                 for r in reports:
                     print(emit_report(r, args.format))
@@ -479,6 +477,7 @@ def main(argv=None) -> int:
                 print(f"failures: {summary['failures']}/{summary['trials']}")
             return 0 if summary["failures"] == 0 else 1
         if args.command == "example":
+            # an input to edit by hand, so indented, unlike a report
             print(json.dumps(example_scenario(args.name).to_json(), sort_keys=True, indent=2))
             return 0
     except (OSError, json.JSONDecodeError) as exc:

@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matcore
-from .entropy import chi_against, mutual_info, vn_entropies, vn_entropy, weighted_sum
+from .entropy import _entropy, chi_against, mutual_info, vn_entropies, vn_entropy, weighted_sum
 from .errors import DimensionMismatch, InfiniteQuantity
 from .instrument import (
     Instrument,
@@ -136,7 +136,8 @@ class MeasurementStatistics:
     def entropies(self) -> ScenarioEntropies:
         """Every state's entropy: the output side (the posterior grid, rho_f(w),
         eta_f^a and eta_f) from one batched vn_entropies call, which also
-        checks each state; the letters and eta_i from their own decompositions."""
+        checks each state; the letters and eta_i from the decompositions made
+        when they were checked (``Ensemble.spectra``, ``DensityMatrix``)."""
         n_l, n_o = self.joint.shape
         d2 = self.instrument.dim_out
         s_grid, s_mean, s_post, s_eta_f = np.split(
@@ -153,7 +154,7 @@ class MeasurementStatistics:
             mean=s_mean,
             post=s_post,
             eta_f=s_eta_f[0],
-            letters=np.array([vn_entropy(s) for s in self.ensemble.states]),
+            letters=_entropy(self.ensemble.spectra.eigenvalues),
             eta_i=vn_entropy(self.a_priori),
         )
 
@@ -196,7 +197,7 @@ def analyze(e: Ensemble, ins: Instrument) -> MeasurementStatistics:
     """
     if e.dim != ins.dim_in:
         raise DimensionMismatch(f"ensemble dim {e.dim} vs instrument dim_in {ins.dim_in}")
-    outs = _apply_to_stack(ins, np.stack([s.mat for s in e.states]))
+    outs = _apply_to_stack(ins, e.states)
     # column n_l is the outcome-wise output of eta_i
     outs = np.concatenate([outs, np.einsum("a,waij->wij", e.probs, outs)[:, None]], axis=1)
     cond, posts = _posteriors(outs)
@@ -330,7 +331,8 @@ def random_ensemble(dim: int, n_letters: int, rng: np.random.Generator) -> Ensem
     probs = probs / probs.sum()
     probs = np.maximum(probs, PROB_FLOOR)
     probs = probs / probs.sum()
-    states = tuple(random_density(dim, rng) for _ in range(n_letters))
+    # random_density's draws and states, as one stack
+    states = _ginibre_states(rng.standard_normal((n_letters, 2, dim, dim)))
     return Ensemble(tuple(range(n_letters)), probs, states)
 
 
@@ -361,7 +363,7 @@ def _rank_one(a: np.ndarray) -> np.ndarray:
     second singular value is at most RANK_ONE_TOL times its first."""
     if min(a.shape[-2:]) < 2:
         return np.ones(len(a), dtype=bool)
-    s = np.linalg.svd(a, compute_uv=False)
+    s = matcore.lapack(np.linalg.svd, a, compute_uv=False)
     return s[:, 1] <= RANK_ONE_TOL * s[:, 0]
 
 
@@ -467,9 +469,8 @@ def compound_states(ms: MeasurementStatistics) -> CompoundStates:
     w_f = np.where(live, p_f, 0.0)
     rho_f = ms.posterior_mean_states
 
-    letters = np.stack([s.mat for s in e.states])
     eps_if = np.einsum(
-        "aw,amn->wmn", ms.cond_in_given_out, matcore.kron(letters, ms.post_letter_states)
+        "aw,amn->wmn", ms.cond_in_given_out, matcore.kron(e.states, ms.post_letter_states)
     )
     eps_if[~live] = np.eye(d1 * d2) / (d1 * d2)  # zero-weight filler, excluded everywhere
     eps_i = matcore.partial_trace(eps_if, "second", d1, d2)

@@ -187,8 +187,12 @@ def _posteriors(outs: np.ndarray) -> tuple:
     """Probabilities (normalized over the outcome axis 0) and normalized states
     of unnormalized outputs, by the one null-cell rule: a cell is live iff its
     trace is > SUPPORT_CUTOFF, and a null cell gets probability exactly 0 and
-    the fixed fill I/d2, so the fill reaches no number."""
+    the fixed fill I/d2, so the fill reaches no number. A live cell's state is
+    the Hermitian part of its output divided by the trace: the output's
+    rounding is ~1e-17, so the output of a cell just above SUPPORT_CUTOFF
+    divided as it is could lie further than HERM_TOL from Hermitian."""
     fill = np.eye(outs.shape[-1]) / outs.shape[-1]
+    outs = 0.5 * (outs + outs.conj().swapaxes(-1, -2))
     tr = np.trace(outs, axis1=-2, axis2=-1).real
     live = tr > SUPPORT_CUTOFF
     states = np.where(live[..., None, None], outs / np.where(live, tr, 1.0)[..., None, None], fill)

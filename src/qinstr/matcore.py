@@ -2,10 +2,11 @@
 functions on the support, Kronecker products and partial traces.
 
 Conventions (project-wide): row-major complex128 arrays, eigenvectors stored as
-columns, eigenvalues ascending. ``herm_eig`` is LAPACK (``numpy.linalg.eigh``)
-and serves every computation, including the validation of every state read
-from JSON. States are checked, never repaired, except at ingest
-(``qstate.density_from_json``), which clamps eigenvalues in [-HERM_TOL, 0) of
+columns, eigenvalues ascending. Every decomposition is LAPACK's (``herm_eig``
+for one matrix, batched ``numpy.linalg`` calls for stacks), called through
+``lapack``, which makes a LAPACK failure a ``NoConvergence``. States are
+checked, never repaired, except at ingest (``qstate.ensemble_from_json`` and
+``qstate.density_from_json``), which clamps eigenvalues in [-HERM_TOL, 0) of
 a state read from JSON. ``jacobi_eig`` is a numpy cyclic Jacobi kept for input
 canonicalisation only: its rounding sets the last digits of generated Kraus
 operators (``random_instrument``) and of the states that ingest clamps, and
@@ -52,6 +53,16 @@ def check_hermitian(a: np.ndarray) -> None:
         raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds {HERM_TOL:.1e}")
 
 
+def lapack(routine: Callable, *args, **kwargs):
+    """``routine(*args, **kwargs)`` for a ``numpy.linalg`` routine, its
+    ``LinAlgError`` raised as ``NoConvergence``: a numerical step that failed,
+    not a failed check."""
+    try:
+        return routine(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"{routine.__name__} failed: {exc}") from exc
+
+
 def herm_eig(a: np.ndarray) -> SpectralDecomp:
     """Eigendecomposition of a Hermitian matrix (of its Hermitian part) by LAPACK.
 
@@ -63,11 +74,7 @@ def herm_eig(a: np.ndarray) -> SpectralDecomp:
     if a.shape != adj.shape or not (a == adj).all():
         check_hermitian(a)
         a = 0.5 * (a + adj)
-    try:
-        vals, vecs = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigh failed: {exc}") from exc
-    return SpectralDecomp(vals, vecs)
+    return SpectralDecomp(*lapack(np.linalg.eigh, a))
 
 
 def jacobi_eig(a: np.ndarray) -> SpectralDecomp:
@@ -181,8 +188,16 @@ def matrix_to_json(a: np.ndarray) -> list:
 
 
 def matrix_from_json(rows: list) -> np.ndarray:
+    """The complex matrix, or stack of matrices, that ``matrix_to_json`` wrote:
+    every entry a [re, im] pair of JSON numbers, in one ``numpy.array`` pass.
+    The entries are not checked here; the matrix's reader checks them."""
     try:
-        a = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
+        a = np.array(rows)
+    except (TypeError, ValueError) as exc:  # ragged rows
         raise DimensionMismatch(f"malformed matrix JSON: {exc}") from exc
-    return as_matrix(a)
+    if a.dtype.kind not in "iuf" or a.ndim < 3 or a.shape[-1] != 2:
+        raise DimensionMismatch(
+            f"malformed matrix JSON: expected rows of [re, im] number pairs, "
+            f"got a {a.dtype.kind!r}-kind array of shape {a.shape}"
+        )
+    return a.astype(np.float64, copy=False).view(np.complex128)[..., 0]

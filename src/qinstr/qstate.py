@@ -2,10 +2,11 @@
 
 States and probabilities are checked against their definitions and kept as
 given, never repaired: ``_hermitian_part`` and ``_check_positive`` hold the
-rules of a state, and both ``DensityMatrix`` and ``density_eigvals`` apply
-them. A state's spectrum has one source, the ``herm_eig`` that
-``DensityMatrix`` runs at construction. The one repair is at ingest
-(``density_from_json``): a valid state read from JSON whose Jacobi least
+rules of a state, and ``DensityMatrix``, ``Ensemble`` and ``density_eigvals``
+apply them. A state's spectrum has one source, the decomposition made where it
+is checked: ``herm_eig`` for a ``DensityMatrix``, one batched ``eigh`` for an
+ensemble's letters. The one repair is at ingest (``ensemble_from_json``,
+``density_from_json``): a valid state read from JSON whose Jacobi least
 eigenvalue is negative is clamped, because scenario fingerprints hash the
 digits that clamp has always produced. An instrument's POV measure lives on
 the instrument (``instrument.Instrument.effects``).
@@ -14,7 +15,7 @@ the instrument (``instrument.Instrument.effects``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -88,7 +89,7 @@ class DensityMatrix:
 def density_eigvals(stack) -> np.ndarray:
     """Eigenvalues (ascending) of each matrix of an (n, d, d) stack, from one
     batched ``eigvalsh``, under DensityMatrix's checks (nothing is repaired)."""
-    vals = np.linalg.eigvalsh(_hermitian_part(stack))
+    vals = matcore.lapack(np.linalg.eigvalsh, _hermitian_part(stack))
     _check_positive(float(vals.min(initial=0.0)))
     return vals
 
@@ -120,17 +121,24 @@ class ClassicalDist:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Finite alphabet with strictly positive probabilities and one state per letter."""
+    """Finite alphabet with strictly positive probabilities and one state per letter.
+
+    ``states`` may be given as a tuple of ``DensityMatrix`` or as a
+    [letter, d, d] stack; either way it is kept as one read-only stack (its
+    Hermitian part), checked by the rules of a state, and decomposed by one
+    batched ``eigh``, whose least eigenvalues are the positivity check.
+    ``spectra`` holds that decomposition ([letter, d] and [letter, d, d]).
+    """
 
     letters: tuple
     probs: np.ndarray
-    states: tuple
+    states: np.ndarray
+    spectra: matcore.SpectralDecomp = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         letters = tuple(self.letters)
         probs = np.asarray(self.probs, dtype=np.float64)
-        states = tuple(self.states)
-        if probs.shape != (len(letters),) or len(states) != len(letters):
+        if probs.shape != (len(letters),) or len(self.states) != len(letters):
             raise LabelMismatch("letters, probs and states differ in length")
         if any(letters.index(a) != i for i, a in enumerate(letters)):
             raise LabelMismatch(f"duplicate letter labels in {letters!r}")
@@ -138,18 +146,28 @@ class Ensemble:
             raise NotPositive("letter probabilities must be strictly positive")
         if abs(probs.sum() - 1.0) > PROB_TOL:
             raise BadTrace(f"letter probabilities sum to {probs.sum()}, not 1")
-        dims = {s.dim for s in states}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"letter states have inconsistent dims {dims}")
+        states = self.states
+        if not isinstance(states, np.ndarray):  # DensityMatrix letters
+            dims = {s.dim for s in states}
+            if len(dims) != 1:
+                raise DimensionMismatch(f"letter states have inconsistent dims {dims}")
+            states = np.array([s.mat for s in states])
+        if states.ndim != 3:
+            raise DimensionMismatch(f"expected a [letter, d, d] stack, got shape {states.shape}")
+        states = np.ascontiguousarray(_hermitian_part(states))
+        vals, vecs = matcore.lapack(np.linalg.eigh, states)
+        _check_positive(float(vals[:, 0].min()))
         probs = probs.copy()
-        probs.setflags(write=False)
+        for a in (probs, states, vals, vecs):
+            a.setflags(write=False)
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "states", states)
+        object.__setattr__(self, "spectra", matcore.SpectralDecomp(vals, vecs))
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return self.states.shape[-1]
 
     def prior(self) -> ClassicalDist:
         return ClassicalDist(self.letters, self.probs)
@@ -157,7 +175,7 @@ class Ensemble:
 
 def a_priori_state(e: Ensemble) -> DensityMatrix:
     """Barycenter of the ensemble."""
-    return DensityMatrix(sum(p * s.mat for p, s in zip(e.probs, e.states)))
+    return DensityMatrix(sum(p * s for p, s in zip(e.probs, e.states)))
 
 
 def fidelity_like_support_check(sigma: DensityMatrix, tau: DensityMatrix) -> bool:
@@ -188,34 +206,49 @@ def ensemble_to_json(e: Ensemble) -> dict:
     return {
         "letters": list(e.letters),
         "probs": [float(p) for p in e.probs],
-        "states": [matcore.matrix_to_json(s.mat) for s in e.states],
+        "states": matcore.matrix_to_json(e.states),
     }
 
 
-def density_from_json(rows: list) -> DensityMatrix:
-    """A state read from JSON; the one place where a state is repaired.
+def _clamped(states: np.ndarray, least: np.ndarray) -> Optional[np.ndarray]:
+    """Ingest's repair of a checked [n, d, d] stack of states read from JSON,
+    given their least LAPACK eigenvalues: the stack with each clamped state
+    replaced, or None when no state is clamped.
 
-    A state whose least eigenvalue (LAPACK's, from ``DensityMatrix``) is <=
-    HERM_TOL is decomposed again by ``matcore.jacobi_eig``. If Jacobi's least
-    eigenvalue is negative, the negative eigenvalues are clamped to 0, the
-    spectrum is renormalized and the matrix rebuilt from it. Scenario
-    fingerprints hash the states read, so these digits must not depend on the
-    solver that serves the analysis, nor change. Above HERM_TOL Jacobi could
-    not clamp (its eigenvalues of a state are good to ~1e-13), so it does not
-    run. Jacobi takes the checked ``rho.mat``, which is exactly Hermitian, so
-    its own symmetrization leaves the input unchanged. Every check of
-    ``DensityMatrix`` runs before the clamp.
+    A state whose least eigenvalue is <= HERM_TOL is decomposed again by
+    ``matcore.jacobi_eig``. If Jacobi's least eigenvalue is negative, the
+    negative eigenvalues are clamped to 0, the spectrum is renormalized and
+    the matrix rebuilt from it. Scenario fingerprints hash the states read, so
+    these digits must not depend on the solver that serves the analysis, nor
+    change. Above HERM_TOL Jacobi could not clamp (its eigenvalues of a state
+    are good to ~1e-13), so it does not run. Jacobi takes the checked matrix,
+    which is exactly Hermitian, so its own symmetrization leaves the input
+    unchanged. Every check of a state runs before the clamp, and again on the
+    rebuilt state.
     """
+    out = None
+    for i in np.flatnonzero(least <= HERM_TOL):
+        vals, vecs = matcore.jacobi_eig(states[i])
+        if vals[0] < 0.0:
+            out = states.copy() if out is None else out
+            vals = np.maximum(vals, 0.0)
+            out[i] = (vecs * (vals / vals.sum())) @ vecs.conj().T
+    return out
+
+
+def density_from_json(rows: list) -> DensityMatrix:
+    """One state read from JSON (a scenario's default state), repaired by
+    ingest's rule (``_clamped``)."""
     rho = DensityMatrix(matcore.matrix_from_json(rows))
-    if rho.spectral().eigenvalues[0] > HERM_TOL:
-        return rho
-    vals, vecs = matcore.jacobi_eig(rho.mat)
-    if vals[0] >= 0.0:
-        return rho
-    vals = np.maximum(vals, 0.0)
-    return DensityMatrix((vecs * (vals / vals.sum())) @ vecs.conj().T)
+    clamped = _clamped(rho.mat[None], rho.spectral().eigenvalues[:1])
+    return rho if clamped is None else DensityMatrix(clamped[0])
 
 
 def ensemble_from_json(obj: dict) -> Ensemble:
-    states = tuple(density_from_json(m) for m in obj["states"])
-    return Ensemble(tuple(obj["letters"]), np.array(obj["probs"], dtype=float), states)
+    """The letters are read as one stack, checked and decomposed once by the
+    Ensemble; only when ingest's rule (``_clamped``) repairs a letter is the
+    repaired stack checked and decomposed again."""
+    letters, probs = tuple(obj["letters"]), np.array(obj["probs"], dtype=float)
+    e = Ensemble(letters, probs, matcore.matrix_from_json(obj["states"]))
+    clamped = _clamped(e.states, e.spectra.eigenvalues[:, 0])
+    return e if clamped is None else Ensemble(letters, probs, clamped)

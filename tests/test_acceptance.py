@@ -92,10 +92,11 @@ def rel_entropy_panel(s):
     a time and checked (DensityMatrix) by the per-state a_posteriori and
     total_channel: independent of the stacked path the report takes."""
     e, ins = s.ensemble, s.instrument
+    letters = [DensityMatrix(m) for m in e.states]
     eta_i = a_priori_state(e)
     eta_f = total_channel(ins, eta_i)
-    grid = [a_posteriori(ins, rho) for rho in e.states]
-    post_letter = [total_channel(ins, rho) for rho in e.states]
+    grid = [a_posteriori(ins, rho) for rho in letters]
+    post_letter = [total_channel(ins, rho) for rho in letters]
     post_mean = a_posteriori(ins, eta_i).states
     joint = e.probs[:, None] * np.array([fam.probs.probs for fam in grid])
     joint = joint / joint.sum()
@@ -111,7 +112,7 @@ def rel_entropy_panel(s):
         )
 
     return {
-        "chi_initial": rel(e.probs, e.states, eta_i),
+        "chi_initial": rel(e.probs, letters, eta_i),
         "chi_post": rel(e.probs, post_letter, eta_f),
         "chi_out": rel(p_f, post_mean, eta_f),
         "chi_joint": mean_over_cells(lambda a, w: eta_f),
@@ -170,7 +171,7 @@ def test_criterion_4_desk_orthogonal_projective():
     # with orthogonal pure letters the Kraus operator M(a) is the projector
     # |a><a|, i.e. the letter state itself
     dev = max(
-        float(np.max(np.abs(m.kraus[0] - rho.mat)))
+        float(np.max(np.abs(m.kraus[0] - rho)))
         for m, rho in zip(h.maps, s.ensemble.states)
     )
     ok = (

@@ -76,7 +76,7 @@ def test_every_chi_matches_the_relative_entropy_form(s):
     post_letter, post_mean = states(ms.post_letter_states), states(ms.posterior_mean_states)
     cells = [(a, w) for a in range(len(grid)) for w in range(len(p_f)) if ms.joint[a, w] > 1e-12]
     expected = {
-        "chi_initial": rel_form(p_i, s.ensemble.states, eta_i),
+        "chi_initial": rel_form(p_i, states(s.ensemble.states), eta_i),
         "chi_post": rel_form(p_i, post_letter, eta_f),
         "chi_out": rel_form(p_f, post_mean, eta_f),
         "chi_joint": rel_form(ms.joint.ravel(), [x for row in grid for x in row], eta_f),

@@ -30,6 +30,7 @@ from qinstr.errors import (
     InfiniteQuantity,
     LabelMismatch,
     NoConvergence,
+    QinstrError,
     SchemaError,
     SingularNormalizer,
     UnknownFormat,
@@ -262,6 +263,14 @@ class TestEmitReport:
         with pytest.raises(UnknownFormat):
             emit_report(report, "yaml")
 
+    def test_json_is_one_line_with_sorted_keys(self, report):
+        # compact, so CPython's C encoder writes it; the content is to_json's
+        text = emit_report(report, "json")
+        assert "\n" not in text
+        assert text == json.dumps(report.to_json(), sort_keys=True)
+        assert list(json.loads(text)) == sorted(report.to_json())
+        assert json.loads(text)["overall_pass"] == report.overall_pass
+
 
 class TestRandomSuite:
     def test_small_suite_passes(self):
@@ -333,8 +342,10 @@ class TestCli:
     def test_random_command(self, capsys):
         code = main(["random", "--trials", "2", "--seed", "3"])
         assert code == 0
-        obj = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        obj = json.loads(out)
         assert obj["summary"]["failures"] == 0
+        assert out.count("\n") == 1  # one compact line, as a report is written
 
     def test_random_csv(self, capsys):
         assert main(["random", "--trials", "1", "--format", "csv"]) == 0
@@ -357,6 +368,23 @@ class TestCli:
         assert "numerical error: stage failed" in capsys.readouterr().err
         assert main(["random", "--trials", "1"]) == 3
         assert "numerical error: stage failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("routine", ["eigh", "eigvalsh", "svd"])
+    def test_lapack_failure_exits_three(self, tmp_path, capsys, monkeypatch, routine):
+        # a LinAlgError from any LAPACK call (the letters' batched eigh at
+        # ingest, the entropies' eigvalsh, the purity class's svd) is a
+        # numerical error, not a failed check (exit 1) or a traceback
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(random_scenario(2, 2, 2, 2, 2, 5).to_json()))
+        monkeypatch.setattr(np.linalg, routine, failing)
+        assert main(["analyze", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical error:" in err and "did not converge" in err
+        assert main(["random", "--trials", "1", "--kraus", "2"]) == 3
+        assert "numerical error:" in capsys.readouterr().err
 
 
 class TestTolEnv:
@@ -506,6 +534,42 @@ class TestInputContract:
         assert self._analyze(tmp_path, mutate) == 2
         assert "schema error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["letter", "kraus", "default_state"])
+    @pytest.mark.parametrize("malform", [
+        "numeric_string", "null", "ragged_rows", "pair_of_one", "pair_of_three", "no_pair_level",
+    ])
+    def test_malformed_matrix_entries_exit_two(self, tmp_path, capsys, where, malform):
+        # the matrix reader takes JSON numbers only: numpy would read "1.0" as
+        # 1.0, which here leaves the zero letter as it was and would exit 0
+        def mutate(obj):
+            if where == "letter":
+                holder, key = obj["ensemble"]["states"], 0
+            elif where == "kraus":
+                holder, key = obj["instrument"]["kraus"][0], 0
+            else:
+                holder, key = obj["options"], "default_state"
+                holder[key] = matcore.matrix_to_json(np.eye(2) / 2)
+            rows = holder[key]
+            if malform == "numeric_string":
+                rows[0][0][0] = str(rows[0][0][0])
+            elif malform == "null":
+                rows[0][0][0] = None
+            elif malform == "ragged_rows":
+                rows[1] = rows[1][:1]
+            elif malform == "pair_of_one":
+                rows[0][0] = rows[0][0][:1]
+            elif malform == "pair_of_three":
+                rows[0][0] = rows[0][0] + [0.0]
+            else:
+                holder[key] = [[re for re, _ in row] for row in rows]
+
+        assert self._analyze(tmp_path, mutate) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        obj = example_scenario("zero-one-plus").to_json()
+        mutate(obj)
+        with pytest.raises(QinstrError):
+            scenario_from_json(obj)
+
     @pytest.mark.parametrize("probs", [0.5, None, [0.5, math.nan]])
     def test_malformed_letter_probs_rejected(self, tmp_path, capsys, probs):
         # a scalar or null is no list of probabilities, and NaN is not positive
@@ -526,7 +590,7 @@ def _field_paths(node, prefix=()):
 
 # replacements for one field; none is a large finite count, which a dimension,
 # gl_trials or gl_demix would turn into a real allocation
-_MUTATIONS = ("drop", "negate", "x", [], {}, None, math.nan, math.inf, -math.inf, 0)
+_MUTATIONS = ("drop", "negate", "x", "0.5", [], {}, None, math.nan, math.inf, -math.inf, 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -600,3 +664,36 @@ def test_run_scenario_does_no_per_state_work(monkeypatch):
         assert counts["herm_eig"] <= 1  # its decomposition, which the Hall section reuses
         assert counts["eigvalsh"] <= 10
         assert counts["gl_gains"] == 1
+
+
+def test_scenario_from_json_does_no_per_letter_work(monkeypatch):
+    """Ingest reads the letters as one stack, checked by one _hermitian_part
+    and decomposed by one batched eigh; no DensityMatrix is built for a letter
+    that is not clamped (it built one per letter, with one herm_eig each). The
+    default state is one DensityMatrix."""
+    s = random_scenario(3, 3, 4, 4, 2, 7)
+    obj = json.loads(json.dumps(s.to_json()))
+    names = ("states", "eigh", "herm_eig", "jacobi_eig")
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted("states", DensityMatrix.__post_init__))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(matcore, "herm_eig", counted("herm_eig", matcore.herm_eig))
+    monkeypatch.setattr(matcore, "jacobi_eig", counted("jacobi_eig", matcore.jacobi_eig))
+    read = scenario_from_json(obj)
+    assert counts == {"states": 0, "eigh": 1, "herm_eig": 0, "jacobi_eig": 0}
+    assert read.ensemble.states.shape == (4, 3, 3)
+    assert np.array_equal(read.ensemble.states, s.ensemble.states)
+    assert _fingerprint(read) == _fingerprint(s)
+
+    obj["options"]["default_state"] = matcore.matrix_to_json(np.eye(3) / 3)
+    counts.update(dict.fromkeys(names, 0))
+    scenario_from_json(obj)
+    assert counts == {"states": 1, "eigh": 2, "herm_eig": 1, "jacobi_eig": 0}

@@ -212,7 +212,7 @@ class TestEntropyPanel:
         e = random_ensemble(3, 3, rng)
         ins = random_instrument(3, 2, 2, 2, seed=7)
         ms = analyze(e, ins)
-        expected = sum(p * q_rel_entropy(s, ms.a_priori) for p, s in zip(e.probs, e.states))
+        expected = sum(p * q_rel_entropy(DensityMatrix(s), ms.a_priori) for p, s in zip(e.probs, e.states))
         assert abs(entropy_panel(ms).chi_initial - expected) < 1e-10
 
     def test_tripartite_sum(self):
@@ -344,7 +344,7 @@ def sequential_gl(ins, trials, seed, n_demix=5):
         e = random_ensemble(d1, int(rng.integers(2, 4)), rng)
         ms = analyze(e, ins)
         rhs = classical_mutual_info(ms) + sum(
-            p * quantum_info_gain(ins, rho) for p, rho in zip(e.probs, e.states)
+            p * quantum_info_gain(ins, DensityMatrix(rho)) for p, rho in zip(e.probs, e.states)
         )
         checks.append(("gl_chain", rhs, quantum_info_gain(ins, ms.a_priori)))
     return purity_preserving, checks

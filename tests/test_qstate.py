@@ -98,7 +98,7 @@ class TestAprioriState:
         # same letters, mixed letter states with matching conditional weights
         states = tuple(
             DensityMatrix(
-                (lam * p1 * st1.mat + (1 - lam) * p2 * st2.mat) / (lam * p1 + (1 - lam) * p2)
+                (lam * p1 * st1 + (1 - lam) * p2 * st2) / (lam * p1 + (1 - lam) * p2)
             )
             for p1, st1, p2, st2 in zip(e1.probs, e1.states, e2.probs, e2.states)
         )
@@ -154,7 +154,7 @@ class TestJson:
         assert e2.letters == e.letters
         assert np.allclose(e2.probs, e.probs)
         for s1, s2 in zip(e.states, e2.states):
-            assert np.allclose(s1.mat, s2.mat)
+            assert np.allclose(s1, s2)
 
     @staticmethod
     def jacobi_clamp(m):
@@ -184,6 +184,46 @@ class TestJson:
             q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
             m = (q * spectrum) @ q.conj().T
             assert np.array_equal(read(m).mat, self.jacobi_clamp(m))
+
+
+    def test_letters_read_as_one_stack_are_read_as_one_at_a_time(self):
+        # the stacked reader clamps exactly the letters, and to exactly the
+        # digits, that reading each letter alone gives, and its spectra are
+        # those each letter's own decomposition gives
+        rng = np.random.default_rng(11)
+        for dim in (2, 3, 5):
+            mats = []
+            for least in (0.0, 1e-17, -1e-17, 1e-11, 1e-9, None):
+                spectrum = rng.uniform(0.05, 1.0, dim)
+                if least is not None:
+                    spectrum[0] = 0.0
+                    spectrum *= (1.0 - least) / spectrum.sum()
+                    spectrum[0] = least
+                else:
+                    spectrum /= spectrum.sum()
+                q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+                mats.append((q * spectrum) @ q.conj().T)
+            e = ensemble_from_json({
+                "letters": list(range(len(mats))),
+                "probs": [1 / len(mats)] * len(mats),
+                "states": [matcore.matrix_to_json(m) for m in mats],
+            })
+            assert not e.states.flags.writeable
+            for m, letter, vals in zip(mats, e.states, e.spectra.eigenvalues):
+                one = read(m)
+                assert np.array_equal(letter, one.mat)
+                assert np.array_equal(vals, one.spectral().eigenvalues)
+
+    def test_a_stack_and_density_matrices_make_one_ensemble(self):
+        e = Ensemble((0, 1), np.array([0.5, 0.5]), (KET0, PLUS))
+        stacked = Ensemble((0, 1), np.array([0.5, 0.5]), np.stack([KET0.mat, PLUS.mat]))
+        assert np.array_equal(e.states, stacked.states)
+        for a, b in zip(e.spectra, stacked.spectra):
+            assert np.array_equal(a, b)
+        with pytest.raises(NotPositive):
+            Ensemble((0, 1), np.array([0.5, 0.5]), np.stack([KET0.mat, np.diag([1.5, -0.5])]))
+        with pytest.raises(DimensionMismatch):
+            Ensemble((0, 1), np.array([0.5, 0.5]), (KET0, maximally_mixed(3)))
 
 
 def test_density_matrix_requires_unit_trace():
