@@ -46,14 +46,7 @@ from .instrument import (
     instrument_to_json,
     random_instrument,
 )
-from .qstate import (
-    DensityMatrix,
-    Ensemble,
-    density_from_json,
-    ensemble_from_json,
-    ensemble_to_json,
-    pure_state,
-)
+from .qstate import Ensemble, ensemble_from_json, ensemble_to_json, pure_state
 
 LN2 = math.log(2.0)
 _MASK64 = (1 << 64) - 1
@@ -77,13 +70,16 @@ def default_tol() -> float:
         raise SchemaError(f"QINSTR_TOL must be a number, got {raw!r}") from None
 
 
+SCENARIO_KEYS = ("ensemble", "instrument", "options")
+OPTION_KEYS = ("log_base", "tol", "gl_trials", "gl_demix", "seed")
+
+
 @dataclass(frozen=True)
 class Scenario:
     ensemble: Ensemble
     instrument: Instrument
     log_base: str = "e"
     tol: float = field(default_factory=default_tol)
-    default_state: Optional[DensityMatrix] = None
     gl_trials: int = 100
     gl_demix: int = 5
     seed: int = 0
@@ -94,60 +90,38 @@ class Scenario:
                 f"ensemble dim {self.ensemble.dim} incompatible with "
                 f"instrument dim_in {self.instrument.dim_in}"
             )
-        if self.default_state is not None and self.default_state.dim != self.instrument.dim_out:
-            raise SchemaError(
-                f"default_state dim {self.default_state.dim} incompatible with "
-                f"instrument dim_out {self.instrument.dim_out}"
-            )
         if self.log_base not in ("e", "2"):
             raise SchemaError(f"log_base must be 'e' or '2', got {self.log_base!r}")
-        if not (math.isfinite(self.tol) and self.tol >= 0.0):
-            raise SchemaError(f"tol must be finite and non-negative, got {self.tol!r}")
+        tol = self.tol  # a number, never a boolean or a string (as for the counts)
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 <= tol < math.inf:
+            raise SchemaError(f"tol must be a finite, non-negative number, got {tol!r}")
+        object.__setattr__(self, "tol", float(tol))
         for name, least in (("gl_trials", 1), ("gl_demix", 0), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, float) and value.is_integer():
-                value = int(value)  # an integral float reads as its integer
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise SchemaError(f"{name} must be an integer >= {least}, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, matcore.as_count(name, getattr(self, name), least))
 
     def to_json(self) -> dict:
-        obj = {
+        return {
             "ensemble": ensemble_to_json(self.ensemble),
             "instrument": instrument_to_json(self.instrument),
-            "options": {
-                "log_base": self.log_base,
-                "tol": self.tol,
-                "gl_trials": self.gl_trials,
-                "gl_demix": self.gl_demix,
-                "seed": self.seed,
-            },
+            "options": {name: getattr(self, name) for name in OPTION_KEYS},
         }
-        if self.default_state is not None:
-            obj["options"]["default_state"] = matcore.matrix_to_json(self.default_state.mat)
-        return obj
 
 
 def scenario_from_json(obj: dict, tol_override: Optional[float] = None,
                        base_override: Optional[str] = None) -> Scenario:
     try:
+        obj = matcore.as_object("scenario", obj, SCENARIO_KEYS)
         ensemble = ensemble_from_json(obj["ensemble"])
         instrument = instrument_from_json(obj["instrument"])
-        options = obj.get("options", {})
-        if not isinstance(options, dict):
-            raise SchemaError(f"options must be an object, got {type(options).__name__}")
-        default_state = None
-        if "default_state" in options:
-            default_state = density_from_json(options["default_state"])
+        options = matcore.as_object("options", obj.get("options", {}), OPTION_KEYS)
         tol = tol_override
         if tol is None:  # QINSTR_TOL is read only when it supplies the tolerance
-            tol = float(options["tol"]) if "tol" in options else default_tol()
+            tol = options["tol"] if "tol" in options else default_tol()
         return Scenario(
             ensemble=ensemble,
             instrument=instrument,
             log_base=base_override or options.get("log_base", "e"),
             tol=tol,
-            default_state=default_state,
             gl_trials=options.get("gl_trials", 100),
             gl_demix=options.get("gl_demix", 5),
             seed=options.get("seed", 0),
@@ -238,9 +212,9 @@ def run_scenario(s: Scenario) -> AnalysisReport:
         hall_skipped = str(exc)
 
     # a null cell's a posteriori state reaches no number (instrument._posteriors),
-    # so the sensitivity to any default state is 0 by construction
+    # so the sensitivity to what a null cell holds is 0 by construction
     null_cells = np.any(ms.cond_out_given_in <= matcore.SUPPORT_CUTOFF)
-    sensitivity = 0.0 if null_cells and s.default_state is None else None
+    sensitivity = 0.0 if null_cells else None
 
     return AnalysisReport(
         fingerprint=_fingerprint(s),
@@ -273,31 +247,6 @@ def random_scenario(
     return Scenario(ensemble=ensemble, instrument=instrument, seed=seed, **options)
 
 
-def run_random_suite(
-    d1: int,
-    d2: int,
-    n_letters: int,
-    n_outcomes: int,
-    kraus_per_outcome: int,
-    trials: int,
-    master_seed: int,
-    **options,
-) -> tuple[list, dict]:
-    """Seeded random-instance suite with a min-slack summary per inequality."""
-    started = time.perf_counter()
-    reports = []
-    for index in range(trials):
-        seed = splitmix64(master_seed + index)
-        reports.append(
-            run_scenario(
-                random_scenario(
-                    d1, d2, n_letters, n_outcomes, kraus_per_outcome, seed, **options
-                )
-            )
-        )
-    return reports, summarize(reports, time.perf_counter() - started)
-
-
 ACCEPTANCE_GRID = tuple(
     (d1, d2, nl, no, kp)
     for d1 in (2, 3)
@@ -309,17 +258,16 @@ ACCEPTANCE_GRID = tuple(
 
 
 def run_acceptance_suite(
-    trials: int = 200, master_seed: int = 20240817, **options
+    trials: int = 200, master_seed: int = 20240817, grid: tuple = ACCEPTANCE_GRID
 ) -> tuple[list, dict]:
-    """Cycle the full (d1, d2, letters, outcomes, kraus) grid for `trials` runs."""
+    """Seeded random scenarios that cycle the (d1, d2, letters, outcomes,
+    kraus) shapes of ``grid`` for `trials` runs, with a min-slack summary per
+    check."""
     started = time.perf_counter()
     reports = []
     for index in range(trials):
-        d1, d2, nl, no, kp = ACCEPTANCE_GRID[index % len(ACCEPTANCE_GRID)]
         seed = splitmix64(master_seed + index)
-        reports.append(
-            run_scenario(random_scenario(d1, d2, nl, no, kp, seed, **options))
-        )
+        reports.append(run_scenario(random_scenario(*grid[index % len(grid)], seed)))
     return reports, summarize(reports, time.perf_counter() - started)
 
 
@@ -459,15 +407,8 @@ def main(argv=None) -> int:
         if args.command == "random":
             if args.trials < 1:
                 raise SchemaError(f"--trials must be at least 1, got {args.trials}")
-            reports, summary = run_random_suite(
-                args.d1,
-                args.d2,
-                args.letters,
-                args.outcomes,
-                args.kraus,
-                args.trials,
-                args.seed,
-            )
+            shape = (args.d1, args.d2, args.letters, args.outcomes, args.kraus)
+            reports, summary = run_acceptance_suite(args.trials, args.seed, grid=(shape,))
             if args.format == "json":
                 print(json_text({"summary": summary, "reports": [r.to_json() for r in reports]}))
             else:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -147,14 +146,10 @@ def outcome_probs(ins: Instrument, rho: DensityMatrix) -> ClassicalDist:
     return ClassicalDist(ins.outcomes, probs / probs.sum())
 
 
-def a_posteriori(
-    ins: Instrument, rho: DensityMatrix, default: Optional[DensityMatrix] = None
-) -> AposterioriFamily:
-    """Normalized conditional states by the null-cell rule of ``_posteriors``."""
-    if default is None:
-        default = maximally_mixed(ins.dim_out)
-    if default.dim != ins.dim_out:
-        raise DimensionMismatch(f"default dim {default.dim} vs dim_out {ins.dim_out}")
+def a_posteriori(ins: Instrument, rho: DensityMatrix) -> AposterioriFamily:
+    """Normalized conditional states by the null-cell rule of ``_posteriors``:
+    a null outcome gets probability 0 and the fill I/d2."""
+    fill = maximally_mixed(ins.dim_out)
     probs = []
     states = []
     for outcome, m in zip(ins.outcomes, ins.maps):
@@ -162,7 +157,7 @@ def a_posteriori(
         tr = float(np.trace(out).real)
         live = tr > SUPPORT_CUTOFF
         probs.append(tr if live else 0.0)
-        states.append(DensityMatrix(out / tr) if live else default)
+        states.append(DensityMatrix(out / tr) if live else fill)
     probs = np.array(probs)
     dist = ClassicalDist(ins.outcomes, probs / probs.sum())
     return AposterioriFamily(dist, tuple(states))
@@ -270,11 +265,15 @@ def instrument_to_json(ins: Instrument) -> dict:
     }
 
 
+INSTRUMENT_KEYS = ("dim_in", "dim_out", "outcomes", "kraus")
+
+
 def instrument_from_json(obj: dict) -> Instrument:
-    d1 = int(obj["dim_in"])
-    d2 = int(obj["dim_out"])
+    obj = matcore.as_object("instrument", obj, INSTRUMENT_KEYS)
+    d1 = matcore.as_count("dim_in", obj["dim_in"], 1)
+    d2 = matcore.as_count("dim_out", obj["dim_out"], 1)
     maps = tuple(
         KrausMap(d1, d2, tuple(matcore.matrix_from_json(k) for k in group))
         for group in obj["kraus"]
     )
-    return Instrument(tuple(obj["outcomes"]), maps)
+    return Instrument(matcore.as_labels("outcomes", obj["outcomes"]), maps)

@@ -5,24 +5,30 @@ Conventions (project-wide): row-major complex128 arrays, eigenvectors stored as
 columns, eigenvalues ascending. Every decomposition is LAPACK's (``herm_eig``
 for one matrix, batched ``numpy.linalg`` calls for stacks), called through
 ``lapack``, which makes a LAPACK failure a ``NoConvergence``. States are
-checked, never repaired, except at ingest (``qstate.ensemble_from_json`` and
-``qstate.density_from_json``), which clamps eigenvalues in [-HERM_TOL, 0) of
-a state read from JSON. ``jacobi_eig`` is a numpy cyclic Jacobi kept for input
-canonicalisation only: its rounding sets the last digits of generated Kraus
-operators (``random_instrument``) and of the states that ingest clamps, and
-scenario fingerprints hash those digits, so those two call sites must not
-change solver. At ingest it runs only on states whose least eigenvalue is
+checked, never repaired, except at ingest (``qstate.ensemble_from_json``),
+which clamps eigenvalues in [-HERM_TOL, 0) of a letter read from JSON.
+``jacobi_eig`` is a numpy cyclic Jacobi kept for input canonicalisation only:
+its rounding sets the last digits of generated Kraus operators
+(``random_instrument``) and of the letters that ingest clamps, and scenario
+fingerprints hash those digits, so those two call sites must not change
+solver. At ingest it runs only on letters whose least eigenvalue is
 <= HERM_TOL, the only ones the clamp can reach.
+
+The scenario file's typing rules live here too, and every reader calls them:
+an object has a closed set of keys (``as_object``), numbers are JSON numbers
+(``as_numbers``, which ``matrix_from_json`` applies to every entry), a count
+is an integer (``as_count``) and labels are a list (``as_labels``).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian
+from .errors import DimensionMismatch, NoConvergence, NotHermitian, SchemaError
 
 HERM_TOL = 1e-10  # Hermiticity; qstate also judges traces, sums and positivity at it
 SUPPORT_CUTOFF = 1e-12  # eigenvalues and weights at or below it are outside the support
@@ -189,15 +195,60 @@ def matrix_to_json(a: np.ndarray) -> list:
 
 def matrix_from_json(rows: list) -> np.ndarray:
     """The complex matrix, or stack of matrices, that ``matrix_to_json`` wrote:
-    every entry a [re, im] pair of JSON numbers, in one ``numpy.array`` pass.
-    The entries are not checked here; the matrix's reader checks them."""
-    try:
-        a = np.array(rows)
-    except (TypeError, ValueError) as exc:  # ragged rows
-        raise DimensionMismatch(f"malformed matrix JSON: {exc}") from exc
-    if a.dtype.kind not in "iuf" or a.ndim < 3 or a.shape[-1] != 2:
+    every entry a [re, im] pair of JSON numbers (``as_numbers``), in one
+    ``numpy.array`` pass. The entries are not checked here; the matrix's
+    reader checks them."""
+    a = as_numbers("matrix JSON", rows)
+    if a.ndim < 3 or a.shape[-1] != 2:
         raise DimensionMismatch(
-            f"malformed matrix JSON: expected rows of [re, im] number pairs, "
-            f"got a {a.dtype.kind!r}-kind array of shape {a.shape}"
+            f"malformed matrix JSON: expected rows of [re, im] number pairs, got shape {a.shape}"
         )
-    return a.astype(np.float64, copy=False).view(np.complex128)[..., 0]
+    return a.view(np.complex128)[..., 0]
+
+
+def as_numbers(name: str, values) -> np.ndarray:
+    """A JSON list (or nested lists) of numbers as one float64 array, read in
+    one ``numpy.array`` pass. Only JSON numbers are taken (dtype kind i, u or
+    f): ``numpy.array(values, np.float64)`` would read "0.5" as 0.5, so a
+    numeric string, null, an object, ragged lists or a list of booleans is a
+    SchemaError. A boolean among numbers is not caught: numpy promotes it to
+    0 or 1."""
+    try:
+        a = np.array(values)
+    except (TypeError, ValueError) as exc:  # ragged lists
+        raise SchemaError(f"malformed {name}: {exc}") from exc
+    if a.dtype.kind not in "iuf":
+        raise SchemaError(
+            f"{name} must hold JSON numbers only (no string, boolean or null), "
+            f"got numpy dtype {a.dtype}"
+        )
+    return a.astype(np.float64, copy=False)
+
+
+def as_count(name: str, value, least: int) -> int:
+    """``value`` as an integer >= ``least``. An integral float reads as its
+    integer (2.0 is 2, so a fingerprint does not move); a boolean, a string, a
+    fraction or a non-finite number is a SchemaError."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise SchemaError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def as_labels(name: str, values) -> tuple:
+    """A JSON list of labels as a tuple; a string is no list of labels."""
+    if not isinstance(values, list):
+        raise SchemaError(f"{name} must be a list of labels, got {type(values).__name__}")
+    return tuple(values)
+
+
+def as_object(name: str, obj, keys: tuple) -> dict:
+    """``obj``, once it is a JSON object whose every key is one of ``keys``: a
+    misspelt or retired key is a SchemaError that names it, never ignored."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{name} must be an object, got {type(obj).__name__}")
+    for key in obj:
+        if key not in keys:
+            raise SchemaError(f"unknown key {key!r} in {name}; its keys are {', '.join(keys)}")
+    return obj

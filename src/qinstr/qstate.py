@@ -5,11 +5,11 @@ given, never repaired: ``_hermitian_part`` and ``_check_positive`` hold the
 rules of a state, and ``DensityMatrix``, ``Ensemble`` and ``density_eigvals``
 apply them. A state's spectrum has one source, the decomposition made where it
 is checked: ``herm_eig`` for a ``DensityMatrix``, one batched ``eigh`` for an
-ensemble's letters. The one repair is at ingest (``ensemble_from_json``,
-``density_from_json``): a valid state read from JSON whose Jacobi least
-eigenvalue is negative is clamped, because scenario fingerprints hash the
-digits that clamp has always produced. An instrument's POV measure lives on
-the instrument (``instrument.Instrument.effects``).
+ensemble's letters. The one repair is at ingest (``ensemble_from_json``): a
+valid letter read from JSON whose Jacobi least eigenvalue is negative is
+clamped, because scenario fingerprints hash the digits that clamp has always
+produced. An instrument's POV measure lives on the instrument
+(``instrument.Instrument.effects``).
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ def ensemble_to_json(e: Ensemble) -> dict:
 
 
 def _clamped(states: np.ndarray, least: np.ndarray) -> Optional[np.ndarray]:
-    """Ingest's repair of a checked [n, d, d] stack of states read from JSON,
+    """Ingest's repair of a checked [n, d, d] stack of letters read from JSON,
     given their least LAPACK eigenvalues: the stack with each clamped state
     replaced, or None when no state is clamped.
 
@@ -236,19 +236,16 @@ def _clamped(states: np.ndarray, least: np.ndarray) -> Optional[np.ndarray]:
     return out
 
 
-def density_from_json(rows: list) -> DensityMatrix:
-    """One state read from JSON (a scenario's default state), repaired by
-    ingest's rule (``_clamped``)."""
-    rho = DensityMatrix(matcore.matrix_from_json(rows))
-    clamped = _clamped(rho.mat[None], rho.spectral().eigenvalues[:1])
-    return rho if clamped is None else DensityMatrix(clamped[0])
+ENSEMBLE_KEYS = ("letters", "probs", "states")
 
 
 def ensemble_from_json(obj: dict) -> Ensemble:
     """The letters are read as one stack, checked and decomposed once by the
     Ensemble; only when ingest's rule (``_clamped``) repairs a letter is the
     repaired stack checked and decomposed again."""
-    letters, probs = tuple(obj["letters"]), np.array(obj["probs"], dtype=float)
+    obj = matcore.as_object("ensemble", obj, ENSEMBLE_KEYS)
+    letters = matcore.as_labels("letters", obj["letters"])
+    probs = matcore.as_numbers("probs", obj["probs"])
     e = Ensemble(letters, probs, matcore.matrix_from_json(obj["states"]))
     clamped = _clamped(e.states, e.spectra.eigenvalues[:, 0])
     return e if clamped is None else Ensemble(letters, probs, clamped)

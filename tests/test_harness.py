@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qinstr import harness, infobounds, matcore
+from qinstr import harness, infobounds, instrument, matcore, qstate
 from qinstr.harness import (
     EXAMPLE_NAMES,
     AnalysisReport,
@@ -19,7 +19,7 @@ from qinstr.harness import (
     example_scenario,
     main,
     random_scenario,
-    run_random_suite,
+    run_acceptance_suite,
     run_scenario,
     scenario_from_json,
     splitmix64,
@@ -273,20 +273,22 @@ class TestEmitReport:
 
 
 class TestRandomSuite:
+    """The suite `qinstr random` runs: one shape, as a one-shape grid."""
+
     def test_small_suite_passes(self):
-        reports, summary = run_random_suite(2, 2, 2, 2, 1, trials=5, master_seed=1)
+        reports, summary = run_acceptance_suite(5, 1, grid=((2, 2, 2, 2, 1),))
         assert summary["failures"] == 0
         assert summary["trials"] == 5
         assert len(reports) == 5
 
     def test_reproducible(self):
-        r1, _ = run_random_suite(2, 2, 2, 2, 1, trials=3, master_seed=9)
-        r2, _ = run_random_suite(2, 2, 2, 2, 1, trials=3, master_seed=9)
+        r1, _ = run_acceptance_suite(3, 9, grid=((2, 2, 2, 2, 1),))
+        r2, _ = run_acceptance_suite(3, 9, grid=((2, 2, 2, 2, 1),))
         for a, b in zip(r1, r2):
             assert emit_report(a, "json") == emit_report(b, "json")
 
     def test_min_slack_recorded(self):
-        _, summary = run_random_suite(2, 2, 2, 2, 2, trials=3, master_seed=4)
+        _, summary = run_acceptance_suite(3, 4, grid=((2, 2, 2, 2, 2),))
         assert "holevo" in summary["min_slack"]
         assert summary["min_slack"]["holevo"] >= -1e-8
 
@@ -454,8 +456,10 @@ class TestInputContract:
         obj = example_scenario("zero-one-plus").to_json()
         expected = _fingerprint(scenario_from_json(obj))
         obj["options"].update(gl_trials=100.0, gl_demix=5.0, seed=0.0)
+        obj["instrument"].update(dim_in=2.0, dim_out=2.0)
         s = scenario_from_json(obj)
         assert (s.gl_trials, s.gl_demix, s.seed) == (100, 5, 0)
+        assert (s.instrument.dim_in, s.instrument.dim_out) == (2, 2)
         assert _fingerprint(s) == expected
 
     @pytest.mark.parametrize("trials", ["0", "-1"])
@@ -508,16 +512,49 @@ class TestInputContract:
 
         assert self._analyze(tmp_path, mutate) == 2
 
-    def test_wrong_dimension_default_state_exit_two(self, tmp_path, capsys):
-        # options.default_state reaches no number, yet it is still checked
+    @pytest.mark.parametrize("where,key,value", [
+        ("options", "default_state", matcore.matrix_to_json(np.eye(2) / 2)),  # retired
+        ("options", "gl_trails", 3),  # a typo of gl_trials
+        (None, "option", {"tol": 0.0, "log_base": "2"}),  # a typo of options
+    ], ids=["default_state", "gl_trails", "option"])
+    def test_unknown_key_exit_two(self, tmp_path, capsys, where, key, value):
+        # each object of the file has a closed key set: an unknown key is
+        # named, never ignored (the misspelt "option" would run at tol 1e-8
+        # in nats)
         def mutate(obj):
-            obj["options"]["default_state"] = matcore.matrix_to_json(np.eye(3) / 3)
+            (obj if where is None else obj[where])[key] = value
 
         assert self._analyze(tmp_path, mutate) == 2
-        assert "default_state dim 3 incompatible" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: ") and f"unknown key {key!r}" in err
         obj = example_scenario("zero-one-plus").to_json()
         mutate(obj)
-        with pytest.raises(SchemaError, match="default_state dim"):
+        with pytest.raises(SchemaError, match=f"unknown key {key!r}"):
+            scenario_from_json(obj)
+
+    @pytest.mark.parametrize("where,key,value", [
+        ("ensemble", "probs", ["0.5", "0.5"]),
+        ("instrument", "dim_in", "2"),
+        ("instrument", "dim_in", 2.5),  # int() would read it as 2
+        ("instrument", "dim_out", True),
+        ("ensemble", "letters", "ab"),  # tuple() would read two letters, a and b
+        ("instrument", "outcomes", "ab"),
+        ("options", "tol", True),  # float() would read it as tol 1.0
+        ("options", "tol", "1e-8"),
+    ], ids=["probs-strings", "dim_in-string", "dim_in-fraction", "dim_out-boolean",
+            "letters-string", "outcomes-string", "tol-boolean", "tol-string"])
+    def test_mistyped_scalar_exit_two(self, tmp_path, capsys, where, key, value):
+        # every scalar is typed like a matrix entry: a number is a JSON
+        # number, a count an integer, labels a list
+        def mutate(obj):
+            obj[where][key] = value
+
+        assert self._analyze(tmp_path, mutate) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: ") and key in err and "Traceback" not in err
+        obj = example_scenario("zero-one-plus").to_json()
+        mutate(obj)
+        with pytest.raises(SchemaError, match=key):
             scenario_from_json(obj)
 
     def test_options_not_an_object_is_schema_error(self, tmp_path, capsys):
@@ -534,7 +571,7 @@ class TestInputContract:
         assert self._analyze(tmp_path, mutate) == 2
         assert "schema error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("where", ["letter", "kraus", "default_state"])
+    @pytest.mark.parametrize("where", ["letter", "kraus"])
     @pytest.mark.parametrize("malform", [
         "numeric_string", "null", "ragged_rows", "pair_of_one", "pair_of_three", "no_pair_level",
     ])
@@ -544,11 +581,8 @@ class TestInputContract:
         def mutate(obj):
             if where == "letter":
                 holder, key = obj["ensemble"]["states"], 0
-            elif where == "kraus":
-                holder, key = obj["instrument"]["kraus"][0], 0
             else:
-                holder, key = obj["options"], "default_state"
-                holder[key] = matcore.matrix_to_json(np.eye(2) / 2)
+                holder, key = obj["instrument"]["kraus"][0], 0
             rows = holder[key]
             if malform == "numeric_string":
                 rows[0][0][0] = str(rows[0][0][0])
@@ -589,8 +623,11 @@ def _field_paths(node, prefix=()):
 
 
 # replacements for one field; none is a large finite count, which a dimension,
-# gl_trials or gl_demix would turn into a real allocation
-_MUTATIONS = ("drop", "negate", "x", "0.5", [], {}, None, math.nan, math.inf, -math.inf, 0)
+# gl_trials or gl_demix would turn into a real allocation. "rename" renames a
+# key of an object instead.
+_MUTATIONS = (
+    "drop", "negate", "rename", "x", "0.5", [], {}, None, True, math.nan, math.inf, -math.inf, 0,
+)
 
 
 @settings(max_examples=60, deadline=None)
@@ -601,14 +638,21 @@ _MUTATIONS = ("drop", "negate", "x", "0.5", [], {}, None, math.nan, math.inf, -m
 )
 def test_any_one_field_mutation_exits_cleanly(tmp_path_factory, name, data, mutation):
     """Drop, retype, negate, NaN, ±Infinity or zero any one field of an example
-    scenario: `qinstr analyze` answers 0, 1 or 2 and never raises."""
+    scenario: `qinstr analyze` answers 0, 1 or 2 and never raises. Rename any
+    one key, at any level: it answers 2, because every object of the file has
+    a closed key set."""
     obj = example_scenario(name).to_json()
-    *parent_path, key = data.draw(st.sampled_from(list(_field_paths(obj))))
+    paths = list(_field_paths(obj))
+    if mutation == "rename":  # a key of an object, not an index of a list
+        paths = [p for p in paths if isinstance(p[-1], str)]
+    *parent_path, key = data.draw(st.sampled_from(paths))
     parent = obj
     for step in parent_path:
         parent = parent[step]
     if mutation == "drop":
         del parent[key]
+    elif mutation == "rename":
+        parent[key + "_x"] = parent.pop(key)
     elif mutation == "negate":
         value = parent[key]
         parent[key] = -value if isinstance(value, (int, float)) and not isinstance(value, bool) else None
@@ -616,7 +660,20 @@ def test_any_one_field_mutation_exits_cleanly(tmp_path_factory, name, data, muta
         parent[key] = mutation
     path = tmp_path_factory.mktemp("mutated") / "scenario.json"
     path.write_text(json.dumps(obj))
-    assert main(["analyze", str(path)]) in (0, 1, 2)
+    assert main(["analyze", str(path)]) in ((2,) if mutation == "rename" else (0, 1, 2))
+
+
+@pytest.mark.parametrize("scenario", [
+    *(example_scenario(name) for name in EXAMPLE_NAMES), random_scenario(3, 2, 3, 4, 2, 7),
+], ids=[*EXAMPLE_NAMES, "random"])
+def test_written_key_sets_are_the_read_key_sets(scenario):
+    """What Scenario.to_json writes, the reader accepts, key for key: every
+    key the reader accepts is written, and nothing else."""
+    obj = scenario.to_json()
+    assert set(obj) == set(harness.SCENARIO_KEYS)
+    assert set(obj["options"]) == set(harness.OPTION_KEYS)
+    assert set(obj["ensemble"]) == set(qstate.ENSEMBLE_KEYS)
+    assert set(obj["instrument"]) == set(instrument.INSTRUMENT_KEYS)
 
 
 def test_run_scenario_does_no_per_state_work(monkeypatch):
@@ -669,8 +726,7 @@ def test_run_scenario_does_no_per_state_work(monkeypatch):
 def test_scenario_from_json_does_no_per_letter_work(monkeypatch):
     """Ingest reads the letters as one stack, checked by one _hermitian_part
     and decomposed by one batched eigh; no DensityMatrix is built for a letter
-    that is not clamped (it built one per letter, with one herm_eig each). The
-    default state is one DensityMatrix."""
+    that is not clamped (it built one per letter, with one herm_eig each)."""
     s = random_scenario(3, 3, 4, 4, 2, 7)
     obj = json.loads(json.dumps(s.to_json()))
     names = ("states", "eigh", "herm_eig", "jacobi_eig")
@@ -692,8 +748,3 @@ def test_scenario_from_json_does_no_per_letter_work(monkeypatch):
     assert read.ensemble.states.shape == (4, 3, 3)
     assert np.array_equal(read.ensemble.states, s.ensemble.states)
     assert _fingerprint(read) == _fingerprint(s)
-
-    obj["options"]["default_state"] = matcore.matrix_to_json(np.eye(3) / 3)
-    counts.update(dict.fromkeys(names, 0))
-    scenario_from_json(obj)
-    assert counts == {"states": 1, "eigh": 2, "herm_eig": 1, "jacobi_eig": 0}

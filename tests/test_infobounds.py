@@ -416,14 +416,6 @@ class TestReportInfoGain:
         assert analyze(s.ensemble, s.instrument).output_marginal.probs[2] == 0.0
         self._check(s)
 
-    def test_default_state(self):
-        s = Scenario(
-            ensemble=zero_plus_ensemble(),
-            instrument=with_zero_outcome(),
-            default_state=pure_state([0.6, 0.8]),
-        )
-        self._check(s)
-
 
 def diagonal_instrument(effects, kraus=1, seed=0):
     """One outcome per row of ``effects`` (each row the diagonal of E(w), the

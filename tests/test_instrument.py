@@ -189,9 +189,10 @@ class TestAposteriori:
         assert np.allclose(fam.states[0].mat, PLUS.mat)
 
     def test_zero_probability_gets_default(self):
-        fam = a_posteriori(projective_qubit(), KET0, default=PLUS)
+        # the null-cell rule of _posteriors: probability 0 and the fill I/d2
+        fam = a_posteriori(projective_qubit(), KET0)
         assert fam.probs.probs[1] == 0.0
-        assert fam.states[1] is PLUS
+        assert np.array_equal(fam.states[1].mat, np.eye(2) / 2)
 
     def test_mixture_property_random(self):
         # sum_w P(w) pi(w) = I(Omega)[rho] on many random instances

@@ -11,7 +11,6 @@ from qinstr.qstate import (
     Ensemble,
     a_priori_state,
     density_eigvals,
-    density_from_json,
     ensemble_from_json,
     ensemble_to_json,
     fidelity_like_support_check,
@@ -24,8 +23,11 @@ KET1 = pure_state([0, 1])
 PLUS = pure_state([1 / np.sqrt(2), 1 / np.sqrt(2)])
 
 
-def read(m) -> DensityMatrix:
-    return density_from_json(matcore.matrix_to_json(m))
+def read(m) -> tuple:
+    """One state read by ingest, as a one-letter ensemble: its matrix and its
+    eigenvalues."""
+    e = ensemble_from_json({"letters": [0], "probs": [1.0], "states": [matcore.matrix_to_json(m)]})
+    return e.states[0], e.spectra.eigenvalues[0]
 
 
 class TestValidateDensity:
@@ -45,10 +47,9 @@ class TestValidateDensity:
 
     def test_clamps_tiny_negativity(self):
         # only at ingest
-        dm = read(np.diag([0.7 + 1e-11, 0.3, -1e-11]))
-        vals = dm.spectral().eigenvalues
+        mat, vals = read(np.diag([0.7 + 1e-11, 0.3, -1e-11]))
         assert vals[0] >= 0.0
-        assert abs(np.trace(dm.mat).real - 1.0) < 1e-12
+        assert abs(np.trace(mat).real - 1.0) < 1e-12
 
     def test_rejects_bad_trace(self):
         with pytest.raises(BadTrace):
@@ -183,7 +184,7 @@ class TestJson:
                 spectrum /= spectrum.sum()
             q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
             m = (q * spectrum) @ q.conj().T
-            assert np.array_equal(read(m).mat, self.jacobi_clamp(m))
+            assert np.array_equal(read(m)[0], self.jacobi_clamp(m))
 
 
     def test_letters_read_as_one_stack_are_read_as_one_at_a_time(self):
@@ -210,9 +211,9 @@ class TestJson:
             })
             assert not e.states.flags.writeable
             for m, letter, vals in zip(mats, e.states, e.spectra.eigenvalues):
-                one = read(m)
-                assert np.array_equal(letter, one.mat)
-                assert np.array_equal(vals, one.spectral().eigenvalues)
+                one, one_vals = read(m)
+                assert np.array_equal(letter, one)
+                assert np.array_equal(vals, one_vals)
 
     def test_a_stack_and_density_matrices_make_one_ensemble(self):
         e = Ensemble((0, 1), np.array([0.5, 0.5]), (KET0, PLUS))
@@ -266,12 +267,22 @@ class TestDecomposeOnce:
         assert len(calls) == 1
 
     def test_clamping_redecomposes(self, monkeypatch):
-        calls = self._count_eigs(monkeypatch)
-        # at ingest: LAPACK finds the state at the edge, Jacobi (not counted)
-        # decomposes it for the clamp, and the rebuilt state is decomposed once
-        dm = read(np.diag([0.7 + 1e-11, 0.3, -1e-11]))
-        assert len(calls) == 2
-        assert dm.spectral().eigenvalues[0] >= 0.0
+        counts = {"eigh": 0, "jacobi_eig": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        monkeypatch.setattr(matcore, "jacobi_eig", counted("jacobi_eig", matcore.jacobi_eig))
+        # at ingest: LAPACK finds the state at the edge, Jacobi decomposes it
+        # for the clamp, and the rebuilt stack is decomposed once more
+        _, vals = read(np.diag([0.7 + 1e-11, 0.3, -1e-11]))
+        assert counts == {"eigh": 2, "jacobi_eig": 1}
+        assert vals[0] >= 0.0
 
 
 BAD_DENSITIES = [
