@@ -10,15 +10,9 @@ import numpy as np
 
 from . import matcore
 from .entropy import chi_against, mutual_info
-from .errors import BadTrace, DimensionMismatch, SingularAprioriState
-from .infobounds import (
-    BoundCheck,
-    BoundReport,
-    MeasurementStatistics,
-    _UNITLESS_ROWS,
-    _gains,
-)
-from .instrument import POVM_SUM_TOL, Instrument, KrausMap
+from .errors import BadTrace, SingularAprioriState
+from .infobounds import BoundCheck, BoundReport, MeasurementStatistics, _gains
+from .instrument import POVM_SUM_TOL, Instrument, KrausMap, outcome_probs
 from .matcore import SUPPORT_CUTOFF
 from .qstate import ClassicalDist, DensityMatrix, Ensemble
 
@@ -64,19 +58,18 @@ def build_hall_instrument(e: Ensemble, eta: DensityMatrix) -> Instrument:
 
 def dual_ensemble(e: Ensemble, ins: Instrument, eta: DensityMatrix) -> DualEnsemble:
     """sigma_i(omega) = eta^{1/2} E(omega) eta^{1/2} / P_f(omega), where ``eta``
-    is the a priori state of ``e``."""
-    if e.dim != ins.dim_in:
-        raise DimensionMismatch(f"ensemble dim {e.dim} vs instrument dim_in {ins.dim_in}")
+    is the a priori state of ``e``, and P_f its outcome law (``outcome_probs``,
+    which also checks eta's dimension against the instrument's)."""
+    probs = outcome_probs(ins, eta)
     sqrt_eta = matcore.spectral_apply(eta.spectral(), np.sqrt)
-    p_f = np.maximum(np.einsum("wij,ji->w", ins.effects, eta.mat).real, 0.0)
-    p_f = p_f / p_f.sum()
+    p_f = probs.probs[:, None, None]
     states = np.divide(
         sqrt_eta @ ins.effects @ sqrt_eta,
-        p_f[:, None, None],
+        p_f,
         out=np.zeros_like(ins.effects),
-        where=(p_f > SUPPORT_CUTOFF)[:, None, None],
+        where=p_f > SUPPORT_CUTOFF,
     )
-    return DualEnsemble(probs=ClassicalDist(ins.outcomes, p_f), states=states)
+    return DualEnsemble(probs=probs, states=states)
 
 
 def hall_section(ms: MeasurementStatistics) -> BoundReport:
@@ -114,7 +107,7 @@ def hall_section(ms: MeasurementStatistics) -> BoundReport:
     chi_initial = chi_against(e.probs, ms.entropies.letters, ms.entropies.eta_i)
     new_rhs = chi_initial - d_term
     return BoundReport((
-        BoundCheck(_UNITLESS_ROWS[-1], max_dev, 0.0, kind="eq"),  # duality_conditional_law
+        BoundCheck("duality_conditional_law", max_dev, 0.0, kind="dev"),
         BoundCheck("duality_ic", i_c_dual, i_c, kind="eq"),
         BoundCheck("hall_bound", i_c, chi_dual),
         BoundCheck("new_bound", i_c, new_rhs),

@@ -30,7 +30,6 @@ from .infobounds import (
     BoundCheck,
     BoundReport,
     INEQ_TOL,
-    _UNITLESS_ROWS,
     analyze,
     check_bounds,
     check_identities,
@@ -42,6 +41,7 @@ from .infobounds import (
 )
 from .instrument import (
     Instrument,
+    KrausMap,
     instrument_from_json,
     instrument_to_json,
     random_instrument,
@@ -113,19 +113,14 @@ def scenario_from_json(obj: dict, tol_override: Optional[float] = None,
         obj = matcore.as_object("scenario", obj, SCENARIO_KEYS)
         ensemble = ensemble_from_json(obj["ensemble"])
         instrument = instrument_from_json(obj["instrument"])
-        options = matcore.as_object("options", obj.get("options", {}), OPTION_KEYS)
-        tol = tol_override
-        if tol is None:  # QINSTR_TOL is read only when it supplies the tolerance
-            tol = options["tol"] if "tol" in options else default_tol()
-        return Scenario(
-            ensemble=ensemble,
-            instrument=instrument,
-            log_base=base_override or options.get("log_base", "e"),
-            tol=tol,
-            gl_trials=options.get("gl_trials", 100),
-            gl_demix=options.get("gl_demix", 5),
-            seed=options.get("seed", 0),
-        )
+        # the options the file gives and the overrides; Scenario holds every
+        # default (QINSTR_TOL is read only when it supplies the tolerance)
+        options = dict(matcore.as_object("options", obj.get("options", {}), OPTION_KEYS))
+        if tol_override is not None:
+            options["tol"] = tol_override
+        if base_override:
+            options["log_base"] = base_override
+        return Scenario(ensemble, instrument, **options)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed scenario: {exc}") from exc
 
@@ -152,9 +147,10 @@ class AnalysisReport:
 
     def _in_unit(self) -> BoundReport:
         """The checks in the report's unit: under base 2 an entropy row's lhs and
-        rhs in bits, so its slack and its pass are judged in bits too."""
+        rhs in bits, so its slack and its pass are judged in bits too; a
+        deviation row (kind "dev") reads the same in either base."""
         return BoundReport(tuple(
-            c if self.log_base == "e" or c.name in _UNITLESS_ROWS
+            c if self.log_base == "e" or c.kind == "dev"
             else BoundCheck(c.name, self._scale(c.lhs), self._scale(c.rhs), c.kind)
             for c in self.checks
         ))
@@ -321,8 +317,6 @@ def emit_report(r: AnalysisReport, fmt: str = "json") -> str:
 # built-in desk scenarios
 
 def _projective_qubit() -> Instrument:
-    from .instrument import KrausMap
-
     p0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
     p1 = np.array([[0, 0], [0, 1]], dtype=np.complex128)
     return Instrument(
@@ -331,11 +325,9 @@ def _projective_qubit() -> Instrument:
 
 
 def example_scenario(name: str) -> Scenario:
+    orthogonal = Ensemble((0, 1), np.array([0.5, 0.5]), (pure_state([1, 0]), pure_state([0, 1])))
     if name == "orthogonal-projective":
-        ensemble = Ensemble(
-            (0, 1), np.array([0.5, 0.5]), (pure_state([1, 0]), pure_state([0, 1]))
-        )
-        return Scenario(ensemble=ensemble, instrument=_projective_qubit())
+        return Scenario(ensemble=orthogonal, instrument=_projective_qubit())
     if name == "zero-one-plus":
         inv = 1.0 / math.sqrt(2.0)
         ensemble = Ensemble(
@@ -345,13 +337,8 @@ def example_scenario(name: str) -> Scenario:
         )
         return Scenario(ensemble=ensemble, instrument=_projective_qubit())
     if name == "identity-instrument":
-        from .instrument import KrausMap
-
-        ensemble = Ensemble(
-            (0, 1), np.array([0.5, 0.5]), (pure_state([1, 0]), pure_state([0, 1]))
-        )
         ident = Instrument((0,), (KrausMap(2, 2, (np.eye(2, dtype=np.complex128),)),))
-        return Scenario(ensemble=ensemble, instrument=ident)
+        return Scenario(ensemble=orthogonal, instrument=ident)
     raise SchemaError(f"unknown example {name!r}")
 
 

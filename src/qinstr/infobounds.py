@@ -26,6 +26,7 @@ from .qstate import (
     DensityMatrix,
     Ensemble,
     a_priori_state,
+    pure_state,
 )
 
 EQ_TOL = 1e-9
@@ -38,10 +39,6 @@ PURITY_TOL = 1e-8
 # sqrt(PURITY_TOL / 2).
 RANK_ONE_TOL = math.sqrt(PURITY_TOL / 2)
 PROB_FLOOR = 0.05  # letter probabilities of a generated ensemble are raised to it, then renormalized
-# rows that are a deviation, not an entropy, read the same in either log base
-# (harness); compound_states and hallmap.hall_section name them from here
-_UNITLESS_ROWS = ("compound_tr2_eta_if", "compound_tr1_eta_if", "compound_tr2_gamma",
-                  "compound_tr1_gamma", "compound_tau_mix", "duality_conditional_law")
 
 
 @dataclass(frozen=True)
@@ -51,7 +48,10 @@ class BoundCheck:
     name: str
     lhs: float
     rhs: float
-    kind: str = "ge"  # "ge" inequality, "eq" equality, "data" informational
+    # "ge" inequality, "eq" equality, "dev" an equality whose lhs is a
+    # deviation, not an entropy, so it reads the same in either log base;
+    # "data" informational
+    kind: str = "ge"
 
     @property
     def slack(self) -> float:
@@ -61,10 +61,11 @@ class BoundCheck:
 
     def passes(self, tol: float) -> bool:
         """The one tolerance policy: an inequality passes iff slack >= -tol, an
-        equality iff |slack| <= min(EQ_TOL, tol); data always passes."""
+        equality (or deviation) iff |slack| <= min(EQ_TOL, tol); data always
+        passes."""
         if self.kind == "data":
             return True
-        if self.kind == "eq":
+        if self.kind in ("eq", "dev"):
             return abs(self.slack) <= min(EQ_TOL, tol)
         return self.slack >= -tol
 
@@ -160,8 +161,8 @@ class MeasurementStatistics:
 
     @cached_property
     def classical_mi(self) -> float:
-        """I_c (``classical_mutual_info``)."""
-        return classical_mutual_info(self)
+        """I_c = S_c(P_if | P_i x P_f), from the joint table."""
+        return float(mutual_info(self.joint, self.input_marginal.probs, self.output_marginal.probs))
 
     @property
     def info_gain(self) -> float:
@@ -222,11 +223,6 @@ def analyze(e: Ensemble, ins: Instrument) -> MeasurementStatistics:
         a_priori=a_priori_state(e),
         post_a_priori=totals[-1],
     )
-
-
-def classical_mutual_info(ms: MeasurementStatistics) -> float:
-    """S_c(P_if | P_i x P_f) from the joint table."""
-    return float(mutual_info(ms.joint, ms.input_marginal.probs, ms.output_marginal.probs))
 
 
 def entropy_panel(ms: MeasurementStatistics) -> EntropyPanel:
@@ -314,30 +310,30 @@ def quantum_info_gain(ins: Instrument, eta: DensityMatrix) -> float:
 
 
 def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
-    """Normalized Ginibre state G G^dag / Tr."""
-    g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real)
+    """Normalized Ginibre state G G^dag / Tr (``_ginibre_states`` of one draw)."""
+    return DensityMatrix(_ginibre_states(rng.standard_normal((1, 2, dim, dim)))[0])
 
 
 def random_pure(dim: int, rng: np.random.Generator) -> DensityMatrix:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v = v / np.linalg.norm(v)
-    return DensityMatrix(np.outer(v, v.conj()))
+    return pure_state(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
 
 
 def random_ensemble(dim: int, n_letters: int, rng: np.random.Generator) -> Ensemble:
-    probs = rng.uniform(size=n_letters)
-    probs = probs / probs.sum()
-    probs = np.maximum(probs, PROB_FLOOR)
-    probs = probs / probs.sum()
-    # random_density's draws and states, as one stack
+    probs = _random_prior(rng, n_letters)
     states = _ginibre_states(rng.standard_normal((n_letters, 2, dim, dim)))
     return Ensemble(tuple(range(n_letters)), probs, states)
 
 
+def _random_prior(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A generated ensemble's letter probabilities: uniform draws, normalized,
+    raised to PROB_FLOOR and normalized again."""
+    probs = rng.uniform(size=n)
+    probs = np.maximum(probs / probs.sum(), PROB_FLOOR)
+    return probs / probs.sum()
+
+
 def _ginibre_states(g: np.ndarray) -> np.ndarray:
-    """random_density's normalized G G^dag for a stack of [re, im] draws."""
+    """Normalized Ginibre states G G^dag / Tr for a stack of [re, im] draws."""
     g = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
     m = g @ g.conj().swapaxes(-1, -2)
     return m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
@@ -418,9 +414,7 @@ def groenewold_lindblad_check(
     slots = np.zeros((n_demix, 3), dtype=bool)  # [demixture, letter] in use
     for j in range(n_demix):
         n = int(rng.integers(2, 4))
-        probs = rng.uniform(size=n)  # random_ensemble's draws, in its order
-        probs = np.maximum(probs / probs.sum(), PROB_FLOOR)
-        priors[j, :n] = probs / probs.sum()
+        priors[j, :n] = _random_prior(rng, n)  # random_ensemble's draws, in its order
         slots[j, :n] = True
         draws.append(rng.standard_normal((n, 2, d1, d1)))
     states = _ginibre_states(np.concatenate(draws))
@@ -485,18 +479,15 @@ def compound_states(ms: MeasurementStatistics) -> CompoundStates:
     tau_f[mass == 0.0] = np.eye(d2) / d2
     gamma_if = np.einsum("w,wmn->mn", w_f, matcore.kron(eps_i, rho_f))
 
-    def dev(a, b):
-        return float(np.max(np.abs(a - b)))
-
     eta_i, eta_f = ms.a_priori.mat, ms.post_a_priori
-    devs = (
-        dev(matcore.partial_trace(eta_if, "second", d1, d2), eta_i),
-        dev(matcore.partial_trace(eta_if, "first", d1, d2), eta_f),
-        dev(matcore.partial_trace(gamma_if, "second", d1, d2), eta_i),
-        dev(matcore.partial_trace(gamma_if, "first", d1, d2), eta_f),
-        dev(np.einsum("a,aij->ij", e.probs, tau_f), eta_f),
+    pairs = (  # (row, marginal, the state it must equal)
+        ("compound_tr2_eta_if", matcore.partial_trace(eta_if, "second", d1, d2), eta_i),
+        ("compound_tr1_eta_if", matcore.partial_trace(eta_if, "first", d1, d2), eta_f),
+        ("compound_tr2_gamma", matcore.partial_trace(gamma_if, "second", d1, d2), eta_i),
+        ("compound_tr1_gamma", matcore.partial_trace(gamma_if, "first", d1, d2), eta_f),
+        ("compound_tau_mix", np.einsum("a,aij->ij", e.probs, tau_f), eta_f),
     )
-    checks = tuple(BoundCheck(name, x, 0.0, kind="eq") for name, x in zip(_UNITLESS_ROWS[:5], devs, strict=True))
+    checks = tuple(BoundCheck(name, float(np.max(np.abs(a - b))), 0.0, kind="dev") for name, a, b in pairs)
     return CompoundStates(
         eps_if=eps_if,
         eps_i=eps_i,

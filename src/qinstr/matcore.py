@@ -22,6 +22,7 @@ is an integer (``as_count``) and labels are a list (``as_labels``).
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from typing import Callable, NamedTuple
@@ -210,9 +211,10 @@ def as_numbers(name: str, values) -> np.ndarray:
     """A JSON list (or nested lists) of numbers as one float64 array, read in
     one ``numpy.array`` pass. Only JSON numbers are taken (dtype kind i, u or
     f): ``numpy.array(values, np.float64)`` would read "0.5" as 0.5, so a
-    numeric string, null, an object, ragged lists or a list of booleans is a
-    SchemaError. A boolean among numbers is not caught: numpy promotes it to
-    0 or 1."""
+    numeric string, null, an object, ragged lists or a boolean is a
+    SchemaError. numpy promotes a boolean among numbers to 0 or 1, so the
+    entries' types are read too, by ``map`` over the flattened lists (C
+    iteration, no Python loop per entry)."""
     try:
         a = np.array(values)
     except (TypeError, ValueError) as exc:  # ragged lists
@@ -222,6 +224,11 @@ def as_numbers(name: str, values) -> np.ndarray:
             f"{name} must hold JSON numbers only (no string, boolean or null), "
             f"got numpy dtype {a.dtype}"
         )
+    entries = [values]
+    for _ in range(a.ndim):
+        entries = itertools.chain.from_iterable(entries)
+    if bool in map(type, entries):
+        raise SchemaError(f"{name} must hold JSON numbers only, got a boolean among them")
     return a.astype(np.float64, copy=False)
 
 

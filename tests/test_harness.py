@@ -174,8 +174,8 @@ class TestRunScenario:
     @pytest.mark.parametrize("tol", [0.0, 1e-3])
     @pytest.mark.parametrize("seed", [7, 99, 12345])
     def test_every_check_judged_at_scenario_tol(self, seed, tol):
-        # one policy for every stage: inequalities at tol, equalities at
-        # min(1e-9, tol), data never fails
+        # one policy for every stage: inequalities at tol, equalities and
+        # deviations at min(1e-9, tol), data never fails
         report = run_scenario(random_scenario(3, 3, 3, 3, 2, seed, tol=tol))
         assert report.hall_skipped is None
         rows = report.check_rows()
@@ -183,7 +183,7 @@ class TestRunScenario:
         for check, row in zip(report.checks, rows):
             if check.kind == "data":
                 expected = True
-            elif check.kind == "eq":
+            elif check.kind in ("eq", "dev"):
                 expected = abs(check.slack) <= min(1e-9, tol)
             else:
                 expected = math.isinf(check.rhs) or check.slack >= -tol
@@ -206,9 +206,13 @@ class TestBase2Units:
 
     def test_only_entropy_rows_are_scaled(self):
         s = random_scenario(3, 3, 3, 3, 2, 7)
-        nats = run_scenario(s).check_rows()
+        report = run_scenario(s)
+        nats = report.check_rows()
         bits = run_scenario(dataclasses.replace(s, log_base="2")).check_rows()
         assert {row["name"] for row in nats} >= set(self.UNITLESS)
+        # the unscaled rows are exactly the deviation rows (Hall's runs here)
+        assert report.hall_skipped is None
+        assert {c.name for c in report.checks if c.kind == "dev"} == set(self.UNITLESS)
         for e_row, b_row in zip(nats, bits):
             assert b_row["name"] == e_row["name"]
             if e_row["name"] in self.UNITLESS:
@@ -534,6 +538,7 @@ class TestInputContract:
 
     @pytest.mark.parametrize("where,key,value", [
         ("ensemble", "probs", ["0.5", "0.5"]),
+        ("ensemble", "probs", [True, 0.0]),  # numpy would read it as [1.0, 0.0]
         ("instrument", "dim_in", "2"),
         ("instrument", "dim_in", 2.5),  # int() would read it as 2
         ("instrument", "dim_out", True),
@@ -541,7 +546,7 @@ class TestInputContract:
         ("instrument", "outcomes", "ab"),
         ("options", "tol", True),  # float() would read it as tol 1.0
         ("options", "tol", "1e-8"),
-    ], ids=["probs-strings", "dim_in-string", "dim_in-fraction", "dim_out-boolean",
+    ], ids=["probs-strings", "probs-boolean", "dim_in-string", "dim_in-fraction", "dim_out-boolean",
             "letters-string", "outcomes-string", "tol-boolean", "tol-string"])
     def test_mistyped_scalar_exit_two(self, tmp_path, capsys, where, key, value):
         # every scalar is typed like a matrix entry: a number is a JSON
@@ -602,6 +607,24 @@ class TestInputContract:
         obj = example_scenario("zero-one-plus").to_json()
         mutate(obj)
         with pytest.raises(QinstrError):
+            scenario_from_json(obj)
+
+    @pytest.mark.parametrize("where", ["letter", "kraus"])
+    def test_boolean_matrix_entry_exit_two(self, tmp_path, capsys, where):
+        # numpy reads [true, 0.0] as [1.0, 0.0]: with true where 1.0 was,
+        # either file would run and pass
+        def mutate(obj):
+            if where == "letter":
+                obj["ensemble"]["states"][0][0][0][0] = True
+            else:
+                obj["instrument"]["kraus"][0][0][0][0][0] = True
+
+        assert self._analyze(tmp_path, mutate) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: ") and "boolean" in err
+        obj = example_scenario("zero-one-plus").to_json()
+        mutate(obj)
+        with pytest.raises(SchemaError, match="boolean"):
             scenario_from_json(obj)
 
     @pytest.mark.parametrize("probs", [0.5, None, [0.5, math.nan]])

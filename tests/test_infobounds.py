@@ -15,7 +15,6 @@ from qinstr.infobounds import (
     analyze,
     check_bounds,
     check_identities,
-    classical_mutual_info,
     compound_states,
     entropy_panel,
     groenewold_lindblad_check,
@@ -145,13 +144,13 @@ def test_infinite_rhs_is_judged_by_slack(lhs, rhs, passes):
 class TestClassicalMutualInfo:
     def test_zero_plus_frozen_value(self):
         ms = analyze(zero_plus_ensemble(), projective_qubit())
-        i_c = classical_mutual_info(ms)
+        i_c = ms.classical_mi
         assert abs(i_c - 0.2157615543388356) < 1e-12
         assert abs(i_c - brute_force_mi(ms.joint)) < 1e-12
 
     def test_orthogonal_is_log2(self):
         ms = analyze(orthogonal_ensemble(), projective_qubit())
-        assert abs(classical_mutual_info(ms) - math.log(2)) < 1e-12
+        assert abs(ms.classical_mi - math.log(2)) < 1e-12
 
     def test_entropy_combination_crosscheck(self):
         # I_c = H(P_i) + H(P_f) - H(P_if)
@@ -169,14 +168,14 @@ class TestClassicalMutualInfo:
             + shannon(ms.output_marginal.probs)
             - shannon(ms.joint.ravel())
         )
-        assert abs(classical_mutual_info(ms) - expected) < 1e-10
+        assert abs(ms.classical_mi - expected) < 1e-10
 
     def test_rare_letter_is_finite(self):
         # P_i x P_f = 1e-14 on the rare cell: I_c is H(p), not +inf
         eps = 1e-7
         e = Ensemble((0, 1), np.array([1 - eps, eps]), (KET0, KET1))
         entropy = -((1 - eps) * math.log1p(-eps) + eps * math.log(eps))
-        assert abs(classical_mutual_info(analyze(e, projective_qubit())) - entropy) < 1e-12
+        assert abs(analyze(e, projective_qubit()).classical_mi - entropy) < 1e-12
         report = run_scenario(Scenario(e, projective_qubit()))
         assert abs(report.panel["classical_mi"] - entropy) < 1e-12
         assert all(math.isfinite(c.lhs) and math.isfinite(c.rhs) for c in report.checks)
@@ -186,7 +185,7 @@ class TestClassicalMutualInfo:
         # identity instrument: outcome carries no letter information
         ins = Instrument((0,), (KrausMap(2, 2, (np.eye(2, dtype=complex),)),))
         ms = analyze(zero_plus_ensemble(), ins)
-        assert classical_mutual_info(ms) < 1e-12
+        assert ms.classical_mi < 1e-12
 
 
 class TestEntropyPanel:
@@ -343,7 +342,7 @@ def sequential_gl(ins, trials, seed, n_demix=5):
     for _ in range(n_demix):
         e = random_ensemble(d1, int(rng.integers(2, 4)), rng)
         ms = analyze(e, ins)
-        rhs = classical_mutual_info(ms) + sum(
+        rhs = ms.classical_mi + sum(
             p * quantum_info_gain(ins, DensityMatrix(rho)) for p, rho in zip(e.probs, e.states)
         )
         checks.append(("gl_chain", rhs, quantum_info_gain(ins, ms.a_priori)))
@@ -588,7 +587,7 @@ class TestScutaruChains:
         report = scutaru_chains(ms, compound_states(ms))
         assert report.all_pass(), report.to_json()
         # every link sits below I_c
-        i_c = classical_mutual_info(ms)
+        i_c = ms.classical_mi
         assert report["scutaru1_ic_ge_chi_eps_if"].rhs == pytest.approx(i_c)
 
     def test_orthogonal_example(self):
@@ -625,6 +624,6 @@ class TestMergeOutcomes:
         e = random_ensemble(2, 3, rng)
         ins = random_instrument(2, 2, 3, 2, seed=1100 + seed)
         merged = merge_outcomes(ins, ins.outcomes[0], ins.outcomes[1])
-        ic_fine = classical_mutual_info(analyze(e, ins))
-        ic_coarse = classical_mutual_info(analyze(e, merged))
+        ic_fine = analyze(e, ins).classical_mi
+        ic_coarse = analyze(e, merged).classical_mi
         assert ic_coarse <= ic_fine + 1e-10
