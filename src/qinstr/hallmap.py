@@ -46,7 +46,7 @@ def build_hall_instrument(e: Ensemble, eta: DensityMatrix) -> Instrument:
     lam, u = e.spectra  # each letter's square root, on its support
     roots = (u * np.sqrt(np.where(lam > SUPPORT_CUTOFF, lam, 0.0))[:, None]) @ u.conj().swapaxes(-1, -2)
     kraus = np.sqrt(e.probs)[:, None, None] * roots @ inv_sqrt
-    maps = tuple(KrausMap(e.dim, e.dim, (k,)) for k in kraus)
+    maps = tuple(KrausMap(e.dim, e.dim, k) for k in kraus[:, None])
     try:
         return Instrument(e.letters, maps)
     except BadTrace as exc:
@@ -56,10 +56,10 @@ def build_hall_instrument(e: Ensemble, eta: DensityMatrix) -> Instrument:
         ) from exc
 
 
-def dual_ensemble(e: Ensemble, ins: Instrument, eta: DensityMatrix) -> DualEnsemble:
+def dual_ensemble(ins: Instrument, eta: DensityMatrix) -> DualEnsemble:
     """sigma_i(omega) = eta^{1/2} E(omega) eta^{1/2} / P_f(omega), where ``eta``
-    is the a priori state of ``e``, and P_f its outcome law (``outcome_probs``,
-    which also checks eta's dimension against the instrument's)."""
+    is the a priori state, and P_f its outcome law (``outcome_probs``, which
+    also checks eta's dimension against the instrument's)."""
     probs = outcome_probs(ins, eta)
     sqrt_eta = matcore.spectral_apply(eta.spectral(), np.sqrt)
     p_f = probs.probs[:, None, None]
@@ -89,7 +89,7 @@ def hall_section(ms: MeasurementStatistics) -> BoundReport:
     """
     e, ins, eta = ms.ensemble, ms.instrument, ms.a_priori
     h = build_hall_instrument(e, eta)
-    dual = dual_ensemble(e, ins, eta)
+    dual = dual_ensemble(ins, eta)
     i_c = ms.classical_mi
 
     p_f = dual.probs.probs

@@ -537,7 +537,7 @@ def merge_outcomes(ins: Instrument, w1, w2) -> Instrument:
     """Coarse-grain two outcomes into one (their Kraus lists are concatenated)."""
     m1 = ins.map_for(w1)
     m2 = ins.map_for(w2)
-    merged = KrausMap(ins.dim_in, ins.dim_out, m1.kraus + m2.kraus)
+    merged = KrausMap(ins.dim_in, ins.dim_out, np.concatenate([m1.kraus, m2.kraus]))
     outcomes, maps = [], []
     for o, m in zip(ins.outcomes, ins.maps):
         if o == w1:

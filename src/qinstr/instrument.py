@@ -1,12 +1,14 @@
 """Completely positive instruments in Kraus form: channel action, POV measure,
 outcome probabilities, a posteriori states and seeded random generation.
 
-An instrument's POV measure is the dual action of its maps on the identity,
-E(w) = sum_k K_k^dag K_k, held once as ``Instrument.effects``; the effect-sum
-rule (sum_w E(w) = 1 within POVM_SUM_TOL) is checked there, at construction.
-The analysis applies an instrument to stacks through
-``Instrument.channel_matrix``; the per-state functions are a public
-convenience and the tests' reference."""
+A ``KrausMap`` holds its Kraus operators as one read-only [k, d2, d1] array,
+checked once; its action, the effects and the JSON reader and writer are
+array operations on it. An instrument's POV measure is the dual action of its
+maps on the identity, E(w) = sum_k K_k^dag K_k, held once as
+``Instrument.effects``; the effect-sum rule (sum_w E(w) = 1 within
+POVM_SUM_TOL) is checked there, at construction. The analysis applies an
+instrument to stacks through ``Instrument.channel_matrix``; the per-state
+functions are a public convenience and the tests' reference."""
 
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from .errors import (
     BadTrace,
     DimensionMismatch,
     LabelMismatch,
+    NotHermitian,
     SingularNormalizer,
     UnknownOutcome,
 )
@@ -31,28 +34,34 @@ POVM_SUM_TOL = 1e-9  # sum of an instrument's effects against the identity
 
 @dataclass(frozen=True)
 class KrausMap:
-    """Completely positive map rho -> sum_k K_k rho K_k^dag, H1 -> H2."""
+    """Completely positive map rho -> sum_k K_k rho K_k^dag, H1 -> H2.
+
+    ``kraus`` (a stack or a sequence of matrices) is kept as one read-only
+    [k, d2, d1] complex array, checked once for its shape and for finite
+    entries."""
 
     dim_in: int
     dim_out: int
-    kraus: tuple
+    kraus: np.ndarray
 
     def __post_init__(self):
-        kraus = tuple(matcore.as_matrix(k) for k in self.kraus)
-        if not kraus:
+        try:
+            kraus = np.array(self.kraus, dtype=np.complex128)
+        except ValueError as exc:  # operators of different shapes
+            raise DimensionMismatch(f"Kraus operators do not form one array: {exc}") from exc
+        if not kraus.size:
             raise DimensionMismatch("a Kraus map needs at least one Kraus operator")
-        for k in kraus:
-            if k.shape != (self.dim_out, self.dim_in):
-                raise DimensionMismatch(
-                    f"Kraus operator shape {k.shape}, expected ({self.dim_out},{self.dim_in})"
-                )
+        if kraus.shape[1:] != (self.dim_out, self.dim_in):
+            raise DimensionMismatch(
+                f"Kraus operators stacked as {kraus.shape}, expected (k, {self.dim_out}, {self.dim_in})"
+            )
+        if not np.isfinite(kraus).all():
+            raise NotHermitian("Kraus operators contain NaN/Inf entries")
+        kraus.setflags(write=False)
         object.__setattr__(self, "kraus", kraus)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.dim_out, self.dim_out), dtype=np.complex128)
-        for k in self.kraus:
-            out += k @ rho @ k.conj().T
-        return out
+        return (self.kraus @ rho @ self.kraus.conj().swapaxes(-1, -2)).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -75,8 +84,9 @@ class Instrument:
             raise DimensionMismatch("Kraus maps have inconsistent dimensions")
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "maps", maps)
-        dev = np.max(np.abs(self.effects.sum(axis=0) - np.eye(d1)))
-        if dev > POVM_SUM_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the rule below
+            dev = np.max(np.abs(self.effects.sum(axis=0) - np.eye(d1)))
+        if not dev <= POVM_SUM_TOL:  # NaN fails too
             raise BadTrace(f"sum of effects deviates from identity by {dev:.3e}")
 
     @property
@@ -91,7 +101,7 @@ class Instrument:
     def effects(self) -> np.ndarray:
         """The POV measure [outcome, d1, d1]: E(w) = sum_k K_k^dag K_k = V^dag V,
         with V = [K_1; K_2; ...] the outcome's Kraus operators stacked by rows."""
-        stacked = [np.concatenate(m.kraus) for m in self.maps]
+        stacked = [m.kraus.reshape(-1, self.dim_in) for m in self.maps]
         effects = np.stack([v.conj().T @ v for v in stacked])
         effects.setflags(write=False)
         return effects
@@ -212,19 +222,13 @@ def channel_roundtrip(ins: Instrument) -> Instrument:
     d1, d2 = ins.dim_in, ins.dim_out
     new_maps = []
     for m in ins.maps:
-        choi = np.zeros((d1 * d2, d1 * d2), dtype=np.complex128)
-        for j in range(d1):
-            for k in range(d1):
-                unit = np.zeros((d1, d1), dtype=np.complex128)
-                unit[j, k] = 1.0
-                block = m.apply(unit)
-                choi[j * d2 : (j + 1) * d2, k * d2 : (k + 1) * d2] = block
-        vals, vecs = matcore.herm_eig(choi)
-        kraus = []
-        for lam, vec in zip(vals, vecs.T):
-            if lam > SUPPORT_CUTOFF:
-                kraus.append(np.sqrt(lam) * vec.reshape(d1, d2).T)
-        new_maps.append(KrausMap(d1, d2, tuple(kraus)))
+        # block (j, k) of the Choi matrix is the map's action on |j><k|:
+        # entry ((j, a), (k, b)) = sum_K K[a, j] conj(K[b, k])
+        cols = m.kraus.swapaxes(-1, -2).reshape(-1, d1 * d2)
+        vals, vecs = matcore.herm_eig(cols.T @ cols.conj())
+        keep = vals > SUPPORT_CUTOFF
+        kraus = np.sqrt(vals[keep])[:, None] * vecs[:, keep].T
+        new_maps.append(KrausMap(d1, d2, kraus.reshape(-1, d1, d2).swapaxes(-1, -2)))
     return Instrument(ins.outcomes, tuple(new_maps))
 
 
@@ -235,24 +239,17 @@ def random_instrument(
     if min(d1, d2, n_outcomes, kraus_per_outcome) < 1:
         raise DimensionMismatch("all dimensions and counts must be positive")
     rng = np.random.default_rng(seed)
-    raw = [
-        [
-            (rng.standard_normal((d2, d1)) + 1j * rng.standard_normal((d2, d1)))
-            / np.sqrt(2.0)
-            for _ in range(kraus_per_outcome)
-        ]
-        for _ in range(n_outcomes)
-    ]
-    s = sum(k.conj().T @ k for group in raw for k in group)
+    # each operator draws its real part, then its imaginary part
+    draw = rng.standard_normal((n_outcomes, kraus_per_outcome, 2, d2, d1))
+    raw = (draw[:, :, 0] + 1j * draw[:, :, 1]) / np.sqrt(2.0)
+    s = (raw.conj().swapaxes(-1, -2) @ raw).reshape(-1, d1, d1).sum(axis=0)
     # jacobi_eig, not herm_eig: its rounding sets the generated Kraus
     # operators' last digits, which scenario fingerprints hash
     spec = matcore.jacobi_eig(s)
     if spec.eigenvalues[0] < SUPPORT_CUTOFF:
         raise SingularNormalizer(f"normalizer eigenvalue {spec.eigenvalues[0]:.3e} too small")
     s_inv_sqrt = matcore.spectral_apply(spec, lambda x: x ** -0.5)
-    maps = tuple(
-        KrausMap(d1, d2, tuple(k @ s_inv_sqrt for k in group)) for group in raw
-    )
+    maps = tuple(KrausMap(d1, d2, group) for group in raw @ s_inv_sqrt)
     return Instrument(tuple(range(n_outcomes)), maps)
 
 
@@ -261,7 +258,7 @@ def instrument_to_json(ins: Instrument) -> dict:
         "dim_in": ins.dim_in,
         "dim_out": ins.dim_out,
         "outcomes": list(ins.outcomes),
-        "kraus": [[matcore.matrix_to_json(k) for k in m.kraus] for m in ins.maps],
+        "kraus": [matcore.matrix_to_json(m.kraus) for m in ins.maps],
     }
 
 
@@ -272,8 +269,9 @@ def instrument_from_json(obj: dict) -> Instrument:
     obj = matcore.as_object("instrument", obj, INSTRUMENT_KEYS)
     d1 = matcore.as_count("dim_in", obj["dim_in"], 1)
     d2 = matcore.as_count("dim_out", obj["dim_out"], 1)
+    # one parse per outcome; an empty outcome is KrausMap's to name
     maps = tuple(
-        KrausMap(d1, d2, tuple(matcore.matrix_from_json(k) for k in group))
+        KrausMap(d1, d2, matcore.matrix_from_json(group) if group else ())
         for group in obj["kraus"]
     )
     return Instrument(matcore.as_labels("outcomes", obj["outcomes"]), maps)

@@ -4,7 +4,10 @@ functions on the support, Kronecker products and partial traces.
 Conventions (project-wide): row-major complex128 arrays, eigenvectors stored as
 columns, eigenvalues ascending. Every decomposition is LAPACK's (``herm_eig``
 for one matrix, batched ``numpy.linalg`` calls for stacks), called through
-``lapack``, which makes a LAPACK failure a ``NoConvergence``. States are
+``lapack``, which makes a LAPACK failure a ``NoConvergence``. The one
+Hermiticity rule lives here, ``hermitian_part`` (finite, square, Hermitian
+within HERM_TOL, then (A + A^dag) / 2, on a matrix or a stack): ``herm_eig``,
+``jacobi_eig`` and the rules of a state (``qstate``) call it. States are
 checked, never repaired, except at ingest (``qstate.ensemble_from_json``),
 which clamps eigenvalues in [-HERM_TOL, 0) of a letter read from JSON.
 ``jacobi_eig`` is a numpy cyclic Jacobi kept for input canonicalisation only:
@@ -42,22 +45,22 @@ class SpectralDecomp(NamedTuple):
     eigenvectors: np.ndarray  # unitary, columns
 
 
-def as_matrix(entries) -> np.ndarray:
-    """Coerce to a C-contiguous complex128 2-D array, rejecting non-finite entries."""
-    a = np.ascontiguousarray(entries, dtype=np.complex128)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D matrix, got ndim={a.ndim}")
+def hermitian_part(a) -> np.ndarray:
+    """The Hermitian part (A + A^dag) / 2 of a matrix, or of each matrix of a
+    (..., d, d) stack, once every entry is finite and each matrix is square and
+    Hermitian within HERM_TOL. The one Hermiticity rule: the eigensolvers and
+    the rules of a state (``qstate._hermitian_part``) call it. A matrix equal
+    to its adjoint is its own Hermitian part: the same values come back."""
+    a = np.asarray(a, dtype=np.complex128)
     if not np.isfinite(a).all():
         raise NotHermitian("matrix contains NaN/Inf entries")
-    return a
-
-
-def check_hermitian(a: np.ndarray) -> None:
-    if a.shape[0] != a.shape[1]:
-        raise NotHermitian(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
-    dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise NotHermitian(f"matrix of shape {a.shape} is not square")
+    adj = a.conj().swapaxes(-1, -2)
+    dev = float(np.abs(a - adj).max(initial=0.0))
     if dev > HERM_TOL:
         raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds {HERM_TOL:.1e}")
+    return 0.5 * (a + adj)
 
 
 def lapack(routine: Callable, *args, **kwargs):
@@ -71,17 +74,8 @@ def lapack(routine: Callable, *args, **kwargs):
 
 
 def herm_eig(a: np.ndarray) -> SpectralDecomp:
-    """Eigendecomposition of a Hermitian matrix (of its Hermitian part) by LAPACK.
-
-    A matrix equal to its adjoint, such as a checked state's, is its own
-    Hermitian part: it is decomposed as it is, with no second check.
-    """
-    a = as_matrix(a)
-    adj = a.conj().T
-    if a.shape != adj.shape or not (a == adj).all():
-        check_hermitian(a)
-        a = 0.5 * (a + adj)
-    return SpectralDecomp(*lapack(np.linalg.eigh, a))
+    """Eigendecomposition of a Hermitian matrix (of its ``hermitian_part``) by LAPACK."""
+    return SpectralDecomp(*lapack(np.linalg.eigh, hermitian_part(a)))
 
 
 def jacobi_eig(a: np.ndarray) -> SpectralDecomp:
@@ -90,10 +84,8 @@ def jacobi_eig(a: np.ndarray) -> SpectralDecomp:
     Only for input canonicalisation (see the module docstring); use herm_eig
     everywhere else.
     """
-    a = as_matrix(a)
-    check_hermitian(a)
-    n = a.shape[0]
-    work = np.ascontiguousarray(0.5 * (a + a.conj().T))
+    work = np.ascontiguousarray(hermitian_part(a))
+    n = work.shape[0]
     vecs = np.eye(n, dtype=np.complex128)
     off_tol = OFF_DIAG_TOL * max(1.0, float(np.linalg.norm(work)))
     if not _jacobi_sweeps(work, vecs, MAX_SWEEPS, off_tol):

@@ -1,11 +1,12 @@
 """Density matrices, classical distributions and letter-state ensembles.
 
 States and probabilities are checked against their definitions and kept as
-given, never repaired: ``_hermitian_part`` and ``_check_positive`` hold the
-rules of a state, and ``DensityMatrix``, ``Ensemble`` and ``density_eigvals``
-apply them. A state's spectrum has one source, the decomposition made where it
-is checked: ``herm_eig`` for a ``DensityMatrix``, one batched ``eigh`` for an
-ensemble's letters. The one repair is at ingest (``ensemble_from_json``): a
+given, never repaired: ``_hermitian_part`` (``matcore.hermitian_part``, the one
+Hermiticity rule, plus unit trace) and ``_check_positive`` hold the rules of a
+state, and ``DensityMatrix``, ``Ensemble`` and ``density_eigvals`` apply them.
+A state's spectrum has one source, the decomposition made where it is checked:
+``herm_eig`` for a ``DensityMatrix``, one batched ``eigh`` for an ensemble's
+letters read as a stack. The one repair is at ingest (``ensemble_from_json``): a
 valid letter read from JSON whose Jacobi least eigenvalue is negative is
 clamped, because scenario fingerprints hash the digits that clamp has always
 produced. An instrument's POV measure lives on the instrument
@@ -20,29 +21,20 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import matcore
-from .errors import BadTrace, DimensionMismatch, LabelMismatch, NotHermitian, NotPositive
+from .errors import BadTrace, DimensionMismatch, LabelMismatch, NotPositive
 from .matcore import HERM_TOL
 
 PROB_TOL = 1e-12
 
 
 def _hermitian_part(a) -> np.ndarray:
-    """The Hermitian part of a (..., d, d) stack of candidate states, once every
-    entry is finite, each matrix square, Hermitian within HERM_TOL and of unit
-    trace within HERM_TOL."""
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise NotHermitian(f"expected square matrices, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise NotHermitian("matrix contains NaN/Inf entries")
-    adj = a.conj().swapaxes(-1, -2)
-    dev = float(np.abs(a - adj).max(initial=0.0))
-    if dev > HERM_TOL:
-        raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds {HERM_TOL:.1e}")
+    """``matcore.hermitian_part`` of a candidate state or (..., d, d) stack of
+    them, once each is also of unit trace within HERM_TOL."""
+    a = matcore.hermitian_part(a)
     worst = float(np.abs(a.trace(axis1=-2, axis2=-1).real - 1.0).max(initial=0.0))
     if worst > HERM_TOL:
         raise BadTrace(f"trace differs from 1 by {worst:.3e}, more than {HERM_TOL:.1e}")
-    return 0.5 * (a + adj)
+    return a
 
 
 def _check_positive(least: float) -> None:
@@ -123,11 +115,13 @@ class ClassicalDist:
 class Ensemble:
     """Finite alphabet with strictly positive probabilities and one state per letter.
 
-    ``states`` may be given as a tuple of ``DensityMatrix`` or as a
-    [letter, d, d] stack; either way it is kept as one read-only stack (its
-    Hermitian part), checked by the rules of a state, and decomposed by one
-    batched ``eigh``, whose least eigenvalues are the positivity check.
-    ``spectra`` holds that decomposition ([letter, d] and [letter, d, d]).
+    ``states`` is kept as one read-only [letter, d, d] stack. Given as a
+    stack, it is checked by the rules of a state (its Hermitian part is kept)
+    and decomposed by one batched ``eigh``, whose least eigenvalues are the
+    positivity check. Given as a tuple of ``DensityMatrix``, which were
+    checked and decomposed when they were built, their matrices and spectra
+    are taken as they are. ``spectra`` holds the decomposition ([letter, d]
+    and [letter, d, d]).
     """
 
     letters: tuple
@@ -147,16 +141,19 @@ class Ensemble:
         if abs(probs.sum() - 1.0) > PROB_TOL:
             raise BadTrace(f"letter probabilities sum to {probs.sum()}, not 1")
         states = self.states
-        if not isinstance(states, np.ndarray):  # DensityMatrix letters
+        if isinstance(states, np.ndarray):
+            if states.ndim != 3:
+                raise DimensionMismatch(f"expected a [letter, d, d] stack, got shape {states.shape}")
+            states = np.ascontiguousarray(_hermitian_part(states))
+            vals, vecs = matcore.lapack(np.linalg.eigh, states)
+            _check_positive(float(vals[:, 0].min()))
+        else:  # DensityMatrix letters, checked and decomposed when they were built
             dims = {s.dim for s in states}
             if len(dims) != 1:
                 raise DimensionMismatch(f"letter states have inconsistent dims {dims}")
-            states = np.array([s.mat for s in states])
-        if states.ndim != 3:
-            raise DimensionMismatch(f"expected a [letter, d, d] stack, got shape {states.shape}")
-        states = np.ascontiguousarray(_hermitian_part(states))
-        vals, vecs = matcore.lapack(np.linalg.eigh, states)
-        _check_positive(float(vals[:, 0].min()))
+            states = np.array([s.mat for s in self.states])
+            vals = np.array([s.spectral().eigenvalues for s in self.states])
+            vecs = np.array([s.spectral().eigenvectors for s in self.states])
         probs = probs.copy()
         for a in (probs, states, vals, vecs):
             a.setflags(write=False)

@@ -106,7 +106,7 @@ def test_every_chi_matches_the_relative_entropy_form(s):
         assert abs(chains[name].lhs - value) <= 1e-10, name
 
     if eta_i.spectral().eigenvalues[0] > 1e-9:
-        dual = dual_ensemble(s.ensemble, s.instrument, eta_i)
+        dual = dual_ensemble(s.instrument, eta_i)
         live = [(p, states(x)) for p, x in zip(dual.probs.probs, dual.states) if p > 1e-12]
         chi_dual = rel_form([p for p, _ in live], [x for _, x in live], eta_i)
         assert abs(hall_section(ms)["hall_bound"].rhs - chi_dual) <= 1e-10

@@ -116,20 +116,20 @@ class TestDualEnsemble:
     def test_identity_instrument_returns_eta(self):
         e = zero_plus_ensemble()
         ins = Instrument((0,), (KrausMap(2, 2, (np.eye(2, dtype=complex),)),))
-        dual = dual_ensemble(e, ins, a_priori_state(e))
+        dual = dual_ensemble(ins, a_priori_state(e))
         assert np.allclose(dual.states[0], a_priori_state(e).mat, atol=1e-10)
 
     def test_barycenter_is_eta(self):
         e = random_ensemble(3, 2, np.random.default_rng(5))
         ins = random_instrument(3, 2, 3, 2, seed=6)
-        dual = dual_ensemble(e, ins, a_priori_state(e))
+        dual = dual_ensemble(ins, a_priori_state(e))
         mix = sum(p * s for p, s in zip(dual.probs.probs, dual.states) if p > 1e-12)
         assert np.max(np.abs(mix - a_priori_state(e).mat)) < 1e-9
 
     def test_probs_match_outcome_probs(self):
         e = zero_plus_ensemble()
         ins = projective_qubit()
-        dual = dual_ensemble(e, ins, a_priori_state(e))
+        dual = dual_ensemble(ins, a_priori_state(e))
         assert np.allclose(dual.probs.probs, [0.75, 0.25], atol=1e-10)
 
     def test_null_outcome_gets_none(self):
@@ -139,7 +139,7 @@ class TestDualEnsemble:
         # representable; instead feed KET0-only ensemble support through the
         # z-projective instrument and check the unused branch on a pure eta.
         single = Ensemble(("a",), np.array([1.0]), (KET1,))
-        dual = dual_ensemble(single, projective_qubit(), a_priori_state(single))
+        dual = dual_ensemble(projective_qubit(), a_priori_state(single))
         assert not dual.states[0].any()  # outcome 0 has zero probability
         assert np.allclose(dual.states[1], KET1.mat)
 

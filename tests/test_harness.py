@@ -3,6 +3,10 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,6 +73,18 @@ class TestScenarioJson:
     def test_malformed_raises_schema_error(self):
         with pytest.raises(SchemaError):
             scenario_from_json({"ensemble": {}})
+
+    def test_one_and_two_operator_outcomes_roundtrip(self):
+        # each outcome's operators are written and read back as one stack
+        s = random_scenario(3, 2, 3, 3, 1, 4)
+        ins = infobounds.merge_outcomes(s.instrument, 0, 1)
+        s = dataclasses.replace(s, instrument=ins)
+        assert [len(m.kraus) for m in ins.maps] == [2, 1]
+        text = harness.json_text(s.to_json())
+        read = scenario_from_json(json.loads(text))
+        assert [m.kraus.shape for m in read.instrument.maps] == [(2, 2, 3), (1, 2, 3)]
+        assert harness.json_text(read.to_json()) == text
+        assert _fingerprint(read) == _fingerprint(s)
 
     def test_dim_mismatch_rejected(self):
         e = Ensemble((0, 1), np.array([0.5, 0.5]), (pure_state([1, 0]), pure_state([0, 1])))
@@ -484,6 +500,21 @@ class TestInputContract:
         mutate(obj)
         with pytest.raises(BadTrace, match="sum of effects"):
             scenario_from_json(obj)
+
+    def test_overflowing_kraus_entry_prints_one_error_line(self, tmp_path):
+        # a finite entry whose effect product overflows: the effect-sum rule
+        # names it, and no floating-point warning reaches stderr before it
+        obj = example_scenario("zero-one-plus").to_json()
+        obj["instrument"]["kraus"][0][0][0][0][0] = 1e200
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(obj))
+        src = str(Path(harness.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "qinstr", "analyze", str(path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.splitlines() == ["error: sum of effects deviates from identity by inf"]
 
     def test_empty_kraus_tuple_exit_two(self, tmp_path, capsys):
         def mutate(obj):

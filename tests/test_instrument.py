@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qinstr import matcore
-from qinstr.errors import BadTrace, DimensionMismatch, UnknownOutcome
+from qinstr.errors import BadTrace, DimensionMismatch, NotHermitian, UnknownOutcome
 from qinstr.infobounds import merge_outcomes
 from qinstr.instrument import (
     Instrument,
@@ -109,6 +109,47 @@ class TestKrausMap:
     def test_empty_kraus_tuple_rejected(self):
         with pytest.raises(DimensionMismatch, match="at least one Kraus operator"):
             KrausMap(2, 2, ())
+
+    def test_tuple_and_array_build_the_same_read_only_stack(self):
+        ops = random_instrument(3, 2, 1, 3, seed=8).maps[0].kraus
+        from_tuple = KrausMap(3, 2, tuple(np.array(k) for k in ops))
+        from_array = KrausMap(3, 2, np.array(ops))
+        for m in (from_tuple, from_array):
+            assert m.kraus.shape == (3, 2, 3) and m.kraus.dtype == np.complex128
+            assert not m.kraus.flags.writeable
+            with pytest.raises(ValueError):
+                m.kraus[0, 0, 0] = 0.0
+        assert (from_tuple.dim_in, from_tuple.dim_out) == (from_array.dim_in, from_array.dim_out)
+        assert np.array_equal(from_tuple.kraus, from_array.kraus)
+
+    @pytest.mark.parametrize("shape,seed", [((2, 3, 4, 2), 9), ((3, 2, 3, 1), 10), ((3, 3, 2, 3), 11)])
+    def test_apply_equals_the_kraus_loop(self, shape, seed):
+        ins = random_instrument(*shape, seed=seed)
+        rho = maximally_mixed(ins.dim_in).mat + 0.1j * np.triu(np.ones((ins.dim_in,) * 2), 1)
+        for m in ins.maps:
+            loop = np.zeros((m.dim_out, m.dim_out), dtype=complex)
+            for k in m.kraus:
+                loop += k @ rho @ k.conj().T
+            assert np.array_equal(m.apply(rho), loop)
+
+    def test_the_stack_is_the_callers_copy(self):
+        ops = np.stack([np.eye(2, dtype=complex)] * 2) / np.sqrt(2)
+        m = KrausMap(2, 2, ops)
+        ops[0] = 0.0
+        assert ops.flags.writeable and np.array_equal(m.kraus[0], np.eye(2) / np.sqrt(2))
+
+    @pytest.mark.parametrize("kraus", [
+        (np.eye(2), np.eye(3)),  # operators of different shapes
+        np.eye(2),  # one matrix, not a stack of them
+        (np.ones((3, 2)),),  # d2 x d1 = 3 x 2, not 2 x 2
+    ], ids=["ragged", "matrix", "wrong-shape"])
+    def test_bad_shapes_are_a_dimension_mismatch(self, kraus):
+        with pytest.raises(DimensionMismatch):
+            KrausMap(2, 2, kraus)
+
+    def test_non_finite_entry_rejected(self):
+        with pytest.raises(NotHermitian, match="NaN/Inf"):
+            KrausMap(2, 2, (np.diag([1.0, np.inf]),))
 
 
 def kraus_loop_channel_matrix(ins):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import qinstr
 from qinstr import matcore
 from qinstr.errors import DimensionMismatch, NoConvergence, NotHermitian
+from qinstr.qstate import DensityMatrix
 
 
 def random_hermitian(dim, seed):
@@ -101,6 +102,22 @@ class TestSolvers:
 
     def test_backend_identified(self):
         assert qinstr.EIG_BACKEND == "lapack"
+
+
+@pytest.mark.parametrize("m", [
+    np.full((2, 3), 1 / 3),
+    np.array([[np.nan, 0.0], [0.0, 0.5]]),
+    np.array([[0.5, 0.1], [0.0, 0.5]]),
+], ids=["not-square", "nan", "not-hermitian"])
+@pytest.mark.parametrize("reader", [matcore.herm_eig, matcore.jacobi_eig, DensityMatrix],
+                         ids=["herm_eig", "jacobi_eig", "DensityMatrix"])
+def test_one_hermiticity_rule(reader, m):
+    """The eigensolvers and a state reject a matrix by matcore.hermitian_part,
+    so the same inputs fail each of them with the same exception."""
+    with pytest.raises(NotHermitian):
+        matcore.hermitian_part(m)
+    with pytest.raises(NotHermitian):
+        reader(m)
 
 
 class TestSpectralApply:

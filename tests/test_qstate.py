@@ -266,6 +266,30 @@ class TestDecomposeOnce:
         DensityMatrix(m)
         assert len(calls) == 1
 
+    def test_ensemble_takes_checked_letters_as_they_are(self, monkeypatch):
+        # a DensityMatrix letter was checked and decomposed when it was built
+        rng = np.random.default_rng(2)
+        letters = tuple(DensityMatrix(ginibre(3, rng)) for _ in range(3))
+        probs = np.array([0.2, 0.3, 0.5])
+        eighs = []
+        eigh = np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            eighs.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        e = Ensemble((0, 1, 2), probs, letters)
+        assert not eighs
+        for i, rho in enumerate(letters):
+            assert np.array_equal(e.states[i], rho.mat)
+            assert np.array_equal(e.spectra.eigenvalues[i], rho.spectral().eigenvalues)
+            assert np.array_equal(e.spectra.eigenvectors[i], rho.spectral().eigenvectors)
+        # the same states as the checked stack path keeps
+        stacked = Ensemble((0, 1, 2), probs, np.stack([rho.mat for rho in letters]))
+        assert np.array_equal(stacked.states, e.states)
+        assert not e.states.flags.writeable and not e.spectra.eigenvectors.flags.writeable
+
     def test_clamping_redecomposes(self, monkeypatch):
         counts = {"eigh": 0, "jacobi_eig": 0}
 
