@@ -1,7 +1,7 @@
 """Quantum instruments, measurement entropies and information bounds."""
 
 from .qstate import ClassicalDist, DensityMatrix, Ensemble
-from .instrument import AposterioriFamily, Instrument, KrausMap
+from .instrument import Instrument, KrausMap
 
 __version__ = "0.1.0"
 EIG_BACKEND = "lapack"  # matcore.herm_eig is numpy.linalg.eigh
@@ -11,7 +11,6 @@ __all__ = [
     "ClassicalDist",
     "DensityMatrix",
     "Ensemble",
-    "AposterioriFamily",
     "Instrument",
     "KrausMap",
 ]

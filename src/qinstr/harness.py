@@ -74,7 +74,7 @@ SCENARIO_KEYS = ("ensemble", "instrument", "options")
 OPTION_KEYS = ("log_base", "tol", "gl_trials", "gl_demix", "seed")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     ensemble: Ensemble
     instrument: Instrument

@@ -15,7 +15,6 @@ from .entropy import _entropy, chi_against, mutual_info, vn_entropies, vn_entrop
 from .errors import DimensionMismatch, InfiniteQuantity
 from .instrument import (
     Instrument,
-    KrausMap,
     _apply_to_stack,
     _posteriors,
     a_posteriori_stack,
@@ -301,14 +300,6 @@ def check_bounds(panel: EntropyPanel) -> BoundReport:
     return BoundReport(checks)
 
 
-def quantum_info_gain(ins: Instrument, eta: DensityMatrix) -> float:
-    """Entropy of the input minus mean entropy of the a posteriori states."""
-    if eta.dim != ins.dim_in:
-        raise DimensionMismatch(f"state dim {eta.dim} vs instrument dim_in {ins.dim_in}")
-    gains, _, _ = _gains(ins, eta.mat[None])
-    return gains[0]
-
-
 def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
     """Normalized Ginibre state G G^dag / Tr (``_ginibre_states`` of one draw)."""
     return DensityMatrix(_ginibre_states(rng.standard_normal((1, 2, dim, dim)))[0])
@@ -346,8 +337,8 @@ def _info_gain(s_in, probs, s_post) -> np.ndarray:
 
 
 def _gains(ins: Instrument, rhos: np.ndarray) -> tuple:
-    """quantum_info_gain of each state of a stack, the outcome probabilities
-    [outcome, n] and the states' entropies."""
+    """The information gain of each state of a stack (``_info_gain``), the
+    outcome probabilities [outcome, n] and the states' entropies."""
     probs, posts = a_posteriori_stack(ins, rhos)
     s_post = vn_entropies(posts.reshape(-1, ins.dim_out, ins.dim_out)).reshape(probs.shape)
     s_in = vn_entropies(rhos)
@@ -531,21 +522,3 @@ def scutaru_chains(ms: MeasurementStatistics, cs: CompoundStates) -> BoundReport
         BoundCheck("scutaru2_chi_tau_f_ge_gamma", gamma_rel, chi_tau_f),
     )
     return BoundReport(checks)
-
-
-def merge_outcomes(ins: Instrument, w1, w2) -> Instrument:
-    """Coarse-grain two outcomes into one (their Kraus lists are concatenated)."""
-    m1 = ins.map_for(w1)
-    m2 = ins.map_for(w2)
-    merged = KrausMap(ins.dim_in, ins.dim_out, np.concatenate([m1.kraus, m2.kraus]))
-    outcomes, maps = [], []
-    for o, m in zip(ins.outcomes, ins.maps):
-        if o == w1:
-            outcomes.append(f"{w1}+{w2}")
-            maps.append(merged)
-        elif o == w2:
-            continue
-        else:
-            outcomes.append(o)
-            maps.append(m)
-    return Instrument(tuple(outcomes), tuple(maps))

@@ -7,8 +7,9 @@ array operations on it. An instrument's POV measure is the dual action of its
 maps on the identity, E(w) = sum_k K_k^dag K_k, held once as
 ``Instrument.effects``; the effect-sum rule (sum_w E(w) = 1 within
 POVM_SUM_TOL) is checked there, at construction. The analysis applies an
-instrument to stacks through ``Instrument.channel_matrix``; the per-state
-functions are a public convenience and the tests' reference."""
+instrument to stacks through ``Instrument.channel_matrix``, and
+``_posteriors`` holds the a posteriori rule; the per-state forms the tests
+check them against live in ``reference``."""
 
 from __future__ import annotations
 
@@ -27,12 +28,12 @@ from .errors import (
     UnknownOutcome,
 )
 from .matcore import SUPPORT_CUTOFF
-from .qstate import ClassicalDist, DensityMatrix, maximally_mixed
+from .qstate import ClassicalDist, DensityMatrix
 
 POVM_SUM_TOL = 1e-9  # sum of an instrument's effects against the identity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausMap:
     """Completely positive map rho -> sum_k K_k rho K_k^dag, H1 -> H2.
 
@@ -64,7 +65,7 @@ class KrausMap:
         return (self.kraus @ rho @ self.kraus.conj().swapaxes(-1, -2)).sum(axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instrument:
     """Outcome-indexed family of Kraus maps, jointly trace-preserving."""
 
@@ -134,43 +135,11 @@ class Instrument:
             raise UnknownOutcome(f"no outcome {outcome!r}") from None
 
 
-@dataclass(frozen=True)
-class AposterioriFamily:
-    """Outcome probabilities plus normalized conditional states."""
-
-    probs: ClassicalDist
-    states: tuple
-
-
-def apply_outcome(ins: Instrument, rho: DensityMatrix, outcome) -> np.ndarray:
-    """Unnormalized positive output for a single outcome."""
-    if rho.dim != ins.dim_in:
-        raise DimensionMismatch(f"state dim {rho.dim} vs instrument dim_in {ins.dim_in}")
-    return ins.map_for(outcome).apply(rho.mat)
-
-
 def outcome_probs(ins: Instrument, rho: DensityMatrix) -> ClassicalDist:
     if rho.dim != ins.dim_in:
         raise DimensionMismatch(f"state dim {rho.dim} vs instrument dim_in {ins.dim_in}")
     probs = np.maximum(np.einsum("wij,ji->w", ins.effects, rho.mat).real, 0.0)
     return ClassicalDist(ins.outcomes, probs / probs.sum())
-
-
-def a_posteriori(ins: Instrument, rho: DensityMatrix) -> AposterioriFamily:
-    """Normalized conditional states by the null-cell rule of ``_posteriors``:
-    a null outcome gets probability 0 and the fill I/d2."""
-    fill = maximally_mixed(ins.dim_out)
-    probs = []
-    states = []
-    for outcome, m in zip(ins.outcomes, ins.maps):
-        out = m.apply(rho.mat)
-        tr = float(np.trace(out).real)
-        live = tr > SUPPORT_CUTOFF
-        probs.append(tr if live else 0.0)
-        states.append(DensityMatrix(out / tr) if live else fill)
-    probs = np.array(probs)
-    dist = ClassicalDist(ins.outcomes, probs / probs.sum())
-    return AposterioriFamily(dist, tuple(states))
 
 
 def _apply_to_stack(ins: Instrument, rhos: np.ndarray) -> np.ndarray:
@@ -182,8 +151,8 @@ def _apply_to_stack(ins: Instrument, rhos: np.ndarray) -> np.ndarray:
 
 
 def a_posteriori_stack(ins: Instrument, rhos: np.ndarray) -> tuple:
-    """a_posteriori for each state of an (n, d1, d1) stack: outcome probabilities
-    and conditional states, both indexed [outcome, n]. The states are not
+    """The a posteriori family of each state of an (n, d1, d1) stack: outcome
+    probabilities and conditional states, both indexed [outcome, n]. The states are not
     validated here."""
     return _posteriors(_apply_to_stack(ins, rhos))
 
@@ -203,33 +172,6 @@ def _posteriors(outs: np.ndarray) -> tuple:
     states = np.where(live[..., None, None], outs / np.where(live, tr, 1.0)[..., None, None], fill)
     probs = np.where(live, tr, 0.0)
     return probs / probs.sum(axis=0), states
-
-
-def total_channel(ins: Instrument, rho: DensityMatrix) -> DensityMatrix:
-    """Non-selective post-measurement state."""
-    if rho.dim != ins.dim_in:
-        raise DimensionMismatch(f"state dim {rho.dim} vs instrument dim_in {ins.dim_in}")
-    return DensityMatrix(sum(m.apply(rho.mat) for m in ins.maps))
-
-
-def channel_roundtrip(ins: Instrument) -> Instrument:
-    """Rebuild the instrument from its channel action on the matrix units.
-
-    For each outcome, the action is sampled on the matrix-unit basis of H1,
-    assembled into the Choi matrix and refactored into Kraus form; the result
-    acts identically on all inputs.
-    """
-    d1, d2 = ins.dim_in, ins.dim_out
-    new_maps = []
-    for m in ins.maps:
-        # block (j, k) of the Choi matrix is the map's action on |j><k|:
-        # entry ((j, a), (k, b)) = sum_K K[a, j] conj(K[b, k])
-        cols = m.kraus.swapaxes(-1, -2).reshape(-1, d1 * d2)
-        vals, vecs = matcore.herm_eig(cols.T @ cols.conj())
-        keep = vals > SUPPORT_CUTOFF
-        kraus = np.sqrt(vals[keep])[:, None] * vecs[:, keep].T
-        new_maps.append(KrausMap(d1, d2, kraus.reshape(-1, d1, d2).swapaxes(-1, -2)))
-    return Instrument(ins.outcomes, tuple(new_maps))
 
 
 def random_instrument(

@@ -43,7 +43,7 @@ def _check_positive(least: float) -> None:
         raise NotPositive(f"minimum eigenvalue {least:.3e} below -{HERM_TOL:.1e}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Positive semidefinite unit-trace Hermitian matrix.
 
@@ -55,7 +55,7 @@ class DensityMatrix:
     """
 
     mat: np.ndarray
-    _spec: matcore.SpectralDecomp = field(init=False, repr=False, compare=False)
+    _spec: matcore.SpectralDecomp = field(init=False, repr=False)
 
     def __post_init__(self):
         if np.ndim(self.mat) != 2:
@@ -86,7 +86,7 @@ def density_eigvals(stack) -> np.ndarray:
     return vals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassicalDist:
     """Probability distribution over a finite label set, kept as given once
     every entry is >= -PROB_TOL and the sum is 1 within HERM_TOL."""
@@ -111,7 +111,7 @@ class ClassicalDist:
         return float(self.probs[self.labels.index(label)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     """Finite alphabet with strictly positive probabilities and one state per letter.
 
@@ -127,7 +127,7 @@ class Ensemble:
     letters: tuple
     probs: np.ndarray
     states: np.ndarray
-    spectra: matcore.SpectralDecomp = field(init=False, repr=False, compare=False)
+    spectra: matcore.SpectralDecomp = field(init=False, repr=False)
 
     def __post_init__(self):
         letters = tuple(self.letters)
@@ -175,28 +175,11 @@ def a_priori_state(e: Ensemble) -> DensityMatrix:
     return DensityMatrix(sum(p * s for p, s in zip(e.probs, e.states)))
 
 
-def fidelity_like_support_check(sigma: DensityMatrix, tau: DensityMatrix) -> bool:
-    """True iff supp(sigma) is contained in supp(tau)."""
-    if sigma.dim != tau.dim:
-        raise DimensionMismatch(f"dims {sigma.dim} and {tau.dim} differ")
-    vals, vecs = tau.spectral()
-    keep = vals <= matcore.SUPPORT_CUTOFF
-    if not np.any(keep):
-        return True
-    comp = vecs[:, keep]  # columns spanning the kernel of tau
-    block = comp.conj().T @ sigma.mat @ comp
-    return float(np.max(np.abs(block))) <= matcore.SUPPORT_CUTOFF
-
-
 def pure_state(vec: Sequence[complex]) -> DensityMatrix:
     """Density matrix of a (normalized) ket."""
     v = np.asarray(vec, dtype=np.complex128)
     v = v / np.linalg.norm(v)
     return DensityMatrix(np.outer(v, v.conj()))
-
-
-def maximally_mixed(dim: int) -> DensityMatrix:
-    return DensityMatrix(np.eye(dim, dtype=np.complex128) / dim)
 
 
 def ensemble_to_json(e: Ensemble) -> dict:

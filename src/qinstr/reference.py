@@ -1,0 +1,204 @@
+"""The definitional forms that the criteria check the stacked pipeline against.
+
+The paper reads an instrument as a channel that takes one state to a
+probability and an a posteriori state. Each function here evaluates a
+quantity in that form, one state at a time: the relative entropies through
+both spectral decompositions (testing supports, so they return +inf, Python
+``math.inf``, when one leaves the other), the a posteriori family of one
+state, the channel action operator by operator, a Choi-matrix rebuild of an
+instrument, the information gain of one state and the coarse-graining of two
+outcomes. Its independence is the reason the module exists: no pipeline
+module imports it, and nothing here calls the stacked path it checks
+(``instrument.Instrument.channel_matrix``, ``instrument._posteriors``,
+``entropy.vn_entropies``). ``import qinstr`` does not load it.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from . import matcore
+from .entropy import vn_entropy
+from .errors import DimensionMismatch, LabelMismatch
+from .instrument import Instrument, KrausMap
+from .matcore import SUPPORT_CUTOFF
+from .qstate import ClassicalDist, DensityMatrix
+
+INF = math.inf
+
+
+def fidelity_like_support_check(sigma: DensityMatrix, tau: DensityMatrix) -> bool:
+    """True iff supp(sigma) is contained in supp(tau)."""
+    if sigma.dim != tau.dim:
+        raise DimensionMismatch(f"dims {sigma.dim} and {tau.dim} differ")
+    vals, vecs = tau.spectral()
+    keep = vals <= matcore.SUPPORT_CUTOFF
+    if not np.any(keep):
+        return True
+    comp = vecs[:, keep]  # columns spanning the kernel of tau
+    block = comp.conj().T @ sigma.mat @ comp
+    return float(np.max(np.abs(block))) <= matcore.SUPPORT_CUTOFF
+
+
+def maximally_mixed(dim: int) -> DensityMatrix:
+    return DensityMatrix(np.eye(dim, dtype=np.complex128) / dim)
+
+
+def q_rel_entropy(sigma: DensityMatrix, tau: DensityMatrix) -> float:
+    """Tr{sigma (log sigma - log tau)}, +inf when supp(sigma) leaves supp(tau).
+
+    Evaluated through both spectral decompositions:
+    sum_j l_j log l_j - sum_{jk} l_j |<u_j|v_k>|^2 log m_k,
+    exact on the supports without forming log of a matrix difference.
+    """
+    if sigma.dim != tau.dim:
+        raise DimensionMismatch(f"dims {sigma.dim} and {tau.dim} differ")
+    if not fidelity_like_support_check(sigma, tau):
+        return INF
+    svals, svecs = sigma.spectral()
+    tvals, tvecs = tau.spectral()
+    overlap = np.abs(svecs.conj().T @ tvecs) ** 2  # [j, k]
+    total = 0.0
+    for j, lj in enumerate(svals):
+        if lj <= SUPPORT_CUTOFF:
+            continue
+        total += lj * math.log(lj)
+        for k, mk in enumerate(tvals):
+            w = overlap[j, k]
+            if mk > SUPPORT_CUTOFF:
+                total -= lj * w * math.log(mk)
+            elif lj * w > SUPPORT_CUTOFF:
+                return INF  # residual weight on the kernel of tau
+    return total
+
+
+def c_rel_entropy(p: ClassicalDist, q: ClassicalDist) -> float:
+    """Kullback-Leibler divergence, with 0 log(0/q) = 0."""
+    if p.labels != q.labels:
+        raise LabelMismatch("distributions live on different label sets")
+    total = 0.0
+    for pj, qj in zip(p.probs, q.probs):
+        if pj <= SUPPORT_CUTOFF:
+            continue
+        if qj <= SUPPORT_CUTOFF:
+            return INF
+        total += pj * math.log(pj / qj)
+    return total
+
+
+def mixed_rel_entropy(
+    f1: tuple[ClassicalDist, Sequence[DensityMatrix]],
+    f2: tuple[ClassicalDist, Sequence[DensityMatrix]],
+) -> float:
+    """Relative entropy of two classical/quantum families:
+    S_c(P1|P2) + sum_w P1(w) S_q(s1(w)|s2(w))."""
+    p1, states1 = f1
+    p2, states2 = f2
+    if p1.labels != p2.labels:
+        raise LabelMismatch("families live on different label sets")
+    if len(states1) != len(p1.labels) or len(states2) != len(p2.labels):
+        raise LabelMismatch("state count does not match label count")
+    dims = {s.dim for s in list(states1) + list(states2)}
+    if len(dims) != 1:
+        raise DimensionMismatch(f"states have inconsistent dims {dims}")
+    total = c_rel_entropy(p1, p2)
+    if math.isinf(total):
+        return INF
+    for w, s1, s2 in zip(p1.probs, states1, states2):
+        if w <= SUPPORT_CUTOFF:
+            continue
+        term = q_rel_entropy(s1, s2)
+        if math.isinf(term):
+            return INF
+        total += w * term
+    return total
+
+
+@dataclass(frozen=True)
+class AposterioriFamily:
+    """Outcome probabilities plus normalized conditional states."""
+
+    probs: ClassicalDist
+    states: tuple
+
+
+def apply_outcome(ins: Instrument, rho: DensityMatrix, outcome) -> np.ndarray:
+    """Unnormalized positive output for a single outcome."""
+    if rho.dim != ins.dim_in:
+        raise DimensionMismatch(f"state dim {rho.dim} vs instrument dim_in {ins.dim_in}")
+    return ins.map_for(outcome).apply(rho.mat)
+
+
+def a_posteriori(ins: Instrument, rho: DensityMatrix) -> AposterioriFamily:
+    """Normalized conditional states by the null-cell rule of ``_posteriors``:
+    a null outcome gets probability 0 and the fill I/d2."""
+    fill = maximally_mixed(ins.dim_out)
+    probs = []
+    states = []
+    for outcome, m in zip(ins.outcomes, ins.maps):
+        out = m.apply(rho.mat)
+        tr = float(np.trace(out).real)
+        live = tr > SUPPORT_CUTOFF
+        probs.append(tr if live else 0.0)
+        states.append(DensityMatrix(out / tr) if live else fill)
+    probs = np.array(probs)
+    dist = ClassicalDist(ins.outcomes, probs / probs.sum())
+    return AposterioriFamily(dist, tuple(states))
+
+
+def total_channel(ins: Instrument, rho: DensityMatrix) -> DensityMatrix:
+    """Non-selective post-measurement state."""
+    if rho.dim != ins.dim_in:
+        raise DimensionMismatch(f"state dim {rho.dim} vs instrument dim_in {ins.dim_in}")
+    return DensityMatrix(sum(m.apply(rho.mat) for m in ins.maps))
+
+
+def channel_roundtrip(ins: Instrument) -> Instrument:
+    """Rebuild the instrument from its channel action on the matrix units.
+
+    For each outcome, the action is sampled on the matrix-unit basis of H1,
+    assembled into the Choi matrix and refactored into Kraus form; the result
+    acts identically on all inputs.
+    """
+    d1, d2 = ins.dim_in, ins.dim_out
+    new_maps = []
+    for m in ins.maps:
+        # block (j, k) of the Choi matrix is the map's action on |j><k|:
+        # entry ((j, a), (k, b)) = sum_K K[a, j] conj(K[b, k])
+        cols = m.kraus.swapaxes(-1, -2).reshape(-1, d1 * d2)
+        vals, vecs = matcore.herm_eig(cols.T @ cols.conj())
+        keep = vals > SUPPORT_CUTOFF
+        kraus = np.sqrt(vals[keep])[:, None] * vecs[:, keep].T
+        new_maps.append(KrausMap(d1, d2, kraus.reshape(-1, d1, d2).swapaxes(-1, -2)))
+    return Instrument(ins.outcomes, tuple(new_maps))
+
+
+def quantum_info_gain(ins: Instrument, eta: DensityMatrix) -> float:
+    """Entropy of the input minus mean entropy of the a posteriori states,
+    S(eta) - sum_w P(w) S(rho_w), from eta's one a posteriori family."""
+    if eta.dim != ins.dim_in:
+        raise DimensionMismatch(f"state dim {eta.dim} vs instrument dim_in {ins.dim_in}")
+    fam = a_posteriori(ins, eta)
+    return vn_entropy(eta) - sum(p * vn_entropy(s) for p, s in zip(fam.probs.probs, fam.states))
+
+
+def merge_outcomes(ins: Instrument, w1, w2) -> Instrument:
+    """Coarse-grain two outcomes into one (their Kraus lists are concatenated)."""
+    m1 = ins.map_for(w1)
+    m2 = ins.map_for(w2)
+    merged = KrausMap(ins.dim_in, ins.dim_out, np.concatenate([m1.kraus, m2.kraus]))
+    outcomes, maps = [], []
+    for o, m in zip(ins.outcomes, ins.maps):
+        if o == w1:
+            outcomes.append(f"{w1}+{w2}")
+            maps.append(merged)
+        elif o == w2:
+            continue
+        else:
+            outcomes.append(o)
+            maps.append(m)
+    return Instrument(tuple(outcomes), tuple(maps))

@@ -9,7 +9,6 @@ import pytest
 import conftest
 
 from qinstr import matcore
-from qinstr.entropy import q_rel_entropy
 from qinstr.harness import (
     ACCEPTANCE_GRID,
     emit_report,
@@ -21,8 +20,9 @@ from qinstr.harness import (
     splitmix64,
 )
 from qinstr.infobounds import analyze, entropy_panel
-from qinstr.instrument import a_posteriori, random_instrument, total_channel
+from qinstr.instrument import random_instrument
 from qinstr.qstate import DensityMatrix, a_priori_state
+from qinstr.reference import a_posteriori, q_rel_entropy, total_channel
 
 MASTER_SEED = 20240817
 TRIALS = 200

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from qinstr import matcore
-from qinstr.entropy import (
+from qinstr.entropy import chi_against, vn_entropies, vn_entropy
+from qinstr.instrument import random_instrument
+from qinstr.qstate import ClassicalDist, DensityMatrix, pure_state
+from qinstr.reference import (
     c_rel_entropy,
-    chi_against,
+    maximally_mixed,
     mixed_rel_entropy,
     q_rel_entropy,
-    vn_entropies,
-    vn_entropy,
+    total_channel,
 )
-from qinstr.instrument import random_instrument, total_channel
-from qinstr.qstate import ClassicalDist, DensityMatrix, maximally_mixed, pure_state
 
 KET0 = pure_state([1, 0])
 KET1 = pure_state([0, 1])

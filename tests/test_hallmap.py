@@ -25,11 +25,11 @@ from qinstr.infobounds import (
 from qinstr.instrument import (
     Instrument,
     KrausMap,
-    a_posteriori,
     outcome_probs,
     random_instrument,
 )
-from qinstr.qstate import Ensemble, a_priori_state, maximally_mixed, pure_state
+from qinstr.qstate import Ensemble, a_priori_state, pure_state
+from qinstr.reference import a_posteriori, maximally_mixed
 
 KET0 = pure_state([1, 0])
 KET1 = pure_state([0, 1])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qinstr import harness, infobounds, instrument, matcore, qstate
+from qinstr import harness, infobounds, instrument, matcore, qstate, reference
 from qinstr.harness import (
     EXAMPLE_NAMES,
     AnalysisReport,
@@ -77,7 +77,7 @@ class TestScenarioJson:
     def test_one_and_two_operator_outcomes_roundtrip(self):
         # each outcome's operators are written and read back as one stack
         s = random_scenario(3, 2, 3, 3, 1, 4)
-        ins = infobounds.merge_outcomes(s.instrument, 0, 1)
+        ins = reference.merge_outcomes(s.instrument, 0, 1)
         s = dataclasses.replace(s, instrument=ins)
         assert [len(m.kraus) for m in ins.maps] == [2, 1]
         text = harness.json_text(s.to_json())
@@ -802,3 +802,28 @@ def test_scenario_from_json_does_no_per_letter_work(monkeypatch):
     assert read.ensemble.states.shape == (4, 3, 3)
     assert np.array_equal(read.ensemble.states, s.ensemble.states)
     assert _fingerprint(read) == _fingerprint(s)
+
+
+# Each data type is built twice from the same inputs; the arrays say what it holds.
+REBUILT = {
+    "DensityMatrix": (lambda: qstate.DensityMatrix(np.diag([0.25, 0.75])), lambda x: (x.mat,)),
+    "ClassicalDist": (lambda: qstate.ClassicalDist((0, 1), [0.25, 0.75]), lambda x: (x.probs,)),
+    "Ensemble": (lambda: example_scenario("zero-one-plus").ensemble, lambda x: (x.probs, x.states)),
+    "KrausMap": (lambda: instrument.KrausMap(2, 2, (np.eye(2),)), lambda x: (x.kraus,)),
+    "Instrument": (lambda: example_scenario("zero-one-plus").instrument, lambda x: (x.kraus_stack,)),
+    "Scenario": (lambda: example_scenario("zero-one-plus"),
+                 lambda x: (x.ensemble.states, x.instrument.kraus_stack)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REBUILT))
+def test_equality_and_hash_answer_by_identity(name):
+    """== and hash go by identity and never raise on the array fields; a
+    rebuilt object is compared through its arrays."""
+    build, arrays = REBUILT[name]
+    a, b = build(), build()
+    assert type(a).__name__ == name
+    assert a == a and not a != a
+    assert a != b and hash(a) == hash(a)
+    assert len({a, b}) == 2
+    assert all(np.array_equal(x, y) for x, y in zip(arrays(a), arrays(b), strict=True))

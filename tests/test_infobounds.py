@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qinstr.entropy import q_rel_entropy
 from qinstr.errors import InfiniteQuantity, QinstrError
 from qinstr.hallmap import hall_section
 from qinstr.harness import ACCEPTANCE_GRID, Scenario, random_scenario, run_scenario
@@ -18,8 +17,6 @@ from qinstr.infobounds import (
     compound_states,
     entropy_panel,
     groenewold_lindblad_check,
-    merge_outcomes,
-    quantum_info_gain,
     random_density,
     random_ensemble,
     random_pure,
@@ -27,7 +24,8 @@ from qinstr.infobounds import (
 )
 from qinstr.instrument import Instrument, KrausMap, random_instrument
 from qinstr.matcore import SUPPORT_CUTOFF
-from qinstr.qstate import DensityMatrix, Ensemble, maximally_mixed, pure_state
+from qinstr.qstate import DensityMatrix, Ensemble, pure_state
+from qinstr.reference import maximally_mixed, merge_outcomes, q_rel_entropy, quantum_info_gain
 
 KET0 = pure_state([1, 0])
 KET1 = pure_state([0, 1])

@@ -3,19 +3,22 @@ import pytest
 
 from qinstr import matcore
 from qinstr.errors import BadTrace, DimensionMismatch, NotHermitian, UnknownOutcome
-from qinstr.infobounds import merge_outcomes
 from qinstr.instrument import (
     Instrument,
     KrausMap,
-    a_posteriori,
     a_posteriori_stack,
-    apply_outcome,
-    channel_roundtrip,
     outcome_probs,
     random_instrument,
+)
+from qinstr.qstate import DensityMatrix, pure_state
+from qinstr.reference import (
+    a_posteriori,
+    apply_outcome,
+    channel_roundtrip,
+    maximally_mixed,
+    merge_outcomes,
     total_channel,
 )
-from qinstr.qstate import DensityMatrix, maximally_mixed, pure_state
 
 KET0 = pure_state([1, 0])
 PLUS = pure_state([1 / np.sqrt(2), 1 / np.sqrt(2)])

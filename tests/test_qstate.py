@@ -13,10 +13,9 @@ from qinstr.qstate import (
     density_eigvals,
     ensemble_from_json,
     ensemble_to_json,
-    fidelity_like_support_check,
-    maximally_mixed,
     pure_state,
 )
+from qinstr.reference import fidelity_like_support_check, maximally_mixed
 
 KET0 = pure_state([1, 0])
 KET1 = pure_state([0, 1])
