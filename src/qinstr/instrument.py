@@ -1,5 +1,5 @@
 """Completely positive instruments in Kraus form: channel action, POV measure,
-outcome probabilities, a posteriori states and seeded random generation.
+a posteriori states and seeded random generation.
 
 A ``KrausMap`` holds its Kraus operators as one read-only [k, d2, d1] array,
 checked once; its action, the effects and the JSON reader and writer are
@@ -8,8 +8,10 @@ maps on the identity, E(w) = sum_k K_k^dag K_k, held once as
 ``Instrument.effects``; the effect-sum rule (sum_w E(w) = 1 within
 POVM_SUM_TOL) is checked there, at construction. The analysis applies an
 instrument to stacks through ``Instrument.channel_matrix``, and
-``_posteriors`` holds the a posteriori rule; the per-state forms the tests
-check them against live in ``reference``."""
+``_posteriors`` holds the a posteriori rule; the outcome law the pipeline
+reads is ``analyze``'s P_f, from the same channel. The per-state forms the
+tests check them against, ``outcome_probs`` among them, live in
+``reference``."""
 
 from __future__ import annotations
 
@@ -28,7 +30,6 @@ from .errors import (
     UnknownOutcome,
 )
 from .matcore import SUPPORT_CUTOFF
-from .qstate import ClassicalDist, DensityMatrix
 
 POVM_SUM_TOL = 1e-9  # sum of an instrument's effects against the identity
 
@@ -133,13 +134,6 @@ class Instrument:
             return self.maps[self.outcomes.index(outcome)]
         except ValueError:
             raise UnknownOutcome(f"no outcome {outcome!r}") from None
-
-
-def outcome_probs(ins: Instrument, rho: DensityMatrix) -> ClassicalDist:
-    if rho.dim != ins.dim_in:
-        raise DimensionMismatch(f"state dim {rho.dim} vs instrument dim_in {ins.dim_in}")
-    probs = np.maximum(np.einsum("wij,ji->w", ins.effects, rho.mat).real, 0.0)
-    return ClassicalDist(ins.outcomes, probs / probs.sum())
 
 
 def _apply_to_stack(ins: Instrument, rhos: np.ndarray) -> np.ndarray:

@@ -5,10 +5,12 @@ probability and an a posteriori state. Each function here evaluates a
 quantity in that form, one state at a time: the relative entropies through
 both spectral decompositions (testing supports, so they return +inf, Python
 ``math.inf``, when one leaves the other), the a posteriori family of one
-state, the channel action operator by operator, a Choi-matrix rebuild of an
-instrument, the information gain of one state and the coarse-graining of two
-outcomes. Its independence is the reason the module exists: no pipeline
-module imports it, and nothing here calls the stacked path it checks
+state and its outcome law, the channel action operator by operator, a
+Choi-matrix rebuild of an instrument, the information gain of one state, the
+coarse-graining of two outcomes, and Hall's instrument J and dual ensemble,
+whose rows ``hallmap.hall_section`` computes without building them. Its
+independence is the reason the module exists: no pipeline module imports it,
+and nothing here calls the stacked path it checks
 (``instrument.Instrument.channel_matrix``, ``instrument._posteriors``,
 ``entropy.vn_entropies``). ``import qinstr`` does not load it.
 """
@@ -23,10 +25,11 @@ import numpy as np
 
 from . import matcore
 from .entropy import vn_entropy
-from .errors import DimensionMismatch, LabelMismatch
+from .errors import DimensionMismatch, LabelMismatch, SingularAprioriState
+from .hallmap import INVERTIBILITY_TOL
 from .instrument import Instrument, KrausMap
 from .matcore import SUPPORT_CUTOFF
-from .qstate import ClassicalDist, DensityMatrix
+from .qstate import ClassicalDist, DensityMatrix, Ensemble
 
 INF = math.inf
 
@@ -126,6 +129,13 @@ class AposterioriFamily:
     states: tuple
 
 
+def outcome_probs(ins: Instrument, rho: DensityMatrix) -> ClassicalDist:
+    if rho.dim != ins.dim_in:
+        raise DimensionMismatch(f"state dim {rho.dim} vs instrument dim_in {ins.dim_in}")
+    probs = np.maximum(np.einsum("wij,ji->w", ins.effects, rho.mat).real, 0.0)
+    return ClassicalDist(ins.outcomes, probs / probs.sum())
+
+
 def apply_outcome(ins: Instrument, rho: DensityMatrix, outcome) -> np.ndarray:
     """Unnormalized positive output for a single outcome."""
     if rho.dim != ins.dim_in:
@@ -202,3 +212,50 @@ def merge_outcomes(ins: Instrument, w1, w2) -> Instrument:
             outcomes.append(o)
             maps.append(m)
     return Instrument(tuple(outcomes), tuple(maps))
+
+
+@dataclass(frozen=True)
+class DualEnsemble:
+    """Outcome-indexed ensemble whose barycenter is the original a priori state."""
+
+    probs: ClassicalDist
+    states: np.ndarray  # [outcome, d1, d1]; the zero matrix on null outcomes
+
+
+def build_hall_instrument(e: Ensemble, eta: DensityMatrix) -> Instrument:
+    """Kraus operators sqrt(P_a) rho_a^{1/2} eta^{-1/2}, one per letter, where
+    ``eta`` is the a priori state of ``e``: Hall's measurement-from-ensemble
+    instrument J, whose rows ``hallmap.hall_section`` computes without it.
+
+    Raises SingularAprioriState when eta's least eigenvalue is <=
+    INVERTIBILITY_TOL. Just above it, rounding in eta^{-1/2} can leave the
+    effects' sum off the identity by more than POVM_SUM_TOL, and the
+    Instrument's check raises BadTrace.
+    """
+    vals, _ = eta.spectral()
+    if vals[0] <= INVERTIBILITY_TOL:
+        raise SingularAprioriState(
+            f"a priori state is singular: least eigenvalue at or below {INVERTIBILITY_TOL:.1e}"
+        )
+    inv_sqrt = matcore.spectral_apply(eta.spectral(), lambda x: x ** -0.5)
+    lam, u = e.spectra  # each letter's square root, on its support
+    roots = (u * np.sqrt(np.where(lam > SUPPORT_CUTOFF, lam, 0.0))[:, None]) @ u.conj().swapaxes(-1, -2)
+    kraus = np.sqrt(e.probs)[:, None, None] * roots @ inv_sqrt
+    maps = tuple(KrausMap(e.dim, e.dim, k) for k in kraus[:, None])
+    return Instrument(e.letters, maps)
+
+
+def dual_ensemble(ins: Instrument, eta: DensityMatrix) -> DualEnsemble:
+    """sigma_i(omega) = eta^{1/2} E(omega) eta^{1/2} / P_f(omega), where ``eta``
+    is the a priori state, and P_f its outcome law (``outcome_probs``, which
+    also checks eta's dimension against the instrument's)."""
+    probs = outcome_probs(ins, eta)
+    sqrt_eta = matcore.spectral_apply(eta.spectral(), np.sqrt)
+    p_f = probs.probs[:, None, None]
+    states = np.divide(
+        sqrt_eta @ ins.effects @ sqrt_eta,
+        p_f,
+        out=np.zeros_like(ins.effects),
+        where=p_f > SUPPORT_CUTOFF,
+    )
+    return DualEnsemble(probs=probs, states=states)

@@ -163,7 +163,7 @@ def test_criterion_4_desk_orthogonal_projective():
     i_c = report.panel["classical_mi"]
     chi = report.panel["chi_initial"]
     holevo = _named(report, "holevo")[0]
-    from qinstr.hallmap import build_hall_instrument
+    from qinstr.reference import build_hall_instrument
     from qinstr.qstate import a_priori_state
 
     s = example_scenario("orthogonal-projective")

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qinstr import matcore
-from qinstr.hallmap import dual_ensemble, hall_section
+from qinstr.hallmap import hall_section
 from qinstr.harness import ACCEPTANCE_GRID, Scenario, main, random_scenario, run_scenario
 from qinstr.infobounds import (
     analyze,
@@ -22,7 +22,7 @@ from qinstr.infobounds import (
 )
 from qinstr.instrument import Instrument, KrausMap, random_instrument
 from qinstr.qstate import DensityMatrix, Ensemble, pure_state
-from qinstr.reference import q_rel_entropy
+from qinstr.reference import dual_ensemble, q_rel_entropy
 
 
 def rel_form(weights, members, barycenter):

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from qinstr import hallmap, infobounds, qstate
-from qinstr.errors import SingularAprioriState
-from qinstr.hallmap import build_hall_instrument, dual_ensemble, hall_section
+from qinstr import hallmap, infobounds, matcore, qstate
+from qinstr.entropy import vn_entropy
+from qinstr.errors import BadTrace, SingularAprioriState
+from qinstr.hallmap import hall_section
 from qinstr.harness import (
     ACCEPTANCE_GRID,
     Scenario,
@@ -22,14 +23,17 @@ from qinstr.infobounds import (
     entropy_panel,
     random_ensemble,
 )
-from qinstr.instrument import (
-    Instrument,
-    KrausMap,
-    outcome_probs,
-    random_instrument,
-)
+from qinstr.instrument import Instrument, KrausMap, random_instrument
 from qinstr.qstate import Ensemble, a_priori_state, pure_state
-from qinstr.reference import a_posteriori, maximally_mixed
+from qinstr.reference import (
+    a_posteriori,
+    build_hall_instrument,
+    c_rel_entropy,
+    dual_ensemble,
+    maximally_mixed,
+    outcome_probs,
+    quantum_info_gain,
+)
 
 KET0 = pure_state([1, 0])
 KET1 = pure_state([0, 1])
@@ -251,10 +255,10 @@ class TestHallSection:
         with pytest.raises(SingularAprioriState):
             hall_section(analyze(e, projective_qubit()))
 
-    def test_near_singular_a_priori_is_skipped_not_malformed(self, tmp_path):
+    def test_near_singular_a_priori_is_analyzed(self, tmp_path):
         # eta's least eigenvalue ~1e-8 passes INVERTIBILITY_TOL, but rounding
-        # in eta^{-1/2} leaves J's effects ~8e-9 off the identity; this used
-        # to fail Instrument's input check and exit 2
+        # in eta^{-1/2} leaves J's effects ~8e-9 off the identity, so building
+        # J fails its check; the section never builds J, so it is analyzed
         eps = 1e-8
         rng = np.random.default_rng(3)
         v, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
@@ -263,13 +267,17 @@ class TestHallSection:
         letters = (pure_state(v0), pure_state((v0 + v1) / np.sqrt(2)), qstate.DensityMatrix(mixed))
         e = Ensemble((0, 1, 2), np.array([0.4, 0.3, 0.3]), letters)
         s = Scenario(ensemble=e, instrument=random_instrument(3, 3, 2, 1, seed=0))
-        with pytest.raises(SingularAprioriState, match="deviates from identity"):
-            hall_section(analyze(e, s.instrument))
+        with pytest.raises(BadTrace):
+            build_hall_instrument(e, a_priori_state(e))
         path = tmp_path / "near_singular.json"
         path.write_text(json.dumps(s.to_json()))
-        assert main(["analyze", str(path)]) in (0, 1)
+        assert main(["analyze", str(path)]) == 0
         report = run_scenario(scenario_from_json(json.loads(path.read_text())))
-        assert "deviates from identity" in report.hall_skipped
+        assert report.hall_skipped is None
+        assert report.overall_pass
+        # one Kraus operator per outcome: D is mean_chi_given_out
+        checks = BoundReport(report.checks)
+        assert abs(checks["sww"].slack - checks["new_bound"].slack) <= 1e-12
 
     def test_singular_skip_reason_is_free_of_rounding_noise(self):
         # eta's least eigenvalue is exactly 0 for one ensemble and rounding
@@ -284,23 +292,21 @@ class TestHallSection:
         assert reasons[0] == reasons[1]
         assert "a priori state is singular" in reasons[0]
 
-    def test_run_scenario_builds_the_dual_once(self, monkeypatch):
-        calls = {"build_hall_instrument": 0, "dual_ensemble": 0}
+    def test_run_scenario_builds_no_instrument(self, monkeypatch):
+        # the Hall section reads J off the scenario's arrays; only the
+        # scenario's own instrument is ever built, before the run
+        s = random_scenario(3, 2, 3, 3, 2, seed=11)
+        calls = []
+        post_init = Instrument.__post_init__
 
-        def counted(name):
-            inner = getattr(hallmap, name)
+        def counted(self):
+            calls.append(self)
+            post_init(self)
 
-            def wrapper(*args):
-                calls[name] += 1
-                return inner(*args)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(hallmap, name, counted(name))
-        report = run_scenario(random_scenario(3, 2, 3, 3, 2, seed=11))
+        monkeypatch.setattr(Instrument, "__post_init__", counted)
+        report = run_scenario(s)
         assert report.hall_skipped is None
-        assert calls == {"build_hall_instrument": 1, "dual_ensemble": 1}
+        assert calls == []
 
     def test_run_scenario_builds_the_a_priori_state_once(self, monkeypatch):
         # the Hall section reuses analyze's eta; with no null outcomes there is
@@ -352,3 +358,77 @@ def test_near_null_dual_outcome_is_analyzed(t):
     tilted = pure_state(np.array([1.0, np.exp(1j)]) / np.sqrt(2))
     e = Ensemble((0, 1, 2), np.full(3, 1 / 3), (KET1, KET0, tilted))
     assert run_scenario(Scenario(e, ins)).overall_pass
+
+
+@pytest.mark.parametrize("a, b", [(0.9e-12, 1.5e-12), (0.5e-12, 1.9e-12), (0.99e-12, 1.2e-12)])
+def test_near_cutoff_outcome_is_null_in_the_hall_section(a, b, tmp_path):
+    # a valid scenario: on |0> and |1> with priors 1/2, E(1) = diag(a, b). The
+    # |0> cell of outcome 1 is null (a <= SUPPORT_CUTOFF), so analyze's
+    # P_f(1) ~ b / 2 is at or below the cutoff and outcome 1 is null. The
+    # effects' law (a + b) / 2 lies above it; the section read that law, took
+    # outcome 1 as live against a zero column of P_{i|f}, and failed duality.
+    ins = Instrument((0, 1), (
+        KrausMap(2, 2, (np.diag(np.sqrt([1 - a, 1 - b])).astype(complex),)),
+        KrausMap(2, 2, (np.diag(np.sqrt([a, b])).astype(complex),)),
+    ))
+    s = Scenario(orthogonal_ensemble(), ins)
+    assert outcome_probs(ins, a_priori_state(s.ensemble)).probs[1] > matcore.SUPPORT_CUTOFF
+    report = run_scenario(s)
+    assert report.hall_skipped is None
+    assert BoundReport(report.checks)["duality_conditional_law"].lhs <= 1e-12
+    assert report.overall_pass
+    path = tmp_path / "near_cutoff.json"
+    path.write_text(json.dumps(s.to_json()))
+    assert main(["analyze", str(path)]) == 0
+
+
+def per_state_hall_rows(e, ins) -> dict:
+    """The eight Hall rows, (lhs, rhs) by name, one state at a time: J from
+    ``build_hall_instrument``, the dual ensemble from ``dual_ensemble``, every
+    law from ``a_posteriori`` and every gain from ``quantum_info_gain``."""
+    eta = a_priori_state(e)
+    h = build_hall_instrument(e, eta)
+    dual = dual_ensemble(ins, eta)
+    letters = [qstate.DensityMatrix(rho) for rho in e.states]
+    joint = np.array([p * a_posteriori(ins, rho).probs.probs for p, rho in zip(e.probs, letters)])
+    p_f = joint.sum(axis=0)
+
+    def info(joint):
+        cells = tuple(np.ndindex(joint.shape))
+        product = np.outer(joint.sum(axis=1), joint.sum(axis=0))
+        return c_rel_entropy(
+            qstate.ClassicalDist(cells, joint.ravel()), qstate.ClassicalDist(cells, product.ravel())
+        )
+
+    live = [w for w, p in enumerate(dual.probs.probs) if p > matcore.SUPPORT_CUTOFF]
+    sigmas = [qstate.DensityMatrix(dual.states[w]) for w in live]
+    q_f = dual.probs.probs[live]
+    law = np.array([a_posteriori(h, sigma).probs.probs for sigma in sigmas])  # [outcome, letter]
+    dual_joint = q_f[:, None] * law
+    gains = np.array([quantum_info_gain(h, sigma) for sigma in sigmas])
+    i_c = info(joint)
+    chi_initial = vn_entropy(eta) - sum(p * vn_entropy(rho) for p, rho in zip(e.probs, letters))
+    chi_dual = vn_entropy(eta) - sum(q * vn_entropy(sigma) for q, sigma in zip(q_f, sigmas))
+    new_rhs = chi_initial - q_f @ gains
+    return {
+        "duality_conditional_law": (np.max(np.abs(law - (joint / p_f).T[live])), 0.0),
+        "duality_ic": (info(dual_joint / dual_joint.sum()), i_c),
+        "hall_bound": (i_c, chi_dual),
+        "new_bound": (i_c, new_rhs),
+        "new_d_term_nonneg": (0.0, gains.min()),
+        "new_iq_identity": (quantum_info_gain(h, eta), chi_initial),
+        "new_le_holevo": (new_rhs, chi_initial),
+        "new_vs_hall_data": (new_rhs, chi_dual),
+    }
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+@pytest.mark.parametrize("shape", ACCEPTANCE_GRID)
+def test_hall_rows_match_the_per_state_oracle(shape, seed):
+    s = random_scenario(*shape, seed=seed)
+    report = hall_section(analyze(s.ensemble, s.instrument))
+    expected = per_state_hall_rows(s.ensemble, s.instrument)
+    assert [c.name for c in report.checks] == list(expected)
+    for c in report.checks:
+        lhs, rhs = expected[c.name]
+        assert abs(c.lhs - lhs) <= 1e-12 and abs(c.rhs - rhs) <= 1e-12, (c, lhs, rhs)

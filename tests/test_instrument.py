@@ -7,7 +7,6 @@ from qinstr.instrument import (
     Instrument,
     KrausMap,
     a_posteriori_stack,
-    outcome_probs,
     random_instrument,
 )
 from qinstr.qstate import DensityMatrix, pure_state
@@ -17,6 +16,7 @@ from qinstr.reference import (
     channel_roundtrip,
     maximally_mixed,
     merge_outcomes,
+    outcome_probs,
     total_channel,
 )
 

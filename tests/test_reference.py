@@ -32,6 +32,10 @@ ORACLE = (
     "channel_roundtrip",
     "quantum_info_gain",
     "merge_outcomes",
+    "outcome_probs",
+    "DualEnsemble",
+    "build_hall_instrument",
+    "dual_ensemble",
 )
 
 
