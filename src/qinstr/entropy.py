@@ -18,7 +18,7 @@ from .qstate import DensityMatrix, density_eigvals
 
 def _entropy(vals: np.ndarray) -> np.ndarray:
     """-sum l log l over the eigenvalues above SUPPORT_CUTOFF (last axis)."""
-    return -np.sum(vals * np.log(np.where(vals > SUPPORT_CUTOFF, vals, 1.0)), axis=-1)
+    return -(vals * np.log(np.where(vals > SUPPORT_CUTOFF, vals, 1.0))).sum(axis=-1)
 
 
 def vn_entropy(rho: DensityMatrix) -> float:
@@ -40,7 +40,7 @@ def mutual_info(joint: np.ndarray, p_row: np.ndarray, p_col: np.ndarray) -> np.n
     rows = np.where(live, p_row[..., :, None], 1.0)
     cols = np.where(live, p_col[..., None, :], 1.0)
     p = np.where(live, joint, 1.0)
-    total = np.sum(np.where(live, p * (np.log(p) - np.log(rows) - np.log(cols)), 0.0), axis=(-2, -1))
+    total = np.where(live, p * (np.log(p) - np.log(rows) - np.log(cols)), 0.0).sum(axis=(-2, -1))
     return np.maximum(total, 0.0)
 
 
@@ -48,7 +48,7 @@ def weighted_sum(weights, values) -> np.ndarray:
     """sum_b w_b values_b over the members of weight > SUPPORT_CUTOFF; the last
     axis indexes the members, leading axes broadcast."""
     w = np.asarray(weights, dtype=np.float64)
-    return np.sum(np.where(w > SUPPORT_CUTOFF, w * values, 0.0), axis=-1)
+    return np.where(w > SUPPORT_CUTOFF, w * values, 0.0).sum(axis=-1)
 
 
 def chi_against(weights, entropies, barycenter_entropy) -> np.ndarray:

@@ -62,11 +62,12 @@ def hall_section(ms: MeasurementStatistics) -> BoundReport:
     law, posts = _posteriors(outs)  # P_J(a | input), [letter, input]
     sqrt_eta = matcore.spectral_apply(eta.spectral(), np.sqrt)
     sigma = sqrt_eta @ x[:-1] @ sqrt_eta
-    s_post, s_sigma = np.split(vn_entropies(np.concatenate([posts.reshape(-1, e.dim, e.dim), sigma])), [law.size])
+    s_all = vn_entropies(np.concatenate([posts.reshape(-1, e.dim, e.dim), sigma]))
+    s_post, s_sigma = s_all[:law.size], s_all[law.size:]
     gains = _info_gain(np.append(s_sigma, ms.entropies.eta_i), law.T, s_post.reshape(law.shape).T)
 
     i_c = ms.classical_mi
-    max_dev = np.max(np.abs(law[:, :-1] - ms.cond_in_given_out[:, live]))
+    max_dev = np.abs(law[:, :-1] - ms.cond_in_given_out[:, live]).max()
     joint_dual = p_f[:, None] * law[:, :-1].T
     joint_dual = joint_dual / joint_dual.sum()
     i_c_dual = mutual_info(joint_dual, joint_dual.sum(axis=1), joint_dual.sum(axis=0))
@@ -80,7 +81,7 @@ def hall_section(ms: MeasurementStatistics) -> BoundReport:
         BoundCheck("duality_ic", i_c_dual, i_c, kind="eq"),
         BoundCheck("hall_bound", i_c, chi_dual),
         BoundCheck("new_bound", i_c, new_rhs),
-        BoundCheck("new_d_term_nonneg", 0.0, np.min(gains[:-1])),
+        BoundCheck("new_d_term_nonneg", 0.0, gains[:-1].min()),
         BoundCheck("new_iq_identity", gains[-1], chi_initial, kind="eq"),
         BoundCheck("new_le_holevo", new_rhs, chi_initial),
         BoundCheck("new_vs_hall_data", new_rhs, chi_dual, kind="data"),

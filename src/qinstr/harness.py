@@ -27,7 +27,6 @@ from .errors import (
     UnknownFormat,
 )
 from .infobounds import (
-    BoundCheck,
     BoundReport,
     INEQ_TOL,
     analyze,
@@ -149,9 +148,10 @@ class AnalysisReport:
         """The checks in the report's unit: under base 2 an entropy row's lhs and
         rhs in bits, so its slack and its pass are judged in bits too; a
         deviation row (kind "dev") reads the same in either base."""
+        if self.log_base == "e":
+            return BoundReport(self.checks)
         return BoundReport(tuple(
-            c if self.log_base == "e" or c.kind == "dev"
-            else BoundCheck(c.name, self._scale(c.lhs), self._scale(c.rhs), c.kind)
+            c if c.kind == "dev" else c._replace(lhs=self._scale(c.lhs), rhs=self._scale(c.rhs))
             for c in self.checks
         ))
 
@@ -209,7 +209,7 @@ def run_scenario(s: Scenario) -> AnalysisReport:
 
     # a null cell's a posteriori state reaches no number (instrument._posteriors),
     # so the sensitivity to what a null cell holds is 0 by construction
-    null_cells = np.any(ms.cond_out_given_in <= matcore.SUPPORT_CUTOFF)
+    null_cells = (ms.cond_out_given_in <= matcore.SUPPORT_CUTOFF).any()
     sensitivity = 0.0 if null_cells else None
 
     return AnalysisReport(

@@ -40,9 +40,8 @@ RANK_ONE_TOL = math.sqrt(PURITY_TOL / 2)
 PROB_FLOOR = 0.05  # letter probabilities of a generated ensemble are raised to it, then renormalized
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    """One inequality (lhs <= rhs) or equality record with its slack."""
+class BoundCheck(NamedTuple):
+    """One inequality (lhs <= rhs) or equality record; its slack is rhs - lhs."""
 
     name: str
     lhs: float
@@ -54,19 +53,21 @@ class BoundCheck:
 
     @property
     def slack(self) -> float:
-        if math.isinf(self.rhs) and self.lhs == self.rhs:
-            return 0.0
         return self.rhs - self.lhs
 
     def passes(self, tol: float) -> bool:
-        """The one tolerance policy: an inequality passes iff slack >= -tol, an
-        equality (or deviation) iff |slack| <= min(EQ_TOL, tol); data always
-        passes."""
-        if self.kind == "data":
-            return True
-        if self.kind in ("eq", "dev"):
-            return abs(self.slack) <= min(EQ_TOL, tol)
-        return self.slack >= -tol
+        return _passes(self.kind, self.slack, tol)
+
+
+def _passes(kind: str, slack: float, tol: float) -> bool:
+    """The one tolerance policy: an inequality passes iff slack >= -tol, an
+    equality (or deviation) iff |slack| <= min(EQ_TOL, tol); data always
+    passes. A NaN slack fails every judged kind."""
+    if kind == "data":
+        return True
+    if kind in ("eq", "dev"):
+        return abs(slack) <= min(EQ_TOL, tol)
+    return slack >= -tol
 
 
 @dataclass(frozen=True)
@@ -77,16 +78,13 @@ class BoundReport:
         return all(c.passes(tol) for c in self.checks)
 
     def to_json(self, tol: float = INEQ_TOL) -> list:
-        return [
-            {
-                "name": c.name,
-                "lhs": float(c.lhs),
-                "rhs": float(c.rhs),
-                "slack": float(c.slack),
-                "pass": bool(c.passes(tol)),
-            }
-            for c in self.checks
-        ]
+        rows = []
+        for name, lhs, rhs, kind in self.checks:
+            lhs, rhs = float(lhs), float(rhs)
+            slack = rhs - lhs
+            rows.append({"name": name, "lhs": lhs, "rhs": rhs, "slack": slack,
+                         "pass": _passes(kind, slack, tol)})
+        return rows
 
     def __getitem__(self, name: str) -> BoundCheck:
         for c in self.checks:
@@ -140,20 +138,18 @@ class MeasurementStatistics:
         when they were checked (``Ensemble.spectra``, ``DensityMatrix``)."""
         n_l, n_o = self.joint.shape
         d2 = self.instrument.dim_out
-        s_grid, s_mean, s_post, s_eta_f = np.split(
-            vn_entropies(np.concatenate([
-                self.posterior_letter_states.reshape(-1, d2, d2),
-                self.posterior_mean_states,
-                self.post_letter_states,
-                self.post_a_priori[None],
-            ])),
-            np.cumsum([n_l * n_o, n_o, n_l]),
-        )
+        s = vn_entropies(np.concatenate([
+            self.posterior_letter_states.reshape(-1, d2, d2),
+            self.posterior_mean_states,
+            self.post_letter_states,
+            self.post_a_priori[None],
+        ]))
+        n_grid = n_l * n_o
         return ScenarioEntropies(
-            grid=s_grid.reshape(n_l, n_o),
-            mean=s_mean,
-            post=s_post,
-            eta_f=s_eta_f[0],
+            grid=s[:n_grid].reshape(n_l, n_o),
+            mean=s[n_grid:n_grid + n_o],
+            post=s[n_grid + n_o:-1],
+            eta_f=s[-1],
             letters=_entropy(self.ensemble.spectra.eigenvalues),
             eta_i=vn_entropy(self.a_priori),
         )
@@ -310,24 +306,26 @@ def random_pure(dim: int, rng: np.random.Generator) -> DensityMatrix:
 
 
 def random_ensemble(dim: int, n_letters: int, rng: np.random.Generator) -> Ensemble:
-    probs = _random_prior(rng, n_letters)
+    probs = _floored_prior(rng.uniform(size=n_letters))
     states = _ginibre_states(rng.standard_normal((n_letters, 2, dim, dim)))
     return Ensemble(tuple(range(n_letters)), probs, states)
 
 
-def _random_prior(rng: np.random.Generator, n: int) -> np.ndarray:
-    """A generated ensemble's letter probabilities: uniform draws, normalized,
-    raised to PROB_FLOOR and normalized again."""
-    probs = rng.uniform(size=n)
-    probs = np.maximum(probs / probs.sum(), PROB_FLOOR)
-    return probs / probs.sum()
+def _floored_prior(draws: np.ndarray, slots=True) -> np.ndarray:
+    """A generated ensemble's letter probabilities from its uniform draws (last
+    axis: letter): normalized, raised to PROB_FLOOR and normalized again. A
+    stack of priors padded with zeros gives its letters in use as ``slots``;
+    the padding stays 0 and leaves the sums as they are."""
+    probs = draws / draws.sum(axis=-1, keepdims=True)
+    probs = np.where(slots, np.maximum(probs, PROB_FLOOR), 0.0)
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def _ginibre_states(g: np.ndarray) -> np.ndarray:
     """Normalized Ginibre states G G^dag / Tr for a stack of [re, im] draws."""
     g = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
     m = g @ g.conj().swapaxes(-1, -2)
-    return m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+    return m / m.trace(axis1=-2, axis2=-1).real[:, None, None]
 
 
 def _info_gain(s_in, probs, s_post) -> np.ndarray:
@@ -369,7 +367,7 @@ def _preserves_purity(ins: Instrument) -> bool:
     if proportional.all():
         return True
     one_range = _rank_one(kraus.swapaxes(1, 2).reshape(n_o, d2, width * d1))
-    return bool(np.all(proportional | one_range))
+    return bool((proportional | one_range).all())
 
 
 def groenewold_lindblad_check(
@@ -390,8 +388,8 @@ def groenewold_lindblad_check(
     drawn, and dropped, so that every later draw stays as it was.
     The trial states, the demixtures' letters and their barycenters eta form
     one stack, whose gains come from one ``_gains`` call, and the chain rows
-    are computed together from priors and outcome laws padded to three
-    letters.
+    are computed together from priors (floored together by
+    ``_floored_prior``) and outcome laws padded to three letters.
     """
     rng = np.random.default_rng(seed)
     d1 = ins.dim_in
@@ -401,33 +399,33 @@ def groenewold_lindblad_check(
 
     n_trials = trials if purity_preserving else 0
     draws = [rng.standard_normal((n_trials, 2, d1, d1))]
-    priors = np.zeros((n_demix, 3))
-    slots = np.zeros((n_demix, 3), dtype=bool)  # [demixture, letter] in use
-    for j in range(n_demix):
+    uniforms = np.zeros((n_demix, 3))
+    for j in range(n_demix):  # random_ensemble's draws, in its order
         n = int(rng.integers(2, 4))
-        priors[j, :n] = _random_prior(rng, n)  # random_ensemble's draws, in its order
-        slots[j, :n] = True
+        uniforms[j, :n] = rng.uniform(size=n)
         draws.append(rng.standard_normal((n, 2, d1, d1)))
+    n_letters = [len(g) for g in draws[1:]]
+    slots = np.arange(3) < np.array(n_letters, dtype=int)[:, None]  # [demixture, letter] in use
+    priors = _floored_prior(uniforms, slots)
     states = _ginibre_states(np.concatenate(draws))
+    n_states = len(states)
     letters = np.zeros((n_demix, 3, d1, d1), dtype=np.complex128)
     letters[slots] = states[n_trials:]
     etas = np.einsum("ja,jamn->jmn", priors, letters)
     gains, cond, _ = _gains(ins, np.concatenate([states, etas]))
-    parts = [n_trials, len(states)]
-    trial_gains, flat_gains, eta_gains = np.split(gains, parts)
 
     checks = []
     if purity_preserving:
-        checks.append(BoundCheck("gl_info_gain_nonneg", 0.0, float(np.min(trial_gains))))
+        checks.append(BoundCheck("gl_info_gain_nonneg", 0.0, float(gains[:n_trials].min())))
 
     letter_gains = np.zeros((n_demix, 3))
-    letter_gains[slots] = flat_gains
+    letter_gains[slots] = gains[n_trials:n_states]
     laws = np.zeros((n_demix, 3, len(cond)))  # P(w | rho_a), [demixture, letter, outcome]
-    laws[slots] = np.split(cond, parts, axis=1)[1].T
+    laws[slots] = cond[:, n_trials:n_states].T
     joint = priors[:, :, None] * laws
     joint = joint / joint.sum(axis=(1, 2), keepdims=True)
-    rhs = mutual_info(joint, priors, joint.sum(axis=1)) + np.sum(priors * letter_gains, axis=1)
-    checks += [BoundCheck("gl_chain", float(r), float(g)) for r, g in zip(rhs, eta_gains)]
+    rhs = mutual_info(joint, priors, joint.sum(axis=1)) + (priors * letter_gains).sum(axis=1)
+    checks += [BoundCheck("gl_chain", r, g) for r, g in zip(rhs.tolist(), gains[n_states:].tolist())]
     return purity_preserving, BoundReport(tuple(checks))
 
 
@@ -478,7 +476,7 @@ def compound_states(ms: MeasurementStatistics) -> CompoundStates:
         ("compound_tr1_gamma", matcore.partial_trace(gamma_if, "first", d1, d2), eta_f),
         ("compound_tau_mix", np.einsum("a,aij->ij", e.probs, tau_f), eta_f),
     )
-    checks = tuple(BoundCheck(name, float(np.max(np.abs(a - b))), 0.0, kind="dev") for name, a, b in pairs)
+    checks = tuple(BoundCheck(name, float(np.abs(a - b).max()), 0.0, kind="dev") for name, a, b in pairs)
     return CompoundStates(
         eps_if=eps_if,
         eps_i=eps_i,

@@ -87,7 +87,7 @@ class Instrument:
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "maps", maps)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the rule below
-            dev = np.max(np.abs(self.effects.sum(axis=0) - np.eye(d1)))
+            dev = np.abs(self.effects.sum(axis=0) - np.eye(d1)).max()
         if not dev <= POVM_SUM_TOL:  # NaN fails too
             raise BadTrace(f"sum of effects deviates from identity by {dev:.3e}")
 
@@ -161,7 +161,7 @@ def _posteriors(outs: np.ndarray) -> tuple:
     divided as it is could lie further than HERM_TOL from Hermitian."""
     fill = np.eye(outs.shape[-1]) / outs.shape[-1]
     outs = 0.5 * (outs + outs.conj().swapaxes(-1, -2))
-    tr = np.trace(outs, axis1=-2, axis2=-1).real
+    tr = outs.trace(axis1=-2, axis2=-1).real
     live = tr > SUPPORT_CUTOFF
     states = np.where(live[..., None, None], outs / np.where(live, tr, 1.0)[..., None, None], fill)
     probs = np.where(live, tr, 0.0)

@@ -99,7 +99,7 @@ class ClassicalDist:
         probs = np.array(self.probs, dtype=np.float64)
         if probs.ndim != 1 or len(labels) != probs.shape[0]:
             raise LabelMismatch("labels and probabilities differ in length")
-        if not np.all(probs >= -PROB_TOL):  # NaN fails too
+        if not (probs >= -PROB_TOL).all():  # NaN fails too
             raise NotPositive(f"negative or NaN probability in {probs}")
         if abs(probs.sum() - 1.0) > HERM_TOL:
             raise BadTrace(f"probabilities sum to {probs.sum()}, not 1")
@@ -136,7 +136,7 @@ class Ensemble:
             raise LabelMismatch("letters, probs and states differ in length")
         if any(letters.index(a) != i for i, a in enumerate(letters)):
             raise LabelMismatch(f"duplicate letter labels in {letters!r}")
-        if not np.all(probs > 0.0):  # NaN fails too
+        if not (probs > 0.0).all():  # NaN fails too
             raise NotPositive("letter probabilities must be strictly positive")
         if abs(probs.sum() - 1.0) > PROB_TOL:
             raise BadTrace(f"letter probabilities sum to {probs.sum()}, not 1")

@@ -202,7 +202,7 @@ class TestRunScenario:
             elif check.kind in ("eq", "dev"):
                 expected = abs(check.slack) <= min(1e-9, tol)
             else:
-                expected = math.isinf(check.rhs) or check.slack >= -tol
+                expected = check.slack >= -tol
             assert row["pass"] == expected, (check, tol)
         assert report.overall_pass == all(row["pass"] for row in rows)
 

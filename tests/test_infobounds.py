@@ -11,6 +11,7 @@ from qinstr.hallmap import hall_section
 from qinstr.harness import ACCEPTANCE_GRID, Scenario, random_scenario, run_scenario
 from qinstr.infobounds import (
     BoundCheck,
+    BoundReport,
     analyze,
     check_bounds,
     check_identities,
@@ -131,12 +132,21 @@ class TestAnalyze:
     [
         (0.0, -math.inf, False),
         (0.0, math.inf, True),
-        (math.inf, math.inf, True),
+        (math.inf, math.inf, False),  # slack inf - inf is NaN, which fails
         (math.inf, -math.inf, False),
     ],
 )
 def test_infinite_rhs_is_judged_by_slack(lhs, rhs, passes):
     assert BoundCheck("x", lhs, rhs).passes(1e-8) is passes
+
+
+@pytest.mark.parametrize("kind", ["ge", "eq", "dev"])
+def test_infinite_row_fails_every_judged_kind(kind):
+    check = BoundCheck("x", math.inf, math.inf, kind)
+    assert math.isnan(check.slack)
+    assert not check.passes(1.0)
+    row = BoundReport((check,)).to_json(1.0)[0]
+    assert math.isnan(row["slack"]) and row["pass"] is False
 
 
 class TestClassicalMutualInfo:

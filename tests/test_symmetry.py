@@ -9,9 +9,11 @@ import functools
 import numpy as np
 import pytest
 
-from qinstr.harness import ACCEPTANCE_GRID, random_scenario, run_scenario
-from qinstr.instrument import Instrument, KrausMap
-from qinstr.qstate import Ensemble
+from qinstr.harness import ACCEPTANCE_GRID, Scenario, random_scenario, run_scenario
+from qinstr.infobounds import analyze, random_pure
+from qinstr.instrument import Instrument, KrausMap, random_instrument
+from qinstr.matcore import SUPPORT_CUTOFF
+from qinstr.qstate import Ensemble, pure_state
 
 TOL = 1e-12
 
@@ -70,19 +72,40 @@ def _scenario_and_report(shape, seed):
     return s, run_scenario(s)
 
 
+def _edge_scenario(case):
+    """Two pure letters in d1 = 3, so eta is singular and Hall is skipped:
+    ("basis", j, k) puts |j> and |k> under the 3-outcome projective instrument,
+    whose third outcome is then null; ("pure", d2, outcomes, seed) puts two
+    random pure letters under a one-Kraus random instrument."""
+    rng = np.random.default_rng(sum(case[1:]))
+    if case[0] == "basis":
+        eye = np.eye(3)
+        letters = tuple(pure_state(eye[k]) for k in case[1:])
+        ins = Instrument((0, 1, 2), tuple(KrausMap(3, 3, (np.outer(v, v).astype(complex),)) for v in eye))
+    else:
+        _, d2, outcomes, seed = case
+        letters = (random_pure(3, rng), random_pure(3, rng))
+        ins = random_instrument(3, d2, outcomes, 1, seed=seed)
+    p = rng.uniform(0.05, 0.95)
+    return Scenario(Ensemble((0, 1), np.array([p, 1.0 - p]), letters), ins, seed=sum(case[1:]))
+
+
+EDGE_CASES = [("basis", j, k) for j, k in ((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1))] + [
+    ("pure", d2, 3, seed) for d2 in (2, 3) for seed in range(7)
+]
+
 # the random states of the Groenewold-Lindblad trials are drawn in a fixed
 # basis of H1, so a rotation of H1 moves its gl_* rows
-@pytest.mark.parametrize("transform, moves_gl", [
+TRANSFORMS = pytest.mark.parametrize("transform, moves_gl", [
     (permute_outcomes, False),
     (permute_letters, False),
     (rotate_output, False),
     (rotate_input, True),
     (split_outcome, False),
 ])
-@pytest.mark.parametrize("seed", (0, 1))
-@pytest.mark.parametrize("shape", ACCEPTANCE_GRID)
-def test_report_is_invariant(shape, seed, transform, moves_gl):
-    s, a = _scenario_and_report(shape, seed)
+
+
+def _assert_invariant(s, a, transform, seed, moves_gl):
     b = run_scenario(transform(s, seed))
     assert b.purity_preserving == a.purity_preserving
     assert b.hall_skipped == a.hall_skipped
@@ -94,3 +117,21 @@ def test_report_is_invariant(shape, seed, transform, moves_gl):
         if not (moves_gl and ca.name.startswith("gl_")):
             assert abs(cb.lhs - ca.lhs) <= TOL and abs(cb.rhs - ca.rhs) <= TOL, (ca, cb)
     assert abs(b.quantum_info_gain - a.quantum_info_gain) <= TOL
+
+
+@TRANSFORMS
+@pytest.mark.parametrize("seed", (0, 1))
+@pytest.mark.parametrize("shape", ACCEPTANCE_GRID)
+def test_report_is_invariant(shape, seed, transform, moves_gl):
+    _assert_invariant(*_scenario_and_report(shape, seed), transform, seed, moves_gl)
+
+
+@TRANSFORMS
+@pytest.mark.parametrize("case", EDGE_CASES, ids=lambda case: "-".join(map(str, case)))
+def test_edge_report_is_invariant(case, transform, moves_gl):
+    s = _edge_scenario(case)
+    a = run_scenario(s)
+    assert a.hall_skipped is not None  # eta is singular
+    if case[0] == "basis":
+        assert analyze(s.ensemble, s.instrument).output_marginal.probs.min() <= SUPPORT_CUTOFF
+    _assert_invariant(s, a, transform, len(EDGE_CASES) + EDGE_CASES.index(case), moves_gl)
