@@ -134,4 +134,4 @@ def test_edge_report_is_invariant(case, transform, moves_gl):
     assert a.hall_skipped is not None  # eta is singular
     if case[0] == "basis":
         assert analyze(s.ensemble, s.instrument).output_marginal.probs.min() <= SUPPORT_CUTOFF
-    _assert_invariant(s, a, transform, len(EDGE_CASES) + EDGE_CASES.index(case), moves_gl)
+    _assert_invariant(s, a, transform, EDGE_CASES.index(case), moves_gl)
