@@ -400,12 +400,12 @@ def groenewold_lindblad_check(
     n_trials = trials if purity_preserving else 0
     draws = [rng.standard_normal((n_trials, 2, d1, d1))]
     uniforms = np.zeros((n_demix, 3))
+    slots = np.zeros((n_demix, 3), dtype=bool)  # [demixture, letter] in use
     for j in range(n_demix):  # random_ensemble's draws, in its order
         n = int(rng.integers(2, 4))
+        slots[j, :n] = True
         uniforms[j, :n] = rng.uniform(size=n)
         draws.append(rng.standard_normal((n, 2, d1, d1)))
-    n_letters = [len(g) for g in draws[1:]]
-    slots = np.arange(3) < np.array(n_letters, dtype=int)[:, None]  # [demixture, letter] in use
     priors = _floored_prior(uniforms, slots)
     states = _ginibre_states(np.concatenate(draws))
     n_states = len(states)

@@ -5,15 +5,23 @@ no panel entry and no check. These hold without any recorded reference."""
 
 import dataclasses
 import functools
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qinstr.harness import ACCEPTANCE_GRID, Scenario, random_scenario, run_scenario
-from qinstr.infobounds import analyze, random_pure
-from qinstr.instrument import Instrument, KrausMap, random_instrument
+from qinstr import harness, infobounds, instrument, qstate
+from qinstr.harness import ACCEPTANCE_GRID, random_scenario, run_scenario
+from qinstr.infobounds import analyze
+from qinstr.instrument import Instrument, KrausMap
 from qinstr.matcore import SUPPORT_CUTOFF
-from qinstr.qstate import Ensemble, pure_state
+from qinstr.qstate import Ensemble
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "scenariobench"))
+
+import workloads  # noqa: E402
 
 TOL = 1e-12
 
@@ -72,27 +80,15 @@ def _scenario_and_report(shape, seed):
     return s, run_scenario(s)
 
 
-def _edge_scenario(case):
-    """Two pure letters in d1 = 3, so eta is singular and Hall is skipped:
-    ("basis", j, k) puts |j> and |k> under the 3-outcome projective instrument,
-    whose third outcome is then null; ("pure", d2, outcomes, seed) puts two
-    random pure letters under a one-Kraus random instrument."""
-    rng = np.random.default_rng(sum(case[1:]))
-    if case[0] == "basis":
-        eye = np.eye(3)
-        letters = tuple(pure_state(eye[k]) for k in case[1:])
-        ins = Instrument((0, 1, 2), tuple(KrausMap(3, 3, (np.outer(v, v).astype(complex),)) for v in eye))
-    else:
-        _, d2, outcomes, seed = case
-        letters = (random_pure(3, rng), random_pure(3, rng))
-        ins = random_instrument(3, d2, outcomes, 1, seed=seed)
-    p = rng.uniform(0.05, 0.95)
-    return Scenario(Ensemble((0, 1), np.array([p, 1.0 - p]), letters), ins, seed=sum(case[1:]))
+# the first two of the four cycles of the benchmark's rank_deficient slots:
+# two pure letters in d1 = 3, so eta is singular and Hall is skipped. A
+# "basis" slot puts |j> and |k> under the 3-outcome projective instrument,
+# whose third outcome is then null; a "pure" slot puts two random pure letters
+# under a one-Kraus random instrument with (d2, outcomes) = (2, 3) or (3, 3).
+# Each slot is built with its own index as seed, so no two draw alike.
+EDGE_SLOTS = range(len(workloads.RANK_DEFICIENT) // 2)
+QINSTR = SimpleNamespace(harness=harness, infobounds=infobounds, instrument=instrument, qstate=qstate)
 
-
-EDGE_CASES = [("basis", j, k) for j, k in ((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1))] + [
-    ("pure", d2, 3, seed) for d2 in (2, 3) for seed in range(7)
-]
 
 # the random states of the Groenewold-Lindblad trials are drawn in a fixed
 # basis of H1, so a rotation of H1 moves its gl_* rows
@@ -127,11 +123,11 @@ def test_report_is_invariant(shape, seed, transform, moves_gl):
 
 
 @TRANSFORMS
-@pytest.mark.parametrize("case", EDGE_CASES, ids=lambda case: "-".join(map(str, case)))
-def test_edge_report_is_invariant(case, transform, moves_gl):
-    s = _edge_scenario(case)
+@pytest.mark.parametrize("slot", EDGE_SLOTS, ids=lambda slot: "-".join(map(str, (slot, *workloads.RANK_DEFICIENT[slot]))))
+def test_edge_report_is_invariant(slot, transform, moves_gl):
+    s = workloads.make_scenario(QINSTR, "rank_deficient", slot, slot)
     a = run_scenario(s)
     assert a.hall_skipped is not None  # eta is singular
-    if case[0] == "basis":
+    if workloads.RANK_DEFICIENT[slot][0] == "basis":
         assert analyze(s.ensemble, s.instrument).output_marginal.probs.min() <= SUPPORT_CUTOFF
-    _assert_invariant(s, a, transform, EDGE_CASES.index(case), moves_gl)
+    _assert_invariant(s, a, transform, slot, moves_gl)

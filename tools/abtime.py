@@ -6,10 +6,10 @@ Each tree is a checkout (a directory holding ``src/qinstr``). Both trees'
 qinstr are imported into this process side by side, and the benchmark's
 timed operation (``run.analyze_json``: json.loads -> scenario_from_json ->
 run_scenario -> emit_report) runs on each input of one benchmark pass, on
-one tree and then on the other; which tree goes first alternates from input
-to input and from round to round. The inputs are those
-``scenariobench/run.py`` generates for ``--seed`` and the pool, written by
-the parent tree.
+one tree and then on the other, for ROUNDS rounds; which tree goes first
+alternates from input to input and from round to round. The inputs are the
+main-pool ones ``scenariobench/run.py`` generates for its default run seed,
+written by the parent tree.
 
 Prints the median and the quartiles, over the inputs, of the per-input ratio
 (change / parent) of the median op time over the rounds, and the ratio of
@@ -34,6 +34,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scenariobench")
 
 import run  # noqa: E402
 import workloads  # noqa: E402
+
+ROUNDS = 20  # passes over the inputs
+SEED = 1  # scenariobench/run.py's default run seed
 
 
 def _drop_qinstr() -> None:
@@ -69,15 +72,11 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="the tree to compare against")
     parser.add_argument("change", type=Path, help="the tree being sized")
     parser.add_argument("--workload", required=True, choices=list(workloads.SLOTS))
-    parser.add_argument("--seed", type=int, default=1, help="benchmark run seed (default 1)")
-    parser.add_argument("--rounds", type=int, default=20, help="passes over the inputs (default 20)")
-    parser.add_argument("--holdout", action="store_true", help="use the held-out input pool")
     args = parser.parse_args(argv)
 
     run.pin_blas_threads()
     trees = [load_tree(args.parent), load_tree(args.change)]
-    texts = [text for _key, text in
-             workloads.generate(trees[0], args.workload, args.seed, "holdout" if args.holdout else "main")]
+    texts = [text for _key, text in workloads.generate(trees[0], args.workload, SEED, "main")]
     times = [[[] for _ in texts], [[] for _ in texts]]  # [tree][input] -> seconds per round
     differ = 0
     for index, text in enumerate(texts):  # warm-up, and the byte comparison
@@ -85,7 +84,7 @@ def main(argv=None) -> int:
         if reports[0] != reports[1]:
             differ += 1
             print(f"input {index}: the trees wrote different reports")
-    for rnd in range(args.rounds):
+    for rnd in range(ROUNDS):
         for index, text in enumerate(texts):
             first = (index + rnd) % 2
             for side in (first, 1 - first):
@@ -97,7 +96,7 @@ def main(argv=None) -> int:
     medians = [[statistics.median(t) for t in side] for side in times]
     ratios = [c / p for p, c in zip(*medians)]
     q1, med, q3 = quartiles(ratios)
-    print(f"{args.workload}: {len(texts)} inputs x {args.rounds} rounds")
+    print(f"{args.workload}: {len(texts)} inputs x {ROUNDS} rounds")
     print(f"parent {sum(medians[0]) / len(texts) * 1e3:.3f} ms/op, "
           f"change {sum(medians[1]) / len(texts) * 1e3:.3f} ms/op (sum of per-input medians)")
     print(f"per-input ratio change/parent: median {med:.4f} [quartiles {q1:.4f}-{q3:.4f}]")
