@@ -17,15 +17,15 @@ import numpy as np
 from . import matcore
 from .entropy import chi_against, mutual_info, vn_entropies
 from .errors import SingularAprioriState
-from .infobounds import BoundCheck, BoundReport, MeasurementStatistics, _info_gain
+from .infobounds import BoundCheck, MeasurementStatistics, _info_gain
 from .instrument import _posteriors
 from .matcore import SUPPORT_CUTOFF
 
 INVERTIBILITY_TOL = 1e-9
 
 
-def hall_section(ms: MeasurementStatistics) -> BoundReport:
-    """Every Hall-type check of one scenario, over the live outcomes of its
+def hall_section(ms: MeasurementStatistics) -> tuple:
+    """Every Hall-type check row of one scenario, over the live outcomes of its
     outcome law P_f (``ms.output_marginal``):
 
     - duality: J's law on the dual states, P_a Tr[rho_a E(w)] / P_f(w) from the
@@ -76,7 +76,7 @@ def hall_section(ms: MeasurementStatistics) -> BoundReport:
 
     chi_initial = chi_against(e.probs, ms.entropies.letters, ms.entropies.eta_i)
     new_rhs = chi_initial - d_term
-    return BoundReport((
+    return (
         BoundCheck("duality_conditional_law", max_dev, 0.0, kind="dev"),
         BoundCheck("duality_ic", i_c_dual, i_c, kind="eq"),
         BoundCheck("hall_bound", i_c, chi_dual),
@@ -85,4 +85,4 @@ def hall_section(ms: MeasurementStatistics) -> BoundReport:
         BoundCheck("new_iq_identity", gains[-1], chi_initial, kind="eq"),
         BoundCheck("new_le_holevo", new_rhs, chi_initial),
         BoundCheck("new_vs_hall_data", new_rhs, chi_dual, kind="data"),
-    ))
+    )

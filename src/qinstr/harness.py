@@ -12,6 +12,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -27,8 +28,8 @@ from .errors import (
     UnknownFormat,
 )
 from .infobounds import (
-    BoundReport,
     INEQ_TOL,
+    _passes,
     analyze,
     check_bounds,
     check_identities,
@@ -131,46 +132,46 @@ class AnalysisReport:
     log_base: str
     tol: float  # every check is judged at this tolerance, in the report's unit
     panel: dict
-    checks: tuple  # BoundCheck records
+    checks: tuple  # BoundCheck rows, in nats
     quantum_info_gain: float
     purity_preserving: bool
     hall_skipped: Optional[str]  # reason, or None if Hall section ran
     default_state_sensitivity: Optional[float]
 
+    @cached_property
+    def rows(self) -> list:
+        """The check rows in the report's unit, each judged once, at tol, by the
+        one policy (``infobounds._passes``): under base 2 an entropy row's lhs
+        and rhs are in bits, so its slack and its pass are in bits too; a
+        deviation row (kind "dev") reads the same in either base."""
+        rows = []
+        for name, lhs, rhs, kind in self.checks:
+            unit = float if kind == "dev" else self._scale
+            lhs, rhs = unit(lhs), unit(rhs)
+            slack = rhs - lhs
+            rows.append({"name": name, "lhs": lhs, "rhs": rhs, "slack": slack,
+                         "pass": _passes(kind, slack, self.tol)})
+        return rows
+
     @property
     def overall_pass(self) -> bool:
-        return self._in_unit().all_pass(self.tol)
+        return all(row["pass"] for row in self.rows)
 
     def _scale(self, x: float) -> float:
         return float(x) / LN2 if self.log_base == "2" else float(x)
 
-    def _in_unit(self) -> BoundReport:
-        """The checks in the report's unit: under base 2 an entropy row's lhs and
-        rhs in bits, so its slack and its pass are judged in bits too; a
-        deviation row (kind "dev") reads the same in either base."""
-        if self.log_base == "e":
-            return BoundReport(self.checks)
-        return BoundReport(tuple(
-            c if c.kind == "dev" else c._replace(lhs=self._scale(c.lhs), rhs=self._scale(c.rhs))
-            for c in self.checks
-        ))
-
-    def check_rows(self) -> list:
-        return self._in_unit().to_json(self.tol)
-
     def to_json(self) -> dict:
-        rows = self.check_rows()
         return {
             "fingerprint": self.fingerprint,
             "seed": self.seed,
             "log_base": self.log_base,
             "panel": {k: self._scale(v) for k, v in self.panel.items()},
-            "checks": rows,
+            "checks": self.rows,
             "quantum_info_gain": self._scale(self.quantum_info_gain),
             "purity_preserving": self.purity_preserving,
             "hall_skipped": self.hall_skipped,
             "default_state_sensitivity": self.default_state_sensitivity,
-            "overall_pass": all(row["pass"] for row in rows),
+            "overall_pass": self.overall_pass,
         }
 
 
@@ -190,20 +191,20 @@ def run_scenario(s: Scenario) -> AnalysisReport:
     ms = analyze(s.ensemble, s.instrument)
     panel = entropy_panel(ms)
 
-    checks = [*check_identities(panel).checks, *check_bounds(panel).checks]
+    checks = [*check_identities(panel), *check_bounds(panel)]
 
-    purity_preserving, gl_report = groenewold_lindblad_check(
+    purity_preserving, gl_checks = groenewold_lindblad_check(
         s.instrument, trials=s.gl_trials, seed=s.seed, n_demix=s.gl_demix
     )
-    checks += gl_report.checks
+    checks += gl_checks
 
     cs = compound_states(ms)
-    checks += cs.consistency.checks
-    checks += scutaru_chains(ms, cs).checks
+    checks += cs.consistency
+    checks += scutaru_chains(ms, cs)
 
     hall_skipped = None
     try:
-        checks += hallmap.hall_section(ms).checks
+        checks += hallmap.hall_section(ms)
     except SingularAprioriState as exc:
         hall_skipped = str(exc)
 
@@ -273,7 +274,7 @@ def summarize(reports: list, runtime: float) -> dict:
     for r in reports:
         if not r.overall_pass:
             failures += 1
-        for row in r.check_rows():
+        for row in r.rows:
             name = row["name"]
             if name not in min_slack or row["slack"] < min_slack[name]:
                 min_slack[name] = row["slack"]
@@ -295,7 +296,7 @@ def emit_report(r: AnalysisReport, fmt: str = "json") -> str:
             "| name | lhs | rhs | slack | pass |",
             "|---|---|---|---|---|",
         ]
-        for row in r.check_rows():
+        for row in r.rows:
             lines.append(
                 f"| {row['name']} | {row['lhs']:.6g} | {row['rhs']:.6g} "
                 f"| {row['slack']:.6g} | {'yes' if row['pass'] else 'NO'} |"
@@ -304,7 +305,7 @@ def emit_report(r: AnalysisReport, fmt: str = "json") -> str:
         return "\n".join(lines)
     if fmt == "csv":
         lines = ["name,lhs,rhs,slack,pass"]
-        for row in r.check_rows():
+        for row in r.rows:
             lines.append(
                 f"{row['name']},{row['lhs']!r},{row['rhs']!r},"
                 f"{row['slack']!r},{str(row['pass']).lower()}"
@@ -385,8 +386,12 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "analyze":
-            with open(args.scenario) as fh:
-                obj = json.load(fh)
+            try:
+                with open(args.scenario) as fh:
+                    obj = json.load(fh)
+            except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deeply
+                print(f"input error: {exc}", file=sys.stderr)
+                return 2
             scenario = scenario_from_json(obj, tol_override=args.tol, base_override=args.base)
             report = run_scenario(scenario)
             print(emit_report(report, args.format))

@@ -70,29 +70,6 @@ def _passes(kind: str, slack: float, tol: float) -> bool:
     return slack >= -tol
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    checks: tuple
-
-    def all_pass(self, tol: float = INEQ_TOL) -> bool:
-        return all(c.passes(tol) for c in self.checks)
-
-    def to_json(self, tol: float = INEQ_TOL) -> list:
-        rows = []
-        for name, lhs, rhs, kind in self.checks:
-            lhs, rhs = float(lhs), float(rhs)
-            slack = rhs - lhs
-            rows.append({"name": name, "lhs": lhs, "rhs": rhs, "slack": slack,
-                         "pass": _passes(kind, slack, tol)})
-        return rows
-
-    def __getitem__(self, name: str) -> BoundCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
 class ScenarioEntropies(NamedTuple):
     """The von Neumann entropies of one scenario's states."""
 
@@ -241,12 +218,12 @@ def entropy_panel(ms: MeasurementStatistics) -> EntropyPanel:
     )
 
 
-def check_identities(panel: EntropyPanel) -> BoundReport:
+def check_identities(panel: EntropyPanel) -> tuple:
     """Both decompositions of the joint chi plus the tripartite chain rules."""
     values = panel.to_json().values()
     if any(math.isinf(v) for v in values):
         raise InfiniteQuantity("identity checks require finite panel entries")
-    checks = (
+    return (
         BoundCheck(
             "idts_out",
             panel.chi_joint,
@@ -278,12 +255,11 @@ def check_identities(panel: EntropyPanel) -> BoundReport:
             kind="eq",
         ),
     )
-    return BoundReport(checks)
 
 
-def check_bounds(panel: EntropyPanel) -> BoundReport:
+def check_bounds(panel: EntropyPanel) -> tuple:
     """The four inequality families of the mutual-entropy section."""
-    checks = (
+    return (
         BoundCheck("sww", panel.classical_mi + panel.mean_chi_given_out, panel.chi_initial),
         BoundCheck("holevo", panel.classical_mi, panel.chi_initial),
         BoundCheck(
@@ -293,7 +269,6 @@ def check_bounds(panel: EntropyPanel) -> BoundReport:
         ),
         BoundCheck("lower_bound", panel.chi_post, panel.classical_mi + panel.mean_chi_given_out),
     )
-    return BoundReport(checks)
 
 
 def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
@@ -372,10 +347,10 @@ def _preserves_purity(ins: Instrument) -> bool:
 
 def groenewold_lindblad_check(
     ins: Instrument, trials: int = 100, seed: int = 0, n_demix: int = 5
-) -> tuple[bool, BoundReport]:
+) -> tuple[bool, tuple]:
     """Exact purity classification plus the information-gain inequalities.
 
-    Returns (purity_preserving, report). The class is Ozawa's, read off the
+    Returns (purity_preserving, rows). The class is Ozawa's, read off the
     Kraus operators (``_preserves_purity``). The gain-positivity record is only
     emitted for instruments classified purity-preserving; the chain inequality
     I_c + sum_a P_a I_q(rho_a) <= I_q(eta) (the instrument-level equivalent of
@@ -426,7 +401,7 @@ def groenewold_lindblad_check(
     joint = joint / joint.sum(axis=(1, 2), keepdims=True)
     rhs = mutual_info(joint, priors, joint.sum(axis=1)) + (priors * letter_gains).sum(axis=1)
     checks += [BoundCheck("gl_chain", r, g) for r, g in zip(rhs.tolist(), gains[n_states:].tolist())]
-    return purity_preserving, BoundReport(tuple(checks))
+    return purity_preserving, tuple(checks)
 
 
 @dataclass(frozen=True)
@@ -440,7 +415,7 @@ class CompoundStates:
     eta_if: np.ndarray  # [d1 d2, d1 d2]
     tau_f: np.ndarray  # [letter, d2, d2]
     gamma_if: np.ndarray  # [d1 d2, d1 d2]
-    consistency: BoundReport
+    consistency: tuple  # the BoundCheck rows of the marginal and mixture identities
 
 
 def compound_states(ms: MeasurementStatistics) -> CompoundStates:
@@ -484,11 +459,11 @@ def compound_states(ms: MeasurementStatistics) -> CompoundStates:
         eta_if=eta_if,
         tau_f=tau_f,
         gamma_if=gamma_if,
-        consistency=BoundReport(checks),
+        consistency=checks,
     )
 
 
-def scutaru_chains(ms: MeasurementStatistics, cs: CompoundStates) -> BoundReport:
+def scutaru_chains(ms: MeasurementStatistics, cs: CompoundStates) -> tuple:
     """Both compound-state inequality chains, one record per link. S(eta_i),
     S(eta_f) and I_c are the scenario's (``ms.entropies``); the compound
     states' entropies come from one batched vn_entropies call per dimension."""
@@ -510,7 +485,7 @@ def scutaru_chains(ms: MeasurementStatistics, cs: CompoundStates) -> BoundReport
     # (the compound_tr*_gamma rows), so it is a mutual information
     gamma_rel = s_eta_i + s_eta_f - s_joint[-1]
 
-    checks = (
+    return (
         BoundCheck("scutaru1_ic_ge_chi_eps_if", chi_eps_if, i_c),
         BoundCheck("scutaru1_chi_eps_if_ge_chi_eps_i", chi_eps_i, chi_eps_if),
         BoundCheck("scutaru1_chi_eps_if_ge_chi_eps_f", chi_eps_f, chi_eps_if),
@@ -519,4 +494,3 @@ def scutaru_chains(ms: MeasurementStatistics, cs: CompoundStates) -> BoundReport
         BoundCheck("scutaru2_chi_eps_i_ge_gamma", gamma_rel, chi_eps_i),
         BoundCheck("scutaru2_chi_tau_f_ge_gamma", gamma_rel, chi_tau_f),
     )
-    return BoundReport(checks)

@@ -194,7 +194,7 @@ class TestRunScenario:
         # deviations at min(1e-9, tol), data never fails
         report = run_scenario(random_scenario(3, 3, 3, 3, 2, seed, tol=tol))
         assert report.hall_skipped is None
-        rows = report.check_rows()
+        rows = report.rows
         assert len(rows) == len(report.checks)
         for check, row in zip(report.checks, rows):
             if check.kind == "data":
@@ -223,8 +223,8 @@ class TestBase2Units:
     def test_only_entropy_rows_are_scaled(self):
         s = random_scenario(3, 3, 3, 3, 2, 7)
         report = run_scenario(s)
-        nats = report.check_rows()
-        bits = run_scenario(dataclasses.replace(s, log_base="2")).check_rows()
+        nats = report.rows
+        bits = run_scenario(dataclasses.replace(s, log_base="2")).rows
         assert {row["name"] for row in nats} >= set(self.UNITLESS)
         # the unscaled rows are exactly the deviation rows (Hall's runs here)
         assert report.hall_skipped is None
@@ -245,11 +245,11 @@ class TestBase2Units:
             checks=(BoundCheck("x", 0.8e-8, 0.0),), quantum_info_gain=0.0,
             purity_preserving=False, hall_skipped=None, default_state_sensitivity=None,
         )
-        (row,) = report.check_rows()
+        (row,) = report.rows
         assert row["slack"] == pytest.approx(-0.8e-8 / math.log(2), rel=1e-12)
         assert row["pass"] is False and not report.overall_pass
         nats = dataclasses.replace(report, log_base="e")
-        assert nats.check_rows()[0]["pass"] is True and nats.overall_pass
+        assert nats.rows[0]["pass"] is True and nats.overall_pass
 
 
 @pytest.fixture(scope="module")
@@ -290,6 +290,24 @@ class TestEmitReport:
         assert text == json.dumps(report.to_json(), sort_keys=True)
         assert list(json.loads(text)) == sorted(report.to_json())
         assert json.loads(text)["overall_pass"] == report.overall_pass
+
+    def test_formats_carry_the_same_judged_rows_in_bits(self):
+        # under base 2 with tol 0, some rows pass and some fail; the csv and the
+        # markdown print the JSON's rows: the same numbers and the same verdicts
+        report = run_scenario(random_scenario(3, 3, 3, 3, 2, 7, log_base="2", tol=0.0))
+        rows = json.loads(emit_report(report, "json"))["checks"]
+        assert {row["pass"] for row in rows} == {True, False}
+        csv_rows = list(csv.DictReader(io.StringIO(emit_report(report, "csv"))))
+        assert [c["name"] for c in csv_rows] == [row["name"] for row in rows]
+        for row, c in zip(rows, csv_rows):
+            for key in ("lhs", "rhs", "slack"):
+                assert float(c[key]) == row[key], (row["name"], key)
+            assert c["pass"] == str(row["pass"]).lower()
+        lines = [l for l in emit_report(report, "markdown").splitlines() if l.startswith("| ")][1:]
+        assert len(lines) == len(rows)
+        for row, line in zip(rows, lines):
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            assert (cells[0], cells[4]) == (row["name"], "yes" if row["pass"] else "NO")
 
 
 class TestRandomSuite:
@@ -345,6 +363,16 @@ class TestCli:
         path.write_text("{not json")
         assert main(["analyze", str(path)]) == 2
 
+    def test_undecodable_or_too_deep_file_is_input_error(self, tmp_path, capsys):
+        # a UTF-16 byte-order mark is not UTF-8, and 100,000 open brackets nest
+        # deeper than the JSON decoder recurses: each is an input error (exit
+        # 2), not a failed check (exit 1) with a traceback
+        for name, data in (("bom.json", b'\xff\xfe{"a":1}'), ("deep.json", b"[" * 100_000)):
+            path = tmp_path / name
+            path.write_bytes(data)
+            assert main(["analyze", str(path)]) == 2, name
+            assert capsys.readouterr().err.startswith("input error:"), name
+
     def test_bad_schema_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"ensemble": {"letters": []}}))
@@ -373,6 +401,34 @@ class TestCli:
         assert main(["random", "--trials", "1", "--format", "csv"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("name,lhs,rhs,slack,pass")
+
+    def test_each_row_is_judged_once(self, tmp_path, capsys, monkeypatch):
+        # a report judges each row once, in its unit; overall_pass, the summary
+        # and every writer read those verdicts
+        policy = infobounds._passes
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return policy(*args)
+
+        for mod in (infobounds, harness):
+            if hasattr(mod, "_passes"):
+                monkeypatch.setattr(mod, "_passes", counted)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(example_scenario("zero-one-plus").to_json()))
+
+        def judged(argv):
+            calls.clear()
+            assert main(argv) == 0
+            return len(calls), capsys.readouterr().out
+
+        n, out = judged(["analyze", str(path)])
+        assert n == len(json.loads(out)["checks"])
+        n, out = judged(["analyze", str(path), "--format", "markdown"])
+        assert n == sum(line.startswith("| ") for line in out.splitlines()) - 1  # less the header
+        n, out = judged(["random", "--trials", "2", "--format", "json"])
+        assert n == sum(len(r["checks"]) for r in json.loads(out)["reports"])
 
     def test_unknown_subcommand(self, capsys):
         assert main(["bogus"]) == 2

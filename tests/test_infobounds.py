@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from qinstr.errors import InfiniteQuantity, QinstrError
 from qinstr.hallmap import hall_section
-from qinstr.harness import ACCEPTANCE_GRID, Scenario, random_scenario, run_scenario
+from qinstr.harness import ACCEPTANCE_GRID, AnalysisReport, Scenario, random_scenario, run_scenario
 from qinstr.infobounds import (
+    INEQ_TOL,
     BoundCheck,
-    BoundReport,
     analyze,
     check_bounds,
     check_identities,
@@ -145,7 +145,12 @@ def test_infinite_row_fails_every_judged_kind(kind):
     check = BoundCheck("x", math.inf, math.inf, kind)
     assert math.isnan(check.slack)
     assert not check.passes(1.0)
-    row = BoundReport((check,)).to_json(1.0)[0]
+    report = AnalysisReport(
+        fingerprint="0", seed=0, log_base="e", tol=1.0, panel={}, checks=(check,),
+        quantum_info_gain=0.0, purity_preserving=False, hall_skipped=None,
+        default_state_sensitivity=None,
+    )
+    (row,) = report.rows
     assert math.isnan(row["slack"]) and row["pass"] is False
 
 
@@ -240,8 +245,8 @@ class TestIdentitiesAndBounds:
             seed=200 + seed,
         )
         panel = entropy_panel(analyze(e, ins))
-        report = check_identities(panel)
-        assert report.all_pass(), report.to_json()
+        rows = check_identities(panel)
+        assert all(c.passes(INEQ_TOL) for c in rows), rows
 
     @pytest.mark.parametrize("seed", range(10))
     def test_bounds_random(self, seed):
@@ -252,21 +257,21 @@ class TestIdentitiesAndBounds:
             seed=400 + seed,
         )
         panel = entropy_panel(analyze(e, ins))
-        report = check_bounds(panel)
-        assert report.all_pass(), report.to_json()
+        rows = check_bounds(panel)
+        assert all(c.passes(INEQ_TOL) for c in rows), rows
 
     def test_identities_on_desk_example(self):
         panel = entropy_panel(analyze(zero_plus_ensemble(), projective_qubit()))
-        report = check_identities(panel)
-        assert report.all_pass()
-        assert abs(report["idts_out"].slack) < 1e-12
+        checks = {c.name: c for c in check_identities(panel)}
+        assert all(c.passes(INEQ_TOL) for c in checks.values())
+        assert abs(checks["idts_out"].slack) < 1e-12
 
     def test_bounds_on_desk_example(self):
         panel = entropy_panel(analyze(zero_plus_ensemble(), projective_qubit()))
-        report = check_bounds(panel)
-        assert report.all_pass()
+        checks = {c.name: c for c in check_bounds(panel)}
+        assert all(c.passes(INEQ_TOL) for c in checks.values())
         # Holevo slack chi - I_c frozen from the two oracles above
-        assert abs(report["holevo"].slack - (0.4164955306996875 - 0.2157615543388356)) < 1e-10
+        assert abs(checks["holevo"].slack - (0.4164955306996875 - 0.2157615543388356)) < 1e-10
 
     def test_infinite_panel_rejected(self):
         panel = entropy_panel(analyze(zero_plus_ensemble(), projective_qubit()))
@@ -303,31 +308,31 @@ class TestQuantumInfoGain:
 
 class TestGroenewoldLindblad:
     def test_projective_is_purity_preserving(self):
-        pp, report = groenewold_lindblad_check(projective_qubit(), trials=50, seed=0)
+        pp, rows = groenewold_lindblad_check(projective_qubit(), trials=50, seed=0)
         assert pp
-        assert report.all_pass()
-        assert report["gl_info_gain_nonneg"].slack >= -1e-8
+        assert all(c.passes(INEQ_TOL) for c in rows)
+        assert {c.name: c for c in rows}["gl_info_gain_nonneg"].slack >= -1e-8
 
     def test_rank1_random_is_purity_preserving(self):
         ins = random_instrument(2, 3, 3, 1, seed=42)
-        pp, report = groenewold_lindblad_check(ins, trials=50, seed=1)
+        pp, rows = groenewold_lindblad_check(ins, trials=50, seed=1)
         assert pp
-        assert report.all_pass()
+        assert all(c.passes(INEQ_TOL) for c in rows)
 
     def test_depolarizing_like_is_not(self):
         # two-Kraus single-outcome channel mixes pure inputs
         ins = random_instrument(2, 2, 1, 2, seed=7)
-        pp, report = groenewold_lindblad_check(ins, trials=50, seed=2)
+        pp, rows = groenewold_lindblad_check(ins, trials=50, seed=2)
         assert not pp
         with pytest.raises(KeyError):
-            report["gl_info_gain_nonneg"]
-        assert report.all_pass()  # chain inequality still holds
+            {c.name: c for c in rows}["gl_info_gain_nonneg"]
+        assert all(c.passes(INEQ_TOL) for c in rows)  # chain inequality still holds
 
     @pytest.mark.parametrize("seed", range(5))
     def test_chain_inequality_random(self, seed):
         ins = random_instrument(3, 2, 3, 2, seed=500 + seed)
-        _, report = groenewold_lindblad_check(ins, trials=20, seed=seed, n_demix=3)
-        assert report.all_pass(), report.to_json()
+        _, rows = groenewold_lindblad_check(ins, trials=20, seed=seed, n_demix=3)
+        assert all(c.passes(INEQ_TOL) for c in rows), rows
 
 
 def sequential_gl(ins, trials, seed, n_demix=5):
@@ -459,9 +464,9 @@ def downstream(ms):
     compound states and their rows, the Scutaru chains and the Hall section,
     or the error it raises (``test_hallmap.test_near_null_dual_outcome_is_analyzed``)."""
     cs = compound_states(ms)
-    rows = [*cs.consistency.checks, *scutaru_chains(ms, cs).checks]
+    rows = [*cs.consistency, *scutaru_chains(ms, cs)]
     try:
-        rows += hall_section(ms).checks
+        rows += hall_section(ms)
     except QinstrError as exc:
         rows.append(repr(exc))
     arrays = [a.tobytes() for a in (cs.eps_if, cs.eps_i, cs.eps_f, cs.eta_if, cs.tau_f, cs.gamma_if)]
@@ -553,11 +558,11 @@ class TestNullCells:
 
 @pytest.mark.parametrize("ins, trials, seed, n_demix", GL_CASES)
 def test_batched_gl_matches_sequential(ins, trials, seed, n_demix):
-    pp, report = groenewold_lindblad_check(ins, trials=trials, seed=seed, n_demix=n_demix)
+    pp, rows = groenewold_lindblad_check(ins, trials=trials, seed=seed, n_demix=n_demix)
     ref_pp, ref_checks = sequential_gl(ins, trials, seed, n_demix)
     assert pp == ref_pp
-    assert [c.name for c in report.checks] == [name for name, _, _ in ref_checks]
-    for c, (_name, lhs, rhs) in zip(report.checks, ref_checks):
+    assert [c.name for c in rows] == [name for name, _, _ in ref_checks]
+    for c, (_name, lhs, rhs) in zip(rows, ref_checks):
         assert abs(c.lhs - lhs) <= 1e-12
         assert abs(c.rhs - rhs) <= 1e-12
 
@@ -566,7 +571,7 @@ class TestCompoundStates:
     def test_consistency_desk(self):
         ms = analyze(zero_plus_ensemble(), projective_qubit())
         cs = compound_states(ms)
-        assert cs.consistency.all_pass()
+        assert all(c.passes(INEQ_TOL) for c in cs.consistency)
 
     def test_dimensions(self):
         rng = np.random.default_rng(20)
@@ -586,24 +591,24 @@ class TestCompoundStates:
             e.dim, int(rng.integers(2, 4)), int(rng.integers(2, 4)), 2, seed=700 + seed
         )
         cs = compound_states(analyze(e, ins))
-        assert cs.consistency.all_pass(), cs.consistency.to_json()
+        assert all(c.passes(INEQ_TOL) for c in cs.consistency), cs.consistency
 
 
 class TestScutaruChains:
     def test_desk_example(self):
         ms = analyze(zero_plus_ensemble(), projective_qubit())
-        report = scutaru_chains(ms, compound_states(ms))
-        assert report.all_pass(), report.to_json()
+        checks = {c.name: c for c in scutaru_chains(ms, compound_states(ms))}
+        assert all(c.passes(INEQ_TOL) for c in checks.values()), checks
         # every link sits below I_c
         i_c = ms.classical_mi
-        assert report["scutaru1_ic_ge_chi_eps_if"].rhs == pytest.approx(i_c)
+        assert checks["scutaru1_ic_ge_chi_eps_if"].rhs == pytest.approx(i_c)
 
     def test_orthogonal_example(self):
         ms = analyze(orthogonal_ensemble(), projective_qubit())
-        report = scutaru_chains(ms, compound_states(ms))
-        assert report.all_pass()
+        checks = {c.name: c for c in scutaru_chains(ms, compound_states(ms))}
+        assert all(c.passes(INEQ_TOL) for c in checks.values())
         # perfectly distinguishable: the first-chain bound is tight at log 2
-        assert abs(report["scutaru1_ic_ge_chi_eps_if"].rhs - math.log(2)) < 1e-10
+        assert abs(checks["scutaru1_ic_ge_chi_eps_if"].rhs - math.log(2)) < 1e-10
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random(self, seed):
@@ -614,8 +619,8 @@ class TestScutaruChains:
             seed=900 + seed,
         )
         ms = analyze(e, ins)
-        report = scutaru_chains(ms, compound_states(ms))
-        assert report.all_pass(), report.to_json()
+        rows = scutaru_chains(ms, compound_states(ms))
+        assert all(c.passes(INEQ_TOL) for c in rows), rows
 
 
 class TestMergeOutcomes:
