@@ -14,19 +14,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import matcore
 from .entropy import chi_against, mutual_info, vn_entropies
 from .errors import SingularAprioriState
-from .infobounds import BoundCheck, MeasurementStatistics, _info_gain
+from .infobounds import SUPPORT_CUTOFF, BoundCheck, MeasurementStatistics, _info_gain
 from .instrument import _posteriors
-from .matcore import SUPPORT_CUTOFF
 
 INVERTIBILITY_TOL = 1e-9
 
 
 def hall_section(ms: MeasurementStatistics) -> tuple:
-    """Every Hall-type check row of one scenario, over the live outcomes of its
-    outcome law P_f (``ms.output_marginal``):
+    """Every Hall-type check row of one scenario, over the live outcomes that
+    ``analyze`` decided (``ms.live``) of its outcome law P_f:
 
     - duality: J's law on the dual states, P_a Tr[rho_a E(w)] / P_f(w) from the
       effects, reproduces P_{i|f} from the channel (``ms.cond_in_given_out``),
@@ -36,7 +34,9 @@ def hall_section(ms: MeasurementStatistics) -> tuple:
       D = sum_w P_f(w) I_q{sigma_w; J}, its parts, and its ordering against
       Hall's bound (recorded as data, not asserted).
 
-    J's a posteriori states come from one ``_posteriors`` call on the stack
+    Each rho_a^{1/2} and eta^{1/2} come from one stacked form, on the support,
+    over ``Ensemble.spectra`` with eta's decomposition appended. J's a
+    posteriori states come from one ``_posteriors`` call on the stack
     P_a rho_a^{1/2} X rho_a^{1/2}, X running over E(w) / P_f(w) and I; their
     entropies and the dual states' from one ``vn_entropies`` call. I_c and the
     letters' and eta_i's entropies are the scenario's (``ms.entropies``).
@@ -51,23 +51,21 @@ def hall_section(ms: MeasurementStatistics) -> tuple:
         raise SingularAprioriState(
             f"a priori state is singular: least eigenvalue at or below {INVERTIBILITY_TOL:.1e}"
         )
-    p_f = ms.output_marginal.probs
-    live = p_f > SUPPORT_CUTOFF
-    p_f = p_f[live]
-    x = np.concatenate([ms.instrument.effects[live] / p_f[:, None, None], np.eye(e.dim)[None]])
+    p_f = ms.output_marginal.probs[ms.live]
+    x = np.concatenate([ms.instrument.effects[ms.live] / p_f[:, None, None], np.eye(e.dim)[None]])
 
-    lam, u = e.spectra  # each letter's square root, on its support
+    lam, u = (np.concatenate([a, b[None]]) for a, b in zip(e.spectra, eta.spectral()))
     roots = (u * np.sqrt(np.where(lam > SUPPORT_CUTOFF, lam, 0.0))[:, None]) @ u.conj().swapaxes(-1, -2)
+    roots, sqrt_eta = roots[:-1], roots[-1]  # each letter's, then eta's
     outs = e.probs[:, None, None, None] * (roots[:, None] @ x @ roots[:, None])  # [letter, input]
     law, posts = _posteriors(outs)  # P_J(a | input), [letter, input]
-    sqrt_eta = matcore.spectral_apply(eta.spectral(), np.sqrt)
     sigma = sqrt_eta @ x[:-1] @ sqrt_eta
     s_all = vn_entropies(np.concatenate([posts.reshape(-1, e.dim, e.dim), sigma]))
     s_post, s_sigma = s_all[:law.size], s_all[law.size:]
     gains = _info_gain(np.append(s_sigma, ms.entropies.eta_i), law.T, s_post.reshape(law.shape).T)
 
     i_c = ms.classical_mi
-    max_dev = np.abs(law[:, :-1] - ms.cond_in_given_out[:, live]).max()
+    max_dev = np.abs(law[:, :-1] - ms.cond_in_given_out[:, ms.live]).max()
     joint_dual = p_f[:, None] * law[:, :-1].T
     joint_dual = joint_dual / joint_dual.sum()
     i_c_dual = mutual_info(joint_dual, joint_dual.sum(axis=1), joint_dual.sum(axis=0))

@@ -4,6 +4,7 @@ orchestration and report emission (json / markdown / csv)."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -208,10 +209,9 @@ def run_scenario(s: Scenario) -> AnalysisReport:
     except SingularAprioriState as exc:
         hall_skipped = str(exc)
 
-    # a null cell's a posteriori state reaches no number (instrument._posteriors),
-    # so the sensitivity to what a null cell holds is 0 by construction
-    null_cells = (ms.cond_out_given_in <= matcore.SUPPORT_CUTOFF).any()
-    sensitivity = 0.0 if null_cells else None
+    # a null cell, probability exactly 0 by the one rule (instrument._posteriors),
+    # reaches no number, so the sensitivity to what it holds is 0 by construction
+    sensitivity = None if ms.cond_out_given_in.all() else 0.0
 
     return AnalysisReport(
         fingerprint=_fingerprint(s),
@@ -389,33 +389,35 @@ def main(argv=None) -> int:
             try:
                 with open(args.scenario) as fh:
                     obj = json.load(fh)
-            except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deeply
+            except (OSError, ValueError, RecursionError) as exc:  # unreadable, not JSON, too deep
                 print(f"input error: {exc}", file=sys.stderr)
                 return 2
             scenario = scenario_from_json(obj, tol_override=args.tol, base_override=args.base)
             report = run_scenario(scenario)
-            print(emit_report(report, args.format))
+            print(emit_report(report, args.format), flush=True)
             return 0 if report.overall_pass else 1
         if args.command == "random":
-            if args.trials < 1:
-                raise SchemaError(f"--trials must be at least 1, got {args.trials}")
-            shape = (args.d1, args.d2, args.letters, args.outcomes, args.kraus)
-            reports, summary = run_acceptance_suite(args.trials, args.seed, grid=(shape,))
+            shape = tuple(matcore.as_count(f"--{flag}", getattr(args, flag), 1)
+                          for flag in ("d1", "d2", "letters", "outcomes", "kraus"))
+            trials = matcore.as_count("--trials", args.trials, 1)
+            reports, summary = run_acceptance_suite(trials, args.seed, grid=(shape,))
             if args.format == "json":
-                print(json_text({"summary": summary, "reports": [r.to_json() for r in reports]}))
+                print(json_text({"summary": summary, "reports": [r.to_json() for r in reports]}), flush=True)
             else:
                 for r in reports:
                     print(emit_report(r, args.format))
                     print()
-                print(f"failures: {summary['failures']}/{summary['trials']}")
+                print(f"failures: {summary['failures']}/{summary['trials']}", flush=True)
             return 0 if summary["failures"] == 0 else 1
         if args.command == "example":
             # an input to edit by hand, so indented, unlike a report
-            print(json.dumps(example_scenario(args.name).to_json(), sort_keys=True, indent=2))
+            print(json.dumps(example_scenario(args.name).to_json(), sort_keys=True, indent=2), flush=True)
             return 0
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+    except OSError as exc:  # the input was read above and the output is flushed: a write failed
+        print(f"output error: {exc}", file=sys.stderr)
+        with contextlib.suppress(OSError):  # drop what stdout still holds, so that
+            sys.stdout.close()  # its flush at exit does not fail a second time
+        return 4
     except (NoConvergence, InfiniteQuantity, SingularNormalizer) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3

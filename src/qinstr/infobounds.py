@@ -87,8 +87,9 @@ class MeasurementStatistics:
 
     The joint table is indexed [letter, outcome]; posterior_letter_states is a
     matching grid of a posteriori states. A null cell holds the fill I/d2
-    (``instrument._posteriors``) and weighs exactly 0 in cond_out_given_in,
-    joint and cond_in_given_out; a null rho_f(w) has P_f(w) <= SUPPORT_CUTOFF.
+    (``instrument._posteriors``, the one null-cell rule) and weighs exactly 0
+    in cond_out_given_in, joint and cond_in_given_out. ``live`` marks the
+    outcomes of P_f(w) > SUPPORT_CUTOFF, decided here once for every stage.
     The output-side states are arrays, checked where their entropies are
     taken (``vn_entropies``). The entropies and I_c are computed once, on
     first use, and every stage reads them from here.
@@ -97,8 +98,8 @@ class MeasurementStatistics:
     ensemble: Ensemble
     instrument: Instrument
     joint: np.ndarray
-    input_marginal: ClassicalDist
     output_marginal: ClassicalDist
+    live: np.ndarray  # P_f(omega) > SUPPORT_CUTOFF, [outcome]
     cond_out_given_in: np.ndarray  # P_{f|i}(omega|alpha), [letter, outcome]
     cond_in_given_out: np.ndarray  # P_{i|f}(alpha|omega), [letter, outcome]
     posterior_letter_states: np.ndarray  # [letter, outcome, d2, d2]
@@ -134,7 +135,7 @@ class MeasurementStatistics:
     @cached_property
     def classical_mi(self) -> float:
         """I_c = S_c(P_if | P_i x P_f), from the joint table."""
-        return float(mutual_info(self.joint, self.input_marginal.probs, self.output_marginal.probs))
+        return float(mutual_info(self.joint, self.ensemble.probs, self.output_marginal.probs))
 
     @property
     def info_gain(self) -> float:
@@ -180,13 +181,14 @@ def analyze(e: Ensemble, ins: Instrument) -> MeasurementStatistics:
     joint = e.probs[:, None] * cond_fi
     joint = joint / joint.sum()
     p_f = joint.sum(axis=0)
-    cond_if = np.divide(joint, p_f, out=np.zeros_like(joint), where=p_f > SUPPORT_CUTOFF)
+    live = p_f > SUPPORT_CUTOFF
+    cond_if = np.divide(joint, p_f, out=np.zeros_like(joint), where=live)
     return MeasurementStatistics(
         ensemble=e,
         instrument=ins,
         joint=joint,
-        input_marginal=e.prior(),
         output_marginal=ClassicalDist(ins.outcomes, p_f),
+        live=live,
         cond_out_given_in=cond_fi,
         cond_in_given_out=cond_if,
         posterior_letter_states=posts[:, :-1].swapaxes(0, 1),
@@ -202,7 +204,7 @@ def entropy_panel(ms: MeasurementStatistics) -> EntropyPanel:
     against its family's own barycenter (rho_f(w) for column w of the
     posterior grid, eta_f^a for row a), from the scenario's entropies."""
     s = ms.entropies
-    p_i = ms.input_marginal.probs
+    p_i = ms.ensemble.probs
     p_f = ms.output_marginal.probs
     chi_joint = chi_against(ms.joint.ravel(), s.grid.ravel(), s.eta_f)
     i_c = ms.classical_mi
@@ -422,22 +424,20 @@ def compound_states(ms: MeasurementStatistics) -> CompoundStates:
     e = ms.ensemble
     d1 = e.dim
     d2 = ms.instrument.dim_out
-    p_f = ms.output_marginal.probs
-    live = p_f > SUPPORT_CUTOFF
-    w_f = np.where(live, p_f, 0.0)
+    w_f = np.where(ms.live, ms.output_marginal.probs, 0.0)
     rho_f = ms.posterior_mean_states
 
     eps_if = np.einsum(
         "aw,amn->wmn", ms.cond_in_given_out, matcore.kron(e.states, ms.post_letter_states)
     )
-    eps_if[~live] = np.eye(d1 * d2) / (d1 * d2)  # zero-weight filler, excluded everywhere
+    eps_if[~ms.live] = np.eye(d1 * d2) / (d1 * d2)  # zero-weight filler, excluded everywhere
     eps_i = matcore.partial_trace(eps_if, "second", d1, d2)
     eps_f = matcore.partial_trace(eps_if, "first", d1, d2)
     eta_if = np.einsum("w,wmn->mn", w_f, eps_if)
     # a letter's weight on a null rho_f(w) is dropped and the rest renormalized by
     # its own sum (a letter that drops nothing is divided by 1.0); a letter with
     # no live weight left gets the fill, as a null eps_if(w) does
-    kept = np.where(live, ms.cond_out_given_in, 0.0)
+    kept = np.where(ms.live, ms.cond_out_given_in, 0.0)
     mass = np.where((kept != ms.cond_out_given_in).any(axis=1), kept.sum(axis=1), 1.0)
     tau_f = np.einsum("aw,wij->aij", kept, rho_f) / np.where(mass > 0.0, mass, 1.0)[:, None, None]
     tau_f[mass == 0.0] = np.eye(d2) / d2
@@ -468,7 +468,7 @@ def scutaru_chains(ms: MeasurementStatistics, cs: CompoundStates) -> tuple:
     S(eta_f) and I_c are the scenario's (``ms.entropies``); the compound
     states' entropies come from one batched vn_entropies call per dimension."""
     n_o = len(cs.eps_f)
-    p_i = ms.input_marginal.probs
+    p_i = ms.ensemble.probs
     p_f = ms.output_marginal.probs
     i_c = ms.classical_mi
     s_eta_i, s_eta_f = ms.entropies.eta_i, ms.entropies.eta_f

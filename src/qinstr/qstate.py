@@ -166,9 +166,6 @@ class Ensemble:
     def dim(self) -> int:
         return self.states.shape[-1]
 
-    def prior(self) -> ClassicalDist:
-        return ClassicalDist(self.letters, self.probs)
-
 
 def a_priori_state(e: Ensemble) -> DensityMatrix:
     """Barycenter of the ensemble."""

@@ -70,7 +70,7 @@ CROSS_CHECK.append(pure_letters_scenario(5))
 def test_every_chi_matches_the_relative_entropy_form(s):
     ms = analyze(s.ensemble, s.instrument)
     panel = entropy_panel(ms)
-    p_i, p_f = ms.input_marginal.probs, ms.output_marginal.probs
+    p_i, p_f = ms.ensemble.probs, ms.output_marginal.probs
     eta_i, eta_f = ms.a_priori, states(ms.post_a_priori)
     grid = states(ms.posterior_letter_states)
     post_letter, post_mean = states(ms.post_letter_states), states(ms.posterior_mean_states)

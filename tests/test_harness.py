@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -430,6 +431,26 @@ class TestCli:
         n, out = judged(["random", "--trials", "2", "--format", "json"])
         assert n == sum(len(r["checks"]) for r in json.loads(out)["reports"])
 
+    @pytest.mark.parametrize("error", [
+        BrokenPipeError(errno.EPIPE, "Broken pipe"),
+        OSError(errno.ENOSPC, "No space left on device"),
+    ], ids=["broken-pipe", "disk-full"])
+    def test_failed_write_is_output_error(self, tmp_path, monkeypatch, error):
+        # the input was valid, so a write that fails (a reader that stopped
+        # reading, a full disk) is an output error, exit 4, not an input error
+        class Failing(io.StringIO):
+            def write(self, text):
+                raise error
+
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(example_scenario("zero-one-plus").to_json()))
+        for argv in (["analyze", str(path)], ["random", "--trials", "2"], ["example", "zero-one-plus"]):
+            err = io.StringIO()
+            monkeypatch.setattr(sys, "stdout", Failing())
+            monkeypatch.setattr(sys, "stderr", err)
+            assert main(argv) == 4, argv
+            assert err.getvalue() == f"output error: {error}\n", argv
+
     def test_unknown_subcommand(self, capsys):
         assert main(["bogus"]) == 2
 
@@ -538,10 +559,15 @@ class TestInputContract:
         assert (s.instrument.dim_in, s.instrument.dim_out) == (2, 2)
         assert _fingerprint(s) == expected
 
-    @pytest.mark.parametrize("trials", ["0", "-1"])
-    def test_random_trials_below_one_is_schema_error(self, capsys, trials):
-        assert main(["random", "--trials", trials]) == 2
-        assert "--trials" in capsys.readouterr().err
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("flag", ["--d1", "--d2", "--letters", "--outcomes", "--kraus", "--trials"])
+    def test_random_count_flag_below_one_is_schema_error(self, capsys, flag, value):
+        # a count below 1 is an input error (exit 2) that names its flag, as a
+        # file's counts are (matcore.as_count), never a failed check (exit 1)
+        # from a numpy traceback or a trace error
+        assert main(["random", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"schema error: {flag} must be an integer >= 1") and "Traceback" not in err
 
     def test_effects_missing_the_identity_exit_two(self, tmp_path, capsys):
         def mutate(obj):

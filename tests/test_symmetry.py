@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from qinstr import harness, infobounds, instrument, qstate
+from qinstr.errors import NotPositive
 from qinstr.harness import ACCEPTANCE_GRID, random_scenario, run_scenario
 from qinstr.infobounds import analyze
 from qinstr.instrument import Instrument, KrausMap
@@ -22,6 +23,7 @@ from qinstr.qstate import Ensemble
 sys.path.append(str(Path(__file__).resolve().parent.parent / "scenariobench"))
 
 import workloads  # noqa: E402
+from test_infobounds import NULL_CELL_SCENARIOS  # noqa: E402
 
 TOL = 1e-12
 
@@ -92,13 +94,37 @@ QINSTR = SimpleNamespace(harness=harness, infobounds=infobounds, instrument=inst
 
 # the random states of the Groenewold-Lindblad trials are drawn in a fixed
 # basis of H1, so a rotation of H1 moves its gl_* rows
-TRANSFORMS = pytest.mark.parametrize("transform, moves_gl", [
+TRANSFORM_CASES = [
     (permute_outcomes, False),
     (permute_letters, False),
     (rotate_output, False),
     (rotate_input, True),
     (split_outcome, False),
-])
+]
+TRANSFORMS = pytest.mark.parametrize("transform, moves_gl", TRANSFORM_CASES)
+
+# TestNullCells' near-null scenarios under every transformation but one. The
+# split moves a cell across SUPPORT_CUTOFF, so that pair changes the null
+# structure, not only the representation, and is left out: in
+# letter_with_little_live_weight, the live cell (letter 1, outcome 0) of
+# P(0|1) = 2e-12 becomes c^2 2e-12 and s^2 2e-12, and the smaller is null.
+# A rotation of H1 can make two of these scenarios exit with NotPositive: a
+# near-null cell's a posteriori state is its output divided by a trace of
+# about 1e-12, and the rotation's rounding of about 1e-17 then puts its least
+# eigenvalue below -HERM_TOL on some unitaries, not on others, so those two
+# pairs may fail, with that error only.
+ROUNDING_FAILS = pytest.mark.xfail(raises=NotPositive, strict=False, reason=(
+    "a near-null cell's normalized a posteriori state carries the rotation's "
+    "rounding divided by its trace, which the positivity check can reject"))
+NULL_CELL_CASES = [
+    pytest.param(name, transform, moves_gl, marks=ROUNDING_FAILS if (name, transform) in (
+        ("sub_cutoff_cell_under_a_live_column", rotate_input),
+        ("letter_with_little_live_weight", rotate_input),
+    ) else ())
+    for name in NULL_CELL_SCENARIOS
+    for transform, moves_gl in TRANSFORM_CASES
+    if (name, transform) != ("letter_with_little_live_weight", split_outcome)
+]
 
 
 def _assert_invariant(s, a, transform, seed, moves_gl):
@@ -113,6 +139,7 @@ def _assert_invariant(s, a, transform, seed, moves_gl):
         if not (moves_gl and ca.name.startswith("gl_")):
             assert abs(cb.lhs - ca.lhs) <= TOL and abs(cb.rhs - ca.rhs) <= TOL, (ca, cb)
     assert abs(b.quantum_info_gain - a.quantum_info_gain) <= TOL
+    assert b.default_state_sensitivity == a.default_state_sensitivity
 
 
 @TRANSFORMS
@@ -131,3 +158,10 @@ def test_edge_report_is_invariant(slot, transform, moves_gl):
     if workloads.RANK_DEFICIENT[slot][0] == "basis":
         assert analyze(s.ensemble, s.instrument).output_marginal.probs.min() <= SUPPORT_CUTOFF
     _assert_invariant(s, a, transform, slot, moves_gl)
+
+
+@pytest.mark.parametrize("name, transform, moves_gl", NULL_CELL_CASES)
+@pytest.mark.parametrize("seed", (0, 1))
+def test_null_cell_report_is_invariant(name, seed, transform, moves_gl):
+    s = harness.Scenario(*NULL_CELL_SCENARIOS[name])
+    _assert_invariant(s, run_scenario(s), transform, seed, moves_gl)
