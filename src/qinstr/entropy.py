@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import SUPPORT_CUTOFF
-from .qstate import DensityMatrix, density_eigvals
+from .errors import NoConvergence
+from .matcore import SUPPORT_CUTOFF, lapack
+from .qstate import DensityMatrix
 
 
 def _entropy(vals: np.ndarray) -> np.ndarray:
@@ -26,8 +27,12 @@ def vn_entropy(rho: DensityMatrix) -> float:
 
 
 def vn_entropies(stack) -> np.ndarray:
-    """vn_entropy of each state of an (n, d, d) stack, checked by density_eigvals."""
-    return _entropy(density_eigvals(stack))
+    """vn_entropy of each derived state (a state by construction, ``qstate``) of
+    an (n, d, d) stack, by one batched ``eigvalsh``; non-finite: NoConvergence."""
+    s = _entropy(lapack(np.linalg.eigvalsh, stack))
+    if not np.isfinite(s).all():
+        raise NoConvergence("von Neumann entropy of a derived state is not finite")
+    return s
 
 
 def mutual_info(joint: np.ndarray, p_row: np.ndarray, p_col: np.ndarray) -> np.ndarray:

@@ -90,9 +90,9 @@ class MeasurementStatistics:
     (``instrument._posteriors``, the one null-cell rule) and weighs exactly 0
     in cond_out_given_in, joint and cond_in_given_out. ``live`` marks the
     outcomes of P_f(w) > SUPPORT_CUTOFF, decided here once for every stage.
-    The output-side states are arrays, checked where their entropies are
-    taken (``vn_entropies``). The entropies and I_c are computed once, on
-    first use, and every stage reads them from here.
+    The output-side states are arrays, states by construction and not checked
+    again (``qstate``). The entropies and I_c are computed once, on first
+    use, and every stage reads them from here.
     """
 
     ensemble: Ensemble
@@ -111,9 +111,9 @@ class MeasurementStatistics:
     @cached_property
     def entropies(self) -> ScenarioEntropies:
         """Every state's entropy: the output side (the posterior grid, rho_f(w),
-        eta_f^a and eta_f) from one batched vn_entropies call, which also
-        checks each state; the letters and eta_i from the decompositions made
-        when they were checked (``Ensemble.spectra``, ``DensityMatrix``)."""
+        eta_f^a and eta_f) from one batched vn_entropies call; the letters and
+        eta_i from the decompositions made when they were checked
+        (``Ensemble.spectra``, ``DensityMatrix``)."""
         n_l, n_o = self.joint.shape
         d2 = self.instrument.dim_out
         s = vn_entropies(np.concatenate([
@@ -273,11 +273,6 @@ def check_bounds(panel: EntropyPanel) -> tuple:
     )
 
 
-def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
-    """Normalized Ginibre state G G^dag / Tr (``_ginibre_states`` of one draw)."""
-    return DensityMatrix(_ginibre_states(rng.standard_normal((1, 2, dim, dim)))[0])
-
-
 def random_pure(dim: int, rng: np.random.Generator) -> DensityMatrix:
     return pure_state(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
 
@@ -359,8 +354,8 @@ def groenewold_lindblad_check(
     the strengthened Holevo bound) is checked unconditionally on random
     demixtures.
 
-    The random numbers are those ``random_pure``, ``random_density`` and
-    ``random_ensemble`` would draw, trial after trial; only the draws loop.
+    The random numbers are those ``random_pure``, ``reference.random_density``
+    and ``random_ensemble`` would draw, trial after trial; only the draws loop.
     The ``trials`` pure states that once sampled the purity class are still
     drawn, and dropped, so that every later draw stays as it was.
     The trial states, the demixtures' letters and their barycenters eta form
@@ -408,8 +403,7 @@ def groenewold_lindblad_check(
 
 @dataclass(frozen=True)
 class CompoundStates:
-    """The bipartite compound states on H1 (x) H2 and their building blocks, as
-    arrays; scutaru_chains takes their entropies, which also checks them."""
+    """The bipartite compound states on H1 (x) H2 and their building blocks, as arrays."""
 
     eps_if: np.ndarray  # [outcome, d1 d2, d1 d2]
     eps_i: np.ndarray  # [outcome, d1, d1]

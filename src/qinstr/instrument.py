@@ -2,16 +2,16 @@
 a posteriori states and seeded random generation.
 
 A ``KrausMap`` holds its Kraus operators as one read-only [k, d2, d1] array,
-checked once; its action, the effects and the JSON reader and writer are
-array operations on it. An instrument's POV measure is the dual action of its
+checked once; the effects, the channel matrix and the JSON reader and writer
+are array operations on it. An instrument's POV measure is the dual action of its
 maps on the identity, E(w) = sum_k K_k^dag K_k, held once as
 ``Instrument.effects``; the effect-sum rule (sum_w E(w) = 1 within
 POVM_SUM_TOL) is checked there, at construction. The analysis applies an
 instrument to stacks through ``Instrument.channel_matrix``, and
 ``_posteriors`` holds the a posteriori rule; the outcome law the pipeline
 reads is ``analyze``'s P_f, from the same channel. The per-state forms the
-tests check them against, ``outcome_probs`` among them, live in
-``reference``."""
+tests check them against, one map's action and ``outcome_probs`` among them,
+live in ``reference``."""
 
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ from .errors import (
     LabelMismatch,
     NotHermitian,
     SingularNormalizer,
-    UnknownOutcome,
 )
 from .matcore import SUPPORT_CUTOFF
 
@@ -61,9 +60,6 @@ class KrausMap:
             raise NotHermitian("Kraus operators contain NaN/Inf entries")
         kraus.setflags(write=False)
         object.__setattr__(self, "kraus", kraus)
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return (self.kraus @ rho @ self.kraus.conj().swapaxes(-1, -2)).sum(axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,12 +125,6 @@ class Instrument:
         k = self.kraus_stack
         return matcore.kron(k, k.conj()).sum(axis=1).reshape(-1, self.dim_in * self.dim_in)
 
-    def map_for(self, outcome) -> KrausMap:
-        try:
-            return self.maps[self.outcomes.index(outcome)]
-        except ValueError:
-            raise UnknownOutcome(f"no outcome {outcome!r}") from None
-
 
 def _apply_to_stack(ins: Instrument, rhos: np.ndarray) -> np.ndarray:
     """Unnormalized outputs [outcome, n] of every map on an (n, d1, d1) stack,
@@ -156,9 +146,8 @@ def _posteriors(outs: np.ndarray) -> tuple:
     of unnormalized outputs, by the one null-cell rule: a cell is live iff its
     trace is > SUPPORT_CUTOFF, and a null cell gets probability exactly 0 and
     the fixed fill I/d2, so the fill reaches no number. A live cell's state is
-    the Hermitian part of its output divided by the trace: the output's
-    rounding is ~1e-17, so the output of a cell just above SUPPORT_CUTOFF
-    divided as it is could lie further than HERM_TOL from Hermitian."""
+    the Hermitian part of its output divided by its trace, so it is exactly
+    Hermitian, as a state is, however close its trace is to SUPPORT_CUTOFF."""
     fill = np.eye(outs.shape[-1]) / outs.shape[-1]
     outs = 0.5 * (outs + outs.conj().swapaxes(-1, -2))
     tr = outs.trace(axis1=-2, axis2=-1).real

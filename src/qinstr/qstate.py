@@ -1,16 +1,17 @@
 """Density matrices, classical distributions and letter-state ensembles.
 
-States and probabilities are checked against their definitions and kept as
-given, never repaired: ``_hermitian_part`` (``matcore.hermitian_part``, the one
-Hermiticity rule, plus unit trace) and ``_check_positive`` hold the rules of a
-state, and ``DensityMatrix``, ``Ensemble`` and ``density_eigvals`` apply them.
-A state's spectrum has one source, the decomposition made where it is checked:
-``herm_eig`` for a ``DensityMatrix``, one batched ``eigh`` for an ensemble's
-letters read as a stack. The one repair is at ingest (``ensemble_from_json``): a
-valid letter read from JSON whose Jacobi least eigenvalue is negative is
-clamped, because scenario fingerprints hash the digits that clamp has always
-produced. An instrument's POV measure lives on the instrument
-(``instrument.Instrument.effects``).
+Inputs are checked against their definitions once and kept as given, never
+repaired: ``_hermitian_part`` (``matcore.hermitian_part``, the one Hermiticity
+rule, plus unit trace) and ``_check_positive`` hold the rules of a state, and
+``DensityMatrix`` and ``Ensemble`` apply them. A derived state, I_w(rho) / tr
+of a checked state under a checked instrument, is a state by construction and
+is not checked again. A state's spectrum has one source, the decomposition
+made where it is checked: ``herm_eig`` for a ``DensityMatrix``, one batched
+``eigh`` for an ensemble's letters read as a stack. The one repair is at
+ingest (``ensemble_from_json``): a valid letter read from JSON whose Jacobi
+least eigenvalue is negative is clamped, because scenario fingerprints hash
+the digits that clamp has always produced. An instrument's POV measure lives
+on the instrument (``instrument.Instrument.effects``).
 """
 
 from __future__ import annotations
@@ -73,17 +74,6 @@ class DensityMatrix:
 
     def spectral(self) -> matcore.SpectralDecomp:
         return self._spec
-
-    def purity(self) -> float:
-        return float(np.trace(self.mat @ self.mat).real)
-
-
-def density_eigvals(stack) -> np.ndarray:
-    """Eigenvalues (ascending) of each matrix of an (n, d, d) stack, from one
-    batched ``eigvalsh``, under DensityMatrix's checks (nothing is repaired)."""
-    vals = matcore.lapack(np.linalg.eigvalsh, _hermitian_part(stack))
-    _check_positive(float(vals.min(initial=0.0)))
-    return vals
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,10 +5,10 @@ probability and an a posteriori state. Each function here evaluates a
 quantity in that form, one state at a time: the relative entropies through
 both spectral decompositions (testing supports, so they return +inf, Python
 ``math.inf``, when one leaves the other), the a posteriori family of one
-state and its outcome law, the channel action operator by operator, a
-Choi-matrix rebuild of an instrument, the information gain of one state, the
-coarse-graining of two outcomes, and Hall's instrument J and dual ensemble,
-whose rows ``hallmap.hall_section`` computes without building them. Its
+state and its outcome law, the action of one map and of the instrument, a
+Choi-matrix rebuild of an instrument, the information gain and the purity of
+one state, a random mixed state, the coarse-graining of two outcomes, and
+Hall's J and dual ensemble, which ``hallmap.hall_section`` does without. Its
 independence is the reason the module exists: no pipeline module imports it,
 and nothing here calls the stacked path it checks
 (``instrument.Instrument.channel_matrix``, ``instrument._posteriors``,
@@ -25,8 +25,9 @@ import numpy as np
 
 from . import matcore
 from .entropy import vn_entropy
-from .errors import DimensionMismatch, LabelMismatch, SingularAprioriState
+from .errors import DimensionMismatch, LabelMismatch, SingularAprioriState, UnknownOutcome
 from .hallmap import INVERTIBILITY_TOL
+from .infobounds import _ginibre_states
 from .instrument import Instrument, KrausMap
 from .matcore import SUPPORT_CUTOFF
 from .qstate import ClassicalDist, DensityMatrix, Ensemble
@@ -49,6 +50,15 @@ def fidelity_like_support_check(sigma: DensityMatrix, tau: DensityMatrix) -> boo
 
 def maximally_mixed(dim: int) -> DensityMatrix:
     return DensityMatrix(np.eye(dim, dtype=np.complex128) / dim)
+
+
+def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
+    """Normalized Ginibre state G G^dag / Tr (``_ginibre_states`` of one draw)."""
+    return DensityMatrix(_ginibre_states(rng.standard_normal((1, 2, dim, dim)))[0])
+
+
+def purity(rho: DensityMatrix) -> float:
+    return float(np.trace(rho.mat @ rho.mat).real)
 
 
 def q_rel_entropy(sigma: DensityMatrix, tau: DensityMatrix) -> float:
@@ -121,6 +131,18 @@ def mixed_rel_entropy(
     return total
 
 
+def map_action(m: KrausMap, rho: np.ndarray) -> np.ndarray:
+    """sum_k K_k rho K_k^dag, the map's action on one matrix."""
+    return (m.kraus @ rho @ m.kraus.conj().swapaxes(-1, -2)).sum(axis=0)
+
+
+def map_for(ins: Instrument, outcome) -> KrausMap:
+    """The Kraus map of one outcome, by its label."""
+    if outcome not in ins.outcomes:
+        raise UnknownOutcome(f"no outcome {outcome!r}")
+    return ins.maps[ins.outcomes.index(outcome)]
+
+
 @dataclass(frozen=True)
 class AposterioriFamily:
     """Outcome probabilities plus normalized conditional states."""
@@ -140,17 +162,16 @@ def apply_outcome(ins: Instrument, rho: DensityMatrix, outcome) -> np.ndarray:
     """Unnormalized positive output for a single outcome."""
     if rho.dim != ins.dim_in:
         raise DimensionMismatch(f"state dim {rho.dim} vs instrument dim_in {ins.dim_in}")
-    return ins.map_for(outcome).apply(rho.mat)
+    return map_action(map_for(ins, outcome), rho.mat)
 
 
 def a_posteriori(ins: Instrument, rho: DensityMatrix) -> AposterioriFamily:
     """Normalized conditional states by the null-cell rule of ``_posteriors``:
     a null outcome gets probability 0 and the fill I/d2."""
     fill = maximally_mixed(ins.dim_out)
-    probs = []
-    states = []
+    probs, states = [], []
     for outcome, m in zip(ins.outcomes, ins.maps):
-        out = m.apply(rho.mat)
+        out = map_action(m, rho.mat)
         tr = float(np.trace(out).real)
         live = tr > SUPPORT_CUTOFF
         probs.append(tr if live else 0.0)
@@ -164,7 +185,7 @@ def total_channel(ins: Instrument, rho: DensityMatrix) -> DensityMatrix:
     """Non-selective post-measurement state."""
     if rho.dim != ins.dim_in:
         raise DimensionMismatch(f"state dim {rho.dim} vs instrument dim_in {ins.dim_in}")
-    return DensityMatrix(sum(m.apply(rho.mat) for m in ins.maps))
+    return DensityMatrix(sum(map_action(m, rho.mat) for m in ins.maps))
 
 
 def channel_roundtrip(ins: Instrument) -> Instrument:
@@ -198,8 +219,8 @@ def quantum_info_gain(ins: Instrument, eta: DensityMatrix) -> float:
 
 def merge_outcomes(ins: Instrument, w1, w2) -> Instrument:
     """Coarse-grain two outcomes into one (their Kraus lists are concatenated)."""
-    m1 = ins.map_for(w1)
-    m2 = ins.map_for(w2)
+    m1 = map_for(ins, w1)
+    m2 = map_for(ins, w2)
     merged = KrausMap(ins.dim_in, ins.dim_out, np.concatenate([m1.kraus, m2.kraus]))
     outcomes, maps = [], []
     for o, m in zip(ins.outcomes, ins.maps):

@@ -5,6 +5,7 @@ import pytest
 
 from qinstr import matcore
 from qinstr.entropy import chi_against, vn_entropies, vn_entropy
+from qinstr.errors import NoConvergence
 from qinstr.instrument import random_instrument
 from qinstr.qstate import ClassicalDist, DensityMatrix, pure_state
 from qinstr.reference import (
@@ -66,6 +67,13 @@ class TestVnEntropies:
 
     def test_empty_stack(self):
         assert vn_entropies(np.zeros((0, 3, 3))).shape == (0,)
+
+    def test_non_finite_entropy_is_a_numerical_failure(self):
+        # a derived state is not checked again, so a NaN that reached one is a
+        # failed numerical step (exit 3), never a NaN row (exit 1)
+        stack = np.stack([np.eye(2) / 2, np.full((2, 2), np.nan)])
+        with pytest.raises(NoConvergence, match="not finite"):
+            vn_entropies(stack)
 
 
 class TestQRelEntropy:

@@ -32,6 +32,7 @@ from qinstr.reference import (
     dual_ensemble,
     maximally_mixed,
     outcome_probs,
+    purity,
     quantum_info_gain,
 )
 
@@ -113,7 +114,7 @@ class TestBuildHallInstrument:
         fam = a_posteriori(h, PLUS)
         for p, s in zip(fam.probs.probs, fam.states):
             if p > 1e-12:
-                assert s.purity() >= 1 - 1e-9
+                assert purity(s) >= 1 - 1e-9
 
 
 class TestDualEnsemble:

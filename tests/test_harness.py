@@ -43,6 +43,8 @@ from qinstr.errors import (
 from qinstr.infobounds import BoundCheck, _gains, groenewold_lindblad_check, random_pure
 from qinstr.instrument import Instrument, random_instrument
 from qinstr.qstate import DensityMatrix, Ensemble, pure_state
+from test_infobounds import NULL_CELL_SCENARIOS, scaled_zero_one_plus
+from test_symmetry import rotate_input
 
 
 class TestSplitmix:
@@ -355,6 +357,21 @@ class TestCli:
         path.write_text(json.dumps(example_scenario("orthogonal-projective").to_json()))
         assert main(["analyze", str(path), "--format", "markdown", "--base", "2"]) == 0
         assert "Overall: PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("make", [
+        scaled_zero_one_plus,
+        lambda: rotate_input(Scenario(*NULL_CELL_SCENARIOS["letter_with_little_live_weight"]), 1),
+    ], ids=["scaled-effect-sum", "rotated-near-null"])
+    def test_derived_state_rounding_is_analyzed(self, make, tmp_path, capsys):
+        # valid inputs whose derived states carry rounding over the input's
+        # scale: an effect sum of (1 + 3e-10) I puts the trace of eta_f off by
+        # 3e-10, and a near-null cell's state, rotated on H1 (seed 1), has a
+        # least eigenvalue of -3.3e-5. Each exited 2 while derived states were
+        # judged again at HERM_TOL; each is a state by construction
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(make().to_json()))
+        assert main(["analyze", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["overall_pass"] is True
 
     def test_missing_file_is_input_error(self, capsys):
         assert main(["analyze", "/nonexistent/file.json"]) == 2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qinstr.errors import BadTrace, InfiniteQuantity, QinstrError
+from qinstr.errors import InfiniteQuantity, QinstrError
 from qinstr.hallmap import hall_section
 from qinstr.harness import (
     ACCEPTANCE_GRID,
@@ -25,7 +25,6 @@ from qinstr.infobounds import (
     compound_states,
     entropy_panel,
     groenewold_lindblad_check,
-    random_density,
     random_ensemble,
     random_pure,
     scutaru_chains,
@@ -33,7 +32,14 @@ from qinstr.infobounds import (
 from qinstr.instrument import Instrument, KrausMap, random_instrument
 from qinstr.matcore import SUPPORT_CUTOFF
 from qinstr.qstate import DensityMatrix, Ensemble, pure_state
-from qinstr.reference import maximally_mixed, merge_outcomes, q_rel_entropy, quantum_info_gain
+from qinstr.reference import (
+    map_action,
+    maximally_mixed,
+    merge_outcomes,
+    q_rel_entropy,
+    quantum_info_gain,
+    random_density,
+)
 
 KET0 = pure_state([1, 0])
 KET1 = pure_state([0, 1])
@@ -350,7 +356,7 @@ def sequential_gl(ins, trials, seed, n_demix=5):
     for _ in range(trials):
         rho = random_pure(d1, rng).mat
         for m in ins.maps:
-            out = m.apply(rho)
+            out = map_action(m, rho)
             tr = float(np.trace(out).real)
             if tr > 1e-12:
                 min_purity = min(min_purity, float(np.trace(out @ out).real) / tr**2)
@@ -591,17 +597,43 @@ class TestNullCells:
         assert_fill_reaches_no_number(e, ins, random_density(d, np.random.default_rng(seed)))
 
 
-@pytest.mark.xfail(strict=True, raises=BadTrace, reason=(
-    "two tolerances stack: ingest takes an effect sum within POVM_SUM_TOL = 1e-9 of "
-    "the identity, but eta_f^a, eta_f and Hall's sigma_w then have trace 1 + 3e-10, and "
-    "vn_entropies judges a trace at HERM_TOL = 1e-10"))
-def test_effect_sum_within_its_tolerance_is_analyzed():
-    # every Kraus entry of the zero-one-plus desk scenario scaled by
-    # sqrt(1 + 3e-10): the effects sum to (1 + 3e-10) I, which ingest accepts
+def scaled_zero_one_plus() -> Scenario:
+    """The zero-one-plus desk scenario with every Kraus entry scaled by
+    sqrt(1 + 3e-10): the effects sum to (1 + 3e-10) I, which ingest accepts
+    (POVM_SUM_TOL = 1e-9), so eta_f^a, eta_f and Hall's sigma_w have trace
+    1 + 3e-10."""
     s = example_scenario("zero-one-plus")
     scale = math.sqrt(1 + 3e-10)
     ins = Instrument(s.instrument.outcomes, tuple(KrausMap(2, 2, scale * m.kraus) for m in s.instrument.maps))
-    assert run_scenario(Scenario(s.ensemble, ins)).overall_pass
+    return Scenario(s.ensemble, ins)
+
+
+def test_effect_sum_within_its_tolerance_is_analyzed():
+    # a derived state's trace inherits the effect sum's error; it is a state
+    # by construction and is not judged again at HERM_TOL = 1e-10
+    assert run_scenario(scaled_zero_one_plus()).overall_pass
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the live-outcome mask and the null-cell rule disagree: analyze calls outcome 0 "
+    "live (P_f(0) = 1.00000000004e-12), but _posteriors fills rho_f(0), and the fill "
+    "moves chi_out and mean_chi_given_out by 6.9e-13"))
+def test_fill_of_a_live_outcome_reaches_no_number():
+    # E(0) = diag(t, 0) and E(1) = diag(s - t, s) sum to s I, within
+    # POVM_SUM_TOL. On eta = I/2, I_0(eta) has trace t/2 = 1e-12 - 1e-23, at or
+    # below SUPPORT_CUTOFF, so _posteriors fills rho_f(0); P_f(0) = t / (2 s)
+    # lies above it
+    s, t = 1 - 5e-11, 2e-12 - 2e-23
+    ins = Instrument((0, 1), (
+        KrausMap(2, 2, (np.diag(np.sqrt([t, 0.0])).astype(complex),)),
+        KrausMap(2, 2, (np.diag(np.sqrt([s - t, s])).astype(complex),)),
+    ))
+    ms = analyze(Ensemble((0, 1), np.array([0.5, 0.5]), (KET0, KET1)), ins)
+    mean = ms.posterior_mean_states.copy()
+    filled = np.array([np.array_equal(m, np.eye(2) / 2) for m in mean])
+    assert filled.any()
+    mean[filled] = PLUS.mat
+    assert downstream(dataclasses.replace(ms, posterior_mean_states=mean)) == downstream(ms)
 
 
 @pytest.mark.parametrize("ins, trials, seed, n_demix", GL_CASES)
