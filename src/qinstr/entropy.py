@@ -50,10 +50,9 @@ def mutual_info(joint: np.ndarray, p_row: np.ndarray, p_col: np.ndarray) -> np.n
 
 
 def weighted_sum(weights, values) -> np.ndarray:
-    """sum_b w_b values_b over the members of weight > SUPPORT_CUTOFF; the last
-    axis indexes the members, leading axes broadcast."""
-    w = np.asarray(weights, dtype=np.float64)
-    return np.where(w > SUPPORT_CUTOFF, w * values, 0.0).sum(axis=-1)
+    """sum_b w_b values_b; the last axis indexes the members, leading axes
+    broadcast. A null member weighs exactly 0 (``instrument._posteriors``)."""
+    return (np.asarray(weights, dtype=np.float64) * values).sum(axis=-1)
 
 
 def chi_against(weights, entropies, barycenter_entropy) -> np.ndarray:
@@ -62,7 +61,7 @@ def chi_against(weights, entropies, barycenter_entropy) -> np.ndarray:
 
     Holds only when barycenter = sum_b w_b member_b (up to rounding): then
     every member's support lies in the barycenter's, the relative-entropy form
-    is finite, and the two forms agree. Members of weight <= SUPPORT_CUTOFF
-    are skipped. Families stacked on leading axes give one chi each.
+    is finite, and the two forms agree. Families stacked on leading axes give
+    one chi each.
     """
     return barycenter_entropy - weighted_sum(weights, entropies)

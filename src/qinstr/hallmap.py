@@ -16,8 +16,9 @@ import numpy as np
 
 from .entropy import chi_against, mutual_info, vn_entropies
 from .errors import SingularAprioriState
-from .infobounds import SUPPORT_CUTOFF, BoundCheck, MeasurementStatistics, _info_gain
+from .infobounds import BoundCheck, MeasurementStatistics, _info_gain
 from .instrument import _posteriors
+from .matcore import SUPPORT_CUTOFF, herm_eig, spectral_apply
 
 INVERTIBILITY_TOL = 1e-9
 
@@ -37,9 +38,12 @@ def hall_section(ms: MeasurementStatistics) -> tuple:
     Each rho_a^{1/2} and eta^{1/2} come from one stacked form, on the support,
     over ``Ensemble.spectra`` with eta's decomposition appended. J's a
     posteriori states come from one ``_posteriors`` call on the stack
-    P_a rho_a^{1/2} X rho_a^{1/2}, X running over E(w) / P_f(w) and I; their
-    entropies and the dual states' from one ``vn_entropies`` call. I_c and the
-    letters' and eta_i's entropies are the scenario's (``ms.entropies``).
+    P_a rho_a^{1/2} X rho_a^{1/2}, X running over E(w) / P_f(w) and I, with
+    ``analyze``'s null cells set to 0; an outcome that holds one takes the
+    dual state of its live letters alone (eta -> their sum of P_a rho_a), so J
+    reads the nulls P_{i|f} reads and its gains stay >= 0. The entropies come
+    from one ``vn_entropies`` call; I_c and the letters' and eta_i's are the
+    scenario's (``ms.entropies``).
 
     Raises SingularAprioriState, with fixed text, when eta's least eigenvalue
     is <= INVERTIBILITY_TOL. No row needs the inverse, but the Hall skip and
@@ -58,8 +62,13 @@ def hall_section(ms: MeasurementStatistics) -> tuple:
     roots = (u * np.sqrt(np.where(lam > SUPPORT_CUTOFF, lam, 0.0))[:, None]) @ u.conj().swapaxes(-1, -2)
     roots, sqrt_eta = roots[:-1], roots[-1]  # each letter's, then eta's
     outs = e.probs[:, None, None, None] * (roots[:, None] @ x @ roots[:, None])  # [letter, input]
+    held = ms.cond_out_given_in[:, ms.live] > 0.0  # analyze's live cells
+    outs[:, :-1][~held] = 0.0
     law, posts = _posteriors(outs)  # P_J(a | input), [letter, input]
     sigma = sqrt_eta @ x[:-1] @ sqrt_eta
+    for w in np.flatnonzero(~held.all(axis=0)):  # the dual state of w's live letters alone
+        root = spectral_apply(herm_eig(np.einsum("a,aij->ij", e.probs * held[:, w], e.states)), np.sqrt)
+        sigma[w] = root @ x[w] @ root
     s_all = vn_entropies(np.concatenate([posts.reshape(-1, e.dim, e.dim), sigma]))
     s_post, s_sigma = s_all[:law.size], s_all[law.size:]
     gains = _info_gain(np.append(s_sigma, ms.entropies.eta_i), law.T, s_post.reshape(law.shape).T)

@@ -19,7 +19,6 @@ from .instrument import (
     _posteriors,
     a_posteriori_stack,
 )
-from .matcore import SUPPORT_CUTOFF
 from .qstate import (
     ClassicalDist,
     DensityMatrix,
@@ -87,19 +86,19 @@ class MeasurementStatistics:
 
     The joint table is indexed [letter, outcome]; posterior_letter_states is a
     matching grid of a posteriori states. A null cell holds the fill I/d2
-    (``instrument._posteriors``, the one null-cell rule) and weighs exactly 0
-    in cond_out_given_in, joint and cond_in_given_out. ``live`` marks the
-    outcomes of P_f(w) > SUPPORT_CUTOFF, decided here once for every stage.
-    The output-side states are arrays, states by construction and not checked
-    again (``qstate``). The entropies and I_c are computed once, on first
-    use, and every stage reads them from here.
+    (``instrument._posteriors``, the only null rule) and weighs exactly 0 in
+    cond_out_given_in, joint and cond_in_given_out. ``live`` marks the
+    outcomes that hold a live cell (P_f(w) > 0), and rho_f(w) is the P_{i|f}
+    mixture of an outcome's live cells. The output-side states are arrays,
+    states by construction and not checked again (``qstate``). The entropies
+    and I_c are computed once, on first use, and every stage reads them here.
     """
 
     ensemble: Ensemble
     instrument: Instrument
     joint: np.ndarray
     output_marginal: ClassicalDist
-    live: np.ndarray  # P_f(omega) > SUPPORT_CUTOFF, [outcome]
+    live: np.ndarray  # the outcome holds a live cell: P_f(omega) > 0, [outcome]
     cond_out_given_in: np.ndarray  # P_{f|i}(omega|alpha), [letter, outcome]
     cond_in_given_out: np.ndarray  # P_{i|f}(alpha|omega), [letter, outcome]
     posterior_letter_states: np.ndarray  # [letter, outcome, d2, d2]
@@ -140,7 +139,7 @@ class MeasurementStatistics:
     @property
     def info_gain(self) -> float:
         """I_q(eta_i), the quantum information gain on the a priori state. Its a
-        posteriori states are rho_f(w) (eta's column of the grid analyze
+        posteriori states are rho_f(w) (the grid's outcome mixtures analyze
         computed) and its outcome law is P_f, so no channel is applied again."""
         s = self.entropies
         return float(_info_gain(s.eta_i, self.output_marginal.probs, s.mean))
@@ -165,37 +164,36 @@ def analyze(e: Ensemble, ins: Instrument) -> MeasurementStatistics:
     """Joint/conditional probabilities and all post-measurement state families.
 
     The instrument is applied once, to the stack of letter states, giving the
-    grid of I_w(rho_a); the other families are linear in it:
-    I_w(eta_i) = sum_a P_a I_w(rho_a), eta_f^a = sum_w I_w(rho_a) and
-    eta_f = sum_a P_a eta_f^a.
+    grid of I_w(rho_a), whose null cells ``_posteriors`` alone decides; the
+    other families are read off it: rho_f(w) = sum_a P_{i|f}(a|w) rho_a(w) (a
+    null outcome's cells all hold the fill, and so does its rho_f), eta_f^a =
+    sum_w I_w(rho_a) and eta_f = sum_a P_a eta_f^a.
     """
     if e.dim != ins.dim_in:
         raise DimensionMismatch(f"ensemble dim {e.dim} vs instrument dim_in {ins.dim_in}")
     outs = _apply_to_stack(ins, e.states)
-    # column n_l is the outcome-wise output of eta_i
-    outs = np.concatenate([outs, np.einsum("a,waij->wij", e.probs, outs)[:, None]], axis=1)
     cond, posts = _posteriors(outs)
-    totals = outs.sum(axis=0)
+    post_letter = outs.sum(axis=0)
 
-    cond_fi = cond[:, :-1].T
-    joint = e.probs[:, None] * cond_fi
+    joint = e.probs[:, None] * cond.T
     joint = joint / joint.sum()
     p_f = joint.sum(axis=0)
-    live = p_f > SUPPORT_CUTOFF
+    live = p_f > 0.0
     cond_if = np.divide(joint, p_f, out=np.zeros_like(joint), where=live)
+    mean = np.where(live[:, None, None], np.einsum("aw,waij->wij", cond_if, posts), posts[:, 0])
     return MeasurementStatistics(
         ensemble=e,
         instrument=ins,
         joint=joint,
         output_marginal=ClassicalDist(ins.outcomes, p_f),
         live=live,
-        cond_out_given_in=cond_fi,
+        cond_out_given_in=cond.T,
         cond_in_given_out=cond_if,
-        posterior_letter_states=posts[:, :-1].swapaxes(0, 1),
-        posterior_mean_states=posts[:, -1],
-        post_letter_states=totals[:-1],
+        posterior_letter_states=posts.swapaxes(0, 1),
+        posterior_mean_states=mean,
+        post_letter_states=post_letter,
         a_priori=a_priori_state(e),
-        post_a_priori=totals[-1],
+        post_a_priori=np.einsum("a,aij->ij", e.probs, post_letter),
     )
 
 
@@ -418,7 +416,7 @@ def compound_states(ms: MeasurementStatistics) -> CompoundStates:
     e = ms.ensemble
     d1 = e.dim
     d2 = ms.instrument.dim_out
-    w_f = np.where(ms.live, ms.output_marginal.probs, 0.0)
+    p_f = ms.output_marginal.probs
     rho_f = ms.posterior_mean_states
 
     eps_if = np.einsum(
@@ -427,15 +425,9 @@ def compound_states(ms: MeasurementStatistics) -> CompoundStates:
     eps_if[~ms.live] = np.eye(d1 * d2) / (d1 * d2)  # zero-weight filler, excluded everywhere
     eps_i = matcore.partial_trace(eps_if, "second", d1, d2)
     eps_f = matcore.partial_trace(eps_if, "first", d1, d2)
-    eta_if = np.einsum("w,wmn->mn", w_f, eps_if)
-    # a letter's weight on a null rho_f(w) is dropped and the rest renormalized by
-    # its own sum (a letter that drops nothing is divided by 1.0); a letter with
-    # no live weight left gets the fill, as a null eps_if(w) does
-    kept = np.where(ms.live, ms.cond_out_given_in, 0.0)
-    mass = np.where((kept != ms.cond_out_given_in).any(axis=1), kept.sum(axis=1), 1.0)
-    tau_f = np.einsum("aw,wij->aij", kept, rho_f) / np.where(mass > 0.0, mass, 1.0)[:, None, None]
-    tau_f[mass == 0.0] = np.eye(d2) / d2
-    gamma_if = np.einsum("w,wmn->mn", w_f, matcore.kron(eps_i, rho_f))
+    eta_if = np.einsum("w,wmn->mn", p_f, eps_if)
+    tau_f = np.einsum("aw,wij->aij", ms.cond_out_given_in, rho_f)
+    gamma_if = np.einsum("w,wmn->mn", p_f, matcore.kron(eps_i, rho_f))
 
     eta_i, eta_f = ms.a_priori.mat, ms.post_a_priori
     pairs = (  # (row, marginal, the state it must equal)

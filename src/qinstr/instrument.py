@@ -8,10 +8,10 @@ maps on the identity, E(w) = sum_k K_k^dag K_k, held once as
 ``Instrument.effects``; the effect-sum rule (sum_w E(w) = 1 within
 POVM_SUM_TOL) is checked there, at construction. The analysis applies an
 instrument to stacks through ``Instrument.channel_matrix``, and
-``_posteriors`` holds the a posteriori rule; the outcome law the pipeline
-reads is ``analyze``'s P_f, from the same channel. The per-state forms the
-tests check them against, one map's action and ``outcome_probs`` among them,
-live in ``reference``."""
+``_posteriors`` holds the a posteriori rule and the one null decision; the
+outcome law the pipeline reads is ``analyze``'s P_f, from the same channel.
+The per-state forms the tests check them against, one map's action and
+``outcome_probs`` among them, live in ``reference``."""
 
 from __future__ import annotations
 
@@ -143,11 +143,12 @@ def a_posteriori_stack(ins: Instrument, rhos: np.ndarray) -> tuple:
 
 def _posteriors(outs: np.ndarray) -> tuple:
     """Probabilities (normalized over the outcome axis 0) and normalized states
-    of unnormalized outputs, by the one null-cell rule: a cell is live iff its
-    trace is > SUPPORT_CUTOFF, and a null cell gets probability exactly 0 and
-    the fixed fill I/d2, so the fill reaches no number. A live cell's state is
-    the Hermitian part of its output divided by its trace, so it is exactly
-    Hermitian, as a state is, however close its trace is to SUPPORT_CUTOFF."""
+    of unnormalized outputs, by the pipeline's only null rule: a cell is live
+    iff its trace is > SUPPORT_CUTOFF, and a null cell gets probability exactly
+    0 and the fixed fill I/d2. Every other stage reads nullness off those exact
+    zeros, so the fill reaches no number. A live cell's state is the Hermitian
+    part of its output divided by its trace, so it is exactly Hermitian, as a
+    state is, however close its trace is to SUPPORT_CUTOFF."""
     fill = np.eye(outs.shape[-1]) / outs.shape[-1]
     outs = 0.5 * (outs + outs.conj().swapaxes(-1, -2))
     tr = outs.trace(axis1=-2, axis2=-1).real

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DimensionMismatch, NoConvergence, NotHermitian, SchemaError
 
 HERM_TOL = 1e-10  # Hermiticity; qstate also judges traces, sums and positivity at it
-SUPPORT_CUTOFF = 1e-12  # eigenvalues and weights at or below it are outside the support
+SUPPORT_CUTOFF = 1e-12  # eigenvalues at or below it lie outside the support; cells of such trace are null
 MAX_SWEEPS = 100
 OFF_DIAG_TOL = 1e-13
 

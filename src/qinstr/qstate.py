@@ -97,9 +97,6 @@ class ClassicalDist:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", probs)
 
-    def __getitem__(self, label) -> float:
-        return float(self.probs[self.labels.index(label)])
-
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:

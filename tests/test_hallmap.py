@@ -363,19 +363,25 @@ def test_near_null_dual_outcome_is_analyzed(t):
     assert run_scenario(Scenario(e, ins)).overall_pass
 
 
-@pytest.mark.parametrize("a, b", [(0.9e-12, 1.5e-12), (0.5e-12, 1.9e-12), (0.99e-12, 1.2e-12)])
+@pytest.mark.parametrize("a, b", [
+    (0.9e-12, 1.5e-12), (0.5e-12, 1.9e-12), (0.99e-12, 1.2e-12), (1e-12, 4e-12), (1e-12, 1e-9),
+])
 def test_near_cutoff_outcome_is_null_in_the_hall_section(a, b, tmp_path):
     # a valid scenario: on |0> and |1> with priors 1/2, E(1) = diag(a, b). The
-    # |0> cell of outcome 1 is null (a <= SUPPORT_CUTOFF), so analyze's
-    # P_f(1) ~ b / 2 is at or below the cutoff and outcome 1 is null. The
-    # effects' law (a + b) / 2 lies above it; the section read that law, took
-    # outcome 1 as live against a zero column of P_{i|f}, and failed duality.
+    # |0> cell of outcome 1 is null (a <= SUPPORT_CUTOFF) and the |1> cell
+    # live, so outcome 1 is live with P_{i|f}(0|1) = 0. J's law on the dual
+    # state of outcome 1 gives letter 0 a / (a + b) unless the section reads
+    # that cell as null too: once it read the effects' law (a + b) / 2 against
+    # a zero column, and later it counted the cell on J's own scale, where
+    # (1e-12, 4e-12) read 0.2 and (1e-12, 1e-9) read 9.99e-4; both failed duality.
     ins = Instrument((0, 1), (
         KrausMap(2, 2, (np.diag(np.sqrt([1 - a, 1 - b])).astype(complex),)),
         KrausMap(2, 2, (np.diag(np.sqrt([a, b])).astype(complex),)),
     ))
     s = Scenario(orthogonal_ensemble(), ins)
     assert outcome_probs(ins, a_priori_state(s.ensemble)).probs[1] > matcore.SUPPORT_CUTOFF
+    ms = analyze(s.ensemble, ins)
+    assert ms.live[1] and ms.cond_in_given_out[0, 1] == 0.0
     report = run_scenario(s)
     assert report.hall_skipped is None
     assert {c.name: c for c in report.checks}["duality_conditional_law"].lhs <= 1e-12

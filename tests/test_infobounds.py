@@ -463,12 +463,11 @@ def diagonal_instrument(effects, kraus=1, seed=0):
 
 def refill(ms, state):
     """``ms`` with the a posteriori state of every null cell (a grid cell of
-    P(w | a) <= SUPPORT_CUTOFF, a column of P_f(w) <= SUPPORT_CUTOFF) replaced
-    by ``state``."""
+    P(w | a) exactly 0, an outcome of P_f(w) exactly 0) replaced by ``state``."""
     grid = ms.posterior_letter_states.copy()
-    grid[ms.cond_out_given_in <= SUPPORT_CUTOFF] = state
+    grid[ms.cond_out_given_in == 0.0] = state
     mean = ms.posterior_mean_states.copy()
-    mean[ms.output_marginal.probs <= SUPPORT_CUTOFF] = state
+    mean[ms.output_marginal.probs == 0.0] = state
     return dataclasses.replace(ms, posterior_letter_states=grid, posterior_mean_states=mean)
 
 
@@ -488,33 +487,41 @@ def downstream(ms):
 
 def assert_fill_reaches_no_number(e, ins, state):
     ms = analyze(e, ins)
-    assert (ms.cond_out_given_in <= SUPPORT_CUTOFF).any()
+    assert (ms.cond_out_given_in == 0.0).any()
     assert downstream(refill(ms, state.mat)) == downstream(ms)
 
 
 # TestNullCells' hand-built scenarios, (ensemble, instrument) by name; outcome
-# A is 0 and B is 1. tests/test_symmetry.py runs them through its transformations.
+# A is 0 and B is 1. tests/test_symmetry.py runs them through its
+# transformations, by these names. Three names describe the scenario as an
+# earlier rule saw it, which also called an outcome null when its weight P_f
+# was <= SUPPORT_CUTOFF; now a cell of trace <= SUPPORT_CUTOFF is the only
+# null, and an outcome is null iff every cell under it is.
 NULL_CELL_SCENARIOS = {
-    # P(A|0) = 0.9e-12 is a null cell, but its conditional weight
-    # P(0|A) = 0.45e-12 / 0.4 = 1.125e-12 is above SUPPORT_CUTOFF
+    # P(A|0) = 0.9e-12 is a null cell under the live outcome A, so rho_f(A)
+    # is letter 1's cell state alone
     "sub_cutoff_cell_under_a_live_column": (
         orthogonal_ensemble(), diagonal_instrument([[0.9e-12, 0.8], [1 - 0.9e-12, 0.2]])),
-    # P(A|1) = 7e-10 is live, but P_f(A) = 7e-13 makes rho_f(A) a null cell,
-    # which tau_f(1) must not take in
+    # P(A|1) = 7e-10 is live, so outcome A is live although P_f(A) = 7e-13
+    # (the earlier rule called column A null and dropped it from tau_f(1))
     "live_cell_under_a_null_column": (
         Ensemble((0, 1), np.array([0.999, 0.001]), (KET0, KET1)),
         diagonal_instrument([[0.0, 7e-10], [1.0, 1 - 7e-10]])),
-    # P(B|1) = 1 is live, but P_f(B) = 1e-13 is null, so letter 1 keeps no
-    # live weight: tau_f(1) is the fill, not 0/0
+    # P(B|1) = 1 is live, so outcome B is live although P_f(B) = 1e-13, and
+    # tau_f(1) is rho_f(B) (the earlier rule left letter 1 no live weight)
     "letter_with_no_live_weight": (
         Ensemble((0, 1), np.array([1 - 1e-13, 1e-13]), (KET0, KET1)),
         diagonal_instrument([[1.0, 0.0], [0.0, 1.0]])),
-    # letter 1 keeps only P(A|1) = 2e-12 live (P_f(B) = 1e-15 is null):
-    # tau_f(1) is renormalized by that weight, not by 1 minus the dropped
-    # weight, which would leave its trace off by about 1e-4
+    # letter 1's cells P(A|1) = 2e-12 and P(B|1) are both live, so tau_f(1)
+    # mixes rho_f(A) and rho_f(B) although P_f(B) = 1e-15 (the earlier rule
+    # kept only A and renormalized letter 1 by 2e-12)
     "letter_with_little_live_weight": (
         Ensemble((0, 1), np.array([1 - 1e-15, 1e-15]), (KET0, KET1)),
         diagonal_instrument([[1.0, 2e-12], [0.0, 1 - 2e-12]])),
+    # P(A|0) = 1e-12 is null and P(A|1) = 4e-12 live, so outcome A is live at
+    # P_f(A) = 2e-12 and Hall's J must read the |0> cell of A as null too
+    "null_cell_beside_a_near_cutoff_live_cell": (
+        orthogonal_ensemble(), diagonal_instrument([[1e-12, 4e-12], [1 - 1e-12, 1 - 4e-12]])),
 }
 
 
@@ -529,13 +536,14 @@ class TestNullCells:
         e, ins = NULL_CELL_SCENARIOS["live_cell_under_a_null_column"]
         assert_fill_reaches_no_number(e, ins, PLUS)
         ms = analyze(e, ins)
+        assert ms.live.all()
         assert abs(np.trace(compound_states(ms).tau_f[1]).real - 1.0) <= 1e-15
 
     def test_letter_with_no_live_weight(self):
         e, ins = NULL_CELL_SCENARIOS["letter_with_no_live_weight"]
         assert_fill_reaches_no_number(e, ins, PLUS)
-        tau_f = compound_states(analyze(e, ins)).tau_f
-        assert np.array_equal(tau_f[1], np.eye(2) / 2)
+        ms = analyze(e, ins)
+        assert np.array_equal(compound_states(ms).tau_f[1], ms.posterior_mean_states[1])
         assert run_scenario(Scenario(e, ins)).overall_pass
 
     def test_letter_with_little_live_weight(self):
@@ -593,7 +601,7 @@ class TestNullCells:
         e = Ensemble(tuple(range(n_letters)), priors / priors.sum(), tuple(letters))
         seed = data.draw(st.integers(0, 2 ** 16))
         ins = diagonal_instrument(effects, kraus, seed)
-        assume((analyze(e, ins).cond_out_given_in <= SUPPORT_CUTOFF).any())
+        assume((analyze(e, ins).cond_out_given_in == 0.0).any())
         assert_fill_reaches_no_number(e, ins, random_density(d, np.random.default_rng(seed)))
 
 
@@ -614,26 +622,24 @@ def test_effect_sum_within_its_tolerance_is_analyzed():
     assert run_scenario(scaled_zero_one_plus()).overall_pass
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "the live-outcome mask and the null-cell rule disagree: analyze calls outcome 0 "
-    "live (P_f(0) = 1.00000000004e-12), but _posteriors fills rho_f(0), and the fill "
-    "moves chi_out and mean_chi_given_out by 6.9e-13"))
 def test_fill_of_a_live_outcome_reaches_no_number():
     # E(0) = diag(t, 0) and E(1) = diag(s - t, s) sum to s I, within
-    # POVM_SUM_TOL. On eta = I/2, I_0(eta) has trace t/2 = 1e-12 - 1e-23, at or
-    # below SUPPORT_CUTOFF, so _posteriors fills rho_f(0); P_f(0) = t / (2 s)
-    # lies above it
+    # POVM_SUM_TOL. The |0> cell of outcome 0 has trace t = 2e-12 - 2e-23, so
+    # it is live, and so is outcome 0, whose rho_f(0) is that cell's state;
+    # the |1> cell of outcome 0 is null. An earlier rule filled rho_f(0),
+    # because I_0(eta) has trace t/2 <= SUPPORT_CUTOFF, while it kept outcome
+    # 0 live (P_f(0) = t / (2 s) > SUPPORT_CUTOFF), so the fill moved chi_out
+    # and mean_chi_given_out by 6.9e-13
     s, t = 1 - 5e-11, 2e-12 - 2e-23
     ins = Instrument((0, 1), (
         KrausMap(2, 2, (np.diag(np.sqrt([t, 0.0])).astype(complex),)),
         KrausMap(2, 2, (np.diag(np.sqrt([s - t, s])).astype(complex),)),
     ))
-    ms = analyze(Ensemble((0, 1), np.array([0.5, 0.5]), (KET0, KET1)), ins)
-    mean = ms.posterior_mean_states.copy()
-    filled = np.array([np.array_equal(m, np.eye(2) / 2) for m in mean])
-    assert filled.any()
-    mean[filled] = PLUS.mat
-    assert downstream(dataclasses.replace(ms, posterior_mean_states=mean)) == downstream(ms)
+    e = Ensemble((0, 1), np.array([0.5, 0.5]), (KET0, KET1))
+    ms = analyze(e, ins)
+    assert ms.live.all()
+    assert not any(np.array_equal(m, np.eye(2) / 2) for m in ms.posterior_mean_states)
+    assert_fill_reaches_no_number(e, ins, PLUS)
 
 
 @pytest.mark.parametrize("ins, trials, seed, n_demix", GL_CASES)

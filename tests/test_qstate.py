@@ -125,10 +125,6 @@ class TestSupportCheck:
 
 
 class TestClassicalDist:
-    def test_lookup(self):
-        d = ClassicalDist(("x", "y"), np.array([0.25, 0.75]))
-        assert d["y"] == 0.75
-
     def test_bad_sum(self):
         with pytest.raises(BadTrace):
             ClassicalDist((0, 1), np.array([0.5, 0.6]))

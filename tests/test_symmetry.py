@@ -107,16 +107,21 @@ TRANSFORMS = pytest.mark.parametrize("transform, moves_gl", TRANSFORM_CASES)
 # cell's a posteriori state is its output divided by a trace of about 1e-12,
 # so the rotation's rounding of about 1e-17 can put its least eigenvalue as
 # low as -5e-5; the entropy leaves such an eigenvalue out of the support.
-# The split moves a cell across SUPPORT_CUTOFF, so that pair changes the null
-# structure, not only the representation, and is left out: in
-# letter_with_little_live_weight, the live cell (letter 1, outcome 0) of
-# P(0|1) = 2e-12 becomes c^2 2e-12 and s^2 2e-12, and the smaller is null.
+# Two pairs move a cell across SUPPORT_CUTOFF, so they change the null
+# structure, not only the representation, and are left out:
+# - the split in letter_with_little_live_weight: the live cell (letter 1,
+#   outcome 0) of P(0|1) = 2e-12 becomes c^2 2e-12 and s^2 2e-12, and the
+#   smaller is null;
+# - the rotation on seeds 2-39 in null_cell_beside_a_near_cutoff_live_cell:
+#   its null cell's trace is SUPPORT_CUTOFF itself, so the rotation's rounding
+#   decides its side (14 of the 40 seeds make it live, and the unweighted
+#   least D-term gain, new_d_term_nonneg, then moves by 0.50).
 NULL_CELL_CASES = [
     (seed, name, transform, moves_gl)
     for seed in range(40)
     for name in NULL_CELL_SCENARIOS
     for transform, moves_gl in TRANSFORM_CASES
-    if (seed < 2 or transform is rotate_input)
+    if (seed < 2 or (transform is rotate_input and name != "null_cell_beside_a_near_cutoff_live_cell"))
     and (name, transform) != ("letter_with_little_live_weight", split_outcome)
 ]
 
