@@ -4,8 +4,11 @@ All quantities are in nats; conversion to bits is a presentation concern
 handled by the harness. Every chi is the mutual entropy of a family against
 its own barycenter, and ``chi_against`` is the one function that evaluates
 it, as an entropy difference from entropy vectors: finite in finite
-dimension, with no support test. The relative entropies, which take
-arbitrary pairs and test supports, live in ``reference``.
+dimension, with no support test. The states it reads are derived, states by
+construction, and so plain arrays: the rules of a state serve inputs only
+(``qstate``). The relative entropies, which take arbitrary pairs and test
+supports, and the entropy of one ``DensityMatrix`` (``vn_entropy``) live in
+``reference``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import numpy as np
 
 from .errors import NoConvergence
 from .matcore import SUPPORT_CUTOFF, lapack
-from .qstate import DensityMatrix
 
 
 def _entropy(vals: np.ndarray) -> np.ndarray:
@@ -22,13 +24,10 @@ def _entropy(vals: np.ndarray) -> np.ndarray:
     return -(vals * np.log(np.where(vals > SUPPORT_CUTOFF, vals, 1.0))).sum(axis=-1)
 
 
-def vn_entropy(rho: DensityMatrix) -> float:
-    return float(_entropy(rho.spectral().eigenvalues))
-
-
 def vn_entropies(stack) -> np.ndarray:
-    """vn_entropy of each derived state (a state by construction, ``qstate``) of
-    an (n, d, d) stack, by one batched ``eigvalsh``; non-finite: NoConvergence."""
+    """The von Neumann entropy of each derived state (a state by construction,
+    ``qstate``) of an (n, d, d) stack, by one batched ``eigvalsh``; a
+    non-finite one raises NoConvergence."""
     s = _entropy(lapack(np.linalg.eigvalsh, stack))
     if not np.isfinite(s).all():
         raise NoConvergence("von Neumann entropy of a derived state is not finite")

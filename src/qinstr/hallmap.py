@@ -8,7 +8,9 @@ sigma_w = eta^{1/2} E(w) eta^{1/2} / P_f(w) and on eta, where
 J_a(sigma_w) = P_a rho_a^{1/2} E(w) rho_a^{1/2} / P_f(w) and J_a(eta) = P_a rho_a:
 eta^{-1/2} cancels. So the section is computed from the scenario's own arrays,
 and J and the dual ensemble, built one state at a time, live in ``reference``
-as the oracle the tests hold it to."""
+as the oracle the tests hold it to. The states it derives (sigma_w, J's a
+posteriori states) stay plain arrays: the rules of a state serve inputs only
+(``qstate``)."""
 
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from .entropy import chi_against, mutual_info, vn_entropies
 from .errors import SingularAprioriState
 from .infobounds import BoundCheck, MeasurementStatistics, _info_gain
 from .instrument import _posteriors
-from .matcore import SUPPORT_CUTOFF, herm_eig, spectral_apply
+from .matcore import SUPPORT_CUTOFF, lapack
 
 INVERTIBILITY_TOL = 1e-9
 
@@ -29,20 +31,23 @@ def hall_section(ms: MeasurementStatistics) -> tuple:
 
     - duality: J's law on the dual states, P_a Tr[rho_a E(w)] / P_f(w) from the
       effects, reproduces P_{i|f} from the channel (``ms.cond_in_given_out``),
-      and so I_c;
+      judged on the scale of the joint law, max over (a, w) of
+      P_f(w) |P_J(a | sigma_w) - P_{i|f}(a|w)|, and so I_c;
     - Hall's bound I_c <= chi{P_f, sigma_w} (the dual chi against eta_i);
     - the strengthened bound I_c <= chi_initial - D, with
       D = sum_w P_f(w) I_q{sigma_w; J}, its parts, and its ordering against
       Hall's bound (recorded as data, not asserted).
 
-    Each rho_a^{1/2} and eta^{1/2} come from one stacked form, on the support,
-    over ``Ensemble.spectra`` with eta's decomposition appended. J's a
-    posteriori states come from one ``_posteriors`` call on the stack
-    P_a rho_a^{1/2} X rho_a^{1/2}, X running over E(w) / P_f(w) and I, with
-    ``analyze``'s null cells set to 0; an outcome that holds one takes the
-    dual state of its live letters alone (eta -> their sum of P_a rho_a), so J
-    reads the nulls P_{i|f} reads and its gains stay >= 0. The entropies come
-    from one ``vn_entropies`` call; I_c and the letters' and eta_i's are the
+    An outcome that holds one of ``analyze``'s null cells takes the dual
+    state of its live letters alone: eta -> eta_w = sum_a P_a [cell (a, w)
+    live] rho_a, so J reads the nulls P_{i|f} reads and its gains stay >= 0.
+    Each rho_a^{1/2}, eta^{1/2} and eta_w^{1/2} come from one stacked form, on
+    the support, over ``Ensemble.spectra``, eta's decomposition
+    (``ms.a_priori_decomp``) and the eta_w's, decomposed by one batched
+    ``eigh``. J's a posteriori states come from one ``_posteriors`` call on
+    the stack P_a rho_a^{1/2} X rho_a^{1/2}, X running over E(w) / P_f(w) and
+    I, with ``analyze``'s null cells set to 0. The entropies come from one
+    ``vn_entropies`` call; I_c and the letters' and eta_i's are the
     scenario's (``ms.entropies``).
 
     Raises SingularAprioriState, with fixed text, when eta's least eigenvalue
@@ -50,31 +55,32 @@ def hall_section(ms: MeasurementStatistics) -> tuple:
     the set of check names are compared exactly against the recorded
     benchmark references, so the skip stays until those are re-recorded.
     """
-    e, eta = ms.ensemble, ms.a_priori
-    if eta.spectral().eigenvalues[0] <= INVERTIBILITY_TOL:
+    e, eta = ms.ensemble, ms.a_priori_decomp
+    if eta.eigenvalues[0] <= INVERTIBILITY_TOL:
         raise SingularAprioriState(
             f"a priori state is singular: least eigenvalue at or below {INVERTIBILITY_TOL:.1e}"
         )
-    p_f = ms.output_marginal.probs[ms.live]
+    p_f = ms.output_marginal[ms.live]
     x = np.concatenate([ms.instrument.effects[ms.live] / p_f[:, None, None], np.eye(e.dim)[None]])
-
-    lam, u = (np.concatenate([a, b[None]]) for a, b in zip(e.spectra, eta.spectral()))
-    roots = (u * np.sqrt(np.where(lam > SUPPORT_CUTOFF, lam, 0.0))[:, None]) @ u.conj().swapaxes(-1, -2)
-    roots, sqrt_eta = roots[:-1], roots[-1]  # each letter's, then eta's
-    outs = e.probs[:, None, None, None] * (roots[:, None] @ x @ roots[:, None])  # [letter, input]
     held = ms.cond_out_given_in[:, ms.live] > 0.0  # analyze's live cells
+    partial = np.flatnonzero(~held.all(axis=0))  # outcomes that hold a null cell
+    eta_w = np.einsum("wa,aij->wij", e.probs * held[:, partial].T, e.states)
+
+    n_l = len(e.letters)
+    stacks = zip(e.spectra, eta, lapack(np.linalg.eigh, eta_w))
+    lam, u = (np.concatenate([a, b[None], c]) for a, b, c in stacks)
+    roots = (u * np.sqrt(np.where(lam > SUPPORT_CUTOFF, lam, 0.0))[:, None]) @ u.conj().swapaxes(-1, -2)
+    outs = e.probs[:, None, None, None] * (roots[:n_l, None] @ x @ roots[:n_l, None])  # [letter, input]
     outs[:, :-1][~held] = 0.0
     law, posts = _posteriors(outs)  # P_J(a | input), [letter, input]
-    sigma = sqrt_eta @ x[:-1] @ sqrt_eta
-    for w in np.flatnonzero(~held.all(axis=0)):  # the dual state of w's live letters alone
-        root = spectral_apply(herm_eig(np.einsum("a,aij->ij", e.probs * held[:, w], e.states)), np.sqrt)
-        sigma[w] = root @ x[w] @ root
+    sigma = roots[n_l] @ x[:-1] @ roots[n_l]
+    sigma[partial] = roots[n_l + 1:] @ x[partial] @ roots[n_l + 1:]
     s_all = vn_entropies(np.concatenate([posts.reshape(-1, e.dim, e.dim), sigma]))
     s_post, s_sigma = s_all[:law.size], s_all[law.size:]
     gains = _info_gain(np.append(s_sigma, ms.entropies.eta_i), law.T, s_post.reshape(law.shape).T)
 
     i_c = ms.classical_mi
-    max_dev = np.abs(law[:, :-1] - ms.cond_in_given_out[:, ms.live]).max()
+    max_dev = (p_f * np.abs(law[:, :-1] - ms.cond_in_given_out[:, ms.live])).max()
     joint_dual = p_f[:, None] * law[:, :-1].T
     joint_dual = joint_dual / joint_dual.sum()
     i_c_dual = mutual_info(joint_dual, joint_dual.sum(axis=1), joint_dual.sum(axis=0))

@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matcore
-from .entropy import _entropy, chi_against, mutual_info, vn_entropies, vn_entropy, weighted_sum
+from .entropy import _entropy, chi_against, mutual_info, vn_entropies, weighted_sum
 from .errors import DimensionMismatch, InfiniteQuantity
 from .instrument import (
     Instrument,
@@ -19,13 +19,7 @@ from .instrument import (
     _posteriors,
     a_posteriori_stack,
 )
-from .qstate import (
-    ClassicalDist,
-    DensityMatrix,
-    Ensemble,
-    a_priori_state,
-    pure_state,
-)
+from .qstate import DensityMatrix, Ensemble, pure_state
 
 EQ_TOL = 1e-9
 INEQ_TOL = 1e-8
@@ -89,30 +83,34 @@ class MeasurementStatistics:
     (``instrument._posteriors``, the only null rule) and weighs exactly 0 in
     cond_out_given_in, joint and cond_in_given_out. ``live`` marks the
     outcomes that hold a live cell (P_f(w) > 0), and rho_f(w) is the P_{i|f}
-    mixture of an outcome's live cells. The output-side states are arrays,
-    states by construction and not checked again (``qstate``). The entropies
-    and I_c are computed once, on first use, and every stage reads them here.
+    mixture of an outcome's live cells. Every derived state and law, eta_i
+    and P_f among them, is a plain read-only array, a state or a law by
+    construction and not checked again (the rules of a state serve inputs
+    only, ``qstate``); eta_i's one decomposition is kept beside it. The
+    entropies and I_c are computed once, on first use, and every stage reads
+    them here.
     """
 
     ensemble: Ensemble
     instrument: Instrument
     joint: np.ndarray
-    output_marginal: ClassicalDist
+    output_marginal: np.ndarray  # P_f(omega), [outcome]
     live: np.ndarray  # the outcome holds a live cell: P_f(omega) > 0, [outcome]
     cond_out_given_in: np.ndarray  # P_{f|i}(omega|alpha), [letter, outcome]
     cond_in_given_out: np.ndarray  # P_{i|f}(alpha|omega), [letter, outcome]
     posterior_letter_states: np.ndarray  # [letter, outcome, d2, d2]
     posterior_mean_states: np.ndarray  # rho_f(omega), [outcome, d2, d2]
     post_letter_states: np.ndarray  # eta_f^alpha, [letter, d2, d2]
-    a_priori: DensityMatrix  # eta_i
+    a_priori: np.ndarray  # eta_i, [d1, d1]
+    a_priori_decomp: matcore.SpectralDecomp  # eta_i's one decomposition (herm_eig)
     post_a_priori: np.ndarray  # eta_f, [d2, d2]
 
     @cached_property
     def entropies(self) -> ScenarioEntropies:
         """Every state's entropy: the output side (the posterior grid, rho_f(w),
         eta_f^a and eta_f) from one batched vn_entropies call; the letters and
-        eta_i from the decompositions made when they were checked
-        (``Ensemble.spectra``, ``DensityMatrix``)."""
+        eta_i from their one decompositions (``Ensemble.spectra``,
+        ``a_priori_decomp``)."""
         n_l, n_o = self.joint.shape
         d2 = self.instrument.dim_out
         s = vn_entropies(np.concatenate([
@@ -128,13 +126,13 @@ class MeasurementStatistics:
             post=s[n_grid + n_o:-1],
             eta_f=s[-1],
             letters=_entropy(self.ensemble.spectra.eigenvalues),
-            eta_i=vn_entropy(self.a_priori),
+            eta_i=float(_entropy(self.a_priori_decomp.eigenvalues)),
         )
 
     @cached_property
     def classical_mi(self) -> float:
         """I_c = S_c(P_if | P_i x P_f), from the joint table."""
-        return float(mutual_info(self.joint, self.ensemble.probs, self.output_marginal.probs))
+        return float(mutual_info(self.joint, self.ensemble.probs, self.output_marginal))
 
     @property
     def info_gain(self) -> float:
@@ -142,7 +140,7 @@ class MeasurementStatistics:
         posteriori states are rho_f(w) (the grid's outcome mixtures analyze
         computed) and its outcome law is P_f, so no channel is applied again."""
         s = self.entropies
-        return float(_info_gain(s.eta_i, self.output_marginal.probs, s.mean))
+        return float(_info_gain(s.eta_i, self.output_marginal, s.mean))
 
 
 @dataclass(frozen=True)
@@ -167,7 +165,8 @@ def analyze(e: Ensemble, ins: Instrument) -> MeasurementStatistics:
     grid of I_w(rho_a), whose null cells ``_posteriors`` alone decides; the
     other families are read off it: rho_f(w) = sum_a P_{i|f}(a|w) rho_a(w) (a
     null outcome's cells all hold the fill, and so does its rho_f), eta_f^a =
-    sum_w I_w(rho_a) and eta_f = sum_a P_a eta_f^a.
+    sum_w I_w(rho_a) and eta_f = sum_a P_a eta_f^a. eta_i = sum_a P_a rho_a
+    is decomposed once, by ``matcore.herm_eig``.
     """
     if e.dim != ins.dim_in:
         raise DimensionMismatch(f"ensemble dim {e.dim} vs instrument dim_in {ins.dim_in}")
@@ -181,18 +180,22 @@ def analyze(e: Ensemble, ins: Instrument) -> MeasurementStatistics:
     live = p_f > 0.0
     cond_if = np.divide(joint, p_f, out=np.zeros_like(joint), where=live)
     mean = np.where(live[:, None, None], np.einsum("aw,waij->wij", cond_if, posts), posts[:, 0])
+    eta = sum(p * s for p, s in zip(e.probs, e.states))
+    for a in (p_f, eta):
+        a.setflags(write=False)
     return MeasurementStatistics(
         ensemble=e,
         instrument=ins,
         joint=joint,
-        output_marginal=ClassicalDist(ins.outcomes, p_f),
+        output_marginal=p_f,
         live=live,
         cond_out_given_in=cond.T,
         cond_in_given_out=cond_if,
         posterior_letter_states=posts.swapaxes(0, 1),
         posterior_mean_states=mean,
         post_letter_states=post_letter,
-        a_priori=a_priori_state(e),
+        a_priori=eta,
+        a_priori_decomp=matcore.herm_eig(eta),
         post_a_priori=np.einsum("a,aij->ij", e.probs, post_letter),
     )
 
@@ -203,7 +206,7 @@ def entropy_panel(ms: MeasurementStatistics) -> EntropyPanel:
     posterior grid, eta_f^a for row a), from the scenario's entropies."""
     s = ms.entropies
     p_i = ms.ensemble.probs
-    p_f = ms.output_marginal.probs
+    p_f = ms.output_marginal
     chi_joint = chi_against(ms.joint.ravel(), s.grid.ravel(), s.eta_f)
     i_c = ms.classical_mi
     return EntropyPanel(
@@ -416,7 +419,7 @@ def compound_states(ms: MeasurementStatistics) -> CompoundStates:
     e = ms.ensemble
     d1 = e.dim
     d2 = ms.instrument.dim_out
-    p_f = ms.output_marginal.probs
+    p_f = ms.output_marginal
     rho_f = ms.posterior_mean_states
 
     eps_if = np.einsum(
@@ -429,7 +432,7 @@ def compound_states(ms: MeasurementStatistics) -> CompoundStates:
     tau_f = np.einsum("aw,wij->aij", ms.cond_out_given_in, rho_f)
     gamma_if = np.einsum("w,wmn->mn", p_f, matcore.kron(eps_i, rho_f))
 
-    eta_i, eta_f = ms.a_priori.mat, ms.post_a_priori
+    eta_i, eta_f = ms.a_priori, ms.post_a_priori
     pairs = (  # (row, marginal, the state it must equal)
         ("compound_tr2_eta_if", matcore.partial_trace(eta_if, "second", d1, d2), eta_i),
         ("compound_tr1_eta_if", matcore.partial_trace(eta_if, "first", d1, d2), eta_f),
@@ -455,7 +458,7 @@ def scutaru_chains(ms: MeasurementStatistics, cs: CompoundStates) -> tuple:
     states' entropies come from one batched vn_entropies call per dimension."""
     n_o = len(cs.eps_f)
     p_i = ms.ensemble.probs
-    p_f = ms.output_marginal.probs
+    p_f = ms.output_marginal
     i_c = ms.classical_mi
     s_eta_i, s_eta_f = ms.entropies.eta_i, ms.entropies.eta_f
 

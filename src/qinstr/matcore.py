@@ -7,9 +7,12 @@ for one matrix, batched ``numpy.linalg`` calls for stacks), called through
 ``lapack``, which makes a LAPACK failure a ``NoConvergence``. The one
 Hermiticity rule lives here, ``hermitian_part`` (finite, square, Hermitian
 within HERM_TOL, then (A + A^dag) / 2, on a matrix or a stack): ``herm_eig``,
-``jacobi_eig`` and the rules of a state (``qstate``) call it. Input states are
-checked once and never repaired, except at ingest (``qstate.ensemble_from_json``),
-which clamps eigenvalues in [-HERM_TOL, 0) of a letter read from JSON.
+``jacobi_eig`` and the rules of a state (``qstate``) call it. The rules of a
+state serve inputs only: input states are checked once and never repaired,
+except at ingest (``qstate.ensemble_from_json``), which clamps eigenvalues in
+[-HERM_TOL, 0) of a letter read from JSON, and a state derived from them is a
+plain array, decomposed (``herm_eig``, a batched ``eigh`` or ``eigvalsh``) but
+never checked again.
 ``jacobi_eig`` is a numpy cyclic Jacobi kept for input canonicalisation only:
 its rounding sets the last digits of generated Kraus operators
 (``random_instrument``) and of the letters that ingest clamps, and scenario

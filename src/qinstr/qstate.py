@@ -1,17 +1,19 @@
-"""Density matrices, classical distributions and letter-state ensembles.
+"""Density matrices and letter-state ensembles: the rules of a state, which
+serve inputs only.
 
 Inputs are checked against their definitions once and kept as given, never
 repaired: ``_hermitian_part`` (``matcore.hermitian_part``, the one Hermiticity
 rule, plus unit trace) and ``_check_positive`` hold the rules of a state, and
-``DensityMatrix`` and ``Ensemble`` apply them. A derived state, I_w(rho) / tr
-of a checked state under a checked instrument, is a state by construction and
-is not checked again. A state's spectrum has one source, the decomposition
-made where it is checked: ``herm_eig`` for a ``DensityMatrix``, one batched
-``eigh`` for an ensemble's letters read as a stack. The one repair is at
-ingest (``ensemble_from_json``): a valid letter read from JSON whose Jacobi
-least eigenvalue is negative is clamped, because scenario fingerprints hash
-the digits that clamp has always produced. An instrument's POV measure lives
-on the instrument (``instrument.Instrument.effects``).
+``DensityMatrix`` and ``Ensemble`` apply them. Everything the pipeline derives
+from checked inputs (I_w(rho) / tr, the a priori state, P_f) is a state or a
+law by construction and stays a plain array, never checked again. A state's
+spectrum has one source, the decomposition made where it is checked:
+``herm_eig`` for a ``DensityMatrix``, one batched ``eigh`` for an ensemble's
+letters read as a stack. The one repair is at ingest (``ensemble_from_json``):
+a valid letter read from JSON whose Jacobi least eigenvalue is negative is
+clamped, because scenario fingerprints hash the digits that clamp has always
+produced. An instrument's POV measure lives on the instrument
+(``instrument.Instrument.effects``).
 """
 
 from __future__ import annotations
@@ -77,38 +79,15 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class ClassicalDist:
-    """Probability distribution over a finite label set, kept as given once
-    every entry is >= -PROB_TOL and the sum is 1 within HERM_TOL."""
-
-    labels: tuple
-    probs: np.ndarray
-
-    def __post_init__(self):
-        labels = tuple(self.labels)
-        probs = np.array(self.probs, dtype=np.float64)
-        if probs.ndim != 1 or len(labels) != probs.shape[0]:
-            raise LabelMismatch("labels and probabilities differ in length")
-        if not (probs >= -PROB_TOL).all():  # NaN fails too
-            raise NotPositive(f"negative or NaN probability in {probs}")
-        if abs(probs.sum() - 1.0) > HERM_TOL:
-            raise BadTrace(f"probabilities sum to {probs.sum()}, not 1")
-        probs.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "probs", probs)
-
-
-@dataclass(frozen=True, eq=False)
 class Ensemble:
     """Finite alphabet with strictly positive probabilities and one state per letter.
 
-    ``states`` is kept as one read-only [letter, d, d] stack. Given as a
-    stack, it is checked by the rules of a state (its Hermitian part is kept)
-    and decomposed by one batched ``eigh``, whose least eigenvalues are the
-    positivity check. Given as a tuple of ``DensityMatrix``, which were
-    checked and decomposed when they were built, their matrices and spectra
-    are taken as they are. ``spectra`` holds the decomposition ([letter, d]
-    and [letter, d, d]).
+    ``states`` is kept as one read-only [letter, d, d] stack, given as a stack
+    or as a sequence of ``DensityMatrix``, whose matrices are stacked. Either
+    way it is checked by the rules of a state (its Hermitian part is kept) and
+    decomposed by one batched ``eigh``, whose least eigenvalues are the
+    positivity check. ``spectra`` holds the decomposition ([letter, d] and
+    [letter, d, d]).
     """
 
     letters: tuple
@@ -128,19 +107,16 @@ class Ensemble:
         if abs(probs.sum() - 1.0) > PROB_TOL:
             raise BadTrace(f"letter probabilities sum to {probs.sum()}, not 1")
         states = self.states
-        if isinstance(states, np.ndarray):
-            if states.ndim != 3:
-                raise DimensionMismatch(f"expected a [letter, d, d] stack, got shape {states.shape}")
-            states = np.ascontiguousarray(_hermitian_part(states))
-            vals, vecs = matcore.lapack(np.linalg.eigh, states)
-            _check_positive(float(vals[:, 0].min()))
-        else:  # DensityMatrix letters, checked and decomposed when they were built
+        if not isinstance(states, np.ndarray):  # DensityMatrix letters
             dims = {s.dim for s in states}
             if len(dims) != 1:
                 raise DimensionMismatch(f"letter states have inconsistent dims {dims}")
-            states = np.array([s.mat for s in self.states])
-            vals = np.array([s.spectral().eigenvalues for s in self.states])
-            vecs = np.array([s.spectral().eigenvectors for s in self.states])
+            states = np.array([s.mat for s in states])
+        if states.ndim != 3:
+            raise DimensionMismatch(f"expected a [letter, d, d] stack, got shape {states.shape}")
+        states = np.ascontiguousarray(_hermitian_part(states))
+        vals, vecs = matcore.lapack(np.linalg.eigh, states)
+        _check_positive(float(vals[:, 0].min()))
         probs = probs.copy()
         for a in (probs, states, vals, vecs):
             a.setflags(write=False)
@@ -152,11 +128,6 @@ class Ensemble:
     @property
     def dim(self) -> int:
         return self.states.shape[-1]
-
-
-def a_priori_state(e: Ensemble) -> DensityMatrix:
-    """Barycenter of the ensemble."""
-    return DensityMatrix(sum(p * s for p, s in zip(e.probs, e.states)))
 
 
 def pure_state(vec: Sequence[complex]) -> DensityMatrix:

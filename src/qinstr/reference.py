@@ -8,11 +8,15 @@ both spectral decompositions (testing supports, so they return +inf, Python
 state and its outcome law, the action of one map and of the instrument, a
 Choi-matrix rebuild of an instrument, the information gain and the purity of
 one state, a random mixed state, the coarse-graining of two outcomes, and
-Hall's J and dual ensemble, which ``hallmap.hall_section`` does without. Its
-independence is the reason the module exists: no pipeline module imports it,
-and nothing here calls the stacked path it checks
-(``instrument.Instrument.channel_matrix``, ``instrument._posteriors``,
-``entropy.vn_entropies``). ``import qinstr`` does not load it.
+Hall's J and dual ensemble, which ``hallmap.hall_section`` does without.
+The a priori state (``a_priori_state``) and every law (``ClassicalDist``) are
+checked here as a ``DensityMatrix`` and a distribution, and the entropy of
+one ``DensityMatrix`` is ``vn_entropy``; the pipeline keeps these as plain
+arrays, derived from checked inputs. Its independence is the reason the
+module exists: no pipeline module imports it, and nothing here calls the
+stacked path it checks (``instrument.Instrument.channel_matrix``,
+``instrument._posteriors``, ``entropy.vn_entropies``). ``import qinstr`` does
+not load it.
 """
 
 from __future__ import annotations
@@ -24,15 +28,53 @@ from typing import Sequence
 import numpy as np
 
 from . import matcore
-from .entropy import vn_entropy
-from .errors import DimensionMismatch, LabelMismatch, SingularAprioriState, UnknownOutcome
+from .entropy import _entropy
+from .errors import (
+    BadTrace,
+    DimensionMismatch,
+    LabelMismatch,
+    NotPositive,
+    SingularAprioriState,
+    UnknownOutcome,
+)
 from .hallmap import INVERTIBILITY_TOL
 from .infobounds import _ginibre_states
 from .instrument import Instrument, KrausMap
-from .matcore import SUPPORT_CUTOFF
-from .qstate import ClassicalDist, DensityMatrix, Ensemble
+from .matcore import HERM_TOL, SUPPORT_CUTOFF
+from .qstate import PROB_TOL, DensityMatrix, Ensemble
 
 INF = math.inf
+
+
+@dataclass(frozen=True, eq=False)
+class ClassicalDist:
+    """Probability distribution over a finite label set, kept as given once
+    every entry is >= -PROB_TOL and the sum is 1 within HERM_TOL."""
+
+    labels: tuple
+    probs: np.ndarray
+
+    def __post_init__(self):
+        labels = tuple(self.labels)
+        probs = np.array(self.probs, dtype=np.float64)
+        if probs.ndim != 1 or len(labels) != probs.shape[0]:
+            raise LabelMismatch("labels and probabilities differ in length")
+        if not (probs >= -PROB_TOL).all():  # NaN fails too
+            raise NotPositive(f"negative or NaN probability in {probs}")
+        if abs(probs.sum() - 1.0) > HERM_TOL:
+            raise BadTrace(f"probabilities sum to {probs.sum()}, not 1")
+        probs.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "probs", probs)
+
+
+def a_priori_state(e: Ensemble) -> DensityMatrix:
+    """Barycenter of the ensemble, checked as a state."""
+    return DensityMatrix(sum(p * s for p, s in zip(e.probs, e.states)))
+
+
+def vn_entropy(rho: DensityMatrix) -> float:
+    return float(_entropy(rho.spectral().eigenvalues))
 
 
 def fidelity_like_support_check(sigma: DensityMatrix, tau: DensityMatrix) -> bool:

@@ -21,8 +21,8 @@ from qinstr.harness import (
 )
 from qinstr.infobounds import analyze, entropy_panel
 from qinstr.instrument import random_instrument
-from qinstr.qstate import DensityMatrix, a_priori_state
-from qinstr.reference import a_posteriori, q_rel_entropy, total_channel
+from qinstr.qstate import DensityMatrix
+from qinstr.reference import a_posteriori, a_priori_state, q_rel_entropy, total_channel
 
 MASTER_SEED = 20240817
 TRIALS = 200
@@ -164,7 +164,6 @@ def test_criterion_4_desk_orthogonal_projective():
     chi = report.panel["chi_initial"]
     holevo = _named(report, "holevo")[0]
     from qinstr.reference import build_hall_instrument
-    from qinstr.qstate import a_priori_state
 
     s = example_scenario("orthogonal-projective")
     h = build_hall_instrument(s.ensemble, a_priori_state(s.ensemble))

@@ -70,8 +70,8 @@ CROSS_CHECK.append(pure_letters_scenario(5))
 def test_every_chi_matches_the_relative_entropy_form(s):
     ms = analyze(s.ensemble, s.instrument)
     panel = entropy_panel(ms)
-    p_i, p_f = ms.ensemble.probs, ms.output_marginal.probs
-    eta_i, eta_f = ms.a_priori, states(ms.post_a_priori)
+    p_i, p_f = ms.ensemble.probs, ms.output_marginal
+    eta_i, eta_f = states(ms.a_priori), states(ms.post_a_priori)
     grid = states(ms.posterior_letter_states)
     post_letter, post_mean = states(ms.post_letter_states), states(ms.posterior_mean_states)
     cells = [(a, w) for a in range(len(grid)) for w in range(len(p_f)) if ms.joint[a, w] > 1e-12]

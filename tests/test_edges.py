@@ -62,13 +62,13 @@ def near_null_scenario(d, n_outcomes, n_letters, kraus, small, offsets, seed) ->
     return Scenario(Ensemble(tuple(range(n_letters)), priors / priors.sum(), tuple(letters)), ins)
 
 
-# A counterexample: all cells live, and outcome 0 has P_f = 1.6e-9. J's law
-# and P_{i|f} each carry the absolute rounding (~1e-17) of traces against an
-# effect whose other eigenvalues are of order 1, which is ~1e-8 of that
-# outcome's weight, so duality_conditional_law reads 1.6e-8 > EQ_TOL.
+# All cells live, and outcome 0 has P_f = 1.6e-9. J's law and P_{i|f} each
+# carry the absolute rounding (~1e-17) of traces against an effect whose other
+# eigenvalues are of order 1, which is ~1e-8 of that outcome's weight: judged
+# between the conditionals at EQ_TOL, duality_conditional_law read 1.6e-8 and
+# failed; judged on the scale of the joint law it reads ~1e-16.
 @example(d=2, n_outcomes=3, kraus=2, small=[1.2129744592230844e-12], offsets=[1e-07, 1e-05],
-         others=0, seed=2404865353).xfail(raises=AssertionError, reason=(
-             "the duality row of a live outcome of P_f ~ 1e-9 judges rounding at an absolute 1e-9"))
+         others=0, seed=2404865353)
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(
     d=st.integers(2, 3),

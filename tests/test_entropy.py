@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from qinstr import matcore
-from qinstr.entropy import chi_against, vn_entropies, vn_entropy
+from qinstr.entropy import chi_against, vn_entropies
 from qinstr.errors import NoConvergence
 from qinstr.instrument import random_instrument
-from qinstr.qstate import ClassicalDist, DensityMatrix, pure_state
+from qinstr.qstate import DensityMatrix, pure_state
 from qinstr.reference import (
+    ClassicalDist,
     c_rel_entropy,
     maximally_mixed,
     mixed_rel_entropy,
     q_rel_entropy,
     total_channel,
+    vn_entropy,
 )
 
 KET0 = pure_state([1, 0])

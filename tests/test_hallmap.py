@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qinstr import hallmap, infobounds, matcore, qstate
-from qinstr.entropy import vn_entropy
+from qinstr import hallmap, matcore, qstate
 from qinstr.errors import BadTrace, SingularAprioriState
 from qinstr.hallmap import hall_section
 from qinstr.harness import (
@@ -24,9 +23,11 @@ from qinstr.infobounds import (
     random_ensemble,
 )
 from qinstr.instrument import Instrument, KrausMap, random_instrument
-from qinstr.qstate import Ensemble, a_priori_state, pure_state
+from qinstr.qstate import Ensemble, pure_state
 from qinstr.reference import (
+    ClassicalDist,
     a_posteriori,
+    a_priori_state,
     build_hall_instrument,
     c_rel_entropy,
     dual_ensemble,
@@ -34,6 +35,7 @@ from qinstr.reference import (
     outcome_probs,
     purity,
     quantum_info_gain,
+    vn_entropy,
 )
 
 KET0 = pure_state([1, 0])
@@ -311,22 +313,28 @@ class TestHallSection:
         assert calls == []
 
     def test_run_scenario_builds_the_a_priori_state_once(self, monkeypatch):
-        # the Hall section reuses analyze's eta; with no null outcomes there is
-        # no second analyze, so eta is built exactly once
-        calls = []
-        a_priori_state = qstate.a_priori_state
+        # analyze decomposes eta once, by matcore.herm_eig (the call a traced
+        # benchmark run counts as matcore.eig), and the Hall section reuses
+        # that decomposition; with no null cell nothing else is decomposed
+        # one state at a time, and no stage builds a DensityMatrix: a derived
+        # state is a plain array
+        s = random_scenario(3, 2, 3, 3, 2, seed=11)
+        counts = {"herm_eig": 0, "states": 0}
 
-        def counted(e):
-            calls.append(e)
-            return a_priori_state(e)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
 
-        for mod in (qstate, infobounds, hallmap):
-            if hasattr(mod, "a_priori_state"):
-                monkeypatch.setattr(mod, "a_priori_state", counted)
-        report = run_scenario(random_scenario(3, 2, 3, 3, 2, seed=11))
+            return wrapper
+
+        monkeypatch.setattr(matcore, "herm_eig", counted("herm_eig", matcore.herm_eig))
+        monkeypatch.setattr(qstate.DensityMatrix, "__post_init__",
+                            counted("states", qstate.DensityMatrix.__post_init__))
+        report = run_scenario(s)
         assert report.hall_skipped is None
         assert report.default_state_sensitivity is None
-        assert len(calls) == 1
+        assert counts == {"herm_eig": 1, "states": 0}
 
 
 def test_d_term_is_the_mean_chi_given_out_for_one_kraus_instruments():
@@ -391,6 +399,33 @@ def test_near_cutoff_outcome_is_null_in_the_hall_section(a, b, tmp_path):
     assert main(["analyze", str(path)]) == 0
 
 
+
+@pytest.mark.parametrize("shift", [2e-6, 1e-3])
+def test_wrong_law_on_an_outcome_of_weight_1e_3_fails_duality(shift, monkeypatch):
+    # duality_conditional_law is judged on the scale of the joint law,
+    # P_f(w) |P_J(a | sigma_w) - P_{i|f}(a|w)|: on |0> and |1> with priors 1/2
+    # under E(1) = 1e-3 I, outcome 1 has P_f = 1e-3, and J's law moved there by
+    # `shift` from one letter to the other deviates by 1e-3 * shift > EQ_TOL
+    ins = Instrument((0, 1), (
+        KrausMap(2, 2, (np.sqrt(1 - 1e-3) * np.eye(2, dtype=complex),)),
+        KrausMap(2, 2, (np.sqrt(1e-3) * np.eye(2, dtype=complex),)),
+    ))
+    ms = analyze(orthogonal_ensemble(), ins)
+    assert abs(ms.output_marginal[1] - 1e-3) <= 1e-15
+    row = {c.name: c for c in hall_section(ms)}["duality_conditional_law"]
+    assert row.lhs <= 1e-15 and row.passes(INEQ_TOL)
+    posteriors = hallmap._posteriors
+
+    def wrong(outs):
+        law, posts = posteriors(outs)
+        law[:, 1] += [shift, -shift]
+        return law, posts
+
+    monkeypatch.setattr(hallmap, "_posteriors", wrong)
+    row = {c.name: c for c in hall_section(ms)}["duality_conditional_law"]
+    assert abs(row.lhs - 1e-3 * shift) <= 1e-15
+    assert not row.passes(INEQ_TOL)
+
 def per_state_hall_rows(e, ins) -> dict:
     """The eight Hall rows, (lhs, rhs) by name, one state at a time: J from
     ``build_hall_instrument``, the dual ensemble from ``dual_ensemble``, every
@@ -406,7 +441,7 @@ def per_state_hall_rows(e, ins) -> dict:
         cells = tuple(np.ndindex(joint.shape))
         product = np.outer(joint.sum(axis=1), joint.sum(axis=0))
         return c_rel_entropy(
-            qstate.ClassicalDist(cells, joint.ravel()), qstate.ClassicalDist(cells, product.ravel())
+            ClassicalDist(cells, joint.ravel()), ClassicalDist(cells, product.ravel())
         )
 
     live = [w for w, p in enumerate(dual.probs.probs) if p > matcore.SUPPORT_CUTOFF]
@@ -420,7 +455,7 @@ def per_state_hall_rows(e, ins) -> dict:
     chi_dual = vn_entropy(eta) - sum(q * vn_entropy(sigma) for q, sigma in zip(q_f, sigmas))
     new_rhs = chi_initial - q_f @ gains
     return {
-        "duality_conditional_law": (np.max(np.abs(law - (joint / p_f).T[live])), 0.0),
+        "duality_conditional_law": (np.max(q_f[:, None] * np.abs(law - (joint / p_f).T[live])), 0.0),
         "duality_ic": (info(dual_joint / dual_joint.sum()), i_c),
         "hall_bound": (i_c, chi_dual),
         "new_bound": (i_c, new_rhs),

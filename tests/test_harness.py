@@ -334,6 +334,15 @@ class TestRandomSuite:
         assert summary["min_slack"]["holevo"] >= -1e-8
 
 
+def mixed_letters_at_the_trace_edge() -> Scenario:
+    """zero-one-plus's instrument on two mixed letters, each of trace
+    1 + 0.99999e-10, at priors 0.5 + 0.495e-12: every input passes its check
+    (HERM_TOL = 1e-10, PROB_TOL = 1e-12), while eta_i's trace is 1 + 1.01e-10."""
+    letters = np.array([[[0.7, 0.1], [0.1, 0.3]], [[0.4, -0.2j], [0.2j, 0.6]]]) * (1 + 0.99999e-10)
+    ensemble = Ensemble((0, 1), np.full(2, 0.5 + 0.495e-12), letters)
+    return Scenario(ensemble, example_scenario("zero-one-plus").instrument)
+
+
 class TestCli:
     def test_example_command(self, capsys):
         assert main(["example", "zero-one-plus"]) == 0
@@ -361,13 +370,16 @@ class TestCli:
     @pytest.mark.parametrize("make", [
         scaled_zero_one_plus,
         lambda: rotate_input(Scenario(*NULL_CELL_SCENARIOS["letter_with_little_live_weight"]), 1),
-    ], ids=["scaled-effect-sum", "rotated-near-null"])
+        mixed_letters_at_the_trace_edge,
+    ], ids=["scaled-effect-sum", "rotated-near-null", "a-priori-trace"])
     def test_derived_state_rounding_is_analyzed(self, make, tmp_path, capsys):
         # valid inputs whose derived states carry rounding over the input's
         # scale: an effect sum of (1 + 3e-10) I puts the trace of eta_f off by
-        # 3e-10, and a near-null cell's state, rotated on H1 (seed 1), has a
-        # least eigenvalue of -3.3e-5. Each exited 2 while derived states were
-        # judged again at HERM_TOL; each is a state by construction
+        # 3e-10, a near-null cell's state, rotated on H1 (seed 1), has a least
+        # eigenvalue of -3.3e-5, and letters and priors each within their
+        # tolerance put the trace of eta_i off by 1.01e-10. Each exited 2 while
+        # derived states were judged again at HERM_TOL; each is a state by
+        # construction
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(make().to_json()))
         assert main(["analyze", str(path)]) == 0
@@ -906,7 +918,7 @@ def test_scenario_from_json_does_no_per_letter_work(monkeypatch):
 # Each data type is built twice from the same inputs; the arrays say what it holds.
 REBUILT = {
     "DensityMatrix": (lambda: qstate.DensityMatrix(np.diag([0.25, 0.75])), lambda x: (x.mat,)),
-    "ClassicalDist": (lambda: qstate.ClassicalDist((0, 1), [0.25, 0.75]), lambda x: (x.probs,)),
+    "ClassicalDist": (lambda: reference.ClassicalDist((0, 1), [0.25, 0.75]), lambda x: (x.probs,)),
     "Ensemble": (lambda: example_scenario("zero-one-plus").ensemble, lambda x: (x.probs, x.states)),
     "KrausMap": (lambda: instrument.KrausMap(2, 2, (np.eye(2),)), lambda x: (x.kraus,)),
     "Instrument": (lambda: example_scenario("zero-one-plus").instrument, lambda x: (x.kraus_stack,)),

@@ -106,13 +106,13 @@ class TestAnalyze:
     def test_joint_table_zero_plus(self):
         ms = analyze(zero_plus_ensemble(), projective_qubit())
         assert np.allclose(ms.joint, [[0.5, 0.0], [0.25, 0.25]], atol=1e-12)
-        assert np.allclose(ms.output_marginal.probs, [0.75, 0.25], atol=1e-12)
+        assert np.allclose(ms.output_marginal, [0.75, 0.25], atol=1e-12)
 
     def test_conditionals_consistent(self):
         ms = analyze(zero_plus_ensemble(), projective_qubit())
         # joint = P_i * P_{f|i} = P_f * P_{i|f}
         rebuilt1 = ms.ensemble.probs[:, None] * ms.cond_out_given_in
-        rebuilt2 = ms.output_marginal.probs[None, :] * ms.cond_in_given_out
+        rebuilt2 = ms.output_marginal[None, :] * ms.cond_in_given_out
         assert np.allclose(rebuilt1, ms.joint, atol=1e-12)
         assert np.allclose(rebuilt2, ms.joint, atol=1e-12)
 
@@ -121,7 +121,7 @@ class TestAnalyze:
         e = random_ensemble(3, 3, rng)
         ins = random_instrument(3, 2, 3, 2, seed=1)
         ms = analyze(e, ins)
-        p_f = ms.output_marginal.probs
+        p_f = ms.output_marginal
         for w in range(len(ins.outcomes)):
             if p_f[w] < 1e-12:
                 continue
@@ -191,7 +191,7 @@ class TestClassicalMutualInfo:
 
         expected = (
             shannon(ms.ensemble.probs)
-            + shannon(ms.output_marginal.probs)
+            + shannon(ms.output_marginal)
             - shannon(ms.joint.ravel())
         )
         assert abs(ms.classical_mi - expected) < 1e-10
@@ -237,7 +237,8 @@ class TestEntropyPanel:
         e = random_ensemble(3, 3, rng)
         ins = random_instrument(3, 2, 2, 2, seed=7)
         ms = analyze(e, ins)
-        expected = sum(p * q_rel_entropy(DensityMatrix(s), ms.a_priori) for p, s in zip(e.probs, e.states))
+        eta = DensityMatrix(ms.a_priori)
+        expected = sum(p * q_rel_entropy(DensityMatrix(s), eta) for p, s in zip(e.probs, e.states))
         assert abs(entropy_panel(ms).chi_initial - expected) < 1e-10
 
     def test_tripartite_sum(self):
@@ -371,7 +372,7 @@ def sequential_gl(ins, trials, seed, n_demix=5):
         rhs = ms.classical_mi + sum(
             p * quantum_info_gain(ins, DensityMatrix(rho)) for p, rho in zip(e.probs, e.states)
         )
-        checks.append(("gl_chain", rhs, quantum_info_gain(ins, ms.a_priori)))
+        checks.append(("gl_chain", rhs, quantum_info_gain(ins, DensityMatrix(ms.a_priori))))
     return purity_preserving, checks
 
 
@@ -428,7 +429,7 @@ class TestReportInfoGain:
     @staticmethod
     def _check(s):
         ms = analyze(s.ensemble, s.instrument)
-        reference = quantum_info_gain(s.instrument, ms.a_priori)
+        reference = quantum_info_gain(s.instrument, DensityMatrix(ms.a_priori))
         assert abs(ms.info_gain - reference) <= 1e-12
         assert abs(run_scenario(s).quantum_info_gain - reference) <= 1e-12
 
@@ -438,7 +439,7 @@ class TestReportInfoGain:
 
     def test_null_outcome(self):
         s = Scenario(ensemble=orthogonal_ensemble(), instrument=with_zero_outcome())
-        assert analyze(s.ensemble, s.instrument).output_marginal.probs[2] == 0.0
+        assert analyze(s.ensemble, s.instrument).output_marginal[2] == 0.0
         self._check(s)
 
 
@@ -467,7 +468,7 @@ def refill(ms, state):
     grid = ms.posterior_letter_states.copy()
     grid[ms.cond_out_given_in == 0.0] = state
     mean = ms.posterior_mean_states.copy()
-    mean[ms.output_marginal.probs == 0.0] = state
+    mean[ms.output_marginal == 0.0] = state
     return dataclasses.replace(ms, posterior_letter_states=grid, posterior_mean_states=mean)
 
 

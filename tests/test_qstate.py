@@ -5,15 +5,13 @@ from qinstr import matcore
 from qinstr.errors import BadTrace, DimensionMismatch, NotHermitian, NotPositive
 from qinstr.matcore import HERM_TOL
 from qinstr.qstate import (
-    ClassicalDist,
     DensityMatrix,
     Ensemble,
-    a_priori_state,
     ensemble_from_json,
     ensemble_to_json,
     pure_state,
 )
-from qinstr.reference import fidelity_like_support_check, maximally_mixed
+from qinstr.reference import ClassicalDist, a_priori_state, fidelity_like_support_check, maximally_mixed
 
 KET0 = pure_state([1, 0])
 KET1 = pure_state([0, 1])
@@ -259,8 +257,10 @@ class TestDecomposeOnce:
         DensityMatrix(m)
         assert len(calls) == 1
 
-    def test_ensemble_takes_checked_letters_as_they_are(self, monkeypatch):
-        # a DensityMatrix letter was checked and decomposed when it was built
+    def test_ensemble_stacks_density_matrix_letters(self, monkeypatch):
+        # one path: DensityMatrix letters are stacked by their matrices, checked
+        # by the rules of a state and decomposed by one batched eigh, whose
+        # spectra are the ones each letter's own decomposition gave
         rng = np.random.default_rng(2)
         letters = tuple(DensityMatrix(ginibre(3, rng)) for _ in range(3))
         probs = np.array([0.2, 0.3, 0.5])
@@ -273,7 +273,7 @@ class TestDecomposeOnce:
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
         e = Ensemble((0, 1, 2), probs, letters)
-        assert not eighs
+        assert len(eighs) == 1
         for i, rho in enumerate(letters):
             assert np.array_equal(e.states[i], rho.mat)
             assert np.array_equal(e.spectra.eigenvalues[i], rho.spectral().eigenvalues)

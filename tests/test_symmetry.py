@@ -155,7 +155,7 @@ def test_edge_report_is_invariant(slot, transform, moves_gl):
     a = run_scenario(s)
     assert a.hall_skipped is not None  # eta is singular
     if workloads.RANK_DEFICIENT[slot][0] == "basis":
-        assert analyze(s.ensemble, s.instrument).output_marginal.probs.min() <= SUPPORT_CUTOFF
+        assert analyze(s.ensemble, s.instrument).output_marginal.min() <= SUPPORT_CUTOFF
     _assert_invariant(s, a, transform, slot, moves_gl)
 
 
