@@ -20,7 +20,7 @@ from .entropy import chi_against, mutual_info, vn_entropies
 from .errors import SingularAprioriState
 from .infobounds import BoundCheck, MeasurementStatistics, _info_gain
 from .instrument import _posteriors
-from .matcore import SUPPORT_CUTOFF, lapack
+from .matcore import SUPPORT_CUTOFF, herm_eig
 
 INVERTIBILITY_TOL = 1e-9
 
@@ -44,7 +44,7 @@ def hall_section(ms: MeasurementStatistics) -> tuple:
     Each rho_a^{1/2}, eta^{1/2} and eta_w^{1/2} come from one stacked form, on
     the support, over ``Ensemble.spectra``, eta's decomposition
     (``ms.a_priori_decomp``) and the eta_w's, decomposed by one batched
-    ``eigh``. J's a posteriori states come from one ``_posteriors`` call on
+    ``herm_eig``. J's a posteriori states come from one ``_posteriors`` call on
     the stack P_a rho_a^{1/2} X rho_a^{1/2}, X running over E(w) / P_f(w) and
     I, with ``analyze``'s null cells set to 0. The entropies come from one
     ``vn_entropies`` call; I_c and the letters' and eta_i's are the
@@ -67,7 +67,7 @@ def hall_section(ms: MeasurementStatistics) -> tuple:
     eta_w = np.einsum("wa,aij->wij", e.probs * held[:, partial].T, e.states)
 
     n_l = len(e.letters)
-    stacks = zip(e.spectra, eta, lapack(np.linalg.eigh, eta_w))
+    stacks = zip(e.spectra, eta, herm_eig(eta_w))
     lam, u = (np.concatenate([a, b[None], c]) for a, b, c in stacks)
     roots = (u * np.sqrt(np.where(lam > SUPPORT_CUTOFF, lam, 0.0))[:, None]) @ u.conj().swapaxes(-1, -2)
     outs = e.probs[:, None, None, None] * (roots[:n_l, None] @ x @ roots[:n_l, None])  # [letter, input]

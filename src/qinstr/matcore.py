@@ -2,17 +2,17 @@
 functions on the support, Kronecker products and partial traces.
 
 Conventions (project-wide): row-major complex128 arrays, eigenvectors stored as
-columns, eigenvalues ascending. Every decomposition is LAPACK's (``herm_eig``
-for one matrix, batched ``numpy.linalg`` calls for stacks), called through
-``lapack``, which makes a LAPACK failure a ``NoConvergence``. The one
+columns, eigenvalues ascending. Every decomposition is LAPACK's, called
+through ``lapack``, which makes a LAPACK failure a ``NoConvergence``; every
+``eigh`` is ``herm_eig``, which takes its matrix or stack as given. The one
 Hermiticity rule lives here, ``hermitian_part`` (finite, square, Hermitian
-within HERM_TOL, then (A + A^dag) / 2, on a matrix or a stack): ``herm_eig``,
-``jacobi_eig`` and the rules of a state (``qstate``) call it. The rules of a
-state serve inputs only: input states are checked once and never repaired,
-except at ingest (``qstate.ensemble_from_json``), which clamps eigenvalues in
-[-HERM_TOL, 0) of a letter read from JSON, and a state derived from them is a
-plain array, decomposed (``herm_eig``, a batched ``eigh`` or ``eigvalsh``) but
-never checked again.
+within HERM_TOL, then (A + A^dag) / 2, on a matrix or a stack), and runs
+where inputs enter: in the rule of a state (``qstate``) and in
+``jacobi_eig``. Input states are checked once and never repaired, except at
+ingest (``qstate.ensemble_from_json``), which clamps eigenvalues in
+[-HERM_TOL, 0) of a letter read from JSON; a state derived from them is a
+plain array, Hermitian by construction, decomposed (``herm_eig`` or
+``eigvalsh``) but never checked again.
 ``jacobi_eig`` is a numpy cyclic Jacobi kept for input canonicalisation only:
 its rounding sets the last digits of generated Kraus operators
 (``random_instrument``) and of the letters that ingest clamps, and scenario
@@ -51,8 +51,8 @@ class SpectralDecomp(NamedTuple):
 def hermitian_part(a) -> np.ndarray:
     """The Hermitian part (A + A^dag) / 2 of a matrix, or of each matrix of a
     (..., d, d) stack, once every entry is finite and each matrix is square and
-    Hermitian within HERM_TOL. The one Hermiticity rule: the eigensolvers and
-    the rules of a state (``qstate._hermitian_part``) call it. A matrix equal
+    Hermitian within HERM_TOL. The one Hermiticity rule: ``jacobi_eig`` and
+    the rule of a state (``qstate._checked``) call it. A matrix equal
     to its adjoint is its own Hermitian part: the same values come back."""
     a = np.asarray(a, dtype=np.complex128)
     if not np.isfinite(a).all():
@@ -77,8 +77,9 @@ def lapack(routine: Callable, *args, **kwargs):
 
 
 def herm_eig(a: np.ndarray) -> SpectralDecomp:
-    """Eigendecomposition of a Hermitian matrix (of its ``hermitian_part``) by LAPACK."""
-    return SpectralDecomp(*lapack(np.linalg.eigh, hermitian_part(a)))
+    """The one ``eigh``: LAPACK's decomposition of a Hermitian matrix or (..., d, d)
+    stack, taken as given (a checked input, or Hermitian by construction)."""
+    return SpectralDecomp(*lapack(np.linalg.eigh, a))
 
 
 def jacobi_eig(a: np.ndarray) -> SpectralDecomp:

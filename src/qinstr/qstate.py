@@ -2,18 +2,18 @@
 serve inputs only.
 
 Inputs are checked against their definitions once and kept as given, never
-repaired: ``_hermitian_part`` (``matcore.hermitian_part``, the one Hermiticity
-rule, plus unit trace) and ``_check_positive`` hold the rules of a state, and
-``DensityMatrix`` and ``Ensemble`` apply them. Everything the pipeline derives
+repaired. The rules of a state live in one function, ``_checked``: the
+Hermiticity rule (``matcore.hermitian_part``), unit trace and positivity, the
+last read off the one batched decomposition (``matcore.herm_eig``) of the
+stack it checks. ``DensityMatrix`` and ``Ensemble`` apply it, so a state's
+matrix passes ``hermitian_part`` and ``herm_eig`` once, and that
+decomposition is the state's one spectrum. Everything the pipeline derives
 from checked inputs (I_w(rho) / tr, the a priori state, P_f) is a state or a
-law by construction and stays a plain array, never checked again. A state's
-spectrum has one source, the decomposition made where it is checked:
-``herm_eig`` for a ``DensityMatrix``, one batched ``eigh`` for an ensemble's
-letters read as a stack. The one repair is at ingest (``ensemble_from_json``):
-a valid letter read from JSON whose Jacobi least eigenvalue is negative is
-clamped, because scenario fingerprints hash the digits that clamp has always
-produced. An instrument's POV measure lives on the instrument
-(``instrument.Instrument.effects``).
+law by construction and stays a plain array, never checked again. The one
+repair is at ingest (``ensemble_from_json``): a valid letter read from JSON
+whose Jacobi least eigenvalue is negative is clamped, because scenario
+fingerprints hash the digits that clamp has always produced. An instrument's
+POV measure lives on the instrument (``instrument.Instrument.effects``).
 """
 
 from __future__ import annotations
@@ -30,20 +30,23 @@ from .matcore import HERM_TOL
 PROB_TOL = 1e-12
 
 
-def _hermitian_part(a) -> np.ndarray:
-    """``matcore.hermitian_part`` of a candidate state or (..., d, d) stack of
-    them, once each is also of unit trace within HERM_TOL."""
-    a = matcore.hermitian_part(a)
-    worst = float(np.abs(a.trace(axis1=-2, axis2=-1).real - 1.0).max(initial=0.0))
+def _checked(states) -> tuple:
+    """The rules of a state, on a [n, d, d] stack of candidate states: each is
+    Hermitian (``matcore.hermitian_part``, the one Hermiticity rule), of unit
+    trace within HERM_TOL and, by its one decomposition (``matcore.herm_eig``,
+    batched), of least eigenvalue >= -HERM_TOL (NaN fails). Returns the
+    read-only Hermitian part of the stack and its decomposition."""
+    states = np.ascontiguousarray(matcore.hermitian_part(states))
+    worst = float(np.abs(states.trace(axis1=-2, axis2=-1).real - 1.0).max(initial=0.0))
     if worst > HERM_TOL:
         raise BadTrace(f"trace differs from 1 by {worst:.3e}, more than {HERM_TOL:.1e}")
-    return a
-
-
-def _check_positive(least: float) -> None:
-    """The positivity rule, on a least eigenvalue (NaN fails it)."""
+    spec = matcore.herm_eig(states)
+    least = float(spec.eigenvalues[:, 0].min())
     if not least >= -HERM_TOL:
         raise NotPositive(f"minimum eigenvalue {least:.3e} below -{HERM_TOL:.1e}")
+    for a in (states, *spec):
+        a.setflags(write=False)
+    return states, spec
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,9 +55,9 @@ class DensityMatrix:
 
     The checks keep the input (its Hermitian part) and never repair it: an
     eigenvalue in [-HERM_TOL, 0) stays, and every entropy leaves it out of the
-    support. The spectral decomposition (``matcore.herm_eig``) is computed once
-    at construction, where it doubles as the positivity check, and cached for
-    entropy evaluations.
+    support. The rules of a state (``_checked``) run on the matrix as a stack
+    of one; their decomposition, which doubles as the positivity check, is
+    kept for entropy evaluations.
     """
 
     mat: np.ndarray
@@ -63,12 +66,9 @@ class DensityMatrix:
     def __post_init__(self):
         if np.ndim(self.mat) != 2:
             raise DimensionMismatch(f"expected a 2-D matrix, got ndim={np.ndim(self.mat)}")
-        mat = np.ascontiguousarray(_hermitian_part(self.mat))
-        mat.setflags(write=False)
-        object.__setattr__(self, "mat", mat)
-        spec = matcore.herm_eig(mat)
-        _check_positive(spec.eigenvalues[0])
-        object.__setattr__(self, "_spec", spec)
+        mat, (vals, vecs) = _checked(np.asarray(self.mat)[None])
+        object.__setattr__(self, "mat", mat[0])
+        object.__setattr__(self, "_spec", matcore.SpectralDecomp(vals[0], vecs[0]))
 
     @property
     def dim(self) -> int:
@@ -84,10 +84,9 @@ class Ensemble:
 
     ``states`` is kept as one read-only [letter, d, d] stack, given as a stack
     or as a sequence of ``DensityMatrix``, whose matrices are stacked. Either
-    way it is checked by the rules of a state (its Hermitian part is kept) and
-    decomposed by one batched ``eigh``, whose least eigenvalues are the
-    positivity check. ``spectra`` holds the decomposition ([letter, d] and
-    [letter, d, d]).
+    way it is checked by the rules of a state (``_checked``; its Hermitian part
+    is kept), whose one batched decomposition ``spectra`` holds ([letter, d]
+    and [letter, d, d]).
     """
 
     letters: tuple
@@ -114,16 +113,13 @@ class Ensemble:
             states = np.array([s.mat for s in states])
         if states.ndim != 3:
             raise DimensionMismatch(f"expected a [letter, d, d] stack, got shape {states.shape}")
-        states = np.ascontiguousarray(_hermitian_part(states))
-        vals, vecs = matcore.lapack(np.linalg.eigh, states)
-        _check_positive(float(vals[:, 0].min()))
+        states, spectra = _checked(states)
         probs = probs.copy()
-        for a in (probs, states, vals, vecs):
-            a.setflags(write=False)
+        probs.setflags(write=False)
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "spectra", matcore.SpectralDecomp(vals, vecs))
+        object.__setattr__(self, "spectra", spectra)
 
     @property
     def dim(self) -> int:

@@ -1,14 +1,22 @@
 """Valid scenarios at an edge of the input contract, drawn by hypothesis. Each
-is read back from its JSON, as the CLI reads a file, and must then be analyzed
-with no error but ``NoConvergence``, pass every check, and keep every number
-whatever its null cells hold.
+must then be analyzed with no error but ``NoConvergence`` and pass every
+check. Three edges:
 
-The edge here is a near-null effect: one effect has one or more eigenvalues
-in [1e-13, 1e-11], in a random basis, and some letters lie at or near the span
-S of their eigenvectors, so their cells of that outcome have traces around
-SUPPORT_CUTOFF, on either side of it. When S is the whole space, every cell
-of that outcome is near null while the a priori state stays invertible, so
-Hall's section runs on it."""
+- a near-null effect: one effect has one or more eigenvalues in
+  [1e-13, 1e-11], in a random basis, and some letters lie at or near the span
+  S of their eigenvectors, so their cells of that outcome have traces around
+  SUPPORT_CUTOFF, on either side of it. When S is the whole space, every cell
+  of that outcome is near null while the a priori state stays invertible, so
+  Hall's section runs on it. Overwriting every null cell's fill must move no
+  number;
+- an effect sum off the identity: every Kraus entry of a random scenario is
+  scaled by sqrt(1 + delta), |delta| <= 0.9 POVM_SUM_TOL, so every derived
+  state has a trace off 1 by up to ~1e-9;
+- a near-singular a priori state: its least eigenvalue lies on either side of
+  INVERTIBILITY_TOL, and Hall's section is skipped exactly when it is at or
+  below it.
+
+Each scenario is read back from its JSON, as the CLI reads a file."""
 
 import json
 
@@ -17,9 +25,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qinstr.errors import NoConvergence
-from qinstr.harness import Scenario, run_scenario, scenario_from_json
+from qinstr.hallmap import INVERTIBILITY_TOL
+from qinstr.harness import Scenario, random_scenario, run_scenario, scenario_from_json
 from qinstr.infobounds import analyze
-from qinstr.instrument import Instrument, KrausMap
+from qinstr.instrument import POVM_SUM_TOL, Instrument, KrausMap, random_instrument
 from qinstr.qstate import Ensemble, pure_state
 from qinstr.reference import random_density
 from test_infobounds import downstream, refill
@@ -90,3 +99,67 @@ def test_near_null_effect(d, n_outcomes, kraus, small, offsets, others, seed):
     ms = analyze(s.ensemble, s.instrument)
     state = random_density(d, np.random.default_rng(seed)).mat
     assert downstream(refill(ms, state)) == downstream(ms)
+
+
+def round_trip(obj: dict) -> Scenario:
+    return scenario_from_json(json.loads(json.dumps(obj)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    d1=st.integers(2, 3),
+    d2=st.integers(2, 3),
+    n_letters=st.integers(2, 4),
+    n_outcomes=st.integers(2, 4),
+    kraus=st.integers(1, 2),
+    delta=st.floats(-0.9 * POVM_SUM_TOL, 0.9 * POVM_SUM_TOL),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_effect_sum_off_the_identity(d1, d2, n_letters, n_outcomes, kraus, delta, seed):
+    obj = random_scenario(d1, d2, n_letters, n_outcomes, kraus, seed).to_json()
+    scaled = np.sqrt(1.0 + delta) * np.array(obj["instrument"]["kraus"])
+    obj["instrument"]["kraus"] = scaled.tolist()
+    s = round_trip(obj)
+    try:
+        report = run_scenario(s)
+    except NoConvergence:
+        return
+    assert report.overall_pass, [row for row in report.rows if not row["pass"]]
+
+
+def near_singular_scenario(d2, n_letters, n_outcomes, kraus, least, seed) -> Scenario:
+    """d1 = 3. Every letter is a Ginibre mixed state on the span S of the first
+    two columns of a random unitary V, but the last, which moves weight
+    t = least / P_last onto V's third column: rho = (1 - t) sigma + t |v><v|.
+    The a priori state is then block diagonal in V's basis, and its least
+    eigenvalue is ``least`` (S's block is well conditioned)."""
+    rng = np.random.default_rng(seed)
+    v = _unitary(3, rng)
+    priors = rng.uniform(0.05, 1.0, n_letters)
+    priors /= priors.sum()
+    blocks = np.zeros((n_letters, 3, 3), dtype=complex)
+    blocks[:, :2, :2] = [random_density(2, rng).mat for _ in range(n_letters)]
+    t = least / priors[-1]
+    blocks[-1] *= 1.0 - t
+    blocks[-1, 2, 2] = t
+    letters = v @ blocks @ v.conj().T
+    ins = random_instrument(3, d2, n_outcomes, kraus, seed=seed)
+    return Scenario(Ensemble(tuple(range(n_letters)), priors, letters), ins)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    d2=st.integers(2, 3),
+    n_letters=st.integers(2, 4),
+    n_outcomes=st.integers(2, 3),
+    kraus=st.integers(1, 2),
+    least=st.floats(np.log10(5e-11), np.log10(5e-9)).map(lambda x: 10.0 ** x),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_near_singular_a_priori_state(d2, n_letters, n_outcomes, kraus, least, seed):
+    s = round_trip(near_singular_scenario(d2, n_letters, n_outcomes, kraus, least, seed).to_json())
+    report = run_scenario(s)
+    assert report.overall_pass, [row for row in report.rows if not row["pass"]]
+    ms = analyze(s.ensemble, s.instrument)
+    singular = ms.a_priori_decomp.eigenvalues[0] <= INVERTIBILITY_TOL
+    assert (report.hall_skipped is not None) == singular

@@ -889,9 +889,10 @@ def test_run_scenario_does_no_per_state_work(monkeypatch):
 
 
 def test_scenario_from_json_does_no_per_letter_work(monkeypatch):
-    """Ingest reads the letters as one stack, checked by one _hermitian_part
-    and decomposed by one batched eigh; no DensityMatrix is built for a letter
-    that is not clamped (it built one per letter, with one herm_eig each)."""
+    """Ingest reads the letters as one stack, checked by the rules of a state
+    and decomposed by one batched herm_eig; no DensityMatrix is built for a
+    letter that is not clamped (it built one per letter, with one herm_eig
+    each)."""
     s = random_scenario(3, 3, 4, 4, 2, 7)
     obj = json.loads(json.dumps(s.to_json()))
     names = ("states", "eigh", "herm_eig", "jacobi_eig")
@@ -909,7 +910,7 @@ def test_scenario_from_json_does_no_per_letter_work(monkeypatch):
     monkeypatch.setattr(matcore, "herm_eig", counted("herm_eig", matcore.herm_eig))
     monkeypatch.setattr(matcore, "jacobi_eig", counted("jacobi_eig", matcore.jacobi_eig))
     read = scenario_from_json(obj)
-    assert counts == {"states": 0, "eigh": 1, "herm_eig": 0, "jacobi_eig": 0}
+    assert counts == {"states": 0, "eigh": 1, "herm_eig": 1, "jacobi_eig": 0}
     assert read.ensemble.states.shape == (4, 3, 3)
     assert np.array_equal(read.ensemble.states, s.ensemble.states)
     assert _fingerprint(read) == _fingerprint(s)

@@ -257,6 +257,28 @@ class TestDecomposeOnce:
         DensityMatrix(m)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("build", [
+        lambda rng: DensityMatrix(ginibre(3, rng)),
+        lambda rng: Ensemble((0, 1, 2), np.array([0.2, 0.3, 0.5]), np.stack([ginibre(3, rng) for _ in range(3)])),
+    ], ids=["DensityMatrix", "Ensemble"])
+    def test_one_rule_of_a_state(self, monkeypatch, build):
+        # the rules of a state live in one place: a state's matrix, or an
+        # ensemble's stack, passes the Hermiticity rule once and is decomposed
+        # once, by the one eigh entry
+        counts = {"hermitian_part": 0, "herm_eig": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(matcore, "hermitian_part", counted("hermitian_part", matcore.hermitian_part))
+        monkeypatch.setattr(matcore, "herm_eig", counted("herm_eig", matcore.herm_eig))
+        build(np.random.default_rng(3))
+        assert counts == {"hermitian_part": 1, "herm_eig": 1}
+
     def test_ensemble_stacks_density_matrix_letters(self, monkeypatch):
         # one path: DensityMatrix letters are stacked by their matrices, checked
         # by the rules of a state and decomposed by one batched eigh, whose
