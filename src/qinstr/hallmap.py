@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import matcore
 from .entropy import chi_against, mutual_info, vn_entropies
 from .errors import SingularAprioriState
 from .infobounds import BoundCheck, MeasurementStatistics, _info_gain
 from .instrument import _posteriors
-from .matcore import SUPPORT_CUTOFF, herm_eig
+from .matcore import SUPPORT_CUTOFF
 
 INVERTIBILITY_TOL = 1e-9
 
@@ -44,9 +45,10 @@ def hall_section(ms: MeasurementStatistics) -> tuple:
     Each rho_a^{1/2}, eta^{1/2} and eta_w^{1/2} come from one stacked form, on
     the support, over ``Ensemble.spectra``, eta's decomposition
     (``ms.a_priori_decomp``) and the eta_w's, decomposed by one batched
-    ``herm_eig``. J's a posteriori states come from one ``_posteriors`` call on
-    the stack P_a rho_a^{1/2} X rho_a^{1/2}, X running over E(w) / P_f(w) and
-    I, with ``analyze``'s null cells set to 0. The entropies come from one
+    ``herm_eig`` only when some outcome holds a null cell. J's a posteriori
+    states come from one ``_posteriors`` call on the stack
+    P_a rho_a^{1/2} X rho_a^{1/2}, X running over E(w) / P_f(w) and I, with
+    ``analyze``'s null cells set to 0. The entropies come from one
     ``vn_entropies`` call; I_c and the letters' and eta_i's are the
     scenario's (``ms.entropies``).
 
@@ -64,11 +66,13 @@ def hall_section(ms: MeasurementStatistics) -> tuple:
     x = np.concatenate([ms.instrument.effects[ms.live] / p_f[:, None, None], np.eye(e.dim)[None]])
     held = ms.cond_out_given_in[:, ms.live] > 0.0  # analyze's live cells
     partial = np.flatnonzero(~held.all(axis=0))  # outcomes that hold a null cell
-    eta_w = np.einsum("wa,aij->wij", e.probs * held[:, partial].T, e.states)
+    stacks = [e.spectra, [part[None] for part in eta]]
+    if partial.size:
+        eta_w = np.einsum("wa,aij->wij", e.probs * held[:, partial].T, e.states)
+        stacks.append(matcore.herm_eig(eta_w))
 
     n_l = len(e.letters)
-    stacks = zip(e.spectra, eta, herm_eig(eta_w))
-    lam, u = (np.concatenate([a, b[None], c]) for a, b, c in stacks)
+    lam, u = (np.concatenate(parts) for parts in zip(*stacks))
     roots = (u * np.sqrt(np.where(lam > SUPPORT_CUTOFF, lam, 0.0))[:, None]) @ u.conj().swapaxes(-1, -2)
     outs = e.probs[:, None, None, None] * (roots[:n_l, None] @ x @ roots[:n_l, None])  # [letter, input]
     outs[:, :-1][~held] = 0.0

@@ -1,5 +1,7 @@
 """Command-line front end: scenario loading, seeded random suites, full-analysis
-orchestration and report emission (json / markdown / csv)."""
+orchestration and report emission (json / markdown / csv). An error exits by
+the phase of ``main`` it arose in, never by its class: reading the input 2, a
+stage 3 (its error line names the stage), writing the output 4."""
 
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import numbers
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -19,15 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import hallmap, matcore
-from .errors import (
-    InfiniteQuantity,
-    NoConvergence,
-    QinstrError,
-    SchemaError,
-    SingularAprioriState,
-    SingularNormalizer,
-    UnknownFormat,
-)
+from .errors import QinstrError, SchemaError, SingularAprioriState, UnknownFormat
 from .infobounds import (
     INEQ_TOL,
     _passes,
@@ -349,6 +344,9 @@ EXAMPLE_NAMES = ("orthogonal-projective", "zero-one-plus", "identity-instrument"
 # ---------------------------------------------------------------------------
 # CLI
 
+SHAPE_FLAGS = {"d1": 2, "d2": 2, "letters": 2, "outcomes": 2, "kraus": 1}  # random's shape, with defaults
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qinstr",
@@ -363,11 +361,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--tol", type=float, default=None)
 
     p_rand = sub.add_parser("random", help="run a seeded random-instance suite")
-    p_rand.add_argument("--d1", type=int, default=2)
-    p_rand.add_argument("--d2", type=int, default=2)
-    p_rand.add_argument("--letters", type=int, default=2)
-    p_rand.add_argument("--outcomes", type=int, default=2)
-    p_rand.add_argument("--kraus", type=int, default=1)
+    for flag, default in SHAPE_FLAGS.items():
+        p_rand.add_argument(f"--{flag}", type=int, default=default)
     p_rand.add_argument("--trials", type=int, default=10)
     p_rand.add_argument("--seed", type=int, default=0)
     p_rand.add_argument("--format", default="json", choices=["json", "markdown", "csv"])
@@ -377,57 +372,62 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stage(exc: QinstrError) -> str:
+    """The stage where exc arose: the first function outside this module on its traceback."""
+    codes = [frame.f_code for frame, _ in traceback.walk_tb(exc.__traceback__)]
+    return next((c.co_name for c in codes if c.co_filename != __file__), codes[-1].co_name)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
-    try:
+    try:  # read: the file, the flags and QINSTR_TOL
         if args.command == "analyze":
-            try:
-                with open(args.scenario) as fh:
-                    obj = json.load(fh)
-            except (OSError, ValueError, RecursionError) as exc:  # unreadable, not JSON, too deep
-                print(f"input error: {exc}", file=sys.stderr)
-                return 2
-            scenario = scenario_from_json(obj, tol_override=args.tol, base_override=args.base)
+            with open(args.scenario) as fh:
+                scenario = scenario_from_json(json.load(fh), tol_override=args.tol, base_override=args.base)
+        elif args.command == "random":
+            shape = tuple(matcore.as_count(f"--{flag}", getattr(args, flag), 1) for flag in SHAPE_FLAGS)
+            trials = matcore.as_count("--trials", args.trials, 1)
+            default_tol()  # each scenario of the suite reads QINSTR_TOL
+        else:
+            scenario = example_scenario(args.name)
+    except (OSError, ValueError, RecursionError, QinstrError) as exc:  # unreadable, not JSON, too deep, invalid
+        kind = ("schema error" if isinstance(exc, SchemaError)
+                else "error" if isinstance(exc, QinstrError) else "input error")
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return 2
+
+    try:  # run: every stage of the scenario, or of the suite
+        if args.command == "analyze":
             report = run_scenario(scenario)
+        elif args.command == "random":
+            reports, summary = run_acceptance_suite(trials, args.seed, grid=(shape,))
+    except QinstrError as exc:
+        print(f"numerical error: {_stage(exc)}: {exc}", file=sys.stderr)
+        return 3
+
+    try:  # write
+        if args.command == "example":  # an input to edit by hand, so indented, unlike a report
+            print(json.dumps(scenario.to_json(), sort_keys=True, indent=2), flush=True)
+            return 0
+        if args.command == "analyze":
             print(emit_report(report, args.format), flush=True)
             return 0 if report.overall_pass else 1
-        if args.command == "random":
-            shape = tuple(matcore.as_count(f"--{flag}", getattr(args, flag), 1)
-                          for flag in ("d1", "d2", "letters", "outcomes", "kraus"))
-            trials = matcore.as_count("--trials", args.trials, 1)
-            reports, summary = run_acceptance_suite(trials, args.seed, grid=(shape,))
-            if args.format == "json":
-                print(json_text({"summary": summary, "reports": [r.to_json() for r in reports]}), flush=True)
-            else:
-                for r in reports:
-                    print(emit_report(r, args.format))
-                    print()
-                print(f"failures: {summary['failures']}/{summary['trials']}", flush=True)
-            return 0 if summary["failures"] == 0 else 1
-        if args.command == "example":
-            # an input to edit by hand, so indented, unlike a report
-            print(json.dumps(example_scenario(args.name).to_json(), sort_keys=True, indent=2), flush=True)
-            return 0
-    except OSError as exc:  # the input was read above and the output is flushed: a write failed
+        if args.format == "json":
+            print(json_text({"summary": summary, "reports": [r.to_json() for r in reports]}), flush=True)
+        else:
+            for r in reports:
+                print(emit_report(r, args.format), end="\n\n")
+            print(f"failures: {summary['failures']}/{summary['trials']}", flush=True)
+        return 0 if summary["failures"] == 0 else 1
+    except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         with contextlib.suppress(OSError):  # drop what stdout still holds, so that
             sys.stdout.close()  # its flush at exit does not fail a second time
         return 4
-    except (NoConvergence, InfiniteQuantity, SingularNormalizer) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
-    except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return 2
-    except QinstrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@ functions on the support, Kronecker products and partial traces.
 
 Conventions (project-wide): row-major complex128 arrays, eigenvectors stored as
 columns, eigenvalues ascending. Every decomposition is LAPACK's, called
-through ``lapack``, which makes a LAPACK failure a ``NoConvergence``; every
+through ``lapack``, which makes a LAPACK failure a ``NoConvergence`` (the CLI
+exits 2 on it while the file is read, 3 inside a stage); every
 ``eigh`` is ``herm_eig``, which takes its matrix or stack as given. The one
 Hermiticity rule lives here, ``hermitian_part`` (finite, square, Hermitian
 within HERM_TOL, then (A + A^dag) / 2, on a matrix or a stack), and runs

@@ -1,6 +1,6 @@
 """Valid scenarios at an edge of the input contract, drawn by hypothesis. Each
 must then be analyzed with no error but ``NoConvergence`` and pass every
-check. Three edges:
+check. Four edges:
 
 - a near-null effect: one effect has one or more eigenvalues in
   [1e-13, 1e-11], in a random basis, and some letters lie at or near the span
@@ -14,7 +14,9 @@ check. Three edges:
   state has a trace off 1 by up to ~1e-9;
 - a near-singular a priori state: its least eigenvalue lies on either side of
   INVERTIBILITY_TOL, and Hall's section is skipped exactly when it is at or
-  below it.
+  below it;
+- ingest's clamp path: some letters have a least eigenvalue in
+  [-0.9 HERM_TOL, 0], which ingest clamps to 0 before any stage reads them.
 
 Each scenario is read back from its JSON, as the CLI reads a file."""
 
@@ -29,6 +31,7 @@ from qinstr.hallmap import INVERTIBILITY_TOL
 from qinstr.harness import Scenario, random_scenario, run_scenario, scenario_from_json
 from qinstr.infobounds import analyze
 from qinstr.instrument import POVM_SUM_TOL, Instrument, KrausMap, random_instrument
+from qinstr.matcore import HERM_TOL
 from qinstr.qstate import Ensemble, pure_state
 from qinstr.reference import random_density
 from test_infobounds import downstream, refill
@@ -163,3 +166,40 @@ def test_near_singular_a_priori_state(d2, n_letters, n_outcomes, kraus, least, s
     ms = analyze(s.ensemble, s.instrument)
     singular = ms.a_priori_decomp.eigenvalues[0] <= INVERTIBILITY_TOL
     assert (report.hall_skipped is not None) == singular
+
+
+def clamp_edge_scenario(d1, d2, n_outcomes, kraus, eps, others, seed) -> Scenario:
+    """A letter for each e of ``eps`` is Q diag(w (1 + e), -e, 0, ...) Q^dag,
+    with Q a random unitary and w a random probability vector of 1 to d1 - 1
+    entries: a unit-trace letter whose least eigenvalue is -e. ``others``
+    Ginibre mixed letters follow; the instrument is random."""
+    rng = np.random.default_rng(seed)
+    letters = []
+    for e in eps:
+        w = rng.dirichlet(np.ones(rng.integers(1, d1)))
+        spec = np.concatenate([w * (1.0 + e), [-e], np.zeros(d1 - 1 - w.size)])
+        q = _unitary(d1, rng)
+        letters.append((q * spec) @ q.conj().T)
+    letters += [random_density(d1, rng).mat for _ in range(others)]
+    priors = rng.uniform(0.05, 1.0, len(letters))
+    ins = random_instrument(d1, d2, n_outcomes, kraus, seed=seed)
+    return Scenario(Ensemble(tuple(range(len(letters))), priors / priors.sum(), np.array(letters)), ins)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    d1=st.integers(2, 3),
+    d2=st.integers(2, 3),
+    n_outcomes=st.integers(2, 3),
+    kraus=st.integers(1, 2),
+    eps=st.lists(st.floats(0.0, 0.9 * HERM_TOL), min_size=1, max_size=3),
+    others=st.integers(0, 2),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_letter_at_the_clamp_edge(d1, d2, n_outcomes, kraus, eps, others, seed):
+    s = round_trip(clamp_edge_scenario(d1, d2, n_outcomes, kraus, eps, others, seed).to_json())
+    try:
+        report = run_scenario(s)
+    except NoConvergence:
+        return
+    assert report.overall_pass, [row for row in report.rows if not row["pass"]]

@@ -315,9 +315,9 @@ class TestHallSection:
     def test_run_scenario_builds_the_a_priori_state_once(self, monkeypatch):
         # analyze decomposes eta once, by matcore.herm_eig (the call a traced
         # benchmark run counts as matcore.eig), and the Hall section reuses
-        # that decomposition; with no null cell nothing else is decomposed
-        # one state at a time, and no stage builds a DensityMatrix: a derived
-        # state is a plain array
+        # that decomposition; with no null cell it decomposes no eta_w, and
+        # no stage builds a DensityMatrix: a derived state is a plain array.
+        # Every stage calls herm_eig through matcore, so this counts each call
         s = random_scenario(3, 2, 3, 3, 2, seed=11)
         counts = {"herm_eig": 0, "states": 0}
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qinstr import harness, infobounds, instrument, matcore, qstate, reference
+from qinstr import hallmap, harness, infobounds, instrument, matcore, qstate, reference
 from qinstr.harness import (
     EXAMPLE_NAMES,
     AnalysisReport,
@@ -35,6 +35,7 @@ from qinstr.errors import (
     InfiniteQuantity,
     LabelMismatch,
     NoConvergence,
+    NotPositive,
     QinstrError,
     SchemaError,
     SingularNormalizer,
@@ -343,6 +344,24 @@ def mixed_letters_at_the_trace_edge() -> Scenario:
     return Scenario(ensemble, example_scenario("zero-one-plus").instrument)
 
 
+# every stage run_scenario calls, with the module it reads the stage from
+STAGES = (
+    *((harness, name) for name in ("analyze", "entropy_panel", "check_identities", "check_bounds",
+                                    "groenewold_lindblad_check", "compound_states", "scutaru_chains")),
+    (hallmap, "hall_section"),
+)
+
+
+def failing_stage(stage, error):
+    """A stand-in for ``stage`` that raises error("stage failed"). Its code
+    carries the stage's name, which a traceback reads as the function's."""
+    def failing(*args, **kwargs):
+        raise error("stage failed")
+
+    failing.__code__ = failing.__code__.replace(co_name=stage)
+    return failing
+
+
 class TestCli:
     def test_example_command(self, capsys):
         assert main(["example", "zero-one-plus"]) == 0
@@ -485,34 +504,60 @@ class TestCli:
 
     @pytest.mark.parametrize("error", [NoConvergence, InfiniteQuantity, SingularNormalizer])
     def test_numerical_failure_exits_three(self, tmp_path, capsys, monkeypatch, error):
-        # a numerical step that fails is not an input error
-        def failing(*args, **kwargs):
-            raise error("stage failed")
-
-        monkeypatch.setattr(harness, "groenewold_lindblad_check", failing)
+        # a numerical step that fails is not an input error, and its one error
+        # line names the stage
+        monkeypatch.setattr(harness, "groenewold_lindblad_check", failing_stage("groenewold_lindblad_check", error))
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(example_scenario("zero-one-plus").to_json()))
+        line = "numerical error: groenewold_lindblad_check: stage failed\n"
         assert main(["analyze", str(path)]) == 3
-        assert "numerical error: stage failed" in capsys.readouterr().err
+        assert capsys.readouterr().err == line
         assert main(["random", "--trials", "1"]) == 3
-        assert "numerical error: stage failed" in capsys.readouterr().err
+        assert capsys.readouterr().err == line
 
-    @pytest.mark.parametrize("routine", ["eigh", "eigvalsh", "svd"])
-    def test_lapack_failure_exits_three(self, tmp_path, capsys, monkeypatch, routine):
-        # a LinAlgError from any LAPACK call (the letters' batched eigh at
-        # ingest, the entropies' eigvalsh, the purity class's svd) is a
-        # numerical error, not a failed check (exit 1) or a traceback
-        def failing(*args, **kwargs):
-            raise np.linalg.LinAlgError("did not converge")
+    @pytest.mark.parametrize("module, stage", STAGES, ids=[stage for _, stage in STAGES])
+    def test_stage_failure_exits_three_and_names_the_stage(self, tmp_path, capsys, monkeypatch, module, stage):
+        # where an error arises decides its exit code, not its class: a
+        # NotPositive raised inside any stage, of analyze or of the random
+        # suite, is a numerical error of that stage
+        monkeypatch.setattr(module, stage, failing_stage(stage, NotPositive))
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(example_scenario("zero-one-plus").to_json()))
+        line = f"numerical error: {stage}: stage failed\n"
+        assert main(["analyze", str(path)]) == 3
+        assert capsys.readouterr().err == line
+        assert main(["random", "--trials", "1"]) == 3
+        assert capsys.readouterr().err == line
+
+    @pytest.mark.parametrize("routine, ndim, analyze_code, analyze_line, random_stage", [
+        ("eigh", 2, 3, "numerical error: analyze:", "analyze"),
+        ("eigh", 3, 2, "error:", "random_ensemble"),
+        ("eigvalsh", None, 3, "numerical error: entropy_panel:", "entropy_panel"),
+        ("svd", None, 3, "numerical error: groenewold_lindblad_check:", "groenewold_lindblad_check"),
+    ], ids=["eigh", "eigh-letters", "eigvalsh", "svd"])
+    def test_lapack_failure_exits_three(self, tmp_path, capsys, monkeypatch, routine, ndim,
+                                        analyze_code, analyze_line, random_stage):
+        # a LinAlgError from a LAPACK call inside a stage (analyze's eigh of
+        # eta_i, the entropies' eigvalsh, the purity class's svd) is a
+        # numerical error that names the stage, not a failed check (exit 1) or
+        # a traceback. The letters' batched eigh runs while the file is read,
+        # so there it is an input error (exit 2); the random suite draws its
+        # letters in a stage, random_ensemble
+        real = getattr(np.linalg, routine)
+
+        def failing(a, *args, **kwargs):
+            if ndim is None or np.ndim(a) == ndim:
+                raise np.linalg.LinAlgError("did not converge")
+            return real(a, *args, **kwargs)
 
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(random_scenario(2, 2, 2, 2, 2, 5).to_json()))
         monkeypatch.setattr(np.linalg, routine, failing)
-        assert main(["analyze", str(path)]) == 3
+        assert main(["analyze", str(path)]) == analyze_code
         err = capsys.readouterr().err
-        assert "numerical error:" in err and "did not converge" in err
+        assert err.startswith(analyze_line) and err.endswith("did not converge\n") and err.count("\n") == 1
         assert main(["random", "--trials", "1", "--kraus", "2"]) == 3
-        assert "numerical error:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"numerical error: {random_stage}:")
 
 
 class TestTolEnv:
