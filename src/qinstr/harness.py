@@ -10,7 +10,6 @@ import contextlib
 import hashlib
 import json
 import math
-import numbers
 import os
 import sys
 import time
@@ -57,13 +56,15 @@ def splitmix64(x: int) -> int:
 
 
 def default_tol() -> float:
+    """QINSTR_TOL, read by the rule that reads any tolerance, else INEQ_TOL."""
     raw = os.environ.get("QINSTR_TOL")
     if raw is None:
         return INEQ_TOL
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError:
-        raise SchemaError(f"QINSTR_TOL must be a number, got {raw!r}") from None
+        tol = raw  # not a number, which as_tol rejects
+    return matcore.as_tol("QINSTR_TOL", tol)
 
 
 SCENARIO_KEYS = ("ensemble", "instrument", "options")
@@ -88,10 +89,7 @@ class Scenario:
             )
         if self.log_base not in ("e", "2"):
             raise SchemaError(f"log_base must be 'e' or '2', got {self.log_base!r}")
-        tol = self.tol  # a number, never a boolean or a string (as for the counts)
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 <= tol < math.inf:
-            raise SchemaError(f"tol must be a finite, non-negative number, got {tol!r}")
-        object.__setattr__(self, "tol", float(tol))
+        object.__setattr__(self, "tol", matcore.as_tol("tol", self.tol))
         for name, least in (("gl_trials", 1), ("gl_demix", 0), ("seed", 0)):
             object.__setattr__(self, name, matcore.as_count(name, getattr(self, name), least))
 
@@ -344,9 +342,6 @@ EXAMPLE_NAMES = ("orthogonal-projective", "zero-one-plus", "identity-instrument"
 # ---------------------------------------------------------------------------
 # CLI
 
-SHAPE_FLAGS = {"d1": 2, "d2": 2, "letters": 2, "outcomes": 2, "kraus": 1}  # random's shape, with defaults
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qinstr",
@@ -361,8 +356,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--tol", type=float, default=None)
 
     p_rand = sub.add_parser("random", help="run a seeded random-instance suite")
-    for flag, default in SHAPE_FLAGS.items():
-        p_rand.add_argument(f"--{flag}", type=int, default=default)
+    p_rand.add_argument("--d1", type=int, default=2)
+    p_rand.add_argument("--d2", type=int, default=2)
+    p_rand.add_argument("--letters", type=int, default=2)
+    p_rand.add_argument("--outcomes", type=int, default=2)
+    p_rand.add_argument("--kraus", type=int, default=1)
     p_rand.add_argument("--trials", type=int, default=10)
     p_rand.add_argument("--seed", type=int, default=0)
     p_rand.add_argument("--format", default="json", choices=["json", "markdown", "csv"])
@@ -389,7 +387,8 @@ def main(argv=None) -> int:
             with open(args.scenario) as fh:
                 scenario = scenario_from_json(json.load(fh), tol_override=args.tol, base_override=args.base)
         elif args.command == "random":
-            shape = tuple(matcore.as_count(f"--{flag}", getattr(args, flag), 1) for flag in SHAPE_FLAGS)
+            shape = tuple(matcore.as_count(f"--{flag}", getattr(args, flag), 1)
+                          for flag in ("d1", "d2", "letters", "outcomes", "kraus"))
             trials = matcore.as_count("--trials", args.trials, 1)
             default_tol()  # each scenario of the suite reads QINSTR_TOL
         else:

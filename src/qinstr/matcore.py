@@ -24,7 +24,9 @@ solver. At ingest it runs only on letters whose least eigenvalue is
 The scenario file's typing rules live here too, and every reader calls them:
 an object has a closed set of keys (``as_object``), numbers are JSON numbers
 (``as_numbers``, which ``matrix_from_json`` applies to every entry), a count
-is an integer (``as_count``) and labels are a list (``as_labels``).
+is an integer (``as_count``), a tolerance a finite, non-negative number
+(``as_tol``, which also reads ``QINSTR_TOL``) and labels are a list
+(``as_labels``).
 """
 
 from __future__ import annotations
@@ -238,6 +240,14 @@ def as_count(name: str, value, least: int) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise SchemaError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def as_tol(name: str, value) -> float:
+    """``value`` as a finite, non-negative float; a boolean, a string or a
+    NaN, infinite or negative number is a SchemaError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value < math.inf:
+        raise SchemaError(f"{name} must be a finite, non-negative number, got {value!r}")
+    return float(value)
 
 
 def as_labels(name: str, values) -> tuple:

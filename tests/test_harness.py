@@ -438,6 +438,21 @@ class TestCli:
         assert main(["random", "--trials", "1"]) == 2
         assert "QINSTR_TOL" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw", ["-1", "nan", "inf", "1e400"])
+    def test_out_of_range_env_tol_is_input_error(self, monkeypatch, tmp_path, capsys, raw):
+        # QINSTR_TOL is read whole, range included, before any stage runs: for
+        # the random suite and for a file that leaves the tolerance to it
+        obj = example_scenario("zero-one-plus").to_json()
+        del obj["options"]["tol"]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(obj))
+        monkeypatch.setenv("QINSTR_TOL", raw)
+        for argv in (["random", "--trials", "1"], ["analyze", str(path)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("schema error: QINSTR_TOL must be a finite, non-negative number")
+            assert err.count("\n") == 1
+
     def test_random_command(self, capsys):
         code = main(["random", "--trials", "2", "--seed", "3"])
         assert code == 0
@@ -529,20 +544,10 @@ class TestCli:
         assert main(["random", "--trials", "1"]) == 3
         assert capsys.readouterr().err == line
 
-    @pytest.mark.parametrize("routine, ndim, analyze_code, analyze_line, random_stage", [
-        ("eigh", 2, 3, "numerical error: analyze:", "analyze"),
-        ("eigh", 3, 2, "error:", "random_ensemble"),
-        ("eigvalsh", None, 3, "numerical error: entropy_panel:", "entropy_panel"),
-        ("svd", None, 3, "numerical error: groenewold_lindblad_check:", "groenewold_lindblad_check"),
-    ], ids=["eigh", "eigh-letters", "eigvalsh", "svd"])
-    def test_lapack_failure_exits_three(self, tmp_path, capsys, monkeypatch, routine, ndim,
-                                        analyze_code, analyze_line, random_stage):
-        # a LinAlgError from a LAPACK call inside a stage (analyze's eigh of
-        # eta_i, the entropies' eigvalsh, the purity class's svd) is a
-        # numerical error that names the stage, not a failed check (exit 1) or
-        # a traceback. The letters' batched eigh runs while the file is read,
-        # so there it is an input error (exit 2); the random suite draws its
-        # letters in a stage, random_ensemble
+    @staticmethod
+    def _fail_lapack(monkeypatch, routine, ndim):
+        """Make np.linalg.<routine> raise LinAlgError on input of ndim
+        dimensions (on any input when ndim is None)."""
         real = getattr(np.linalg, routine)
 
         def failing(a, *args, **kwargs):
@@ -550,14 +555,40 @@ class TestCli:
                 raise np.linalg.LinAlgError("did not converge")
             return real(a, *args, **kwargs)
 
+        monkeypatch.setattr(np.linalg, routine, failing)
+
+    @pytest.mark.parametrize("routine, ndim, stage", [
+        ("eigh", 2, "analyze"),
+        ("eigvalsh", None, "entropy_panel"),
+        ("svd", None, "groenewold_lindblad_check"),
+    ], ids=["eigh", "eigvalsh", "svd"])
+    def test_lapack_failure_exits_three(self, tmp_path, capsys, monkeypatch, routine, ndim, stage):
+        # a LinAlgError from a LAPACK call inside a stage (analyze's eigh of
+        # eta_i, the entropies' eigvalsh, the purity class's svd) is a
+        # numerical error that names the stage, not a failed check (exit 1) or
+        # a traceback
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(random_scenario(2, 2, 2, 2, 2, 5).to_json()))
-        monkeypatch.setattr(np.linalg, routine, failing)
-        assert main(["analyze", str(path)]) == analyze_code
+        self._fail_lapack(monkeypatch, routine, ndim)
+        assert main(["analyze", str(path)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith(analyze_line) and err.endswith("did not converge\n") and err.count("\n") == 1
+        assert err.startswith(f"numerical error: {stage}: ") and err.endswith("did not converge\n")
+        assert err.count("\n") == 1
         assert main(["random", "--trials", "1", "--kraus", "2"]) == 3
-        assert capsys.readouterr().err.startswith(f"numerical error: {random_stage}:")
+        assert capsys.readouterr().err.startswith(f"numerical error: {stage}: ")
+
+    def test_lapack_failure_at_ingest_exits_two(self, tmp_path, capsys, monkeypatch):
+        # the letters' batched eigh runs while analyze reads its file, so a
+        # LinAlgError there is an input error (exit 2) with one line; the
+        # random suite draws its letters in a stage, random_ensemble (exit 3)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(random_scenario(2, 2, 2, 2, 2, 5).to_json()))
+        self._fail_lapack(monkeypatch, "eigh", 3)
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith("did not converge\n") and err.count("\n") == 1
+        assert main(["random", "--trials", "1", "--kraus", "2"]) == 3
+        assert capsys.readouterr().err.startswith("numerical error: random_ensemble: ")
 
 
 class TestTolEnv:
