@@ -1,6 +1,6 @@
 """Quantum instruments, measurement entropies and information bounds."""
 
-from .qstate import DensityMatrix, Ensemble
+from .qstate import Ensemble
 from .instrument import Instrument, KrausMap
 
 __version__ = "0.1.0"
@@ -8,7 +8,6 @@ EIG_BACKEND = "lapack"  # matcore.herm_eig is numpy.linalg.eigh
 
 __all__ = [
     "EIG_BACKEND",
-    "DensityMatrix",
     "Ensemble",
     "Instrument",
     "KrausMap",

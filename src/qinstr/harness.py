@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-import time
 import traceback
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -252,16 +251,16 @@ def run_acceptance_suite(
 ) -> tuple[list, dict]:
     """Seeded random scenarios that cycle the (d1, d2, letters, outcomes,
     kraus) shapes of ``grid`` for `trials` runs, with a min-slack summary per
-    check."""
-    started = time.perf_counter()
+    check. Nothing in either is timed, so a suite writes the same bytes on
+    every run."""
     reports = []
     for index in range(trials):
         seed = splitmix64(master_seed + index)
         reports.append(run_scenario(random_scenario(*grid[index % len(grid)], seed)))
-    return reports, summarize(reports, time.perf_counter() - started)
+    return reports, summarize(reports)
 
 
-def summarize(reports: list, runtime: float) -> dict:
+def summarize(reports: list) -> dict:
     min_slack: dict = {}
     failures = 0
     for r in reports:
@@ -275,7 +274,6 @@ def summarize(reports: list, runtime: float) -> dict:
         "trials": len(reports),
         "failures": failures,
         "min_slack": min_slack,
-        "runtime_s": runtime,
     }
 
 

@@ -1,5 +1,6 @@
 """Joint input/output statistics of (ensemble, instrument), mutual-entropy
-closed forms, identities, inequalities and compound states."""
+closed forms, identities, inequalities and compound states. Every state here
+is a plain array, and ``random_pure`` draws a pure letter as one."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from .instrument import (
     _posteriors,
     a_posteriori_stack,
 )
-from .qstate import DensityMatrix, Ensemble, pure_state
+from .qstate import Ensemble, pure_state
 
 EQ_TOL = 1e-9
 INEQ_TOL = 1e-8
@@ -274,7 +275,7 @@ def check_bounds(panel: EntropyPanel) -> tuple:
     )
 
 
-def random_pure(dim: int, rng: np.random.Generator) -> DensityMatrix:
+def random_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
     return pure_state(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
 
 
@@ -416,6 +417,13 @@ class CompoundStates:
 
 
 def compound_states(ms: MeasurementStatistics) -> CompoundStates:
+    """The compound states and their consistency rows. A row compares a
+    marginal or a mixture with what the algebra gives for the instrument as
+    read, whose effect sum may be off the identity within POVM_SUM_TOL:
+    Tr_2 eta_if and Tr_2 gamma_if with sum_a P_a tr(eta_f^a) rho_a, Tr_1 of
+    both with eta_f, and the tau_f mixture with sum_a P_a eta_f^a / tr eta_f^a.
+    The comparands come from the letters, eta_f^a and their traces, never from
+    the compound states, so a row reads the construction's rounding."""
     e = ms.ensemble
     d1 = e.dim
     d2 = ms.instrument.dim_out
@@ -432,13 +440,17 @@ def compound_states(ms: MeasurementStatistics) -> CompoundStates:
     tau_f = np.einsum("aw,wij->aij", ms.cond_out_given_in, rho_f)
     gamma_if = np.einsum("w,wmn->mn", p_f, matcore.kron(eps_i, rho_f))
 
-    eta_i, eta_f = ms.a_priori, ms.post_a_priori
+    post = ms.post_letter_states
+    tr_post = post.trace(axis1=-2, axis2=-1).real  # tr eta_f^a, [letter]
+    tr2 = np.einsum("a,aij->ij", e.probs * tr_post, e.states)
+    mix = np.einsum("a,aij->ij", e.probs / tr_post, post)
+    eta_f = ms.post_a_priori
     pairs = (  # (row, marginal, the state it must equal)
-        ("compound_tr2_eta_if", matcore.partial_trace(eta_if, "second", d1, d2), eta_i),
+        ("compound_tr2_eta_if", matcore.partial_trace(eta_if, "second", d1, d2), tr2),
         ("compound_tr1_eta_if", matcore.partial_trace(eta_if, "first", d1, d2), eta_f),
-        ("compound_tr2_gamma", matcore.partial_trace(gamma_if, "second", d1, d2), eta_i),
+        ("compound_tr2_gamma", matcore.partial_trace(gamma_if, "second", d1, d2), tr2),
         ("compound_tr1_gamma", matcore.partial_trace(gamma_if, "first", d1, d2), eta_f),
-        ("compound_tau_mix", np.einsum("a,aij->ij", e.probs, tau_f), eta_f),
+        ("compound_tau_mix", np.einsum("a,aij->ij", e.probs, tau_f), mix),
     )
     checks = tuple(BoundCheck(name, float(np.abs(a - b).max()), 0.0, kind="dev") for name, a, b in pairs)
     return CompoundStates(
@@ -470,8 +482,8 @@ def scutaru_chains(ms: MeasurementStatistics, cs: CompoundStates) -> tuple:
     chi_eps_i = chi_against(p_f, s_eps_i, s_eta_i)
     chi_eps_f = chi_against(p_f, s_out[:n_o], s_eta_f)
     chi_tau_f = chi_against(p_i, s_out[n_o:], s_eta_f)
-    # S(gamma_if | eta_i (x) eta_f): gamma's marginals are eta_i and eta_f
-    # (the compound_tr*_gamma rows), so it is a mutual information
+    # S(gamma_if | eta_i (x) eta_f): gamma's marginals are eta_i and eta_f when
+    # the effects sum to I (the compound_tr*_gamma rows), so it is a mutual information
     gamma_rel = s_eta_i + s_eta_f - s_joint[-1]
 
     return (

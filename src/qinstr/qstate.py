@@ -1,19 +1,19 @@
-"""Density matrices and letter-state ensembles: the rules of a state, which
-serve inputs only.
+"""Letter-state ensembles and the rules of a state, which serve inputs only.
 
-Inputs are checked against their definitions once and kept as given, never
-repaired. The rules of a state live in one function, ``_checked``: the
-Hermiticity rule (``matcore.hermitian_part``), unit trace and positivity, the
-last read off the one batched decomposition (``matcore.herm_eig``) of the
-stack it checks. ``DensityMatrix`` and ``Ensemble`` apply it, so a state's
-matrix passes ``hermitian_part`` and ``herm_eig`` once, and that
-decomposition is the state's one spectrum. Everything the pipeline derives
-from checked inputs (I_w(rho) / tr, the a priori state, P_f) is a state or a
-law by construction and stays a plain array, never checked again. The one
-repair is at ingest (``ensemble_from_json``): a valid letter read from JSON
-whose Jacobi least eigenvalue is negative is clamped, because scenario
-fingerprints hash the digits that clamp has always produced. An instrument's
-POV measure lives on the instrument (``instrument.Instrument.effects``).
+States enter as arrays (``pure_state`` gives a ket's). Inputs are checked
+against their definitions once and kept as given, never repaired. The rules of
+a state live in one function, ``_checked``: the Hermiticity rule
+(``matcore.hermitian_part``), unit trace and positivity, the last read off the
+one batched decomposition (``matcore.herm_eig``) of the stack it checks, which
+is each letter's one spectrum. ``Ensemble`` applies it, and so does
+``DensityMatrix``, the state type of the oracles in ``qinstr.reference``,
+which no pipeline path builds. Everything the pipeline derives from checked
+inputs (I_w(rho) / tr, the a priori state, P_f) is a state or a law by
+construction and stays a plain array, never checked again. The one repair is
+at ingest (``ensemble_from_json``): a valid letter read from JSON whose Jacobi
+least eigenvalue is negative is clamped, because scenario fingerprints hash
+the digits that clamp has always produced. An instrument's POV measure lives
+on the instrument (``instrument.Instrument.effects``).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def _checked(states) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Positive semidefinite unit-trace Hermitian matrix.
+    """Positive semidefinite unit-trace Hermitian matrix: the oracles' state type.
 
     The checks keep the input (its Hermitian part) and never repair it: an
     eigenvalue in [-HERM_TOL, 0) stays, and every entropy leaves it out of the
@@ -82,11 +82,10 @@ class DensityMatrix:
 class Ensemble:
     """Finite alphabet with strictly positive probabilities and one state per letter.
 
-    ``states`` is kept as one read-only [letter, d, d] stack, given as a stack
-    or as a sequence of ``DensityMatrix``, whose matrices are stacked. Either
-    way it is checked by the rules of a state (``_checked``; its Hermitian part
-    is kept), whose one batched decomposition ``spectra`` holds ([letter, d]
-    and [letter, d, d]).
+    ``states``, a [letter, d, d] stack or anything ``numpy.asarray`` reads as
+    one, is kept as one read-only complex stack. It is checked by the rules of
+    a state (``_checked``; its Hermitian part is kept), whose one batched
+    decomposition ``spectra`` holds ([letter, d] and [letter, d, d]).
     """
 
     letters: tuple
@@ -97,7 +96,11 @@ class Ensemble:
     def __post_init__(self):
         letters = tuple(self.letters)
         probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.shape != (len(letters),) or len(self.states) != len(letters):
+        try:
+            states = np.asarray(self.states, dtype=np.complex128)
+        except (TypeError, ValueError) as exc:  # ragged, or not numbers
+            raise DimensionMismatch(f"letter states do not form one numeric stack: {exc}") from exc
+        if probs.shape != (len(letters),) or states.shape[:1] != (len(letters),):
             raise LabelMismatch("letters, probs and states differ in length")
         if any(letters.index(a) != i for i, a in enumerate(letters)):
             raise LabelMismatch(f"duplicate letter labels in {letters!r}")
@@ -105,12 +108,6 @@ class Ensemble:
             raise NotPositive("letter probabilities must be strictly positive")
         if abs(probs.sum() - 1.0) > PROB_TOL:
             raise BadTrace(f"letter probabilities sum to {probs.sum()}, not 1")
-        states = self.states
-        if not isinstance(states, np.ndarray):  # DensityMatrix letters
-            dims = {s.dim for s in states}
-            if len(dims) != 1:
-                raise DimensionMismatch(f"letter states have inconsistent dims {dims}")
-            states = np.array([s.mat for s in states])
         if states.ndim != 3:
             raise DimensionMismatch(f"expected a [letter, d, d] stack, got shape {states.shape}")
         states, spectra = _checked(states)
@@ -126,11 +123,11 @@ class Ensemble:
         return self.states.shape[-1]
 
 
-def pure_state(vec: Sequence[complex]) -> DensityMatrix:
-    """Density matrix of a (normalized) ket."""
+def pure_state(vec: Sequence[complex]) -> np.ndarray:
+    """The [d, d] state v v^dag / |v|^2 of a ket."""
     v = np.asarray(vec, dtype=np.complex128)
     v = v / np.linalg.norm(v)
-    return DensityMatrix(np.outer(v, v.conj()))
+    return np.outer(v, v.conj())
 
 
 def ensemble_to_json(e: Ensemble) -> dict:

@@ -9,14 +9,14 @@ state and its outcome law, the action of one map and of the instrument, a
 Choi-matrix rebuild of an instrument, the information gain and the purity of
 one state, a random mixed state, the coarse-graining of two outcomes, and
 Hall's J and dual ensemble, which ``hallmap.hall_section`` does without.
-The a priori state (``a_priori_state``) and every law (``ClassicalDist``) are
-checked here as a ``DensityMatrix`` and a distribution, and the entropy of
-one ``DensityMatrix`` is ``vn_entropy``; the pipeline keeps these as plain
-arrays, derived from checked inputs. Its independence is the reason the
-module exists: no pipeline module imports it, and nothing here calls the
-stacked path it checks (``instrument.Instrument.channel_matrix``,
-``instrument._posteriors``, ``entropy.vn_entropies``). ``import qinstr`` does
-not load it.
+A state is a ``DensityMatrix`` here, a type only the oracles and the tests
+build: the a priori state (``a_priori_state``) is one, a law is a checked
+``ClassicalDist`` and ``vn_entropy`` is one state's entropy. The pipeline
+takes states as arrays and keeps what it derives as plain arrays. This
+module's independence is the reason it exists: no pipeline module imports it,
+and nothing here calls the stacked path it checks
+(``instrument.Instrument.channel_matrix``, ``instrument._posteriors``,
+``entropy.vn_entropies``). ``import qinstr`` does not load it.
 """
 
 from __future__ import annotations

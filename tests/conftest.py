@@ -1,3 +1,7 @@
+import math
+
+from qinstr.qstate import DensityMatrix, pure_state
+
 ACCEPTANCE_LINES = []
 
 
@@ -6,3 +10,12 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def pure(vec) -> DensityMatrix:
+    """A ket's state as the oracles in ``qinstr.reference`` take it. Its
+    ``.mat`` is ``pure_state``'s array, which is what an ``Ensemble`` takes."""
+    return DensityMatrix(pure_state(vec))
+
+
+KET0, KET1, PLUS = pure([1, 0]), pure([0, 1]), pure([1 / math.sqrt(2), 1 / math.sqrt(2)])

@@ -51,7 +51,7 @@ def rare_direction_ensemble(lam=7e-10):
     states = (
         pure_state([1, 0, 0]),
         pure_state([inv, inv, 0]),
-        DensityMatrix(np.diag([0.5 - lam / 2, 0.5 - lam / 2, lam])),
+        np.diag([0.5 - lam / 2, 0.5 - lam / 2, lam]),
     )
     return Ensemble((0, 1, 2), np.array([0.5, 0.499, 0.001]), states)
 
@@ -158,10 +158,10 @@ def test_rare_letters_stay_finite(d, weight, lam, pure_outside, use_projective, 
     last[-1] = 1.0
     rare = (1 - lam) * np.outer(k, k.conj()) + lam * np.diag(last)
     if not pure_outside:
-        rare = 0.5 * rare + 0.5 * common[0].mat
+        rare = 0.5 * rare + 0.5 * common[0]
     split = rng.uniform(0.2, 0.8)
     probs = np.array([(1 - weight) * split, (1 - weight) * (1 - split), weight])
-    e = Ensemble((0, 1, 2), probs, (*common, DensityMatrix(rare)))
+    e = Ensemble((0, 1, 2), probs, (*common, rare))
     ins = projective(d) if use_projective else random_instrument(d, d, 3, 1, seed=seed)
     report = run_scenario(Scenario(e, ins, gl_trials=10, gl_demix=1, seed=seed))
 

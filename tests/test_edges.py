@@ -1,6 +1,6 @@
 """Valid scenarios at an edge of the input contract, drawn by hypothesis. Each
 must then be analyzed with no error but ``NoConvergence`` and pass every
-check. Four edges:
+check. Five edges:
 
 - a near-null effect: one effect has one or more eigenvalues in
   [1e-13, 1e-11], in a random basis, and some letters lie at or near the span
@@ -12,6 +12,10 @@ check. Four edges:
 - an effect sum off the identity: every Kraus entry of a random scenario is
   scaled by sqrt(1 + delta), |delta| <= 0.9 POVM_SUM_TOL, so every derived
   state has a trace off 1 by up to ~1e-9;
+- an effect sum off the identity in every entry: I + delta w w^dag, with w a
+  vector of phases, under a dominant letter near w's direction. Ingest bounds
+  the deviation's entries by POVM_SUM_TOL, and its operator norm is d1 times
+  that, which the letter's derived traces carry;
 - a near-singular a priori state: its least eigenvalue lies on either side of
   INVERTIBILITY_TOL, and Hall's section is skipped exactly when it is at or
   below it;
@@ -69,7 +73,7 @@ def near_null_scenario(d, n_outcomes, n_letters, kraus, small, offsets, seed) ->
     ins = Instrument(tuple(range(n_outcomes)), (
         KrausMap(d, d, first), *(KrausMap(d, d, group) for group in rest)))
     near = [pure_state(v[:, :m] @ _ginibre(rng, m) + t * _ginibre(rng, d)) for t in offsets]
-    letters = near + [random_density(d, rng) for _ in range(n_letters - len(near))]
+    letters = near + [random_density(d, rng).mat for _ in range(n_letters - len(near))]
     priors = rng.uniform(0.05, 1.0, n_letters)
     return Scenario(Ensemble(tuple(range(n_letters)), priors / priors.sum(), tuple(letters)), ins)
 
@@ -106,6 +110,25 @@ def test_near_null_effect(d, n_outcomes, kraus, small, offsets, others, seed):
 
 def round_trip(obj: dict) -> Scenario:
     return scenario_from_json(json.loads(json.dumps(obj)))
+
+
+def rank_one_deviation_scenario(d1, d2, n_letters, n_outcomes, kraus, delta, rare, offset, seed) -> Scenario:
+    """A random scenario whose Kraus operators are right-multiplied by
+    (I + D)^(1/2), D = delta w w^dag with w a vector of random phases, so the
+    effect sum is I + D, off the identity by delta in every entry. Letter 0 is
+    the pure state of w / sqrt(d1) + offset g, g a Ginibre vector, at prior
+    1 - rare; the other letters share ``rare``."""
+    base = random_scenario(d1, d2, n_letters, n_outcomes, kraus, seed)
+    rng = np.random.default_rng(seed)
+    w = np.exp(2j * np.pi * rng.uniform(size=d1))
+    ww = np.outer(w, w.conj())
+    root = np.eye(d1) + (np.sqrt(1.0 + delta * d1) - 1.0) / d1 * ww  # (I + delta w w^dag)^(1/2)
+    ins = Instrument(base.instrument.outcomes, tuple(KrausMap(d1, d2, m.kraus @ root) for m in base.instrument.maps))
+    letters = base.ensemble.states.copy()
+    letters[0] = pure_state(w / np.sqrt(d1) + offset * _ginibre(rng, d1))
+    rest = base.ensemble.probs[1:]
+    priors = np.concatenate([[1.0 - rare], rare * rest / rest.sum()])
+    return Scenario(Ensemble(base.ensemble.letters, priors, letters), ins)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -202,4 +225,23 @@ def test_letter_at_the_clamp_edge(d1, d2, n_outcomes, kraus, eps, others, seed):
         report = run_scenario(s)
     except NoConvergence:
         return
+    assert report.overall_pass, [row for row in report.rows if not row["pass"]]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    d1=st.integers(2, 3),
+    d2=st.integers(2, 3),
+    n_letters=st.integers(2, 4),
+    n_outcomes=st.integers(2, 4),
+    kraus=st.integers(1, 2),
+    delta=st.floats(-0.9 * POVM_SUM_TOL, 0.9 * POVM_SUM_TOL),
+    rare=st.floats(-7.0, -1.0).map(lambda x: 10.0 ** x),
+    offset=st.sampled_from([0.0, 1e-3, 0.1]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_effect_sum_off_the_identity_by_a_rank_one_deviation(
+        d1, d2, n_letters, n_outcomes, kraus, delta, rare, offset, seed):
+    s = rank_one_deviation_scenario(d1, d2, n_letters, n_outcomes, kraus, delta, rare, offset, seed)
+    report = run_scenario(round_trip(s.to_json()))
     assert report.overall_pass, [row for row in report.rows if not row["pass"]]

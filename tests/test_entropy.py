@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import KET0, KET1, PLUS, pure
 from qinstr import matcore
 from qinstr.entropy import chi_against, vn_entropies
 from qinstr.errors import NoConvergence
 from qinstr.instrument import random_instrument
-from qinstr.qstate import DensityMatrix, pure_state
+from qinstr.qstate import DensityMatrix
 from qinstr.reference import (
     ClassicalDist,
     c_rel_entropy,
@@ -17,10 +18,6 @@ from qinstr.reference import (
     total_channel,
     vn_entropy,
 )
-
-KET0 = pure_state([1, 0])
-KET1 = pure_state([0, 1])
-PLUS = pure_state([1 / np.sqrt(2), 1 / np.sqrt(2)])
 
 
 def rand_dm(dim, seed):
@@ -53,7 +50,7 @@ class TestVnEntropy:
 
 class TestVnEntropies:
     def test_matches_per_state_entropy(self):
-        states = [rand_dm(4, seed) for seed in range(6)] + [pure_state([1, 2j, 0, 1])]
+        states = [rand_dm(4, seed) for seed in range(6)] + [pure([1, 2j, 0, 1])]
         batched = vn_entropies(np.stack([s.mat for s in states]))
         for s, value in zip(states, batched):
             assert abs(value - vn_entropy(s)) < 1e-12

@@ -334,6 +334,15 @@ class TestRandomSuite:
         assert "holevo" in summary["min_slack"]
         assert summary["min_slack"]["holevo"] >= -1e-8
 
+    def test_json_output_is_the_same_on_every_run(self, capsys):
+        # nothing in the summary is timed
+        outs = []
+        for _ in range(2):
+            assert main(["random", "--trials", "3", "--kraus", "2", "--format", "json"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert set(json.loads(outs[0])["summary"]) == {"trials", "failures", "min_slack"}
+
 
 def mixed_letters_at_the_trace_edge() -> Scenario:
     """zero-one-plus's instrument on two mixed letters, each of trace
@@ -958,7 +967,7 @@ def test_run_scenario_does_no_per_state_work(monkeypatch):
         report = run_scenario(s)
         assert report.overall_pass and report.hall_skipped is None
         assert report.purity_preserving == (kraus == 1)
-        assert counts["states"] <= 1  # the a priori state
+        assert counts["states"] == 0
         assert counts["herm_eig"] <= 1  # its decomposition, which the Hall section reuses
         assert counts["eigvalsh"] <= 10
         assert counts["gl_gains"] == 1
@@ -990,6 +999,23 @@ def test_scenario_from_json_does_no_per_letter_work(monkeypatch):
     assert read.ensemble.states.shape == (4, 3, 3)
     assert np.array_equal(read.ensemble.states, s.ensemble.states)
     assert _fingerprint(read) == _fingerprint(s)
+
+
+def test_no_pipeline_path_builds_a_density_matrix(monkeypatch):
+    """DensityMatrix is the type of the oracles in qinstr.reference: the desk
+    scenarios, a random scenario and pure letters (pure_state, random_pure)
+    are built, written, read back and analyzed without one."""
+
+    def refuse(self):
+        raise AssertionError("a pipeline path built a DensityMatrix")
+
+    monkeypatch.setattr(qstate.DensityMatrix, "__post_init__", refuse)
+    rng = np.random.default_rng(5)
+    pure = Ensemble((0, 1), np.array([0.4, 0.6]), (pure_state([1, 1j, 0]), random_pure(3, rng)))
+    scenarios = [example_scenario(name) for name in EXAMPLE_NAMES]
+    scenarios += [random_scenario(3, 2, 3, 2, 2, 7), Scenario(pure, random_instrument(3, 2, 3, 1, seed=5))]
+    for s in scenarios:
+        assert run_scenario(scenario_from_json(json.loads(json.dumps(s.to_json())))).overall_pass
 
 
 # Each data type is built twice from the same inputs; the arrays say what it holds.

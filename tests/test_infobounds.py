@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import KET0, KET1, PLUS
 from qinstr.errors import InfiniteQuantity, QinstrError
 from qinstr.hallmap import hall_section
 from qinstr.harness import (
@@ -40,10 +41,6 @@ from qinstr.reference import (
     quantum_info_gain,
     random_density,
 )
-
-KET0 = pure_state([1, 0])
-KET1 = pure_state([0, 1])
-PLUS = pure_state([1 / np.sqrt(2), 1 / np.sqrt(2)])
 
 
 def projective_qubit():
@@ -84,11 +81,11 @@ def with_zero_outcome():
 
 
 def zero_plus_ensemble():
-    return Ensemble((0, 1), np.array([0.5, 0.5]), (KET0, PLUS))
+    return Ensemble((0, 1), np.array([0.5, 0.5]), (KET0.mat, PLUS.mat))
 
 
 def orthogonal_ensemble():
-    return Ensemble((0, 1), np.array([0.5, 0.5]), (KET0, KET1))
+    return Ensemble((0, 1), np.array([0.5, 0.5]), (KET0.mat, KET1.mat))
 
 
 def brute_force_mi(joint):
@@ -199,7 +196,7 @@ class TestClassicalMutualInfo:
     def test_rare_letter_is_finite(self):
         # P_i x P_f = 1e-14 on the rare cell: I_c is H(p), not +inf
         eps = 1e-7
-        e = Ensemble((0, 1), np.array([1 - eps, eps]), (KET0, KET1))
+        e = Ensemble((0, 1), np.array([1 - eps, eps]), (KET0.mat, KET1.mat))
         entropy = -((1 - eps) * math.log1p(-eps) + eps * math.log(eps))
         assert abs(analyze(e, projective_qubit()).classical_mi - entropy) < 1e-12
         report = run_scenario(Scenario(e, projective_qubit()))
@@ -355,7 +352,7 @@ def sequential_gl(ins, trials, seed, n_demix=5):
     d1 = ins.dim_in
     min_purity = 1.0
     for _ in range(trials):
-        rho = random_pure(d1, rng).mat
+        rho = random_pure(d1, rng)
         for m in ins.maps:
             out = map_action(m, rho)
             tr = float(np.trace(out).real)
@@ -506,18 +503,18 @@ NULL_CELL_SCENARIOS = {
     # P(A|1) = 7e-10 is live, so outcome A is live although P_f(A) = 7e-13
     # (the earlier rule called column A null and dropped it from tau_f(1))
     "live_cell_under_a_null_column": (
-        Ensemble((0, 1), np.array([0.999, 0.001]), (KET0, KET1)),
+        Ensemble((0, 1), np.array([0.999, 0.001]), (KET0.mat, KET1.mat)),
         diagonal_instrument([[0.0, 7e-10], [1.0, 1 - 7e-10]])),
     # P(B|1) = 1 is live, so outcome B is live although P_f(B) = 1e-13, and
     # tau_f(1) is rho_f(B) (the earlier rule left letter 1 no live weight)
     "letter_with_no_live_weight": (
-        Ensemble((0, 1), np.array([1 - 1e-13, 1e-13]), (KET0, KET1)),
+        Ensemble((0, 1), np.array([1 - 1e-13, 1e-13]), (KET0.mat, KET1.mat)),
         diagonal_instrument([[1.0, 0.0], [0.0, 1.0]])),
     # letter 1's cells P(A|1) = 2e-12 and P(B|1) are both live, so tau_f(1)
     # mixes rho_f(A) and rho_f(B) although P_f(B) = 1e-15 (the earlier rule
     # kept only A and renormalized letter 1 by 2e-12)
     "letter_with_little_live_weight": (
-        Ensemble((0, 1), np.array([1 - 1e-15, 1e-15]), (KET0, KET1)),
+        Ensemble((0, 1), np.array([1 - 1e-15, 1e-15]), (KET0.mat, KET1.mat)),
         diagonal_instrument([[1.0, 2e-12], [0.0, 1 - 2e-12]])),
     # P(A|0) = 1e-12 is null and P(A|1) = 4e-12 live, so outcome A is live at
     # P_f(A) = 2e-12 and Hall's J must read the |0> cell of A as null too
@@ -623,6 +620,22 @@ def test_effect_sum_within_its_tolerance_is_analyzed():
     assert run_scenario(scaled_zero_one_plus()).overall_pass
 
 
+def effect_sum_off_the_identity_in_every_entry() -> Scenario:
+    """random_scenario(3, 2, 2, 2, 1, 7)'s Kraus operators right-multiplied by
+    (I + c J)^(1/2), with J the all-ones matrix and c = 0.999e-9, so that the
+    effects sum to I + c J: every entry is within POVM_SUM_TOL of the
+    identity's, while the operator norm of the deviation is 3c. The letters
+    are psi psi^dag, psi = (0.88, b, b) near J's range, at prior 1 - 1e-6,
+    and |1><1| at 1e-6."""
+    ins = random_scenario(3, 2, 2, 2, 1, 7).instrument
+    c = 0.999e-9
+    root = np.eye(3) + (math.sqrt(1 + 3 * c) - 1) / 3 * np.ones((3, 3))
+    ins = Instrument(ins.outcomes, tuple(KrausMap(3, 2, m.kraus @ root) for m in ins.maps))
+    b = math.sqrt((1 - 0.88 ** 2) / 2)
+    letters = (pure_state([0.88, b, b]), pure_state([0, 1, 0]))
+    return Scenario(Ensemble((0, 1), np.array([1 - 1e-6, 1e-6]), letters), ins)
+
+
 def test_fill_of_a_live_outcome_reaches_no_number():
     # E(0) = diag(t, 0) and E(1) = diag(s - t, s) sum to s I, within
     # POVM_SUM_TOL. The |0> cell of outcome 0 has trace t = 2e-12 - 2e-23, so
@@ -636,7 +649,7 @@ def test_fill_of_a_live_outcome_reaches_no_number():
         KrausMap(2, 2, (np.diag(np.sqrt([t, 0.0])).astype(complex),)),
         KrausMap(2, 2, (np.diag(np.sqrt([s - t, s])).astype(complex),)),
     ))
-    e = Ensemble((0, 1), np.array([0.5, 0.5]), (KET0, KET1))
+    e = Ensemble((0, 1), np.array([0.5, 0.5]), (KET0.mat, KET1.mat))
     ms = analyze(e, ins)
     assert ms.live.all()
     assert not any(np.array_equal(m, np.eye(2) / 2) for m in ms.posterior_mean_states)
@@ -669,6 +682,16 @@ class TestCompoundStates:
         assert DensityMatrix(cs.eps_i[0]).dim == 2
         assert DensityMatrix(cs.eps_f[0]).dim == 3
         assert DensityMatrix(cs.gamma_if).dim == 6
+
+    def test_rows_judge_the_construction_not_the_effect_sum(self):
+        # Tr_2 eta_if = sum_a P_a tr(eta_f^a) rho_a, and on this valid input
+        # it differs from eta_i by 1.86e-9: judged against eta_i (and the tau_f
+        # mixture against eta_f), compound_tr2_eta_if and compound_tr2_gamma
+        # read 1.86e-9 and compound_tau_mix 1.30e-9, and the report failed
+        s = effect_sum_off_the_identity_in_every_entry()
+        assert run_scenario(s).overall_pass
+        rows = compound_states(analyze(s.ensemble, s.instrument)).consistency
+        assert max(c.lhs for c in rows) <= 1e-14, rows
 
     @pytest.mark.parametrize("seed", range(5))
     def test_consistency_random(self, seed):

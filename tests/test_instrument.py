@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import KET0, PLUS, pure
 from qinstr import matcore
 from qinstr.errors import BadTrace, DimensionMismatch, NotHermitian, UnknownOutcome
 from qinstr.instrument import (
@@ -9,7 +10,7 @@ from qinstr.instrument import (
     a_posteriori_stack,
     random_instrument,
 )
-from qinstr.qstate import DensityMatrix, pure_state
+from qinstr.qstate import DensityMatrix
 from qinstr.reference import (
     a_posteriori,
     apply_outcome,
@@ -21,9 +22,6 @@ from qinstr.reference import (
     purity,
     total_channel,
 )
-
-KET0 = pure_state([1, 0])
-PLUS = pure_state([1 / np.sqrt(2), 1 / np.sqrt(2)])
 
 
 def identity_instrument(dim=2):
@@ -257,7 +255,7 @@ class TestAposteriori:
             ins = random_instrument(2, 3, 3, 1, seed=300 + k)
             rng = np.random.default_rng(k)
             v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            rho = pure_state(v)
+            rho = pure(v)
             fam = a_posteriori(ins, rho)
             for p, s in zip(fam.probs.probs, fam.states):
                 if p > 1e-12:

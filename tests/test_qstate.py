@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import KET0, KET1, PLUS
 from qinstr import matcore
 from qinstr.errors import BadTrace, DimensionMismatch, NotHermitian, NotPositive
 from qinstr.matcore import HERM_TOL
@@ -9,13 +10,8 @@ from qinstr.qstate import (
     Ensemble,
     ensemble_from_json,
     ensemble_to_json,
-    pure_state,
 )
 from qinstr.reference import ClassicalDist, a_priori_state, fidelity_like_support_check, maximally_mixed
-
-KET0 = pure_state([1, 0])
-KET1 = pure_state([0, 1])
-PLUS = pure_state([1 / np.sqrt(2), 1 / np.sqrt(2)])
 
 
 def read(m) -> tuple:
@@ -65,15 +61,15 @@ class TestValidateDensity:
 
 class TestAprioriState:
     def test_single_letter(self):
-        e = Ensemble(("a",), np.array([1.0]), (PLUS,))
+        e = Ensemble(("a",), np.array([1.0]), (PLUS.mat,))
         assert np.allclose(a_priori_state(e).mat, PLUS.mat)
 
     def test_orthogonal_pair(self):
-        e = Ensemble((0, 1), np.array([0.5, 0.5]), (KET0, KET1))
+        e = Ensemble((0, 1), np.array([0.5, 0.5]), (KET0.mat, KET1.mat))
         assert np.allclose(a_priori_state(e).mat, np.eye(2) / 2)
 
     def test_zero_plus_pair(self):
-        e = Ensemble((0, 1), np.array([0.5, 0.5]), (KET0, PLUS))
+        e = Ensemble((0, 1), np.array([0.5, 0.5]), (KET0.mat, PLUS.mat))
         expected = np.array([[0.75, 0.25], [0.25, 0.25]])
         assert np.allclose(a_priori_state(e).mat, expected, atol=1e-12)
 
@@ -88,14 +84,12 @@ class TestAprioriState:
 
         s1, s2, s3 = rand_dm(1), rand_dm(2), rand_dm(3)
         lam = 0.3
-        e1 = Ensemble((0, 1), np.array([0.6, 0.4]), (s1, s2))
-        e2 = Ensemble((0, 1), np.array([0.2, 0.8]), (s3, s1))
+        e1 = Ensemble((0, 1), np.array([0.6, 0.4]), (s1.mat, s2.mat))
+        e2 = Ensemble((0, 1), np.array([0.2, 0.8]), (s3.mat, s1.mat))
         mixed_probs = lam * e1.probs + (1 - lam) * e2.probs
         # same letters, mixed letter states with matching conditional weights
         states = tuple(
-            DensityMatrix(
-                (lam * p1 * st1 + (1 - lam) * p2 * st2) / (lam * p1 + (1 - lam) * p2)
-            )
+            (lam * p1 * st1 + (1 - lam) * p2 * st2) / (lam * p1 + (1 - lam) * p2)
             for p1, st1, p2, st2 in zip(e1.probs, e1.states, e2.probs, e2.states)
         )
         e_mix = Ensemble((0, 1), mixed_probs, states)
@@ -104,7 +98,7 @@ class TestAprioriState:
 
     def test_zero_probability_letter_rejected(self):
         with pytest.raises(NotPositive):
-            Ensemble((0, 1), np.array([1.0, 0.0]), (KET0, KET1))
+            Ensemble((0, 1), np.array([1.0, 0.0]), (KET0.mat, KET1.mat))
 
 
 class TestSupportCheck:
@@ -141,7 +135,7 @@ class TestClassicalDist:
 
 class TestJson:
     def test_ensemble_roundtrip(self):
-        e = Ensemble((0, 1), np.array([0.5, 0.5]), (KET0, PLUS))
+        e = Ensemble((0, 1), np.array([0.5, 0.5]), (KET0.mat, PLUS.mat))
         e2 = ensemble_from_json(ensemble_to_json(e))
         assert e2.letters == e.letters
         assert np.allclose(e2.probs, e.probs)
@@ -206,16 +200,20 @@ class TestJson:
                 assert np.array_equal(letter, one)
                 assert np.array_equal(vals, one_vals)
 
-    def test_a_stack_and_density_matrices_make_one_ensemble(self):
-        e = Ensemble((0, 1), np.array([0.5, 0.5]), (KET0, PLUS))
+    def test_a_stack_and_a_sequence_of_arrays_make_one_ensemble(self):
+        # one path: what numpy.asarray reads as a [letter, d, d] stack
+        e = Ensemble((0, 1), np.array([0.5, 0.5]), (KET0.mat, PLUS.mat))
         stacked = Ensemble((0, 1), np.array([0.5, 0.5]), np.stack([KET0.mat, PLUS.mat]))
         assert np.array_equal(e.states, stacked.states)
         for a, b in zip(e.spectra, stacked.spectra):
             assert np.array_equal(a, b)
         with pytest.raises(NotPositive):
             Ensemble((0, 1), np.array([0.5, 0.5]), np.stack([KET0.mat, np.diag([1.5, -0.5])]))
-        with pytest.raises(DimensionMismatch):
-            Ensemble((0, 1), np.array([0.5, 0.5]), (KET0, maximally_mixed(3)))
+        # ragged letters, and letters that are not numbers, form no stack;
+        # a DensityMatrix is the oracles' type, not an Ensemble's letter
+        for letters in ((KET0.mat, maximally_mixed(3).mat), (KET0, PLUS), (KET0.mat, [["a", "b"], ["c", "d"]])):
+            with pytest.raises(DimensionMismatch):
+                Ensemble((0, 1), np.array([0.5, 0.5]), letters)
 
 
 def test_density_matrix_requires_unit_trace():
@@ -279,12 +277,12 @@ class TestDecomposeOnce:
         build(np.random.default_rng(3))
         assert counts == {"hermitian_part": 1, "herm_eig": 1}
 
-    def test_ensemble_stacks_density_matrix_letters(self, monkeypatch):
-        # one path: DensityMatrix letters are stacked by their matrices, checked
-        # by the rules of a state and decomposed by one batched eigh, whose
-        # spectra are the ones each letter's own decomposition gave
+    def test_ensemble_decomposes_its_letters_once(self, monkeypatch):
+        # a sequence of letters is stacked, checked by the rules of a state and
+        # decomposed by one batched eigh, whose spectra are the ones each
+        # letter's own decomposition gives
         rng = np.random.default_rng(2)
-        letters = tuple(DensityMatrix(ginibre(3, rng)) for _ in range(3))
+        letters = tuple(ginibre(3, rng) for _ in range(3))
         probs = np.array([0.2, 0.3, 0.5])
         eighs = []
         eigh = np.linalg.eigh
@@ -296,13 +294,10 @@ class TestDecomposeOnce:
         monkeypatch.setattr(np.linalg, "eigh", counting)
         e = Ensemble((0, 1, 2), probs, letters)
         assert len(eighs) == 1
-        for i, rho in enumerate(letters):
+        for i, rho in enumerate(map(DensityMatrix, letters)):
             assert np.array_equal(e.states[i], rho.mat)
             assert np.array_equal(e.spectra.eigenvalues[i], rho.spectral().eigenvalues)
             assert np.array_equal(e.spectra.eigenvectors[i], rho.spectral().eigenvectors)
-        # the same states as the checked stack path keeps
-        stacked = Ensemble((0, 1, 2), probs, np.stack([rho.mat for rho in letters]))
-        assert np.array_equal(stacked.states, e.states)
         assert not e.states.flags.writeable and not e.spectra.eigenvectors.flags.writeable
 
     def test_clamping_redecomposes(self, monkeypatch):
