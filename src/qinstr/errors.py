@@ -41,10 +41,6 @@ class SingularAprioriState(QinstrError):
     pass
 
 
-class InfiniteQuantity(QinstrError):
-    pass
-
-
 class SchemaError(QinstrError):
     pass
 

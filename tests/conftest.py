@@ -1,5 +1,6 @@
 import math
 
+from qinstr.harness import example_scenario
 from qinstr.qstate import DensityMatrix, pure_state
 
 ACCEPTANCE_LINES = []
@@ -19,3 +20,18 @@ def pure(vec) -> DensityMatrix:
 
 
 KET0, KET1, PLUS = pure([1, 0]), pure([0, 1]), pure([1 / math.sqrt(2), 1 / math.sqrt(2)])
+
+
+def projective_qubit():
+    """The desk instrument: the computational-basis projectors on a qubit."""
+    return example_scenario("orthogonal-projective").instrument
+
+
+def orthogonal_ensemble():
+    """|0> and |1> at prior 1/2."""
+    return example_scenario("orthogonal-projective").ensemble
+
+
+def zero_plus_ensemble():
+    """|0> and |+> at prior 1/2."""
+    return example_scenario("zero-one-plus").ensemble

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import KET0, KET1, PLUS
+from conftest import KET0, KET1, PLUS, orthogonal_ensemble, projective_qubit, zero_plus_ensemble
 from qinstr import hallmap, matcore, qstate
 from qinstr.errors import BadTrace, SingularAprioriState
 from qinstr.hallmap import hall_section
@@ -38,20 +38,6 @@ from qinstr.reference import (
     quantum_info_gain,
     vn_entropy,
 )
-
-
-def projective_qubit():
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    return Instrument((0, 1), (KrausMap(2, 2, (p0,)), KrausMap(2, 2, (p1,))))
-
-
-def zero_plus_ensemble():
-    return Ensemble((0, 1), np.array([0.5, 0.5]), (KET0.mat, PLUS.mat))
-
-
-def orthogonal_ensemble():
-    return Ensemble((0, 1), np.array([0.5, 0.5]), (KET0.mat, KET1.mat))
 
 
 DUALITY = ("duality_conditional_law", "duality_ic")
@@ -371,7 +357,7 @@ def test_near_null_dual_outcome_is_analyzed(t):
 @pytest.mark.parametrize("a, b", [
     (0.9e-12, 1.5e-12), (0.5e-12, 1.9e-12), (0.99e-12, 1.2e-12), (1e-12, 4e-12), (1e-12, 1e-9),
 ])
-def test_near_cutoff_outcome_is_null_in_the_hall_section(a, b, tmp_path):
+def test_near_cutoff_outcome_is_null_in_the_hall_section(a, b, tmp_path, capsys):
     # a valid scenario: on |0> and |1> with priors 1/2, E(1) = diag(a, b). The
     # |0> cell of outcome 1 is null (a <= SUPPORT_CUTOFF) and the |1> cell
     # live, so outcome 1 is live with P_{i|f}(0|1) = 0. J's law on the dual
@@ -394,6 +380,7 @@ def test_near_cutoff_outcome_is_null_in_the_hall_section(a, b, tmp_path):
     path = tmp_path / "near_cutoff.json"
     path.write_text(json.dumps(s.to_json()))
     assert main(["analyze", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["overall_pass"] is True
 
 
 

@@ -32,7 +32,6 @@ from qinstr.harness import (
 from qinstr.errors import (
     BadTrace,
     DimensionMismatch,
-    InfiniteQuantity,
     LabelMismatch,
     NoConvergence,
     NotPositive,
@@ -44,7 +43,7 @@ from qinstr.errors import (
 from qinstr.infobounds import BoundCheck, _gains, groenewold_lindblad_check, random_pure
 from qinstr.instrument import Instrument, random_instrument
 from qinstr.qstate import DensityMatrix, Ensemble, pure_state
-from test_infobounds import NULL_CELL_SCENARIOS, scaled_zero_one_plus
+from test_infobounds import NULL_CELL_SCENARIOS, effect_sum_off_the_identity_in_every_entry, scaled_zero_one_plus
 from test_symmetry import rotate_input
 
 
@@ -399,7 +398,8 @@ class TestCli:
         scaled_zero_one_plus,
         lambda: rotate_input(Scenario(*NULL_CELL_SCENARIOS["letter_with_little_live_weight"]), 1),
         mixed_letters_at_the_trace_edge,
-    ], ids=["scaled-effect-sum", "rotated-near-null", "a-priori-trace"])
+        effect_sum_off_the_identity_in_every_entry,
+    ], ids=["scaled-effect-sum", "rotated-near-null", "a-priori-trace", "effect-sum-in-every-entry"])
     def test_derived_state_rounding_is_analyzed(self, make, tmp_path, capsys):
         # valid inputs whose derived states carry rounding over the input's
         # scale: an effect sum of (1 + 3e-10) I puts the trace of eta_f off by
@@ -407,7 +407,9 @@ class TestCli:
         # eigenvalue of -3.3e-5, and letters and priors each within their
         # tolerance put the trace of eta_i off by 1.01e-10. Each exited 2 while
         # derived states were judged again at HERM_TOL; each is a state by
-        # construction
+        # construction. An effect sum of I + 0.999e-9 J puts the compound
+        # states' partial traces off eta_i by 1.86e-9, and exited 1 while the
+        # compound rows compared with eta_i rather than their own construction
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(make().to_json()))
         assert main(["analyze", str(path)]) == 0
@@ -447,9 +449,9 @@ class TestCli:
         assert main(["random", "--trials", "1"]) == 2
         assert "QINSTR_TOL" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("raw", ["-1", "nan", "inf", "1e400"])
+    @pytest.mark.parametrize("raw", ["-1", "nan", "inf", "1e400", "abc"])
     def test_out_of_range_env_tol_is_input_error(self, monkeypatch, tmp_path, capsys, raw):
-        # QINSTR_TOL is read whole, range included, before any stage runs: for
+        # QINSTR_TOL is read whole, parse and range, before any stage runs: for
         # the random suite and for a file that leaves the tolerance to it
         obj = example_scenario("zero-one-plus").to_json()
         del obj["options"]["tol"]
@@ -526,7 +528,7 @@ class TestCli:
     def test_unknown_subcommand(self, capsys):
         assert main(["bogus"]) == 2
 
-    @pytest.mark.parametrize("error", [NoConvergence, InfiniteQuantity, SingularNormalizer])
+    @pytest.mark.parametrize("error", [NoConvergence, SingularNormalizer])
     def test_numerical_failure_exits_three(self, tmp_path, capsys, monkeypatch, error):
         # a numerical step that fails is not an input error, and its one error
         # line names the stage

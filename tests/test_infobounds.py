@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import KET0, KET1, PLUS
-from qinstr.errors import InfiniteQuantity, QinstrError
+from conftest import KET0, KET1, PLUS, orthogonal_ensemble, projective_qubit, zero_plus_ensemble
+from qinstr.errors import QinstrError
 from qinstr.hallmap import hall_section
 from qinstr.harness import (
     ACCEPTANCE_GRID,
@@ -43,12 +43,6 @@ from qinstr.reference import (
 )
 
 
-def projective_qubit():
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    return Instrument((0, 1), (KrausMap(2, 2, (p0,)), KrausMap(2, 2, (p1,))))
-
-
 def measure_and_prepare(p=0.3):
     """Two outcomes, each with two Kraus operators |v><e_j| that share one
     rank-1 range and are not proportional: each outcome prepares its own ket."""
@@ -78,14 +72,6 @@ def with_zero_outcome():
     ins = projective_qubit()
     zero = KrausMap(2, 2, (np.zeros((2, 2), dtype=complex),))
     return Instrument((0, 1, 2), ins.maps + (zero,))
-
-
-def zero_plus_ensemble():
-    return Ensemble((0, 1), np.array([0.5, 0.5]), (KET0.mat, PLUS.mat))
-
-
-def orthogonal_ensemble():
-    return Ensemble((0, 1), np.array([0.5, 0.5]), (KET0.mat, KET1.mat))
 
 
 def brute_force_mi(joint):
@@ -283,12 +269,6 @@ class TestIdentitiesAndBounds:
         assert all(c.passes(INEQ_TOL) for c in checks.values())
         # Holevo slack chi - I_c frozen from the two oracles above
         assert abs(checks["holevo"].slack - (0.4164955306996875 - 0.2157615543388356)) < 1e-10
-
-    def test_infinite_panel_rejected(self):
-        panel = entropy_panel(analyze(zero_plus_ensemble(), projective_qubit()))
-        bad = type(panel)(**{**panel.to_json(), "chi_joint": math.inf})
-        with pytest.raises(InfiniteQuantity):
-            check_identities(bad)
 
 
 class TestQuantumInfoGain:

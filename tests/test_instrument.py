@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import KET0, PLUS, pure
+from conftest import KET0, PLUS, projective_qubit, pure
 from qinstr import matcore
 from qinstr.errors import BadTrace, DimensionMismatch, NotHermitian, UnknownOutcome
 from qinstr.instrument import (
@@ -26,12 +26,6 @@ from qinstr.reference import (
 
 def identity_instrument(dim=2):
     return Instrument((0,), (KrausMap(dim, dim, (np.eye(dim, dtype=complex),)),))
-
-
-def projective_qubit():
-    p0 = np.diag([1.0, 0.0]).astype(complex)
-    p1 = np.diag([0.0, 1.0]).astype(complex)
-    return Instrument((0, 1), (KrausMap(2, 2, (p0,)), KrausMap(2, 2, (p1,))))
 
 
 class TestApplyOutcome:
