@@ -1,15 +1,27 @@
-"""Command-line front end: scenario loading, seeded random suites, full-analysis
-orchestration and report emission (json / markdown / csv). An error exits by
-the phase of ``main`` it arose in, never by its class: reading the input 2, a
-stage 3 (its error line names the stage), writing the output 4."""
+"""Command-line front end: the scenario file, seeded random suites,
+full-analysis orchestration and report emission (json / markdown / csv). An
+error exits by the phase of ``main`` it arose in, never by its class: reading
+the input 2, a stage 3 (its error line names the stage), writing the output 4.
+
+The scenario file's format lives here alone: ``Scenario.to_json`` writes it
+and ``scenario_from_json`` reads it, by its typing rules: an object has a
+closed set of keys (``as_object``: ``SCENARIO_KEYS``, ``ENSEMBLE_KEYS``,
+``INSTRUMENT_KEYS``, ``OPTION_KEYS``), numbers are JSON numbers
+(``as_numbers``, which ``matrix_from_json`` applies to every entry), a count
+is an integer (``as_count``, which also reads the count flags), a tolerance a
+finite, non-negative number (``as_tol``, which also reads ``QINSTR_TOL``) and
+labels are a list (``as_labels``). The letters go through ingest's clamp
+(``ensemble_from_json``)."""
 
 from __future__ import annotations
 
 import argparse
 import contextlib
 import hashlib
+import itertools
 import json
 import math
+import numbers
 import os
 import sys
 import traceback
@@ -19,8 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import hallmap, matcore
-from .errors import QinstrError, SchemaError, SingularAprioriState, UnknownFormat
+from . import hallmap
+from .errors import DimensionMismatch, QinstrError, SchemaError, SingularAprioriState, UnknownFormat
 from .infobounds import (
     INEQ_TOL,
     _passes,
@@ -33,14 +45,8 @@ from .infobounds import (
     random_ensemble,
     scutaru_chains,
 )
-from .instrument import (
-    Instrument,
-    KrausMap,
-    instrument_from_json,
-    instrument_to_json,
-    random_instrument,
-)
-from .qstate import Ensemble, ensemble_from_json, ensemble_to_json, pure_state
+from .instrument import Instrument, KrausMap, random_instrument
+from .qstate import Ensemble, _clamped, pure_state
 
 LN2 = math.log(2.0)
 _MASK64 = (1 << 64) - 1
@@ -54,6 +60,91 @@ def splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+# ---------------------------------------------------------------------------
+# the scenario file: its typing rules, its matrices and its objects
+
+def matrix_to_json(a: np.ndarray) -> list:
+    """Rows of [re, im] pairs, for a matrix already checked (a state's or a
+    Kraus operator's): the entries are not checked again."""
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    return a.view(np.float64).reshape(*a.shape, 2).tolist()
+
+
+def matrix_from_json(rows: list) -> np.ndarray:
+    """The complex matrix, or stack of matrices, that ``matrix_to_json`` wrote:
+    every entry a [re, im] pair of JSON numbers (``as_numbers``), in one
+    ``numpy.array`` pass. The entries are not checked here; the matrix's
+    reader checks them."""
+    a = as_numbers("matrix JSON", rows)
+    if a.ndim < 3 or a.shape[-1] != 2:
+        raise DimensionMismatch(
+            f"malformed matrix JSON: expected rows of [re, im] number pairs, got shape {a.shape}"
+        )
+    return a.view(np.complex128)[..., 0]
+
+
+def as_numbers(name: str, values) -> np.ndarray:
+    """A JSON list (or nested lists) of numbers as one float64 array, read in
+    one ``numpy.array`` pass. Only JSON numbers are taken (dtype kind i, u or
+    f): ``numpy.array(values, np.float64)`` would read "0.5" as 0.5, so a
+    numeric string, null, an object, ragged lists or a boolean is a
+    SchemaError. numpy promotes a boolean among numbers to 0 or 1, so the
+    entries' types are read too, by ``map`` over the flattened lists (C
+    iteration, no Python loop per entry)."""
+    try:
+        a = np.array(values)
+    except (TypeError, ValueError) as exc:  # ragged lists
+        raise SchemaError(f"malformed {name}: {exc}") from exc
+    if a.dtype.kind not in "iuf":
+        raise SchemaError(
+            f"{name} must hold JSON numbers only (no string, boolean or null), "
+            f"got numpy dtype {a.dtype}"
+        )
+    entries = [values]
+    for _ in range(a.ndim):
+        entries = itertools.chain.from_iterable(entries)
+    if bool in map(type, entries):
+        raise SchemaError(f"{name} must hold JSON numbers only, got a boolean among them")
+    return a.astype(np.float64, copy=False)
+
+
+def as_count(name: str, value, least: int) -> int:
+    """``value`` as an integer >= ``least``. An integral float reads as its
+    integer (2.0 is 2, so a fingerprint does not move); a boolean, a string, a
+    fraction or a non-finite number is a SchemaError."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise SchemaError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def as_tol(name: str, value) -> float:
+    """``value`` as a finite, non-negative float; a boolean, a string or a
+    NaN, infinite or negative number is a SchemaError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value < math.inf:
+        raise SchemaError(f"{name} must be a finite, non-negative number, got {value!r}")
+    return float(value)
+
+
+def as_labels(name: str, values) -> tuple:
+    """A JSON list of labels as a tuple; a string is no list of labels."""
+    if not isinstance(values, list):
+        raise SchemaError(f"{name} must be a list of labels, got {type(values).__name__}")
+    return tuple(values)
+
+
+def as_object(name: str, obj, keys: tuple) -> dict:
+    """``obj``, once it is a JSON object whose every key is one of ``keys``: a
+    misspelt or retired key is a SchemaError that names it, never ignored."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{name} must be an object, got {type(obj).__name__}")
+    for key in obj:
+        if key not in keys:
+            raise SchemaError(f"unknown key {key!r} in {name}; its keys are {', '.join(keys)}")
+    return obj
+
+
 def default_tol() -> float:
     """QINSTR_TOL, read by the rule that reads any tolerance, else INEQ_TOL."""
     raw = os.environ.get("QINSTR_TOL")
@@ -63,10 +154,12 @@ def default_tol() -> float:
         tol = float(raw)
     except ValueError:
         tol = raw  # not a number, which as_tol rejects
-    return matcore.as_tol("QINSTR_TOL", tol)
+    return as_tol("QINSTR_TOL", tol)
 
 
 SCENARIO_KEYS = ("ensemble", "instrument", "options")
+ENSEMBLE_KEYS = ("letters", "probs", "states")
+INSTRUMENT_KEYS = ("dim_in", "dim_out", "outcomes", "kraus")
 OPTION_KEYS = ("log_base", "tol", "gl_trials", "gl_demix", "seed")
 
 
@@ -88,27 +181,57 @@ class Scenario:
             )
         if self.log_base not in ("e", "2"):
             raise SchemaError(f"log_base must be 'e' or '2', got {self.log_base!r}")
-        object.__setattr__(self, "tol", matcore.as_tol("tol", self.tol))
+        object.__setattr__(self, "tol", as_tol("tol", self.tol))
         for name, least in (("gl_trials", 1), ("gl_demix", 0), ("seed", 0)):
-            object.__setattr__(self, name, matcore.as_count(name, getattr(self, name), least))
+            object.__setattr__(self, name, as_count(name, getattr(self, name), least))
 
     def to_json(self) -> dict:
+        e, ins = self.ensemble, self.instrument
         return {
-            "ensemble": ensemble_to_json(self.ensemble),
-            "instrument": instrument_to_json(self.instrument),
+            "ensemble": {
+                "letters": list(e.letters),
+                "probs": [float(p) for p in e.probs],
+                "states": matrix_to_json(e.states),
+            },
+            "instrument": {
+                "dim_in": ins.dim_in,
+                "dim_out": ins.dim_out,
+                "outcomes": list(ins.outcomes),
+                "kraus": [matrix_to_json(m.kraus) for m in ins.maps],
+            },
             "options": {name: getattr(self, name) for name in OPTION_KEYS},
         }
+
+
+def ensemble_from_json(obj: dict) -> Ensemble:
+    """The letters are read as one stack, checked and decomposed once by the
+    Ensemble; only when ingest's rule (``qstate._clamped``) repairs a letter
+    is the repaired stack checked and decomposed again."""
+    obj = as_object("ensemble", obj, ENSEMBLE_KEYS)
+    letters = as_labels("letters", obj["letters"])
+    probs = as_numbers("probs", obj["probs"])
+    e = Ensemble(letters, probs, matrix_from_json(obj["states"]))
+    clamped = _clamped(e.states, e.spectra.eigenvalues[:, 0])
+    return e if clamped is None else Ensemble(letters, probs, clamped)
 
 
 def scenario_from_json(obj: dict, tol_override: Optional[float] = None,
                        base_override: Optional[str] = None) -> Scenario:
     try:
-        obj = matcore.as_object("scenario", obj, SCENARIO_KEYS)
+        obj = as_object("scenario", obj, SCENARIO_KEYS)
         ensemble = ensemble_from_json(obj["ensemble"])
-        instrument = instrument_from_json(obj["instrument"])
+        ins = as_object("instrument", obj["instrument"], INSTRUMENT_KEYS)
+        d1 = as_count("dim_in", ins["dim_in"], 1)
+        d2 = as_count("dim_out", ins["dim_out"], 1)
+        # one parse per outcome; an empty outcome is KrausMap's to name
+        maps = tuple(
+            KrausMap(d1, d2, matrix_from_json(group) if group else ())
+            for group in ins["kraus"]
+        )
+        instrument = Instrument(as_labels("outcomes", ins["outcomes"]), maps)
         # the options the file gives and the overrides; Scenario holds every
         # default (QINSTR_TOL is read only when it supplies the tolerance)
-        options = dict(matcore.as_object("options", obj.get("options", {}), OPTION_KEYS))
+        options = dict(as_object("options", obj.get("options", {}), OPTION_KEYS))
         if tol_override is not None:
             options["tol"] = tol_override
         if base_override:
@@ -382,12 +505,12 @@ def main(argv=None) -> int:
 
     try:  # read: the file, the flags and QINSTR_TOL
         if args.command == "analyze":
-            with open(args.scenario) as fh:
+            with open(args.scenario, encoding="utf-8") as fh:  # JSON is UTF-8 (RFC 8259)
                 scenario = scenario_from_json(json.load(fh), tol_override=args.tol, base_override=args.base)
         elif args.command == "random":
-            shape = tuple(matcore.as_count(f"--{flag}", getattr(args, flag), 1)
+            shape = tuple(as_count(f"--{flag}", getattr(args, flag), 1)
                           for flag in ("d1", "d2", "letters", "outcomes", "kraus"))
-            trials = matcore.as_count("--trials", args.trials, 1)
+            trials = as_count("--trials", args.trials, 1)
             default_tol()  # each scenario of the suite reads QINSTR_TOL
         else:
             scenario = example_scenario(args.name)

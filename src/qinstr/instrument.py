@@ -2,9 +2,9 @@
 a posteriori states and seeded random generation.
 
 A ``KrausMap`` holds its Kraus operators as one read-only [k, d2, d1] array,
-checked once; the effects, the channel matrix and the JSON reader and writer
-are array operations on it. An instrument's POV measure is the dual action of its
-maps on the identity, E(w) = sum_k K_k^dag K_k, held once as
+checked once; the effects and the channel matrix are array operations on
+it. An instrument's POV measure is the dual action of its maps on the
+identity, E(w) = sum_k K_k^dag K_k, held once as
 ``Instrument.effects``; the effect-sum rule (sum_w E(w) = 1 within
 POVM_SUM_TOL) is checked there, at construction. The analysis applies an
 instrument to stacks through ``Instrument.channel_matrix``, and
@@ -178,26 +178,3 @@ def random_instrument(
     maps = tuple(KrausMap(d1, d2, group) for group in raw @ s_inv_sqrt)
     return Instrument(tuple(range(n_outcomes)), maps)
 
-
-def instrument_to_json(ins: Instrument) -> dict:
-    return {
-        "dim_in": ins.dim_in,
-        "dim_out": ins.dim_out,
-        "outcomes": list(ins.outcomes),
-        "kraus": [matcore.matrix_to_json(m.kraus) for m in ins.maps],
-    }
-
-
-INSTRUMENT_KEYS = ("dim_in", "dim_out", "outcomes", "kraus")
-
-
-def instrument_from_json(obj: dict) -> Instrument:
-    obj = matcore.as_object("instrument", obj, INSTRUMENT_KEYS)
-    d1 = matcore.as_count("dim_in", obj["dim_in"], 1)
-    d2 = matcore.as_count("dim_out", obj["dim_out"], 1)
-    # one parse per outcome; an empty outcome is KrausMap's to name
-    maps = tuple(
-        KrausMap(d1, d2, matcore.matrix_from_json(group) if group else ())
-        for group in obj["kraus"]
-    )
-    return Instrument(matcore.as_labels("outcomes", obj["outcomes"]), maps)

@@ -10,35 +10,26 @@ Hermiticity rule lives here, ``hermitian_part`` (finite, square, Hermitian
 within HERM_TOL, then (A + A^dag) / 2, on a matrix or a stack), and runs
 where inputs enter: in the rule of a state (``qstate``) and in
 ``jacobi_eig``. Input states are checked once and never repaired, except at
-ingest (``qstate.ensemble_from_json``), which clamps eigenvalues in
-[-HERM_TOL, 0) of a letter read from JSON; a state derived from them is a
-plain array, Hermitian by construction, decomposed (``herm_eig`` or
-``eigvalsh``) but never checked again.
+ingest (``qstate._clamped``), which clamps eigenvalues in [-HERM_TOL, 0) of a
+letter read from JSON; a state derived from them is a plain array, Hermitian
+by construction, decomposed (``herm_eig`` or ``eigvalsh``) but never checked
+again.
 ``jacobi_eig`` is a numpy cyclic Jacobi kept for input canonicalisation only:
 its rounding sets the last digits of generated Kraus operators
 (``random_instrument``) and of the letters that ingest clamps, and scenario
 fingerprints hash those digits, so those two call sites must not change
 solver. At ingest it runs only on letters whose least eigenvalue is
 <= HERM_TOL, the only ones the clamp can reach.
-
-The scenario file's typing rules live here too, and every reader calls them:
-an object has a closed set of keys (``as_object``), numbers are JSON numbers
-(``as_numbers``, which ``matrix_from_json`` applies to every entry), a count
-is an integer (``as_count``), a tolerance a finite, non-negative number
-(``as_tol``, which also reads ``QINSTR_TOL``) and labels are a list
-(``as_labels``).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import numbers
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian, SchemaError
+from .errors import DimensionMismatch, NoConvergence, NotHermitian
 
 HERM_TOL = 1e-10  # Hermiticity; qstate also judges traces, sums and positivity at it
 SUPPORT_CUTOFF = 1e-12  # eigenvalues at or below it lie outside the support; cells of such trace are null
@@ -184,85 +175,3 @@ def partial_trace(a: np.ndarray, subsystem: str, d1: int, d2: int) -> np.ndarray
     if subsystem == "second":
         return np.einsum("...ijkj->...ik", blocks)
     raise DimensionMismatch(f"subsystem must be 'first' or 'second', got {subsystem!r}")
-
-
-def matrix_to_json(a: np.ndarray) -> list:
-    """Rows of [re, im] pairs, for a matrix already checked (a state's or a
-    Kraus operator's): the entries are not checked again."""
-    a = np.ascontiguousarray(a, dtype=np.complex128)
-    return a.view(np.float64).reshape(*a.shape, 2).tolist()
-
-
-def matrix_from_json(rows: list) -> np.ndarray:
-    """The complex matrix, or stack of matrices, that ``matrix_to_json`` wrote:
-    every entry a [re, im] pair of JSON numbers (``as_numbers``), in one
-    ``numpy.array`` pass. The entries are not checked here; the matrix's
-    reader checks them."""
-    a = as_numbers("matrix JSON", rows)
-    if a.ndim < 3 or a.shape[-1] != 2:
-        raise DimensionMismatch(
-            f"malformed matrix JSON: expected rows of [re, im] number pairs, got shape {a.shape}"
-        )
-    return a.view(np.complex128)[..., 0]
-
-
-def as_numbers(name: str, values) -> np.ndarray:
-    """A JSON list (or nested lists) of numbers as one float64 array, read in
-    one ``numpy.array`` pass. Only JSON numbers are taken (dtype kind i, u or
-    f): ``numpy.array(values, np.float64)`` would read "0.5" as 0.5, so a
-    numeric string, null, an object, ragged lists or a boolean is a
-    SchemaError. numpy promotes a boolean among numbers to 0 or 1, so the
-    entries' types are read too, by ``map`` over the flattened lists (C
-    iteration, no Python loop per entry)."""
-    try:
-        a = np.array(values)
-    except (TypeError, ValueError) as exc:  # ragged lists
-        raise SchemaError(f"malformed {name}: {exc}") from exc
-    if a.dtype.kind not in "iuf":
-        raise SchemaError(
-            f"{name} must hold JSON numbers only (no string, boolean or null), "
-            f"got numpy dtype {a.dtype}"
-        )
-    entries = [values]
-    for _ in range(a.ndim):
-        entries = itertools.chain.from_iterable(entries)
-    if bool in map(type, entries):
-        raise SchemaError(f"{name} must hold JSON numbers only, got a boolean among them")
-    return a.astype(np.float64, copy=False)
-
-
-def as_count(name: str, value, least: int) -> int:
-    """``value`` as an integer >= ``least``. An integral float reads as its
-    integer (2.0 is 2, so a fingerprint does not move); a boolean, a string, a
-    fraction or a non-finite number is a SchemaError."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise SchemaError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
-
-
-def as_tol(name: str, value) -> float:
-    """``value`` as a finite, non-negative float; a boolean, a string or a
-    NaN, infinite or negative number is a SchemaError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value < math.inf:
-        raise SchemaError(f"{name} must be a finite, non-negative number, got {value!r}")
-    return float(value)
-
-
-def as_labels(name: str, values) -> tuple:
-    """A JSON list of labels as a tuple; a string is no list of labels."""
-    if not isinstance(values, list):
-        raise SchemaError(f"{name} must be a list of labels, got {type(values).__name__}")
-    return tuple(values)
-
-
-def as_object(name: str, obj, keys: tuple) -> dict:
-    """``obj``, once it is a JSON object whose every key is one of ``keys``: a
-    misspelt or retired key is a SchemaError that names it, never ignored."""
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{name} must be an object, got {type(obj).__name__}")
-    for key in obj:
-        if key not in keys:
-            raise SchemaError(f"unknown key {key!r} in {name}; its keys are {', '.join(keys)}")
-    return obj

@@ -10,9 +10,10 @@ is each letter's one spectrum. ``Ensemble`` applies it, and so does
 which no pipeline path builds. Everything the pipeline derives from checked
 inputs (I_w(rho) / tr, the a priori state, P_f) is a state or a law by
 construction and stays a plain array, never checked again. The one repair is
-at ingest (``ensemble_from_json``): a valid letter read from JSON whose Jacobi
-least eigenvalue is negative is clamped, because scenario fingerprints hash
-the digits that clamp has always produced. An instrument's POV measure lives
+ingest's rule (``_clamped``), which the scenario file's reader
+(``harness.ensemble_from_json``) applies: a valid letter read from JSON whose
+Jacobi least eigenvalue is negative is clamped, because scenario fingerprints
+hash the digits that clamp has always produced. An instrument's POV measure lives
 on the instrument (``instrument.Instrument.effects``).
 """
 
@@ -130,14 +131,6 @@ def pure_state(vec: Sequence[complex]) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def ensemble_to_json(e: Ensemble) -> dict:
-    return {
-        "letters": list(e.letters),
-        "probs": [float(p) for p in e.probs],
-        "states": matcore.matrix_to_json(e.states),
-    }
-
-
 def _clamped(states: np.ndarray, least: np.ndarray) -> Optional[np.ndarray]:
     """Ingest's repair of a checked [n, d, d] stack of letters read from JSON,
     given their least LAPACK eigenvalues: the stack with each clamped state
@@ -163,17 +156,3 @@ def _clamped(states: np.ndarray, least: np.ndarray) -> Optional[np.ndarray]:
             out[i] = (vecs * (vals / vals.sum())) @ vecs.conj().T
     return out
 
-
-ENSEMBLE_KEYS = ("letters", "probs", "states")
-
-
-def ensemble_from_json(obj: dict) -> Ensemble:
-    """The letters are read as one stack, checked and decomposed once by the
-    Ensemble; only when ingest's rule (``_clamped``) repairs a letter is the
-    repaired stack checked and decomposed again."""
-    obj = matcore.as_object("ensemble", obj, ENSEMBLE_KEYS)
-    letters = matcore.as_labels("letters", obj["letters"])
-    probs = matcore.as_numbers("probs", obj["probs"])
-    e = Ensemble(letters, probs, matcore.matrix_from_json(obj["states"]))
-    clamped = _clamped(e.states, e.spectra.eigenvalues[:, 0])
-    return e if clamped is None else Ensemble(letters, probs, clamped)

@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import errno
@@ -5,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -433,6 +435,25 @@ class TestCli:
             assert main(["analyze", str(path)]) == 2, name
             assert capsys.readouterr().err.startswith("input error:"), name
 
+    @pytest.mark.parametrize("flags,env", [
+        (["-X", "warn_default_encoding", "-W", "error::EncodingWarning"], {}),
+        ([], {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}),
+    ], ids=["warn-default-encoding", "ascii-locale"])
+    def test_scenario_file_is_read_as_utf8(self, tmp_path, flags, env):
+        # JSON is UTF-8 (RFC 8259): a label written as raw UTF-8 reads as
+        # written, and keeps its fingerprint, whatever the locale's encoding
+        obj = example_scenario("zero-one-plus").to_json()
+        obj["ensemble"]["letters"][0] = "z\u00e9ro"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(obj, ensure_ascii=False), encoding="utf-8")
+        src = str(Path(harness.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, *flags, "-m", "qinstr", "analyze", str(path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src, **env},
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["fingerprint"] == _fingerprint(scenario_from_json(obj))
+
     def test_bad_schema_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"ensemble": {"letters": []}}))
@@ -443,11 +464,6 @@ class TestCli:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(example_scenario("zero-one-plus").to_json()))
         assert main(["analyze", str(path), "--tol", tol]) == 2
-
-    def test_unparsable_env_tol_is_input_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("QINSTR_TOL", "abc")
-        assert main(["random", "--trials", "1"]) == 2
-        assert "QINSTR_TOL" in capsys.readouterr().err
 
     @pytest.mark.parametrize("raw", ["-1", "nan", "inf", "1e400", "abc"])
     def test_out_of_range_env_tol_is_input_error(self, monkeypatch, tmp_path, capsys, raw):
@@ -679,7 +695,7 @@ class TestInputContract:
     @pytest.mark.parametrize("flag", ["--d1", "--d2", "--letters", "--outcomes", "--kraus", "--trials"])
     def test_random_count_flag_below_one_is_schema_error(self, capsys, flag, value):
         # a count below 1 is an input error (exit 2) that names its flag, as a
-        # file's counts are (matcore.as_count), never a failed check (exit 1)
+        # file's counts are (harness.as_count), never a failed check (exit 1)
         # from a numpy traceback or a trace error
         assert main(["random", flag, value]) == 2
         err = capsys.readouterr().err
@@ -746,7 +762,7 @@ class TestInputContract:
         assert self._analyze(tmp_path, mutate) == 2
 
     @pytest.mark.parametrize("where,key,value", [
-        ("options", "default_state", matcore.matrix_to_json(np.eye(2) / 2)),  # retired
+        ("options", "default_state", harness.matrix_to_json(np.eye(2) / 2)),  # retired
         ("options", "gl_trails", 3),  # a typo of gl_trials
         (None, "option", {"tol": 0.0, "log_base": "2"}),  # a typo of options
     ], ids=["default_state", "gl_trails", "option"])
@@ -924,8 +940,30 @@ def test_written_key_sets_are_the_read_key_sets(scenario):
     obj = scenario.to_json()
     assert set(obj) == set(harness.SCENARIO_KEYS)
     assert set(obj["options"]) == set(harness.OPTION_KEYS)
-    assert set(obj["ensemble"]) == set(qstate.ENSEMBLE_KEYS)
-    assert set(obj["instrument"]) == set(instrument.INSTRUMENT_KEYS)
+    assert set(obj["ensemble"]) == set(harness.ENSEMBLE_KEYS)
+    assert set(obj["instrument"]) == set(harness.INSTRUMENT_KEYS)
+
+
+def test_the_scenario_file_is_read_and_written_only_in_harness():
+    """No module but harness defines a reader, a writer, a typing rule or a
+    key set of the scenario file, and none but errors and harness names the
+    error its typing rules raise."""
+    package = Path(harness.__file__).resolve().parent
+    defined, naming_schema_error = {}, set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and re.fullmatch(r"\w+_(from|to)_json|as_\w+", node.name):
+                defined.setdefault(node.name, set()).add(path.stem)
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple):
+                for t in node.targets:
+                    if isinstance(t, ast.Name) and t.id.endswith("_KEYS"):
+                        defined.setdefault(t.id, set()).add(path.stem)
+            if "SchemaError" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                 getattr(node, "name", None)):
+                naming_schema_error.add(path.stem)
+    assert {"ENSEMBLE_KEYS", "matrix_from_json", "as_object"} <= set(defined)
+    assert {name: modules for name, modules in defined.items() if modules != {"harness"}} == {}
+    assert naming_schema_error == {"errors", "harness"}
 
 
 def test_run_scenario_does_no_per_state_work(monkeypatch):

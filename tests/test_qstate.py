@@ -5,19 +5,15 @@ from conftest import KET0, KET1, PLUS
 from qinstr import matcore
 from qinstr.errors import BadTrace, DimensionMismatch, NotHermitian, NotPositive
 from qinstr.matcore import HERM_TOL
-from qinstr.qstate import (
-    DensityMatrix,
-    Ensemble,
-    ensemble_from_json,
-    ensemble_to_json,
-)
+from qinstr.harness import ensemble_from_json, example_scenario, matrix_to_json
+from qinstr.qstate import DensityMatrix, Ensemble
 from qinstr.reference import ClassicalDist, a_priori_state, fidelity_like_support_check, maximally_mixed
 
 
 def read(m) -> tuple:
     """One state read by ingest, as a one-letter ensemble: its matrix and its
     eigenvalues."""
-    e = ensemble_from_json({"letters": [0], "probs": [1.0], "states": [matcore.matrix_to_json(m)]})
+    e = ensemble_from_json({"letters": [0], "probs": [1.0], "states": [matrix_to_json(m)]})
     return e.states[0], e.spectra.eigenvalues[0]
 
 
@@ -135,8 +131,9 @@ class TestClassicalDist:
 
 class TestJson:
     def test_ensemble_roundtrip(self):
-        e = Ensemble((0, 1), np.array([0.5, 0.5]), (KET0.mat, PLUS.mat))
-        e2 = ensemble_from_json(ensemble_to_json(e))
+        s = example_scenario("zero-one-plus")
+        e = s.ensemble
+        e2 = ensemble_from_json(s.to_json()["ensemble"])
         assert e2.letters == e.letters
         assert np.allclose(e2.probs, e.probs)
         for s1, s2 in zip(e.states, e2.states):
@@ -192,7 +189,7 @@ class TestJson:
             e = ensemble_from_json({
                 "letters": list(range(len(mats))),
                 "probs": [1 / len(mats)] * len(mats),
-                "states": [matcore.matrix_to_json(m) for m in mats],
+                "states": [matrix_to_json(m) for m in mats],
             })
             assert not e.states.flags.writeable
             for m, letter, vals in zip(mats, e.states, e.spectra.eigenvalues):
