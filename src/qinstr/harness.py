@@ -9,8 +9,8 @@ closed set of keys (``as_object``: ``SCENARIO_KEYS``, ``ENSEMBLE_KEYS``,
 ``INSTRUMENT_KEYS``, ``OPTION_KEYS``), numbers are JSON numbers
 (``as_numbers``, which ``matrix_from_json`` applies to every entry), a count
 is an integer (``as_count``, which also reads the count flags), a tolerance a
-finite, non-negative number (``as_tol``, which also reads ``QINSTR_TOL``) and
-labels are a list (``as_labels``). The letters go through ingest's clamp
+finite, non-negative number (``as_tol``) and labels are a list
+(``as_labels``). The letters go through ingest's clamp
 (``ensemble_from_json``)."""
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ import itertools
 import json
 import math
 import numbers
-import os
 import sys
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -146,15 +145,8 @@ def as_object(name: str, obj, keys: tuple) -> dict:
 
 
 def default_tol() -> float:
-    """QINSTR_TOL, read by the rule that reads any tolerance, else INEQ_TOL."""
-    raw = os.environ.get("QINSTR_TOL")
-    if raw is None:
-        return INEQ_TOL
-    try:
-        tol = float(raw)
-    except ValueError:
-        tol = raw  # not a number, which as_tol rejects
-    return as_tol("QINSTR_TOL", tol)
+    """INEQ_TOL, read from nothing: kept only for the provenance that scenariobench/run.py records."""
+    return INEQ_TOL
 
 
 SCENARIO_KEYS = ("ensemble", "instrument", "options")
@@ -168,7 +160,7 @@ class Scenario:
     ensemble: Ensemble
     instrument: Instrument
     log_base: str = "e"
-    tol: float = field(default_factory=default_tol)
+    tol: float = INEQ_TOL
     gl_trials: int = 100
     gl_demix: int = 5
     seed: int = 0
@@ -229,8 +221,7 @@ def scenario_from_json(obj: dict, tol_override: Optional[float] = None,
             for group in ins["kraus"]
         )
         instrument = Instrument(as_labels("outcomes", ins["outcomes"]), maps)
-        # the options the file gives and the overrides; Scenario holds every
-        # default (QINSTR_TOL is read only when it supplies the tolerance)
+        # the options the file gives and the overrides; Scenario holds every default
         options = dict(as_object("options", obj.get("options", {}), OPTION_KEYS))
         if tol_override is not None:
             options["tol"] = tol_override
@@ -503,7 +494,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
-    try:  # read: the file, the flags and QINSTR_TOL
+    try:  # read: the file or the flags
         if args.command == "analyze":
             with open(args.scenario, encoding="utf-8") as fh:  # JSON is UTF-8 (RFC 8259)
                 scenario = scenario_from_json(json.load(fh), tol_override=args.tol, base_override=args.base)
@@ -511,7 +502,10 @@ def main(argv=None) -> int:
             shape = tuple(as_count(f"--{flag}", getattr(args, flag), 1)
                           for flag in ("d1", "d2", "letters", "outcomes", "kraus"))
             trials = as_count("--trials", args.trials, 1)
-            default_tol()  # each scenario of the suite reads QINSTR_TOL
+            d1, d2, _, n_outcomes, n_kraus = shape
+            if n_outcomes * n_kraus * d2 < d1:  # sum_w sum_k K^dag K has rank <= that product
+                raise SchemaError(f"--outcomes * --kraus * --d2 must be >= --d1 for the effects to sum to "
+                                  f"the identity, got {n_outcomes} * {n_kraus} * {d2} < {d1}")
         else:
             scenario = example_scenario(args.name)
     except (OSError, ValueError, RecursionError, QinstrError) as exc:  # unreadable, not JSON, too deep, invalid

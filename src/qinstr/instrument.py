@@ -98,9 +98,9 @@ class Instrument:
     @cached_property
     def effects(self) -> np.ndarray:
         """The POV measure [outcome, d1, d1]: E(w) = sum_k K_k^dag K_k = V^dag V,
-        with V = [K_1; K_2; ...] the outcome's Kraus operators stacked by rows."""
-        stacked = [m.kraus.reshape(-1, self.dim_in) for m in self.maps]
-        effects = np.stack([v.conj().T @ v for v in stacked])
+        with V = [K_1; K_2; ...] the outcome's (zero-padded) Kraus operators stacked by rows."""
+        v = self.kraus_stack.reshape(len(self.maps), -1, self.dim_in)
+        effects = v.conj().swapaxes(-1, -2) @ v
         effects.setflags(write=False)
         return effects
 
