@@ -1,49 +1,17 @@
-"""Exception hierarchy shared by all modules."""
+"""The toolkit's errors. ``harness.main`` maps an error to its exit code by
+the phase it arose in, never by its class, so each error is its message, which
+names the rule that failed, and a class says only what the phase's line prints:
+a ``SchemaError`` is a break of the scenario file's typing rules, and a
+``NoConvergence`` a numerical step that failed."""
 
 
 class QinstrError(Exception):
-    """Base class for all toolkit errors."""
-
-
-class NotHermitian(QinstrError):
-    pass
-
-
-class NoConvergence(QinstrError):
-    pass
-
-
-class DimensionMismatch(QinstrError):
-    pass
-
-
-class NotPositive(QinstrError):
-    pass
-
-
-class BadTrace(QinstrError):
-    pass
-
-
-class LabelMismatch(QinstrError):
-    pass
-
-
-class UnknownOutcome(QinstrError):
-    pass
-
-
-class SingularNormalizer(QinstrError):
-    pass
-
-
-class SingularAprioriState(QinstrError):
-    pass
+    """An input that breaks a rule of a state, a law or an instrument."""
 
 
 class SchemaError(QinstrError):
-    pass
+    """A file or flag that breaks the scenario file's typing rules (``harness``)."""
 
 
-class UnknownFormat(QinstrError):
-    pass
+class NoConvergence(QinstrError):
+    """A numerical step that failed: a LAPACK routine, an entropy or a normalizer."""

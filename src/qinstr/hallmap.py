@@ -18,12 +18,12 @@ import numpy as np
 
 from . import matcore
 from .entropy import chi_against, mutual_info, vn_entropies
-from .errors import SingularAprioriState
 from .infobounds import BoundCheck, MeasurementStatistics, _info_gain
 from .instrument import _posteriors
 from .matcore import SUPPORT_CUTOFF
 
 INVERTIBILITY_TOL = 1e-9
+SINGULAR = f"a priori state is singular: least eigenvalue at or below {INVERTIBILITY_TOL:.1e}"
 
 
 def hall_section(ms: MeasurementStatistics) -> tuple:
@@ -52,16 +52,13 @@ def hall_section(ms: MeasurementStatistics) -> tuple:
     ``vn_entropies`` call; I_c and the letters' and eta_i's are the
     scenario's (``ms.entropies``).
 
-    Raises SingularAprioriState, with fixed text, when eta's least eigenvalue
-    is <= INVERTIBILITY_TOL. No row needs the inverse, but the Hall skip and
-    the set of check names are compared exactly against the recorded
-    benchmark references, so the skip stays until those are re-recorded.
+    ``harness.run_scenario`` calls it only when eta's least eigenvalue is
+    above INVERTIBILITY_TOL, and otherwise reports the skip with the fixed
+    text SINGULAR. No row needs the inverse, but the Hall skip and the set of
+    check names are compared exactly against the recorded benchmark
+    references, so the skip stays until those are re-recorded.
     """
     e, eta = ms.ensemble, ms.a_priori_decomp
-    if eta.eigenvalues[0] <= INVERTIBILITY_TOL:
-        raise SingularAprioriState(
-            f"a priori state is singular: least eigenvalue at or below {INVERTIBILITY_TOL:.1e}"
-        )
     p_f = ms.output_marginal[ms.live]
     x = np.concatenate([ms.instrument.effects[ms.live] / p_f[:, None, None], np.eye(e.dim)[None]])
     held = ms.cond_out_given_in[:, ms.live] > 0.0  # analyze's live cells

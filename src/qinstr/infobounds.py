@@ -13,7 +13,7 @@ import numpy as np
 
 from . import matcore
 from .entropy import _entropy, chi_against, mutual_info, vn_entropies, weighted_sum
-from .errors import DimensionMismatch
+from .errors import QinstrError
 from .instrument import (
     Instrument,
     _apply_to_stack,
@@ -170,7 +170,7 @@ def analyze(e: Ensemble, ins: Instrument) -> MeasurementStatistics:
     is decomposed once, by ``matcore.herm_eig``.
     """
     if e.dim != ins.dim_in:
-        raise DimensionMismatch(f"ensemble dim {e.dim} vs instrument dim_in {ins.dim_in}")
+        raise QinstrError(f"ensemble dim {e.dim} vs instrument dim_in {ins.dim_in}")
     outs = _apply_to_stack(ins, e.states)
     cond, posts = _posteriors(outs)
     post_letter = outs.sum(axis=0)

@@ -21,13 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import matcore
-from .errors import (
-    BadTrace,
-    DimensionMismatch,
-    LabelMismatch,
-    NotHermitian,
-    SingularNormalizer,
-)
+from .errors import NoConvergence, QinstrError
 from .matcore import SUPPORT_CUTOFF
 
 POVM_SUM_TOL = 1e-9  # sum of an instrument's effects against the identity
@@ -49,15 +43,15 @@ class KrausMap:
         try:
             kraus = np.array(self.kraus, dtype=np.complex128)
         except ValueError as exc:  # operators of different shapes
-            raise DimensionMismatch(f"Kraus operators do not form one array: {exc}") from exc
+            raise QinstrError(f"Kraus operators do not form one array: {exc}") from exc
         if not kraus.size:
-            raise DimensionMismatch("a Kraus map needs at least one Kraus operator")
+            raise QinstrError("a Kraus map needs at least one Kraus operator")
         if kraus.shape[1:] != (self.dim_out, self.dim_in):
-            raise DimensionMismatch(
+            raise QinstrError(
                 f"Kraus operators stacked as {kraus.shape}, expected (k, {self.dim_out}, {self.dim_in})"
             )
         if not np.isfinite(kraus).all():
-            raise NotHermitian("Kraus operators contain NaN/Inf entries")
+            raise QinstrError("Kraus operators contain NaN/Inf entries")
         kraus.setflags(write=False)
         object.__setattr__(self, "kraus", kraus)
 
@@ -73,19 +67,19 @@ class Instrument:
         outcomes = tuple(self.outcomes)
         maps = tuple(self.maps)
         if len(outcomes) != len(maps) or not maps:
-            raise DimensionMismatch("need one Kraus map per outcome")
+            raise QinstrError("need one Kraus map per outcome")
         if any(outcomes.index(o) != i for i, o in enumerate(outcomes)):
-            raise LabelMismatch(f"duplicate outcome labels in {outcomes!r}")
+            raise QinstrError(f"duplicate outcome labels in {outcomes!r}")
         d1 = maps[0].dim_in
         d2 = maps[0].dim_out
         if any(m.dim_in != d1 or m.dim_out != d2 for m in maps):
-            raise DimensionMismatch("Kraus maps have inconsistent dimensions")
+            raise QinstrError("Kraus maps have inconsistent dimensions")
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "maps", maps)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the rule below
             dev = np.abs(self.effects.sum(axis=0) - np.eye(d1)).max()
         if not dev <= POVM_SUM_TOL:  # NaN fails too
-            raise BadTrace(f"sum of effects deviates from identity by {dev:.3e}")
+            raise QinstrError(f"sum of effects deviates from identity by {dev:.3e}")
 
     @property
     def dim_in(self) -> int:
@@ -163,7 +157,7 @@ def random_instrument(
 ) -> Instrument:
     """Ginibre-drawn Kraus operators, right-normalized by S^{-1/2}."""
     if min(d1, d2, n_outcomes, kraus_per_outcome) < 1:
-        raise DimensionMismatch("all dimensions and counts must be positive")
+        raise QinstrError("all dimensions and counts must be positive")
     rng = np.random.default_rng(seed)
     # each operator draws its real part, then its imaginary part
     draw = rng.standard_normal((n_outcomes, kraus_per_outcome, 2, d2, d1))
@@ -173,7 +167,7 @@ def random_instrument(
     # operators' last digits, which scenario fingerprints hash
     spec = matcore.jacobi_eig(s)
     if spec.eigenvalues[0] < SUPPORT_CUTOFF:
-        raise SingularNormalizer(f"normalizer eigenvalue {spec.eigenvalues[0]:.3e} too small")
+        raise NoConvergence(f"normalizer eigenvalue {spec.eigenvalues[0]:.3e} too small")
     s_inv_sqrt = matcore.spectral_apply(spec, lambda x: x ** -0.5)
     maps = tuple(KrausMap(d1, d2, group) for group in raw @ s_inv_sqrt)
     return Instrument(tuple(range(n_outcomes)), maps)

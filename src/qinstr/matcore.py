@@ -7,8 +7,9 @@ through ``lapack``, which makes a LAPACK failure a ``NoConvergence`` (the CLI
 exits 2 on it while the file is read, 3 inside a stage); every
 ``eigh`` is ``herm_eig``, which takes its matrix or stack as given. The one
 Hermiticity rule lives here, ``hermitian_part`` (finite, square, Hermitian
-within HERM_TOL, then (A + A^dag) / 2, on a matrix or a stack), and runs
-where inputs enter: in the rule of a state (``qstate``) and in
+within HERM_TOL, then (A + A^dag) / 2, on a matrix or a stack; a
+``QinstrError`` whose message names the part that fails), and runs where
+inputs enter: in the rule of a state (``qstate``) and in
 ``jacobi_eig``. Input states are checked once and never repaired, except at
 ingest (``qstate._clamped``), which clamps eigenvalues in [-HERM_TOL, 0) of a
 letter read from JSON; a state derived from them is a plain array, Hermitian
@@ -29,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian
+from .errors import NoConvergence, QinstrError
 
 HERM_TOL = 1e-10  # Hermiticity; qstate also judges traces, sums and positivity at it
 SUPPORT_CUTOFF = 1e-12  # eigenvalues at or below it lie outside the support; cells of such trace are null
@@ -50,13 +51,13 @@ def hermitian_part(a) -> np.ndarray:
     to its adjoint is its own Hermitian part: the same values come back."""
     a = np.asarray(a, dtype=np.complex128)
     if not np.isfinite(a).all():
-        raise NotHermitian("matrix contains NaN/Inf entries")
+        raise QinstrError("matrix contains NaN/Inf entries")
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise NotHermitian(f"matrix of shape {a.shape} is not square")
+        raise QinstrError(f"matrix of shape {a.shape} is not square")
     adj = a.conj().swapaxes(-1, -2)
     dev = float(np.abs(a - adj).max(initial=0.0))
     if dev > HERM_TOL:
-        raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds {HERM_TOL:.1e}")
+        raise QinstrError(f"Hermiticity deviation {dev:.3e} exceeds {HERM_TOL:.1e}")
     return 0.5 * (a + adj)
 
 
@@ -166,12 +167,10 @@ def partial_trace(a: np.ndarray, subsystem: str, d1: int, d2: int) -> np.ndarray
     """Trace out one factor of a matrix on H1 (x) H2, or of each matrix of a stack."""
     a = np.asarray(a, dtype=np.complex128)
     if a.shape[-2:] != (d1 * d2, d1 * d2):
-        raise DimensionMismatch(
-            f"expected a {d1 * d2}x{d1 * d2} matrix for dims ({d1},{d2}), got {a.shape}"
-        )
+        raise QinstrError(f"expected a {d1 * d2}x{d1 * d2} matrix for dims ({d1},{d2}), got {a.shape}")
     blocks = a.reshape(a.shape[:-2] + (d1, d2, d1, d2))
     if subsystem == "first":
         return np.einsum("...ijik->...jk", blocks)
     if subsystem == "second":
         return np.einsum("...ijkj->...ik", blocks)
-    raise DimensionMismatch(f"subsystem must be 'first' or 'second', got {subsystem!r}")
+    raise QinstrError(f"subsystem must be 'first' or 'second', got {subsystem!r}")

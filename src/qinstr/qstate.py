@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import matcore
-from .errors import BadTrace, DimensionMismatch, LabelMismatch, NotPositive
+from .errors import QinstrError
 from .matcore import HERM_TOL
 
 PROB_TOL = 1e-12
@@ -40,11 +40,11 @@ def _checked(states) -> tuple:
     states = np.ascontiguousarray(matcore.hermitian_part(states))
     worst = float(np.abs(states.trace(axis1=-2, axis2=-1).real - 1.0).max(initial=0.0))
     if worst > HERM_TOL:
-        raise BadTrace(f"trace differs from 1 by {worst:.3e}, more than {HERM_TOL:.1e}")
+        raise QinstrError(f"trace differs from 1 by {worst:.3e}, more than {HERM_TOL:.1e}")
     spec = matcore.herm_eig(states)
     least = float(spec.eigenvalues[:, 0].min())
     if not least >= -HERM_TOL:
-        raise NotPositive(f"minimum eigenvalue {least:.3e} below -{HERM_TOL:.1e}")
+        raise QinstrError(f"minimum eigenvalue {least:.3e} below -{HERM_TOL:.1e}")
     for a in (states, *spec):
         a.setflags(write=False)
     return states, spec
@@ -66,7 +66,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         if np.ndim(self.mat) != 2:
-            raise DimensionMismatch(f"expected a 2-D matrix, got ndim={np.ndim(self.mat)}")
+            raise QinstrError(f"expected a 2-D matrix, got ndim={np.ndim(self.mat)}")
         mat, (vals, vecs) = _checked(np.asarray(self.mat)[None])
         object.__setattr__(self, "mat", mat[0])
         object.__setattr__(self, "_spec", matcore.SpectralDecomp(vals[0], vecs[0]))
@@ -100,17 +100,17 @@ class Ensemble:
         try:
             states = np.asarray(self.states, dtype=np.complex128)
         except (TypeError, ValueError) as exc:  # ragged, or not numbers
-            raise DimensionMismatch(f"letter states do not form one numeric stack: {exc}") from exc
+            raise QinstrError(f"letter states do not form one numeric stack: {exc}") from exc
         if probs.shape != (len(letters),) or states.shape[:1] != (len(letters),):
-            raise LabelMismatch("letters, probs and states differ in length")
+            raise QinstrError("letters, probs and states differ in length")
         if any(letters.index(a) != i for i, a in enumerate(letters)):
-            raise LabelMismatch(f"duplicate letter labels in {letters!r}")
+            raise QinstrError(f"duplicate letter labels in {letters!r}")
         if not (probs > 0.0).all():  # NaN fails too
-            raise NotPositive("letter probabilities must be strictly positive")
+            raise QinstrError("letter probabilities must be strictly positive")
         if abs(probs.sum() - 1.0) > PROB_TOL:
-            raise BadTrace(f"letter probabilities sum to {probs.sum()}, not 1")
+            raise QinstrError(f"letter probabilities sum to {probs.sum()}, not 1")
         if states.ndim != 3:
-            raise DimensionMismatch(f"expected a [letter, d, d] stack, got shape {states.shape}")
+            raise QinstrError(f"expected a [letter, d, d] stack, got shape {states.shape}")
         states, spectra = _checked(states)
         probs = probs.copy()
         probs.setflags(write=False)

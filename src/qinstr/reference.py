@@ -29,15 +29,8 @@ import numpy as np
 
 from . import matcore
 from .entropy import _entropy
-from .errors import (
-    BadTrace,
-    DimensionMismatch,
-    LabelMismatch,
-    NotPositive,
-    SingularAprioriState,
-    UnknownOutcome,
-)
-from .hallmap import INVERTIBILITY_TOL
+from .errors import QinstrError
+from .hallmap import INVERTIBILITY_TOL, SINGULAR
 from .infobounds import _ginibre_states
 from .instrument import Instrument, KrausMap
 from .matcore import HERM_TOL, SUPPORT_CUTOFF
@@ -58,11 +51,11 @@ class ClassicalDist:
         labels = tuple(self.labels)
         probs = np.array(self.probs, dtype=np.float64)
         if probs.ndim != 1 or len(labels) != probs.shape[0]:
-            raise LabelMismatch("labels and probabilities differ in length")
+            raise QinstrError("labels and probabilities differ in length")
         if not (probs >= -PROB_TOL).all():  # NaN fails too
-            raise NotPositive(f"negative or NaN probability in {probs}")
+            raise QinstrError(f"negative or NaN probability in {probs}")
         if abs(probs.sum() - 1.0) > HERM_TOL:
-            raise BadTrace(f"probabilities sum to {probs.sum()}, not 1")
+            raise QinstrError(f"probabilities sum to {probs.sum()}, not 1")
         probs.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probs", probs)
@@ -80,7 +73,7 @@ def vn_entropy(rho: DensityMatrix) -> float:
 def fidelity_like_support_check(sigma: DensityMatrix, tau: DensityMatrix) -> bool:
     """True iff supp(sigma) is contained in supp(tau)."""
     if sigma.dim != tau.dim:
-        raise DimensionMismatch(f"dims {sigma.dim} and {tau.dim} differ")
+        raise QinstrError(f"dims {sigma.dim} and {tau.dim} differ")
     vals, vecs = tau.spectral()
     keep = vals <= matcore.SUPPORT_CUTOFF
     if not np.any(keep):
@@ -111,7 +104,7 @@ def q_rel_entropy(sigma: DensityMatrix, tau: DensityMatrix) -> float:
     exact on the supports without forming log of a matrix difference.
     """
     if sigma.dim != tau.dim:
-        raise DimensionMismatch(f"dims {sigma.dim} and {tau.dim} differ")
+        raise QinstrError(f"dims {sigma.dim} and {tau.dim} differ")
     if not fidelity_like_support_check(sigma, tau):
         return INF
     svals, svecs = sigma.spectral()
@@ -134,7 +127,7 @@ def q_rel_entropy(sigma: DensityMatrix, tau: DensityMatrix) -> float:
 def c_rel_entropy(p: ClassicalDist, q: ClassicalDist) -> float:
     """Kullback-Leibler divergence, with 0 log(0/q) = 0."""
     if p.labels != q.labels:
-        raise LabelMismatch("distributions live on different label sets")
+        raise QinstrError("distributions live on different label sets")
     total = 0.0
     for pj, qj in zip(p.probs, q.probs):
         if pj <= SUPPORT_CUTOFF:
@@ -154,12 +147,12 @@ def mixed_rel_entropy(
     p1, states1 = f1
     p2, states2 = f2
     if p1.labels != p2.labels:
-        raise LabelMismatch("families live on different label sets")
+        raise QinstrError("families live on different label sets")
     if len(states1) != len(p1.labels) or len(states2) != len(p2.labels):
-        raise LabelMismatch("state count does not match label count")
+        raise QinstrError("state count does not match label count")
     dims = {s.dim for s in list(states1) + list(states2)}
     if len(dims) != 1:
-        raise DimensionMismatch(f"states have inconsistent dims {dims}")
+        raise QinstrError(f"states have inconsistent dims {dims}")
     total = c_rel_entropy(p1, p2)
     if math.isinf(total):
         return INF
@@ -181,7 +174,7 @@ def map_action(m: KrausMap, rho: np.ndarray) -> np.ndarray:
 def map_for(ins: Instrument, outcome) -> KrausMap:
     """The Kraus map of one outcome, by its label."""
     if outcome not in ins.outcomes:
-        raise UnknownOutcome(f"no outcome {outcome!r}")
+        raise QinstrError(f"no outcome {outcome!r}")
     return ins.maps[ins.outcomes.index(outcome)]
 
 
@@ -195,7 +188,7 @@ class AposterioriFamily:
 
 def outcome_probs(ins: Instrument, rho: DensityMatrix) -> ClassicalDist:
     if rho.dim != ins.dim_in:
-        raise DimensionMismatch(f"state dim {rho.dim} vs instrument dim_in {ins.dim_in}")
+        raise QinstrError(f"state dim {rho.dim} vs instrument dim_in {ins.dim_in}")
     probs = np.maximum(np.einsum("wij,ji->w", ins.effects, rho.mat).real, 0.0)
     return ClassicalDist(ins.outcomes, probs / probs.sum())
 
@@ -203,7 +196,7 @@ def outcome_probs(ins: Instrument, rho: DensityMatrix) -> ClassicalDist:
 def apply_outcome(ins: Instrument, rho: DensityMatrix, outcome) -> np.ndarray:
     """Unnormalized positive output for a single outcome."""
     if rho.dim != ins.dim_in:
-        raise DimensionMismatch(f"state dim {rho.dim} vs instrument dim_in {ins.dim_in}")
+        raise QinstrError(f"state dim {rho.dim} vs instrument dim_in {ins.dim_in}")
     return map_action(map_for(ins, outcome), rho.mat)
 
 
@@ -226,7 +219,7 @@ def a_posteriori(ins: Instrument, rho: DensityMatrix) -> AposterioriFamily:
 def total_channel(ins: Instrument, rho: DensityMatrix) -> DensityMatrix:
     """Non-selective post-measurement state."""
     if rho.dim != ins.dim_in:
-        raise DimensionMismatch(f"state dim {rho.dim} vs instrument dim_in {ins.dim_in}")
+        raise QinstrError(f"state dim {rho.dim} vs instrument dim_in {ins.dim_in}")
     return DensityMatrix(sum(map_action(m, rho.mat) for m in ins.maps))
 
 
@@ -254,7 +247,7 @@ def quantum_info_gain(ins: Instrument, eta: DensityMatrix) -> float:
     """Entropy of the input minus mean entropy of the a posteriori states,
     S(eta) - sum_w P(w) S(rho_w), from eta's one a posteriori family."""
     if eta.dim != ins.dim_in:
-        raise DimensionMismatch(f"state dim {eta.dim} vs instrument dim_in {ins.dim_in}")
+        raise QinstrError(f"state dim {eta.dim} vs instrument dim_in {ins.dim_in}")
     fam = a_posteriori(ins, eta)
     return vn_entropy(eta) - sum(p * vn_entropy(s) for p, s in zip(fam.probs.probs, fam.states))
 
@@ -290,16 +283,14 @@ def build_hall_instrument(e: Ensemble, eta: DensityMatrix) -> Instrument:
     ``eta`` is the a priori state of ``e``: Hall's measurement-from-ensemble
     instrument J, whose rows ``hallmap.hall_section`` computes without it.
 
-    Raises SingularAprioriState when eta's least eigenvalue is <=
-    INVERTIBILITY_TOL. Just above it, rounding in eta^{-1/2} can leave the
-    effects' sum off the identity by more than POVM_SUM_TOL, and the
-    Instrument's check raises BadTrace.
+    Raises QinstrError, with the text of ``hallmap.SINGULAR``, when eta's
+    least eigenvalue is <= INVERTIBILITY_TOL. Just above it, rounding in
+    eta^{-1/2} can leave the effects' sum off the identity by more than
+    POVM_SUM_TOL, and the Instrument's effect-sum rule raises.
     """
     vals, _ = eta.spectral()
     if vals[0] <= INVERTIBILITY_TOL:
-        raise SingularAprioriState(
-            f"a priori state is singular: least eigenvalue at or below {INVERTIBILITY_TOL:.1e}"
-        )
+        raise QinstrError(SINGULAR)
     inv_sqrt = matcore.spectral_apply(eta.spectral(), lambda x: x ** -0.5)
     lam, u = e.spectra  # each letter's square root, on its support
     roots = (u * np.sqrt(np.where(lam > SUPPORT_CUTOFF, lam, 0.0))[:, None]) @ u.conj().swapaxes(-1, -2)

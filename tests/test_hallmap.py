@@ -6,7 +6,7 @@ import pytest
 
 from conftest import KET0, KET1, PLUS, orthogonal_ensemble, projective_qubit, zero_plus_ensemble
 from qinstr import hallmap, matcore, qstate
-from qinstr.errors import BadTrace, SingularAprioriState
+from qinstr.errors import QinstrError
 from qinstr.hallmap import hall_section
 from qinstr.harness import (
     ACCEPTANCE_GRID,
@@ -66,7 +66,7 @@ class TestBuildHallInstrument:
 
     def test_singular_a_priori_rejected(self):
         e = Ensemble((0, 1), np.array([0.5, 0.5]), (KET0.mat, KET0.mat))
-        with pytest.raises(SingularAprioriState):
+        with pytest.raises(QinstrError, match="^a priori state is singular: least eigenvalue at or below 1.0e-09$"):
             build_hall_instrument(e, a_priori_state(e))
 
     def test_normalization_holds(self):
@@ -238,9 +238,11 @@ class TestHallSection:
         assert [c.name for c in rows] == [*DUALITY, *HALL, *NEW]
 
     def test_skipped_on_singular_a_priori(self):
+        # run_scenario decides the skip: the fixed text, and no Hall row
         e = Ensemble((0, 1), np.array([0.5, 0.5]), (KET0.mat, KET0.mat))
-        with pytest.raises(SingularAprioriState):
-            hall_section(analyze(e, projective_qubit()))
+        report = run_scenario(Scenario(ensemble=e, instrument=projective_qubit()))
+        assert report.hall_skipped == "a priori state is singular: least eigenvalue at or below 1.0e-09"
+        assert not {c.name for c in report.checks} & {*DUALITY, *HALL, *NEW}
 
     def test_near_singular_a_priori_is_analyzed(self, tmp_path):
         # eta's least eigenvalue ~1e-8 passes INVERTIBILITY_TOL, but rounding
@@ -254,7 +256,7 @@ class TestHallSection:
         letters = (pure_state(v0), pure_state((v0 + v1) / np.sqrt(2)), mixed)
         e = Ensemble((0, 1, 2), np.array([0.4, 0.3, 0.3]), letters)
         s = Scenario(ensemble=e, instrument=random_instrument(3, 3, 2, 1, seed=0))
-        with pytest.raises(BadTrace):
+        with pytest.raises(QinstrError, match="sum of effects deviates from identity by"):
             build_hall_instrument(e, a_priori_state(e))
         path = tmp_path / "near_singular.json"
         path.write_text(json.dumps(s.to_json()))
@@ -342,9 +344,9 @@ def test_near_null_dual_outcome_is_analyzed(t):
     # a valid scenario: E(1) = diag(1, t), so on the dual state of outcome 1
     # the Hall instrument's |1>-letter outcome has trace ~t, just above
     # SUPPORT_CUTOFF. Its output divided as it is lies 3.7e-10 (t = 1e-8) to
-    # 1.2e-6 off Hermitian, and the Hall section raised NotHermitian (the CLI
-    # exited 2); the a posteriori state is the output's Hermitian part divided
-    # by its trace.
+    # 1.2e-6 off Hermitian, and the Hall section failed the Hermiticity rule
+    # (the CLI exited 2); the a posteriori state is the output's Hermitian
+    # part divided by its trace.
     ins = Instrument((0, 1), (
         KrausMap(2, 2, (np.diag([0.0, np.sqrt(1 - t)]).astype(complex),)),
         KrausMap(2, 2, (np.diag([1.0, np.sqrt(t)]).astype(complex),)),

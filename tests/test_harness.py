@@ -1,4 +1,5 @@
 import ast
+import builtins
 import csv
 import dataclasses
 import errno
@@ -9,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qinstr import hallmap, harness, infobounds, instrument, matcore, qstate, reference
+from qinstr import entropy, hallmap, harness, infobounds, instrument, matcore, qstate, reference
 from qinstr.harness import (
     EXAMPLE_NAMES,
     AnalysisReport,
@@ -31,17 +33,7 @@ from qinstr.harness import (
     scenario_from_json,
     splitmix64,
 )
-from qinstr.errors import (
-    BadTrace,
-    DimensionMismatch,
-    LabelMismatch,
-    NoConvergence,
-    NotPositive,
-    QinstrError,
-    SchemaError,
-    SingularNormalizer,
-    UnknownFormat,
-)
+from qinstr.errors import NoConvergence, QinstrError, SchemaError
 from qinstr.infobounds import BoundCheck, _gains, groenewold_lindblad_check, random_pure
 from qinstr.instrument import Instrument, random_instrument
 from qinstr.qstate import DensityMatrix, Ensemble, pure_state
@@ -291,7 +283,7 @@ class TestEmitReport:
         )
 
     def test_unknown_format(self, report):
-        with pytest.raises(UnknownFormat):
+        with pytest.raises(QinstrError, match="unknown format 'yaml'"):
             emit_report(report, "yaml")
 
     def test_json_is_one_line_with_sorted_keys(self, report):
@@ -535,25 +527,53 @@ class TestCli:
     def test_unknown_subcommand(self, capsys):
         assert main(["bogus"]) == 2
 
-    @pytest.mark.parametrize("error", [NoConvergence, SingularNormalizer])
-    def test_numerical_failure_exits_three(self, tmp_path, capsys, monkeypatch, error):
+    @pytest.mark.parametrize("case", ["NoConvergence", "SingularNormalizer"])
+    def test_numerical_failure_exits_three(self, tmp_path, capsys, monkeypatch, case):
         # a numerical step that fails is not an input error, and its one error
-        # line names the stage
-        monkeypatch.setattr(harness, "groenewold_lindblad_check", failing_stage("groenewold_lindblad_check", error))
+        # line names the stage: a GL check that raises NoConvergence, in
+        # analyze and in the random suite, or random_instrument's own guard on
+        # a normalizer whose least eigenvalue reads 0, which the suite reaches
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(example_scenario("zero-one-plus").to_json()))
-        line = "numerical error: groenewold_lindblad_check: stage failed\n"
+        if case == "NoConvergence":
+            stage = failing_stage("groenewold_lindblad_check", NoConvergence)
+            monkeypatch.setattr(harness, "groenewold_lindblad_check", stage)
+            line = "groenewold_lindblad_check: stage failed"
+            runs = (["analyze", str(path)], ["random", "--trials", "1"])
+        else:
+            real = matcore.jacobi_eig
+
+            def singular(a):
+                vals, vecs = real(a)
+                return matcore.SpectralDecomp(np.concatenate([[0.0], vals[1:]]), vecs)
+
+            monkeypatch.setattr(matcore, "jacobi_eig", singular)
+            line = "random_instrument: normalizer eigenvalue 0.000e+00 too small"
+            runs = (["random", "--trials", "1"],)
+        for argv in runs:
+            assert main(argv) == 3
+            assert capsys.readouterr().err == f"numerical error: {line}\n"
+
+    def test_any_error_in_a_stage_exits_three(self, tmp_path, capsys):
+        # the run phase maps whatever a stage raises to exit 3, not only a
+        # toolkit error: numpy refuses 10**30 GL trials with a ValueError,
+        # before it allocates anything
+        obj = example_scenario("zero-one-plus").to_json()
+        obj["options"]["gl_trials"] = 10 ** 30
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(obj))
         assert main(["analyze", str(path)]) == 3
-        assert capsys.readouterr().err == line
-        assert main(["random", "--trials", "1"]) == 3
-        assert capsys.readouterr().err == line
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "numerical error: groenewold_lindblad_check: Maximum allowed dimension exceeded\n"
 
     @pytest.mark.parametrize("module, stage", STAGES, ids=[stage for _, stage in STAGES])
     def test_stage_failure_exits_three_and_names_the_stage(self, tmp_path, capsys, monkeypatch, module, stage):
         # where an error arises decides its exit code, not its class: a
-        # NotPositive raised inside any stage, of analyze or of the random
-        # suite, is a numerical error of that stage
-        monkeypatch.setattr(module, stage, failing_stage(stage, NotPositive))
+        # QinstrError, the class of a broken input rule, raised inside any
+        # stage, of analyze or of the random suite, is a numerical error of
+        # that stage
+        monkeypatch.setattr(module, stage, failing_stage(stage, QinstrError))
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(example_scenario("zero-one-plus").to_json()))
         line = f"numerical error: {stage}: stage failed\n"
@@ -706,7 +726,7 @@ class TestInputContract:
         assert "sum of effects deviates from identity" in capsys.readouterr().err
         obj = example_scenario("zero-one-plus").to_json()
         mutate(obj)
-        with pytest.raises(BadTrace, match="sum of effects"):
+        with pytest.raises(QinstrError, match="sum of effects deviates from identity by"):
             scenario_from_json(obj)
 
     def test_overflowing_kraus_entry_prints_one_error_line(self, tmp_path):
@@ -733,11 +753,11 @@ class TestInputContract:
         assert "at least one Kraus operator" in err and "malformed scenario" not in err
         obj = example_scenario("zero-one-plus").to_json()
         mutate(obj)
-        with pytest.raises(DimensionMismatch, match="at least one Kraus operator"):
+        with pytest.raises(QinstrError, match="a Kraus map needs at least one Kraus operator"):
             scenario_from_json(obj)
 
     def test_duplicate_letter_labels_rejected(self, tmp_path, capsys):
-        with pytest.raises(LabelMismatch):
+        with pytest.raises(QinstrError, match=r"duplicate letter labels in \(0, 0\)"):
             Ensemble((0, 0), np.array([0.5, 0.5]), (pure_state([1, 0]), pure_state([0, 1])))
 
         def mutate(obj):
@@ -747,7 +767,7 @@ class TestInputContract:
 
     def test_duplicate_outcome_labels_rejected(self, tmp_path, capsys):
         ins = example_scenario("zero-one-plus").instrument
-        with pytest.raises(LabelMismatch):
+        with pytest.raises(QinstrError, match=r"duplicate outcome labels in \(0, 0\)"):
             Instrument((0, 0), ins.maps)
 
         def mutate(obj):
@@ -847,6 +867,17 @@ class TestInputContract:
         mutate(obj)
         with pytest.raises(QinstrError):
             scenario_from_json(obj)
+
+    def test_entries_that_are_not_pairs_are_a_schema_error(self, tmp_path, capsys):
+        # the matrix JSON's shape rule is a typing rule of the file, under the
+        # same prefix as its other rules
+        def mutate(obj):
+            group = obj["instrument"]["kraus"][0]
+            group[:] = [[[z + [0.0] for z in row] for row in op] for op in group]
+
+        assert self._analyze(tmp_path, mutate) == 2
+        assert capsys.readouterr().err == ("schema error: malformed matrix JSON: expected rows of "
+                                           "[re, im] number pairs, got shape (1, 2, 2, 3)\n")
 
     @pytest.mark.parametrize("where", ["letter", "kraus"])
     def test_boolean_matrix_entry_exit_two(self, tmp_path, capsys, where):
@@ -972,15 +1003,102 @@ def test_no_module_reads_the_environment():
     assert reading == set()
 
 
+def test_the_error_classes_are_three():
+    """An error is its phase and its message: errors defines QinstrError,
+    SchemaError and NoConvergence alone, and every raise in the package that
+    is not of a built-in exception names one of them."""
+    package = Path(harness.__file__).resolve().parent
+    tree = ast.parse((package / "errors.py").read_text())
+    assert [node.name for node in tree.body if isinstance(node, ast.ClassDef)] == [
+        "QinstrError", "SchemaError", "NoConvergence"]
+    raised = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.setdefault(ast.unparse(exc), set()).add(path.stem)
+    toolkit = {name: modules for name, modules in raised.items() if not hasattr(builtins, name)}
+    assert set(toolkit) <= {"QinstrError", "SchemaError", "NoConvergence"}, toolkit
+    assert toolkit["SchemaError"] == {"harness"}
+
+
+def lapack_calls(monkeypatch) -> tuple:
+    """Count every LAPACK call by routine, through ``matcore.lapack`` patched
+    at both of its bindings (matcore, entropy), under the innermost stage
+    running: ingest (``scenario_from_json``), one of STAGES, or None outside
+    them. Returns the counts, {stage: Counter}, which fill as calls run, and
+    the set of stages entered. Only LAPACK calls are counted: numpy's and
+    Python's own calls vary with the numpy version."""
+    counts, entered, running = defaultdict(Counter), set(), [None]
+    real = matcore.lapack
+
+    def staged(name, fn):
+        def wrapper(*args, **kwargs):
+            entered.add(name)
+            running.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                running.pop()
+
+        return wrapper
+
+    def lapack(routine, *args, **kwargs):
+        counts[running[-1]][routine.__name__] += 1
+        return real(routine, *args, **kwargs)
+
+    for module, stage in ((harness, "scenario_from_json"), *STAGES):
+        monkeypatch.setattr(module, stage, staged(stage, getattr(module, stage)))
+    monkeypatch.setattr(matcore, "lapack", lapack)
+    monkeypatch.setattr(entropy, "lapack", lapack)
+    return counts, entered
+
+
+# the LAPACK calls of analyze, the entropy panel and the Scutaru chains;
+# compound_states and the identities and bounds make none
+PANEL_LAPACK = {"analyze": {"eigh": 1}, "entropy_panel": {"eigvalsh": 1}, "scutaru_chains": {"eigvalsh": 3}}
+
+
+@pytest.mark.parametrize("name, hall", [
+    ("orthogonal-projective", {"eigh": 1, "eigvalsh": 1}),
+    ("zero-one-plus", {"eigh": 1, "eigvalsh": 1}),
+    ("identity-instrument", {"eigvalsh": 1}),
+    ("singular-eta", None),
+])
+def test_lapack_calls_per_stage_are_pinned(tmp_path, monkeypatch, name, hall):
+    """Every LAPACK call of `qinstr analyze`, by stage and routine, on the desk
+    scenarios and on two copies of |0> under the projective qubit instrument,
+    whose a priori state is singular, so the Hall section is never entered.
+    Ingest decomposes the letters once, since no letter here needs its clamp;
+    the Hall section's eigh decomposes the eta_w of the outcomes that hold a
+    null cell, which the identity instrument has none of."""
+    if name == "singular-eta":
+        ket0 = pure_state([1, 0])
+        s = Scenario(Ensemble((0, 1), np.array([0.5, 0.5]), (ket0, ket0)),
+                     example_scenario("zero-one-plus").instrument)
+    else:
+        s = example_scenario(name)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(s.to_json()))
+    counts, entered = lapack_calls(monkeypatch)
+    assert main(["analyze", str(path)]) == 0
+    expected = {"scenario_from_json": {"eigh": 1}, **PANEL_LAPACK, "groenewold_lindblad_check": {"eigvalsh": 2}}
+    if hall is not None:
+        expected["hall_section"] = hall
+    assert counts == expected
+    assert ("hall_section" in entered) == (hall is not None)
+
+
 def test_run_scenario_does_no_per_state_work(monkeypatch):
     """The instrument is applied to stacks and their entropies come from batched
     eigvalsh calls; a per-cell path (one validated state, one herm_eig each)
-    would raise these counts by tens (83 states and 91 herm_eig calls before
-    the stacked path, on the two-Kraus scenario). The GL check takes every
-    gain from one stacked _gains call (it made two, and 12 eigvalsh calls in
-    all, on the one-Kraus scenario, which is purity-preserving and so draws
-    trial states)."""
-    names = ("states", "herm_eig", "eigvalsh", "gl_gains")
+    would raise the LAPACK counts by tens (83 states and 91 herm_eig calls
+    before the stacked path, on the two-Kraus scenario). The GL check takes
+    every gain from one stacked _gains call (it made two, and 12 eigvalsh
+    calls in all, on the one-Kraus scenario, which is purity-preserving and so
+    draws trial states); on the two-Kraus one the purity class adds two svd
+    calls. Every LAPACK call is pinned, by stage (``lapack_calls``)."""
+    names = ("states", "gl_gains")
     counts = dict.fromkeys(names, 0)
     in_gl = []
 
@@ -1003,20 +1121,20 @@ def test_run_scenario_does_no_per_state_work(monkeypatch):
         return _gains(*args, **kwargs)
 
     monkeypatch.setattr(DensityMatrix, "__post_init__", counted("states", DensityMatrix.__post_init__))
-    monkeypatch.setattr(matcore, "herm_eig", counted("herm_eig", matcore.herm_eig))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(harness, "groenewold_lindblad_check", gl_check)
     monkeypatch.setattr(infobounds, "_gains", gains)
-    for kraus in (2, 1):
+    lapack, _ = lapack_calls(monkeypatch)
+    for kraus, gl in ((2, {"eigvalsh": 2, "svd": 2}), (1, {"eigvalsh": 2})):
         s = random_scenario(3, 3, 4, 4, kraus, 7)
         counts.update(dict.fromkeys(names, 0))
+        lapack.clear()
         report = run_scenario(s)
         assert report.overall_pass and report.hall_skipped is None
         assert report.purity_preserving == (kraus == 1)
         assert counts["states"] == 0
-        assert counts["herm_eig"] <= 1  # its decomposition, which the Hall section reuses
-        assert counts["eigvalsh"] <= 10
         assert counts["gl_gains"] == 1
+        # eta_i's one decomposition, which the Hall section reuses: no outcome holds a null cell
+        assert lapack == {**PANEL_LAPACK, "groenewold_lindblad_check": gl, "hall_section": {"eigvalsh": 1}}
 
 
 def test_scenario_from_json_does_no_per_letter_work(monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import KET0, KET1, PLUS
 from qinstr import matcore
-from qinstr.errors import BadTrace, DimensionMismatch, NotHermitian, NotPositive
+from qinstr.errors import QinstrError
 from qinstr.matcore import HERM_TOL
 from qinstr.harness import ensemble_from_json, example_scenario, matrix_to_json
 from qinstr.qstate import DensityMatrix, Ensemble
@@ -23,7 +23,7 @@ class TestValidateDensity:
         assert dm.dim == 2
 
     def test_rejects_negative(self):
-        with pytest.raises(NotPositive):
+        with pytest.raises(QinstrError, match="minimum eigenvalue -5.000e-01 below -1.0e-10"):
             DensityMatrix(np.diag([1.5, -0.5]))
 
     def test_keeps_tiny_negativity(self):
@@ -39,19 +39,19 @@ class TestValidateDensity:
         assert abs(np.trace(mat).real - 1.0) < 1e-12
 
     def test_rejects_bad_trace(self):
-        with pytest.raises(BadTrace):
+        with pytest.raises(QinstrError, match="trace differs from 1 by 2.000e-01, more than 1.0e-10"):
             DensityMatrix(np.diag([0.6, 0.6]))
 
     def test_ingest_checks_the_trace_before_the_clamp(self):
-        with pytest.raises(BadTrace):
+        with pytest.raises(QinstrError, match="trace differs from 1 by 2.000e-01, more than 1.0e-10"):
             read(np.diag([0.7, 0.5, -1e-11]))
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
+        with pytest.raises(QinstrError, match="Hermiticity deviation 1.000e-01 exceeds 1.0e-10"):
             DensityMatrix(np.array([[0.5, 0.1], [0.0, 0.5]]))
 
     def test_rejects_a_stack(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(QinstrError, match="expected a 2-D matrix, got ndim=3"):
             DensityMatrix(np.stack([np.eye(2) / 2] * 2))
 
 
@@ -93,7 +93,7 @@ class TestAprioriState:
         assert np.max(np.abs(a_priori_state(e_mix).mat - expect)) < 1e-10
 
     def test_zero_probability_letter_rejected(self):
-        with pytest.raises(NotPositive):
+        with pytest.raises(QinstrError, match="letter probabilities must be strictly positive"):
             Ensemble((0, 1), np.array([1.0, 0.0]), (KET0.mat, KET1.mat))
 
 
@@ -108,18 +108,18 @@ class TestSupportCheck:
         assert fidelity_like_support_check(KET0, maximally_mixed(2))
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(QinstrError, match="dims 2 and 3 differ"):
             fidelity_like_support_check(KET0, maximally_mixed(3))
 
 
 class TestClassicalDist:
     def test_bad_sum(self):
-        with pytest.raises(BadTrace):
+        with pytest.raises(QinstrError, match=r"probabilities sum to 1\.1, not 1"):
             ClassicalDist((0, 1), np.array([0.5, 0.6]))
 
     @pytest.mark.parametrize("bad", [np.nan, -1e-9])
     def test_rejects_nan_and_negative(self, bad):
-        with pytest.raises(NotPositive):
+        with pytest.raises(QinstrError, match="negative or NaN probability in"):
             ClassicalDist((0, 1), np.array([bad, 0.5]))
 
     def test_keeps_its_input(self):
@@ -204,17 +204,17 @@ class TestJson:
         assert np.array_equal(e.states, stacked.states)
         for a, b in zip(e.spectra, stacked.spectra):
             assert np.array_equal(a, b)
-        with pytest.raises(NotPositive):
+        with pytest.raises(QinstrError, match="minimum eigenvalue -5.000e-01 below -1.0e-10"):
             Ensemble((0, 1), np.array([0.5, 0.5]), np.stack([KET0.mat, np.diag([1.5, -0.5])]))
         # ragged letters, and letters that are not numbers, form no stack;
         # a DensityMatrix is the oracles' type, not an Ensemble's letter
         for letters in ((KET0.mat, maximally_mixed(3).mat), (KET0, PLUS), (KET0.mat, [["a", "b"], ["c", "d"]])):
-            with pytest.raises(DimensionMismatch):
+            with pytest.raises(QinstrError, match="letter states do not form one numeric stack"):
                 Ensemble((0, 1), np.array([0.5, 0.5]), letters)
 
 
 def test_density_matrix_requires_unit_trace():
-    with pytest.raises(BadTrace):
+    with pytest.raises(QinstrError, match="trace differs from 1 by 1.000e.00, more than 1.0e-10"):
         DensityMatrix(np.eye(2))
 
 
@@ -317,21 +317,25 @@ class TestDecomposeOnce:
 
 
 # one rule set: each bad input fails DensityMatrix and an Ensemble given a
-# stack (ingest's path) alike. Only inputs are checked: a state derived from
-# them is a state by construction, and vn_entropies does not judge it again
+# stack (ingest's path) alike, with the same message. Only inputs are checked:
+# a state derived from them is a state by construction, and vn_entropies does
+# not judge it again. Each id names the rule that fails.
 BAD_STATES = [
-    (NotHermitian, np.array([[np.nan, 0.0], [0.0, 0.5]])),
-    (NotHermitian, np.full((2, 3), 1 / 3)),
-    (NotHermitian, np.array([[0.5, 0.1], [0.0, 0.5]])),
-    (BadTrace, np.diag([0.6, 0.6])),
-    (NotPositive, np.diag([1.5, -0.5])),
-    (NotPositive, np.diag([1.0 + 2 * HERM_TOL, -2 * HERM_TOL])),
+    pytest.param(np.array([[np.nan, 0.0], [0.0, 0.5]]), "matrix contains NaN/Inf entries",
+                 id="NotHermitian-m0"),
+    pytest.param(np.full((2, 3), 1 / 3), r"matrix of shape \(1, 2, 3\) is not square", id="NotHermitian-m1"),
+    pytest.param(np.array([[0.5, 0.1], [0.0, 0.5]]), "Hermiticity deviation 1.000e-01 exceeds 1.0e-10",
+                 id="NotHermitian-m2"),
+    pytest.param(np.diag([0.6, 0.6]), "trace differs from 1 by 2.000e-01, more than 1.0e-10", id="BadTrace-m3"),
+    pytest.param(np.diag([1.5, -0.5]), "minimum eigenvalue -5.000e-01 below -1.0e-10", id="NotPositive-m4"),
+    pytest.param(np.diag([1.0 + 2 * HERM_TOL, -2 * HERM_TOL]), "minimum eigenvalue -2.000e-10 below -1.0e-10",
+                 id="NotPositive-m5"),
 ]
 
 
-@pytest.mark.parametrize("error, m", BAD_STATES)
-def test_density_matrix_and_ensemble_share_the_rules(error, m):
-    with pytest.raises(error):
+@pytest.mark.parametrize("m, match", BAD_STATES)
+def test_density_matrix_and_ensemble_share_the_rules(m, match):
+    with pytest.raises(QinstrError, match=match):
         DensityMatrix(m)
-    with pytest.raises(error):
+    with pytest.raises(QinstrError, match=match):
         Ensemble((0,), np.array([1.0]), m[None])
