@@ -8,11 +8,12 @@ The scenario file's format lives here alone: ``Scenario.to_json`` writes it
 and ``scenario_from_json`` reads it, by its typing rules: an object has a
 closed set of keys (``as_object``: ``SCENARIO_KEYS``, ``ENSEMBLE_KEYS``,
 ``INSTRUMENT_KEYS``, ``OPTION_KEYS``), numbers are JSON numbers
-(``as_numbers``, which ``matrix_from_json`` applies to every entry), a count
-is an integer (``as_count``, which also reads the count flags), a tolerance a
-finite, non-negative number (``as_tol``) and labels are a list
-(``as_labels``). The letters go through ingest's clamp
-(``ensemble_from_json``)."""
+(``as_numbers``, which ``matrix_from_json`` applies to every entry), the
+letters and each outcome's Kraus operators are a stack of matrices of their
+shape (``stack_from_json``), a count is an integer (``as_count``, which also
+reads the count flags), a tolerance a finite, non-negative number
+(``as_tol``) and labels are a list (``as_labels``). The letters go through
+ingest's clamp (``ensemble_from_json``)."""
 
 from __future__ import annotations
 
@@ -81,6 +82,19 @@ def matrix_from_json(rows: list) -> np.ndarray:
             f"malformed matrix JSON: expected rows of [re, im] number pairs, got shape {a.shape}"
         )
     return a.view(np.complex128)[..., 0]
+
+
+def stack_from_json(name: str, rows: list, shape: Optional[tuple] = None) -> np.ndarray:
+    """The stack of complex matrices under ``name`` (``matrix_from_json``),
+    each of ``shape``, or square when it is None. A d = 2 matrix written
+    without its [re, im] level passes ``matrix_from_json``'s rule as a stack
+    of columns; only the whole shape tells it from a complex one."""
+    a = matrix_from_json(rows)
+    if a.ndim != 3 or a.shape[1:] != (shape or (a.shape[-1],) * 2):
+        rows_cols = "d x d" if shape is None else f"{shape[0]} x {shape[1]}"
+        raise SchemaError(f"{name} must be a stack of {rows_cols} matrices of [re, im] number pairs, "
+                          f"got JSON shape {(*a.shape, 2)}")
+    return a
 
 
 def as_numbers(name: str, values) -> np.ndarray:
@@ -203,7 +217,7 @@ def ensemble_from_json(obj: dict) -> Ensemble:
     obj = as_object("ensemble", obj, ENSEMBLE_KEYS)
     letters = as_labels("letters", obj["letters"])
     probs = as_numbers("probs", obj["probs"])
-    e = Ensemble(letters, probs, matrix_from_json(obj["states"]))
+    e = Ensemble(letters, probs, stack_from_json("states", obj["states"]))
     clamped = _clamped(e.states, e.spectra.eigenvalues[:, 0])
     return e if clamped is None else Ensemble(letters, probs, clamped)
 
@@ -218,8 +232,8 @@ def scenario_from_json(obj: dict, tol_override: Optional[float] = None,
         d2 = as_count("dim_out", ins["dim_out"], 1)
         # one parse per outcome; an empty outcome is KrausMap's to name
         maps = tuple(
-            KrausMap(d1, d2, matrix_from_json(group) if group else ())
-            for group in ins["kraus"]
+            KrausMap(d1, d2, stack_from_json(f"kraus[{w}]", group, (d2, d1)) if group else ())
+            for w, group in enumerate(ins["kraus"])
         )
         instrument = Instrument(as_labels("outcomes", ins["outcomes"]), maps)
         # the options the file gives and the overrides; Scenario holds every default
@@ -431,25 +445,21 @@ def _projective_qubit() -> Instrument:
     )
 
 
+EXAMPLE_NAMES = ("orthogonal-projective", "zero-one-plus", "identity-instrument")
+
+
 def example_scenario(name: str) -> Scenario:
-    orthogonal = Ensemble((0, 1), np.array([0.5, 0.5]), (pure_state([1, 0]), pure_state([0, 1])))
-    if name == "orthogonal-projective":
-        return Scenario(ensemble=orthogonal, instrument=_projective_qubit())
+    if name not in EXAMPLE_NAMES:
+        raise SchemaError(f"unknown example {name!r}")
     if name == "zero-one-plus":
         inv = 1.0 / math.sqrt(2.0)
-        ensemble = Ensemble(
-            ("zero", "plus"),
-            np.array([0.5, 0.5]),
-            (pure_state([1, 0]), pure_state([inv, inv])),
-        )
-        return Scenario(ensemble=ensemble, instrument=_projective_qubit())
+        ensemble = Ensemble(("zero", "plus"), np.array([0.5, 0.5]), (pure_state([1, 0]), pure_state([inv, inv])))
+    else:
+        ensemble = Ensemble((0, 1), np.array([0.5, 0.5]), (pure_state([1, 0]), pure_state([0, 1])))
     if name == "identity-instrument":
         ident = Instrument((0,), (KrausMap(2, 2, (np.eye(2, dtype=np.complex128),)),))
-        return Scenario(ensemble=orthogonal, instrument=ident)
-    raise SchemaError(f"unknown example {name!r}")
-
-
-EXAMPLE_NAMES = ("orthogonal-projective", "zero-one-plus", "identity-instrument")
+        return Scenario(ensemble=ensemble, instrument=ident)
+    return Scenario(ensemble=ensemble, instrument=_projective_qubit())
 
 
 # ---------------------------------------------------------------------------

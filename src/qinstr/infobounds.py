@@ -84,12 +84,12 @@ class MeasurementStatistics:
     (``instrument._posteriors``, the only null rule) and weighs exactly 0 in
     cond_out_given_in, joint and cond_in_given_out. ``live`` marks the
     outcomes that hold a live cell (P_f(w) > 0), and rho_f(w) is the P_{i|f}
-    mixture of an outcome's live cells. Every derived state and law, eta_i
-    and P_f among them, is a plain read-only array, a state or a law by
-    construction and not checked again (the rules of a state serve inputs
-    only, ``qstate``); eta_i's one decomposition is kept beside it. The
-    entropies and I_c are computed once, on first use, and every stage reads
-    them here.
+    mixture of an outcome's live cells. Every derived state and law, P_f
+    among them, is a plain read-only array, a state or a law by construction
+    and not checked again (the rules of a state serve inputs only,
+    ``qstate``). eta_i is kept as its one decomposition, which every stage
+    reads. The entropies and I_c are computed once, on first use, and every
+    stage reads them here.
     """
 
     ensemble: Ensemble
@@ -102,7 +102,6 @@ class MeasurementStatistics:
     posterior_letter_states: np.ndarray  # [letter, outcome, d2, d2]
     posterior_mean_states: np.ndarray  # rho_f(omega), [outcome, d2, d2]
     post_letter_states: np.ndarray  # eta_f^alpha, [letter, d2, d2]
-    a_priori: np.ndarray  # eta_i, [d1, d1]
     a_priori_decomp: matcore.SpectralDecomp  # eta_i's one decomposition (herm_eig)
     post_a_priori: np.ndarray  # eta_f, [d2, d2]
 
@@ -182,8 +181,7 @@ def analyze(e: Ensemble, ins: Instrument) -> MeasurementStatistics:
     cond_if = np.divide(joint, p_f, out=np.zeros_like(joint), where=live)
     mean = np.where(live[:, None, None], np.einsum("aw,waij->wij", cond_if, posts), posts[:, 0])
     eta = sum(p * s for p, s in zip(e.probs, e.states))
-    for a in (p_f, eta):
-        a.setflags(write=False)
+    p_f.setflags(write=False)
     return MeasurementStatistics(
         ensemble=e,
         instrument=ins,
@@ -195,7 +193,6 @@ def analyze(e: Ensemble, ins: Instrument) -> MeasurementStatistics:
         posterior_letter_states=posts.swapaxes(0, 1),
         posterior_mean_states=mean,
         post_letter_states=post_letter,
-        a_priori=eta,
         a_priori_decomp=matcore.herm_eig(eta),
         post_a_priori=np.einsum("a,aij->ij", e.probs, post_letter),
     )
@@ -306,12 +303,11 @@ def _info_gain(s_in, probs, s_post) -> np.ndarray:
 
 
 def _gains(ins: Instrument, rhos: np.ndarray) -> tuple:
-    """The information gain of each state of a stack (``_info_gain``), the
-    outcome probabilities [outcome, n] and the states' entropies."""
+    """The information gain of each state of a stack (``_info_gain``) and the
+    outcome probabilities [outcome, n]."""
     probs, posts = a_posteriori_stack(ins, rhos)
     s_post = vn_entropies(posts.reshape(-1, ins.dim_out, ins.dim_out)).reshape(probs.shape)
-    s_in = vn_entropies(rhos)
-    return _info_gain(s_in, probs.T, s_post.T), probs, s_in
+    return _info_gain(vn_entropies(rhos), probs.T, s_post.T), probs
 
 
 def _rank_one(a: np.ndarray) -> np.ndarray:
@@ -341,9 +337,7 @@ def _preserves_purity(ins: Instrument) -> bool:
     return bool((proportional | one_range).all())
 
 
-def groenewold_lindblad_check(
-    ins: Instrument, trials: int = 100, seed: int = 0, n_demix: int = 5
-) -> tuple[bool, tuple]:
+def groenewold_lindblad_check(ins: Instrument, trials: int, seed: int, n_demix: int) -> tuple[bool, tuple]:
     """Exact purity classification plus the information-gain inequalities.
 
     Returns (purity_preserving, rows). The class is Ozawa's, read off the
@@ -383,7 +377,7 @@ def groenewold_lindblad_check(
     letters = np.zeros((n_demix, 3, d1, d1), dtype=np.complex128)
     letters[slots] = states[n_trials:]
     etas = np.einsum("ja,jamn->jmn", priors, letters)
-    gains, cond, _ = _gains(ins, np.concatenate([states, etas]))
+    gains, cond = _gains(ins, np.concatenate([states, etas]))
 
     checks = []
     if purity_preserving:

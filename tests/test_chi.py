@@ -22,7 +22,7 @@ from qinstr.infobounds import (
 )
 from qinstr.instrument import Instrument, KrausMap, random_instrument
 from qinstr.qstate import DensityMatrix, Ensemble, pure_state
-from qinstr.reference import dual_ensemble, q_rel_entropy
+from qinstr.reference import a_priori_state, dual_ensemble, q_rel_entropy
 
 
 def rel_form(weights, members, barycenter):
@@ -71,7 +71,7 @@ def test_every_chi_matches_the_relative_entropy_form(s):
     ms = analyze(s.ensemble, s.instrument)
     panel = entropy_panel(ms)
     p_i, p_f = ms.ensemble.probs, ms.output_marginal
-    eta_i, eta_f = states(ms.a_priori), states(ms.post_a_priori)
+    eta_i, eta_f = a_priori_state(s.ensemble), states(ms.post_a_priori)
     grid = states(ms.posterior_letter_states)
     post_letter, post_mean = states(ms.post_letter_states), states(ms.posterior_mean_states)
     cells = [(a, w) for a in range(len(grid)) for w in range(len(p_f)) if ms.joint[a, w] > 1e-12]

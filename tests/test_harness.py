@@ -102,15 +102,36 @@ class TestScenarioJson:
         assert s2.log_base == "2"
 
 
+# The input contract's values: random_scenario(*spec) hashes to its value, and
+# the pure-letter scenario to the first value as built, the second read back
+GOLDEN_GENERATED = (
+    ((2, 2, 3, 3, 2, 7), "4dbc43409d64acd4"),
+    ((3, 2, 2, 4, 1, 99), "9bec63adee0774ee"),
+    ((5, 5, 3, 3, 2, 11), "7fc10edea4eeda1b"),
+)
+GOLDEN_PURE_LETTERS = ("cb12254c3f3b049b", "f20fe675733174fa")
+
+
+def golden_pure_letters() -> Scenario:
+    """Two pure letters in d1 = 3, whose tiny negative eigenvalues ingest clamps."""
+    rng = np.random.default_rng(5)
+    states = (random_pure(3, rng), random_pure(3, rng))
+    return Scenario(
+        ensemble=Ensemble((0, 1), np.array([0.3, 0.7]), states),
+        instrument=random_instrument(3, 2, 3, 1, seed=5),
+        seed=5,
+    )
+
+
 class TestGoldenFingerprints:
     """The input contract: seeded scenarios hash to these values, so a change
-    to the generators or to the solvers behind them fails here first. The
-    values hold whatever the environment holds: a scenario is a function of
-    its arguments alone, so a tolerance exported in the shell moves none."""
-
-    @pytest.fixture(autouse=True)
-    def _tol_in_the_environment(self, monkeypatch):
-        monkeypatch.setenv("QINSTR_TOL", "1e-6")
+    to the generators or to the solvers behind them fails here first. A
+    fingerprint hashes the digits that the generators and ingest's clamp
+    write, and those digits depend on numpy's SIMD dispatch and on
+    OpenBLAS's kernel (tests/test_portability.py pins it), so the values
+    hold only where both match the machine they were recorded on. The
+    package itself reads no environment variable
+    (``test_no_module_reads_the_environment``)."""
 
     @staticmethod
     def _roundtrip(s, monkeypatch):
@@ -127,11 +148,7 @@ class TestGoldenFingerprints:
             patch.setattr(matcore, "jacobi_eig", counting)
             return scenario_from_json(json.loads(text)), len(calls)
 
-    @pytest.mark.parametrize("spec,expected", [
-        ((2, 2, 3, 3, 2, 7), "4dbc43409d64acd4"),
-        ((3, 2, 2, 4, 1, 99), "9bec63adee0774ee"),
-        ((5, 5, 3, 3, 2, 11), "7fc10edea4eeda1b"),
-    ])
+    @pytest.mark.parametrize("spec,expected", GOLDEN_GENERATED)
     def test_random_scenario(self, spec, expected, monkeypatch):
         s = random_scenario(*spec)
         assert _fingerprint(s) == expected
@@ -142,16 +159,10 @@ class TestGoldenFingerprints:
     def test_pure_letters(self, monkeypatch):
         # reading the pure letters back clamps their tiny negative eigenvalues,
         # so the round trip hashes the repaired matrices, repaired by Jacobi
-        rng = np.random.default_rng(5)
-        states = (random_pure(3, rng), random_pure(3, rng))
-        s = Scenario(
-            ensemble=Ensemble((0, 1), np.array([0.3, 0.7]), states),
-            instrument=random_instrument(3, 2, 3, 1, seed=5),
-            seed=5,
-        )
-        assert _fingerprint(s) == "cb12254c3f3b049b"
+        s = golden_pure_letters()
+        assert _fingerprint(s) == GOLDEN_PURE_LETTERS[0]
         read, jacobi_calls = self._roundtrip(s, monkeypatch)
-        assert _fingerprint(read) == "f20fe675733174fa"
+        assert _fingerprint(read) == GOLDEN_PURE_LETTERS[1]
         assert jacobi_calls == 2
 
 
@@ -879,6 +890,21 @@ class TestInputContract:
         assert capsys.readouterr().err == ("schema error: malformed matrix JSON: expected rows of "
                                            "[re, im] number pairs, got shape (1, 2, 2, 3)\n")
 
+    @pytest.mark.parametrize("where,line", [
+        ("letter", "states must be a stack of d x d matrices of [re, im] number pairs, got JSON shape (2, 2, 2)"),
+        ("kraus", "kraus[0] must be a stack of 2 x 2 matrices of [re, im] number pairs, got JSON shape (1, 2, 2)"),
+    ], ids=["letter", "kraus"])
+    def test_matrices_without_their_pair_level_are_a_schema_error(self, tmp_path, capsys, where, line):
+        # a real 2 x 2 matrix has last axis 2, as a matrix of [re, im] pairs
+        # has: only the stack's whole shape tells them apart (it read as a
+        # stack of columns, and a later rule failed under "error:")
+        def mutate(obj):
+            holder = obj["ensemble"]["states"] if where == "letter" else obj["instrument"]["kraus"][0]
+            holder[:] = [[[re for re, _ in row] for row in m] for m in holder]
+
+        assert self._analyze(tmp_path, mutate) == 2
+        assert capsys.readouterr().err == f"schema error: {line}\n"
+
     @pytest.mark.parametrize("where", ["letter", "kraus"])
     def test_boolean_matrix_entry_exit_two(self, tmp_path, capsys, where):
         # numpy reads [true, 0.0] as [1.0, 0.0]: with true where 1.0 was,
@@ -1087,6 +1113,15 @@ def test_lapack_calls_per_stage_are_pinned(tmp_path, monkeypatch, name, hall):
         expected["hall_section"] = hall
     assert counts == expected
     assert ("hall_section" in entered) == (hall is not None)
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_example_scenario_builds_only_the_scenario_it_returns(monkeypatch, name):
+    """One LAPACK call, the eigh of the returned ensemble's letters: no desk
+    ensemble is built and dropped (the orthogonal one was, on every call)."""
+    counts, _ = lapack_calls(monkeypatch)
+    example_scenario(name)
+    assert counts == {None: {"eigh": 1}}
 
 
 def test_run_scenario_does_no_per_state_work(monkeypatch):

@@ -34,6 +34,7 @@ from qinstr.instrument import Instrument, KrausMap, random_instrument
 from qinstr.matcore import SUPPORT_CUTOFF
 from qinstr.qstate import DensityMatrix, Ensemble, pure_state
 from qinstr.reference import (
+    a_priori_state,
     map_action,
     maximally_mixed,
     merge_outcomes,
@@ -220,7 +221,7 @@ class TestEntropyPanel:
         e = random_ensemble(3, 3, rng)
         ins = random_instrument(3, 2, 2, 2, seed=7)
         ms = analyze(e, ins)
-        eta = DensityMatrix(ms.a_priori)
+        eta = a_priori_state(e)
         expected = sum(p * q_rel_entropy(DensityMatrix(s), eta) for p, s in zip(e.probs, e.states))
         assert abs(entropy_panel(ms).chi_initial - expected) < 1e-10
 
@@ -299,21 +300,21 @@ class TestQuantumInfoGain:
 
 class TestGroenewoldLindblad:
     def test_projective_is_purity_preserving(self):
-        pp, rows = groenewold_lindblad_check(projective_qubit(), trials=50, seed=0)
+        pp, rows = groenewold_lindblad_check(projective_qubit(), trials=50, seed=0, n_demix=5)
         assert pp
         assert all(c.passes(INEQ_TOL) for c in rows)
         assert {c.name: c for c in rows}["gl_info_gain_nonneg"].slack >= -1e-8
 
     def test_rank1_random_is_purity_preserving(self):
         ins = random_instrument(2, 3, 3, 1, seed=42)
-        pp, rows = groenewold_lindblad_check(ins, trials=50, seed=1)
+        pp, rows = groenewold_lindblad_check(ins, trials=50, seed=1, n_demix=5)
         assert pp
         assert all(c.passes(INEQ_TOL) for c in rows)
 
     def test_depolarizing_like_is_not(self):
         # two-Kraus single-outcome channel mixes pure inputs
         ins = random_instrument(2, 2, 1, 2, seed=7)
-        pp, rows = groenewold_lindblad_check(ins, trials=50, seed=2)
+        pp, rows = groenewold_lindblad_check(ins, trials=50, seed=2, n_demix=5)
         assert not pp
         with pytest.raises(KeyError):
             {c.name: c for c in rows}["gl_info_gain_nonneg"]
@@ -349,7 +350,7 @@ def sequential_gl(ins, trials, seed, n_demix=5):
         rhs = ms.classical_mi + sum(
             p * quantum_info_gain(ins, DensityMatrix(rho)) for p, rho in zip(e.probs, e.states)
         )
-        checks.append(("gl_chain", rhs, quantum_info_gain(ins, DensityMatrix(ms.a_priori))))
+        checks.append(("gl_chain", rhs, quantum_info_gain(ins, a_priori_state(e))))
     return purity_preserving, checks
 
 
@@ -378,7 +379,7 @@ class TestPurityClass:
     """The exact (Ozawa) purity class of groenewold_lindblad_check."""
 
     def test_projective_and_depolarizing(self):
-        assert groenewold_lindblad_check(projective_qubit(), trials=2)[0]
+        assert groenewold_lindblad_check(projective_qubit(), trials=2, seed=0, n_demix=5)[0]
         # Kraus operators |k><j| / sqrt(2): every input goes to I/2
         units = tuple(
             np.outer(np.eye(2)[k], np.eye(2)[j]).astype(complex) / np.sqrt(2)
@@ -386,7 +387,7 @@ class TestPurityClass:
             for j in range(2)
         )
         depolarize = Instrument((0,), (KrausMap(2, 2, units),))
-        assert not groenewold_lindblad_check(depolarize, trials=2)[0]
+        assert not groenewold_lindblad_check(depolarize, trials=2, seed=0, n_demix=5)[0]
 
     @pytest.mark.parametrize("ins, expected", [
         (measure_and_prepare(), True),
@@ -396,7 +397,7 @@ class TestPurityClass:
         (merge_outcomes(random_instrument(2, 2, 3, 1, seed=8), 0, 1), False),
     ])
     def test_classes(self, ins, expected):
-        assert groenewold_lindblad_check(ins, trials=2)[0] == expected
+        assert groenewold_lindblad_check(ins, trials=2, seed=0, n_demix=5)[0] == expected
 
 
 class TestReportInfoGain:
@@ -406,7 +407,7 @@ class TestReportInfoGain:
     @staticmethod
     def _check(s):
         ms = analyze(s.ensemble, s.instrument)
-        reference = quantum_info_gain(s.instrument, DensityMatrix(ms.a_priori))
+        reference = quantum_info_gain(s.instrument, a_priori_state(s.ensemble))
         assert abs(ms.info_gain - reference) <= 1e-12
         assert abs(run_scenario(s).quantum_info_gain - reference) <= 1e-12
 
