@@ -4,7 +4,8 @@ information, all read off the measurement-from-ensemble instrument J.
 
 J has Kraus operators sqrt(P_a) rho_a^{1/2} eta^{-1/2} (M. J. W. Hall, PRA 55,
 100, 1997), but every row reads J only on the dual states
-sigma_w = eta^{1/2} E(w) eta^{1/2} / P_f(w) and on eta, where
+sigma_w = eta_w^{1/2} E(w) eta_w^{1/2} / P_f(w) and on eta, where eta_w is the
+dual state of outcome w's live letters (eta itself when w holds no null cell),
 J_a(sigma_w) = P_a rho_a^{1/2} E(w) rho_a^{1/2} / P_f(w) and J_a(eta) = P_a rho_a:
 eta^{-1/2} cancels. So the section is computed from the scenario's own arrays,
 and J and the dual ensemble, built one state at a time, live in ``reference``
@@ -39,43 +40,37 @@ def hall_section(ms: MeasurementStatistics) -> tuple:
       D = sum_w P_f(w) I_q{sigma_w; J}, its parts, and its ordering against
       Hall's bound (recorded as data, not asserted).
 
-    An outcome that holds one of ``analyze``'s null cells takes the dual
-    state of its live letters alone: eta -> eta_w = sum_a P_a [cell (a, w)
-    live] rho_a, so J reads the nulls P_{i|f} reads and its gains stay >= 0.
-    Each rho_a^{1/2}, eta^{1/2} and eta_w^{1/2} come from one stacked form, on
-    the support, over ``Ensemble.spectra``, eta's decomposition
-    (``ms.a_priori_decomp``) and the eta_w's, decomposed by one batched
-    ``herm_eig`` only when some outcome holds a null cell. J's a posteriori
-    states come from one ``_posteriors`` call on the stack
-    P_a rho_a^{1/2} X rho_a^{1/2}, X running over E(w) / P_f(w) and I, with
-    ``analyze``'s null cells set to 0. The entropies come from one
-    ``vn_entropies`` call; I_c and the letters' and eta_i's are the
-    scenario's (``ms.entropies``).
+    Every live outcome takes the dual state of its live letters,
+    eta_w = sum_a P_a [cell (a, w) live] rho_a, which is eta_i when w holds no
+    null cell, so J reads the nulls P_{i|f} reads and its gains stay >= 0.
+    Each rho_a^{1/2} and eta_w^{1/2} come from one stacked form, on the
+    support, over ``Ensemble.spectra`` and the eta_w's, decomposed by one
+    batched ``herm_eig``. J's a posteriori states come from one
+    ``_posteriors`` call on the stack P_a rho_a^{1/2} X rho_a^{1/2}, X running
+    over E(w) / P_f(w) and I, with ``analyze``'s null cells set to 0. The
+    entropies come from one ``vn_entropies`` call; I_c and the letters' and
+    eta_i's are the scenario's (``ms.entropies``).
 
-    ``harness.run_scenario`` calls it only when eta's least eigenvalue is
-    above INVERTIBILITY_TOL, and otherwise reports the skip with the fixed
-    text SINGULAR. No row needs the inverse, but the Hall skip and the set of
-    check names are compared exactly against the recorded benchmark
+    ``harness.run_scenario`` calls it only when eta's least eigenvalue
+    (``ms.a_priori_eigenvalues``) is above INVERTIBILITY_TOL, and otherwise
+    reports the skip with the fixed text SINGULAR. No row needs the inverse,
+    and the section reads no decomposition of eta, but the Hall skip and the
+    set of check names are compared exactly against the recorded benchmark
     references, so the skip stays until those are re-recorded.
     """
-    e, eta = ms.ensemble, ms.a_priori_decomp
+    e = ms.ensemble
     p_f = ms.output_marginal[ms.live]
     x = np.concatenate([ms.instrument.effects[ms.live] / p_f[:, None, None], np.eye(e.dim)[None]])
     held = ms.cond_out_given_in[:, ms.live] > 0.0  # analyze's live cells
-    partial = np.flatnonzero(~held.all(axis=0))  # outcomes that hold a null cell
-    stacks = [e.spectra, [part[None] for part in eta]]
-    if partial.size:
-        eta_w = np.einsum("wa,aij->wij", e.probs * held[:, partial].T, e.states)
-        stacks.append(matcore.herm_eig(eta_w))
+    eta_w = np.einsum("wa,aij->wij", e.probs * held.T, e.states)
 
     n_l = len(e.letters)
-    lam, u = (np.concatenate(parts) for parts in zip(*stacks))
+    lam, u = (np.concatenate(parts) for parts in zip(e.spectra, matcore.herm_eig(eta_w)))
     roots = (u * np.sqrt(np.where(lam > SUPPORT_CUTOFF, lam, 0.0))[:, None]) @ u.conj().swapaxes(-1, -2)
     outs = e.probs[:, None, None, None] * (roots[:n_l, None] @ x @ roots[:n_l, None])  # [letter, input]
     outs[:, :-1][~held] = 0.0
     law, posts = _posteriors(outs)  # P_J(a | input), [letter, input]
-    sigma = roots[n_l] @ x[:-1] @ roots[n_l]
-    sigma[partial] = roots[n_l + 1:] @ x[partial] @ roots[n_l + 1:]
+    sigma = roots[n_l:] @ x[:-1] @ roots[n_l:]
     s_all = vn_entropies(np.concatenate([posts.reshape(-1, e.dim, e.dim), sigma]))
     s_post, s_sigma = s_all[:law.size], s_all[law.size:]
     gains = _info_gain(np.append(s_sigma, ms.entropies.eta_i), law.T, s_post.reshape(law.shape).T)

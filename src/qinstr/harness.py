@@ -325,7 +325,7 @@ def run_scenario(s: Scenario) -> AnalysisReport:
     checks += scutaru_chains(ms, cs)
 
     hall_skipped = None
-    if ms.a_priori_decomp.eigenvalues[0] <= hallmap.INVERTIBILITY_TOL:
+    if ms.a_priori_eigenvalues[0] <= hallmap.INVERTIBILITY_TOL:
         hall_skipped = hallmap.SINGULAR
     else:
         checks += hallmap.hall_section(ms)

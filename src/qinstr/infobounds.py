@@ -81,15 +81,16 @@ class MeasurementStatistics:
 
     The joint table is indexed [letter, outcome]; posterior_letter_states is a
     matching grid of a posteriori states. A null cell holds the fill I/d2
-    (``instrument._posteriors``, the only null rule) and weighs exactly 0 in
-    cond_out_given_in, joint and cond_in_given_out. ``live`` marks the
-    outcomes that hold a live cell (P_f(w) > 0), and rho_f(w) is the P_{i|f}
-    mixture of an outcome's live cells. Every derived state and law, P_f
-    among them, is a plain read-only array, a state or a law by construction
-    and not checked again (the rules of a state serve inputs only,
-    ``qstate``). eta_i is kept as its one decomposition, which every stage
-    reads. The entropies and I_c are computed once, on first use, and every
-    stage reads them here.
+    (``instrument._posteriors``, the only null rule and the only fill) and
+    weighs exactly 0 in cond_out_given_in, joint and cond_in_given_out.
+    ``live`` marks the outcomes that hold a live cell (P_f(w) > 0), and
+    rho_f(w) is the P_{i|f} mixture of an outcome's live cells: the empty
+    mixture, 0, for a null outcome, which weighs exactly 0. Every derived
+    state and law, P_f among them, is a plain read-only array, a state or a
+    law by construction and not checked again (the rules of a state serve
+    inputs only, ``qstate``). eta_i is kept as its spectrum, which its entropy
+    and Hall's skip read. The entropies and I_c are computed once, on first
+    use, and every stage reads them here.
     """
 
     ensemble: Ensemble
@@ -102,15 +103,15 @@ class MeasurementStatistics:
     posterior_letter_states: np.ndarray  # [letter, outcome, d2, d2]
     posterior_mean_states: np.ndarray  # rho_f(omega), [outcome, d2, d2]
     post_letter_states: np.ndarray  # eta_f^alpha, [letter, d2, d2]
-    a_priori_decomp: matcore.SpectralDecomp  # eta_i's one decomposition (herm_eig)
+    a_priori_eigenvalues: np.ndarray  # eta_i's spectrum (eigvalsh), ascending
     post_a_priori: np.ndarray  # eta_f, [d2, d2]
 
     @cached_property
     def entropies(self) -> ScenarioEntropies:
         """Every state's entropy: the output side (the posterior grid, rho_f(w),
         eta_f^a and eta_f) from one batched vn_entropies call; the letters and
-        eta_i from their one decompositions (``Ensemble.spectra``,
-        ``a_priori_decomp``)."""
+        eta_i from their spectra (``Ensemble.spectra``,
+        ``a_priori_eigenvalues``)."""
         n_l, n_o = self.joint.shape
         d2 = self.instrument.dim_out
         s = vn_entropies(np.concatenate([
@@ -126,7 +127,7 @@ class MeasurementStatistics:
             post=s[n_grid + n_o:-1],
             eta_f=s[-1],
             letters=_entropy(self.ensemble.spectra.eigenvalues),
-            eta_i=float(_entropy(self.a_priori_decomp.eigenvalues)),
+            eta_i=float(_entropy(self.a_priori_eigenvalues)),
         )
 
     @cached_property
@@ -163,10 +164,10 @@ def analyze(e: Ensemble, ins: Instrument) -> MeasurementStatistics:
 
     The instrument is applied once, to the stack of letter states, giving the
     grid of I_w(rho_a), whose null cells ``_posteriors`` alone decides; the
-    other families are read off it: rho_f(w) = sum_a P_{i|f}(a|w) rho_a(w) (a
-    null outcome's cells all hold the fill, and so does its rho_f), eta_f^a =
-    sum_w I_w(rho_a) and eta_f = sum_a P_a eta_f^a. eta_i = sum_a P_a rho_a
-    is decomposed once, by ``matcore.herm_eig``.
+    other families are read off it: rho_f(w) = sum_a P_{i|f}(a|w) rho_a(w) (0
+    for a null outcome, whose P_{i|f} column is 0), eta_f^a = sum_w I_w(rho_a)
+    and eta_f = sum_a P_a eta_f^a. Of eta_i = sum_a P_a rho_a only the
+    spectrum is kept, from one ``eigvalsh``.
     """
     if e.dim != ins.dim_in:
         raise QinstrError(f"ensemble dim {e.dim} vs instrument dim_in {ins.dim_in}")
@@ -179,7 +180,7 @@ def analyze(e: Ensemble, ins: Instrument) -> MeasurementStatistics:
     p_f = joint.sum(axis=0)
     live = p_f > 0.0
     cond_if = np.divide(joint, p_f, out=np.zeros_like(joint), where=live)
-    mean = np.where(live[:, None, None], np.einsum("aw,waij->wij", cond_if, posts), posts[:, 0])
+    mean = np.einsum("aw,waij->wij", cond_if, posts)
     eta = sum(p * s for p, s in zip(e.probs, e.states))
     p_f.setflags(write=False)
     return MeasurementStatistics(
@@ -193,7 +194,7 @@ def analyze(e: Ensemble, ins: Instrument) -> MeasurementStatistics:
         posterior_letter_states=posts.swapaxes(0, 1),
         posterior_mean_states=mean,
         post_letter_states=post_letter,
-        a_priori_decomp=matcore.herm_eig(eta),
+        a_priori_eigenvalues=matcore.lapack(np.linalg.eigvalsh, eta),
         post_a_priori=np.einsum("a,aij->ij", e.probs, post_letter),
     )
 
@@ -414,7 +415,8 @@ def compound_states(ms: MeasurementStatistics) -> CompoundStates:
     Tr_2 eta_if and Tr_2 gamma_if with sum_a P_a tr(eta_f^a) rho_a, Tr_1 of
     both with eta_f, and the tau_f mixture with sum_a P_a eta_f^a / tr eta_f^a.
     The comparands come from the letters, eta_f^a and their traces, never from
-    the compound states, so a row reads the construction's rounding."""
+    the compound states, so a row reads the construction's rounding. A null
+    outcome's eps_if is the empty mixture, 0, and weighs exactly 0."""
     e = ms.ensemble
     d1 = e.dim
     d2 = ms.instrument.dim_out
@@ -424,7 +426,6 @@ def compound_states(ms: MeasurementStatistics) -> CompoundStates:
     eps_if = np.einsum(
         "aw,amn->wmn", ms.cond_in_given_out, matcore.kron(e.states, ms.post_letter_states)
     )
-    eps_if[~ms.live] = np.eye(d1 * d2) / (d1 * d2)  # zero-weight filler, excluded everywhere
     eps_i = matcore.partial_trace(eps_if, "second", d1, d2)
     eps_f = matcore.partial_trace(eps_if, "first", d1, d2)
     eta_if = np.einsum("w,wmn->mn", p_f, eps_if)

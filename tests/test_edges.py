@@ -187,7 +187,7 @@ def test_near_singular_a_priori_state(d2, n_letters, n_outcomes, kraus, least, s
     report = run_scenario(s)
     assert report.overall_pass, [row for row in report.rows if not row["pass"]]
     ms = analyze(s.ensemble, s.instrument)
-    singular = ms.a_priori_decomp.eigenvalues[0] <= INVERTIBILITY_TOL
+    singular = ms.a_priori_eigenvalues[0] <= INVERTIBILITY_TOL
     assert (report.hall_skipped is not None) == singular
 
 

@@ -6,12 +6,13 @@ import pytest
 from conftest import KET0, KET1, PLUS, pure
 from qinstr import matcore
 from qinstr.entropy import chi_against, vn_entropies
-from qinstr.errors import NoConvergence
+from qinstr.errors import NoConvergence, QinstrError
 from qinstr.instrument import random_instrument
 from qinstr.qstate import DensityMatrix
 from qinstr.reference import (
     ClassicalDist,
     c_rel_entropy,
+    fidelity_like_support_check,
     maximally_mixed,
     mixed_rel_entropy,
     q_rel_entropy,
@@ -83,6 +84,21 @@ class TestQRelEntropy:
     def test_orthogonal_pure_is_infinite(self):
         assert math.isinf(q_rel_entropy(KET0, KET1))
 
+    def test_dim_mismatch(self):
+        with pytest.raises(QinstrError, match="dims 2 and 3 differ"):
+            q_rel_entropy(KET0, maximally_mixed(3))
+
+    def test_weight_on_the_kernel_below_the_support_check_is_infinite(self):
+        # sigma = (1 + e) |u1><u1| - e |u2><u2|, a state within HERM_TOL, with
+        # |<1|u1>|^2 = e: its <1|sigma|1> is ~0, so the support check passes,
+        # but its live eigenvalue carries weight e > SUPPORT_CUTOFF onto the
+        # kernel of tau = |0><0|
+        e = 5e-12
+        u1, u2 = np.array([math.sqrt(1 - e), math.sqrt(e)]), np.array([-math.sqrt(e), math.sqrt(1 - e)])
+        sigma = DensityMatrix((1 + e) * np.outer(u1, u1) - e * np.outer(u2, u2))
+        assert fidelity_like_support_check(sigma, KET0)
+        assert q_rel_entropy(sigma, KET0) == math.inf
+
     def test_commuting_reduces_to_kl(self):
         sigma = DensityMatrix(np.diag([0.5, 0.5]))
         tau = DensityMatrix(np.diag([0.75, 0.25]))
@@ -136,6 +152,17 @@ class TestCRelEntropy:
         q = ClassicalDist((0, 1), np.array([0.75, 0.25]))
         assert abs(c_rel_entropy(p, q) - 0.14384103622589045) < 1e-12
 
+    def test_null_entry_of_p_adds_nothing(self):
+        p = ClassicalDist((0, 1), np.array([0.0, 1.0]))
+        q = ClassicalDist((0, 1), np.array([0.0, 1.0]))
+        assert c_rel_entropy(p, q) == 0.0
+        assert c_rel_entropy(p, ClassicalDist((0, 1), np.array([0.5, 0.5]))) == math.log(2)
+
+    def test_label_sets_must_agree(self):
+        half = np.array([0.5, 0.5])
+        with pytest.raises(QinstrError, match="distributions live on different label sets"):
+            c_rel_entropy(ClassicalDist((0, 1), half), ClassicalDist((0, 2), half))
+
 
 class TestMixedRelEntropy:
     def test_identical_families(self):
@@ -172,6 +199,32 @@ class TestMixedRelEntropy:
         direct = q_rel_entropy(DensityMatrix(block1), DensityMatrix(block2))
         via_decomposition = mixed_rel_entropy((p1, s1), (p2, s2))
         assert abs(direct - via_decomposition) < 1e-9
+
+    def test_infinite_classical_part(self):
+        states = (rand_dm(2, 15), rand_dm(2, 16))
+        p1 = ClassicalDist((0, 1), np.array([1.0, 0.0]))
+        p2 = ClassicalDist((0, 1), np.array([0.0, 1.0]))
+        assert mixed_rel_entropy((p1, states), (p2, states)) == math.inf
+
+    def test_infinite_quantum_part(self):
+        p = ClassicalDist((0, 1), np.array([0.5, 0.5]))
+        assert mixed_rel_entropy((p, (KET0, KET0)), (p, (KET0, KET1))) == math.inf
+
+    def test_null_member_adds_nothing(self):
+        # the member of weight 0 would give +inf, and is skipped
+        p = ClassicalDist((0, 1), np.array([1.0, 0.0]))
+        assert mixed_rel_entropy((p, (PLUS, KET0)), (p, (PLUS, KET1))) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("second, match", [
+        ((ClassicalDist((0, 2), np.array([0.5, 0.5])), (KET0, KET1)), "families live on different label sets"),
+        ((ClassicalDist((0, 1), np.array([0.5, 0.5])), (KET0,)), "state count does not match label count"),
+        ((ClassicalDist((0, 1), np.array([0.5, 0.5])), (KET0, maximally_mixed(3))),
+         r"states have inconsistent dims \{2, 3\}"),
+    ], ids=["labels", "count", "dims"])
+    def test_families_must_agree_in_shape(self, second, match):
+        first = (ClassicalDist((0, 1), np.array([0.5, 0.5])), (KET0, KET1))
+        with pytest.raises(QinstrError, match=match):
+            mixed_rel_entropy(first, second)
 
     def test_singleton_classical_part(self):
         p = ClassicalDist(("only",), np.array([1.0]))

@@ -298,11 +298,11 @@ class TestHallSection:
         assert calls == []
 
     def test_run_scenario_builds_the_a_priori_state_once(self, monkeypatch):
-        # analyze decomposes eta once, by matcore.herm_eig (the call a traced
-        # benchmark run counts as matcore.eig), and the Hall section reuses
-        # that decomposition; with no null cell it decomposes no eta_w, and
-        # no stage builds a DensityMatrix: a derived state is a plain array.
-        # Every stage calls herm_eig through matcore, so this counts each call
+        # the one matcore.herm_eig of a run on a built scenario (the call a
+        # traced benchmark run counts as matcore.eig) is the Hall section's
+        # eta_w stack, and no stage builds a DensityMatrix: a derived state
+        # is a plain array. Every stage calls herm_eig through matcore, so
+        # this counts each call
         s = random_scenario(3, 2, 3, 3, 2, seed=11)
         counts = {"herm_eig": 0, "states": 0}
 

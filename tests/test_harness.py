@@ -487,6 +487,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("name,lhs,rhs,slack,pass")
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_failing_suite_counts_its_failures_and_exits_one(self, capsys, monkeypatch, fmt):
+        # a row planted in every report fails it: the summary counts each
+        # failing report, and the suite exits 1, as a failing analyze does
+        real = harness.check_bounds
+        planted = BoundCheck("planted", 1.0, 0.0)
+        monkeypatch.setattr(harness, "check_bounds", lambda panel: (*real(panel), planted))
+        assert main(["random", "--trials", "2", "--format", fmt]) == 1
+        out = capsys.readouterr().out
+        if fmt == "json":
+            assert json.loads(out)["summary"]["failures"] == 2
+        else:
+            assert out.endswith("failures: 2/2\n")
+
+    def test_unknown_example_is_a_schema_error(self):
+        # the CLI's choices reject the name first; the function keeps its own rule
+        with pytest.raises(SchemaError, match="unknown example 'nope'"):
+            example_scenario("nope")
+
     def test_each_row_is_judged_once(self, tmp_path, capsys, monkeypatch):
         # a report judges each row once, in its unit; overall_pass, the summary
         # and every writer read those verdicts
@@ -594,35 +613,43 @@ class TestCli:
         assert capsys.readouterr().err == line
 
     @staticmethod
-    def _fail_lapack(monkeypatch, routine, ndim):
+    def _fail_lapack(monkeypatch, routine, ndim, skip=0):
         """Make np.linalg.<routine> raise LinAlgError on input of ndim
-        dimensions (on any input when ndim is None)."""
+        dimensions (on any input when ndim is None), after the first ``skip``
+        such calls. Returns the list of those calls; clearing it counts anew."""
         real = getattr(np.linalg, routine)
+        calls = []
 
         def failing(a, *args, **kwargs):
             if ndim is None or np.ndim(a) == ndim:
-                raise np.linalg.LinAlgError("did not converge")
+                calls.append(np.shape(a))
+                if len(calls) > skip:
+                    raise np.linalg.LinAlgError("did not converge")
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, routine, failing)
+        return calls
 
-    @pytest.mark.parametrize("routine, ndim, stage", [
-        ("eigh", 2, "analyze"),
-        ("eigvalsh", None, "entropy_panel"),
-        ("svd", None, "groenewold_lindblad_check"),
-    ], ids=["eigh", "eigvalsh", "svd"])
-    def test_lapack_failure_exits_three(self, tmp_path, capsys, monkeypatch, routine, ndim, stage):
-        # a LinAlgError from a LAPACK call inside a stage (analyze's eigh of
-        # eta_i, the entropies' eigvalsh, the purity class's svd) is a
-        # numerical error that names the stage, not a failed check (exit 1) or
-        # a traceback
+    @pytest.mark.parametrize("routine, ndim, skip, stage", [
+        ("eigh", 3, 1, "hall_section"),
+        ("eigvalsh", 3, 0, "entropy_panel"),
+        ("eigvalsh", 2, 0, "analyze"),
+        ("svd", None, 0, "groenewold_lindblad_check"),
+    ], ids=["eigh", "eigvalsh", "eigvalsh-eta", "svd"])
+    def test_lapack_failure_exits_three(self, tmp_path, capsys, monkeypatch, routine, ndim, skip, stage):
+        # a LinAlgError from a LAPACK call inside a stage (the Hall section's
+        # eigh of its eta_w stack, the second eigh of a run after the letters',
+        # the entropies' eigvalsh, analyze's eigvalsh of eta_i, the purity
+        # class's svd) is a numerical error that names the stage, not a failed
+        # check (exit 1) or a traceback
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(random_scenario(2, 2, 2, 2, 2, 5).to_json()))
-        self._fail_lapack(monkeypatch, routine, ndim)
+        calls = self._fail_lapack(monkeypatch, routine, ndim, skip)
         assert main(["analyze", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"numerical error: {stage}: ") and err.endswith("did not converge\n")
         assert err.count("\n") == 1
+        calls.clear()
         assert main(["random", "--trials", "1", "--kraus", "2"]) == 3
         assert capsys.readouterr().err.startswith(f"numerical error: {stage}: ")
 
@@ -923,6 +950,21 @@ class TestInputContract:
         with pytest.raises(SchemaError, match="boolean"):
             scenario_from_json(obj)
 
+    @pytest.mark.parametrize("key, value, line", [
+        ("probs", [0.5, 0.6], "error: letter probabilities sum to 1.1, not 1"),
+        ("outcomes", [0, 1, 2], "error: need one Kraus map per outcome"),
+        ("outcomes", [0], "error: need one Kraus map per outcome"),
+        ("kraus", [], "error: need one Kraus map per outcome"),
+    ], ids=["prior-sum", "three-labels-two-maps", "one-label-two-maps", "no-maps"])
+    def test_rule_of_a_read_ensemble_or_instrument_exits_two(self, tmp_path, capsys, key, value, line):
+        # a file that breaks the rule of an ensemble or of an instrument, not
+        # the format, is an input error with the rule's one line
+        def mutate(obj):
+            obj["ensemble" if key == "probs" else "instrument"][key] = value
+
+        assert self._analyze(tmp_path, mutate) == 2
+        assert capsys.readouterr().err == line + "\n"
+
     @pytest.mark.parametrize("probs", [0.5, None, [0.5, math.nan]])
     def test_malformed_letter_probs_rejected(self, tmp_path, capsys, probs):
         # a scalar or null is no list of probabilities, and NaN is not positive
@@ -1082,13 +1124,15 @@ def lapack_calls(monkeypatch) -> tuple:
 
 # the LAPACK calls of analyze, the entropy panel and the Scutaru chains;
 # compound_states and the identities and bounds make none
-PANEL_LAPACK = {"analyze": {"eigh": 1}, "entropy_panel": {"eigvalsh": 1}, "scutaru_chains": {"eigvalsh": 3}}
+PANEL_LAPACK = {"analyze": {"eigvalsh": 1}, "entropy_panel": {"eigvalsh": 1}, "scutaru_chains": {"eigvalsh": 3}}
+# the Hall section's: the eigh of its eta_w stack and the eigvalsh of its entropies
+HALL_LAPACK = {"eigh": 1, "eigvalsh": 1}
 
 
 @pytest.mark.parametrize("name, hall", [
-    ("orthogonal-projective", {"eigh": 1, "eigvalsh": 1}),
-    ("zero-one-plus", {"eigh": 1, "eigvalsh": 1}),
-    ("identity-instrument", {"eigvalsh": 1}),
+    ("orthogonal-projective", HALL_LAPACK),
+    ("zero-one-plus", HALL_LAPACK),
+    ("identity-instrument", HALL_LAPACK),
     ("singular-eta", None),
 ])
 def test_lapack_calls_per_stage_are_pinned(tmp_path, monkeypatch, name, hall):
@@ -1096,8 +1140,8 @@ def test_lapack_calls_per_stage_are_pinned(tmp_path, monkeypatch, name, hall):
     scenarios and on two copies of |0> under the projective qubit instrument,
     whose a priori state is singular, so the Hall section is never entered.
     Ingest decomposes the letters once, since no letter here needs its clamp;
-    the Hall section's eigh decomposes the eta_w of the outcomes that hold a
-    null cell, which the identity instrument has none of."""
+    analyze takes eta_i's spectrum alone, and the Hall section's eigh
+    decomposes the eta_w of every live outcome, null cells or none."""
     if name == "singular-eta":
         ket0 = pure_state([1, 0])
         s = Scenario(Ensemble((0, 1), np.array([0.5, 0.5]), (ket0, ket0)),
@@ -1127,12 +1171,11 @@ def test_example_scenario_builds_only_the_scenario_it_returns(monkeypatch, name)
 def test_run_scenario_does_no_per_state_work(monkeypatch):
     """The instrument is applied to stacks and their entropies come from batched
     eigvalsh calls; a per-cell path (one validated state, one herm_eig each)
-    would raise the LAPACK counts by tens (83 states and 91 herm_eig calls
-    before the stacked path, on the two-Kraus scenario). The GL check takes
-    every gain from one stacked _gains call (it made two, and 12 eigvalsh
-    calls in all, on the one-Kraus scenario, which is purity-preserving and so
-    draws trial states); on the two-Kraus one the purity class adds two svd
-    calls. Every LAPACK call is pinned, by stage (``lapack_calls``)."""
+    would raise the LAPACK counts by tens. The GL check takes every gain from
+    one stacked _gains call, on the one-Kraus scenario too, which is
+    purity-preserving and so draws trial states; on the two-Kraus one the
+    purity class adds two svd calls. Every LAPACK call is pinned, by stage
+    (``lapack_calls``)."""
     names = ("states", "gl_gains")
     counts = dict.fromkeys(names, 0)
     in_gl = []
@@ -1168,15 +1211,13 @@ def test_run_scenario_does_no_per_state_work(monkeypatch):
         assert report.purity_preserving == (kraus == 1)
         assert counts["states"] == 0
         assert counts["gl_gains"] == 1
-        # eta_i's one decomposition, which the Hall section reuses: no outcome holds a null cell
-        assert lapack == {**PANEL_LAPACK, "groenewold_lindblad_check": gl, "hall_section": {"eigvalsh": 1}}
+        assert lapack == {**PANEL_LAPACK, "groenewold_lindblad_check": gl, "hall_section": HALL_LAPACK}
 
 
 def test_scenario_from_json_does_no_per_letter_work(monkeypatch):
     """Ingest reads the letters as one stack, checked by the rules of a state
     and decomposed by one batched herm_eig; no DensityMatrix is built for a
-    letter that is not clamped (it built one per letter, with one herm_eig
-    each)."""
+    letter that is not clamped."""
     s = random_scenario(3, 3, 4, 4, 2, 7)
     obj = json.loads(json.dumps(s.to_json()))
     names = ("states", "eigh", "herm_eig", "jacobi_eig")

@@ -87,6 +87,10 @@ def brute_force_mi(joint):
 
 
 class TestAnalyze:
+    def test_instrument_of_another_input_dimension_is_rejected(self):
+        with pytest.raises(QinstrError, match="ensemble dim 2 vs instrument dim_in 3"):
+            analyze(zero_plus_ensemble(), random_instrument(3, 2, 2, 1, seed=0))
+
     def test_joint_table_zero_plus(self):
         ms = analyze(zero_plus_ensemble(), projective_qubit())
         assert np.allclose(ms.joint, [[0.5, 0.0], [0.25, 0.25]], atol=1e-12)
@@ -398,6 +402,33 @@ class TestPurityClass:
     ])
     def test_classes(self, ins, expected):
         assert groenewold_lindblad_check(ins, trials=2, seed=0, n_demix=5)[0] == expected
+
+
+def near_rank_one_pair(r, seed=0):
+    """Outcome 0 = {A, r B} and outcome 1 = {C}, with A, B, C Ginibre qubit
+    operators drawn in that order, every operator right-normalized by
+    S^{-1/2}: outcome 0 fails rank <= 1 by a relative second singular value
+    of the order of r."""
+    rng = np.random.default_rng(seed)
+    a, b, c = ((rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2) for _ in range(3))
+    groups = ((a, r * b), (c,))
+    vals, vecs = np.linalg.eigh(sum(k.conj().T @ k for group in groups for k in group))
+    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    return Instrument((0, 1), tuple(KrausMap(2, 2, tuple(k @ inv_sqrt for k in group)) for group in groups))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="RANK_ONE_TOL is set on purity, not on the entropy row it gates: at r = 3e-5 "
+                          "(relative second singular value 5.6e-5) the least pure-state gain is -4.5e-8")
+def test_purity_preserving_class_has_no_negative_pure_gain():
+    """An instrument classified purity-preserving takes no pure state to a gain
+    below -INEQ_TOL, the tolerance of the gl_info_gain_nonneg row the class
+    gates. The least gain on {|0>, |1>, |+>} misses it by 4.5 times the
+    tolerance, so BLAS digits do not decide the outcome."""
+    ins = near_rank_one_pair(3e-5)
+    preserving = groenewold_lindblad_check(ins, trials=2, seed=0, n_demix=0)[0]
+    least = min(quantum_info_gain(ins, ket) for ket in (KET0, KET1, PLUS))
+    assert not preserving or least >= -INEQ_TOL, least
 
 
 class TestReportInfoGain:

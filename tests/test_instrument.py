@@ -20,6 +20,7 @@ from qinstr.reference import (
     merge_outcomes,
     outcome_probs,
     purity,
+    quantum_info_gain,
     total_channel,
 )
 
@@ -50,6 +51,12 @@ class TestApplyOutcome:
     def test_dim_mismatch(self):
         with pytest.raises(QinstrError, match="state dim 3 vs instrument dim_in 2"):
             apply_outcome(identity_instrument(2), maximally_mixed(3), 0)
+
+
+@pytest.mark.parametrize("oracle", [outcome_probs, total_channel, quantum_info_gain])
+def test_each_per_state_oracle_checks_the_state_dimension(oracle):
+    with pytest.raises(QinstrError, match="state dim 3 vs instrument dim_in 2"):
+        oracle(identity_instrument(2), maximally_mixed(3))
 
 
 def kraus_loop_effects(ins):
@@ -147,6 +154,12 @@ class TestKrausMap:
     def test_non_finite_entry_rejected(self):
         with pytest.raises(QinstrError, match="Kraus operators contain NaN/Inf entries"):
             KrausMap(2, 2, (np.diag([1.0, np.inf]),))
+
+    @pytest.mark.parametrize("d1, d2", [(3, 2), (2, 3)])
+    def test_maps_of_other_dimensions_are_rejected(self, d1, d2):
+        other = KrausMap(d1, d2, (np.zeros((d2, d1), dtype=complex),))
+        with pytest.raises(QinstrError, match="Kraus maps have inconsistent dimensions"):
+            Instrument((0, 1), (identity_instrument(2).maps[0], other))
 
 
 def kraus_loop_channel_matrix(ins):
@@ -324,6 +337,12 @@ class TestRandomInstrument:
         ins = random_instrument(2, 2, 1, 4, seed=19)
         out = total_channel(ins, PLUS)
         assert abs(np.trace(out.mat).real - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2, 1), (2, 0, 2, 1), (2, 2, 0, 1), (2, 2, 2, 0)],
+                             ids=["d1", "d2", "outcomes", "kraus"])
+    def test_counts_below_one_are_rejected(self, shape):
+        with pytest.raises(QinstrError, match="all dimensions and counts must be positive"):
+            random_instrument(*shape, seed=0)
 
     def test_normalizer_decomposed_once(self, monkeypatch):
         calls = []

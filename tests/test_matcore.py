@@ -84,6 +84,12 @@ class TestSolvers:
         with pytest.raises(NoConvergence):
             matcore.herm_eig(np.eye(2))
 
+    def test_jacobi_without_sweeps_does_not_converge(self, monkeypatch):
+        monkeypatch.setattr(matcore, "MAX_SWEEPS", 0)
+        assert matcore.jacobi_eig(np.diag([1.0, 2.0])).eigenvalues.tolist() == [1.0, 2.0]
+        with pytest.raises(NoConvergence, match="Jacobi did not converge in 0 sweeps"):
+            matcore.jacobi_eig(random_hermitian(2, 0))
+
     def test_jacobi_rejects_bad_input(self):
         with pytest.raises(QinstrError, match="Hermiticity deviation 1.000e.00 exceeds 1.0e-10"):
             matcore.jacobi_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -205,6 +211,10 @@ class TestKronPartialTrace:
     def test_dimension_mismatch(self):
         with pytest.raises(QinstrError, match=r"expected a 6x6 matrix for dims \(2,3\), got \(4, 4\)"):
             matcore.partial_trace(np.eye(4), "first", 2, 3)
+
+    def test_unknown_subsystem(self):
+        with pytest.raises(QinstrError, match="subsystem must be 'first' or 'second', got 'third'"):
+            matcore.partial_trace(np.eye(4), "third", 2, 2)
 
 
 class TestJson:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,11 @@ class TestSupportCheck:
 
 
 class TestClassicalDist:
+    @pytest.mark.parametrize("probs", [[1.0], [0.5, 0.25, 0.25], [[0.5, 0.5]]], ids=["short", "long", "matrix"])
+    def test_one_probability_per_label(self, probs):
+        with pytest.raises(QinstrError, match="labels and probabilities differ in length"):
+            ClassicalDist((0, 1), np.array(probs))
+
     def test_bad_sum(self):
         with pytest.raises(QinstrError, match=r"probabilities sum to 1\.1, not 1"):
             ClassicalDist((0, 1), np.array([0.5, 0.6]))
@@ -331,6 +338,12 @@ BAD_STATES = [
     pytest.param(np.diag([1.0 + 2 * HERM_TOL, -2 * HERM_TOL]), "minimum eigenvalue -2.000e-10 below -1.0e-10",
                  id="NotPositive-m5"),
 ]
+
+
+@pytest.mark.parametrize("states", [np.ones((1, 2)), np.ones((1, 2, 2, 2))], ids=["matrix-rows", "stack-of-stacks"])
+def test_ensemble_states_are_a_letter_stack_of_matrices(states):
+    with pytest.raises(QinstrError, match=re.escape(f"expected a [letter, d, d] stack, got shape {states.shape}")):
+        Ensemble((0,), np.array([1.0]), states)
 
 
 @pytest.mark.parametrize("m, match", BAD_STATES)
