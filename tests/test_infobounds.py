@@ -57,15 +57,22 @@ def measure_and_prepare(p=0.3):
     return Instrument(("v", "u"), maps)
 
 
-def perturbed_pair(eps):
-    """One outcome with Kraus operators K and K + eps X, right-normalised as
-    random_instrument does; rank <= 1 fails by a relative second singular
-    value of about eps / 2."""
-    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    raw = (np.eye(2, dtype=complex), np.eye(2) + eps * x)
-    vals, vecs = np.linalg.eigh(sum(k.conj().T @ k for k in raw))
+def right_normalized(groups):
+    """The instrument with one outcome per group of raw d x d Kraus operators,
+    every operator right-multiplied by S^{-1/2}, S = sum K^dag K, as
+    random_instrument normalizes."""
+    vals, vecs = np.linalg.eigh(sum(k.conj().T @ k for group in groups for k in group))
     inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    return Instrument((0,), (KrausMap(2, 2, tuple(k @ inv_sqrt for k in raw)),))
+    d = len(inv_sqrt)
+    return Instrument(tuple(range(len(groups))),
+                      tuple(KrausMap(d, d, tuple(k @ inv_sqrt for k in group)) for group in groups))
+
+
+def perturbed_pair(eps):
+    """One outcome with Kraus operators K and K + eps X, right-normalised;
+    rank <= 1 fails by a relative second singular value of about eps / 2."""
+    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    return right_normalized([(np.eye(2, dtype=complex), np.eye(2) + eps * x)])
 
 
 def with_zero_outcome():
@@ -406,15 +413,11 @@ class TestPurityClass:
 
 def near_rank_one_pair(r, seed=0):
     """Outcome 0 = {A, r B} and outcome 1 = {C}, with A, B, C Ginibre qubit
-    operators drawn in that order, every operator right-normalized by
-    S^{-1/2}: outcome 0 fails rank <= 1 by a relative second singular value
-    of the order of r."""
+    operators drawn in that order, right-normalized: outcome 0 fails
+    rank <= 1 by a relative second singular value of the order of r."""
     rng = np.random.default_rng(seed)
     a, b, c = ((rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2) for _ in range(3))
-    groups = ((a, r * b), (c,))
-    vals, vecs = np.linalg.eigh(sum(k.conj().T @ k for group in groups for k in group))
-    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    return Instrument((0, 1), tuple(KrausMap(2, 2, tuple(k @ inv_sqrt for k in group)) for group in groups))
+    return right_normalized([(a, r * b), (c,)])
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
