@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import matcore
 from .errors import NoConvergence
-from .matcore import SUPPORT_CUTOFF, lapack
+from .matcore import SUPPORT_CUTOFF
 
 
 def _entropy(vals: np.ndarray) -> np.ndarray:
@@ -28,7 +29,7 @@ def vn_entropies(stack) -> np.ndarray:
     """The von Neumann entropy of each derived state (a state by construction,
     ``qstate``) of an (n, d, d) stack, by one batched ``eigvalsh``; a
     non-finite one raises NoConvergence."""
-    s = _entropy(lapack(np.linalg.eigvalsh, stack))
+    s = _entropy(matcore.lapack(np.linalg.eigvalsh, stack))
     if not np.isfinite(s).all():
         raise NoConvergence("von Neumann entropy of a derived state is not finite")
     return s

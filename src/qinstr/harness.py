@@ -8,12 +8,12 @@ The scenario file's format lives here alone: ``Scenario.to_json`` writes it
 and ``scenario_from_json`` reads it, by its typing rules: an object has a
 closed set of keys (``as_object``: ``SCENARIO_KEYS``, ``ENSEMBLE_KEYS``,
 ``INSTRUMENT_KEYS``, ``OPTION_KEYS``), numbers are JSON numbers
-(``as_numbers``, which ``matrix_from_json`` applies to every entry), the
-letters and each outcome's Kraus operators are a stack of matrices of their
-shape (``stack_from_json``), a count is an integer (``as_count``, which also
-reads the count flags), a tolerance a finite, non-negative number
-(``as_tol``) and labels are a list (``as_labels``). The letters go through
-ingest's clamp (``ensemble_from_json``)."""
+(``as_numbers``), the letters and each outcome's Kraus operators are a stack
+of matrices of their shape, read in one pass (``stack_from_json``), a count is
+an integer (``as_count``, which also reads the count flags), a tolerance a
+finite, non-negative number (``as_tol``) and labels are a list
+(``as_labels``). The letters go through ingest's clamp
+(``ensemble_from_json``)."""
 
 from __future__ import annotations
 
@@ -71,30 +71,18 @@ def matrix_to_json(a: np.ndarray) -> list:
     return a.view(np.float64).reshape(*a.shape, 2).tolist()
 
 
-def matrix_from_json(rows: list) -> np.ndarray:
-    """The complex matrix, or stack of matrices, that ``matrix_to_json`` wrote:
-    every entry a [re, im] pair of JSON numbers (``as_numbers``), in one
-    ``numpy.array`` pass. The entries are not checked here; the matrix's
-    reader checks them."""
-    a = as_numbers("matrix JSON", rows)
-    if a.ndim < 3 or a.shape[-1] != 2:
-        raise SchemaError(
-            f"malformed matrix JSON: expected rows of [re, im] number pairs, got shape {a.shape}"
-        )
-    return a.view(np.complex128)[..., 0]
-
-
 def stack_from_json(name: str, rows: list, shape: Optional[tuple] = None) -> np.ndarray:
-    """The stack of complex matrices under ``name`` (``matrix_from_json``),
-    each of ``shape``, or square when it is None. A d = 2 matrix written
-    without its [re, im] level passes ``matrix_from_json``'s rule as a stack
-    of columns; only the whole shape tells it from a complex one."""
-    a = matrix_from_json(rows)
-    if a.ndim != 3 or a.shape[1:] != (shape or (a.shape[-1],) * 2):
+    """The stack of complex matrices that ``matrix_to_json`` wrote under
+    ``name``, read in one ``numpy.array`` pass (``as_numbers``): JSON shape
+    [matrix, rows, cols, 2], each matrix of ``shape`` (square when None). A
+    d = 2 matrix written without its [re, im] level also ends in an axis of 2;
+    only the whole shape tells it apart. The stack's reader checks the entries."""
+    a = as_numbers(name, rows)
+    if a.ndim != 4 or a.shape[-1] != 2 or a.shape[1:3] != (shape or (a.shape[2],) * 2):
         rows_cols = "d x d" if shape is None else f"{shape[0]} x {shape[1]}"
         raise SchemaError(f"{name} must be a stack of {rows_cols} matrices of [re, im] number pairs, "
-                          f"got JSON shape {(*a.shape, 2)}")
-    return a
+                          f"got JSON shape {a.shape}")
+    return a.view(np.complex128)[..., 0]
 
 
 def as_numbers(name: str, values) -> np.ndarray:

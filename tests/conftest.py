@@ -13,6 +13,17 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def counted(counts: dict, name: str, fn):
+    """``fn``, adding one to ``counts[name]`` on each call: patched in for
+    ``fn``, it counts the calls a run makes."""
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 def pure(vec) -> DensityMatrix:
     """A ket's state as the oracles in ``qinstr.reference`` take it. Its
     ``.mat`` is ``pure_state``'s array, which is what an ``Ensemble`` takes."""

@@ -20,10 +20,10 @@ from qinstr.harness import (
     run_scenario,
     splitmix64,
 )
-from qinstr.infobounds import analyze, entropy_panel
+from qinstr.infobounds import INEQ_TOL, analyze, entropy_panel
 from qinstr.instrument import random_instrument
 from qinstr.qstate import DensityMatrix
-from qinstr.reference import a_posteriori, a_priori_state, q_rel_entropy, total_channel
+from qinstr.reference import a_posteriori, a_priori_state, q_rel_entropy, quantum_info_gain, total_channel
 
 MASTER_SEED = 20240817
 TRIALS = 200
@@ -229,6 +229,23 @@ def test_criterion_6_groenewold_lindblad(suite):
         f"all rank-1 purity-preserving, non-PP multi-Kraus witness found, "
         f"min I_q {min_gain_slack:.3e}",
     )
+
+
+def test_every_instrument_outside_the_purity_class_has_a_pure_witness(suite):
+    """The converse of criterion 6's class: on a pure input the gain is
+    -sum_w P(w) S(psi_w) <= 0, zero iff every a posteriori state is pure, so
+    an instrument classified non-purity-preserving must take a pure state to a
+    negative gain. On every such suite instrument, a basis ket or the uniform
+    superposition does, by more than INEQ_TOL."""
+    reports, _, _ = suite
+    witnessed = []
+    for index, r in enumerate(reports):
+        if not r.purity_preserving:
+            d1, *shape = ACCEPTANCE_GRID[index % len(ACCEPTANCE_GRID)]
+            ins = random_scenario(d1, *shape, splitmix64(MASTER_SEED + index)).instrument
+            family = [*np.eye(d1), np.ones(d1)]
+            witnessed.append(min(quantum_info_gain(ins, conftest.pure(v)) for v in family))
+    assert witnessed and max(witnessed) < -INEQ_TOL, max(witnessed)
 
 
 def test_criterion_7_uhlmann_monotonicity():

@@ -1,6 +1,6 @@
 """Valid scenarios at an edge of the input contract, drawn by hypothesis. Each
 must then be analyzed with no error but ``NoConvergence`` and pass every
-check. Five edges:
+check. Six edges:
 
 - a near-null effect: one effect has one or more eigenvalues in
   [1e-13, 1e-11], in a random basis, and some letters lie at or near the span
@@ -20,7 +20,14 @@ check. Five edges:
   INVERTIBILITY_TOL, and Hall's section is skipped exactly when it is at or
   below it;
 - ingest's clamp path: some letters have a least eigenvalue in
-  [-0.9 HERM_TOL, 0], which ingest clamps to 0 before any stage reads them.
+  [-0.9 HERM_TOL, 0], which ingest clamps to 0 before any stage reads them;
+- a near-purity-preserving instrument: one outcome's two Kraus operators fail
+  rank <= 1 by a relative second singular value of the order of r, log-uniform
+  in [1e-9, 1e-3], under pure or mixed letters. Its purity class must hold
+  both ways: classified purity-preserving, it takes no letter and no state of
+  a fixed pure family (the basis kets and their uniform superposition) to a
+  gain below -INEQ_TOL; classified otherwise, it takes a state of that family
+  to a negative gain.
 
 Each scenario is read back from its JSON, as the CLI reads a file."""
 
@@ -33,12 +40,12 @@ from hypothesis import strategies as st
 from qinstr.errors import NoConvergence
 from qinstr.hallmap import INVERTIBILITY_TOL
 from qinstr.harness import Scenario, random_scenario, run_scenario, scenario_from_json
-from qinstr.infobounds import analyze
+from qinstr.infobounds import INEQ_TOL, analyze
 from qinstr.instrument import POVM_SUM_TOL, Instrument, KrausMap, random_instrument
 from qinstr.matcore import HERM_TOL
-from qinstr.qstate import Ensemble, pure_state
-from qinstr.reference import random_density
-from test_infobounds import downstream, refill
+from qinstr.qstate import DensityMatrix, Ensemble, pure_state
+from qinstr.reference import quantum_info_gain, random_density
+from test_infobounds import downstream, refill, right_normalized
 
 
 def _ginibre(rng, shape):
@@ -245,3 +252,43 @@ def test_effect_sum_off_the_identity_by_a_rank_one_deviation(
     s = rank_one_deviation_scenario(d1, d2, n_letters, n_outcomes, kraus, delta, rare, offset, seed)
     report = run_scenario(round_trip(s.to_json()))
     assert report.overall_pass, [row for row in report.rows if not row["pass"]]
+
+
+def near_purity_preserving_scenario(d, n_letters, r, pure, seed) -> Scenario:
+    """Outcome 0 = {A, r B} and outcome 1 = {C}, with A, B, C Ginibre d x d
+    operators, right-normalized: outcome 0 fails rank <= 1 by a relative
+    second singular value of the order of r. The letters are random pure
+    states when ``pure``, Ginibre mixed states otherwise."""
+    rng = np.random.default_rng(seed)
+    a, b, c = _ginibre(rng, (3, d, d))
+    ins = right_normalized([(a, r * b), (c,)])
+    if pure:
+        letters = [pure_state(_ginibre(rng, d)) for _ in range(n_letters)]
+    else:
+        letters = [random_density(d, rng).mat for _ in range(n_letters)]
+    priors = rng.uniform(0.05, 1.0, n_letters)
+    return Scenario(Ensemble(tuple(range(n_letters)), priors / priors.sum(), tuple(letters)), ins)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    d=st.integers(2, 3),
+    n_letters=st.integers(2, 4),
+    r=st.floats(-9.0, -3.0).map(lambda x: 10.0 ** x),
+    pure=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_near_purity_preserving_instrument(d, n_letters, r, pure, seed):
+    s = round_trip(near_purity_preserving_scenario(d, n_letters, r, pure, seed).to_json())
+    try:
+        report = run_scenario(s)
+    except NoConvergence:
+        return
+    assert report.overall_pass, [row for row in report.rows if not row["pass"]]
+    family = [pure_state(ket) for ket in np.eye(d)] + [pure_state(np.ones(d))]
+    gains = [quantum_info_gain(s.instrument, DensityMatrix(rho)) for rho in family]
+    if report.purity_preserving:
+        gains += [quantum_info_gain(s.instrument, DensityMatrix(rho)) for rho in s.ensemble.states]
+        assert min(gains) >= -INEQ_TOL, gains
+    else:
+        assert min(gains) < 0.0, gains

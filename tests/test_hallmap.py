@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import KET0, KET1, PLUS, orthogonal_ensemble, projective_qubit, zero_plus_ensemble
+from conftest import KET0, KET1, PLUS, counted, orthogonal_ensemble, projective_qubit, zero_plus_ensemble
 from qinstr import hallmap, matcore, qstate
 from qinstr.errors import QinstrError
 from qinstr.hallmap import hall_section
@@ -285,17 +285,11 @@ class TestHallSection:
         # the Hall section reads J off the scenario's arrays; only the
         # scenario's own instrument is ever built, before the run
         s = random_scenario(3, 2, 3, 3, 2, seed=11)
-        calls = []
-        post_init = Instrument.__post_init__
-
-        def counted(self):
-            calls.append(self)
-            post_init(self)
-
-        monkeypatch.setattr(Instrument, "__post_init__", counted)
+        counts = {"instruments": 0}
+        monkeypatch.setattr(Instrument, "__post_init__", counted(counts, "instruments", Instrument.__post_init__))
         report = run_scenario(s)
         assert report.hall_skipped is None
-        assert calls == []
+        assert counts == {"instruments": 0}
 
     def test_run_scenario_builds_the_a_priori_state_once(self, monkeypatch):
         # the one matcore.herm_eig of a run on a built scenario (the call a
@@ -305,17 +299,9 @@ class TestHallSection:
         # this counts each call
         s = random_scenario(3, 2, 3, 3, 2, seed=11)
         counts = {"herm_eig": 0, "states": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(matcore, "herm_eig", counted("herm_eig", matcore.herm_eig))
+        monkeypatch.setattr(matcore, "herm_eig", counted(counts, "herm_eig", matcore.herm_eig))
         monkeypatch.setattr(qstate.DensityMatrix, "__post_init__",
-                            counted("states", qstate.DensityMatrix.__post_init__))
+                            counted(counts, "states", qstate.DensityMatrix.__post_init__))
         report = run_scenario(s)
         assert report.hall_skipped is None
         assert report.default_state_sensitivity is None

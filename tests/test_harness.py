@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qinstr import entropy, hallmap, harness, infobounds, instrument, matcore, qstate, reference
+from conftest import counted
+from qinstr import hallmap, harness, infobounds, instrument, matcore, qstate, reference
 from qinstr.harness import (
     EXAMPLE_NAMES,
     AnalysisReport,
@@ -136,17 +137,11 @@ class TestGoldenFingerprints:
     @staticmethod
     def _roundtrip(s, monkeypatch):
         """The scenario read back from its JSON, and the jacobi_eig calls that took."""
-        calls = []
-        jacobi_eig = matcore.jacobi_eig
-
-        def counting(a):
-            calls.append(1)
-            return jacobi_eig(a)
-
+        counts = {"jacobi_eig": 0}
         text = json.dumps(s.to_json())
         with monkeypatch.context() as patch:
-            patch.setattr(matcore, "jacobi_eig", counting)
-            return scenario_from_json(json.loads(text)), len(calls)
+            patch.setattr(matcore, "jacobi_eig", counted(counts, "jacobi_eig", matcore.jacobi_eig))
+            return scenario_from_json(json.loads(text)), counts["jacobi_eig"]
 
     @pytest.mark.parametrize("spec,expected", GOLDEN_GENERATED)
     def test_random_scenario(self, spec, expected, monkeypatch):
@@ -509,23 +504,18 @@ class TestCli:
     def test_each_row_is_judged_once(self, tmp_path, capsys, monkeypatch):
         # a report judges each row once, in its unit; overall_pass, the summary
         # and every writer read those verdicts
-        policy = infobounds._passes
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return policy(*args)
-
+        counts = {"_passes": 0}
+        judge = counted(counts, "_passes", infobounds._passes)
         for mod in (infobounds, harness):
             if hasattr(mod, "_passes"):
-                monkeypatch.setattr(mod, "_passes", counted)
+                monkeypatch.setattr(mod, "_passes", judge)
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(example_scenario("zero-one-plus").to_json()))
 
         def judged(argv):
-            calls.clear()
+            counts["_passes"] = 0
             assert main(argv) == 0
-            return len(calls), capsys.readouterr().out
+            return counts["_passes"], capsys.readouterr().out
 
         n, out = judged(["analyze", str(path)])
         assert n == len(json.loads(out)["checks"])
@@ -899,23 +889,36 @@ class TestInputContract:
             else:
                 holder[key] = [[re for re, _ in row] for row in rows]
 
+        # one line, naming the key. Only the first letter loses its pair
+        # level, so the letters are ragged, as a short row or pair is, and
+        # numpy's own message ends the line; kraus[0]'s one operator reads as
+        # a real 2 x 2 matrix, which the stack's shape rule rejects
+        key = "states" if where == "letter" else "kraus[0]"
+        numbers_only = f"{key} must hold JSON numbers only (no string, boolean or null), got numpy dtype "
+        line = {"numeric_string": numbers_only + "<U32", "null": numbers_only + "object"}.get(malform)
+        if (where, malform) == ("kraus", "no_pair_level"):
+            line = "kraus[0] must be a stack of 2 x 2 matrices of [re, im] number pairs, got JSON shape (1, 2, 2)"
         assert self._analyze(tmp_path, mutate) == 2
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if line is None:
+            assert err.startswith(f"schema error: malformed {key}: ") and err.count("\n") == 1, err
+        else:
+            assert err == f"schema error: {line}\n"
         obj = example_scenario("zero-one-plus").to_json()
         mutate(obj)
-        with pytest.raises(QinstrError):
+        with pytest.raises(SchemaError, match=re.escape(key)):
             scenario_from_json(obj)
 
     def test_entries_that_are_not_pairs_are_a_schema_error(self, tmp_path, capsys):
-        # the matrix JSON's shape rule is a typing rule of the file, under the
-        # same prefix as its other rules
+        # the stack's shape rule is a typing rule of the file, under the same
+        # prefix as its other rules, and its line names the key
         def mutate(obj):
             group = obj["instrument"]["kraus"][0]
             group[:] = [[[z + [0.0] for z in row] for row in op] for op in group]
 
         assert self._analyze(tmp_path, mutate) == 2
-        assert capsys.readouterr().err == ("schema error: malformed matrix JSON: expected rows of "
-                                           "[re, im] number pairs, got shape (1, 2, 2, 3)\n")
+        assert capsys.readouterr().err == ("schema error: kraus[0] must be a stack of 2 x 2 matrices of "
+                                           "[re, im] number pairs, got JSON shape (1, 2, 2, 3)\n")
 
     @pytest.mark.parametrize("where,line", [
         ("letter", "states must be a stack of d x d matrices of [re, im] number pairs, got JSON shape (2, 2, 2)"),
@@ -1054,7 +1057,7 @@ def test_the_scenario_file_is_read_and_written_only_in_harness():
             if "SchemaError" in (getattr(node, "id", None), getattr(node, "attr", None),
                                  getattr(node, "name", None)):
                 naming_schema_error.add(path.stem)
-    assert {"ENSEMBLE_KEYS", "matrix_from_json", "as_object"} <= set(defined)
+    assert {"ENSEMBLE_KEYS", "stack_from_json", "as_object"} <= set(defined)
     assert {name: modules for name, modules in defined.items() if modules != {"harness"}} == {}
     assert naming_schema_error == {"errors", "harness"}
 
@@ -1091,8 +1094,8 @@ def test_the_error_classes_are_three():
 
 
 def lapack_calls(monkeypatch) -> tuple:
-    """Count every LAPACK call by routine, through ``matcore.lapack`` patched
-    at both of its bindings (matcore, entropy), under the innermost stage
+    """Count every LAPACK call by routine, through ``matcore.lapack``, the
+    one binding every module calls it by, under the innermost stage
     running: ingest (``scenario_from_json``), one of STAGES, or None outside
     them. Returns the counts, {stage: Counter}, which fill as calls run, and
     the set of stages entered. Only LAPACK calls are counted: numpy's and
@@ -1118,8 +1121,17 @@ def lapack_calls(monkeypatch) -> tuple:
     for module, stage in ((harness, "scenario_from_json"), *STAGES):
         monkeypatch.setattr(module, stage, staged(stage, getattr(module, stage)))
     monkeypatch.setattr(matcore, "lapack", lapack)
-    monkeypatch.setattr(entropy, "lapack", lapack)
     return counts, entered
+
+
+def test_lapack_has_one_binding():
+    """No module but matcore imports ``lapack`` by name: each calls it as
+    ``matcore.lapack``, so ``lapack_calls`` sees every call."""
+    package = Path(harness.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        imported = {alias.name for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert "lapack" not in imported, path.stem
 
 
 # the LAPACK calls of analyze, the entropy panel and the Scutaru chains;
@@ -1180,13 +1192,6 @@ def test_run_scenario_does_no_per_state_work(monkeypatch):
     counts = dict.fromkeys(names, 0)
     in_gl = []
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
     def gl_check(*args, **kwargs):
         in_gl.append(True)
         try:
@@ -1198,7 +1203,7 @@ def test_run_scenario_does_no_per_state_work(monkeypatch):
         counts["gl_gains"] += bool(in_gl)
         return _gains(*args, **kwargs)
 
-    monkeypatch.setattr(DensityMatrix, "__post_init__", counted("states", DensityMatrix.__post_init__))
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted(counts, "states", DensityMatrix.__post_init__))
     monkeypatch.setattr(harness, "groenewold_lindblad_check", gl_check)
     monkeypatch.setattr(infobounds, "_gains", gains)
     lapack, _ = lapack_calls(monkeypatch)
@@ -1222,18 +1227,10 @@ def test_scenario_from_json_does_no_per_letter_work(monkeypatch):
     obj = json.loads(json.dumps(s.to_json()))
     names = ("states", "eigh", "herm_eig", "jacobi_eig")
     counts = dict.fromkeys(names, 0)
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(DensityMatrix, "__post_init__", counted("states", DensityMatrix.__post_init__))
-    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-    monkeypatch.setattr(matcore, "herm_eig", counted("herm_eig", matcore.herm_eig))
-    monkeypatch.setattr(matcore, "jacobi_eig", counted("jacobi_eig", matcore.jacobi_eig))
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted(counts, "states", DensityMatrix.__post_init__))
+    monkeypatch.setattr(np.linalg, "eigh", counted(counts, "eigh", np.linalg.eigh))
+    monkeypatch.setattr(matcore, "herm_eig", counted(counts, "herm_eig", matcore.herm_eig))
+    monkeypatch.setattr(matcore, "jacobi_eig", counted(counts, "jacobi_eig", matcore.jacobi_eig))
     read = scenario_from_json(obj)
     assert counts == {"states": 0, "eigh": 1, "herm_eig": 1, "jacobi_eig": 0}
     assert read.ensemble.states.shape == (4, 3, 3)

@@ -377,9 +377,9 @@ GL_CASES = [
     (random_instrument(2, 2, 1, 2, seed=7), 20, 3, 0),
 ] + [
     (measure_and_prepare(), 50, 4, 3),
-    # relative second singular values 5e-6 and 5e-4, either side of the
-    # threshold sqrt(PURITY_TOL / 2) = 7.1e-5: purity deficits 5e-11 and 5e-7
-    (perturbed_pair(1e-5), 50, 5, 3),
+    # relative second singular values 5e-8 and 5e-4, either side of the
+    # threshold RANK_ONE_TOL = 3e-6
+    (perturbed_pair(1e-7), 50, 5, 3),
     (perturbed_pair(1e-3), 50, 6, 3),
     (with_zero_outcome(), 50, 7, 3),
     (merge_outcomes(random_instrument(2, 2, 3, 1, seed=8), 0, 1), 50, 8, 3),
@@ -402,7 +402,7 @@ class TestPurityClass:
 
     @pytest.mark.parametrize("ins, expected", [
         (measure_and_prepare(), True),
-        (perturbed_pair(1e-5), True),
+        (perturbed_pair(1e-7), True),
         (perturbed_pair(1e-3), False),
         (with_zero_outcome(), True),
         (merge_outcomes(random_instrument(2, 2, 3, 1, seed=8), 0, 1), False),
@@ -420,14 +420,12 @@ def near_rank_one_pair(r, seed=0):
     return right_normalized([(a, r * b), (c,)])
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="RANK_ONE_TOL is set on purity, not on the entropy row it gates: at r = 3e-5 "
-                          "(relative second singular value 5.6e-5) the least pure-state gain is -4.5e-8")
 def test_purity_preserving_class_has_no_negative_pure_gain():
     """An instrument classified purity-preserving takes no pure state to a gain
     below -INEQ_TOL, the tolerance of the gl_info_gain_nonneg row the class
-    gates. The least gain on {|0>, |1>, |+>} misses it by 4.5 times the
-    tolerance, so BLAS digits do not decide the outcome."""
+    gates. Here (relative second singular value 5.6e-5) the least gain on
+    {|0>, |1>, |+>} misses it by 4.5 times the tolerance, so BLAS digits do
+    not decide the outcome: the instrument must not be so classified."""
     ins = near_rank_one_pair(3e-5)
     preserving = groenewold_lindblad_check(ins, trials=2, seed=0, n_demix=0)[0]
     least = min(quantum_info_gain(ins, ket) for ket in (KET0, KET1, PLUS))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import KET0, PLUS, projective_qubit, pure
+from conftest import KET0, PLUS, counted, projective_qubit, pure
 from qinstr import matcore
 from qinstr.errors import QinstrError
 from qinstr.instrument import (
@@ -345,13 +345,7 @@ class TestRandomInstrument:
             random_instrument(*shape, seed=0)
 
     def test_normalizer_decomposed_once(self, monkeypatch):
-        calls = []
-        jacobi_eig = matcore.jacobi_eig
-
-        def counted(a):
-            calls.append(a)
-            return jacobi_eig(a)
-
-        monkeypatch.setattr(matcore, "jacobi_eig", counted)
+        counts = {"jacobi_eig": 0}
+        monkeypatch.setattr(matcore, "jacobi_eig", counted(counts, "jacobi_eig", matcore.jacobi_eig))
         random_instrument(3, 2, 3, 2, seed=13)
-        assert len(calls) == 1
+        assert counts == {"jacobi_eig": 1}

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import KET0, KET1, PLUS
+from conftest import KET0, KET1, PLUS, counted
 from qinstr import matcore
 from qinstr.errors import QinstrError
 from qinstr.matcore import HERM_TOL
@@ -242,22 +242,12 @@ class TestDecomposeOnce:
                 assert np.array_equal(vals, ref_vals)
                 assert np.array_equal(vecs, ref_vecs)
 
-    def _count_eigs(self, monkeypatch):
-        calls = []
-        herm_eig = matcore.herm_eig
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return herm_eig(*args, **kwargs)
-
-        monkeypatch.setattr(matcore, "herm_eig", counting)
-        return calls
-
     def test_one_eig_without_clamping(self, monkeypatch):
         m = ginibre(3, np.random.default_rng(1))
-        calls = self._count_eigs(monkeypatch)
+        counts = {"herm_eig": 0}
+        monkeypatch.setattr(matcore, "herm_eig", counted(counts, "herm_eig", matcore.herm_eig))
         DensityMatrix(m)
-        assert len(calls) == 1
+        assert counts == {"herm_eig": 1}
 
     @pytest.mark.parametrize("build", [
         lambda rng: DensityMatrix(ginibre(3, rng)),
@@ -268,16 +258,8 @@ class TestDecomposeOnce:
         # ensemble's stack, passes the Hermiticity rule once and is decomposed
         # once, by the one eigh entry
         counts = {"hermitian_part": 0, "herm_eig": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(matcore, "hermitian_part", counted("hermitian_part", matcore.hermitian_part))
-        monkeypatch.setattr(matcore, "herm_eig", counted("herm_eig", matcore.herm_eig))
+        monkeypatch.setattr(matcore, "hermitian_part", counted(counts, "hermitian_part", matcore.hermitian_part))
+        monkeypatch.setattr(matcore, "herm_eig", counted(counts, "herm_eig", matcore.herm_eig))
         build(np.random.default_rng(3))
         assert counts == {"hermitian_part": 1, "herm_eig": 1}
 
@@ -288,16 +270,10 @@ class TestDecomposeOnce:
         rng = np.random.default_rng(2)
         letters = tuple(ginibre(3, rng) for _ in range(3))
         probs = np.array([0.2, 0.3, 0.5])
-        eighs = []
-        eigh = np.linalg.eigh
-
-        def counting(*args, **kwargs):
-            eighs.append(1)
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
+        counts = {"eigh": 0}
+        monkeypatch.setattr(np.linalg, "eigh", counted(counts, "eigh", np.linalg.eigh))
         e = Ensemble((0, 1, 2), probs, letters)
-        assert len(eighs) == 1
+        assert counts == {"eigh": 1}
         for i, rho in enumerate(map(DensityMatrix, letters)):
             assert np.array_equal(e.states[i], rho.mat)
             assert np.array_equal(e.spectra.eigenvalues[i], rho.spectral().eigenvalues)
@@ -306,16 +282,8 @@ class TestDecomposeOnce:
 
     def test_clamping_redecomposes(self, monkeypatch):
         counts = {"eigh": 0, "jacobi_eig": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-        monkeypatch.setattr(matcore, "jacobi_eig", counted("jacobi_eig", matcore.jacobi_eig))
+        monkeypatch.setattr(np.linalg, "eigh", counted(counts, "eigh", np.linalg.eigh))
+        monkeypatch.setattr(matcore, "jacobi_eig", counted(counts, "jacobi_eig", matcore.jacobi_eig))
         # at ingest: LAPACK finds the state at the edge, Jacobi decomposes it
         # for the clamp, and the rebuilt stack is decomposed once more
         _, vals = read(np.diag([0.7 + 1e-11, 0.3, -1e-11]))
