@@ -286,10 +286,10 @@ class AnalysisReport:
 
 
 def json_text(obj) -> str:
-    """One line of JSON with sorted keys: how reports and fingerprinted
-    scenarios are written. With no indent, CPython's json module writes it
-    with its C encoder; any indent selects the pure-Python one."""
-    return json.dumps(obj, sort_keys=True)
+    """One line of JSON with sorted keys for reports and fingerprinted scenarios,
+    by CPython's C encoder (any indent selects the pure-Python one), with no
+    cycle check: ``to_json`` and ``summarize`` build each tree it writes afresh."""
+    return json.dumps(obj, sort_keys=True, check_circular=False)
 
 
 def _fingerprint(s: Scenario) -> str:

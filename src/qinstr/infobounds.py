@@ -77,9 +77,9 @@ class MeasurementStatistics:
     """Everything derivable from one (ensemble, instrument) pair.
 
     The joint table is indexed [letter, outcome]; posterior_letter_states is a
-    matching grid of a posteriori states. A null cell holds the fill I/d2
-    (``instrument._posteriors``, the only null rule and the only fill) and
-    weighs exactly 0 in cond_out_given_in, joint and cond_in_given_out.
+    matching grid of a posteriori states. A null cell holds 0
+    (``instrument._posteriors``, the only null rule), as its probability does,
+    and weighs exactly 0 in cond_out_given_in, joint and cond_in_given_out.
     ``live`` marks the outcomes that hold a live cell (P_f(w) > 0), and
     rho_f(w) is the P_{i|f} mixture of an outcome's live cells: the empty
     mixture, 0, for a null outcome, which weighs exactly 0. Every derived
@@ -178,7 +178,7 @@ def analyze(e: Ensemble, ins: Instrument) -> MeasurementStatistics:
     live = p_f > 0.0
     cond_if = np.divide(joint, p_f, out=np.zeros_like(joint), where=live)
     mean = np.einsum("aw,waij->wij", cond_if, posts)
-    eta = sum(p * s for p, s in zip(e.probs, e.states))
+    eta = np.einsum("a,aij->ij", e.probs, e.states)
     p_f.setflags(write=False)
     return MeasurementStatistics(
         ensemble=e,

@@ -138,16 +138,15 @@ def a_posteriori_stack(ins: Instrument, rhos: np.ndarray) -> tuple:
 def _posteriors(outs: np.ndarray) -> tuple:
     """Probabilities (normalized over the outcome axis 0) and normalized states
     of unnormalized outputs, by the pipeline's only null rule: a cell is live
-    iff its trace is > SUPPORT_CUTOFF, and a null cell gets probability exactly
-    0 and the fixed fill I/d2. Every other stage reads nullness off those exact
-    zeros, so the fill reaches no number. A live cell's state is the Hermitian
+    iff its trace is > SUPPORT_CUTOFF, and a null cell gets probability and
+    state exactly 0, as a null outcome's block I_w(rho) is 0; every other stage
+    reads nullness off those exact zeros. A live cell's state is the Hermitian
     part of its output divided by its trace, so it is exactly Hermitian, as a
     state is, however close its trace is to SUPPORT_CUTOFF."""
-    fill = np.eye(outs.shape[-1]) / outs.shape[-1]
     outs = 0.5 * (outs + outs.conj().swapaxes(-1, -2))
     tr = outs.trace(axis1=-2, axis2=-1).real
     live = tr > SUPPORT_CUTOFF
-    states = np.where(live[..., None, None], outs / np.where(live, tr, 1.0)[..., None, None], fill)
+    states = np.divide(outs, tr[..., None, None], out=np.zeros_like(outs), where=live[..., None, None])
     probs = np.where(live, tr, 0.0)
     return probs / probs.sum(axis=0), states
 

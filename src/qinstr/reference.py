@@ -201,8 +201,9 @@ def apply_outcome(ins: Instrument, rho: DensityMatrix, outcome) -> np.ndarray:
 
 
 def a_posteriori(ins: Instrument, rho: DensityMatrix) -> AposterioriFamily:
-    """Normalized conditional states by the null-cell rule of ``_posteriors``:
-    a null outcome gets probability 0 and the fill I/d2."""
+    """Normalized conditional states by the null-cell rule of ``_posteriors``,
+    but a null outcome's state is the fill I/d2, not 0, as a ``DensityMatrix``
+    has trace 1; no number reads it, since its probability is 0."""
     fill = maximally_mixed(ins.dim_out)
     probs, states = [], []
     for outcome, m in zip(ins.outcomes, ins.maps):

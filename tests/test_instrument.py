@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import KET0, PLUS, counted, projective_qubit, pure
+from conftest import KET0, PLUS, counted, orthogonal_ensemble, projective_qubit, pure
 from qinstr import matcore
 from qinstr.errors import QinstrError
+from qinstr.infobounds import analyze
 from qinstr.instrument import (
     Instrument,
     KrausMap,
@@ -284,10 +285,17 @@ class TestStacks:
             for w, post in enumerate(fam.states):
                 assert np.allclose(posts[w, n], post.mat, atol=1e-12)
 
-    def test_null_outcome_is_maximally_mixed(self):
+    def test_null_outcome_is_zero(self):
+        """A null cell's probability and a posteriori state are exactly 0, as
+        its output block I_w(rho) is."""
         probs, posts = a_posteriori_stack(projective_qubit(), KET0.mat[None])
         assert np.allclose(probs[:, 0], [1.0, 0.0])
-        assert np.allclose(posts[1, 0], maximally_mixed(2).mat)
+        assert np.array_equal(probs[1, 0], 0.0)
+        assert np.array_equal(posts[1, 0], np.zeros((2, 2)))
+        ms = analyze(orthogonal_ensemble(), projective_qubit())
+        null = ms.cond_out_given_in == 0.0
+        assert null.any()
+        assert np.array_equal(ms.posterior_letter_states[null], np.zeros((null.sum(), 2, 2)))
 
 
 class TestTotalChannel:

@@ -1,0 +1,151 @@
+"""Count the calls one scenario makes, per stage of the benchmark's timed operation.
+
+    python3 tools/cost.py [--workload accept_grid]
+
+The inputs are variant 0 of every slot of a workload's main pool, generated
+as ``tools/refsweep.py`` generates them, and each goes through the
+benchmark's timed operation (``run.analyze_json``: json.loads ->
+scenario_from_json -> run_scenario -> emit_report). For each stage in STAGES
+(ingest, each function ``run_scenario`` calls, ``_fingerprint`` and
+``emit_report``) it prints the mean per scenario of three counts: qinstr-level
+Python calls, C calls (``sys.setprofile``'s ``c_call`` events) and LAPACK
+calls by routine, counted through ``matcore.lapack``, the one binding every
+module calls LAPACK by. A call is charged to the outermost stage on its
+stack; OTHER takes the calls outside every stage (json.loads, and
+run_scenario's own lines). A stage that never runs on a workload prints as a
+missing row, not as 0.
+
+Counts do not depend on timing, so they compare two trees on any machine,
+unlike the benchmark; numpy's own C calls vary with the numpy version. Only
+built-in functions and methods raise ``c_call``: a ufunc (``np.divide``) or
+an array-function dispatcher (``np.where``) is not counted. After a warm-up
+pass, two passes are counted; the tool exits 1 if they differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from collections import Counter
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scenariobench"))
+
+import run  # noqa: E402
+import workloads  # noqa: E402
+
+STAGES = ("scenario_from_json", "analyze", "entropy_panel", "check_identities", "check_bounds",
+          "groenewold_lindblad_check", "compound_states", "scutaru_chains", "hall_section",
+          "to_json", "_fingerprint", "emit_report")
+OTHER = "(other)"
+ROUTINES = ("eigh", "eigvalsh", "svd")
+
+
+def inputs(q, workload: str) -> list:
+    """The scenario JSON of variant 0 of every main-pool slot of ``workload``."""
+    mix = q.harness.splitmix64
+    return [
+        json.dumps(workloads.make_scenario(
+            q, workload, slot, workloads.scenario_seed(mix, workload, "main", slot, 0)).to_json())
+        for slot in range(len(workloads.SLOTS[workload]))
+    ]
+
+
+class Tally:
+    """The profile hook and the counts of one pass: {stage: Counter}, with
+    the keys "python", "c" and one per LAPACK routine."""
+
+    def __init__(self, q):
+        self.package = str(Path(q.harness.__file__).resolve().parent)
+        self.kinds = {}  # code object -> (qinstr-level?, stage name or None)
+        self.counts = {}
+        self.stage, self.frame = OTHER, None
+        self.skip = set()  # code whose own C calls are this tool's, not the program's
+
+    def kind(self, code) -> tuple:
+        if code not in self.kinds:
+            ours = code.co_filename.startswith(self.package)
+            self.kinds[code] = ours, (code.co_name if ours and code.co_name in STAGES else None)
+        return self.kinds[code]
+
+    def add(self, key: str) -> None:
+        counts = self.counts.setdefault(self.stage, Counter())
+        counts[key] += 1
+
+    def profile(self, frame, event, arg) -> None:
+        if event == "call":
+            ours, stage = self.kind(frame.f_code)
+            if stage is not None and self.frame is None:
+                self.stage, self.frame = stage, frame
+            if ours:
+                self.add("python")
+        elif event == "c_call":
+            if frame.f_code not in self.skip:
+                self.add("c")
+        elif event == "return" and frame is self.frame:
+            self.stage, self.frame = OTHER, None
+
+
+def count_pass(q, texts: list) -> dict:
+    """{stage: Counter} summed over one pass of ``texts``."""
+    tally = Tally(q)
+    real = q.matcore.lapack
+
+    def lapack(routine, *args, **kwargs):
+        tally.add(routine.__name__)
+        return real(routine, *args, **kwargs)
+
+    tally.skip = {lapack.__code__, count_pass.__code__}
+    q.matcore.lapack = lapack
+    sys.setprofile(tally.profile)
+    try:
+        for text in texts:
+            run.analyze_json(q.harness, text)
+    finally:
+        sys.setprofile(None)
+        q.matcore.lapack = real
+    return tally.counts
+
+
+def table(counts: dict, n: int) -> list:
+    """The printed rows: mean per scenario of each count, per stage."""
+    routines = sorted(set(ROUTINES).union(*(c.keys() for c in counts.values())) - {"python", "c"})
+    lines = [f"{'stage':<26} {'python':>9} {'c':>9}" + "".join(f" {r:>9}" for r in routines)]
+    total = Counter()
+    for stage in (*STAGES, OTHER):
+        if stage not in counts:
+            lines.append(f"{stage:<26} (not run)")
+            continue
+        total.update(counts[stage])
+        lines.append(f"{stage:<26}" + "".join(
+            f" {counts[stage][key] / n:9.2f}" for key in ("python", "c", *routines)))
+    lines.append(f"{'total':<26}" + "".join(
+        f" {total[key] / n:9.2f}" for key in ("python", "c", *routines)))
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--workload", choices=list(workloads.SLOTS),
+                        help="one workload (default: every workload)")
+    args = parser.parse_args(argv)
+
+    run.pin_blas_threads()
+    q = run.import_qinstr()
+    status = 0
+    for workload in [args.workload] if args.workload else list(workloads.SLOTS):
+        texts = inputs(q, workload)
+        for text in texts:  # warm-up
+            run.analyze_json(q.harness, text)
+        first, second = count_pass(q, texts), count_pass(q, texts)
+        print(f"{workload}: {len(texts)} inputs, mean calls per scenario")
+        print("\n".join(table(first, len(texts))), flush=True)
+        if first != second:
+            print(f"{workload}: the two counted passes differ")
+            status = 1
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
