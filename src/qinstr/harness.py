@@ -2,7 +2,9 @@
 full-analysis orchestration and report emission (json / markdown / csv). An
 error exits by the phase of ``main`` it arose in, never by its class: reading
 the input 2, a stage 3 whatever the error (its line names the stage), writing
-the output 4.
+the output 4. A report is the JSON tree it is written as: ``run_scenario``
+returns it, with each stage row put in the report's unit and judged once
+(``judged_rows``), and ``emit_report`` writes it.
 
 The scenario file's format lives here alone: ``Scenario.to_json`` writes it
 and ``scenario_from_json`` reads it, by its typing rules: an object has a
@@ -27,7 +29,6 @@ import numbers
 import sys
 import traceback
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -49,7 +50,7 @@ from .infobounds import (
 from .instrument import Instrument, KrausMap, random_instrument
 from .qstate import Ensemble, _clamped, pure_state
 
-LN2 = math.log(2.0)
+NATS_PER_UNIT = {"e": 1.0, "2": math.log(2.0)}  # a report's unit, by log_base: nats or bits
 _MASK64 = (1 << 64) - 1
 
 
@@ -235,60 +236,27 @@ def scenario_from_json(obj: dict, tol_override: Optional[float] = None,
         raise SchemaError(f"malformed scenario: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    fingerprint: str
-    seed: int
-    log_base: str
-    tol: float  # every check is judged at this tolerance, in the report's unit
-    panel: dict
-    checks: tuple  # BoundCheck rows, in nats
-    quantum_info_gain: float
-    purity_preserving: bool
-    hall_skipped: Optional[str]  # reason, or None if Hall section ran
-    default_state_sensitivity: Optional[float]
-
-    @cached_property
-    def rows(self) -> list:
-        """The check rows in the report's unit, each judged once, at tol, by the
-        one policy (``infobounds._passes``): under base 2 an entropy row's lhs
-        and rhs are in bits, so its slack and its pass are in bits too; a
-        deviation row (kind "dev") reads the same in either base."""
-        rows = []
-        for name, lhs, rhs, kind in self.checks:
-            unit = float if kind == "dev" else self._scale
-            lhs, rhs = unit(lhs), unit(rhs)
-            slack = rhs - lhs
-            rows.append({"name": name, "lhs": lhs, "rhs": rhs, "slack": slack,
-                         "pass": _passes(kind, slack, self.tol)})
-        return rows
-
-    @property
-    def overall_pass(self) -> bool:
-        return all(row["pass"] for row in self.rows)
-
-    def _scale(self, x: float) -> float:
-        return float(x) / LN2 if self.log_base == "2" else float(x)
-
-    def to_json(self) -> dict:
-        return {
-            "fingerprint": self.fingerprint,
-            "seed": self.seed,
-            "log_base": self.log_base,
-            "panel": {k: self._scale(v) for k, v in self.panel.items()},
-            "checks": self.rows,
-            "quantum_info_gain": self._scale(self.quantum_info_gain),
-            "purity_preserving": self.purity_preserving,
-            "hall_skipped": self.hall_skipped,
-            "default_state_sensitivity": self.default_state_sensitivity,
-            "overall_pass": self.overall_pass,
-        }
+def judged_rows(checks, log_base: str, tol: float) -> list:
+    """The stage rows in the report's unit, each judged once, at tol, by the
+    one policy (``infobounds._passes``): under base 2 an entropy row's lhs and
+    rhs are in bits, so its slack and its pass are in bits too; a deviation
+    row (kind "dev") reads the same in either base."""
+    entropy_unit = NATS_PER_UNIT[log_base]
+    rows = []
+    for name, lhs, rhs, kind in checks:
+        unit = 1.0 if kind == "dev" else entropy_unit
+        lhs, rhs = float(lhs) / unit, float(rhs) / unit
+        slack = rhs - lhs
+        rows.append({"name": name, "lhs": lhs, "rhs": rhs, "slack": slack,
+                     "pass": _passes(kind, slack, tol)})
+    return rows
 
 
 def json_text(obj) -> str:
     """One line of JSON with sorted keys for reports and fingerprinted scenarios,
     by CPython's C encoder (any indent selects the pure-Python one), with no
-    cycle check: ``to_json`` and ``summarize`` build each tree it writes afresh."""
+    cycle check: ``Scenario.to_json``, ``run_scenario`` and ``summarize`` build
+    each tree it writes afresh."""
     return json.dumps(obj, sort_keys=True, check_circular=False)
 
 
@@ -296,8 +264,9 @@ def _fingerprint(s: Scenario) -> str:
     return hashlib.sha256(json_text(s.to_json()).encode()).hexdigest()[:16]
 
 
-def run_scenario(s: Scenario) -> AnalysisReport:
-    """Full analysis pipeline for one (ensemble, instrument) pair."""
+def run_scenario(s: Scenario) -> dict:
+    """Full analysis pipeline for one (ensemble, instrument) pair; the report
+    is the JSON tree that ``emit_report`` writes, in the scenario's unit."""
     ms = analyze(s.ensemble, s.instrument)
     panel = entropy_panel(ms)
 
@@ -322,18 +291,20 @@ def run_scenario(s: Scenario) -> AnalysisReport:
     # reaches no number, so the sensitivity to what it holds is 0 by construction
     sensitivity = None if ms.cond_out_given_in.all() else 0.0
 
-    return AnalysisReport(
-        fingerprint=_fingerprint(s),
-        seed=s.seed,
-        log_base=s.log_base,
-        tol=s.tol,
-        panel=panel.to_json(),
-        checks=tuple(checks),
-        quantum_info_gain=ms.info_gain,
-        purity_preserving=purity_preserving,
-        hall_skipped=hall_skipped,
-        default_state_sensitivity=sensitivity,
-    )
+    unit = NATS_PER_UNIT[s.log_base]
+    rows = judged_rows(checks, s.log_base, s.tol)
+    return {
+        "fingerprint": _fingerprint(s),
+        "seed": s.seed,
+        "log_base": s.log_base,
+        "panel": {k: float(v) / unit for k, v in panel._asdict().items()},
+        "checks": rows,
+        "quantum_info_gain": float(ms.info_gain) / unit,
+        "purity_preserving": purity_preserving,
+        "hall_skipped": hall_skipped,
+        "default_state_sensitivity": sensitivity,
+        "overall_pass": all(row["pass"] for row in rows),
+    }
 
 
 def random_scenario(
@@ -381,9 +352,9 @@ def summarize(reports: list) -> dict:
     min_slack: dict = {}
     failures = 0
     for r in reports:
-        if not r.overall_pass:
+        if not r["overall_pass"]:
             failures += 1
-        for row in r.rows:
+        for row in r["checks"]:
             name = row["name"]
             if name not in min_slack or row["slack"] < min_slack[name]:
                 min_slack[name] = row["slack"]
@@ -394,26 +365,26 @@ def summarize(reports: list) -> dict:
     }
 
 
-def emit_report(r: AnalysisReport, fmt: str = "json") -> str:
+def emit_report(r: dict, fmt: str = "json") -> str:
     if fmt == "json":
-        return json_text(r.to_json())
+        return json_text(r)
     if fmt == "markdown":
         lines = [
-            f"# Analysis report `{r.fingerprint}` (seed {r.seed}, base {r.log_base})",
+            f"# Analysis report `{r['fingerprint']}` (seed {r['seed']}, base {r['log_base']})",
             "",
             "| name | lhs | rhs | slack | pass |",
             "|---|---|---|---|---|",
         ]
-        for row in r.rows:
+        for row in r["checks"]:
             lines.append(
                 f"| {row['name']} | {row['lhs']:.6g} | {row['rhs']:.6g} "
                 f"| {row['slack']:.6g} | {'yes' if row['pass'] else 'NO'} |"
             )
-        lines += ["", f"Overall: {'PASS' if r.overall_pass else 'FAIL'}"]
+        lines += ["", f"Overall: {'PASS' if r['overall_pass'] else 'FAIL'}"]
         return "\n".join(lines)
     if fmt == "csv":
         lines = ["name,lhs,rhs,slack,pass"]
-        for row in r.rows:
+        for row in r["checks"]:
             lines.append(
                 f"{row['name']},{row['lhs']!r},{row['rhs']!r},"
                 f"{row['slack']!r},{str(row['pass']).lower()}"
@@ -528,9 +499,9 @@ def main(argv=None) -> int:
             return 0
         if args.command == "analyze":
             print(emit_report(report, args.format), flush=True)
-            return 0 if report.overall_pass else 1
+            return 0 if report["overall_pass"] else 1
         if args.format == "json":
-            print(json_text({"summary": summary, "reports": [r.to_json() for r in reports]}), flush=True)
+            print(json_text({"summary": summary, "reports": reports}), flush=True)
         else:
             for r in reports:
                 print(emit_report(r, args.format), end="\n\n")

@@ -4,7 +4,7 @@ is a plain array, and ``random_pure`` draws a pure letter as one."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -141,8 +141,7 @@ class MeasurementStatistics:
         return float(_info_gain(s.eta_i, self.output_marginal, s.mean))
 
 
-@dataclass(frozen=True)
-class EntropyPanel:
+class EntropyPanel(NamedTuple):
     chi_initial: float
     chi_post: float
     chi_out: float
@@ -151,9 +150,6 @@ class EntropyPanel:
     mean_chi_given_in: float
     classical_mi: float
     tripartite: float
-
-    def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def analyze(e: Ensemble, ins: Instrument) -> MeasurementStatistics:

@@ -61,7 +61,7 @@ def _verdict(number, ok, detail):
 
 
 def _named(report, name):
-    return [c for c in report.checks if c.name == name]
+    return [c for c in report["checks"] if c["name"] == name]
 
 
 @pytest.fixture(scope="session")
@@ -79,8 +79,8 @@ def test_criterion_1_inequality_suite(suite):
     for r in reports:
         for name in INEQUALITY_NAMES:
             for c in _named(r, name):
-                if name not in worst or c.slack < worst[name]:
-                    worst[name] = c.slack
+                if name not in worst or c["slack"] < worst[name]:
+                    worst[name] = c["slack"]
     violations = {k: v for k, v in worst.items() if v < -1e-8}
     ok = not violations and summary["failures"] == 0 and runtime < 60.0
     _verdict(
@@ -131,7 +131,7 @@ def test_criterion_2_identity_suite(suite):
     for r in reports:
         for name in IDENTITY_NAMES:
             for c in _named(r, name):
-                worst = max(worst, abs(c.slack))
+                worst = max(worst, abs(c["slack"]))
     # the identity rows agree by construction, so every panel chi is also held
     # to its relative-entropy form, computed one state at a time
     worst_chi = 0.0
@@ -139,7 +139,7 @@ def test_criterion_2_identity_suite(suite):
         d1, d2, nl, no, kp = ACCEPTANCE_GRID[index % len(ACCEPTANCE_GRID)]
         s = random_scenario(d1, d2, nl, no, kp, splitmix64(MASTER_SEED + index))
         for name, value in rel_entropy_panel(s).items():
-            worst_chi = max(worst_chi, abs(r.panel[name] - value))
+            worst_chi = max(worst_chi, abs(r["panel"][name] - value))
     _verdict(
         2,
         worst <= 1e-9 and worst_chi <= 1e-10,
@@ -150,22 +150,22 @@ def test_criterion_2_identity_suite(suite):
 
 def test_criterion_3_desk_zero_one_plus():
     report = run_scenario(example_scenario("zero-one-plus"))
-    i_c = report.panel["classical_mi"]
-    chi = report.panel["chi_initial"]
+    i_c = report["panel"]["classical_mi"]
+    chi = report["panel"]["chi_initial"]
     sww = _named(report, "sww")[0]
     ok = (
         abs(i_c - 0.21576) <= 1e-4
         and abs(chi - 0.41654) <= 1e-4
-        and report.panel["mean_chi_given_out"] <= 1e-9
-        and abs(sww.slack - (chi - i_c)) <= 1e-9
+        and report["panel"]["mean_chi_given_out"] <= 1e-9
+        and abs(sww["slack"] - (chi - i_c)) <= 1e-9
     )
     _verdict(3, ok, f"I_c={i_c:.5f}, chi={chi:.5f}, SWW slack = chi - I_c")
 
 
 def test_criterion_4_desk_orthogonal_projective():
     report = run_scenario(example_scenario("orthogonal-projective"))
-    i_c = report.panel["classical_mi"]
-    chi = report.panel["chi_initial"]
+    i_c = report["panel"]["classical_mi"]
+    chi = report["panel"]["chi_initial"]
     holevo = _named(report, "holevo")[0]
     from qinstr.reference import build_hall_instrument
 
@@ -180,7 +180,7 @@ def test_criterion_4_desk_orthogonal_projective():
     ok = (
         abs(i_c - math.log(2)) <= 1e-10
         and abs(chi - math.log(2)) <= 1e-10
-        and abs(holevo.slack) <= 1e-10
+        and abs(holevo["slack"]) <= 1e-10
         and dev <= 1e-9
     )
     _verdict(4, ok, f"I_c = chi = ln 2, Holevo slack 0, Hall Kraus dev {dev:.2e}")
@@ -193,12 +193,12 @@ def test_criterion_5_hall_duality(suite):
     worst_ic = 0.0
     worst_iq = 0.0
     for r in reports:
-        if r.hall_skipped is not None:
+        if r["hall_skipped"] is not None:
             continue
         ran += 1
-        worst_law = max(worst_law, abs(_named(r, "duality_conditional_law")[0].slack))
-        worst_ic = max(worst_ic, abs(_named(r, "duality_ic")[0].slack))
-        worst_iq = max(worst_iq, abs(_named(r, "new_iq_identity")[0].slack))
+        worst_law = max(worst_law, abs(_named(r, "duality_conditional_law")[0]["slack"]))
+        worst_ic = max(worst_ic, abs(_named(r, "duality_ic")[0]["slack"]))
+        worst_iq = max(worst_iq, abs(_named(r, "new_iq_identity")[0]["slack"]))
     ok = ran > 0 and worst_law <= 1e-9 and worst_ic <= 1e-9 and worst_iq <= 1e-9
     _verdict(
         5,
@@ -216,12 +216,12 @@ def test_criterion_6_groenewold_lindblad(suite):
     for index, r in enumerate(reports):
         kraus_per_outcome = ACCEPTANCE_GRID[index % len(ACCEPTANCE_GRID)][4]
         if kraus_per_outcome == 1:
-            if not r.purity_preserving:
+            if not r["purity_preserving"]:
                 rank1_all_pp = False
-        elif not r.purity_preserving:
+        elif not r["purity_preserving"]:
             found_non_pp_multi = True
         for c in _named(r, "gl_info_gain_nonneg"):
-            min_gain_slack = min(min_gain_slack, c.slack)
+            min_gain_slack = min(min_gain_slack, c["slack"])
     ok = rank1_all_pp and found_non_pp_multi and min_gain_slack >= -1e-8
     _verdict(
         6,
@@ -240,7 +240,7 @@ def test_every_instrument_outside_the_purity_class_has_a_pure_witness(suite):
     reports, _, _ = suite
     witnessed = []
     for index, r in enumerate(reports):
-        if not r.purity_preserving:
+        if not r["purity_preserving"]:
             d1, *shape = ACCEPTANCE_GRID[index % len(ACCEPTANCE_GRID)]
             ins = random_scenario(d1, *shape, splitmix64(MASTER_SEED + index)).instrument
             family = [*np.eye(d1), np.ones(d1)]
@@ -281,12 +281,12 @@ def test_criterion_7_uhlmann_monotonicity():
 
 def test_criterion_8_strictness_witness(suite):
     reports, _, _ = suite
-    max_posterior_chi = max(r.panel["mean_chi_given_out"] for r in reports)
+    max_posterior_chi = max(r["panel"]["mean_chi_given_out"] for r in reports)
     max_d_term = 0.0
     for r in reports:
         nb = _named(r, "new_bound")
         if nb:
-            max_d_term = max(max_d_term, r.panel["chi_initial"] - nb[0].rhs)
+            max_d_term = max(max_d_term, r["panel"]["chi_initial"] - nb[0]["rhs"])
     ok = max_posterior_chi > 1e-6 and max_d_term > 1e-6
     _verdict(
         8,

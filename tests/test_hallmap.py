@@ -241,8 +241,8 @@ class TestHallSection:
         # run_scenario decides the skip: the fixed text, and no Hall row
         e = Ensemble((0, 1), np.array([0.5, 0.5]), (KET0.mat, KET0.mat))
         report = run_scenario(Scenario(ensemble=e, instrument=projective_qubit()))
-        assert report.hall_skipped == "a priori state is singular: least eigenvalue at or below 1.0e-09"
-        assert not {c.name for c in report.checks} & {*DUALITY, *HALL, *NEW}
+        assert report["hall_skipped"] == "a priori state is singular: least eigenvalue at or below 1.0e-09"
+        assert not {c["name"] for c in report["checks"]} & {*DUALITY, *HALL, *NEW}
 
     def test_near_singular_a_priori_is_analyzed(self, tmp_path):
         # eta's least eigenvalue ~1e-8 passes INVERTIBILITY_TOL, but rounding
@@ -262,11 +262,11 @@ class TestHallSection:
         path.write_text(json.dumps(s.to_json()))
         assert main(["analyze", str(path)]) == 0
         report = run_scenario(scenario_from_json(json.loads(path.read_text())))
-        assert report.hall_skipped is None
-        assert report.overall_pass
+        assert report["hall_skipped"] is None
+        assert report["overall_pass"]
         # one Kraus operator per outcome: D is mean_chi_given_out
-        checks = {c.name: c for c in report.checks}
-        assert abs(checks["sww"].slack - checks["new_bound"].slack) <= 1e-12
+        checks = {c["name"]: c for c in report["checks"]}
+        assert abs(checks["sww"]["slack"] - checks["new_bound"]["slack"]) <= 1e-12
 
     def test_singular_skip_reason_is_free_of_rounding_noise(self):
         # eta's least eigenvalue is exactly 0 for one ensemble and rounding
@@ -276,7 +276,7 @@ class TestHallSection:
             letter = pure_state(ket)
             e = Ensemble((0, 1), np.array([0.3, 0.7]), (letter, letter))
             least.append(a_priori_state(e).spectral().eigenvalues[0])
-            reasons.append(run_scenario(Scenario(ensemble=e, instrument=projective_qubit())).hall_skipped)
+            reasons.append(run_scenario(Scenario(ensemble=e, instrument=projective_qubit()))["hall_skipped"])
         assert least[0] == 0.0 and least[1] != 0.0
         assert reasons[0] == reasons[1]
         assert "a priori state is singular" in reasons[0]
@@ -288,7 +288,7 @@ class TestHallSection:
         counts = {"instruments": 0}
         monkeypatch.setattr(Instrument, "__post_init__", counted(counts, "instruments", Instrument.__post_init__))
         report = run_scenario(s)
-        assert report.hall_skipped is None
+        assert report["hall_skipped"] is None
         assert counts == {"instruments": 0}
 
     def test_run_scenario_builds_the_a_priori_state_once(self, monkeypatch):
@@ -303,8 +303,8 @@ class TestHallSection:
         monkeypatch.setattr(qstate.DensityMatrix, "__post_init__",
                             counted(counts, "states", qstate.DensityMatrix.__post_init__))
         report = run_scenario(s)
-        assert report.hall_skipped is None
-        assert report.default_state_sensitivity is None
+        assert report["hall_skipped"] is None
+        assert report["default_state_sensitivity"] is None
         assert counts == {"herm_eig": 1, "states": 0}
 
 
@@ -316,9 +316,9 @@ def test_d_term_is_the_mean_chi_given_out_for_one_kraus_instruments():
     grid. With two Kraus operators per outcome D is larger."""
     for index in range(2 * len(ACCEPTANCE_GRID)):
         shape = ACCEPTANCE_GRID[index % len(ACCEPTANCE_GRID)]
-        checks = run_scenario(random_scenario(*shape, splitmix64(20240817 + index))).checks
-        report = {c.name: c for c in checks}
-        gap = report["sww"].slack - report["new_bound"].slack  # D - mean_chi_given_out
+        checks = run_scenario(random_scenario(*shape, splitmix64(20240817 + index)))["checks"]
+        report = {c["name"]: c for c in checks}
+        gap = report["sww"]["slack"] - report["new_bound"]["slack"]  # D - mean_chi_given_out
         if shape[-1] == 1:
             assert abs(gap) <= 1e-12, (shape, gap)
         else:
@@ -339,7 +339,7 @@ def test_near_null_dual_outcome_is_analyzed(t):
     ))
     tilted = pure_state(np.array([1.0, np.exp(1j)]) / np.sqrt(2))
     e = Ensemble((0, 1, 2), np.full(3, 1 / 3), (KET1.mat, KET0.mat, tilted))
-    assert run_scenario(Scenario(e, ins)).overall_pass
+    assert run_scenario(Scenario(e, ins))["overall_pass"]
 
 
 @pytest.mark.parametrize("a, b", [
@@ -362,9 +362,9 @@ def test_near_cutoff_outcome_is_null_in_the_hall_section(a, b, tmp_path, capsys)
     ms = analyze(s.ensemble, ins)
     assert ms.live[1] and ms.cond_in_given_out[0, 1] == 0.0
     report = run_scenario(s)
-    assert report.hall_skipped is None
-    assert {c.name: c for c in report.checks}["duality_conditional_law"].lhs <= 1e-12
-    assert report.overall_pass
+    assert report["hall_skipped"] is None
+    assert {c["name"]: c for c in report["checks"]}["duality_conditional_law"]["lhs"] <= 1e-12
+    assert report["overall_pass"]
     path = tmp_path / "near_cutoff.json"
     path.write_text(json.dumps(s.to_json()))
     assert main(["analyze", str(path)]) == 0

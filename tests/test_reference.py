@@ -96,10 +96,10 @@ def test_report_does_not_depend_on_the_kraus_representation(shape, seed):
     assert not np.array_equal(rebuilt.kraus_stack, s.instrument.kraus_stack)
     a = run_scenario(s)
     b = run_scenario(dataclasses.replace(s, instrument=rebuilt))
-    assert b.purity_preserving == a.purity_preserving
-    assert b.hall_skipped == a.hall_skipped
-    assert [c.name for c in b.checks] == [c.name for c in a.checks]
-    assert b.panel.keys() == a.panel.keys()
-    assert all(_close(b.panel[k], a.panel[k]) for k in a.panel)
-    assert all(_close(cb.lhs, ca.lhs) and _close(cb.rhs, ca.rhs) for ca, cb in zip(a.checks, b.checks))
-    assert _close(b.quantum_info_gain, a.quantum_info_gain)
+    assert b["purity_preserving"] == a["purity_preserving"]
+    assert b["hall_skipped"] == a["hall_skipped"]
+    assert [c["name"] for c in b["checks"]] == [c["name"] for c in a["checks"]]
+    assert b["panel"].keys() == a["panel"].keys()
+    assert all(_close(b["panel"][k], a["panel"][k]) for k in a["panel"])
+    assert all(_close(cb["lhs"], ca["lhs"]) and _close(cb["rhs"], ca["rhs"]) for ca, cb in zip(a["checks"], b["checks"]))
+    assert _close(b["quantum_info_gain"], a["quantum_info_gain"])

@@ -37,7 +37,7 @@ import workloads  # noqa: E402
 
 STAGES = ("scenario_from_json", "analyze", "entropy_panel", "check_identities", "check_bounds",
           "groenewold_lindblad_check", "compound_states", "scutaru_chains", "hall_section",
-          "to_json", "_fingerprint", "emit_report")
+          "judged_rows", "_fingerprint", "emit_report")
 OTHER = "(other)"
 ROUTINES = ("eigh", "eigvalsh", "svd")
 
