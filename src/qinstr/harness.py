@@ -3,8 +3,8 @@ full-analysis orchestration and report emission (json / markdown / csv). An
 error exits by the phase of ``main`` it arose in, never by its class: reading
 the input 2, a stage 3 whatever the error (its line names the stage), writing
 the output 4. A report is the JSON tree it is written as: ``run_scenario``
-returns it, with each stage row put in the report's unit and judged once
-(``judged_rows``), and ``emit_report`` writes it.
+returns it, with each stage row put in the report's unit and judged once by
+the one tolerance policy (``judged_rows``), and ``emit_report`` writes it.
 
 The scenario file's format lives here alone: ``Scenario.to_json`` writes it
 and ``scenario_from_json`` reads it, by its typing rules: an object has a
@@ -36,8 +36,8 @@ import numpy as np
 from . import hallmap
 from .errors import QinstrError, SchemaError
 from .infobounds import (
+    EQ_TOL,
     INEQ_TOL,
-    _passes,
     analyze,
     check_bounds,
     check_identities,
@@ -237,18 +237,24 @@ def scenario_from_json(obj: dict, tol_override: Optional[float] = None,
 
 
 def judged_rows(checks, log_base: str, tol: float) -> list:
-    """The stage rows in the report's unit, each judged once, at tol, by the
-    one policy (``infobounds._passes``): under base 2 an entropy row's lhs and
-    rhs are in bits, so its slack and its pass are in bits too; a deviation
-    row (kind "dev") reads the same in either base."""
+    """The stage rows in the report's unit, each judged once by the one
+    tolerance policy: a "ge" row passes iff its slack rhs - lhs is >= -tol,
+    an "eq" or "dev" row iff |slack| <= min(EQ_TOL, tol), and a "data" row
+    always; a NaN slack fails every judged kind. Under base 2 an entropy
+    row's lhs and rhs are in bits, so its slack and its pass are in bits too;
+    a deviation row (kind "dev") reads the same in either base."""
     entropy_unit = NATS_PER_UNIT[log_base]
+    eq_tol = min(EQ_TOL, tol)
     rows = []
     for name, lhs, rhs, kind in checks:
         unit = 1.0 if kind == "dev" else entropy_unit
         lhs, rhs = float(lhs) / unit, float(rhs) / unit
         slack = rhs - lhs
-        rows.append({"name": name, "lhs": lhs, "rhs": rhs, "slack": slack,
-                     "pass": _passes(kind, slack, tol)})
+        if kind in ("eq", "dev"):
+            passed = abs(slack) <= eq_tol
+        else:
+            passed = kind == "data" or slack >= -tol
+        rows.append({"name": name, "lhs": lhs, "rhs": rhs, "slack": slack, "pass": passed})
     return rows
 
 
@@ -314,14 +320,13 @@ def random_scenario(
     n_outcomes: int,
     kraus_per_outcome: int,
     seed: int,
-    **options,
 ) -> Scenario:
     rng = np.random.default_rng(seed)
     ensemble = random_ensemble(d1, n_letters, rng)
     instrument = random_instrument(
         d1, d2, n_outcomes, kraus_per_outcome, seed=splitmix64(seed)
     )
-    return Scenario(ensemble=ensemble, instrument=instrument, seed=seed, **options)
+    return Scenario(ensemble=ensemble, instrument=instrument, seed=seed)
 
 
 ACCEPTANCE_GRID = tuple(

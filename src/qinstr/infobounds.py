@@ -13,12 +13,7 @@ import numpy as np
 from . import matcore
 from .entropy import _entropy, chi_against, mutual_info, vn_entropies, weighted_sum
 from .errors import QinstrError
-from .instrument import (
-    Instrument,
-    _apply_to_stack,
-    _posteriors,
-    a_posteriori_stack,
-)
+from .instrument import Instrument, _apply_to_stack, _posteriors
 from .qstate import Ensemble, pure_state
 
 EQ_TOL = 1e-9
@@ -32,7 +27,8 @@ PROB_FLOOR = 0.05  # letter probabilities of a generated ensemble are raised to 
 
 
 class BoundCheck(NamedTuple):
-    """One inequality (lhs <= rhs) or equality record; its slack is rhs - lhs."""
+    """One inequality (lhs <= rhs) or equality record, judged by
+    ``harness.judged_rows`` alone."""
 
     name: str
     lhs: float
@@ -41,24 +37,6 @@ class BoundCheck(NamedTuple):
     # deviation, not an entropy, so it reads the same in either log base;
     # "data" informational
     kind: str = "ge"
-
-    @property
-    def slack(self) -> float:
-        return self.rhs - self.lhs
-
-    def passes(self, tol: float) -> bool:
-        return _passes(self.kind, self.slack, tol)
-
-
-def _passes(kind: str, slack: float, tol: float) -> bool:
-    """The one tolerance policy: an inequality passes iff slack >= -tol, an
-    equality (or deviation) iff |slack| <= min(EQ_TOL, tol); data always
-    passes. A NaN slack fails every judged kind."""
-    if kind == "data":
-        return True
-    if kind in ("eq", "dev"):
-        return abs(slack) <= min(EQ_TOL, tol)
-    return slack >= -tol
 
 
 class ScenarioEntropies(NamedTuple):
@@ -299,7 +277,7 @@ def _info_gain(s_in, probs, s_post) -> np.ndarray:
 def _gains(ins: Instrument, rhos: np.ndarray) -> tuple:
     """The information gain of each state of a stack (``_info_gain``) and the
     outcome probabilities [outcome, n]."""
-    probs, posts = a_posteriori_stack(ins, rhos)
+    probs, posts = _posteriors(_apply_to_stack(ins, rhos))
     s_post = vn_entropies(posts.reshape(-1, ins.dim_out, ins.dim_out)).reshape(probs.shape)
     return _info_gain(vn_entropies(rhos), probs.T, s_post.T), probs
 

@@ -128,13 +128,6 @@ def _apply_to_stack(ins: Instrument, rhos: np.ndarray) -> np.ndarray:
     return outs.reshape(n, len(ins.maps), d2, d2).swapaxes(0, 1)
 
 
-def a_posteriori_stack(ins: Instrument, rhos: np.ndarray) -> tuple:
-    """The a posteriori family of each state of an (n, d1, d1) stack: outcome
-    probabilities and conditional states, both indexed [outcome, n]. The states are not
-    validated here."""
-    return _posteriors(_apply_to_stack(ins, rhos))
-
-
 def _posteriors(outs: np.ndarray) -> tuple:
     """Probabilities (normalized over the outcome axis 0) and normalized states
     of unnormalized outputs, by the pipeline's only null rule: a cell is live

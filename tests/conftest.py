@@ -1,6 +1,6 @@
 import math
 
-from qinstr.harness import example_scenario
+from qinstr.harness import example_scenario, judged_rows
 from qinstr.qstate import DensityMatrix, pure_state
 
 ACCEPTANCE_LINES = []
@@ -22,6 +22,13 @@ def counted(counts: dict, name: str, fn):
         return fn(*args, **kwargs)
 
     return wrapper
+
+
+def judged(rows, tol: float) -> list:
+    """Stage rows (``BoundCheck``) judged at tol as a base-e report judges
+    them, by ``harness.judged_rows``, the one tolerance policy: one dict per
+    row, whose lhs, rhs and slack are the row's own floats, in nats."""
+    return judged_rows(rows, "e", tol)
 
 
 def pure(vec) -> DensityMatrix:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import KET0, KET1, PLUS, counted, orthogonal_ensemble, projective_qubit, zero_plus_ensemble
+from conftest import KET0, KET1, PLUS, counted, judged, orthogonal_ensemble, projective_qubit, zero_plus_ensemble
 from qinstr import hallmap, matcore, qstate
 from qinstr.errors import QinstrError
 from qinstr.hallmap import hall_section
@@ -139,7 +139,7 @@ class TestVerifyDuality:
         e = zero_plus_ensemble()
         ins = projective_qubit()
         report = hall_checks(e, ins, DUALITY)
-        assert all(c.passes(INEQ_TOL) for c in report.values()), report
+        assert all(row["pass"] for row in judged(report.values(), INEQ_TOL)), report
         assert abs(report["duality_ic"].rhs - 0.2157615543388356) < 1e-10
         assert abs(report["duality_ic"].lhs - 0.2157615543388356) < 1e-9
 
@@ -152,13 +152,13 @@ class TestVerifyDuality:
             seed=200 + seed,
         )
         report = hall_checks(e, ins, DUALITY)
-        assert all(c.passes(INEQ_TOL) for c in report.values()), report
+        assert all(row["pass"] for row in judged(report.values(), INEQ_TOL)), report
 
 
 class TestHallBound:
     def test_desk_example(self):
         report = hall_checks(zero_plus_ensemble(), projective_qubit(), HALL)
-        assert all(c.passes(INEQ_TOL) for c in report.values())
+        assert all(row["pass"] for row in judged(report.values(), INEQ_TOL))
         check = report["hall_bound"]
         assert check.lhs == pytest.approx(0.2157615543388356, abs=1e-10)
         assert check.rhs >= check.lhs
@@ -172,7 +172,7 @@ class TestHallBound:
             seed=400 + seed,
         )
         report = hall_checks(e, ins, HALL)
-        assert all(c.passes(INEQ_TOL) for c in report.values())
+        assert all(row["pass"] for row in judged(report.values(), INEQ_TOL))
 
 
 class TestNewBound:
@@ -182,14 +182,14 @@ class TestNewBound:
         # bound degenerates to Holevo: I_c = chi = log 2
         e = orthogonal_ensemble()
         report = hall_checks(e, projective_qubit(), NEW)
-        assert all(c.passes(INEQ_TOL) for c in report.values()), report
+        assert all(row["pass"] for row in judged(report.values(), INEQ_TOL)), report
         nb = report["new_bound"]
         assert abs(nb.lhs - math.log(2)) < 1e-9
         assert abs(nb.rhs - math.log(2)) < 1e-9
 
     def test_desk_example(self):
         report = hall_checks(zero_plus_ensemble(), projective_qubit(), NEW)
-        assert all(c.passes(INEQ_TOL) for c in report.values()), report
+        assert all(row["pass"] for row in judged(report.values(), INEQ_TOL)), report
         nb = report["new_bound"]
         assert nb.lhs == pytest.approx(0.2157615543388356, abs=1e-10)
         assert nb.rhs <= 0.4164955306996875 + 1e-10  # never above Holevo
@@ -199,7 +199,7 @@ class TestNewBound:
         e = zero_plus_ensemble()
         report = hall_checks(e, projective_qubit(), NEW)
         idt = report["new_iq_identity"]
-        assert abs(idt.slack) < 1e-9
+        assert abs(judged((idt,), INEQ_TOL)[0]["slack"]) < 1e-9
         assert abs(idt.rhs - 0.4164955306996875) < 1e-10
 
     @pytest.mark.parametrize("seed", range(8))
@@ -211,7 +211,7 @@ class TestNewBound:
             seed=600 + seed,
         )
         report = hall_checks(e, ins, NEW)
-        assert all(c.passes(INEQ_TOL) for c in report.values()), report
+        assert all(row["pass"] for row in judged(report.values(), INEQ_TOL)), report
 
     def test_strictly_improves_somewhere(self):
         # the D term is strictly positive on some instance
@@ -229,7 +229,7 @@ class TestNewBound:
         report = hall_checks(zero_plus_ensemble(), projective_qubit(), NEW)
         check = report["new_vs_hall_data"]
         assert check.kind == "data"
-        assert check.passes(0.0)  # informational, never fails
+        assert judged((check,), 0.0)[0]["pass"]  # informational, never fails
 
 
 class TestHallSection:
@@ -385,7 +385,7 @@ def test_wrong_law_on_an_outcome_of_weight_1e_3_fails_duality(shift, monkeypatch
     ms = analyze(orthogonal_ensemble(), ins)
     assert abs(ms.output_marginal[1] - 1e-3) <= 1e-15
     row = {c.name: c for c in hall_section(ms)}["duality_conditional_law"]
-    assert row.lhs <= 1e-15 and row.passes(INEQ_TOL)
+    assert row.lhs <= 1e-15 and judged((row,), INEQ_TOL)[0]["pass"]
     posteriors = hallmap._posteriors
 
     def wrong(outs):
@@ -396,7 +396,7 @@ def test_wrong_law_on_an_outcome_of_weight_1e_3_fails_duality(shift, monkeypatch
     monkeypatch.setattr(hallmap, "_posteriors", wrong)
     row = {c.name: c for c in hall_section(ms)}["duality_conditional_law"]
     assert abs(row.lhs - 1e-3 * shift) <= 1e-15
-    assert not row.passes(INEQ_TOL)
+    assert not judged((row,), INEQ_TOL)[0]["pass"]
 
 def per_state_hall_rows(e, ins) -> dict:
     """The eight Hall rows, (lhs, rhs) by name, one state at a time: J from

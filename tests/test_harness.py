@@ -3,6 +3,7 @@ import builtins
 import csv
 import dataclasses
 import errno
+import inspect
 import io
 import json
 import math
@@ -18,8 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import counted
-from qinstr import hallmap, harness, infobounds, instrument, matcore, qstate, reference
+from conftest import counted, judged
+from qinstr import harness, infobounds, instrument, matcore, qstate, reference
 from qinstr.harness import (
     EXAMPLE_NAMES,
     Scenario,
@@ -215,17 +216,17 @@ class TestRunScenario:
         # one policy for every stage: inequalities at tol, equalities and
         # deviations at min(1e-9, tol), data never fails
         checks = stage_rows(monkeypatch)
-        report = run_scenario(random_scenario(3, 3, 3, 3, 2, seed, tol=tol))
+        report = run_scenario(dataclasses.replace(random_scenario(3, 3, 3, 3, 2, seed), tol=tol))
         assert report["hall_skipped"] is None
         rows = report["checks"]
         assert len(rows) == len(checks)
-        for check, row in zip(checks, rows):
+        for check, stage_row, row in zip(checks, judged(checks, tol), rows):
             if check.kind == "data":
                 expected = True
             elif check.kind in ("eq", "dev"):
-                expected = abs(check.slack) <= min(1e-9, tol)
+                expected = abs(stage_row["slack"]) <= min(1e-9, tol)
             else:
-                expected = check.slack >= -tol
+                expected = stage_row["slack"] >= -tol
             assert row["pass"] == expected, (check, tol)
         assert report["overall_pass"] == all(row["pass"] for row in rows)
 
@@ -330,7 +331,7 @@ class TestEmitReport:
     def test_formats_carry_the_same_judged_rows_in_bits(self):
         # under base 2 with tol 0, some rows pass and some fail; the csv and the
         # markdown print the JSON's rows: the same numbers and the same verdicts
-        report = run_scenario(random_scenario(3, 3, 3, 3, 2, 7, log_base="2", tol=0.0))
+        report = run_scenario(dataclasses.replace(random_scenario(3, 3, 3, 3, 2, 7), log_base="2", tol=0.0))
         rows = json.loads(emit_report(report, "json"))["checks"]
         assert {row["pass"] for row in rows} == {True, False}
         csv_rows = list(csv.DictReader(io.StringIO(emit_report(report, "csv"))))
@@ -385,12 +386,33 @@ def mixed_letters_at_the_trace_edge() -> Scenario:
     return Scenario(ensemble, example_scenario("zero-one-plus").instrument)
 
 
-# every stage run_scenario calls, with the module it reads the stage from
-STAGES = (
-    *((harness, name) for name in ("analyze", "entropy_panel", "check_identities", "check_bounds",
-                                    "groenewold_lindblad_check", "compound_states", "scutaru_chains")),
-    (hallmap, "hall_section"),
-)
+def qinstr_calls(fn) -> list:
+    """The qinstr functions that fn's body calls, in the order of its source,
+    as (module, name, function): the module is the one fn looks the name up
+    in, fn's own for a bare name (``analyze``) and the named module for an
+    attribute (``hallmap.hall_section``)."""
+    home = sys.modules[fn.__module__]
+    calls = []
+    for node in ast.walk(ast.parse(inspect.getsource(fn))):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Name):
+            module, name = home, node.func.id
+        elif isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name):
+            module, name = getattr(home, node.func.value.id, None), node.func.attr
+        else:
+            continue
+        called = getattr(module, name, None) if inspect.ismodule(module) else None
+        if inspect.isfunction(called) and called.__module__.startswith("qinstr."):
+            calls.append(((node.lineno, node.col_offset), (module, name, called)))
+    return [call for _, call in sorted(calls, key=lambda c: c[0])]
+
+
+RUN_SCENARIO_CALLS = qinstr_calls(run_scenario)
+# every stage run_scenario calls, a function of another qinstr module, with
+# the module it reads the stage from: read off run_scenario's own body, so a
+# stage added or renamed there is a stage here
+STAGES = tuple((module, name) for module, name, fn in RUN_SCENARIO_CALLS if fn.__module__ != harness.__name__)
 
 
 def failing_stage(stage, error):
@@ -529,27 +551,31 @@ class TestCli:
             example_scenario("nope")
 
     def test_each_row_is_judged_once(self, tmp_path, capsys, monkeypatch):
-        # a report judges each row once, in its unit; overall_pass, the summary
-        # and every writer read those verdicts
-        counts = {"_passes": 0}
-        judge = counted(counts, "_passes", infobounds._passes)
-        for mod in (infobounds, harness):
-            if hasattr(mod, "_passes"):
-                monkeypatch.setattr(mod, "_passes", judge)
+        # a report judges each row once, in its unit, by one judged_rows call;
+        # overall_pass, the summary and every writer read those verdicts
+        real = harness.judged_rows
+        counts = Counter()
+
+        def judge(checks, log_base, tol):
+            rows = real(checks, log_base, tol)
+            counts.update(calls=1, rows=len(rows))
+            return rows
+
+        monkeypatch.setattr(harness, "judged_rows", judge)
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(example_scenario("zero-one-plus").to_json()))
 
-        def judged(argv):
-            counts["_passes"] = 0
+        def run(argv):
+            counts.clear()
             assert main(argv) == 0
-            return counts["_passes"], capsys.readouterr().out
+            return counts["calls"], counts["rows"], capsys.readouterr().out
 
-        n, out = judged(["analyze", str(path)])
-        assert n == len(json.loads(out)["checks"])
-        n, out = judged(["analyze", str(path), "--format", "markdown"])
-        assert n == sum(line.startswith("| ") for line in out.splitlines()) - 1  # less the header
-        n, out = judged(["random", "--trials", "2", "--format", "json"])
-        assert n == sum(len(r["checks"]) for r in json.loads(out)["reports"])
+        calls, n, out = run(["analyze", str(path)])
+        assert calls == 1 and n == len(json.loads(out)["checks"])
+        calls, n, out = run(["analyze", str(path), "--format", "markdown"])
+        assert calls == 1 and n == sum(line.startswith("| ") for line in out.splitlines()) - 1  # less the header
+        calls, n, out = run(["random", "--trials", "2", "--format", "json"])
+        assert calls == 2 and n == sum(len(r["checks"]) for r in json.loads(out)["reports"])
 
     @pytest.mark.parametrize("error", [
         BrokenPipeError(errno.EPIPE, "Broken pipe"),
@@ -1149,6 +1175,22 @@ def lapack_calls(monkeypatch) -> tuple:
         monkeypatch.setattr(module, stage, staged(stage, getattr(module, stage)))
     monkeypatch.setattr(matcore, "lapack", lapack)
     return counts, entered
+
+
+def test_cost_tool_names_every_stage():
+    """tools/cost.py charges a call to the outermost of its STAGES on the
+    stack, and a call outside them to its (other) row, where a stage missing
+    from the list would go unseen. So its STAGES are the timed operation
+    (``run.analyze_json``), in order: ingest, every qinstr function that
+    run_scenario calls, and the writer."""
+    root = Path(__file__).resolve().parents[1]
+    (timed,) = [node for node in ast.parse((root / "scenariobench" / "run.py").read_text()).body
+                if isinstance(node, ast.FunctionDef) and node.name == "analyze_json"]
+    assert {ast.unparse(node.func) for node in ast.walk(timed) if isinstance(node, ast.Call)} >= {
+        "harness.scenario_from_json", "harness.run_scenario", "harness.emit_report"}
+    (stages,) = [ast.literal_eval(node.value) for node in ast.parse((root / "tools" / "cost.py").read_text()).body
+                 if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "STAGES"]
+    assert stages == ("scenario_from_json", *(name for _, name, _ in RUN_SCENARIO_CALLS), "emit_report")
 
 
 def test_lapack_has_one_binding():

@@ -6,20 +6,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import KET0, KET1, PLUS, orthogonal_ensemble, projective_qubit, zero_plus_ensemble
+from conftest import KET0, KET1, PLUS, judged, orthogonal_ensemble, projective_qubit, zero_plus_ensemble
 from qinstr.errors import QinstrError
 from qinstr.hallmap import hall_section
 from qinstr.harness import (
     ACCEPTANCE_GRID,
     Scenario,
     example_scenario,
-    judged_rows,
     random_scenario,
     run_scenario,
 )
 from qinstr.infobounds import (
     INEQ_TOL,
     BoundCheck,
+    EntropyPanel,
     analyze,
     check_bounds,
     check_identities,
@@ -145,16 +145,15 @@ class TestAnalyze:
     ],
 )
 def test_infinite_rhs_is_judged_by_slack(lhs, rhs, passes):
-    assert BoundCheck("x", lhs, rhs).passes(1e-8) is passes
+    assert judged((BoundCheck("x", lhs, rhs),), 1e-8)[0]["pass"] is passes
+    assert judged((BoundCheck("x", lhs, rhs, "data"),), 1e-8)[0]["pass"] is True  # data is never judged
 
 
-@pytest.mark.parametrize("kind", ["ge", "eq", "dev"])
+@pytest.mark.parametrize("kind", ["ge", "eq", "dev", "data"])
 def test_infinite_row_fails_every_judged_kind(kind):
-    check = BoundCheck("x", math.inf, math.inf, kind)
-    assert math.isnan(check.slack)
-    assert not check.passes(1.0)
-    (row,) = judged_rows((check,), "e", 1.0)
-    assert math.isnan(row["slack"]) and row["pass"] is False
+    # a NaN slack fails every judged kind; a data row is never judged
+    (row,) = judged((BoundCheck("x", math.inf, math.inf, kind),), 1.0)
+    assert math.isnan(row["slack"]) and row["pass"] is (kind == "data")
 
 
 class TestClassicalMutualInfo:
@@ -250,7 +249,7 @@ class TestIdentitiesAndBounds:
         )
         panel = entropy_panel(analyze(e, ins))
         rows = check_identities(panel)
-        assert all(c.passes(INEQ_TOL) for c in rows), rows
+        assert all(row["pass"] for row in judged(rows, INEQ_TOL)), rows
 
     @pytest.mark.parametrize("seed", range(10))
     def test_bounds_random(self, seed):
@@ -262,20 +261,20 @@ class TestIdentitiesAndBounds:
         )
         panel = entropy_panel(analyze(e, ins))
         rows = check_bounds(panel)
-        assert all(c.passes(INEQ_TOL) for c in rows), rows
+        assert all(row["pass"] for row in judged(rows, INEQ_TOL)), rows
 
     def test_identities_on_desk_example(self):
         panel = entropy_panel(analyze(zero_plus_ensemble(), projective_qubit()))
-        checks = {c.name: c for c in check_identities(panel)}
-        assert all(c.passes(INEQ_TOL) for c in checks.values())
-        assert abs(checks["idts_out"].slack) < 1e-12
+        checks = {row["name"]: row for row in judged(check_identities(panel), INEQ_TOL)}
+        assert all(row["pass"] for row in checks.values())
+        assert abs(checks["idts_out"]["slack"]) < 1e-12
 
     def test_bounds_on_desk_example(self):
         panel = entropy_panel(analyze(zero_plus_ensemble(), projective_qubit()))
-        checks = {c.name: c for c in check_bounds(panel)}
-        assert all(c.passes(INEQ_TOL) for c in checks.values())
+        checks = {row["name"]: row for row in judged(check_bounds(panel), INEQ_TOL)}
+        assert all(row["pass"] for row in checks.values())
         # Holevo slack chi - I_c frozen from the two oracles above
-        assert abs(checks["holevo"].slack - (0.4164955306996875 - 0.2157615543388356)) < 1e-10
+        assert abs(checks["holevo"]["slack"] - (0.4164955306996875 - 0.2157615543388356)) < 1e-10
 
 
 class TestQuantumInfoGain:
@@ -308,14 +307,14 @@ class TestGroenewoldLindblad:
     def test_projective_is_purity_preserving(self):
         pp, rows = groenewold_lindblad_check(projective_qubit(), trials=50, seed=0, n_demix=5)
         assert pp
-        assert all(c.passes(INEQ_TOL) for c in rows)
-        assert {c.name: c for c in rows}["gl_info_gain_nonneg"].slack >= -1e-8
+        assert all(row["pass"] for row in judged(rows, INEQ_TOL))
+        assert {row["name"]: row for row in judged(rows, INEQ_TOL)}["gl_info_gain_nonneg"]["slack"] >= -1e-8
 
     def test_rank1_random_is_purity_preserving(self):
         ins = random_instrument(2, 3, 3, 1, seed=42)
         pp, rows = groenewold_lindblad_check(ins, trials=50, seed=1, n_demix=5)
         assert pp
-        assert all(c.passes(INEQ_TOL) for c in rows)
+        assert all(row["pass"] for row in judged(rows, INEQ_TOL))
 
     def test_depolarizing_like_is_not(self):
         # two-Kraus single-outcome channel mixes pure inputs
@@ -324,13 +323,13 @@ class TestGroenewoldLindblad:
         assert not pp
         with pytest.raises(KeyError):
             {c.name: c for c in rows}["gl_info_gain_nonneg"]
-        assert all(c.passes(INEQ_TOL) for c in rows)  # chain inequality still holds
+        assert all(row["pass"] for row in judged(rows, INEQ_TOL))  # chain inequality still holds
 
     @pytest.mark.parametrize("seed", range(5))
     def test_chain_inequality_random(self, seed):
         ins = random_instrument(3, 2, 3, 2, seed=500 + seed)
         _, rows = groenewold_lindblad_check(ins, trials=20, seed=seed, n_demix=3)
-        assert all(c.passes(INEQ_TOL) for c in rows), rows
+        assert all(row["pass"] for row in judged(rows, INEQ_TOL)), rows
 
 
 def sequential_gl(ins, trials, seed, n_demix=5):
@@ -679,7 +678,7 @@ class TestCompoundStates:
     def test_consistency_desk(self):
         ms = analyze(zero_plus_ensemble(), projective_qubit())
         cs = compound_states(ms)
-        assert all(c.passes(INEQ_TOL) for c in cs.consistency)
+        assert all(row["pass"] for row in judged(cs.consistency, INEQ_TOL))
 
     def test_dimensions(self):
         rng = np.random.default_rng(20)
@@ -709,14 +708,14 @@ class TestCompoundStates:
             e.dim, int(rng.integers(2, 4)), int(rng.integers(2, 4)), 2, seed=700 + seed
         )
         cs = compound_states(analyze(e, ins))
-        assert all(c.passes(INEQ_TOL) for c in cs.consistency), cs.consistency
+        assert all(row["pass"] for row in judged(cs.consistency, INEQ_TOL)), cs.consistency
 
 
 class TestScutaruChains:
     def test_desk_example(self):
         ms = analyze(zero_plus_ensemble(), projective_qubit())
         checks = {c.name: c for c in scutaru_chains(ms, compound_states(ms))}
-        assert all(c.passes(INEQ_TOL) for c in checks.values()), checks
+        assert all(row["pass"] for row in judged(checks.values(), INEQ_TOL)), checks
         # every link sits below I_c
         i_c = ms.classical_mi
         assert checks["scutaru1_ic_ge_chi_eps_if"].rhs == pytest.approx(i_c)
@@ -724,7 +723,7 @@ class TestScutaruChains:
     def test_orthogonal_example(self):
         ms = analyze(orthogonal_ensemble(), projective_qubit())
         checks = {c.name: c for c in scutaru_chains(ms, compound_states(ms))}
-        assert all(c.passes(INEQ_TOL) for c in checks.values())
+        assert all(row["pass"] for row in judged(checks.values(), INEQ_TOL))
         # perfectly distinguishable: the first-chain bound is tight at log 2
         assert abs(checks["scutaru1_ic_ge_chi_eps_if"].rhs - math.log(2)) < 1e-10
 
@@ -738,7 +737,7 @@ class TestScutaruChains:
         )
         ms = analyze(e, ins)
         rows = scutaru_chains(ms, compound_states(ms))
-        assert all(c.passes(INEQ_TOL) for c in rows), rows
+        assert all(row["pass"] for row in judged(rows, INEQ_TOL)), rows
 
 
 class TestMergeOutcomes:
@@ -770,9 +769,73 @@ class TestMergeOutcomes:
     def test_coarse_graining_orders_the_panel(self, index, shape):
         s = random_scenario(*shape, seed=index)
         merged = merge_outcomes(s.instrument, s.instrument.outcomes[0], s.instrument.outcomes[1])
-        fine = entropy_panel(analyze(s.ensemble, s.instrument))
-        coarse = entropy_panel(analyze(s.ensemble, merged))
-        for name in self.FALL:
-            assert getattr(coarse, name) <= getattr(fine, name) + 1e-12, name
-        for name in self.STAY:
-            assert abs(getattr(coarse, name) - getattr(fine, name)) <= 1e-12, name
+        assert_ordered(s, s.ensemble, merged, self.FALL, self.STAY)
+
+
+def assert_ordered(s, ensemble, ins, fall, stay):
+    """The panel of (ensemble, ins) against the scenario's own: each entry of
+    ``fall`` rises by at most 1e-12 and each of ``stay`` moves by at most 1e-12."""
+    fine = entropy_panel(analyze(s.ensemble, s.instrument))
+    coarse = entropy_panel(analyze(ensemble, ins))
+    for name in fall:
+        assert getattr(coarse, name) <= getattr(fine, name) + 1e-12, name
+    for name in stay:
+        assert abs(getattr(coarse, name) - getattr(fine, name)) <= 1e-12, name
+
+
+def after_channel(ins: Instrument, channel: Instrument) -> Instrument:
+    """``ins`` followed by a one-outcome channel on H2: each Kraus operator K
+    becomes the products C K, one per Kraus operator C of the channel."""
+    c = channel.maps[0].kraus
+    return Instrument(ins.outcomes, tuple(
+        KrausMap(ins.dim_in, ins.dim_out, (c[:, None] @ m.kraus).reshape(-1, ins.dim_out, ins.dim_in))
+        for m in ins.maps
+    ))
+
+
+def merge_letters(e: Ensemble) -> Ensemble:
+    """Letters 0 and 1 merged into their mixture, at the sum of their priors."""
+    p = e.probs[:2].sum()
+    mix = np.einsum("a,aij->ij", e.probs[:2], e.states[:2]) / p
+    return Ensemble(("0+1", *e.letters[2:]), np.array([p, *e.probs[2:]]), np.concatenate([mix[None], e.states[2:]]))
+
+
+class TestDataProcessing:
+    """The other channels that order two panels: one on H2 after the
+    instrument, and a merge of two letters, a channel on the letter register
+    before it. The entries that read the channel's output cannot rise; those
+    that read neither side of it stay. A unitary on H2, and an outcome split
+    by a coin and merged back, are channels with an inverse: every entry stays."""
+
+    PANEL = EntropyPanel._fields
+    # mean chi given in has no order under a merge of letters
+    AFTER = ("chi_post", "chi_out", "chi_joint", "mean_chi_given_in", "mean_chi_given_out", "tripartite")
+    MERGED = ("chi_initial", "chi_post", "chi_joint", "mean_chi_given_out", "classical_mi", "tripartite")
+
+    @pytest.mark.parametrize("index, shape", enumerate(ACCEPTANCE_GRID))
+    def test_a_channel_after_the_instrument_orders_the_panel(self, index, shape):
+        s = random_scenario(*shape, seed=index)
+        d2 = s.instrument.dim_out
+        post = after_channel(s.instrument, random_instrument(d2, d2, 1, 2, seed=index))
+        assert_ordered(s, s.ensemble, post, self.AFTER, ("chi_initial", "classical_mi"))
+
+    @pytest.mark.parametrize("index, shape", enumerate(ACCEPTANCE_GRID))
+    def test_merging_letters_orders_the_panel(self, index, shape):
+        s = random_scenario(*shape, seed=index)
+        assert_ordered(s, merge_letters(s.ensemble), s.instrument, self.MERGED, ("chi_out",))
+
+    @pytest.mark.parametrize("index, shape", enumerate(ACCEPTANCE_GRID))
+    def test_a_unitary_after_the_instrument_moves_no_entry(self, index, shape):
+        # a one-Kraus channel is a unitary: the polar part of a Ginibre draw, Haar-distributed
+        s = random_scenario(*shape, seed=index)
+        d2 = s.instrument.dim_out
+        rotated = after_channel(s.instrument, random_instrument(d2, d2, 1, 1, seed=index))
+        assert_ordered(s, s.ensemble, rotated, (), self.PANEL)
+
+    @pytest.mark.parametrize("index, shape", enumerate(ACCEPTANCE_GRID))
+    def test_an_outcome_split_by_a_coin_and_merged_back_moves_no_entry(self, index, shape):
+        s = random_scenario(*shape, seed=index)
+        ins, c = s.instrument, 0.3
+        kraus = (np.sqrt(c) * ins.maps[0].kraus, *(m.kraus for m in ins.maps[1:]), np.sqrt(1 - c) * ins.maps[0].kraus)
+        split = Instrument((*ins.outcomes, "split"), tuple(KrausMap(ins.dim_in, ins.dim_out, k) for k in kraus))
+        assert_ordered(s, s.ensemble, merge_outcomes(split, ins.outcomes[0], "split"), (), self.PANEL)

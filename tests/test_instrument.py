@@ -5,12 +5,7 @@ from conftest import KET0, PLUS, counted, orthogonal_ensemble, projective_qubit,
 from qinstr import matcore
 from qinstr.errors import QinstrError
 from qinstr.infobounds import analyze
-from qinstr.instrument import (
-    Instrument,
-    KrausMap,
-    a_posteriori_stack,
-    random_instrument,
-)
+from qinstr.instrument import Instrument, KrausMap, _apply_to_stack, _posteriors, random_instrument
 from qinstr.qstate import DensityMatrix
 from qinstr.reference import (
     a_posteriori,
@@ -278,7 +273,7 @@ class TestStacks:
         for _ in range(4):
             g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             states.append(DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T).real))
-        probs, posts = a_posteriori_stack(ins, np.stack([s.mat for s in states]))
+        probs, posts = _posteriors(_apply_to_stack(ins, np.stack([s.mat for s in states])))
         for n, rho in enumerate(states):
             fam = a_posteriori(ins, rho)
             assert np.allclose(probs[:, n], fam.probs.probs, atol=1e-12)
@@ -288,7 +283,7 @@ class TestStacks:
     def test_null_outcome_is_zero(self):
         """A null cell's probability and a posteriori state are exactly 0, as
         its output block I_w(rho) is."""
-        probs, posts = a_posteriori_stack(projective_qubit(), KET0.mat[None])
+        probs, posts = _posteriors(_apply_to_stack(projective_qubit(), KET0.mat[None]))
         assert np.allclose(probs[:, 0], [1.0, 0.0])
         assert np.array_equal(probs[1, 0], 0.0)
         assert np.array_equal(posts[1, 0], np.zeros((2, 2)))
