@@ -7,8 +7,8 @@ it, as an entropy difference from entropy vectors: finite in finite
 dimension, with no support test. The states it reads are derived, states by
 construction, and so plain arrays: the rules of a state serve inputs only
 (``qstate``). The relative entropies, which take arbitrary pairs and test
-supports, and the entropy of one oracle state (``vn_entropy``) live in
-``reference``.
+supports, and the entropy of one oracle state (``vn_entropy``) are test
+code, in ``tests/oracle.py``.
 """
 
 from __future__ import annotations

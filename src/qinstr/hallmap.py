@@ -8,8 +8,8 @@ sigma_w = eta_w^{1/2} E(w) eta_w^{1/2} / P_f(w) and on eta, where eta_w is the
 dual state of outcome w's live letters (eta itself when w holds no null cell),
 J_a(sigma_w) = P_a rho_a^{1/2} E(w) rho_a^{1/2} / P_f(w) and J_a(eta) = P_a rho_a:
 eta^{-1/2} cancels. So the section is computed from the scenario's own arrays,
-and J and the dual ensemble, built one state at a time, live in ``reference``
-as the oracle the tests hold it to. The states it derives (sigma_w, J's a
+and J and the dual ensemble, built one state at a time, are the oracle the
+tests hold it to (``tests/oracle.py``). The states it derives (sigma_w, J's a
 posteriori states) stay plain arrays: the rules of a state serve inputs only
 (``qstate``)."""
 

@@ -28,7 +28,7 @@ import math
 import numbers
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -211,8 +211,7 @@ def ensemble_from_json(obj: dict) -> Ensemble:
     return e if clamped is None else Ensemble(letters, probs, clamped)
 
 
-def scenario_from_json(obj: dict, tol_override: Optional[float] = None,
-                       base_override: Optional[str] = None) -> Scenario:
+def scenario_from_json(obj: dict) -> Scenario:
     try:
         obj = as_object("scenario", obj, SCENARIO_KEYS)
         ensemble = ensemble_from_json(obj["ensemble"])
@@ -225,13 +224,8 @@ def scenario_from_json(obj: dict, tol_override: Optional[float] = None,
             for w, group in enumerate(ins["kraus"])
         )
         instrument = Instrument(as_labels("outcomes", ins["outcomes"]), maps)
-        # the options the file gives and the overrides; Scenario holds every default
-        options = dict(as_object("options", obj.get("options", {}), OPTION_KEYS))
-        if tol_override is not None:
-            options["tol"] = tol_override
-        if base_override:
-            options["log_base"] = base_override
-        return Scenario(ensemble, instrument, **options)
+        # the options the file gives; Scenario holds every default
+        return Scenario(ensemble, instrument, **as_object("options", obj.get("options", {}), OPTION_KEYS))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed scenario: {exc}") from exc
 
@@ -472,7 +466,9 @@ def main(argv=None) -> int:
     try:  # read: the file or the flags
         if args.command == "analyze":
             with open(args.scenario, encoding="utf-8") as fh:  # JSON is UTF-8 (RFC 8259)
-                scenario = scenario_from_json(json.load(fh), tol_override=args.tol, base_override=args.base)
+                scenario = scenario_from_json(json.load(fh))
+            flags = {"tol": args.tol, "log_base": args.base}  # judged by Scenario's rules, as the file's options are
+            scenario = replace(scenario, **{k: v for k, v in flags.items() if v is not None})
         elif args.command == "random":
             shape = tuple(as_count(f"--{flag}", getattr(args, flag), 1)
                           for flag in ("d1", "d2", "letters", "outcomes", "kraus"))

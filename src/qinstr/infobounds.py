@@ -319,7 +319,7 @@ def groenewold_lindblad_check(ins: Instrument, trials: int, seed: int, n_demix: 
     the strengthened Holevo bound) is checked unconditionally on random
     demixtures.
 
-    The random numbers are those ``random_pure``, ``reference.random_density``
+    The random numbers are those ``random_pure``, the tests' ``random_density``
     and ``random_ensemble`` would draw, trial after trial; only the draws loop.
     The ``trials`` pure states that once sampled the purity class are still
     drawn, and dropped, so that every later draw stays as it was.

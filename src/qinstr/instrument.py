@@ -11,7 +11,7 @@ instrument to stacks through ``Instrument.channel_matrix``, and
 ``_posteriors`` holds the a posteriori rule and the one null decision; the
 outcome law the pipeline reads is ``analyze``'s P_f, from the same channel.
 The per-state forms the tests check them against, one map's action and
-``outcome_probs`` among them, live in ``reference``."""
+``outcome_probs`` among them, are test code (``tests/oracle.py``)."""
 
 from __future__ import annotations
 

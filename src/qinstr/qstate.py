@@ -6,7 +6,7 @@ a state live in one function, ``_checked``: the Hermiticity rule
 (``matcore.hermitian_part``), unit trace and positivity, the last read off the
 one batched decomposition (``matcore.herm_eig``) of the stack it checks, which
 is each letter's one spectrum. ``Ensemble`` applies it, and so does
-``DensityMatrix``, the state type of the oracles in ``qinstr.reference``,
+``DensityMatrix``, the state type of the tests' oracles (``tests/oracle.py``),
 which no pipeline path builds. Everything the pipeline derives from checked
 inputs (I_w(rho) / tr, the a priori state, P_f) is a state or a law by
 construction and stays a plain array, never checked again. The one repair is

@@ -32,7 +32,7 @@ def judged(rows, tol: float) -> list:
 
 
 def pure(vec) -> DensityMatrix:
-    """A ket's state as the oracles in ``qinstr.reference`` take it. Its
+    """A ket's state as the oracles in ``oracle`` take it. Its
     ``.mat`` is ``pure_state``'s array, which is what an ``Ensemble`` takes."""
     return DensityMatrix(pure_state(vec))
 

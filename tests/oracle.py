@@ -11,12 +11,14 @@ one state, a random mixed state, the coarse-graining of two outcomes, and
 Hall's J and dual ensemble, which ``hallmap.hall_section`` does without.
 A state is a ``DensityMatrix`` here, a type only the oracles and the tests
 build: the a priori state (``a_priori_state``) is one, a law is a checked
-``ClassicalDist`` and ``vn_entropy`` is one state's entropy. The pipeline
-takes states as arrays and keeps what it derives as plain arrays. This
-module's independence is the reason it exists: no pipeline module imports it,
-and nothing here calls the stacked path it checks
-(``instrument.Instrument.channel_matrix``, ``instrument._posteriors``,
-``entropy.vn_entropies``). ``import qinstr`` does not load it.
+``ClassicalDist`` and ``vn_entropy`` is one state's entropy. The tests' random
+draws come from here too: a Ginibre state (``random_density``) and a Haar
+unitary (``haar_unitary``). The pipeline takes states as arrays and keeps what
+it derives as plain arrays. This module's independence is the reason it
+exists: it is test code, outside the package, and nothing here calls the
+stacked path it checks (``instrument.Instrument.channel_matrix``,
+``instrument._posteriors``, ``entropy.vn_entropies``) or a stage of
+``harness.run_scenario`` (``tests/test_reference.py``).
 """
 
 from __future__ import annotations
@@ -27,14 +29,14 @@ from typing import Sequence
 
 import numpy as np
 
-from . import matcore
-from .entropy import _entropy
-from .errors import QinstrError
-from .hallmap import INVERTIBILITY_TOL, SINGULAR
-from .infobounds import _ginibre_states
-from .instrument import Instrument, KrausMap
-from .matcore import HERM_TOL, SUPPORT_CUTOFF
-from .qstate import PROB_TOL, DensityMatrix, Ensemble
+from qinstr import matcore
+from qinstr.entropy import _entropy
+from qinstr.errors import QinstrError
+from qinstr.hallmap import INVERTIBILITY_TOL, SINGULAR
+from qinstr.infobounds import _ginibre_states
+from qinstr.instrument import Instrument, KrausMap
+from qinstr.matcore import HERM_TOL, SUPPORT_CUTOFF
+from qinstr.qstate import PROB_TOL, DensityMatrix, Ensemble
 
 INF = math.inf
 
@@ -90,6 +92,13 @@ def maximally_mixed(dim: int) -> DensityMatrix:
 def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
     """Normalized Ginibre state G G^dag / Tr (``_ginibre_states`` of one draw)."""
     return DensityMatrix(_ginibre_states(rng.standard_normal((1, 2, dim, dim)))[0])
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The Q factor of a Ginibre draw, its phases fixed by R's diagonal, so
+    that it is Haar-distributed."""
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -23,7 +23,7 @@ from qinstr.harness import (
 from qinstr.infobounds import INEQ_TOL, analyze, entropy_panel
 from qinstr.instrument import random_instrument
 from qinstr.qstate import DensityMatrix
-from qinstr.reference import a_posteriori, a_priori_state, q_rel_entropy, quantum_info_gain, total_channel
+from oracle import a_posteriori, a_priori_state, q_rel_entropy, quantum_info_gain, random_density, total_channel
 
 MASTER_SEED = 20240817
 TRIALS = 200
@@ -167,7 +167,7 @@ def test_criterion_4_desk_orthogonal_projective():
     i_c = report["panel"]["classical_mi"]
     chi = report["panel"]["chi_initial"]
     holevo = _named(report, "holevo")[0]
-    from qinstr.reference import build_hall_instrument
+    from oracle import build_hall_instrument
 
     s = example_scenario("orthogonal-projective")
     h = build_hall_instrument(s.ensemble, a_priori_state(s.ensemble))
@@ -250,22 +250,16 @@ def test_every_instrument_outside_the_purity_class_has_a_pure_witness(suite):
 
 def test_criterion_7_uhlmann_monotonicity():
     rng = np.random.default_rng(MASTER_SEED)
-
-    def rand_dm(dim):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        m = g @ g.conj().T
-        return DensityMatrix(m / np.trace(m).real)
-
     worst_channel = -math.inf
     for k in range(100):
-        s, t = rand_dm(2), rand_dm(2)
+        s, t = random_density(2, rng), random_density(2, rng)
         chan = random_instrument(2, 2, 1, 3, seed=int(rng.integers(2 ** 31)))
         delta = q_rel_entropy(total_channel(chan, s), total_channel(chan, t)) - q_rel_entropy(s, t)
         worst_channel = max(worst_channel, delta)
 
     worst_pt = -math.inf
     for k in range(100):
-        s12, t12 = rand_dm(4), rand_dm(4)
+        s12, t12 = random_density(4, rng), random_density(4, rng)
         s1 = DensityMatrix(matcore.partial_trace(s12.mat, "second", 2, 2))
         t1 = DensityMatrix(matcore.partial_trace(t12.mat, "second", 2, 2))
         worst_pt = max(worst_pt, q_rel_entropy(s1, t1) - q_rel_entropy(s12, t12))

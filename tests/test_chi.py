@@ -22,7 +22,7 @@ from qinstr.infobounds import (
 )
 from qinstr.instrument import Instrument, KrausMap, random_instrument
 from qinstr.qstate import DensityMatrix, Ensemble, pure_state
-from qinstr.reference import a_priori_state, dual_ensemble, q_rel_entropy
+from oracle import a_priori_state, dual_ensemble, q_rel_entropy
 
 
 def rel_form(weights, members, barycenter):

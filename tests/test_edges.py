@@ -44,17 +44,12 @@ from qinstr.infobounds import INEQ_TOL, analyze
 from qinstr.instrument import POVM_SUM_TOL, Instrument, KrausMap, random_instrument
 from qinstr.matcore import HERM_TOL
 from qinstr.qstate import DensityMatrix, Ensemble, pure_state
-from qinstr.reference import quantum_info_gain, random_density
+from oracle import haar_unitary, quantum_info_gain, random_density
 from test_infobounds import downstream, refill, right_normalized
 
 
 def _ginibre(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def _unitary(d, rng):
-    q, r = np.linalg.qr(_ginibre(rng, (d, d)))
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def near_null_scenario(d, n_outcomes, n_letters, kraus, small, offsets, seed) -> Scenario:
@@ -66,14 +61,14 @@ def near_null_scenario(d, n_outcomes, n_letters, kraus, small, offsets, seed) ->
     the span S of the first len(small) columns of V and g a Ginibre vector;
     the rest are Ginibre mixed states."""
     rng = np.random.default_rng(seed)
-    v = _unitary(d, rng)
+    v = haar_unitary(d, rng)
     m = min(len(small), d)
     spec = np.concatenate([small[:m], rng.uniform(0.05, 0.95, d - m)])
 
     def root(x):  # V x^(1/2) V^dag
         return (v * np.sqrt(x)) @ v.conj().T
 
-    first = [_unitary(d, rng) @ root(spec / kraus) for _ in range(kraus)]
+    first = [haar_unitary(d, rng) @ root(spec / kraus) for _ in range(kraus)]
     g = _ginibre(rng, (n_outcomes - 1, kraus, d, d))
     lam, u = np.linalg.eigh(np.einsum("wkji,wkjl->il", g.conj(), g))
     rest = g @ (u * lam ** -0.5) @ u.conj().T @ root(1.0 - spec)
@@ -167,7 +162,7 @@ def near_singular_scenario(d2, n_letters, n_outcomes, kraus, least, seed) -> Sce
     The a priori state is then block diagonal in V's basis, and its least
     eigenvalue is ``least`` (S's block is well conditioned)."""
     rng = np.random.default_rng(seed)
-    v = _unitary(3, rng)
+    v = haar_unitary(3, rng)
     priors = rng.uniform(0.05, 1.0, n_letters)
     priors /= priors.sum()
     blocks = np.zeros((n_letters, 3, 3), dtype=complex)
@@ -208,7 +203,7 @@ def clamp_edge_scenario(d1, d2, n_outcomes, kraus, eps, others, seed) -> Scenari
     for e in eps:
         w = rng.dirichlet(np.ones(rng.integers(1, d1)))
         spec = np.concatenate([w * (1.0 + e), [-e], np.zeros(d1 - 1 - w.size)])
-        q = _unitary(d1, rng)
+        q = haar_unitary(d1, rng)
         letters.append((q * spec) @ q.conj().T)
     letters += [random_density(d1, rng).mat for _ in range(others)]
     priors = rng.uniform(0.05, 1.0, len(letters))

@@ -9,23 +9,21 @@ from qinstr.entropy import chi_against, vn_entropies
 from qinstr.errors import NoConvergence, QinstrError
 from qinstr.instrument import random_instrument
 from qinstr.qstate import DensityMatrix
-from qinstr.reference import (
+from oracle import (
     ClassicalDist,
     c_rel_entropy,
     fidelity_like_support_check,
     maximally_mixed,
     mixed_rel_entropy,
     q_rel_entropy,
+    random_density,
     total_channel,
     vn_entropy,
 )
 
 
 def rand_dm(dim, seed):
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real)
+    return random_density(dim, np.random.default_rng(seed))
 
 
 class TestVnEntropy:

@@ -25,7 +25,7 @@ from qinstr.infobounds import (
 )
 from qinstr.instrument import Instrument, KrausMap, random_instrument
 from qinstr.qstate import Ensemble, pure_state
-from qinstr.reference import (
+from oracle import (
     ClassicalDist,
     a_posteriori,
     a_priori_state,

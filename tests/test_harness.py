@@ -19,8 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from conftest import counted, judged
-from qinstr import harness, infobounds, instrument, matcore, qstate, reference
+from qinstr import harness, infobounds, instrument, matcore, qstate
 from qinstr.harness import (
     EXAMPLE_NAMES,
     Scenario,
@@ -75,7 +76,7 @@ class TestScenarioJson:
     def test_one_and_two_operator_outcomes_roundtrip(self):
         # each outcome's operators are written and read back as one stack
         s = random_scenario(3, 2, 3, 3, 1, 4)
-        ins = reference.merge_outcomes(s.instrument, 0, 1)
+        ins = oracle.merge_outcomes(s.instrument, 0, 1)
         s = dataclasses.replace(s, instrument=ins)
         assert [len(m.kraus) for m in ins.maps] == [2, 1]
         text = harness.json_text(s.to_json())
@@ -96,11 +97,15 @@ class TestScenarioJson:
         with pytest.raises(SchemaError):
             Scenario(ensemble=e, instrument=ins, log_base="10")
 
-    def test_overrides(self):
+    def test_overrides(self, tmp_path, capsys):
+        # --tol and --base replace the file's options in the scenario analyzed
         s = example_scenario("zero-one-plus")
-        s2 = scenario_from_json(s.to_json(), tol_override=1e-5, base_override="2")
-        assert s2.tol == 1e-5
-        assert s2.log_base == "2"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(s.to_json()))
+        assert main(["analyze", str(path), "--tol", "1e-5", "--base", "2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["log_base"] == "2"
+        assert report["fingerprint"] == _fingerprint(dataclasses.replace(s, tol=1e-5, log_base="2"))
 
 
 # The input contract's values: random_scenario(*spec) hashes to its value, and
@@ -739,12 +744,25 @@ class TestInputContract:
     or a silently altered run."""
 
     @staticmethod
-    def _analyze(tmp_path, mutate):
+    def _analyze(tmp_path, mutate, *flags):
         obj = example_scenario("zero-one-plus").to_json()
         mutate(obj)
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(obj))
-        return main(["analyze", str(path)])
+        return main(["analyze", str(path), *flags])
+
+    @pytest.mark.parametrize("option, value, flag, line", [
+        ("tol", -1, ("--tol", "1e-6"), "schema error: tol must be a finite, non-negative number, got -1"),
+        ("log_base", "10", ("--base", "2"), "schema error: log_base must be 'e' or '2', got '10'"),
+    ], ids=("tol", "log_base"))
+    def test_a_flag_does_not_mask_a_bad_option(self, tmp_path, capsys, option, value, flag, line):
+        # the file is judged as written; a flag replaces its option only after
+        def mutate(obj):
+            obj["options"][option] = value
+
+        for flags in ((), flag):
+            assert self._analyze(tmp_path, mutate, *flags) == 2
+            assert capsys.readouterr() == ("", line + "\n")
 
     @pytest.mark.parametrize("name,value", [
         ("gl_trials", 0),
@@ -1308,7 +1326,7 @@ def test_scenario_from_json_does_no_per_letter_work(monkeypatch):
 
 
 def test_no_pipeline_path_builds_a_density_matrix(monkeypatch):
-    """DensityMatrix is the type of the oracles in qinstr.reference: the desk
+    """DensityMatrix is the type of the oracles in tests/oracle.py: the desk
     scenarios, a random scenario and pure letters (pure_state, random_pure)
     are built, written, read back and analyzed without one."""
 
@@ -1327,7 +1345,7 @@ def test_no_pipeline_path_builds_a_density_matrix(monkeypatch):
 # Each data type is built twice from the same inputs; the arrays say what it holds.
 REBUILT = {
     "DensityMatrix": (lambda: qstate.DensityMatrix(np.diag([0.25, 0.75])), lambda x: (x.mat,)),
-    "ClassicalDist": (lambda: reference.ClassicalDist((0, 1), [0.25, 0.75]), lambda x: (x.probs,)),
+    "ClassicalDist": (lambda: oracle.ClassicalDist((0, 1), [0.25, 0.75]), lambda x: (x.probs,)),
     "Ensemble": (lambda: example_scenario("zero-one-plus").ensemble, lambda x: (x.probs, x.states)),
     "KrausMap": (lambda: instrument.KrausMap(2, 2, (np.eye(2),)), lambda x: (x.kraus,)),
     "Instrument": (lambda: example_scenario("zero-one-plus").instrument, lambda x: (x.kraus_stack,)),

@@ -19,7 +19,6 @@ from qinstr.harness import (
 from qinstr.infobounds import (
     INEQ_TOL,
     BoundCheck,
-    EntropyPanel,
     analyze,
     check_bounds,
     check_identities,
@@ -33,8 +32,9 @@ from qinstr.infobounds import (
 from qinstr.instrument import Instrument, KrausMap, random_instrument
 from qinstr.matcore import SUPPORT_CUTOFF
 from qinstr.qstate import DensityMatrix, Ensemble, pure_state
-from qinstr.reference import (
+from oracle import (
     a_priori_state,
+    haar_unitary,
     map_action,
     maximally_mixed,
     merge_outcomes,
@@ -454,13 +454,8 @@ def diagonal_instrument(effects, kraus=1, seed=0):
     effects = np.asarray(effects, dtype=float)
     rng = np.random.default_rng(seed)
     d = effects.shape[1]
-
-    def unitary():
-        q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-        return q * (np.diag(r) / np.abs(np.diag(r)))
-
     maps = tuple(
-        KrausMap(d, d, tuple(unitary() @ np.diag(np.sqrt(row / kraus)) for _ in range(kraus)))
+        KrausMap(d, d, tuple(haar_unitary(d, rng) @ np.diag(np.sqrt(row / kraus)) for _ in range(kraus)))
         for row in effects
     )
     return Instrument(tuple(range(len(effects))), maps)
@@ -757,85 +752,3 @@ class TestMergeOutcomes:
         ic_fine = analyze(e, ins).classical_mi
         ic_coarse = analyze(e, merged).classical_mi
         assert ic_coarse <= ic_fine + 1e-10
-
-    # merging two outcomes is a channel after the instrument on the outcome
-    # register, so the entries that read the outcome cannot rise, and those
-    # that read only the letters and the total channel stay; mean chi given
-    # out has no order under it
-    FALL = ("classical_mi", "chi_out", "chi_joint", "mean_chi_given_in", "tripartite")
-    STAY = ("chi_initial", "chi_post")
-
-    @pytest.mark.parametrize("index, shape", enumerate(ACCEPTANCE_GRID))
-    def test_coarse_graining_orders_the_panel(self, index, shape):
-        s = random_scenario(*shape, seed=index)
-        merged = merge_outcomes(s.instrument, s.instrument.outcomes[0], s.instrument.outcomes[1])
-        assert_ordered(s, s.ensemble, merged, self.FALL, self.STAY)
-
-
-def assert_ordered(s, ensemble, ins, fall, stay):
-    """The panel of (ensemble, ins) against the scenario's own: each entry of
-    ``fall`` rises by at most 1e-12 and each of ``stay`` moves by at most 1e-12."""
-    fine = entropy_panel(analyze(s.ensemble, s.instrument))
-    coarse = entropy_panel(analyze(ensemble, ins))
-    for name in fall:
-        assert getattr(coarse, name) <= getattr(fine, name) + 1e-12, name
-    for name in stay:
-        assert abs(getattr(coarse, name) - getattr(fine, name)) <= 1e-12, name
-
-
-def after_channel(ins: Instrument, channel: Instrument) -> Instrument:
-    """``ins`` followed by a one-outcome channel on H2: each Kraus operator K
-    becomes the products C K, one per Kraus operator C of the channel."""
-    c = channel.maps[0].kraus
-    return Instrument(ins.outcomes, tuple(
-        KrausMap(ins.dim_in, ins.dim_out, (c[:, None] @ m.kraus).reshape(-1, ins.dim_out, ins.dim_in))
-        for m in ins.maps
-    ))
-
-
-def merge_letters(e: Ensemble) -> Ensemble:
-    """Letters 0 and 1 merged into their mixture, at the sum of their priors."""
-    p = e.probs[:2].sum()
-    mix = np.einsum("a,aij->ij", e.probs[:2], e.states[:2]) / p
-    return Ensemble(("0+1", *e.letters[2:]), np.array([p, *e.probs[2:]]), np.concatenate([mix[None], e.states[2:]]))
-
-
-class TestDataProcessing:
-    """The other channels that order two panels: one on H2 after the
-    instrument, and a merge of two letters, a channel on the letter register
-    before it. The entries that read the channel's output cannot rise; those
-    that read neither side of it stay. A unitary on H2, and an outcome split
-    by a coin and merged back, are channels with an inverse: every entry stays."""
-
-    PANEL = EntropyPanel._fields
-    # mean chi given in has no order under a merge of letters
-    AFTER = ("chi_post", "chi_out", "chi_joint", "mean_chi_given_in", "mean_chi_given_out", "tripartite")
-    MERGED = ("chi_initial", "chi_post", "chi_joint", "mean_chi_given_out", "classical_mi", "tripartite")
-
-    @pytest.mark.parametrize("index, shape", enumerate(ACCEPTANCE_GRID))
-    def test_a_channel_after_the_instrument_orders_the_panel(self, index, shape):
-        s = random_scenario(*shape, seed=index)
-        d2 = s.instrument.dim_out
-        post = after_channel(s.instrument, random_instrument(d2, d2, 1, 2, seed=index))
-        assert_ordered(s, s.ensemble, post, self.AFTER, ("chi_initial", "classical_mi"))
-
-    @pytest.mark.parametrize("index, shape", enumerate(ACCEPTANCE_GRID))
-    def test_merging_letters_orders_the_panel(self, index, shape):
-        s = random_scenario(*shape, seed=index)
-        assert_ordered(s, merge_letters(s.ensemble), s.instrument, self.MERGED, ("chi_out",))
-
-    @pytest.mark.parametrize("index, shape", enumerate(ACCEPTANCE_GRID))
-    def test_a_unitary_after_the_instrument_moves_no_entry(self, index, shape):
-        # a one-Kraus channel is a unitary: the polar part of a Ginibre draw, Haar-distributed
-        s = random_scenario(*shape, seed=index)
-        d2 = s.instrument.dim_out
-        rotated = after_channel(s.instrument, random_instrument(d2, d2, 1, 1, seed=index))
-        assert_ordered(s, s.ensemble, rotated, (), self.PANEL)
-
-    @pytest.mark.parametrize("index, shape", enumerate(ACCEPTANCE_GRID))
-    def test_an_outcome_split_by_a_coin_and_merged_back_moves_no_entry(self, index, shape):
-        s = random_scenario(*shape, seed=index)
-        ins, c = s.instrument, 0.3
-        kraus = (np.sqrt(c) * ins.maps[0].kraus, *(m.kraus for m in ins.maps[1:]), np.sqrt(1 - c) * ins.maps[0].kraus)
-        split = Instrument((*ins.outcomes, "split"), tuple(KrausMap(ins.dim_in, ins.dim_out, k) for k in kraus))
-        assert_ordered(s, s.ensemble, merge_outcomes(split, ins.outcomes[0], "split"), (), self.PANEL)

@@ -7,7 +7,7 @@ from qinstr.errors import QinstrError
 from qinstr.infobounds import analyze
 from qinstr.instrument import Instrument, KrausMap, _apply_to_stack, _posteriors, random_instrument
 from qinstr.qstate import DensityMatrix
-from qinstr.reference import (
+from oracle import (
     a_posteriori,
     apply_outcome,
     channel_roundtrip,
@@ -17,6 +17,7 @@ from qinstr.reference import (
     outcome_probs,
     purity,
     quantum_info_gain,
+    random_density,
     total_channel,
 )
 
@@ -212,13 +213,7 @@ class TestOutcomeProbs:
     def test_affinity(self):
         ins = random_instrument(2, 2, 3, 2, seed=23)
         rng = np.random.default_rng(8)
-
-        def rand_dm():
-            g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            m = g @ g.conj().T
-            return DensityMatrix(m / np.trace(m).real)
-
-        r1, r2 = rand_dm(), rand_dm()
+        r1, r2 = random_density(2, rng), random_density(2, rng)
         lam = 0.37
         mixed = DensityMatrix(lam * r1.mat + (1 - lam) * r2.mat)
         expect = lam * outcome_probs(ins, r1).probs + (1 - lam) * outcome_probs(ins, r2).probs

@@ -9,7 +9,7 @@ from qinstr.errors import QinstrError
 from qinstr.matcore import HERM_TOL
 from qinstr.harness import ensemble_from_json, example_scenario, matrix_to_json
 from qinstr.qstate import DensityMatrix, Ensemble
-from qinstr.reference import ClassicalDist, a_priori_state, fidelity_like_support_check, maximally_mixed
+from oracle import ClassicalDist, a_priori_state, fidelity_like_support_check, maximally_mixed, random_density
 
 
 def read(m) -> tuple:
@@ -72,15 +72,7 @@ class TestAprioriState:
         assert np.allclose(a_priori_state(e).mat, expected, atol=1e-12)
 
     def test_affine_in_the_mixing_weight(self):
-        rng = np.random.default_rng(0)
-
-        def rand_dm(seed):
-            g = np.random.default_rng(seed)
-            m = g.standard_normal((2, 2)) + 1j * g.standard_normal((2, 2))
-            m = m @ m.conj().T
-            return DensityMatrix(m / np.trace(m).real)
-
-        s1, s2, s3 = rand_dm(1), rand_dm(2), rand_dm(3)
+        s1, s2, s3 = (random_density(2, np.random.default_rng(seed)) for seed in (1, 2, 3))
         lam = 0.3
         e1 = Ensemble((0, 1), np.array([0.6, 0.4]), (s1.mat, s2.mat))
         e2 = Ensemble((0, 1), np.array([0.2, 0.8]), (s3.mat, s1.mat))

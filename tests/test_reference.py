@@ -1,9 +1,11 @@
-"""The per-state oracle (``qinstr.reference``) stands apart from the stacked
-pipeline it checks, and a report does not depend on the Kraus representation
-of its instrument: the paper identifies an instrument with its channel."""
+"""The package is what the product loads, the per-state oracle
+(``tests/oracle.py``) stands apart from the stacked pipeline it checks, and a
+report does not depend on the Kraus representation of its instrument: the
+paper identifies an instrument with its channel."""
 
 import ast
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -14,9 +16,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracle
+from oracle import channel_roundtrip
 from qinstr import harness
 from qinstr.harness import ACCEPTANCE_GRID, example_scenario, random_scenario, run_scenario
-from qinstr.reference import channel_roundtrip
+from test_harness import RUN_SCENARIO_CALLS
 
 PACKAGE = Path(harness.__file__).resolve().parent
 ORACLE = (
@@ -39,49 +43,44 @@ ORACLE = (
 )
 
 
-def _names_reference(node) -> bool:
-    """Whether an import statement imports the reference module or from it."""
-    if isinstance(node, ast.Import):
-        return any(a.name.split(".")[-1] == "reference" for a in node.names)
-    if isinstance(node, ast.ImportFrom):
-        module = (node.module or "").split(".")
-        return module[-1] == "reference" or any(a.name == "reference" for a in node.names)
-    return False
-
-
-class TestOracleStandsApart:
-    def test_analyze_never_loads_the_oracle(self, tmp_path):
+class TestLayout:
+    def test_the_product_loads_every_package_module(self, tmp_path):
+        # -X importtime lists on stderr every module the run imports; -m runs
+        # __main__ as the main module, so it is not imported
         path = tmp_path / "scenario.json"
         path.write_text(harness.json_text(example_scenario("zero-one-plus").to_json()))
-        code = (
-            "import sys\n"
-            "from qinstr.harness import main\n"
-            f"assert main(['analyze', {str(path)!r}]) == 0\n"
-            "assert 'qinstr.reference' not in sys.modules\n"
-        )
         done = subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, "-X", "importtime", "-m", "qinstr", "analyze", str(path)],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
         )
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["overall_pass"] is True
+        loaded = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+        package = {f"qinstr.{p.stem}" for p in PACKAGE.glob("*.py")} - {"qinstr.__init__", "qinstr.__main__"}
+        assert sorted(package - loaded) == []
 
-    def test_each_oracle_name_is_defined_only_in_reference(self):
-        defined = {}
+    def test_the_oracle_stands_apart(self):
         for path in sorted(PACKAGE.glob("*.py")):
-            tree = ast.parse(path.read_text())
-            for node in tree.body:
+            defined = set()
+            for node in ast.parse(path.read_text()).body:
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                    names = [node.name]
+                    defined.add(node.name)
                 elif isinstance(node, ast.Assign):
-                    names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-                else:
-                    continue
-                for name in names:
-                    defined.setdefault(name, []).append(path.name)
-            if path.name != "reference.py":
-                assert not any(_names_reference(n) for n in ast.walk(tree)), path.name
-        assert {name: defined.get(name) for name in ORACLE} == {name: ["reference.py"] for name in ORACLE}
+                    defined |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+            assert sorted(defined & set(ORACLE)) == [], path.name
+        # what the oracle reads from qinstr: the functions it imports by name,
+        # and each attribute it reads off an imported qinstr module
+        names = vars(oracle)
+        read = [v for v in names.values() if inspect.isfunction(v) and v.__module__.startswith("qinstr.")]
+        read += [
+            getattr(names[node.value.id], node.attr)
+            for node in ast.walk(ast.parse(inspect.getsource(oracle)))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and inspect.ismodule(names.get(node.value.id)) and names[node.value.id].__name__.startswith("qinstr.")
+        ]
+        stages = {fn for _, _, fn in RUN_SCENARIO_CALLS}
+        assert read and stages
+        assert [fn.__name__ for fn in read if fn in stages] == []
 
 
 def _close(x: float, y: float) -> bool:

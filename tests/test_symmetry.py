@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracle import haar_unitary
 from qinstr import harness, infobounds, instrument, qstate
 from qinstr.harness import ACCEPTANCE_GRID, random_scenario, run_scenario
 from qinstr.infobounds import analyze
@@ -25,12 +26,6 @@ import workloads  # noqa: E402
 from test_infobounds import NULL_CELL_SCENARIOS  # noqa: E402
 
 TOL = 1e-12
-
-
-def _unitary(d: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def _instrument(ins: Instrument, outcomes, kraus) -> Instrument:
@@ -54,14 +49,14 @@ def permute_letters(s, seed):
 def rotate_output(s, seed):
     """K -> V K for a unitary V on H2."""
     ins = s.instrument
-    v = _unitary(ins.dim_out, seed)
+    v = haar_unitary(ins.dim_out, np.random.default_rng(seed))
     return dataclasses.replace(s, instrument=_instrument(ins, ins.outcomes, [v @ m.kraus for m in ins.maps]))
 
 
 def rotate_input(s, seed):
     """rho -> U rho U^dag and K -> K U^dag for a unitary U on H1."""
     e, ins = s.ensemble, s.instrument
-    u = _unitary(e.dim, seed)
+    u = haar_unitary(e.dim, np.random.default_rng(seed))
     e = Ensemble(e.letters, e.probs, u @ e.states @ u.conj().T)
     ins = _instrument(ins, ins.outcomes, [m.kraus @ u.conj().T for m in ins.maps])
     return dataclasses.replace(s, ensemble=e, instrument=ins)
@@ -89,6 +84,14 @@ def _scenario_and_report(shape, seed):
 # Each slot is built with its own index as seed, so no two draw alike.
 EDGE_SLOTS = range(len(workloads.RANK_DEFICIENT) // 2)
 QINSTR = SimpleNamespace(harness=harness, infobounds=infobounds, instrument=instrument, qstate=qstate)
+
+
+def edge_scenario(slot: int):
+    return workloads.make_scenario(QINSTR, "rank_deficient", slot, slot)
+
+
+def edge_id(slot: int) -> str:
+    return "-".join(map(str, (slot, *workloads.RANK_DEFICIENT[slot])))
 
 
 # the random states of the Groenewold-Lindblad trials are drawn in a fixed
@@ -149,9 +152,9 @@ def test_report_is_invariant(shape, seed, transform, moves_gl):
 
 
 @TRANSFORMS
-@pytest.mark.parametrize("slot", EDGE_SLOTS, ids=lambda slot: "-".join(map(str, (slot, *workloads.RANK_DEFICIENT[slot]))))
+@pytest.mark.parametrize("slot", EDGE_SLOTS, ids=edge_id)
 def test_edge_report_is_invariant(slot, transform, moves_gl):
-    s = workloads.make_scenario(QINSTR, "rank_deficient", slot, slot)
+    s = edge_scenario(slot)
     a = run_scenario(s)
     assert a["hall_skipped"] is not None  # eta is singular
     if workloads.RANK_DEFICIENT[slot][0] == "basis":
