@@ -35,15 +35,15 @@ def vn_entropies(stack) -> np.ndarray:
     return s
 
 
-def mutual_info(joint: np.ndarray, p_row: np.ndarray, p_col: np.ndarray) -> np.ndarray:
-    """S_c(P_if | P_i x P_f) of a joint table [row, col] and its marginals;
-    tables stacked on leading axes give one each.
+def mutual_info(joint: np.ndarray) -> np.ndarray:
+    """S_c(P_if | P_i x P_f) of a joint law [row, col] against the product of
+    its own marginals; laws stacked on leading axes give one each.
 
     Only p > 0 cells count, finite as p <= min(P_i, P_f); a p = 0 cell reads 1 log 1 = 0.
     """
     live = joint > 0.0
-    rows = np.where(live, p_row[..., :, None], 1.0)
-    cols = np.where(live, p_col[..., None, :], 1.0)
+    rows = np.where(live, joint.sum(axis=-1, keepdims=True), 1.0)
+    cols = np.where(live, joint.sum(axis=-2, keepdims=True), 1.0)
     p = np.where(live, joint, 1.0)
     total = (p * (np.log(p) - np.log(rows) - np.log(cols))).sum(axis=(-2, -1))
     return np.maximum(total, 0.0)

@@ -34,7 +34,8 @@ def hall_section(ms: MeasurementStatistics) -> tuple:
     - duality: J's law on the dual states, P_a Tr[rho_a E(w)] / P_f(w) from the
       effects, reproduces P_{i|f} from the channel (``ms.cond_in_given_out``),
       judged on the scale of the joint law, max over (a, w) of
-      P_f(w) |P_J(a | sigma_w) - P_{i|f}(a|w)|, and so I_c;
+      P_f(w) |P_J(a | sigma_w) - P_{i|f}(a|w)|, and so I_c, read off J's
+      joint law P_f(w) P_J(a | sigma_w) alone (``mutual_info``);
     - Hall's bound I_c <= chi{P_f, sigma_w} (the dual chi against eta_i);
     - the strengthened bound I_c <= chi_initial - D, with
       D = sum_w P_f(w) I_q{sigma_w; J}, its parts, and its ordering against
@@ -77,9 +78,7 @@ def hall_section(ms: MeasurementStatistics) -> tuple:
 
     i_c = ms.classical_mi
     max_dev = (p_f * np.abs(law[:, :-1] - ms.cond_in_given_out[:, ms.live])).max()
-    joint_dual = p_f[:, None] * law[:, :-1].T
-    joint_dual = joint_dual / joint_dual.sum()
-    i_c_dual = mutual_info(joint_dual, joint_dual.sum(axis=1), joint_dual.sum(axis=0))
+    i_c_dual = mutual_info(p_f[:, None] * law[:, :-1].T)
     chi_dual = chi_against(p_f, s_sigma, ms.entropies.eta_i)
     d_term = p_f @ gains[:-1]
 

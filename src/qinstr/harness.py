@@ -175,8 +175,8 @@ class Scenario:
                 f"ensemble dim {self.ensemble.dim} incompatible with "
                 f"instrument dim_in {self.instrument.dim_in}"
             )
-        if self.log_base not in ("e", "2"):
-            raise SchemaError(f"log_base must be 'e' or '2', got {self.log_base!r}")
+        if self.log_base not in NATS_PER_UNIT:
+            raise SchemaError(f"log_base must be {' or '.join(map(repr, NATS_PER_UNIT))}, got {self.log_base!r}")
         object.__setattr__(self, "tol", as_tol("tol", self.tol))
         for name, least in (("gl_trials", 1), ("gl_demix", 0), ("seed", 0)):
             object.__setattr__(self, name, as_count(name, getattr(self, name), least))
@@ -433,7 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="analyze a scenario JSON file")
     p_an.add_argument("scenario", help="path to scenario JSON")
     p_an.add_argument("--format", default="json", choices=["json", "markdown", "csv"])
-    p_an.add_argument("--base", default=None, choices=["e", "2"])
+    p_an.add_argument("--base", default=None, choices=list(NATS_PER_UNIT))
     p_an.add_argument("--tol", type=float, default=None)
 
     p_rand = sub.add_parser("random", help="run a seeded random-instance suite")

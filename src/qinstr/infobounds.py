@@ -60,12 +60,12 @@ class MeasurementStatistics:
     and weighs exactly 0 in cond_out_given_in, joint and cond_in_given_out.
     ``live`` marks the outcomes that hold a live cell (P_f(w) > 0), and
     rho_f(w) is the P_{i|f} mixture of an outcome's live cells: the empty
-    mixture, 0, for a null outcome, which weighs exactly 0. Every derived
-    state and law, P_f among them, is a plain read-only array, a state or a
-    law by construction and not checked again (the rules of a state serve
-    inputs only, ``qstate``). eta_i is kept as its spectrum, which its entropy
-    and Hall's skip read. The entropies and I_c are computed once, on first
-    use, and every stage reads them here.
+    mixture, 0, for a null outcome, which weighs exactly 0. Every array field
+    (each derived state and law) is a plain array that ``analyze`` marks
+    read-only, a state or a law by construction and not checked again (the
+    rules of a state serve inputs only, ``qstate``). eta_i is kept as its
+    spectrum, which its entropy and Hall's skip read. The entropies and I_c
+    are computed once, on first use, and every stage reads them here.
     """
 
     ensemble: Ensemble
@@ -107,8 +107,8 @@ class MeasurementStatistics:
 
     @cached_property
     def classical_mi(self) -> float:
-        """I_c = S_c(P_if | P_i x P_f), from the joint table."""
-        return float(mutual_info(self.joint, self.ensemble.probs, self.output_marginal))
+        """I_c = S_c(P_if | P_i x P_f), read off the joint law alone (``mutual_info``)."""
+        return float(mutual_info(self.joint))
 
     @property
     def info_gain(self) -> float:
@@ -153,8 +153,7 @@ def analyze(e: Ensemble, ins: Instrument) -> MeasurementStatistics:
     cond_if = np.divide(joint, p_f, out=np.zeros_like(joint), where=live)
     mean = np.einsum("aw,waij->wij", cond_if, posts)
     eta = np.einsum("a,aij->ij", e.probs, e.states)
-    p_f.setflags(write=False)
-    return MeasurementStatistics(
+    ms = MeasurementStatistics(
         ensemble=e,
         instrument=ins,
         joint=joint,
@@ -168,6 +167,10 @@ def analyze(e: Ensemble, ins: Instrument) -> MeasurementStatistics:
         a_priori_eigenvalues=matcore.lapack(np.linalg.eigvalsh, eta),
         post_a_priori=np.einsum("a,aij->ij", e.probs, post_letter),
     )
+    for value in vars(ms).values():  # every array field, each view itself too
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return ms
 
 
 def entropy_panel(ms: MeasurementStatistics) -> EntropyPanel:
@@ -251,14 +254,11 @@ def random_ensemble(dim: int, n_letters: int, rng: np.random.Generator) -> Ensem
     return Ensemble(tuple(range(n_letters)), probs, states)
 
 
-def _floored_prior(draws: np.ndarray, slots=True) -> np.ndarray:
-    """A generated ensemble's letter probabilities from its uniform draws (last
-    axis: letter): normalized, raised to PROB_FLOOR and normalized again. A
-    stack of priors padded with zeros gives its letters in use as ``slots``;
-    the padding stays 0 and leaves the sums as they are."""
-    probs = draws / draws.sum(axis=-1, keepdims=True)
-    probs = np.where(slots, np.maximum(probs, PROB_FLOOR), 0.0)
-    return probs / probs.sum(axis=-1, keepdims=True)
+def _floored_prior(draws: np.ndarray) -> np.ndarray:
+    """A generated ensemble's letter probabilities from its uniform draws:
+    normalized, raised to PROB_FLOOR and normalized again."""
+    probs = np.maximum(draws / draws.sum(), PROB_FLOOR)
+    return probs / probs.sum()
 
 
 def _ginibre_states(g: np.ndarray) -> np.ndarray:
@@ -325,8 +325,9 @@ def groenewold_lindblad_check(ins: Instrument, trials: int, seed: int, n_demix: 
     drawn, and dropped, so that every later draw stays as it was.
     The trial states, the demixtures' letters and their barycenters eta form
     one stack, whose gains come from one ``_gains`` call, and the chain rows
-    are computed together from priors (floored together by
-    ``_floored_prior``) and outcome laws padded to three letters.
+    are computed together from priors and outcome laws padded with zeros to
+    three letters. Each demixture's prior is floored by ``_floored_prior`` as
+    it is drawn, as ``random_ensemble`` floors one.
     """
     rng = np.random.default_rng(seed)
     d1 = ins.dim_in
@@ -336,14 +337,12 @@ def groenewold_lindblad_check(ins: Instrument, trials: int, seed: int, n_demix: 
 
     n_trials = trials if purity_preserving else 0
     draws = [rng.standard_normal((n_trials, 2, d1, d1))]
-    uniforms = np.zeros((n_demix, 3))
-    slots = np.zeros((n_demix, 3), dtype=bool)  # [demixture, letter] in use
+    priors = np.zeros((n_demix, 3))  # [demixture, letter], 0 past a demixture's letters
     for j in range(n_demix):  # random_ensemble's draws, in its order
         n = int(rng.integers(2, 4))
-        slots[j, :n] = True
-        uniforms[j, :n] = rng.uniform(size=n)
+        priors[j, :n] = _floored_prior(rng.uniform(size=n))
         draws.append(rng.standard_normal((n, 2, d1, d1)))
-    priors = _floored_prior(uniforms, slots)
+    slots = priors > 0.0  # [demixture, letter] in use
     states = _ginibre_states(np.concatenate(draws))
     n_states = len(states)
     letters = np.zeros((n_demix, 3, d1, d1), dtype=np.complex128)
@@ -359,9 +358,7 @@ def groenewold_lindblad_check(ins: Instrument, trials: int, seed: int, n_demix: 
     letter_gains[slots] = gains[n_trials:n_states]
     laws = np.zeros((n_demix, 3, len(cond)))  # P(w | rho_a), [demixture, letter, outcome]
     laws[slots] = cond[:, n_trials:n_states].T
-    joint = priors[:, :, None] * laws
-    joint = joint / joint.sum(axis=(1, 2), keepdims=True)
-    rhs = mutual_info(joint, priors, joint.sum(axis=1)) + (priors * letter_gains).sum(axis=1)
+    rhs = mutual_info(priors[:, :, None] * laws) + (priors * letter_gains).sum(axis=1)
     checks += [BoundCheck("gl_chain", r, g) for r, g in zip(rhs.tolist(), gains[n_states:].tolist())]
     return purity_preserving, tuple(checks)
 

@@ -1,6 +1,6 @@
 """Valid scenarios at an edge of the input contract, drawn by hypothesis. Each
 must then be analyzed with no error but ``NoConvergence`` and pass every
-check. Six edges:
+check. Seven edges:
 
 - a near-null effect: one effect has one or more eigenvalues in
   [1e-13, 1e-11], in a random basis, and some letters lie at or near the span
@@ -27,19 +27,36 @@ check. Six edges:
   both ways: classified purity-preserving, it takes no letter and no state of
   a fixed pure family (the basis kets and their uniform superposition) to a
   gain below -INEQ_TOL; classified otherwise, it takes a state of that family
-  to a negative gain.
+  to a negative gain;
+- an extra outcome: one outcome is added to a random scenario, with the
+  single Kraus operator sqrt(delta) |psi><phi|, delta log-uniform in
+  [1e-12, 0.99e-9], so the effect sum is off the identity by at most delta.
+  Its property is stricter: every eq and dev row within 1e-12 of 0 and every
+  ge slack >= -1e-12. It fails today, a strict xfail: every row pays for the
+  effect sum's slack, by about delta, until ingest normalizes the
+  instrument.
 
 Each scenario is read back from its JSON, as the CLI reads a file."""
 
 import json
+from unittest import mock
 
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import Phase, Verbosity, example, given, settings
 from hypothesis import strategies as st
 
+from qinstr import harness
 from qinstr.errors import NoConvergence
 from qinstr.hallmap import INVERTIBILITY_TOL
-from qinstr.harness import Scenario, random_scenario, run_scenario, scenario_from_json
+from qinstr.harness import (
+    ACCEPTANCE_GRID,
+    Scenario,
+    matrix_to_json,
+    random_scenario,
+    run_scenario,
+    scenario_from_json,
+)
 from qinstr.infobounds import INEQ_TOL, analyze
 from qinstr.instrument import POVM_SUM_TOL, Instrument, KrausMap, random_instrument
 from qinstr.matcore import HERM_TOL
@@ -287,3 +304,44 @@ def test_near_purity_preserving_instrument(d, n_letters, r, pure, seed):
         assert min(gains) >= -INEQ_TOL, gains
     else:
         assert min(gains) < 0.0, gains
+
+
+def extra_outcome_scenario(shape, delta, seed) -> dict:
+    """The JSON of a random acceptance-grid scenario of ``shape``, plus one
+    outcome whose single Kraus operator is sqrt(delta) |psi><phi|, with psi
+    and phi random unit vectors: the effect sum is I + delta |phi><phi|, off
+    the identity by at most delta."""
+    d1, d2 = shape[:2]
+    obj = random_scenario(*shape, seed).to_json()
+    rng = np.random.default_rng(seed)
+    psi, phi = (v / np.linalg.norm(v) for v in (_ginibre(rng, d2), _ginibre(rng, d1)))
+    ins = obj["instrument"]
+    ins["outcomes"].append(len(ins["outcomes"]))
+    ins["kraus"].append(matrix_to_json(np.sqrt(delta) * np.outer(psi, phi.conj())[None]))
+    return obj
+
+
+# On 30 seeded draws, eq rows moved by up to 2.1e-11 and ge slacks fell to
+# -5.0e-10, while every report passed (with delta = 0, all within 1.2e-14).
+# A pin until ingest normalizes the instrument; it fails on its first draws,
+# so it neither shrinks nor reports them.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="an effect sum off the identity by delta moves the rows by about delta")
+@settings(max_examples=100, derandomize=True, deadline=None,
+          phases=(Phase.explicit, Phase.generate), verbosity=Verbosity.quiet)
+@given(
+    shape=st.sampled_from(ACCEPTANCE_GRID),
+    delta=st.floats(-12.0, np.log10(0.99e-9)).map(lambda x: 10.0 ** x),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_extra_outcome_leaves_the_rows_at_rounding(shape, delta, seed):
+    s = round_trip(extra_outcome_scenario(shape, delta, seed))
+    with mock.patch.object(harness, "judged_rows", wraps=harness.judged_rows) as judge:
+        try:
+            report = run_scenario(s)
+        except NoConvergence:
+            return
+    checks = judge.call_args.args[0]
+    off = [(c.name, row["slack"]) for c, row in zip(checks, report["checks"])
+           if (c.kind in ("eq", "dev") and abs(row["slack"]) > 1e-12) or (c.kind == "ge" and row["slack"] < -1e-12)]
+    assert not off, off

@@ -1195,22 +1195,6 @@ def lapack_calls(monkeypatch) -> tuple:
     return counts, entered
 
 
-def test_cost_tool_names_every_stage():
-    """tools/cost.py charges a call to the outermost of its STAGES on the
-    stack, and a call outside them to its (other) row, where a stage missing
-    from the list would go unseen. So its STAGES are the timed operation
-    (``run.analyze_json``), in order: ingest, every qinstr function that
-    run_scenario calls, and the writer."""
-    root = Path(__file__).resolve().parents[1]
-    (timed,) = [node for node in ast.parse((root / "scenariobench" / "run.py").read_text()).body
-                if isinstance(node, ast.FunctionDef) and node.name == "analyze_json"]
-    assert {ast.unparse(node.func) for node in ast.walk(timed) if isinstance(node, ast.Call)} >= {
-        "harness.scenario_from_json", "harness.run_scenario", "harness.emit_report"}
-    (stages,) = [ast.literal_eval(node.value) for node in ast.parse((root / "tools" / "cost.py").read_text()).body
-                 if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "STAGES"]
-    assert stages == ("scenario_from_json", *(name for _, name, _ in RUN_SCENARIO_CALLS), "emit_report")
-
-
 def test_lapack_has_one_binding():
     """No module but matcore imports ``lapack`` by name: each calls it as
     ``matcore.lapack``, so ``lapack_calls`` sees every call."""

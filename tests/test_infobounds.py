@@ -126,6 +126,14 @@ class TestAnalyze:
             )
             assert np.max(np.abs(mix - DensityMatrix(ms.posterior_mean_states[w]).mat)) < 1e-9
 
+    def test_every_array_field_is_read_only(self):
+        # a derived state or law is read-only, views of analyze's arrays too
+        ms = analyze(zero_plus_ensemble(), projective_qubit())
+        arrays = {f.name: getattr(ms, f.name) for f in dataclasses.fields(ms)
+                  if isinstance(getattr(ms, f.name), np.ndarray)}
+        assert len(arrays) == 10
+        assert [name for name, a in arrays.items() if a.flags.writeable] == []
+
     def test_post_a_priori_is_mean_of_post_letters(self):
         rng = np.random.default_rng(2)
         e = random_ensemble(2, 3, rng)
@@ -166,6 +174,15 @@ class TestClassicalMutualInfo:
     def test_orthogonal_is_log2(self):
         ms = analyze(orthogonal_ensemble(), projective_qubit())
         assert abs(ms.classical_mi - math.log(2)) < 1e-12
+
+    def test_biased_prior_reads_its_own_law(self):
+        # priors 0.5 + 0.495e-12, within PROB_TOL of summing to 1: I_c reads
+        # both marginals off analyze's normalized joint law, so it is ln 2;
+        # against the prior as given, it read ln 2 - 9.9e-13
+        e = Ensemble((0, 1), np.full(2, 0.5 + 0.495e-12), (KET0.mat, KET1.mat))
+        ms = analyze(e, projective_qubit())
+        assert abs(ms.classical_mi - math.log(2)) <= 1e-15
+        assert abs(ms.classical_mi - brute_force_mi(ms.joint)) <= 1e-15
 
     def test_entropy_combination_crosscheck(self):
         # I_c = H(P_i) + H(P_f) - H(P_if)

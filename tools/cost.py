@@ -5,15 +5,17 @@
 The inputs are variant 0 of every slot of a workload's main pool, generated
 as ``tools/refsweep.py`` generates them, and each goes through the
 benchmark's timed operation (``run.analyze_json``: json.loads ->
-scenario_from_json -> run_scenario -> emit_report). For each stage in STAGES
-(ingest, each function ``run_scenario`` calls, ``_fingerprint`` and
-``emit_report``) it prints the mean per scenario of three counts: qinstr-level
-Python calls, C calls (``sys.setprofile``'s ``c_call`` events) and LAPACK
-calls by routine, counted through ``matcore.lapack``, the one binding every
-module calls LAPACK by. A call is charged to the outermost stage on its
-stack; OTHER takes the calls outside every stage (json.loads, and
-run_scenario's own lines). A stage that never runs on a workload prints as a
-missing row, not as 0.
+scenario_from_json -> run_scenario -> emit_report). A stage is found in the
+run: a qinstr function or property getter that ``run.analyze_json`` or
+``run_scenario`` calls directly, but ``run_scenario`` itself and the frames
+of comprehensions and generator expressions (code names that start with
+"<"). For each stage, in run order, it prints the mean per scenario of three
+counts: qinstr-level Python calls, C calls (``sys.setprofile``'s ``c_call``
+events) and LAPACK calls by routine, counted through ``matcore.lapack``, the
+one binding every module calls LAPACK by. A call is charged to the outermost
+stage on its stack; OTHER takes the calls outside every stage (json.loads,
+and run_scenario's own lines). A stage that never runs on a workload has no
+row.
 
 Counts do not depend on timing, so they compare two trees on any machine,
 unlike the benchmark; numpy's own C calls vary with the numpy version. Only
@@ -35,9 +37,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scenariobench")
 import run  # noqa: E402
 import workloads  # noqa: E402
 
-STAGES = ("scenario_from_json", "analyze", "entropy_panel", "check_identities", "check_bounds",
-          "groenewold_lindblad_check", "compound_states", "scutaru_chains", "hall_section",
-          "judged_rows", "_fingerprint", "emit_report")
 OTHER = "(other)"
 ROUTINES = ("eigh", "eigvalsh", "svd")
 
@@ -58,15 +57,16 @@ class Tally:
 
     def __init__(self, q):
         self.package = str(Path(q.harness.__file__).resolve().parent)
-        self.kinds = {}  # code object -> (qinstr-level?, stage name or None)
-        self.counts = {}
+        self.callers = {run.analyze_json.__code__, q.harness.run_scenario.__code__}
+        self.kinds = {}  # code object -> (qinstr-level?, a stage when one of callers calls it?)
+        self.counts = {}  # in the order the stages first run
         self.stage, self.frame = OTHER, None
         self.skip = set()  # code whose own C calls are this tool's, not the program's
 
     def kind(self, code) -> tuple:
         if code not in self.kinds:
             ours = code.co_filename.startswith(self.package)
-            self.kinds[code] = ours, (code.co_name if ours and code.co_name in STAGES else None)
+            self.kinds[code] = ours, (ours and code not in self.callers and not code.co_name.startswith("<"))
         return self.kinds[code]
 
     def add(self, key: str) -> None:
@@ -75,9 +75,9 @@ class Tally:
 
     def profile(self, frame, event, arg) -> None:
         if event == "call":
-            ours, stage = self.kind(frame.f_code)
-            if stage is not None and self.frame is None:
-                self.stage, self.frame = stage, frame
+            ours, can_stage = self.kind(frame.f_code)
+            if can_stage and self.frame is None and frame.f_back.f_code in self.callers:
+                self.stage, self.frame = frame.f_code.co_name, frame
             if ours:
                 self.add("python")
         elif event == "c_call":
@@ -109,14 +109,12 @@ def count_pass(q, texts: list) -> dict:
 
 
 def table(counts: dict, n: int) -> list:
-    """The printed rows: mean per scenario of each count, per stage."""
+    """The printed rows: mean per scenario of each count, per stage in run
+    order, then OTHER."""
     routines = sorted(set(ROUTINES).union(*(c.keys() for c in counts.values())) - {"python", "c"})
     lines = [f"{'stage':<26} {'python':>9} {'c':>9}" + "".join(f" {r:>9}" for r in routines)]
     total = Counter()
-    for stage in (*STAGES, OTHER):
-        if stage not in counts:
-            lines.append(f"{stage:<26} (not run)")
-            continue
+    for stage in sorted(counts, key=lambda stage: stage == OTHER):
         total.update(counts[stage])
         lines.append(f"{stage:<26}" + "".join(
             f" {counts[stage][key] / n:9.2f}" for key in ("python", "c", *routines)))
