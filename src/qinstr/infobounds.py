@@ -298,7 +298,9 @@ def _preserves_purity(ins: Instrument) -> bool:
     An outcome preserves purity iff its Kraus operators are all proportional
     to one operator (the stacked vec(K_k) have rank <= 1), or they all share
     one rank-1 range (measure-and-prepare: [K_1 | K_2 | ...] has rank <= 1).
-    The zero operators that pad ``Instrument.kraus_stack`` change neither rank.
+    The zero operators that pad ``Instrument.kraus_stack`` change neither rank,
+    and the stack's right-normalization by the invertible I - D/2 keeps both
+    rank answers.
     """
     kraus = ins.kraus_stack
     n_o, width, d2, d1 = kraus.shape
@@ -378,13 +380,15 @@ class CompoundStates:
 
 def compound_states(ms: MeasurementStatistics) -> CompoundStates:
     """The compound states and their consistency rows. A row compares a
-    marginal or a mixture with what the algebra gives for the instrument as
-    read, whose effect sum may be off the identity within POVM_SUM_TOL:
-    Tr_2 eta_if and Tr_2 gamma_if with sum_a P_a tr(eta_f^a) rho_a, Tr_1 of
-    both with eta_f, and the tau_f mixture with sum_a P_a eta_f^a / tr eta_f^a.
-    The comparands come from the letters, eta_f^a and their traces, never from
-    the compound states, so a row reads the construction's rounding. A null
-    outcome's eps_if is the empty mixture, 0, and weighs exactly 0."""
+    marginal or a mixture with what the algebra gives for letters whose
+    traces may be off 1 within HERM_TOL (the instrument's effects sum to I to
+    rounding, normalized when it is built, so the trace-built comparands
+    absorb letter traces only): Tr_2 eta_if and Tr_2 gamma_if with
+    sum_a P_a tr(eta_f^a) rho_a, Tr_1 of both with eta_f, and the tau_f
+    mixture with sum_a P_a eta_f^a / tr eta_f^a. The comparands come from the
+    letters, eta_f^a and their traces, never from the compound states, so a
+    row reads the construction's rounding. A null outcome's eps_if is the
+    empty mixture, 0, and weighs exactly 0."""
     e = ms.ensemble
     d1 = e.dim
     d2 = ms.instrument.dim_out
@@ -442,8 +446,9 @@ def scutaru_chains(ms: MeasurementStatistics, cs: CompoundStates) -> tuple:
     chi_eps_i = chi_against(p_f, s_eps_i, s_eta_i)
     chi_eps_f = chi_against(p_f, s_out[:n_o], s_eta_f)
     chi_tau_f = chi_against(p_i, s_out[n_o:], s_eta_f)
-    # S(gamma_if | eta_i (x) eta_f): gamma's marginals are eta_i and eta_f when
-    # the effects sum to I (the compound_tr*_gamma rows), so it is a mutual information
+    # S(gamma_if | eta_i (x) eta_f): gamma's marginals are eta_i and eta_f, the
+    # effects summing to I to rounding and the letters to unit trace within
+    # HERM_TOL (the compound_tr*_gamma rows), so it is a mutual information
     gamma_rel = s_eta_i + s_eta_f - s_joint[-1]
 
     return (

@@ -1,22 +1,22 @@
 """Completely positive instruments in Kraus form: channel action, POV measure,
 a posteriori states and seeded random generation.
 
-A ``KrausMap`` holds its Kraus operators as one read-only [k, d2, d1] array,
-checked once; the effects and the channel matrix are array operations on
-it. An instrument's POV measure is the dual action of its maps on the
-identity, E(w) = sum_k K_k^dag K_k, held once as
-``Instrument.effects``; the effect-sum rule (sum_w E(w) = 1 within
-POVM_SUM_TOL) is checked there, at construction. The analysis applies an
-instrument to stacks through ``Instrument.channel_matrix``, and
-``_posteriors`` holds the a posteriori rule and the one null decision; the
-outcome law the pipeline reads is ``analyze``'s P_f, from the same channel.
-The per-state forms the tests check them against, one map's action and
-``outcome_probs`` among them, are test code (``tests/oracle.py``)."""
+A ``KrausMap`` holds its Kraus operators, as given, in one read-only
+[k, d2, d1] array, checked once. An ``Instrument`` is built once, to its
+contract: the effect-sum rule (sum_w E(w) = I within POVM_SUM_TOL) is
+checked at construction, and the deviation it measures right-normalizes the
+Kraus stack, from which the POV measure E(w) = sum_k K_k^dag K_k and the
+channel matrix are built there, so no stage reads the slack the rule allows.
+The analysis applies an instrument to stacks through
+``Instrument.channel_matrix``, and ``_posteriors`` holds the a posteriori
+rule and the one null decision; the outcome law the pipeline reads is
+``analyze``'s P_f, from the same channel. The per-state forms the tests
+check them against, one map's action and ``outcome_probs`` among them, are
+test code (``tests/oracle.py``)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,10 +58,21 @@ class KrausMap:
 
 @dataclass(frozen=True, eq=False)
 class Instrument:
-    """Outcome-indexed family of Kraus maps, jointly trace-preserving."""
+    """Outcome-indexed family of Kraus maps, jointly trace-preserving.
+
+    ``maps`` keep the operators as given, which the scenario file writes and
+    its fingerprint hashes. The rule measures D = sum_w E(w) - I on them once;
+    every stage reads the read-only fields built from that D: ``kraus_stack``
+    [outcome, k, d2, d1], the operators right-normalized K -> K (I - D/2),
+    whose effects sum to I + O(D^2), zero-padded to one width (a zero
+    operator changes neither action nor effect); ``effects`` [outcome, d1, d1],
+    its POV measure; and ``channel_matrix``, the stack as one channel."""
 
     outcomes: tuple
     maps: tuple
+    kraus_stack: np.ndarray = field(init=False, repr=False)
+    effects: np.ndarray = field(init=False, repr=False)
+    channel_matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         outcomes = tuple(self.outcomes)
@@ -70,16 +81,29 @@ class Instrument:
             raise QinstrError("need one Kraus map per outcome")
         if any(outcomes.index(o) != i for i, o in enumerate(outcomes)):
             raise QinstrError(f"duplicate outcome labels in {outcomes!r}")
-        d1 = maps[0].dim_in
-        d2 = maps[0].dim_out
+        d1, d2 = maps[0].dim_in, maps[0].dim_out
         if any(m.dim_in != d1 or m.dim_out != d2 for m in maps):
             raise QinstrError("Kraus maps have inconsistent dimensions")
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "maps", maps)
+        stack = np.zeros((len(maps), max(len(m.kraus) for m in maps), d2, d1), dtype=np.complex128)
+        for w, m in enumerate(maps):
+            stack[w, :len(m.kraus)] = m.kraus
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the rule below
-            dev = np.abs(self.effects.sum(axis=0) - np.eye(d1)).max()
-        if not dev <= POVM_SUM_TOL:  # NaN fails too
-            raise QinstrError(f"sum of effects deviates from identity by {dev:.3e}")
+            v = stack.reshape(-1, d1)  # every Kraus operator stacked by rows
+            dev = v.conj().T @ v - np.eye(d1)
+            worst = np.abs(dev).max()
+        if not worst <= POVM_SUM_TOL:  # NaN fails too
+            raise QinstrError(f"sum of effects deviates from identity by {worst:.3e}")
+        stack = stack @ (np.eye(d1) - 0.5 * dev)
+        # E(w) = sum_k K_k^dag K_k = V^dag V, V = [K_1; K_2; ...] the outcome's operators stacked by rows
+        v = stack.reshape(len(maps), -1, d1)
+        effects = v.conj().swapaxes(-1, -2) @ v
+        # row-major vec(rho) -> the stacked vec(I_w(rho)), d2*d2 rows per outcome
+        channel = matcore.kron(stack, stack.conj()).sum(axis=1).reshape(-1, d1 * d1)
+        for name, value in (("outcomes", outcomes), ("maps", maps), ("kraus_stack", stack),
+                            ("effects", effects), ("channel_matrix", channel)):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def dim_in(self) -> int:
@@ -88,36 +112,6 @@ class Instrument:
     @property
     def dim_out(self) -> int:
         return self.maps[0].dim_out
-
-    @cached_property
-    def effects(self) -> np.ndarray:
-        """The POV measure [outcome, d1, d1]: E(w) = sum_k K_k^dag K_k = V^dag V,
-        with V = [K_1; K_2; ...] the outcome's (zero-padded) Kraus operators stacked by rows."""
-        v = self.kraus_stack.reshape(len(self.maps), -1, self.dim_in)
-        effects = v.conj().swapaxes(-1, -2) @ v
-        effects.setflags(write=False)
-        return effects
-
-    @cached_property
-    def kraus_stack(self) -> np.ndarray:
-        """The Kraus operators [outcome, k, d2, d1]. An outcome with fewer
-        operators than the most is padded with zero operators, which change
-        neither its action nor its effect."""
-        width = max(len(m.kraus) for m in self.maps)
-        stack = np.zeros((len(self.maps), width, self.dim_out, self.dim_in), dtype=np.complex128)
-        for w, m in enumerate(self.maps):
-            stack[w, :len(m.kraus)] = m.kraus
-        stack.setflags(write=False)
-        return stack
-
-    @cached_property
-    def channel_matrix(self) -> np.ndarray:
-        """The instrument as one channel rho -> (+)_w I_w(rho): the matrix
-        (outcome-major, d2*d2 rows per outcome, by d1*d1) that takes the
-        row-major vec(rho) to the stacked vec(I_w(rho)), sum_k K_k (x) conj(K_k)
-        per outcome from one kron over the Kraus stack."""
-        k = self.kraus_stack
-        return matcore.kron(k, k.conj()).sum(axis=1).reshape(-1, self.dim_in * self.dim_in)
 
 
 def _apply_to_stack(ins: Instrument, rhos: np.ndarray) -> np.ndarray:

@@ -461,15 +461,16 @@ class TestCli:
         effect_sum_off_the_identity_in_every_entry,
     ], ids=["scaled-effect-sum", "rotated-near-null", "a-priori-trace", "effect-sum-in-every-entry"])
     def test_derived_state_rounding_is_analyzed(self, make, tmp_path, capsys):
-        # valid inputs whose derived states carry rounding over the input's
-        # scale: an effect sum of (1 + 3e-10) I puts the trace of eta_f off by
-        # 3e-10, a near-null cell's state, rotated on H1 (seed 1), has a least
-        # eigenvalue of -3.3e-5, and letters and priors each within their
-        # tolerance put the trace of eta_i off by 1.01e-10. Each exited 2 while
-        # derived states were judged again at HERM_TOL; each is a state by
-        # construction. An effect sum of I + 0.999e-9 J puts the compound
-        # states' partial traces off eta_i by 1.86e-9, and exited 1 while the
-        # compound rows compared with eta_i rather than their own construction
+        # valid inputs whose derived states carried rounding over the input's
+        # scale: an effect sum of (1 + 3e-10) I put the trace of eta_f off by
+        # 3e-10 (until the instrument was normalized when built), a near-null
+        # cell's state, rotated on H1 (seed 1), has a least eigenvalue of
+        # -3.3e-5, and letters and priors each within their tolerance put the
+        # trace of eta_i off by 1.01e-10. Each exited 2 while derived states
+        # were judged again at HERM_TOL; each is a state by construction. An
+        # effect sum of I + 0.999e-9 J put the compound states' partial traces
+        # off eta_i by 1.86e-9, and exited 1 while the compound rows compared
+        # with eta_i rather than their own construction
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(make().to_json()))
         assert main(["analyze", str(path)]) == 0
@@ -1131,6 +1132,31 @@ def test_the_scenario_file_is_read_and_written_only_in_harness():
     assert {"ENSEMBLE_KEYS", "stack_from_json", "as_object"} <= set(defined)
     assert {name: modules for name, modules in defined.items() if modules != {"harness"}} == {}
     assert naming_schema_error == {"errors", "harness"}
+
+
+def test_the_instrument_contract_has_one_home():
+    """The effect-sum rule is applied once, where the Instrument is built: no
+    module but instrument names its tolerance POVM_SUM_TOL, and outside
+    instrument only Scenario.to_json reads a KrausMap's operators as given
+    (``.kraus``); every stage reads the Instrument's normalized arrays."""
+    package = Path(harness.__file__).resolve().parent
+    naming_tol, reading_kraus = set(), set()
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = (*scope, node.name)
+        if "POVM_SUM_TOL" in (getattr(node, "id", None), getattr(node, "attr", None),
+                              getattr(node, "name", None)):
+            naming_tol.add(module)
+        if isinstance(node, ast.Attribute) and node.attr == "kraus" and module != "instrument":
+            reading_kraus.add(".".join((module, *scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, ())
+    assert naming_tol == {"instrument"}
+    assert reading_kraus == {"harness.Scenario.to_json"}
 
 
 def test_no_module_reads_the_environment():

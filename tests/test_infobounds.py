@@ -571,14 +571,16 @@ class TestNullCells:
         assert run_scenario(Scenario(e, ins))["overall_pass"]
 
     def test_null_flag_reads_the_one_null_cell_rule(self):
-        # P(A|0) = a / b = 1e-12 - 5e-23 lies at or below SUPPORT_CUTOFF, but
-        # its cell's trace a = 1e-12 + 5e-23 lies above it, so the one rule
+        # letter |0> has trace b = 1 + 6e-11 (within HERM_TOL) and the
+        # diagonal instrument is normalized, so P(A|0) = a = 1e-12 - 3e-23
+        # lies at or below SUPPORT_CUTOFF, but its cell's trace a b =
+        # 1e-12 + 3e-23 lies above it, and the one rule
         # (instrument._posteriors) keeps the cell live. No cell is null, so
         # the flag reads None, as it reads for a scenario with no near-null cell
-        a, b = 1.00000000005e-12, 1 + 6e-11
+        a, b = 0.99999999997e-12, 1 + 6e-11
         ins = Instrument((0, 1), tuple(
-            KrausMap(2, 2, (np.diag(np.sqrt([w, 0.5])).astype(complex),)) for w in (a, b - a)))
-        e, _ = NULL_CELL_SCENARIOS["sub_cutoff_cell_under_a_live_column"]
+            KrausMap(2, 2, (np.diag(np.sqrt([w, 0.5])).astype(complex),)) for w in (a, 1 - a)))
+        e = Ensemble((0, 1), np.array([0.5, 0.5]), (b * KET0.mat, KET1.mat))
         ms = analyze(e, ins)
         assert ms.cond_out_given_in.all() and ms.cond_out_given_in[0, 0] <= SUPPORT_CUTOFF
         report = run_scenario(Scenario(e, ins))
@@ -625,8 +627,8 @@ class TestNullCells:
 def scaled_zero_one_plus() -> Scenario:
     """The zero-one-plus desk scenario with every Kraus entry scaled by
     sqrt(1 + 3e-10): the effects sum to (1 + 3e-10) I, which ingest accepts
-    (POVM_SUM_TOL = 1e-9), so eta_f^a, eta_f and Hall's sigma_w have trace
-    1 + 3e-10."""
+    (POVM_SUM_TOL = 1e-9) and the Instrument normalizes once, when it is
+    built."""
     s = example_scenario("zero-one-plus")
     scale = math.sqrt(1 + 3e-10)
     ins = Instrument(s.instrument.outcomes, tuple(KrausMap(2, 2, scale * m.kraus) for m in s.instrument.maps))
@@ -634,8 +636,8 @@ def scaled_zero_one_plus() -> Scenario:
 
 
 def test_effect_sum_within_its_tolerance_is_analyzed():
-    # a derived state's trace inherits the effect sum's error; it is a state
-    # by construction and is not judged again at HERM_TOL = 1e-10
+    # a derived state is a state by construction and is not judged again at
+    # HERM_TOL = 1e-10, which the effect sum's error once failed
     assert run_scenario(scaled_zero_one_plus())["overall_pass"]
 
 
@@ -656,19 +658,19 @@ def effect_sum_off_the_identity_in_every_entry() -> Scenario:
 
 
 def test_fill_of_a_live_outcome_reaches_no_number():
-    # E(0) = diag(t, 0) and E(1) = diag(s - t, s) sum to s I, within
-    # POVM_SUM_TOL. The |0> cell of outcome 0 has trace t = 2e-12 - 2e-23, so
-    # it is live, and so is outcome 0, whose rho_f(0) is that cell's state;
-    # the |1> cell of outcome 0 is null. An earlier rule filled rho_f(0),
-    # because I_0(eta) has trace t/2 <= SUPPORT_CUTOFF, while it kept outcome
-    # 0 live (P_f(0) = t / (2 s) > SUPPORT_CUTOFF), so the fill moved chi_out
-    # and mean_chi_given_out by 6.9e-13
-    s, t = 1 - 5e-11, 2e-12 - 2e-23
+    # E(0) = diag(t, 0) and E(1) = diag(1 - t, 1), and letter |0> has trace
+    # b = 1 - 5e-11 (within HERM_TOL). The |0> cell of outcome 0 has trace
+    # t b = 2e-12 - 8e-23, so it is live, and so is outcome 0, whose rho_f(0)
+    # is that cell's state; the |1> cell of outcome 0 is null. An earlier rule
+    # filled rho_f(0), because I_0(eta) has trace t b / 2 <= SUPPORT_CUTOFF,
+    # while it kept outcome 0 live (P_f(0) = t / 2 > SUPPORT_CUTOFF), so the
+    # fill moved chi_out and mean_chi_given_out by 6.9e-13
+    t, b = 2e-12 + 2e-23, 1 - 5e-11
     ins = Instrument((0, 1), (
         KrausMap(2, 2, (np.diag(np.sqrt([t, 0.0])).astype(complex),)),
-        KrausMap(2, 2, (np.diag(np.sqrt([s - t, s])).astype(complex),)),
+        KrausMap(2, 2, (np.diag(np.sqrt([1 - t, 1.0])).astype(complex),)),
     ))
-    e = Ensemble((0, 1), np.array([0.5, 0.5]), (KET0.mat, KET1.mat))
+    e = Ensemble((0, 1), np.array([0.5, 0.5]), (b * KET0.mat, KET1.mat))
     ms = analyze(e, ins)
     assert ms.live.all()
     assert not any(np.array_equal(m, np.eye(2) / 2) for m in ms.posterior_mean_states)

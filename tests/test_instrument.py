@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import KET0, PLUS, counted, orthogonal_ensemble, projective_qubit, pure
 from qinstr import matcore
 from qinstr.errors import QinstrError
+from qinstr.harness import example_scenario
 from qinstr.infobounds import analyze
 from qinstr.instrument import Instrument, KrausMap, _apply_to_stack, _posteriors, random_instrument
 from qinstr.qstate import DensityMatrix
@@ -106,6 +109,17 @@ class TestPovm:
             Instrument((0,), (half,))
 
 
+@pytest.mark.parametrize("build", [lambda: example_scenario("zero-one-plus").instrument,
+                                   lambda: random_instrument(3, 2, 3, 2, seed=12)], ids=["zero-one-plus", "random"])
+def test_every_array_field_is_read_only(build):
+    # the normalized stack, its POV measure and its channel are built once
+    ins = build()
+    arrays = {f.name: getattr(ins, f.name) for f in dataclasses.fields(ins)
+              if isinstance(getattr(ins, f.name), np.ndarray)}
+    assert sorted(arrays) == ["channel_matrix", "effects", "kraus_stack"]
+    assert [name for name, a in arrays.items() if a.flags.writeable] == []
+
+
 class TestKrausMap:
     def test_empty_kraus_tuple_rejected(self):
         with pytest.raises(QinstrError, match="a Kraus map needs at least one Kraus operator"):
@@ -160,10 +174,11 @@ class TestKrausMap:
 
 
 def kraus_loop_channel_matrix(ins):
-    """The channel matrix one outcome and one Kraus operator at a time:
-    sum_k K_k (x) conj(K_k), summed in order."""
+    """The channel matrix one outcome and one Kraus operator of the
+    instrument's normalized stack at a time: sum_k K_k (x) conj(K_k), summed
+    in order."""
     return np.concatenate([
-        sum(matcore.kron(k, k.conj()) for k in m.kraus) for m in ins.maps
+        sum(matcore.kron(k, k.conj()) for k in ops) for ops in ins.kraus_stack
     ])
 
 
