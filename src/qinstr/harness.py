@@ -187,7 +187,7 @@ class Scenario:
             "ensemble": {
                 "letters": list(e.letters),
                 "probs": [float(p) for p in e.probs],
-                "states": matrix_to_json(e.states),
+                "states": matrix_to_json(e.given_states),
             },
             "instrument": {
                 "dim_in": ins.dim_in,
@@ -201,13 +201,13 @@ class Scenario:
 
 def ensemble_from_json(obj: dict) -> Ensemble:
     """The letters are read as one stack, checked and decomposed once by the
-    Ensemble; only when ingest's rule (``qstate._clamped``) repairs a letter
-    is the repaired stack checked and decomposed again."""
+    Ensemble; only when ingest's rule (``qstate._clamped``, on the letters as
+    given) repairs a letter is the repaired stack checked and decomposed again."""
     obj = as_object("ensemble", obj, ENSEMBLE_KEYS)
     letters = as_labels("letters", obj["letters"])
     probs = as_numbers("probs", obj["probs"])
     e = Ensemble(letters, probs, stack_from_json("states", obj["states"]))
-    clamped = _clamped(e.states, e.spectra.eigenvalues[:, 0])
+    clamped = _clamped(e.given_states, e.spectra.eigenvalues[:, 0])
     return e if clamped is None else Ensemble(letters, probs, clamped)
 
 

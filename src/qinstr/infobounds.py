@@ -380,15 +380,14 @@ class CompoundStates:
 
 def compound_states(ms: MeasurementStatistics) -> CompoundStates:
     """The compound states and their consistency rows. A row compares a
-    marginal or a mixture with what the algebra gives for letters whose
-    traces may be off 1 within HERM_TOL (the instrument's effects sum to I to
-    rounding, normalized when it is built, so the trace-built comparands
-    absorb letter traces only): Tr_2 eta_if and Tr_2 gamma_if with
-    sum_a P_a tr(eta_f^a) rho_a, Tr_1 of both with eta_f, and the tau_f
-    mixture with sum_a P_a eta_f^a / tr eta_f^a. The comparands come from the
-    letters, eta_f^a and their traces, never from the compound states, so a
-    row reads the construction's rounding. A null outcome's eps_if is the
-    empty mixture, 0, and weighs exactly 0."""
+    marginal or a mixture with the state the algebra gives, the letters
+    having unit trace (``Ensemble``) and the effects summing to I
+    (``Instrument``), each normalized when it is built: Tr_2 eta_if and
+    Tr_2 gamma_if with eta_i = sum_a P_a rho_a, and Tr_1 of both and the
+    tau_f mixture with eta_f. The comparands come from the letters and
+    eta_f, never from the compound states, so a row reads the construction's
+    rounding. A null outcome's eps_if is the empty mixture, 0, and weighs
+    exactly 0."""
     e = ms.ensemble
     d1 = e.dim
     d2 = ms.instrument.dim_out
@@ -404,17 +403,14 @@ def compound_states(ms: MeasurementStatistics) -> CompoundStates:
     tau_f = np.einsum("aw,wij->aij", ms.cond_out_given_in, rho_f)
     gamma_if = np.einsum("w,wmn->mn", p_f, matcore.kron(eps_i, rho_f))
 
-    post = ms.post_letter_states
-    tr_post = post.trace(axis1=-2, axis2=-1).real  # tr eta_f^a, [letter]
-    tr2 = np.einsum("a,aij->ij", e.probs * tr_post, e.states)
-    mix = np.einsum("a,aij->ij", e.probs / tr_post, post)
+    eta_i = np.einsum("a,aij->ij", e.probs, e.states)
     eta_f = ms.post_a_priori
     pairs = (  # (row, marginal, the state it must equal)
-        ("compound_tr2_eta_if", matcore.partial_trace(eta_if, "second", d1, d2), tr2),
+        ("compound_tr2_eta_if", matcore.partial_trace(eta_if, "second", d1, d2), eta_i),
         ("compound_tr1_eta_if", matcore.partial_trace(eta_if, "first", d1, d2), eta_f),
-        ("compound_tr2_gamma", matcore.partial_trace(gamma_if, "second", d1, d2), tr2),
+        ("compound_tr2_gamma", matcore.partial_trace(gamma_if, "second", d1, d2), eta_i),
         ("compound_tr1_gamma", matcore.partial_trace(gamma_if, "first", d1, d2), eta_f),
-        ("compound_tau_mix", np.einsum("a,aij->ij", e.probs, tau_f), mix),
+        ("compound_tau_mix", np.einsum("a,aij->ij", e.probs, tau_f), eta_f),
     )
     checks = tuple(BoundCheck(name, float(np.abs(a - b).max()), 0.0, kind="dev") for name, a, b in pairs)
     return CompoundStates(
@@ -446,9 +442,8 @@ def scutaru_chains(ms: MeasurementStatistics, cs: CompoundStates) -> tuple:
     chi_eps_i = chi_against(p_f, s_eps_i, s_eta_i)
     chi_eps_f = chi_against(p_f, s_out[:n_o], s_eta_f)
     chi_tau_f = chi_against(p_i, s_out[n_o:], s_eta_f)
-    # S(gamma_if | eta_i (x) eta_f): gamma's marginals are eta_i and eta_f, the
-    # effects summing to I to rounding and the letters to unit trace within
-    # HERM_TOL (the compound_tr*_gamma rows), so it is a mutual information
+    # S(gamma_if | eta_i (x) eta_f): gamma's marginals are eta_i and eta_f
+    # (the compound_tr*_gamma rows), so it is a mutual information
     gamma_rel = s_eta_i + s_eta_f - s_joint[-1]
 
     return (

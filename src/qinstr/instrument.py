@@ -127,10 +127,10 @@ def _posteriors(outs: np.ndarray) -> tuple:
     of unnormalized outputs, by the pipeline's only null rule: a cell is live
     iff its trace is > SUPPORT_CUTOFF, and a null cell gets probability and
     state exactly 0, as a null outcome's block I_w(rho) is 0; every other stage
-    reads nullness off those exact zeros. A live cell's state is the Hermitian
-    part of its output divided by its trace, so it is exactly Hermitian, as a
-    state is, however close its trace is to SUPPORT_CUTOFF."""
-    outs = 0.5 * (outs + outs.conj().swapaxes(-1, -2))
+    reads nullness off those exact zeros. A live cell's state is its output
+    divided by its trace, Hermitian to rounding, as eta_f^a and eta_f are:
+    every reader of it is ``eigvalsh``, which reads one triangle, or a row
+    judged at its tolerance."""
     tr = outs.trace(axis1=-2, axis2=-1).real
     live = tr > SUPPORT_CUTOFF
     states = np.divide(outs, tr[..., None, None], out=np.zeros_like(outs), where=live[..., None, None])

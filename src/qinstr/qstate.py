@@ -1,7 +1,7 @@
 """Letter-state ensembles and the rules of a state, which serve inputs only.
 
 States enter as arrays (``pure_state`` gives a ket's). Inputs are checked
-against their definitions once and kept as given, never repaired. The rules of
+against their definitions once and never repaired. The rules of
 a state live in one function, ``_checked``: the Hermiticity rule
 (``matcore.hermitian_part``), unit trace and positivity, the last read off the
 one batched decomposition (``matcore.herm_eig``) of the stack it checks, which
@@ -13,8 +13,8 @@ construction and stays a plain array, never checked again. The one repair is
 ingest's rule (``_clamped``), which the scenario file's reader
 (``harness.ensemble_from_json``) applies: a valid letter read from JSON whose
 Jacobi least eigenvalue is negative is clamped, because scenario fingerprints
-hash the digits that clamp has always produced. An instrument's POV measure lives
-on the instrument (``instrument.Instrument.effects``).
+hash the digits that clamp has always produced. ``Ensemble`` keeps its letters
+as given for the file, and every stage reads each divided by its trace.
 """
 
 from __future__ import annotations
@@ -84,15 +84,20 @@ class Ensemble:
     """Finite alphabet with strictly positive probabilities and one state per letter.
 
     ``states``, a [letter, d, d] stack or anything ``numpy.asarray`` reads as
-    one, is kept as one read-only complex stack. It is checked by the rules of
-    a state (``_checked``; its Hermitian part is kept), whose one batched
-    decomposition ``spectra`` holds ([letter, d] and [letter, d, d]).
+    one, is checked by the rules of a state (``_checked``; its Hermitian part
+    is kept), and is built once, to its contract: every stage reads the
+    read-only fields built from the checked stack, ``states``, each letter
+    divided by its trace, and ``spectra`` ([letter, d] and [letter, d, d]),
+    the one batched decomposition with its eigenvalues divided alike. The
+    checked stack as given, which the scenario file writes and its
+    fingerprint hashes, is kept in ``given_states`` for the file alone.
     """
 
     letters: tuple
     probs: np.ndarray
     states: np.ndarray
     spectra: matcore.SpectralDecomp = field(init=False, repr=False)
+    given_states: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         letters = tuple(self.letters)
@@ -111,13 +116,17 @@ class Ensemble:
             raise QinstrError(f"letter probabilities sum to {probs.sum()}, not 1")
         if states.ndim != 3:
             raise QinstrError(f"expected a [letter, d, d] stack, got shape {states.shape}")
-        states, spectra = _checked(states)
+        given, (vals, vecs) = _checked(states)
+        tr = given.trace(axis1=-2, axis2=-1).real
+        states, vals = given / tr[:, None, None], vals / tr[:, None]
         probs = probs.copy()
-        probs.setflags(write=False)
+        for a in (probs, states, vals):
+            a.setflags(write=False)
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "spectra", spectra)
+        object.__setattr__(self, "spectra", matcore.SpectralDecomp(vals, vecs))
+        object.__setattr__(self, "given_states", given)
 
     @property
     def dim(self) -> int:
@@ -133,8 +142,8 @@ def pure_state(vec: Sequence[complex]) -> np.ndarray:
 
 def _clamped(states: np.ndarray, least: np.ndarray) -> Optional[np.ndarray]:
     """Ingest's repair of a checked [n, d, d] stack of letters read from JSON,
-    given their least LAPACK eigenvalues: the stack with each clamped state
-    replaced, or None when no state is clamped.
+    as given, by their least LAPACK eigenvalues (as given or normalized): the
+    stack with each clamped state replaced, or None when none is clamped.
 
     A state whose least eigenvalue is <= HERM_TOL is decomposed again by
     ``matcore.jacobi_eig``. If Jacobi's least eigenvalue is negative, the
@@ -142,10 +151,10 @@ def _clamped(states: np.ndarray, least: np.ndarray) -> Optional[np.ndarray]:
     the matrix rebuilt from it. Scenario fingerprints hash the states read, so
     these digits must not depend on the solver that serves the analysis, nor
     change. Above HERM_TOL Jacobi could not clamp (its eigenvalues of a state
-    are good to ~1e-13), so it does not run. Jacobi takes the checked matrix,
-    which is exactly Hermitian, so its own symmetrization leaves the input
-    unchanged. Every check of a state runs before the clamp, and again on the
-    rebuilt state.
+    are good to ~1e-13, and a factor 1 +- HERM_TOL moves none across), so it
+    does not run. Jacobi takes the checked matrix as given, exactly Hermitian,
+    so its own symmetrization leaves the input unchanged. Every check of a
+    state runs before the clamp, and again on the rebuilt state.
     """
     out = None
     for i in np.flatnonzero(least <= HERM_TOL):

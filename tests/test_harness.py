@@ -1134,29 +1134,48 @@ def test_the_scenario_file_is_read_and_written_only_in_harness():
     assert naming_schema_error == {"errors", "harness"}
 
 
+def attribute_readers(attr: str, home: str) -> set:
+    """Where the package reads ``.attr`` outside the module ``home``: each
+    place as "module.Class.function", by an ast walk."""
+    package = Path(harness.__file__).resolve().parent
+    readers = set()
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = (*scope, node.name)
+        if isinstance(node, ast.Attribute) and node.attr == attr and module != home:
+            readers.add(".".join((module, *scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, ())
+    return readers
+
+
 def test_the_instrument_contract_has_one_home():
     """The effect-sum rule is applied once, where the Instrument is built: no
     module but instrument names its tolerance POVM_SUM_TOL, and outside
     instrument only Scenario.to_json reads a KrausMap's operators as given
     (``.kraus``); every stage reads the Instrument's normalized arrays."""
     package = Path(harness.__file__).resolve().parent
-    naming_tol, reading_kraus = set(), set()
-
-    def visit(node, module, scope):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
-            scope = (*scope, node.name)
-        if "POVM_SUM_TOL" in (getattr(node, "id", None), getattr(node, "attr", None),
-                              getattr(node, "name", None)):
-            naming_tol.add(module)
-        if isinstance(node, ast.Attribute) and node.attr == "kraus" and module != "instrument":
-            reading_kraus.add(".".join((module, *scope)))
-        for child in ast.iter_child_nodes(node):
-            visit(child, module, scope)
-
+    naming_tol = set()
     for path in sorted(package.glob("*.py")):
-        visit(ast.parse(path.read_text()), path.stem, ())
+        for node in ast.walk(ast.parse(path.read_text())):
+            if "POVM_SUM_TOL" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                  getattr(node, "name", None)):
+                naming_tol.add(path.stem)
     assert naming_tol == {"instrument"}
-    assert reading_kraus == {"harness.Scenario.to_json"}
+    assert attribute_readers("kraus", "instrument") == {"harness.Scenario.to_json"}
+
+
+def test_the_letter_contract_has_one_home():
+    """The letters are normalized once, where the Ensemble is built: outside
+    qstate only the scenario file's writer and ingest's clamp read them as
+    given (``.given_states``); every stage reads the normalized ``states``
+    and ``spectra``."""
+    assert attribute_readers("given_states", "qstate") == {
+        "harness.Scenario.to_json", "harness.ensemble_from_json"}
 
 
 def test_no_module_reads_the_environment():

@@ -12,10 +12,14 @@ from qinstr.qstate import DensityMatrix, Ensemble
 from oracle import ClassicalDist, a_priori_state, fidelity_like_support_check, maximally_mixed, random_density
 
 
+def ingest(m) -> Ensemble:
+    """One state read by ingest, as a one-letter ensemble."""
+    return ensemble_from_json({"letters": [0], "probs": [1.0], "states": [matrix_to_json(m)]})
+
+
 def read(m) -> tuple:
-    """One state read by ingest, as a one-letter ensemble: its matrix and its
-    eigenvalues."""
-    e = ensemble_from_json({"letters": [0], "probs": [1.0], "states": [matrix_to_json(m)]})
+    """One state read by ingest: the matrix the stages read and its eigenvalues."""
+    e = ingest(m)
     return e.states[0], e.spectra.eigenvalues[0]
 
 
@@ -153,7 +157,8 @@ class TestJson:
     @pytest.mark.parametrize("dim", [2, 3, 5])
     def test_read_state_equals_jacobi_validation(self, least, dim):
         # LAPACK decomposes; only a least eigenvalue <= HERM_TOL goes on to
-        # Jacobi, and either way the matrix is the one the Jacobi clamp gives
+        # Jacobi, and either way the letter as given, which the scenario file
+        # writes, is the matrix the Jacobi clamp gives
         rng = np.random.default_rng(dim)
         for _ in range(10):
             spectrum = rng.uniform(0.05, 1.0, dim)
@@ -165,7 +170,7 @@ class TestJson:
                 spectrum /= spectrum.sum()
             q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
             m = (q * spectrum) @ q.conj().T
-            assert np.array_equal(read(m)[0], self.jacobi_clamp(m))
+            assert np.array_equal(ingest(m).given_states[0], self.jacobi_clamp(m))
 
 
     def test_letters_read_as_one_stack_are_read_as_one_at_a_time(self):
@@ -271,6 +276,27 @@ class TestDecomposeOnce:
             assert np.array_equal(e.spectra.eigenvalues[i], rho.spectral().eigenvalues)
             assert np.array_equal(e.spectra.eigenvectors[i], rho.spectral().eigenvectors)
         assert not e.states.flags.writeable and not e.spectra.eigenvectors.flags.writeable
+
+    def test_letters_are_normalized_once_and_kept_as_given(self, monkeypatch):
+        # letters whose traces are off 1 within HERM_TOL are kept as given
+        # (their Hermitian part) for the scenario file, and the stages read
+        # each divided by its trace, with its eigenvalues divided alike and its
+        # eigenvectors as decomposed: still one eigh
+        rng = np.random.default_rng(4)
+        letters = np.array([(1.0 + eps) * ginibre(3, rng) for eps in (0.9e-10, -0.9e-10, 0.0)])
+        counts = {"eigh": 0}
+        monkeypatch.setattr(np.linalg, "eigh", counted(counts, "eigh", np.linalg.eigh))
+        e = Ensemble((0, 1, 2), np.array([0.2, 0.3, 0.5]), letters)
+        assert counts == {"eigh": 1}
+        for i, rho in enumerate(map(DensityMatrix, letters)):
+            tr = np.trace(rho.mat).real
+            assert np.array_equal(e.given_states[i], rho.mat)
+            assert np.array_equal(e.states[i], rho.mat / tr)
+            assert np.array_equal(e.spectra.eigenvalues[i], rho.spectral().eigenvalues / tr)
+            assert np.array_equal(e.spectra.eigenvectors[i], rho.spectral().eigenvectors)
+            assert abs(np.trace(e.states[i]).real - 1.0) <= 4e-16
+        assert not (e.given_states.flags.writeable or e.states.flags.writeable
+                    or e.spectra.eigenvalues.flags.writeable)
 
     def test_clamping_redecomposes(self, monkeypatch):
         counts = {"eigh": 0, "jacobi_eig": 0}
