@@ -17,12 +17,12 @@ import numpy as np
 
 from . import matcore
 from .errors import NoConvergence
-from .matcore import SUPPORT_CUTOFF
 
 
 def _entropy(vals: np.ndarray) -> np.ndarray:
-    """-sum l log l over the eigenvalues above SUPPORT_CUTOFF (last axis)."""
-    return -(vals * np.log(np.where(vals > SUPPORT_CUTOFF, vals, 1.0))).sum(axis=-1)
+    """-sum l log l over every eigenvalue l > 0 (last axis): l log l -> 0 as
+    l -> 0, so an entropy needs no support rule."""
+    return -(vals * np.log(np.where(vals > 0.0, vals, 1.0))).sum(axis=-1)
 
 
 def vn_entropies(stack) -> np.ndarray:

@@ -8,11 +8,11 @@ checked at construction, and the deviation it measures right-normalizes the
 Kraus stack, from which the POV measure E(w) = sum_k K_k^dag K_k and the
 channel matrix are built there, so no stage reads the slack the rule allows.
 The analysis applies an instrument to stacks through
-``Instrument.channel_matrix``, and ``_posteriors`` holds the a posteriori
-rule and the one null decision; the outcome law the pipeline reads is
-``analyze``'s P_f, from the same channel. The per-state forms the tests
-check them against, one map's action and ``outcome_probs`` among them, are
-test code (``tests/oracle.py``)."""
+``Instrument.channel_matrix``; ``_posteriors`` holds the a posteriori rule
+and the one null decision, at NULL_TRACE, on the rounding's scale; the
+outcome law the pipeline reads is ``analyze``'s P_f, from the same channel.
+The per-state forms the tests check them against, one map's action and
+``outcome_probs`` among them, are test code (``tests/oracle.py``)."""
 
 from __future__ import annotations
 
@@ -25,6 +25,10 @@ from .errors import NoConvergence, QinstrError
 from .matcore import SUPPORT_CUTOFF
 
 POVM_SUM_TOL = 1e-9  # sum of an instrument's effects against the identity
+# a cell of trace <= NULL_TRACE is null. With unit-trace letters and effects
+# summing to I, rounding leaves an exactly null cell within 1 eps (<= 1.8e-16
+# after a unitary on H1, d <= 5): a 64-fold margin, with no norm or dimension factor
+NULL_TRACE = 64 * np.finfo(np.float64).eps  # 1.42e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,14 +129,14 @@ def _apply_to_stack(ins: Instrument, rhos: np.ndarray) -> np.ndarray:
 def _posteriors(outs: np.ndarray) -> tuple:
     """Probabilities (normalized over the outcome axis 0) and normalized states
     of unnormalized outputs, by the pipeline's only null rule: a cell is live
-    iff its trace is > SUPPORT_CUTOFF, and a null cell gets probability and
+    iff its trace is > NULL_TRACE, and a null cell gets probability and
     state exactly 0, as a null outcome's block I_w(rho) is 0; every other stage
     reads nullness off those exact zeros. A live cell's state is its output
     divided by its trace, Hermitian to rounding, as eta_f^a and eta_f are:
     every reader of it is ``eigvalsh``, which reads one triangle, or a row
     judged at its tolerance."""
     tr = outs.trace(axis1=-2, axis2=-1).real
-    live = tr > SUPPORT_CUTOFF
+    live = tr > NULL_TRACE
     states = np.divide(outs, tr[..., None, None], out=np.zeros_like(outs), where=live[..., None, None])
     probs = np.where(live, tr, 0.0)
     return probs / probs.sum(axis=0), states

@@ -1,5 +1,8 @@
 """Dense complex linear algebra: Hermitian eigendecomposition, spectral
-functions on the support, Kronecker products and partial traces.
+functions on the support, Kronecker products and partial traces. The support
+is a square root's, above SUPPORT_CUTOFF (``spectral_apply``, Hall's roots,
+``random_instrument``'s normalizer), as the root of a 1e-17 rounding
+eigenvalue is 3e-9; an entropy needs none, and a null cell is NULL_TRACE's.
 
 Conventions (project-wide): row-major complex128 arrays, eigenvectors stored as
 columns, eigenvalues ascending. Every decomposition is LAPACK's, called
@@ -33,7 +36,7 @@ import numpy as np
 from .errors import NoConvergence, QinstrError
 
 HERM_TOL = 1e-10  # Hermiticity; qstate also judges traces, sums and positivity at it
-SUPPORT_CUTOFF = 1e-12  # eigenvalues at or below it lie outside the support; cells of such trace are null
+SUPPORT_CUTOFF = 1e-12  # eigenvalues at or below it lie outside a square root's support
 MAX_SWEEPS = 100
 OFF_DIAG_TOL = 1e-13
 
@@ -145,12 +148,9 @@ def _jacobi_sweeps(a: np.ndarray, v: np.ndarray, max_sweeps: int, off_tol: float
 
 
 def spectral_apply(spec: SpectralDecomp, f: Callable[[float], float]) -> np.ndarray:
-    """Return U f(L) U^dag from a decomposition (L, U), with f applied only to
-    eigenvalues above SUPPORT_CUTOFF.
-
-    Eigenvalues <= SUPPORT_CUTOFF map to 0 (support-restricted functional
-    calculus), so e.g. log and x**-1/2 are safe on rank-deficient inputs.
-    """
+    """U f(L) U^dag from a decomposition (L, U), with f applied on the support
+    (eigenvalues > SUPPORT_CUTOFF) and 0 off it, so x**-1/2 and sqrt are safe
+    on rank-deficient inputs."""
     vals, vecs = spec
     fvals = np.array([f(v) if v > SUPPORT_CUTOFF else 0.0 for v in vals])
     return (vecs * fvals) @ vecs.conj().T

@@ -34,7 +34,7 @@ from qinstr.entropy import _entropy
 from qinstr.errors import QinstrError
 from qinstr.hallmap import INVERTIBILITY_TOL, SINGULAR
 from qinstr.infobounds import _ginibre_states
-from qinstr.instrument import Instrument, KrausMap
+from qinstr.instrument import NULL_TRACE, Instrument, KrausMap
 from qinstr.matcore import HERM_TOL, SUPPORT_CUTOFF
 from qinstr.qstate import PROB_TOL, DensityMatrix, Ensemble
 
@@ -110,7 +110,9 @@ def q_rel_entropy(sigma: DensityMatrix, tau: DensityMatrix) -> float:
 
     Evaluated through both spectral decompositions:
     sum_j l_j log l_j - sum_{jk} l_j |<u_j|v_k>|^2 log m_k,
-    exact on the supports without forming log of a matrix difference.
+    exact on the supports without forming log of a matrix difference. The
+    first sum reads every l_j > 0, as an entropy does (``entropy._entropy``);
+    the support test and log m_k read tau's support, m_k > SUPPORT_CUTOFF.
     """
     if sigma.dim != tau.dim:
         raise QinstrError(f"dims {sigma.dim} and {tau.dim} differ")
@@ -121,7 +123,7 @@ def q_rel_entropy(sigma: DensityMatrix, tau: DensityMatrix) -> float:
     overlap = np.abs(svecs.conj().T @ tvecs) ** 2  # [j, k]
     total = 0.0
     for j, lj in enumerate(svals):
-        if lj <= SUPPORT_CUTOFF:
+        if lj <= 0.0:
             continue
         total += lj * math.log(lj)
         for k, mk in enumerate(tvals):
@@ -218,7 +220,7 @@ def a_posteriori(ins: Instrument, rho: DensityMatrix) -> AposterioriFamily:
     for outcome, m in zip(ins.outcomes, ins.maps):
         out = map_action(m, rho.mat)
         tr = float(np.trace(out).real)
-        live = tr > SUPPORT_CUTOFF
+        live = tr > NULL_TRACE
         probs.append(tr if live else 0.0)
         states.append(DensityMatrix(out / tr) if live else fill)
     probs = np.array(probs)

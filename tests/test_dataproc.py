@@ -141,18 +141,7 @@ def test_an_edge_slot_is_ordered(slot, relation):
     assert_ordered(edge_scenario(slot), relation, slot)
 
 
-# Letter 0's cell under outcome A in sub_cutoff_cell_under_a_live_column has
-# trace 0.9e-12, so the null rule drops it; in the merged letter it is part of
-# a live cell. chi_out then moves by 1.27e-11: the support cut-off's own error,
-# not a break of the relation.
-CUTOFF_MOVES_CHI_OUT = pytest.mark.xfail(
-    strict=True, reason="merging letters 0 and 1 makes letter 0's null cell under outcome A live")
-NULL_CELL_CASES = [
-    pytest.param(name, relation, marks=CUTOFF_MOVES_CHI_OUT)
-    if (name, relation) == ("sub_cutoff_cell_under_a_live_column", "merged_letters") else (name, relation)
-    for name in NULL_CELL_SCENARIOS
-    for relation in RELATIONS
-]
+NULL_CELL_CASES = [(name, relation) for name in NULL_CELL_SCENARIOS for relation in RELATIONS]
 
 
 @pytest.mark.parametrize("name, relation", NULL_CELL_CASES)

@@ -23,7 +23,7 @@ from qinstr.infobounds import (
     entropy_panel,
     random_ensemble,
 )
-from qinstr.instrument import Instrument, KrausMap, random_instrument
+from qinstr.instrument import NULL_TRACE, Instrument, KrausMap, random_instrument
 from qinstr.qstate import Ensemble, pure_state
 from oracle import (
     ClassicalDist,
@@ -328,11 +328,11 @@ def test_d_term_is_the_mean_chi_given_out_for_one_kraus_instruments():
 @pytest.mark.parametrize("t", [1e-8, 1e-9, 1e-10, 1e-11, 3e-12])
 def test_near_null_dual_outcome_is_analyzed(t):
     # a valid scenario: E(1) = diag(1, t), so on the dual state of outcome 1
-    # the Hall instrument's |1>-letter outcome has trace ~t, just above
-    # SUPPORT_CUTOFF. Its output divided as it is lies 3.7e-10 (t = 1e-8) to
+    # the Hall instrument's |1>-letter outcome has trace ~t, live (above
+    # NULL_TRACE). Its output divided as it is lies 3.7e-10 (t = 1e-8) to
     # 1.2e-6 off Hermitian, and the Hall section failed the Hermiticity rule
-    # (the CLI exited 2); the a posteriori state is the output's Hermitian
-    # part divided by its trace.
+    # (the CLI exited 2) while derived states were judged again; the a
+    # posteriori state is read by eigvalsh, from one triangle.
     ins = Instrument((0, 1), (
         KrausMap(2, 2, (np.diag([0.0, np.sqrt(1 - t)]).astype(complex),)),
         KrausMap(2, 2, (np.diag([1.0, np.sqrt(t)]).astype(complex),)),
@@ -342,23 +342,22 @@ def test_near_null_dual_outcome_is_analyzed(t):
     assert run_scenario(Scenario(e, ins))["overall_pass"]
 
 
-@pytest.mark.parametrize("a, b", [
-    (0.9e-12, 1.5e-12), (0.5e-12, 1.9e-12), (0.99e-12, 1.2e-12), (1e-12, 4e-12), (1e-12, 1e-9),
-])
+@pytest.mark.parametrize("a, b", [(0.9, 1.5), (0.5, 1.9), (0.99, 1.2), (1.0, 4.0), (1.0, 1e3)])
 def test_near_cutoff_outcome_is_null_in_the_hall_section(a, b, tmp_path, capsys):
-    # a valid scenario: on |0> and |1> with priors 1/2, E(1) = diag(a, b). The
-    # |0> cell of outcome 1 is null (a <= SUPPORT_CUTOFF) and the |1> cell
-    # live, so outcome 1 is live with P_{i|f}(0|1) = 0. J's law on the dual
-    # state of outcome 1 gives letter 0 a / (a + b) unless the section reads
-    # that cell as null too: once it read the effects' law (a + b) / 2 against
-    # a zero column, and later it counted the cell on J's own scale, where
-    # (1e-12, 4e-12) read 0.2 and (1e-12, 1e-9) read 9.99e-4; both failed duality.
+    # a valid scenario: on |0> and |1> with priors 1/2, E(1) = diag(a, b) in
+    # units of NULL_TRACE. The |0> cell of outcome 1 is null (a <= 1) and the
+    # |1> cell live, so outcome 1 is live with P_{i|f}(0|1) = 0. J's law on the
+    # dual state of outcome 1 gives letter 0 a / (a + b) unless the section
+    # reads that cell as null too: once it read the effects' law (a + b) / 2
+    # against a zero column, and later it counted the cell on J's own scale,
+    # where (1, 4) read 0.2 and (1, 1e3) read 9.99e-4; both failed duality.
+    a, b = a * NULL_TRACE, b * NULL_TRACE
     ins = Instrument((0, 1), (
         KrausMap(2, 2, (np.diag(np.sqrt([1 - a, 1 - b])).astype(complex),)),
         KrausMap(2, 2, (np.diag(np.sqrt([a, b])).astype(complex),)),
     ))
     s = Scenario(orthogonal_ensemble(), ins)
-    assert outcome_probs(ins, a_priori_state(s.ensemble)).probs[1] > matcore.SUPPORT_CUTOFF
+    assert outcome_probs(ins, a_priori_state(s.ensemble)).probs[1] > NULL_TRACE
     ms = analyze(s.ensemble, ins)
     assert ms.live[1] and ms.cond_in_given_out[0, 1] == 0.0
     report = run_scenario(s)
@@ -416,7 +415,7 @@ def per_state_hall_rows(e, ins) -> dict:
             ClassicalDist(cells, joint.ravel()), ClassicalDist(cells, product.ravel())
         )
 
-    live = [w for w, p in enumerate(dual.probs.probs) if p > matcore.SUPPORT_CUTOFF]
+    live = [w for w, p in enumerate(dual.probs.probs) if p > NULL_TRACE]
     sigmas = [qstate.DensityMatrix(dual.states[w]) for w in live]
     q_f = dual.probs.probs[live]
     law = np.array([a_posteriori(h, sigma).probs.probs for sigma in sigmas])  # [outcome, letter]

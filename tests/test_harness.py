@@ -1134,23 +1134,37 @@ def test_the_scenario_file_is_read_and_written_only_in_harness():
     assert naming_schema_error == {"errors", "harness"}
 
 
-def attribute_readers(attr: str, home: str) -> set:
-    """Where the package reads ``.attr`` outside the module ``home``: each
-    place as "module.Class.function", by an ast walk."""
+def reading_sites(hit) -> set:
+    """Each place in the package where ``hit(node)`` holds for an ast node,
+    as "module.Class.function", by an ast walk."""
     package = Path(harness.__file__).resolve().parent
-    readers = set()
+    sites = set()
 
     def visit(node, module, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
             scope = (*scope, node.name)
-        if isinstance(node, ast.Attribute) and node.attr == attr and module != home:
-            readers.add(".".join((module, *scope)))
+        if hit(node):
+            sites.add(".".join((module, *scope)))
         for child in ast.iter_child_nodes(node):
             visit(child, module, scope)
 
     for path in sorted(package.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, ())
-    return readers
+    return sites
+
+
+def attribute_readers(attr: str, home: str) -> set:
+    """Where the package reads ``.attr`` outside the module ``home``."""
+    sites = reading_sites(lambda node: isinstance(node, ast.Attribute) and node.attr == attr)
+    return {site for site in sites if site.split(".")[0] != home}
+
+
+def constant_readers(name: str) -> set:
+    """Where the package reads the constant ``name``, bare or as a module's
+    attribute; its definition and its imports are not reads."""
+    return reading_sites(lambda node: (isinstance(node, ast.Name) and node.id == name
+                                       and isinstance(node.ctx, ast.Load))
+                         or (isinstance(node, ast.Attribute) and node.attr == name))
 
 
 def test_the_instrument_contract_has_one_home():
@@ -1167,6 +1181,23 @@ def test_the_instrument_contract_has_one_home():
                 naming_tol.add(path.stem)
     assert naming_tol == {"instrument"}
     assert attribute_readers("kraus", "instrument") == {"harness.Scenario.to_json"}
+
+
+def test_each_support_rule_has_one_home():
+    """A cell is null at or below instrument.NULL_TRACE, which only
+    _posteriors reads; an entropy reads every positive eigenvalue, so entropy
+    reads no constant of the package; and SUPPORT_CUTOFF is the support of a
+    square root, read only where one is taken: Hall's roots, spectral_apply
+    and random_instrument's normalizer guard."""
+    package = Path(harness.__file__).resolve().parent
+    constants = {target.id for path in package.glob("*.py") for node in ast.parse(path.read_text()).body
+                 if isinstance(node, ast.Assign) for target in node.targets
+                 if isinstance(target, ast.Name) and target.id.isupper()}
+    assert {"NULL_TRACE", "SUPPORT_CUTOFF"} <= constants
+    assert constant_readers("NULL_TRACE") == {"instrument._posteriors"}
+    assert {site for name in constants for site in constant_readers(name) if site.startswith("entropy")} == set()
+    assert constant_readers("SUPPORT_CUTOFF") == {
+        "hallmap.hall_section", "matcore.spectral_apply", "instrument.random_instrument"}
 
 
 def test_the_letter_contract_has_one_home():

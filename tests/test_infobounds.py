@@ -29,8 +29,7 @@ from qinstr.infobounds import (
     random_pure,
     scutaru_chains,
 )
-from qinstr.instrument import Instrument, KrausMap, _posteriors, random_instrument
-from qinstr.matcore import SUPPORT_CUTOFF
+from qinstr.instrument import NULL_TRACE, Instrument, KrausMap, _posteriors, random_instrument
 from qinstr.qstate import DensityMatrix, Ensemble, pure_state
 from oracle import (
     a_priori_state,
@@ -512,13 +511,14 @@ def assert_fill_reaches_no_number(e, ins, state):
 # A is 0 and B is 1. tests/test_symmetry.py runs them through its
 # transformations, by these names. Three names describe the scenario as an
 # earlier rule saw it, which also called an outcome null when its weight P_f
-# was <= SUPPORT_CUTOFF; now a cell of trace <= SUPPORT_CUTOFF is the only
-# null, and an outcome is null iff every cell under it is.
+# was <= 1e-12; now a cell of trace <= NULL_TRACE (1.4e-14) is the only null,
+# and an outcome is null iff every cell under it is. The cut-off the other
+# two names mean is NULL_TRACE.
 NULL_CELL_SCENARIOS = {
-    # P(A|0) = 0.9e-12 is a null cell under the live outcome A, so rho_f(A)
+    # P(A|0) = 0.9e-14 is a null cell under the live outcome A, so rho_f(A)
     # is letter 1's cell state alone
     "sub_cutoff_cell_under_a_live_column": (
-        orthogonal_ensemble(), diagonal_instrument([[0.9e-12, 0.8], [1 - 0.9e-12, 0.2]])),
+        orthogonal_ensemble(), diagonal_instrument([[0.9e-14, 0.8], [1 - 0.9e-14, 0.2]])),
     # P(A|1) = 7e-10 is live, so outcome A is live although P_f(A) = 7e-13
     # (the earlier rule called column A null and dropped it from tau_f(1))
     "live_cell_under_a_null_column": (
@@ -535,10 +535,10 @@ NULL_CELL_SCENARIOS = {
     "letter_with_little_live_weight": (
         Ensemble((0, 1), np.array([1 - 1e-15, 1e-15]), (KET0.mat, KET1.mat)),
         diagonal_instrument([[1.0, 2e-12], [0.0, 1 - 2e-12]])),
-    # P(A|0) = 1e-12 is null and P(A|1) = 4e-12 live, so outcome A is live at
+    # P(A|0) = 1e-15 is null and P(A|1) = 4e-12 live, so outcome A is live at
     # P_f(A) = 2e-12 and Hall's J must read the |0> cell of A as null too
     "null_cell_beside_a_near_cutoff_live_cell": (
-        orthogonal_ensemble(), diagonal_instrument([[1e-12, 4e-12], [1 - 1e-12, 1 - 4e-12]])),
+        orthogonal_ensemble(), diagonal_instrument([[1e-15, 4e-12], [1 - 1e-15, 1 - 4e-12]])),
 }
 
 
@@ -572,14 +572,14 @@ class TestNullCells:
 
     def test_null_flag_reads_the_one_null_cell_rule(self):
         # the one rule (instrument._posteriors) decides on a cell's trace, not
-        # on its probability: a cell of trace 1.2e-12 beside one of trace 2
-        # has probability 0.6e-12 <= SUPPORT_CUTOFF and stays live, with its
+        # on its probability: a cell of trace 2.4e-14 beside one of trace 2
+        # has probability 1.2e-14 <= NULL_TRACE and stays live, with its
         # state, so the null flag, which reads the rule's exact zeros, finds no
         # null cell. Normalized letters under a normalized instrument leave
         # such a gap only at rounding, if at all, so the outputs are built by hand
-        outs = np.stack([1.2e-12 * KET0.mat, 2.0 * KET1.mat])[:, None]  # [outcome, input, d2, d2]
+        outs = np.stack([2.4e-14 * KET0.mat, 2.0 * KET1.mat])[:, None]  # [outcome, input, d2, d2]
         probs, states = _posteriors(outs)
-        assert 0.0 < probs[0, 0] <= SUPPORT_CUTOFF
+        assert 0.0 < probs[0, 0] <= NULL_TRACE
         assert np.array_equal(states[:, 0], [KET0.mat, KET1.mat])
 
     @settings(max_examples=60, deadline=None)
@@ -592,12 +592,12 @@ class TestNullCells:
     )
     def test_random_scenarios_with_null_cells(self, d, n_letters, n_outcomes, kraus, data):
         # effects: per basis vector, each outcome's weight is regular
-        # (>= 0.05 before normalization) or tiny (<= 9e-13); letters: pure
-        # states on a subset of the basis with amplitudes >= 0.1. So a cell's
-        # trace is >= 4e-5 or <= 9e-13. Priors are regular or tiny too, so a
-        # column can be null under live cells, and a letter can keep no live
-        # weight at all.
-        tiny = st.sampled_from([0.0, 1e-15, 3e-13, 9e-13])
+        # (>= 0.05 before normalization) or tiny (<= 6e-16, so <= 1.2e-14
+        # after it); letters: pure states on a subset of the basis with
+        # amplitudes >= 0.1. So a cell's trace is >= 4e-5 or <= 1.2e-14, below
+        # NULL_TRACE. Priors are regular or tiny too, so a column can be null
+        # under live cells, and a letter can keep no live weight at all.
+        tiny = st.sampled_from([0.0, 1e-17, 3e-16, 6e-16])
         regular = st.floats(0.05, 1.0)
         raw = np.array([[data.draw(st.one_of(tiny, regular)) for _ in range(d)] for _ in range(n_outcomes)])
         assume((raw.max(axis=0) >= 0.05).all())
@@ -657,9 +657,9 @@ def test_fill_of_a_live_outcome_reaches_no_number():
     # b = 1 - 5e-11 (within HERM_TOL). The |0> cell of outcome 0 has trace
     # t b = 2e-12 - 8e-23, so it is live, and so is outcome 0, whose rho_f(0)
     # is that cell's state; the |1> cell of outcome 0 is null. An earlier rule
-    # filled rho_f(0), because I_0(eta) has trace t b / 2 <= SUPPORT_CUTOFF,
-    # while it kept outcome 0 live (P_f(0) = t / 2 > SUPPORT_CUTOFF), so the
-    # fill moved chi_out and mean_chi_given_out by 6.9e-13
+    # filled rho_f(0), because I_0(eta) has trace t b / 2 <= 1e-12 (its
+    # cut-off then), while it kept outcome 0 live (P_f(0) = t / 2 > 1e-12), so
+    # the fill moved chi_out and mean_chi_given_out by 6.9e-13
     t, b = 2e-12 + 2e-23, 1 - 5e-11
     ins = Instrument((0, 1), (
         KrausMap(2, 2, (np.diag(np.sqrt([t, 0.0])).astype(complex),)),
