@@ -120,10 +120,11 @@ class Instrument:
 
 def _apply_to_stack(ins: Instrument, rhos: np.ndarray) -> np.ndarray:
     """Unnormalized outputs [outcome, n] of every map on an (n, d1, d1) stack,
-    from one product with the instrument's channel matrix."""
+    from one batched product with the instrument's channel matrix, written
+    contiguous in that layout."""
     n, d1, d2 = len(rhos), ins.dim_in, ins.dim_out
-    outs = np.reshape(rhos, (n, d1 * d1)) @ ins.channel_matrix.T
-    return outs.reshape(n, len(ins.maps), d2, d2).swapaxes(0, 1)
+    blocks = ins.channel_matrix.reshape(len(ins.maps), d2 * d2, d1 * d1).swapaxes(-1, -2)
+    return (np.reshape(rhos, (n, d1 * d1)) @ blocks).reshape(len(ins.maps), n, d2, d2)
 
 
 def _posteriors(outs: np.ndarray) -> tuple:
