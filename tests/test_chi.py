@@ -46,7 +46,8 @@ def projective(d):
 
 def rare_direction_ensemble(lam=7e-10):
     """|0>, |+> and a rare letter whose weight outside their span is lam: eta's
-    eigenvalue there (1e-3 lam) falls below the support cutoff."""
+    eigenvalue there, 1e-3 lam, lies below SUPPORT_CUTOFF, and every entropy
+    still reads it."""
     inv = 1 / math.sqrt(2)
     states = (
         pure_state([1, 0, 0]),
