@@ -120,8 +120,7 @@ class Instrument:
 
 def _apply_to_stack(ins: Instrument, rhos: np.ndarray) -> np.ndarray:
     """Unnormalized outputs [outcome, n] of every map on an (n, d1, d1) stack,
-    from one batched product with the instrument's channel matrix, written
-    contiguous in that layout."""
+    written contiguous by one batched product with the channel matrix."""
     n, d1, d2 = len(rhos), ins.dim_in, ins.dim_out
     blocks = ins.channel_matrix.reshape(len(ins.maps), d2 * d2, d1 * d1).swapaxes(-1, -2)
     return (np.reshape(rhos, (n, d1 * d1)) @ blocks).reshape(len(ins.maps), n, d2, d2)
