@@ -3,7 +3,8 @@ full-analysis orchestration and report emission (json / markdown / csv). An
 error exits by the phase of ``main`` it arose in, never by its class: reading
 the input 2, a stage 3 whatever the error (its line names the stage), writing
 the output 4. A report is the JSON tree it is written as: ``run_scenario``
-returns it, with each stage row put in the report's unit and judged once by
+returns it, with the check rows built once from the stages' scalars by the
+one table (``infobounds.ROWS``), put in the report's unit and judged once by
 the one tolerance policy (``judged_rows``), and ``emit_report`` writes it.
 
 The scenario file's format lives here alone: ``Scenario.to_json`` writes it
@@ -39,8 +40,7 @@ from .infobounds import (
     EQ_TOL,
     INEQ_TOL,
     analyze,
-    check_bounds,
-    check_identities,
+    check_rows,
     compound_states,
     entropy_panel,
     groenewold_lindblad_check,
@@ -231,7 +231,7 @@ def scenario_from_json(obj: dict) -> Scenario:
 
 
 def judged_rows(checks, log_base: str, tol: float) -> list:
-    """The stage rows in the report's unit, each judged once by the one
+    """The check rows in the report's unit, each judged once by the one
     tolerance policy: a "ge" row passes iff its slack rhs - lhs is >= -tol,
     an "eq" or "dev" row iff |slack| <= min(EQ_TOL, tol), and a "data" row
     always; a NaN slack fails every judged kind. Under base 2 an entropy
@@ -268,36 +268,32 @@ def run_scenario(s: Scenario) -> dict:
     """Full analysis pipeline for one (ensemble, instrument) pair; the report
     is the JSON tree that ``emit_report`` writes, in the scenario's unit."""
     ms = analyze(s.ensemble, s.instrument)
-    panel = entropy_panel(ms)
+    panel = entropy_panel(ms)._asdict()
 
-    checks = [*check_identities(panel), *check_bounds(panel)]
-
-    purity_preserving, gl_checks = groenewold_lindblad_check(
+    purity_preserving, gl_scalars = groenewold_lindblad_check(
         s.instrument, trials=s.gl_trials, seed=s.seed, n_demix=s.gl_demix
     )
-    checks += gl_checks
 
     cs = compound_states(ms)
-    checks += cs.consistency
-    checks += scutaru_chains(ms, cs)
+    scalars = {**panel, **gl_scalars, **cs.deviations, **scutaru_chains(ms, cs)}
 
     hall_skipped = None
     if ms.a_priori_eigenvalues[0] <= hallmap.INVERTIBILITY_TOL:
         hall_skipped = hallmap.SINGULAR
     else:
-        checks += hallmap.hall_section(ms)
+        scalars.update(hallmap.hall_section(ms))
 
     # a null cell, probability exactly 0 by the one rule (instrument._posteriors),
     # reaches no number, so the sensitivity to what it holds is 0 by construction
     sensitivity = None if ms.cond_out_given_in.all() else 0.0
 
     unit = NATS_PER_UNIT[s.log_base]
-    rows = judged_rows(checks, s.log_base, s.tol)
+    rows = judged_rows(check_rows(scalars), s.log_base, s.tol)
     return {
         "fingerprint": _fingerprint(s),
         "seed": s.seed,
         "log_base": s.log_base,
-        "panel": {k: float(v) / unit for k, v in panel._asdict().items()},
+        "panel": {k: float(v) / unit for k, v in panel.items()},
         "checks": rows,
         "quantum_info_gain": float(ms.info_gain) / unit,
         "purity_preserving": purity_preserving,

@@ -1,11 +1,12 @@
 """Joint input/output statistics of (ensemble, instrument), mutual-entropy
-closed forms, identities, inequalities and compound states. Every state here
-is a plain array, and ``random_pure`` draws a pure letter as one."""
+closed forms, compound states and the table of check rows (``ROWS``). Every
+state here is a plain array, and ``random_pure`` draws a pure letter as one."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -27,8 +28,8 @@ PROB_FLOOR = 0.05  # letter probabilities of a generated ensemble are raised to 
 
 
 class BoundCheck(NamedTuple):
-    """One inequality (lhs <= rhs) or equality record, judged by
-    ``harness.judged_rows`` alone."""
+    """One inequality (lhs <= rhs) or equality record, built by ``check_rows``
+    alone and judged by ``harness.judged_rows`` alone."""
 
     name: str
     lhs: float
@@ -37,6 +38,75 @@ class BoundCheck(NamedTuple):
     # deviation, not an entropy, so it reads the same in either log base;
     # "data" informational
     kind: str = "ge"
+
+
+# Every check row, in report order: (name, kind, lhs terms, rhs terms). A term
+# names a scalar that a stage returns (the panel, the GL check, the compound
+# states, the Scutaru chains, the Hall section); a leading "-" subtracts it.
+ROWS = (
+    ("idts_out", "eq", ("chi_joint",), ("chi_out", "mean_chi_given_out")),
+    ("idts_in", "eq", ("chi_joint",), ("chi_post", "mean_chi_given_in")),
+    ("chain_via_out", "eq", ("tripartite",), ("classical_mi", "mean_chi_given_out", "chi_out")),
+    ("chain_via_in", "eq", ("tripartite",), ("classical_mi", "mean_chi_given_in", "chi_post")),
+    ("chain_via_joint", "eq", ("tripartite",), ("classical_mi", "chi_joint")),
+    ("sww", "ge", ("classical_mi", "mean_chi_given_out"), ("chi_initial",)),
+    ("holevo", "ge", ("classical_mi",), ("chi_initial",)),
+    ("bl1", "ge", ("classical_mi",), ("chi_initial", "chi_out", "-chi_joint")),
+    ("lower_bound", "ge", ("chi_post",), ("classical_mi", "mean_chi_given_out")),
+    ("gl_info_gain_nonneg", "ge", (), ("gl_least_gain",)),
+    ("gl_chain", "ge", ("gl_chain_lhs",), ("gl_chain_rhs",)),
+    ("compound_tr2_eta_if", "dev", ("tr2_eta_if_dev",), ()),
+    ("compound_tr1_eta_if", "dev", ("tr1_eta_if_dev",), ()),
+    ("compound_tr2_gamma", "dev", ("tr2_gamma_dev",), ()),
+    ("compound_tr1_gamma", "dev", ("tr1_gamma_dev",), ()),
+    ("compound_tau_mix", "dev", ("tau_mix_dev",), ()),
+    ("scutaru1_ic_ge_chi_eps_if", "ge", ("chi_eps_if",), ("classical_mi",)),
+    ("scutaru1_chi_eps_if_ge_chi_eps_i", "ge", ("chi_eps_i",), ("chi_eps_if",)),
+    ("scutaru1_chi_eps_if_ge_chi_eps_f", "ge", ("chi_eps_f",), ("chi_eps_if",)),
+    ("scutaru2_ic_ge_chi_eps_i", "ge", ("chi_eps_i",), ("classical_mi",)),
+    ("scutaru2_ic_ge_chi_tau_f", "ge", ("chi_tau_f",), ("classical_mi",)),
+    ("scutaru2_chi_eps_i_ge_gamma", "ge", ("gamma_rel",), ("chi_eps_i",)),
+    ("scutaru2_chi_tau_f_ge_gamma", "ge", ("gamma_rel",), ("chi_tau_f",)),
+    ("duality_conditional_law", "dev", ("dual_law_dev",), ()),
+    ("duality_ic", "eq", ("dual_classical_mi",), ("classical_mi",)),
+    ("hall_bound", "ge", ("classical_mi",), ("chi_dual",)),
+    ("new_bound", "ge", ("classical_mi",), ("chi_initial", "-d_term")),
+    ("new_d_term_nonneg", "ge", (), ("dual_least_gain",)),
+    ("new_iq_identity", "eq", ("dual_eta_gain",), ("chi_initial",)),
+    ("new_le_holevo", "ge", ("chi_initial", "-d_term"), ("chi_initial",)),
+    ("new_vs_hall_data", "data", ("chi_initial", "-d_term"), ("chi_dual",)),
+)
+
+
+def check_rows(scalars: dict) -> list:
+    """The ``ROWS`` whose every term ``scalars`` holds, in their order: so the
+    GL gain row comes only with a purity-preserving instrument and Hall's rows
+    only when the section ran. A side of one list-valued term (``gl_chain``'s)
+    gives one row per entry."""
+    rows = []
+    for name, kind, lhs, rhs in ROWS:
+        try:
+            left, right = _side(lhs, scalars), _side(rhs, scalars)
+        except KeyError:  # a term that its stage did not return
+            continue
+        if type(left) is list:
+            rows += map(BoundCheck, repeat(name), left, right, repeat(kind))
+        else:
+            rows.append(BoundCheck(name, left, right, kind))
+    return rows
+
+
+def _side(terms: tuple, scalars: dict):
+    """One side of a row, summed left to right from its first term, and 0.0
+    with no terms. The sum never starts from 0.0, which would turn a pure
+    state's -0.0 entropy into 0.0."""
+    if not terms:
+        return 0.0
+    first = terms[0]
+    total = -scalars[first[1:]] if first[0] == "-" else scalars[first]
+    for term in terms[1:]:
+        total = total - scalars[term[1:]] if term[0] == "-" else total + scalars[term]
+    return total
 
 
 class ScenarioEntropies(NamedTuple):
@@ -194,56 +264,6 @@ def entropy_panel(ms: MeasurementStatistics) -> EntropyPanel:
     )
 
 
-def check_identities(panel: EntropyPanel) -> tuple:
-    """Both decompositions of the joint chi plus the tripartite chain rules."""
-    return (
-        BoundCheck(
-            "idts_out",
-            panel.chi_joint,
-            panel.chi_out + panel.mean_chi_given_out,
-            kind="eq",
-        ),
-        BoundCheck(
-            "idts_in",
-            panel.chi_joint,
-            panel.chi_post + panel.mean_chi_given_in,
-            kind="eq",
-        ),
-        BoundCheck(
-            "chain_via_out",
-            panel.tripartite,
-            panel.classical_mi + panel.mean_chi_given_out + panel.chi_out,
-            kind="eq",
-        ),
-        BoundCheck(
-            "chain_via_in",
-            panel.tripartite,
-            panel.classical_mi + panel.mean_chi_given_in + panel.chi_post,
-            kind="eq",
-        ),
-        BoundCheck(
-            "chain_via_joint",
-            panel.tripartite,
-            panel.classical_mi + panel.chi_joint,
-            kind="eq",
-        ),
-    )
-
-
-def check_bounds(panel: EntropyPanel) -> tuple:
-    """The four inequality families of the mutual-entropy section."""
-    return (
-        BoundCheck("sww", panel.classical_mi + panel.mean_chi_given_out, panel.chi_initial),
-        BoundCheck("holevo", panel.classical_mi, panel.chi_initial),
-        BoundCheck(
-            "bl1",
-            panel.classical_mi,
-            panel.chi_initial + panel.chi_out - panel.chi_joint,
-        ),
-        BoundCheck("lower_bound", panel.chi_post, panel.classical_mi + panel.mean_chi_given_out),
-    )
-
-
 def random_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
     return pure_state(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
 
@@ -311,15 +331,16 @@ def _preserves_purity(ins: Instrument) -> bool:
     return bool((proportional | one_range).all())
 
 
-def groenewold_lindblad_check(ins: Instrument, trials: int, seed: int, n_demix: int) -> tuple[bool, tuple]:
-    """Exact purity classification plus the information-gain inequalities.
+def groenewold_lindblad_check(ins: Instrument, trials: int, seed: int, n_demix: int) -> tuple[bool, dict]:
+    """Exact purity classification plus the information-gain scalars.
 
-    Returns (purity_preserving, rows). The class is Ozawa's, read off the
-    Kraus operators (``_preserves_purity``). The gain-positivity record is only
-    emitted for instruments classified purity-preserving; the chain inequality
-    I_c + sum_a P_a I_q(rho_a) <= I_q(eta) (the instrument-level equivalent of
-    the strengthened Holevo bound) is checked unconditionally on random
-    demixtures.
+    Returns (purity_preserving, scalars). The class is Ozawa's, read off the
+    Kraus operators (``_preserves_purity``). ``gl_least_gain``, the least gain
+    over the trial states, is given only for instruments classified
+    purity-preserving; the chain inequality I_c + sum_a P_a I_q(rho_a) <=
+    I_q(eta) (the instrument-level equivalent of the strengthened Holevo
+    bound) is read unconditionally on random demixtures, its sides listed one
+    entry per demixture (``gl_chain_lhs``, ``gl_chain_rhs``).
 
     The random numbers are those ``random_pure``, the tests' ``random_density``
     and ``random_ensemble`` would draw, trial after trial; only the draws loop.
@@ -352,17 +373,15 @@ def groenewold_lindblad_check(ins: Instrument, trials: int, seed: int, n_demix: 
     etas = np.einsum("ja,jamn->jmn", priors, letters)
     gains, cond = _gains(ins, np.concatenate([states, etas]))
 
-    checks = []
-    if purity_preserving:
-        checks.append(BoundCheck("gl_info_gain_nonneg", 0.0, float(gains[:n_trials].min())))
-
     letter_gains = np.zeros((n_demix, 3))
     letter_gains[slots] = gains[n_trials:n_states]
     laws = np.zeros((n_demix, 3, len(cond)))  # P(w | rho_a), [demixture, letter, outcome]
     laws[slots] = cond[:, n_trials:n_states].T
-    rhs = mutual_info(priors[:, :, None] * laws) + (priors * letter_gains).sum(axis=1)
-    checks += [BoundCheck("gl_chain", r, g) for r, g in zip(rhs.tolist(), gains[n_states:].tolist())]
-    return purity_preserving, tuple(checks)
+    lhs = mutual_info(priors[:, :, None] * laws) + (priors * letter_gains).sum(axis=1)
+    scalars = {"gl_chain_lhs": lhs.tolist(), "gl_chain_rhs": gains[n_states:].tolist()}
+    if purity_preserving:
+        scalars["gl_least_gain"] = float(gains[:n_trials].min())
+    return purity_preserving, scalars
 
 
 @dataclass(frozen=True)
@@ -375,19 +394,19 @@ class CompoundStates:
     eta_if: np.ndarray  # [d1 d2, d1 d2]
     tau_f: np.ndarray  # [letter, d2, d2]
     gamma_if: np.ndarray  # [d1 d2, d1 d2]
-    consistency: tuple  # the BoundCheck rows of the marginal and mixture identities
+    deviations: dict  # the largest entry deviations of the marginal and mixture identities
 
 
 def compound_states(ms: MeasurementStatistics) -> CompoundStates:
-    """The compound states and their consistency rows. A row compares a
-    marginal or a mixture with the state the algebra gives, the letters
-    having unit trace (``Ensemble``) and the effects summing to I
-    (``Instrument``), each normalized when it is built: Tr_2 eta_if and
-    Tr_2 gamma_if with eta_i = sum_a P_a rho_a, and Tr_1 of both and the
-    tau_f mixture with eta_f. The comparands come from the letters and
-    eta_f, never from the compound states, so a row reads the construction's
-    rounding. A null outcome's eps_if is the empty mixture, 0, and weighs
-    exactly 0."""
+    """The compound states and their five consistency deviations (the
+    ``compound_*`` rows of ``ROWS``), each the largest entry of a marginal or
+    a mixture less the state the algebra gives, the letters having unit
+    trace (``Ensemble``) and the effects summing to I (``Instrument``), each
+    normalized when it is built: Tr_2 eta_if and Tr_2 gamma_if less
+    eta_i = sum_a P_a rho_a, and Tr_1 of both and the tau_f mixture less
+    eta_f. The comparands come from the letters and eta_f, never from the
+    compound states, so a deviation reads the construction's rounding. A
+    null outcome's eps_if is the empty mixture, 0, and weighs exactly 0."""
     e = ms.ensemble
     d1 = e.dim
     d2 = ms.instrument.dim_out
@@ -405,14 +424,13 @@ def compound_states(ms: MeasurementStatistics) -> CompoundStates:
 
     eta_i = np.einsum("a,aij->ij", e.probs, e.states)
     eta_f = ms.post_a_priori
-    pairs = (  # (row, marginal, the state it must equal)
-        ("compound_tr2_eta_if", matcore.partial_trace(eta_if, "second", d1, d2), eta_i),
-        ("compound_tr1_eta_if", matcore.partial_trace(eta_if, "first", d1, d2), eta_f),
-        ("compound_tr2_gamma", matcore.partial_trace(gamma_if, "second", d1, d2), eta_i),
-        ("compound_tr1_gamma", matcore.partial_trace(gamma_if, "first", d1, d2), eta_f),
-        ("compound_tau_mix", np.einsum("a,aij->ij", e.probs, tau_f), eta_f),
+    pairs = (  # (deviation, marginal, the state it must equal)
+        ("tr2_eta_if_dev", matcore.partial_trace(eta_if, "second", d1, d2), eta_i),
+        ("tr1_eta_if_dev", matcore.partial_trace(eta_if, "first", d1, d2), eta_f),
+        ("tr2_gamma_dev", matcore.partial_trace(gamma_if, "second", d1, d2), eta_i),
+        ("tr1_gamma_dev", matcore.partial_trace(gamma_if, "first", d1, d2), eta_f),
+        ("tau_mix_dev", np.einsum("a,aij->ij", e.probs, tau_f), eta_f),
     )
-    checks = tuple(BoundCheck(name, float(np.abs(a - b).max()), 0.0, kind="dev") for name, a, b in pairs)
     return CompoundStates(
         eps_if=eps_if,
         eps_i=eps_i,
@@ -420,38 +438,31 @@ def compound_states(ms: MeasurementStatistics) -> CompoundStates:
         eta_if=eta_if,
         tau_f=tau_f,
         gamma_if=gamma_if,
-        consistency=checks,
+        deviations={name: float(np.abs(a - b).max()) for name, a, b in pairs},
     )
 
 
-def scutaru_chains(ms: MeasurementStatistics, cs: CompoundStates) -> tuple:
-    """Both compound-state inequality chains, one record per link. S(eta_i),
-    S(eta_f) and I_c are the scenario's (``ms.entropies``); the compound
-    states' entropies come from one batched vn_entropies call per dimension."""
+def scutaru_chains(ms: MeasurementStatistics, cs: CompoundStates) -> dict:
+    """The five chi's of both compound-state inequality chains, which the
+    ``scutaru*`` rows of ``ROWS`` compare with each other and with the
+    panel's I_c. S(eta_i) and S(eta_f) are the scenario's (``ms.entropies``);
+    the compound states' entropies come from one batched vn_entropies call
+    per dimension."""
     n_o = len(cs.eps_f)
     p_i = ms.ensemble.probs
     p_f = ms.output_marginal
-    i_c = ms.classical_mi
     s_eta_i, s_eta_f = ms.entropies.eta_i, ms.entropies.eta_f
 
     s_joint = vn_entropies(np.concatenate([cs.eps_if, cs.eta_if[None], cs.gamma_if[None]]))
     s_eps_i = vn_entropies(cs.eps_i)
     s_out = vn_entropies(np.concatenate([cs.eps_f, cs.tau_f]))
 
-    chi_eps_if = chi_against(p_f, s_joint[:n_o], s_joint[n_o])
-    chi_eps_i = chi_against(p_f, s_eps_i, s_eta_i)
-    chi_eps_f = chi_against(p_f, s_out[:n_o], s_eta_f)
-    chi_tau_f = chi_against(p_i, s_out[n_o:], s_eta_f)
-    # S(gamma_if | eta_i (x) eta_f): gamma's marginals are eta_i and eta_f
-    # (the compound_tr*_gamma rows), so it is a mutual information
-    gamma_rel = s_eta_i + s_eta_f - s_joint[-1]
-
-    return (
-        BoundCheck("scutaru1_ic_ge_chi_eps_if", chi_eps_if, i_c),
-        BoundCheck("scutaru1_chi_eps_if_ge_chi_eps_i", chi_eps_i, chi_eps_if),
-        BoundCheck("scutaru1_chi_eps_if_ge_chi_eps_f", chi_eps_f, chi_eps_if),
-        BoundCheck("scutaru2_ic_ge_chi_eps_i", chi_eps_i, i_c),
-        BoundCheck("scutaru2_ic_ge_chi_tau_f", chi_tau_f, i_c),
-        BoundCheck("scutaru2_chi_eps_i_ge_gamma", gamma_rel, chi_eps_i),
-        BoundCheck("scutaru2_chi_tau_f_ge_gamma", gamma_rel, chi_tau_f),
-    )
+    return {
+        "chi_eps_if": chi_against(p_f, s_joint[:n_o], s_joint[n_o]),
+        "chi_eps_i": chi_against(p_f, s_eps_i, s_eta_i),
+        "chi_eps_f": chi_against(p_f, s_out[:n_o], s_eta_f),
+        "chi_tau_f": chi_against(p_i, s_out[n_o:], s_eta_f),
+        # S(gamma_if | eta_i (x) eta_f): gamma's marginals are eta_i and eta_f
+        # (the compound_tr*_gamma rows), so it is a mutual information
+        "gamma_rel": s_eta_i + s_eta_f - s_joint[-1],
+    }

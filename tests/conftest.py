@@ -1,6 +1,7 @@
 import math
 
 from qinstr.harness import example_scenario, judged_rows
+from qinstr.infobounds import ROWS, check_rows
 from qinstr.qstate import DensityMatrix, pure_state
 
 ACCEPTANCE_LINES = []
@@ -25,10 +26,22 @@ def counted(counts: dict, name: str, fn):
 
 
 def judged(rows, tol: float) -> list:
-    """Stage rows (``BoundCheck``) judged at tol as a base-e report judges
+    """Check rows (``BoundCheck``) judged at tol as a base-e report judges
     them, by ``harness.judged_rows``, the one tolerance policy: one dict per
     row, whose lhs, rhs and slack are the row's own floats, in nats."""
     return judged_rows(rows, "e", tol)
+
+
+def rows_reading(stage: dict, panel=None, kind=None) -> list:
+    """The check rows that read one of ``stage``'s scalars, built as a report
+    builds them (``infobounds.check_rows``), in nats; ``panel`` (an
+    ``EntropyPanel``) gives the other terms they read, as I_c and chi_initial
+    for the Scutaru and Hall rows. With ``kind``, only rows of that kind: the
+    panel's own "eq" rows are the identities and its "ge" rows the bounds."""
+    terms = {name: {term.lstrip("-") for term in lhs + rhs} for name, _, lhs, rhs in ROWS}
+    context = {} if panel is None else panel._asdict()
+    return [row for row in check_rows({**context, **stage})
+            if terms[row.name] & stage.keys() and kind in (None, row.kind)]
 
 
 def pure(vec) -> DensityMatrix:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rows_reading
 from qinstr import matcore
 from qinstr.hallmap import hall_section
 from qinstr.harness import ACCEPTANCE_GRID, Scenario, main, random_scenario, run_scenario
@@ -94,7 +95,7 @@ def test_every_chi_matches_the_relative_entropy_form(s):
         assert abs(getattr(panel, name) - value) <= 1e-10, name
 
     cs = compound_states(ms)
-    chains = {c.name: c for c in scutaru_chains(ms, cs)}
+    chains = {c.name: c for c in rows_reading(scutaru_chains(ms, cs), panel)}
     kron = DensityMatrix(matcore.kron(eta_i.mat, eta_f.mat))
     links = {
         "scutaru1_ic_ge_chi_eps_if": rel_form(p_f, states(cs.eps_if), states(cs.eta_if)),
@@ -110,7 +111,7 @@ def test_every_chi_matches_the_relative_entropy_form(s):
         dual = dual_ensemble(s.instrument, eta_i)
         live = [(p, states(x)) for p, x in zip(dual.probs.probs, dual.states) if p > 1e-12]
         chi_dual = rel_form([p for p, _ in live], [x for _, x in live], eta_i)
-        hall = {c.name: c for c in hall_section(ms)}
+        hall = {c.name: c for c in rows_reading(hall_section(ms), panel)}
         assert abs(hall["hall_bound"].rhs - chi_dual) <= 1e-10
 
 

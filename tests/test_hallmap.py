@@ -4,7 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import KET0, KET1, PLUS, counted, judged, orthogonal_ensemble, projective_qubit, zero_plus_ensemble
+from conftest import (
+    KET0,
+    KET1,
+    PLUS,
+    counted,
+    judged,
+    orthogonal_ensemble,
+    projective_qubit,
+    rows_reading,
+    zero_plus_ensemble,
+)
 from qinstr import hallmap, matcore, qstate
 from qinstr.errors import QinstrError
 from qinstr.hallmap import hall_section
@@ -46,8 +56,9 @@ NEW = ("new_bound", "new_d_term_nonneg", "new_iq_identity", "new_le_holevo", "ne
 
 
 def hall_checks(e, ins, names):
-    """The named rows of hall_section on (e, ins), by name."""
-    rows = {c.name: c for c in hall_section(analyze(e, ins))}
+    """The named Hall rows of (e, ins), by name."""
+    ms = analyze(e, ins)
+    rows = {c.name: c for c in rows_reading(hall_section(ms), entropy_panel(ms))}
     return {name: rows[name] for name in names}
 
 
@@ -234,7 +245,8 @@ class TestNewBound:
 
 class TestHallSection:
     def test_check_names_in_order(self):
-        rows = hall_section(analyze(zero_plus_ensemble(), projective_qubit()))
+        ms = analyze(zero_plus_ensemble(), projective_qubit())
+        rows = rows_reading(hall_section(ms), entropy_panel(ms))
         assert [c.name for c in rows] == [*DUALITY, *HALL, *NEW]
 
     def test_skipped_on_singular_a_priori(self):
@@ -383,7 +395,7 @@ def test_wrong_law_on_an_outcome_of_weight_1e_3_fails_duality(shift, monkeypatch
     ))
     ms = analyze(orthogonal_ensemble(), ins)
     assert abs(ms.output_marginal[1] - 1e-3) <= 1e-15
-    row = {c.name: c for c in hall_section(ms)}["duality_conditional_law"]
+    row = {c.name: c for c in rows_reading(hall_section(ms), entropy_panel(ms))}["duality_conditional_law"]
     assert row.lhs <= 1e-15 and judged((row,), INEQ_TOL)[0]["pass"]
     posteriors = hallmap._posteriors
 
@@ -393,7 +405,7 @@ def test_wrong_law_on_an_outcome_of_weight_1e_3_fails_duality(shift, monkeypatch
         return law, posts
 
     monkeypatch.setattr(hallmap, "_posteriors", wrong)
-    row = {c.name: c for c in hall_section(ms)}["duality_conditional_law"]
+    row = {c.name: c for c in rows_reading(hall_section(ms), entropy_panel(ms))}["duality_conditional_law"]
     assert abs(row.lhs - 1e-3 * shift) <= 1e-15
     assert not judged((row,), INEQ_TOL)[0]["pass"]
 
@@ -441,7 +453,8 @@ def per_state_hall_rows(e, ins) -> dict:
 @pytest.mark.parametrize("shape", ACCEPTANCE_GRID)
 def test_hall_rows_match_the_per_state_oracle(shape, seed):
     s = random_scenario(*shape, seed=seed)
-    rows = hall_section(analyze(s.ensemble, s.instrument))
+    ms = analyze(s.ensemble, s.instrument)
+    rows = rows_reading(hall_section(ms), entropy_panel(ms))
     expected = per_state_hall_rows(s.ensemble, s.instrument)
     assert [c.name for c in rows] == list(expected)
     for c in rows:

@@ -23,6 +23,7 @@ import oracle
 from conftest import counted, judged
 from qinstr import harness, infobounds, instrument, matcore, qstate
 from qinstr.harness import (
+    ACCEPTANCE_GRID,
     EXAMPLE_NAMES,
     Scenario,
     _fingerprint,
@@ -36,7 +37,7 @@ from qinstr.harness import (
     splitmix64,
 )
 from qinstr.errors import NoConvergence, QinstrError, SchemaError
-from qinstr.infobounds import BoundCheck, _gains, groenewold_lindblad_check, random_pure
+from qinstr.infobounds import ROWS, BoundCheck, _gains, groenewold_lindblad_check, random_pure
 from qinstr.instrument import Instrument, random_instrument
 from qinstr.qstate import DensityMatrix, Ensemble, pure_state
 from test_infobounds import NULL_CELL_SCENARIOS, effect_sum_off_the_identity_in_every_entry, scaled_zero_one_plus
@@ -541,9 +542,9 @@ class TestCli:
     def test_failing_suite_counts_its_failures_and_exits_one(self, capsys, monkeypatch, fmt):
         # a row planted in every report fails it: the summary counts each
         # failing report, and the suite exits 1, as a failing analyze does
-        real = harness.check_bounds
+        real = harness.check_rows
         planted = BoundCheck("planted", 1.0, 0.0)
-        monkeypatch.setattr(harness, "check_bounds", lambda panel: (*real(panel), planted))
+        monkeypatch.setattr(harness, "check_rows", lambda scalars: [*real(scalars), planted])
         assert main(["random", "--trials", "2", "--format", fmt]) == 1
         out = capsys.readouterr().out
         if fmt == "json":
@@ -1200,6 +1201,51 @@ def test_each_support_rule_has_one_home():
         "hallmap.hall_section", "matcore.spectral_apply", "instrument.random_instrument"}
 
 
+def test_each_row_is_named_once_in_the_table():
+    """A check row is named in one place, infobounds.ROWS, with its kind and
+    its terms: each row name is a string constant of the package exactly once,
+    inside ROWS, and BoundCheck is built only in check_rows."""
+    package = Path(harness.__file__).resolve().parent
+    names = {name for name, *_ in ROWS}
+    anywhere, in_table = Counter(), Counter()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and node.value in names:
+                anywhere[node.value] += 1
+            elif isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["ROWS"]:
+                in_table.update(c.value for c in ast.walk(node.value)
+                                if isinstance(c, ast.Constant) and c.value in names)
+    assert len(names) == len(ROWS)
+    assert anywhere == in_table == Counter(names)
+    built = reading_sites(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func).endswith("BoundCheck"))
+    assert built == {"infobounds.check_rows"}
+
+
+ROW_ORDER = {name: index for index, (name, *_) in enumerate(ROWS)}
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_desk_report_rows_follow_the_table(name):
+    order = [ROW_ORDER[row["name"]] for row in run_scenario(example_scenario(name))["checks"]]
+    assert order == sorted(order)
+
+
+def test_grid_report_rows_follow_the_table():
+    # the 72 acceptance shapes, each once, seeded as the acceptance suite seeds them
+    reports, _ = run_acceptance_suite(len(ACCEPTANCE_GRID))
+    for report in reports:
+        order = [ROW_ORDER[row["name"]] for row in report["checks"]]
+        assert order == sorted(order), report["fingerprint"]
+
+
+def test_a_desk_report_emits_every_row_of_the_table():
+    # a row is emitted only when each of its terms exists, so a misspelt term
+    # would drop its row silently; orthogonal-projective runs every stage
+    # (purity-preserving, so the GL gain row; eta = I/2, so the Hall rows)
+    report = run_scenario(example_scenario("orthogonal-projective"))
+    assert {row["name"] for row in report["checks"]} == set(ROW_ORDER)
+
+
 def test_the_letter_contract_has_one_home():
     """The letters are normalized once, where the Ensemble is built: outside
     qstate only the scenario file's writer and ingest's clamp read them as
@@ -1282,7 +1328,7 @@ def test_lapack_has_one_binding():
 
 
 # the LAPACK calls of analyze, the entropy panel and the Scutaru chains;
-# compound_states and the identities and bounds make none
+# compound_states and check_rows make none
 PANEL_LAPACK = {"analyze": {"eigvalsh": 1}, "entropy_panel": {"eigvalsh": 1}, "scutaru_chains": {"eigvalsh": 3}}
 # the Hall section's: the eigh of its eta_w stack and the eigvalsh of its entropies
 HALL_LAPACK = {"eigh": 1, "eigvalsh": 1}

@@ -6,7 +6,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import KET0, KET1, PLUS, judged, orthogonal_ensemble, projective_qubit, zero_plus_ensemble
+from conftest import (
+    KET0,
+    KET1,
+    PLUS,
+    judged,
+    orthogonal_ensemble,
+    projective_qubit,
+    rows_reading,
+    zero_plus_ensemble,
+)
 from qinstr.errors import QinstrError
 from qinstr.hallmap import hall_section
 from qinstr.harness import (
@@ -20,8 +29,7 @@ from qinstr.infobounds import (
     INEQ_TOL,
     BoundCheck,
     analyze,
-    check_bounds,
-    check_identities,
+    check_rows,
     compound_states,
     entropy_panel,
     groenewold_lindblad_check,
@@ -163,6 +171,24 @@ def test_infinite_row_fails_every_judged_kind(kind):
     assert math.isnan(row["slack"]) and row["pass"] is (kind == "data")
 
 
+class TestCheckRows:
+    def test_a_side_is_summed_from_its_first_term(self):
+        # left to right and never from 0.0, which would turn the -0.0 entropy
+        # of a pure state into 0.0; a side with no terms is 0.0
+        panel = entropy_panel(analyze(zero_plus_ensemble(), projective_qubit()))._asdict()
+        rows = {row.name: row for row in check_rows({**panel, "chi_post": -0.0})}
+        assert math.copysign(1.0, rows["lower_bound"].lhs) == -1.0
+        assert rows["bl1"].rhs == panel["chi_initial"] + panel["chi_out"] - panel["chi_joint"]
+        assert rows["chain_via_out"].rhs == panel["classical_mi"] + panel["mean_chi_given_out"] + panel["chi_out"]
+        assert check_rows({"tau_mix_dev": 0.5}) == [BoundCheck("compound_tau_mix", 0.5, 0.0, "dev")]
+
+    def test_a_row_needs_each_of_its_terms(self):
+        # a side of one list-valued term gives one row per entry, and a row missing a term is not built
+        rows = check_rows({"gl_chain_lhs": [1.0, 2.0], "gl_chain_rhs": [3.0, 4.0], "chi_eps_i": 0.1})
+        assert rows == [BoundCheck("gl_chain", 1.0, 3.0, "ge"), BoundCheck("gl_chain", 2.0, 4.0, "ge")]
+        assert check_rows({"gl_chain_lhs": [], "gl_chain_rhs": []}) == []
+
+
 class TestClassicalMutualInfo:
     def test_zero_plus_frozen_value(self):
         ms = analyze(zero_plus_ensemble(), projective_qubit())
@@ -264,7 +290,7 @@ class TestIdentitiesAndBounds:
             seed=200 + seed,
         )
         panel = entropy_panel(analyze(e, ins))
-        rows = check_identities(panel)
+        rows = rows_reading(panel._asdict(), kind="eq")
         assert all(row["pass"] for row in judged(rows, INEQ_TOL)), rows
 
     @pytest.mark.parametrize("seed", range(10))
@@ -276,18 +302,18 @@ class TestIdentitiesAndBounds:
             seed=400 + seed,
         )
         panel = entropy_panel(analyze(e, ins))
-        rows = check_bounds(panel)
+        rows = rows_reading(panel._asdict(), kind="ge")
         assert all(row["pass"] for row in judged(rows, INEQ_TOL)), rows
 
     def test_identities_on_desk_example(self):
         panel = entropy_panel(analyze(zero_plus_ensemble(), projective_qubit()))
-        checks = {row["name"]: row for row in judged(check_identities(panel), INEQ_TOL)}
+        checks = {row["name"]: row for row in judged(rows_reading(panel._asdict(), kind="eq"), INEQ_TOL)}
         assert all(row["pass"] for row in checks.values())
         assert abs(checks["idts_out"]["slack"]) < 1e-12
 
     def test_bounds_on_desk_example(self):
         panel = entropy_panel(analyze(zero_plus_ensemble(), projective_qubit()))
-        checks = {row["name"]: row for row in judged(check_bounds(panel), INEQ_TOL)}
+        checks = {row["name"]: row for row in judged(rows_reading(panel._asdict(), kind="ge"), INEQ_TOL)}
         assert all(row["pass"] for row in checks.values())
         # Holevo slack chi - I_c frozen from the two oracles above
         assert abs(checks["holevo"]["slack"] - (0.4164955306996875 - 0.2157615543388356)) < 1e-10
@@ -321,21 +347,24 @@ class TestQuantumInfoGain:
 
 class TestGroenewoldLindblad:
     def test_projective_is_purity_preserving(self):
-        pp, rows = groenewold_lindblad_check(projective_qubit(), trials=50, seed=0, n_demix=5)
+        pp, gl = groenewold_lindblad_check(projective_qubit(), trials=50, seed=0, n_demix=5)
+        rows = rows_reading(gl)
         assert pp
         assert all(row["pass"] for row in judged(rows, INEQ_TOL))
         assert {row["name"]: row for row in judged(rows, INEQ_TOL)}["gl_info_gain_nonneg"]["slack"] >= -1e-8
 
     def test_rank1_random_is_purity_preserving(self):
         ins = random_instrument(2, 3, 3, 1, seed=42)
-        pp, rows = groenewold_lindblad_check(ins, trials=50, seed=1, n_demix=5)
+        pp, gl = groenewold_lindblad_check(ins, trials=50, seed=1, n_demix=5)
+        rows = rows_reading(gl)
         assert pp
         assert all(row["pass"] for row in judged(rows, INEQ_TOL))
 
     def test_depolarizing_like_is_not(self):
         # two-Kraus single-outcome channel mixes pure inputs
         ins = random_instrument(2, 2, 1, 2, seed=7)
-        pp, rows = groenewold_lindblad_check(ins, trials=50, seed=2, n_demix=5)
+        pp, gl = groenewold_lindblad_check(ins, trials=50, seed=2, n_demix=5)
+        rows = rows_reading(gl)
         assert not pp
         with pytest.raises(KeyError):
             {c.name: c for c in rows}["gl_info_gain_nonneg"]
@@ -344,7 +373,7 @@ class TestGroenewoldLindblad:
     @pytest.mark.parametrize("seed", range(5))
     def test_chain_inequality_random(self, seed):
         ins = random_instrument(3, 2, 3, 2, seed=500 + seed)
-        _, rows = groenewold_lindblad_check(ins, trials=20, seed=seed, n_demix=3)
+        rows = rows_reading(groenewold_lindblad_check(ins, trials=20, seed=seed, n_demix=3)[1])
         assert all(row["pass"] for row in judged(rows, INEQ_TOL)), rows
 
 
@@ -492,13 +521,14 @@ def downstream(ms):
     compound states and their rows, the Scutaru chains and the Hall section,
     or the error it raises (``test_hallmap.test_near_null_dual_outcome_is_analyzed``)."""
     cs = compound_states(ms)
-    rows = [*cs.consistency, *scutaru_chains(ms, cs)]
+    panel = entropy_panel(ms)
+    rows = rows_reading({**cs.deviations, **scutaru_chains(ms, cs)}, panel)
     try:
-        rows += hall_section(ms)
+        rows += rows_reading(hall_section(ms), panel)
     except QinstrError as exc:
         rows.append(repr(exc))
     arrays = [a.tobytes() for a in (cs.eps_if, cs.eps_i, cs.eps_f, cs.eta_if, cs.tau_f, cs.gamma_if)]
-    return entropy_panel(ms)._asdict(), ms.info_gain, rows, arrays
+    return panel._asdict(), ms.info_gain, rows, arrays
 
 
 def assert_fill_reaches_no_number(e, ins, state):
@@ -674,7 +704,8 @@ def test_fill_of_a_live_outcome_reaches_no_number():
 
 @pytest.mark.parametrize("ins, trials, seed, n_demix", GL_CASES)
 def test_batched_gl_matches_sequential(ins, trials, seed, n_demix):
-    pp, rows = groenewold_lindblad_check(ins, trials=trials, seed=seed, n_demix=n_demix)
+    pp, gl = groenewold_lindblad_check(ins, trials=trials, seed=seed, n_demix=n_demix)
+    rows = rows_reading(gl)
     ref_pp, ref_checks = sequential_gl(ins, trials, seed, n_demix)
     assert pp == ref_pp
     assert [c.name for c in rows] == [name for name, _, _ in ref_checks]
@@ -687,7 +718,7 @@ class TestCompoundStates:
     def test_consistency_desk(self):
         ms = analyze(zero_plus_ensemble(), projective_qubit())
         cs = compound_states(ms)
-        assert all(row["pass"] for row in judged(cs.consistency, INEQ_TOL))
+        assert all(row["pass"] for row in judged(rows_reading(cs.deviations), INEQ_TOL))
 
     def test_dimensions(self):
         rng = np.random.default_rng(20)
@@ -706,7 +737,7 @@ class TestCompoundStates:
         # read 1.86e-9 and compound_tau_mix 1.30e-9, and the report failed
         s = effect_sum_off_the_identity_in_every_entry()
         assert run_scenario(s)["overall_pass"]
-        rows = compound_states(analyze(s.ensemble, s.instrument)).consistency
+        rows = rows_reading(compound_states(analyze(s.ensemble, s.instrument)).deviations)
         assert max(c.lhs for c in rows) <= 1e-14, rows
 
     @pytest.mark.parametrize("seed", range(5))
@@ -716,14 +747,14 @@ class TestCompoundStates:
         ins = random_instrument(
             e.dim, int(rng.integers(2, 4)), int(rng.integers(2, 4)), 2, seed=700 + seed
         )
-        cs = compound_states(analyze(e, ins))
-        assert all(row["pass"] for row in judged(cs.consistency, INEQ_TOL)), cs.consistency
+        rows = rows_reading(compound_states(analyze(e, ins)).deviations)
+        assert all(row["pass"] for row in judged(rows, INEQ_TOL)), rows
 
 
 class TestScutaruChains:
     def test_desk_example(self):
         ms = analyze(zero_plus_ensemble(), projective_qubit())
-        checks = {c.name: c for c in scutaru_chains(ms, compound_states(ms))}
+        checks = {c.name: c for c in rows_reading(scutaru_chains(ms, compound_states(ms)), entropy_panel(ms))}
         assert all(row["pass"] for row in judged(checks.values(), INEQ_TOL)), checks
         # every link sits below I_c
         i_c = ms.classical_mi
@@ -731,7 +762,7 @@ class TestScutaruChains:
 
     def test_orthogonal_example(self):
         ms = analyze(orthogonal_ensemble(), projective_qubit())
-        checks = {c.name: c for c in scutaru_chains(ms, compound_states(ms))}
+        checks = {c.name: c for c in rows_reading(scutaru_chains(ms, compound_states(ms)), entropy_panel(ms))}
         assert all(row["pass"] for row in judged(checks.values(), INEQ_TOL))
         # perfectly distinguishable: the first-chain bound is tight at log 2
         assert abs(checks["scutaru1_ic_ge_chi_eps_if"].rhs - math.log(2)) < 1e-10
@@ -745,7 +776,7 @@ class TestScutaruChains:
             seed=900 + seed,
         )
         ms = analyze(e, ins)
-        rows = scutaru_chains(ms, compound_states(ms))
+        rows = rows_reading(scutaru_chains(ms, compound_states(ms)), entropy_panel(ms))
         assert all(row["pass"] for row in judged(rows, INEQ_TOL)), rows
 
 
