@@ -3,9 +3,10 @@ full-analysis orchestration and report emission (json / markdown / csv). An
 error exits by the phase of ``main`` it arose in, never by its class: reading
 the input 2, a stage 3 whatever the error (its line names the stage), writing
 the output 4. A report is the JSON tree it is written as: ``run_scenario``
-returns it, with the check rows built once from the stages' scalars by the
-one table (``infobounds.ROWS``), put in the report's unit and judged once by
-the one tolerance policy (``judged_rows``), and ``emit_report`` writes it.
+returns it, with the check rows built from the stages' named scalars by the
+one table (``infobounds.ROWS``), put in the report's unit and judged by the
+one tolerance policy in one pass (``judged_rows``), and ``emit_report``
+writes it.
 
 The scenario file's format lives here alone: ``Scenario.to_json`` writes it
 and ``scenario_from_json`` reads it, by its typing rules: an object has a
@@ -39,8 +40,8 @@ from .errors import QinstrError, SchemaError
 from .infobounds import (
     EQ_TOL,
     INEQ_TOL,
+    ROWS,
     analyze,
-    check_rows,
     compound_states,
     entropy_panel,
     groenewold_lindblad_check,
@@ -230,26 +231,48 @@ def scenario_from_json(obj: dict) -> Scenario:
         raise SchemaError(f"malformed scenario: {exc}") from exc
 
 
-def judged_rows(checks, log_base: str, tol: float) -> list:
-    """The check rows in the report's unit, each judged once by the one
-    tolerance policy: a "ge" row passes iff its slack rhs - lhs is >= -tol,
-    an "eq" or "dev" row iff |slack| <= min(EQ_TOL, tol), and a "data" row
-    always; a NaN slack fails every judged kind. Under base 2 an entropy
-    row's lhs and rhs are in bits, so its slack and its pass are in bits too;
-    a deviation row (kind "dev") reads the same in either base."""
+def judged_rows(scalars: dict, log_base: str, tol: float) -> list:
+    """The report's check rows, each ``ROWS`` entry whose every term
+    ``scalars`` holds, in its order: so the GL gain row comes only with a
+    purity-preserving instrument and Hall's rows only when the section ran. A
+    side of one list-valued term (``gl_chain``'s) gives one row per entry.
+    Each row is put in the report's unit, under base 2 an entropy row's lhs
+    and rhs in bits, so its slack and its pass are in bits too (a deviation
+    row, kind "dev", reads the same in either base), and judged once by the
+    one tolerance policy: a "ge" row passes iff its slack rhs - lhs is >=
+    -tol, an "eq" or "dev" row iff |slack| <= min(EQ_TOL, tol), and a "data"
+    row always; a NaN slack fails every judged kind."""
     entropy_unit = NATS_PER_UNIT[log_base]
     eq_tol = min(EQ_TOL, tol)
     rows = []
-    for name, lhs, rhs, kind in checks:
+    for name, kind, lhs_terms, rhs_terms in ROWS:
+        try:
+            left, right = _side(lhs_terms, scalars), _side(rhs_terms, scalars)
+        except KeyError:  # a term that its stage did not return
+            continue
         unit = 1.0 if kind == "dev" else entropy_unit
-        lhs, rhs = float(lhs) / unit, float(rhs) / unit
-        slack = rhs - lhs
-        if kind in ("eq", "dev"):
-            passed = abs(slack) <= eq_tol
-        else:
-            passed = kind == "data" or slack >= -tol
-        rows.append({"name": name, "lhs": lhs, "rhs": rhs, "slack": slack, "pass": passed})
+        for lhs, rhs in zip(left, right) if type(left) is list else ((left, right),):
+            lhs, rhs = float(lhs) / unit, float(rhs) / unit
+            slack = rhs - lhs
+            if kind in ("eq", "dev"):
+                passed = abs(slack) <= eq_tol
+            else:
+                passed = kind == "data" or slack >= -tol
+            rows.append({"name": name, "lhs": lhs, "rhs": rhs, "slack": slack, "pass": passed})
     return rows
+
+
+def _side(terms: tuple, scalars: dict):
+    """One side of a row, summed left to right from its first term, and 0.0
+    with no terms. The sum never starts from 0.0, which would turn a pure
+    state's -0.0 entropy into 0.0."""
+    if not terms:
+        return 0.0
+    first = terms[0]
+    total = -scalars[first[1:]] if first[0] == "-" else scalars[first]
+    for term in terms[1:]:
+        total = total - scalars[term[1:]] if term[0] == "-" else total + scalars[term]
+    return total
 
 
 def json_text(obj) -> str:
@@ -268,7 +291,7 @@ def run_scenario(s: Scenario) -> dict:
     """Full analysis pipeline for one (ensemble, instrument) pair; the report
     is the JSON tree that ``emit_report`` writes, in the scenario's unit."""
     ms = analyze(s.ensemble, s.instrument)
-    panel = entropy_panel(ms)._asdict()
+    panel = entropy_panel(ms)
 
     purity_preserving, gl_scalars = groenewold_lindblad_check(
         s.instrument, trials=s.gl_trials, seed=s.seed, n_demix=s.gl_demix
@@ -288,7 +311,7 @@ def run_scenario(s: Scenario) -> dict:
     sensitivity = None if ms.cond_out_given_in.all() else 0.0
 
     unit = NATS_PER_UNIT[s.log_base]
-    rows = judged_rows(check_rows(scalars), s.log_base, s.tol)
+    rows = judged_rows(scalars, s.log_base, s.tol)
     return {
         "fingerprint": _fingerprint(s),
         "seed": s.seed,

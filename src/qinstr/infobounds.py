@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -27,22 +26,13 @@ RANK_ONE_TOL = 3e-6
 PROB_FLOOR = 0.05  # letter probabilities of a generated ensemble are raised to it, then renormalized
 
 
-class BoundCheck(NamedTuple):
-    """One inequality (lhs <= rhs) or equality record, built by ``check_rows``
-    alone and judged by ``harness.judged_rows`` alone."""
-
-    name: str
-    lhs: float
-    rhs: float
-    # "ge" inequality, "eq" equality, "dev" an equality whose lhs is a
-    # deviation, not an entropy, so it reads the same in either log base;
-    # "data" informational
-    kind: str = "ge"
-
-
-# Every check row, in report order: (name, kind, lhs terms, rhs terms). A term
-# names a scalar that a stage returns (the panel, the GL check, the compound
-# states, the Scutaru chains, the Hall section); a leading "-" subtracts it.
+# Every check row, in report order: (name, kind, lhs terms, rhs terms), which
+# harness.judged_rows alone builds and judges. A kind is "ge" (lhs <= rhs),
+# "eq" (an equality), "dev" (an equality whose lhs is a deviation, not an
+# entropy, so it reads the same in either log base) or "data" (never judged).
+# A term names a scalar that a stage returns (the panel, the GL check, the
+# compound states, the Scutaru chains, the Hall section); a leading "-"
+# subtracts it.
 ROWS = (
     ("idts_out", "eq", ("chi_joint",), ("chi_out", "mean_chi_given_out")),
     ("idts_in", "eq", ("chi_joint",), ("chi_post", "mean_chi_given_in")),
@@ -76,37 +66,6 @@ ROWS = (
     ("new_le_holevo", "ge", ("chi_initial", "-d_term"), ("chi_initial",)),
     ("new_vs_hall_data", "data", ("chi_initial", "-d_term"), ("chi_dual",)),
 )
-
-
-def check_rows(scalars: dict) -> list:
-    """The ``ROWS`` whose every term ``scalars`` holds, in their order: so the
-    GL gain row comes only with a purity-preserving instrument and Hall's rows
-    only when the section ran. A side of one list-valued term (``gl_chain``'s)
-    gives one row per entry."""
-    rows = []
-    for name, kind, lhs, rhs in ROWS:
-        try:
-            left, right = _side(lhs, scalars), _side(rhs, scalars)
-        except KeyError:  # a term that its stage did not return
-            continue
-        if type(left) is list:
-            rows += map(BoundCheck, repeat(name), left, right, repeat(kind))
-        else:
-            rows.append(BoundCheck(name, left, right, kind))
-    return rows
-
-
-def _side(terms: tuple, scalars: dict):
-    """One side of a row, summed left to right from its first term, and 0.0
-    with no terms. The sum never starts from 0.0, which would turn a pure
-    state's -0.0 entropy into 0.0."""
-    if not terms:
-        return 0.0
-    first = terms[0]
-    total = -scalars[first[1:]] if first[0] == "-" else scalars[first]
-    for term in terms[1:]:
-        total = total - scalars[term[1:]] if term[0] == "-" else total + scalars[term]
-    return total
 
 
 class ScenarioEntropies(NamedTuple):
@@ -189,17 +148,6 @@ class MeasurementStatistics:
         return float(_info_gain(s.eta_i, self.output_marginal, s.mean))
 
 
-class EntropyPanel(NamedTuple):
-    chi_initial: float
-    chi_post: float
-    chi_out: float
-    chi_joint: float
-    mean_chi_given_out: float
-    mean_chi_given_in: float
-    classical_mi: float
-    tripartite: float
-
-
 def analyze(e: Ensemble, ins: Instrument) -> MeasurementStatistics:
     """Joint/conditional probabilities and all post-measurement state families.
 
@@ -243,25 +191,25 @@ def analyze(e: Ensemble, ins: Instrument) -> MeasurementStatistics:
     return ms
 
 
-def entropy_panel(ms: MeasurementStatistics) -> EntropyPanel:
-    """All chi-quantities and mutual entropies in their closed forms, each chi
-    against its family's own barycenter (rho_f(w) for column w of the
-    posterior grid, eta_f^a for row a), from the scenario's entropies."""
+def entropy_panel(ms: MeasurementStatistics) -> dict:
+    """All chi-quantities and mutual entropies in their closed forms, by
+    name, each chi against its family's own barycenter (rho_f(w) for column w
+    of the posterior grid, eta_f^a for row a), from the scenario's entropies."""
     s = ms.entropies
     p_i = ms.ensemble.probs
     p_f = ms.output_marginal
     chi_joint = chi_against(ms.joint.ravel(), s.grid.ravel(), s.eta_f)
     i_c = ms.classical_mi
-    return EntropyPanel(
-        chi_initial=chi_against(p_i, s.letters, s.eta_i),
-        chi_post=chi_against(p_i, s.post, s.eta_f),
-        chi_out=chi_against(p_f, s.mean, s.eta_f),
-        chi_joint=chi_joint,
-        mean_chi_given_out=weighted_sum(p_f, chi_against(ms.cond_in_given_out.T, s.grid.T, s.mean)),
-        mean_chi_given_in=weighted_sum(p_i, chi_against(ms.cond_out_given_in, s.grid, s.post)),
-        classical_mi=i_c,
-        tripartite=i_c + chi_joint,
-    )
+    return {
+        "chi_initial": chi_against(p_i, s.letters, s.eta_i),
+        "chi_post": chi_against(p_i, s.post, s.eta_f),
+        "chi_out": chi_against(p_f, s.mean, s.eta_f),
+        "chi_joint": chi_joint,
+        "mean_chi_given_out": weighted_sum(p_f, chi_against(ms.cond_in_given_out.T, s.grid.T, s.mean)),
+        "mean_chi_given_in": weighted_sum(p_i, chi_against(ms.cond_out_given_in, s.grid, s.post)),
+        "classical_mi": i_c,
+        "tripartite": i_c + chi_joint,
+    }
 
 
 def random_pure(dim: int, rng: np.random.Generator) -> np.ndarray:

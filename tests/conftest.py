@@ -1,7 +1,7 @@
 import math
 
 from qinstr.harness import example_scenario, judged_rows
-from qinstr.infobounds import ROWS, check_rows
+from qinstr.infobounds import INEQ_TOL, ROWS
 from qinstr.qstate import DensityMatrix, pure_state
 
 ACCEPTANCE_LINES = []
@@ -25,23 +25,20 @@ def counted(counts: dict, name: str, fn):
     return wrapper
 
 
-def judged(rows, tol: float) -> list:
-    """Check rows (``BoundCheck``) judged at tol as a base-e report judges
-    them, by ``harness.judged_rows``, the one tolerance policy: one dict per
-    row, whose lhs, rhs and slack are the row's own floats, in nats."""
-    return judged_rows(rows, "e", tol)
+KIND = {name: kind for name, kind, _, _ in ROWS}  # each row's kind, by its name
+TERMS = {name: {term.lstrip("-") for term in lhs + rhs} for name, _, lhs, rhs in ROWS}
 
 
-def rows_reading(stage: dict, panel=None, kind=None) -> list:
-    """The check rows that read one of ``stage``'s scalars, built as a report
-    builds them (``infobounds.check_rows``), in nats; ``panel`` (an
-    ``EntropyPanel``) gives the other terms they read, as I_c and chi_initial
-    for the Scutaru and Hall rows. With ``kind``, only rows of that kind: the
-    panel's own "eq" rows are the identities and its "ge" rows the bounds."""
-    terms = {name: {term.lstrip("-") for term in lhs + rhs} for name, _, lhs, rhs in ROWS}
-    context = {} if panel is None else panel._asdict()
-    return [row for row in check_rows({**context, **stage})
-            if terms[row.name] & stage.keys() and kind in (None, row.kind)]
+def judged(stage: dict, context=None, kind=None, tol: float = INEQ_TOL) -> list:
+    """The report rows that read one of ``stage``'s scalars, built and judged
+    at ``tol`` as a base-e report builds and judges them, by
+    ``harness.judged_rows``: one dict per row, in nats. ``context`` (a dict
+    of scalars, such as the panel) gives the other terms they read, as I_c
+    and chi_initial for the Scutaru and Hall rows. With ``kind``, only rows
+    of that kind in ``ROWS``: the panel's own "eq" rows are the identities
+    and its "ge" rows the bounds."""
+    return [row for row in judged_rows({**(context or {}), **stage}, "e", tol)
+            if TERMS[row["name"]] & stage.keys() and kind in (None, KIND[row["name"]])]
 
 
 def pure(vec) -> DensityMatrix:

@@ -331,4 +331,4 @@ def test_suite_cross_check_against_direct_panel(suite):
             if joint[a, w] > 1e-15
         )
         assert abs(ms.classical_mi - direct) < 1e-10
-        assert abs(entropy_panel(ms).classical_mi - direct) < 1e-10
+        assert abs(entropy_panel(ms)["classical_mi"] - direct) < 1e-10

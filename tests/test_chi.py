@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rows_reading
+from conftest import judged
 from qinstr import matcore
 from qinstr.hallmap import hall_section
 from qinstr.harness import ACCEPTANCE_GRID, Scenario, main, random_scenario, run_scenario
@@ -92,10 +92,10 @@ def test_every_chi_matches_the_relative_entropy_form(s):
         ),
     }
     for name, value in expected.items():
-        assert abs(getattr(panel, name) - value) <= 1e-10, name
+        assert abs(panel[name] - value) <= 1e-10, name
 
     cs = compound_states(ms)
-    chains = {c.name: c for c in rows_reading(scutaru_chains(ms, cs), panel)}
+    chains = {row["name"]: row for row in judged(scutaru_chains(ms, cs), panel)}
     kron = DensityMatrix(matcore.kron(eta_i.mat, eta_f.mat))
     links = {
         "scutaru1_ic_ge_chi_eps_if": rel_form(p_f, states(cs.eps_if), states(cs.eta_if)),
@@ -105,14 +105,14 @@ def test_every_chi_matches_the_relative_entropy_form(s):
         "scutaru2_chi_eps_i_ge_gamma": q_rel_entropy(states(cs.gamma_if), kron),
     }
     for name, value in links.items():
-        assert abs(chains[name].lhs - value) <= 1e-10, name
+        assert abs(chains[name]["lhs"] - value) <= 1e-10, name
 
     if eta_i.spectral().eigenvalues[0] > 1e-9:
         dual = dual_ensemble(s.instrument, eta_i)
         live = [(p, states(x)) for p, x in zip(dual.probs.probs, dual.states) if p > 1e-12]
         chi_dual = rel_form([p for p, _ in live], [x for _, x in live], eta_i)
-        hall = {c.name: c for c in rows_reading(hall_section(ms), panel)}
-        assert abs(hall["hall_bound"].rhs - chi_dual) <= 1e-10
+        hall = {row["name"]: row for row in judged(hall_section(ms), panel)}
+        assert abs(hall["hall_bound"]["rhs"] - chi_dual) <= 1e-10
 
 
 class TestRareDirection:

@@ -43,14 +43,12 @@ null only at NULL_TRACE, on the rounding's scale.
 Each scenario is read back from its JSON, as the CLI reads a file."""
 
 import json
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qinstr import harness
 from qinstr.errors import NoConvergence
 from qinstr.hallmap import INVERTIBILITY_TOL
 from qinstr.harness import (
@@ -66,15 +64,15 @@ from qinstr.infobounds import INEQ_TOL, analyze
 from qinstr.instrument import POVM_SUM_TOL, Instrument, KrausMap, random_instrument
 from qinstr.matcore import HERM_TOL
 from qinstr.qstate import DensityMatrix, Ensemble, pure_state
+from conftest import KIND
 from oracle import haar_unitary, quantum_info_gain, random_density
 from test_infobounds import downstream, refill, right_normalized
 
 
 def judged_run(s: Scenario) -> tuple:
-    """s's report and (kind, name, slack) of each of its rows."""
-    with mock.patch.object(harness, "judged_rows", wraps=harness.judged_rows) as judge:
-        report = run_scenario(s)
-    return report, [(c.kind, c.name, row["slack"]) for c, row in zip(judge.call_args.args[0], report["checks"])]
+    """s's report and (kind, name, slack) of each of its rows, the kind read from ``ROWS``."""
+    report = run_scenario(s)
+    return report, [(KIND[row["name"]], row["name"], row["slack"]) for row in report["checks"]]
 
 
 def judged_slacks(s: Scenario) -> list:

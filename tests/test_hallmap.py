@@ -12,7 +12,6 @@ from conftest import (
     judged,
     orthogonal_ensemble,
     projective_qubit,
-    rows_reading,
     zero_plus_ensemble,
 )
 from qinstr import hallmap, matcore, qstate
@@ -28,7 +27,6 @@ from qinstr.harness import (
     splitmix64,
 )
 from qinstr.infobounds import (
-    INEQ_TOL,
     analyze,
     entropy_panel,
     random_ensemble,
@@ -56,9 +54,9 @@ NEW = ("new_bound", "new_d_term_nonneg", "new_iq_identity", "new_le_holevo", "ne
 
 
 def hall_checks(e, ins, names):
-    """The named Hall rows of (e, ins), by name."""
+    """The named Hall rows of (e, ins), judged, by name."""
     ms = analyze(e, ins)
-    rows = {c.name: c for c in rows_reading(hall_section(ms), entropy_panel(ms))}
+    rows = {row["name"]: row for row in judged(hall_section(ms), entropy_panel(ms))}
     return {name: rows[name] for name in names}
 
 
@@ -150,9 +148,9 @@ class TestVerifyDuality:
         e = zero_plus_ensemble()
         ins = projective_qubit()
         report = hall_checks(e, ins, DUALITY)
-        assert all(row["pass"] for row in judged(report.values(), INEQ_TOL)), report
-        assert abs(report["duality_ic"].rhs - 0.2157615543388356) < 1e-10
-        assert abs(report["duality_ic"].lhs - 0.2157615543388356) < 1e-9
+        assert all(row["pass"] for row in report.values()), report
+        assert abs(report["duality_ic"]["rhs"] - 0.2157615543388356) < 1e-10
+        assert abs(report["duality_ic"]["lhs"] - 0.2157615543388356) < 1e-9
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random(self, seed):
@@ -163,16 +161,16 @@ class TestVerifyDuality:
             seed=200 + seed,
         )
         report = hall_checks(e, ins, DUALITY)
-        assert all(row["pass"] for row in judged(report.values(), INEQ_TOL)), report
+        assert all(row["pass"] for row in report.values()), report
 
 
 class TestHallBound:
     def test_desk_example(self):
         report = hall_checks(zero_plus_ensemble(), projective_qubit(), HALL)
-        assert all(row["pass"] for row in judged(report.values(), INEQ_TOL))
+        assert all(row["pass"] for row in report.values())
         check = report["hall_bound"]
-        assert check.lhs == pytest.approx(0.2157615543388356, abs=1e-10)
-        assert check.rhs >= check.lhs
+        assert check["lhs"] == pytest.approx(0.2157615543388356, abs=1e-10)
+        assert check["rhs"] >= check["lhs"]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random(self, seed):
@@ -183,7 +181,7 @@ class TestHallBound:
             seed=400 + seed,
         )
         report = hall_checks(e, ins, HALL)
-        assert all(row["pass"] for row in judged(report.values(), INEQ_TOL))
+        assert all(row["pass"] for row in report.values())
 
 
 class TestNewBound:
@@ -193,25 +191,25 @@ class TestNewBound:
         # bound degenerates to Holevo: I_c = chi = log 2
         e = orthogonal_ensemble()
         report = hall_checks(e, projective_qubit(), NEW)
-        assert all(row["pass"] for row in judged(report.values(), INEQ_TOL)), report
+        assert all(row["pass"] for row in report.values()), report
         nb = report["new_bound"]
-        assert abs(nb.lhs - math.log(2)) < 1e-9
-        assert abs(nb.rhs - math.log(2)) < 1e-9
+        assert abs(nb["lhs"] - math.log(2)) < 1e-9
+        assert abs(nb["rhs"] - math.log(2)) < 1e-9
 
     def test_desk_example(self):
         report = hall_checks(zero_plus_ensemble(), projective_qubit(), NEW)
-        assert all(row["pass"] for row in judged(report.values(), INEQ_TOL)), report
+        assert all(row["pass"] for row in report.values()), report
         nb = report["new_bound"]
-        assert nb.lhs == pytest.approx(0.2157615543388356, abs=1e-10)
-        assert nb.rhs <= 0.4164955306996875 + 1e-10  # never above Holevo
+        assert nb["lhs"] == pytest.approx(0.2157615543388356, abs=1e-10)
+        assert nb["rhs"] <= 0.4164955306996875 + 1e-10  # never above Holevo
 
     def test_iq_identity(self):
         # I_q{eta_i; J} = chi_initial
         e = zero_plus_ensemble()
         report = hall_checks(e, projective_qubit(), NEW)
         idt = report["new_iq_identity"]
-        assert abs(judged((idt,), INEQ_TOL)[0]["slack"]) < 1e-9
-        assert abs(idt.rhs - 0.4164955306996875) < 1e-10
+        assert abs(idt["slack"]) < 1e-9
+        assert abs(idt["rhs"] - 0.4164955306996875) < 1e-10
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random(self, seed):
@@ -222,7 +220,7 @@ class TestNewBound:
             seed=600 + seed,
         )
         report = hall_checks(e, ins, NEW)
-        assert all(row["pass"] for row in judged(report.values(), INEQ_TOL)), report
+        assert all(row["pass"] for row in report.values()), report
 
     def test_strictly_improves_somewhere(self):
         # the D term is strictly positive on some instance
@@ -233,21 +231,21 @@ class TestNewBound:
             ins = random_instrument(2, 2, 2, 1, seed=800 + seed)
             report = hall_checks(e, ins, NEW)
             panel = entropy_panel(analyze(e, ins))
-            best = max(best, panel.chi_initial - report["new_bound"].rhs)
+            best = max(best, panel["chi_initial"] - report["new_bound"]["rhs"])
         assert best > 1e-6
 
     def test_new_vs_hall_recorded_as_data(self):
-        report = hall_checks(zero_plus_ensemble(), projective_qubit(), NEW)
-        check = report["new_vs_hall_data"]
-        assert check.kind == "data"
-        assert judged((check,), 0.0)[0]["pass"]  # informational, never fails
+        ms = analyze(zero_plus_ensemble(), projective_qubit())
+        (check,) = judged(hall_section(ms), entropy_panel(ms), kind="data", tol=0.0)
+        assert check["name"] == "new_vs_hall_data"
+        assert check["pass"]  # informational, never fails
 
 
 class TestHallSection:
     def test_check_names_in_order(self):
         ms = analyze(zero_plus_ensemble(), projective_qubit())
-        rows = rows_reading(hall_section(ms), entropy_panel(ms))
-        assert [c.name for c in rows] == [*DUALITY, *HALL, *NEW]
+        rows = judged(hall_section(ms), entropy_panel(ms))
+        assert [row["name"] for row in rows] == [*DUALITY, *HALL, *NEW]
 
     def test_skipped_on_singular_a_priori(self):
         # run_scenario decides the skip: the fixed text, and no Hall row
@@ -395,8 +393,8 @@ def test_wrong_law_on_an_outcome_of_weight_1e_3_fails_duality(shift, monkeypatch
     ))
     ms = analyze(orthogonal_ensemble(), ins)
     assert abs(ms.output_marginal[1] - 1e-3) <= 1e-15
-    row = {c.name: c for c in rows_reading(hall_section(ms), entropy_panel(ms))}["duality_conditional_law"]
-    assert row.lhs <= 1e-15 and judged((row,), INEQ_TOL)[0]["pass"]
+    row = {row["name"]: row for row in judged(hall_section(ms), entropy_panel(ms))}["duality_conditional_law"]
+    assert row["lhs"] <= 1e-15 and row["pass"]
     posteriors = hallmap._posteriors
 
     def wrong(outs):
@@ -405,9 +403,9 @@ def test_wrong_law_on_an_outcome_of_weight_1e_3_fails_duality(shift, monkeypatch
         return law, posts
 
     monkeypatch.setattr(hallmap, "_posteriors", wrong)
-    row = {c.name: c for c in rows_reading(hall_section(ms), entropy_panel(ms))}["duality_conditional_law"]
-    assert abs(row.lhs - 1e-3 * shift) <= 1e-15
-    assert not judged((row,), INEQ_TOL)[0]["pass"]
+    row = {row["name"]: row for row in judged(hall_section(ms), entropy_panel(ms))}["duality_conditional_law"]
+    assert abs(row["lhs"] - 1e-3 * shift) <= 1e-15
+    assert not row["pass"]
 
 def per_state_hall_rows(e, ins) -> dict:
     """The eight Hall rows, (lhs, rhs) by name, one state at a time: J from
@@ -454,9 +452,9 @@ def per_state_hall_rows(e, ins) -> dict:
 def test_hall_rows_match_the_per_state_oracle(shape, seed):
     s = random_scenario(*shape, seed=seed)
     ms = analyze(s.ensemble, s.instrument)
-    rows = rows_reading(hall_section(ms), entropy_panel(ms))
+    rows = judged(hall_section(ms), entropy_panel(ms))
     expected = per_state_hall_rows(s.ensemble, s.instrument)
-    assert [c.name for c in rows] == list(expected)
-    for c in rows:
-        lhs, rhs = expected[c.name]
-        assert abs(c.lhs - lhs) <= 1e-12 and abs(c.rhs - rhs) <= 1e-12, (c, lhs, rhs)
+    assert [row["name"] for row in rows] == list(expected)
+    for row in rows:
+        lhs, rhs = expected[row["name"]]
+        assert abs(row["lhs"] - lhs) <= 1e-12 and abs(row["rhs"] - rhs) <= 1e-12, (row, lhs, rhs)

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import counted, judged
+from conftest import KIND, counted, judged
 from qinstr import harness, infobounds, instrument, matcore, qstate
 from qinstr.harness import (
     ACCEPTANCE_GRID,
@@ -37,7 +37,7 @@ from qinstr.harness import (
     splitmix64,
 )
 from qinstr.errors import NoConvergence, QinstrError, SchemaError
-from qinstr.infobounds import ROWS, BoundCheck, _gains, groenewold_lindblad_check, random_pure
+from qinstr.infobounds import ROWS, _gains, groenewold_lindblad_check, random_pure
 from qinstr.instrument import Instrument, random_instrument
 from qinstr.qstate import DensityMatrix, Ensemble, pure_state
 from test_infobounds import NULL_CELL_SCENARIOS, effect_sum_off_the_identity_in_every_entry, scaled_zero_one_plus
@@ -167,15 +167,14 @@ class TestGoldenFingerprints:
         assert jacobi_calls == 2
 
 
-def stage_rows(monkeypatch) -> list:
-    """The BoundCheck rows, in nats, that run_scenario hands to judged_rows,
-    for the rows whose kind the report does not carry."""
-    received = []
+def stage_scalars(monkeypatch) -> dict:
+    """The stages' named scalars, in nats, that run_scenario hands to judged_rows."""
+    received = {}
     judged_rows = harness.judged_rows
 
-    def spy(checks, log_base, tol):
-        received[:] = checks
-        return judged_rows(checks, log_base, tol)
+    def spy(scalars, log_base, tol):
+        received.update(scalars)
+        return judged_rows(scalars, log_base, tol)
 
     monkeypatch.setattr(harness, "judged_rows", spy)
     return received
@@ -220,20 +219,22 @@ class TestRunScenario:
     @pytest.mark.parametrize("seed", [7, 99, 12345])
     def test_every_check_judged_at_scenario_tol(self, seed, tol, monkeypatch):
         # one policy for every stage: inequalities at tol, equalities and
-        # deviations at min(1e-9, tol), data never fails
-        checks = stage_rows(monkeypatch)
+        # deviations at min(1e-9, tol), data never fails; a stage-level test
+        # judges the stages' scalars as the report does
+        scalars = stage_scalars(monkeypatch)
         report = run_scenario(dataclasses.replace(random_scenario(3, 3, 3, 3, 2, seed), tol=tol))
         assert report["hall_skipped"] is None
         rows = report["checks"]
-        assert len(rows) == len(checks)
-        for check, stage_row, row in zip(checks, judged(checks, tol), rows):
-            if check.kind == "data":
+        assert judged(scalars, tol=tol) == rows
+        for row in rows:
+            kind = KIND[row["name"]]
+            if kind == "data":
                 expected = True
-            elif check.kind in ("eq", "dev"):
-                expected = abs(stage_row["slack"]) <= min(1e-9, tol)
+            elif kind in ("eq", "dev"):
+                expected = abs(row["slack"]) <= min(1e-9, tol)
             else:
-                expected = stage_row["slack"] >= -tol
-            assert row["pass"] == expected, (check, tol)
+                expected = row["slack"] >= -tol
+            assert row["pass"] == expected, (row, tol)
         assert report["overall_pass"] == all(row["pass"] for row in rows)
 
     def test_deterministic_json(self):
@@ -266,16 +267,15 @@ class TestBase2Units:
     UNITLESS = ("compound_tr2_eta_if", "compound_tr1_eta_if", "compound_tr2_gamma",
                 "compound_tr1_gamma", "compound_tau_mix", "duality_conditional_law")
 
-    def test_only_entropy_rows_are_scaled(self, monkeypatch):
+    def test_only_entropy_rows_are_scaled(self):
         s = random_scenario(3, 3, 3, 3, 2, 7)
-        checks = stage_rows(monkeypatch)
         report = run_scenario(s)
         nats = report["checks"]
         bits = run_scenario(dataclasses.replace(s, log_base="2"))["checks"]
         assert {row["name"] for row in nats} >= set(self.UNITLESS)
         # the unscaled rows are exactly the deviation rows (Hall's runs here)
         assert report["hall_skipped"] is None
-        assert {c.name for c in checks if c.kind == "dev"} == set(self.UNITLESS)
+        assert {row["name"] for row in nats if KIND[row["name"]] == "dev"} == set(self.UNITLESS)
         for e_row, b_row in zip(nats, bits):
             assert b_row["name"] == e_row["name"]
             if e_row["name"] in self.UNITLESS:
@@ -287,11 +287,11 @@ class TestBase2Units:
     def test_pass_agrees_with_the_printed_slack(self):
         # 0.8e-8 nats over a rhs of 0 is a slack of -1.154e-8 bits: within
         # tol 1e-8 in nats, beyond it in bits
-        checks = (BoundCheck("x", 0.8e-8, 0.0),)
-        (row,) = harness.judged_rows(checks, "2", 1e-8)
+        scalars = {"classical_mi": 0.8e-8, "chi_initial": 0.0}  # the holevo row alone
+        (row,) = harness.judged_rows(scalars, "2", 1e-8)
         assert row["slack"] == pytest.approx(-0.8e-8 / math.log(2), rel=1e-12)
         assert row["pass"] is False
-        (row,) = harness.judged_rows(checks, "e", 1e-8)
+        (row,) = harness.judged_rows(scalars, "e", 1e-8)
         assert row["pass"] is True
 
 
@@ -540,11 +540,11 @@ class TestCli:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_failing_suite_counts_its_failures_and_exits_one(self, capsys, monkeypatch, fmt):
-        # a row planted in every report fails it: the summary counts each
-        # failing report, and the suite exits 1, as a failing analyze does
-        real = harness.check_rows
-        planted = BoundCheck("planted", 1.0, 0.0)
-        monkeypatch.setattr(harness, "check_rows", lambda scalars: [*real(scalars), planted])
+        # a deviation of 1.0 planted in every report's scalars fails its
+        # compound_tau_mix row: the summary counts each failing report, and
+        # the suite exits 1, as a failing analyze does
+        real = harness.judged_rows
+        monkeypatch.setattr(harness, "judged_rows", lambda scalars, *args: real({**scalars, "tau_mix_dev": 1.0}, *args))
         assert main(["random", "--trials", "2", "--format", fmt]) == 1
         out = capsys.readouterr().out
         if fmt == "json":
@@ -563,8 +563,8 @@ class TestCli:
         real = harness.judged_rows
         counts = Counter()
 
-        def judge(checks, log_base, tol):
-            rows = real(checks, log_base, tol)
+        def judge(scalars, log_base, tol):
+            rows = real(scalars, log_base, tol)
             counts.update(calls=1, rows=len(rows))
             return rows
 
@@ -1204,7 +1204,8 @@ def test_each_support_rule_has_one_home():
 def test_each_row_is_named_once_in_the_table():
     """A check row is named in one place, infobounds.ROWS, with its kind and
     its terms: each row name is a string constant of the package exactly once,
-    inside ROWS, and BoundCheck is built only in check_rows."""
+    inside ROWS. A row is built in one place, harness.judged_rows, the only
+    reader of ROWS and the only place that writes a row's slack."""
     package = Path(harness.__file__).resolve().parent
     names = {name for name, *_ in ROWS}
     anywhere, in_table = Counter(), Counter()
@@ -1217,8 +1218,10 @@ def test_each_row_is_named_once_in_the_table():
                                 if isinstance(c, ast.Constant) and c.value in names)
     assert len(names) == len(ROWS)
     assert anywhere == in_table == Counter(names)
-    built = reading_sites(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func).endswith("BoundCheck"))
-    assert built == {"infobounds.check_rows"}
+    assert constant_readers("ROWS") == {"harness.judged_rows"}
+    built = reading_sites(lambda node: isinstance(node, ast.Dict)
+                          and any(isinstance(key, ast.Constant) and key.value == "slack" for key in node.keys))
+    assert built == {"harness.judged_rows"}
 
 
 ROW_ORDER = {name: index for index, (name, *_) in enumerate(ROWS)}
@@ -1328,7 +1331,7 @@ def test_lapack_has_one_binding():
 
 
 # the LAPACK calls of analyze, the entropy panel and the Scutaru chains;
-# compound_states and check_rows make none
+# compound_states and judged_rows make none
 PANEL_LAPACK = {"analyze": {"eigvalsh": 1}, "entropy_panel": {"eigvalsh": 1}, "scutaru_chains": {"eigvalsh": 3}}
 # the Hall section's: the eigh of its eta_w stack and the eigvalsh of its entropies
 HALL_LAPACK = {"eigh": 1, "eigvalsh": 1}

@@ -13,7 +13,6 @@ from conftest import (
     judged,
     orthogonal_ensemble,
     projective_qubit,
-    rows_reading,
     zero_plus_ensemble,
 )
 from qinstr.errors import QinstrError
@@ -22,14 +21,13 @@ from qinstr.harness import (
     ACCEPTANCE_GRID,
     Scenario,
     example_scenario,
+    judged_rows,
     random_scenario,
     run_scenario,
 )
 from qinstr.infobounds import (
     INEQ_TOL,
-    BoundCheck,
     analyze,
-    check_rows,
     compound_states,
     entropy_panel,
     groenewold_lindblad_check,
@@ -160,33 +158,49 @@ class TestAnalyze:
     ],
 )
 def test_infinite_rhs_is_judged_by_slack(lhs, rhs, passes):
-    assert judged((BoundCheck("x", lhs, rhs),), 1e-8)[0]["pass"] is passes
-    assert judged((BoundCheck("x", lhs, rhs, "data"),), 1e-8)[0]["pass"] is True  # data is never judged
+    # holevo (I_c <= chi_initial) is a "ge" row, new_vs_hall_data
+    # (chi_initial - D against chi_dual) a "data" row
+    (row,) = judged({"classical_mi": lhs, "chi_initial": rhs})
+    assert row["name"] == "holevo" and row["pass"] is passes
+    (row,) = judged({"chi_initial": lhs, "d_term": 0.0, "chi_dual": rhs}, kind="data")
+    assert row["pass"] is True  # data is never judged
+
+
+# scalars that give one row of each kind a NaN slack: holevo, duality_ic,
+# compound_tau_mix (a deviation row's rhs is 0.0, so its lhs is NaN) and
+# new_vs_hall_data
+NAN_SLACK = {
+    "ge": {"classical_mi": math.inf, "chi_initial": math.inf},
+    "eq": {"dual_classical_mi": math.inf, "classical_mi": math.inf},
+    "dev": {"tau_mix_dev": math.nan},
+    "data": {"chi_initial": math.inf, "d_term": 0.0, "chi_dual": math.inf},
+}
 
 
 @pytest.mark.parametrize("kind", ["ge", "eq", "dev", "data"])
 def test_infinite_row_fails_every_judged_kind(kind):
     # a NaN slack fails every judged kind; a data row is never judged
-    (row,) = judged((BoundCheck("x", math.inf, math.inf, kind),), 1.0)
+    (row,) = judged(NAN_SLACK[kind], kind=kind, tol=1.0)
     assert math.isnan(row["slack"]) and row["pass"] is (kind == "data")
 
 
-class TestCheckRows:
+class TestJudgedRows:
     def test_a_side_is_summed_from_its_first_term(self):
         # left to right and never from 0.0, which would turn the -0.0 entropy
         # of a pure state into 0.0; a side with no terms is 0.0
-        panel = entropy_panel(analyze(zero_plus_ensemble(), projective_qubit()))._asdict()
-        rows = {row.name: row for row in check_rows({**panel, "chi_post": -0.0})}
-        assert math.copysign(1.0, rows["lower_bound"].lhs) == -1.0
-        assert rows["bl1"].rhs == panel["chi_initial"] + panel["chi_out"] - panel["chi_joint"]
-        assert rows["chain_via_out"].rhs == panel["classical_mi"] + panel["mean_chi_given_out"] + panel["chi_out"]
-        assert check_rows({"tau_mix_dev": 0.5}) == [BoundCheck("compound_tau_mix", 0.5, 0.0, "dev")]
+        panel = entropy_panel(analyze(zero_plus_ensemble(), projective_qubit()))
+        rows = {row["name"]: row for row in judged_rows({**panel, "chi_post": -0.0}, "e", INEQ_TOL)}
+        assert math.copysign(1.0, rows["lower_bound"]["lhs"]) == -1.0
+        assert rows["bl1"]["rhs"] == panel["chi_initial"] + panel["chi_out"] - panel["chi_joint"]
+        assert rows["chain_via_out"]["rhs"] == panel["classical_mi"] + panel["mean_chi_given_out"] + panel["chi_out"]
+        assert judged_rows({"tau_mix_dev": 0.5}, "e", INEQ_TOL) == [
+            {"name": "compound_tau_mix", "lhs": 0.5, "rhs": 0.0, "slack": -0.5, "pass": False}]
 
     def test_a_row_needs_each_of_its_terms(self):
         # a side of one list-valued term gives one row per entry, and a row missing a term is not built
-        rows = check_rows({"gl_chain_lhs": [1.0, 2.0], "gl_chain_rhs": [3.0, 4.0], "chi_eps_i": 0.1})
-        assert rows == [BoundCheck("gl_chain", 1.0, 3.0, "ge"), BoundCheck("gl_chain", 2.0, 4.0, "ge")]
-        assert check_rows({"gl_chain_lhs": [], "gl_chain_rhs": []}) == []
+        rows = judged_rows({"gl_chain_lhs": [1.0, 2.0], "gl_chain_rhs": [3.0, 4.0], "chi_eps_i": 0.1}, "e", INEQ_TOL)
+        assert [(row["name"], row["lhs"], row["rhs"]) for row in rows] == [("gl_chain", 1.0, 3.0), ("gl_chain", 2.0, 4.0)]
+        assert judged_rows({"gl_chain_lhs": [], "gl_chain_rhs": []}, "e", INEQ_TOL) == []
 
 
 class TestClassicalMutualInfo:
@@ -249,18 +263,18 @@ class TestEntropyPanel:
     def test_zero_plus_values(self):
         ms = analyze(zero_plus_ensemble(), projective_qubit())
         panel = entropy_panel(ms)
-        assert abs(panel.chi_initial - 0.4164955306996875) < 1e-10
-        assert abs(panel.classical_mi - 0.2157615543388356) < 1e-10
+        assert abs(panel["chi_initial"] - 0.4164955306996875) < 1e-10
+        assert abs(panel["classical_mi"] - 0.2157615543388356) < 1e-10
         # projective instrument on a qubit leaves pure posterior states, and
         # every posterior grid state equals the corresponding mean state
-        assert abs(panel.mean_chi_given_out) < 1e-10
-        assert abs(panel.chi_joint - panel.chi_out) < 1e-10
+        assert abs(panel["mean_chi_given_out"]) < 1e-10
+        assert abs(panel["chi_joint"] - panel["chi_out"]) < 1e-10
 
     def test_orthogonal_panel(self):
         ms = analyze(orthogonal_ensemble(), projective_qubit())
         panel = entropy_panel(ms)
-        assert abs(panel.chi_initial - math.log(2)) < 1e-10
-        assert abs(panel.classical_mi - math.log(2)) < 1e-10
+        assert abs(panel["chi_initial"] - math.log(2)) < 1e-10
+        assert abs(panel["classical_mi"] - math.log(2)) < 1e-10
 
     def test_chi_initial_matches_relative_entropy_form(self):
         # chi_initial = sum_a P_a S(rho_a | eta), one state at a time
@@ -270,14 +284,14 @@ class TestEntropyPanel:
         ms = analyze(e, ins)
         eta = a_priori_state(e)
         expected = sum(p * q_rel_entropy(DensityMatrix(s), eta) for p, s in zip(e.probs, e.states))
-        assert abs(entropy_panel(ms).chi_initial - expected) < 1e-10
+        assert abs(entropy_panel(ms)["chi_initial"] - expected) < 1e-10
 
     def test_tripartite_sum(self):
         rng = np.random.default_rng(8)
         e = random_ensemble(2, 2, rng)
         ins = random_instrument(2, 2, 3, 1, seed=9)
         panel = entropy_panel(analyze(e, ins))
-        assert abs(panel.tripartite - panel.classical_mi - panel.chi_joint) < 1e-12
+        assert abs(panel["tripartite"] - panel["classical_mi"] - panel["chi_joint"]) < 1e-12
 
 
 class TestIdentitiesAndBounds:
@@ -290,8 +304,8 @@ class TestIdentitiesAndBounds:
             seed=200 + seed,
         )
         panel = entropy_panel(analyze(e, ins))
-        rows = rows_reading(panel._asdict(), kind="eq")
-        assert all(row["pass"] for row in judged(rows, INEQ_TOL)), rows
+        rows = judged(panel, kind="eq")
+        assert all(row["pass"] for row in rows), rows
 
     @pytest.mark.parametrize("seed", range(10))
     def test_bounds_random(self, seed):
@@ -302,18 +316,18 @@ class TestIdentitiesAndBounds:
             seed=400 + seed,
         )
         panel = entropy_panel(analyze(e, ins))
-        rows = rows_reading(panel._asdict(), kind="ge")
-        assert all(row["pass"] for row in judged(rows, INEQ_TOL)), rows
+        rows = judged(panel, kind="ge")
+        assert all(row["pass"] for row in rows), rows
 
     def test_identities_on_desk_example(self):
         panel = entropy_panel(analyze(zero_plus_ensemble(), projective_qubit()))
-        checks = {row["name"]: row for row in judged(rows_reading(panel._asdict(), kind="eq"), INEQ_TOL)}
+        checks = {row["name"]: row for row in judged(panel, kind="eq")}
         assert all(row["pass"] for row in checks.values())
         assert abs(checks["idts_out"]["slack"]) < 1e-12
 
     def test_bounds_on_desk_example(self):
         panel = entropy_panel(analyze(zero_plus_ensemble(), projective_qubit()))
-        checks = {row["name"]: row for row in judged(rows_reading(panel._asdict(), kind="ge"), INEQ_TOL)}
+        checks = {row["name"]: row for row in judged(panel, kind="ge")}
         assert all(row["pass"] for row in checks.values())
         # Holevo slack chi - I_c frozen from the two oracles above
         assert abs(checks["holevo"]["slack"] - (0.4164955306996875 - 0.2157615543388356)) < 1e-10
@@ -348,33 +362,32 @@ class TestQuantumInfoGain:
 class TestGroenewoldLindblad:
     def test_projective_is_purity_preserving(self):
         pp, gl = groenewold_lindblad_check(projective_qubit(), trials=50, seed=0, n_demix=5)
-        rows = rows_reading(gl)
+        rows = judged(gl)
         assert pp
-        assert all(row["pass"] for row in judged(rows, INEQ_TOL))
-        assert {row["name"]: row for row in judged(rows, INEQ_TOL)}["gl_info_gain_nonneg"]["slack"] >= -1e-8
+        assert all(row["pass"] for row in rows)
+        assert {row["name"]: row for row in rows}["gl_info_gain_nonneg"]["slack"] >= -1e-8
 
     def test_rank1_random_is_purity_preserving(self):
         ins = random_instrument(2, 3, 3, 1, seed=42)
         pp, gl = groenewold_lindblad_check(ins, trials=50, seed=1, n_demix=5)
-        rows = rows_reading(gl)
+        rows = judged(gl)
         assert pp
-        assert all(row["pass"] for row in judged(rows, INEQ_TOL))
+        assert all(row["pass"] for row in rows)
 
     def test_depolarizing_like_is_not(self):
         # two-Kraus single-outcome channel mixes pure inputs
         ins = random_instrument(2, 2, 1, 2, seed=7)
         pp, gl = groenewold_lindblad_check(ins, trials=50, seed=2, n_demix=5)
-        rows = rows_reading(gl)
+        rows = judged(gl)
         assert not pp
-        with pytest.raises(KeyError):
-            {c.name: c for c in rows}["gl_info_gain_nonneg"]
-        assert all(row["pass"] for row in judged(rows, INEQ_TOL))  # chain inequality still holds
+        assert "gl_info_gain_nonneg" not in {row["name"] for row in rows}
+        assert all(row["pass"] for row in rows)  # chain inequality still holds
 
     @pytest.mark.parametrize("seed", range(5))
     def test_chain_inequality_random(self, seed):
         ins = random_instrument(3, 2, 3, 2, seed=500 + seed)
-        rows = rows_reading(groenewold_lindblad_check(ins, trials=20, seed=seed, n_demix=3)[1])
-        assert all(row["pass"] for row in judged(rows, INEQ_TOL)), rows
+        rows = judged(groenewold_lindblad_check(ins, trials=20, seed=seed, n_demix=3)[1])
+        assert all(row["pass"] for row in rows), rows
 
 
 def sequential_gl(ins, trials, seed, n_demix=5):
@@ -522,13 +535,13 @@ def downstream(ms):
     or the error it raises (``test_hallmap.test_near_null_dual_outcome_is_analyzed``)."""
     cs = compound_states(ms)
     panel = entropy_panel(ms)
-    rows = rows_reading({**cs.deviations, **scutaru_chains(ms, cs)}, panel)
+    rows = judged({**cs.deviations, **scutaru_chains(ms, cs)}, panel)
     try:
-        rows += rows_reading(hall_section(ms), panel)
+        rows += judged(hall_section(ms), panel)
     except QinstrError as exc:
         rows.append(repr(exc))
     arrays = [a.tobytes() for a in (cs.eps_if, cs.eps_i, cs.eps_f, cs.eta_if, cs.tau_f, cs.gamma_if)]
-    return panel._asdict(), ms.info_gain, rows, arrays
+    return panel, ms.info_gain, rows, arrays
 
 
 def assert_fill_reaches_no_number(e, ins, state):
@@ -705,20 +718,20 @@ def test_fill_of_a_live_outcome_reaches_no_number():
 @pytest.mark.parametrize("ins, trials, seed, n_demix", GL_CASES)
 def test_batched_gl_matches_sequential(ins, trials, seed, n_demix):
     pp, gl = groenewold_lindblad_check(ins, trials=trials, seed=seed, n_demix=n_demix)
-    rows = rows_reading(gl)
+    rows = judged(gl)
     ref_pp, ref_checks = sequential_gl(ins, trials, seed, n_demix)
     assert pp == ref_pp
-    assert [c.name for c in rows] == [name for name, _, _ in ref_checks]
-    for c, (_name, lhs, rhs) in zip(rows, ref_checks):
-        assert abs(c.lhs - lhs) <= 1e-12
-        assert abs(c.rhs - rhs) <= 1e-12
+    assert [row["name"] for row in rows] == [name for name, _, _ in ref_checks]
+    for row, (_name, lhs, rhs) in zip(rows, ref_checks):
+        assert abs(row["lhs"] - lhs) <= 1e-12
+        assert abs(row["rhs"] - rhs) <= 1e-12
 
 
 class TestCompoundStates:
     def test_consistency_desk(self):
         ms = analyze(zero_plus_ensemble(), projective_qubit())
         cs = compound_states(ms)
-        assert all(row["pass"] for row in judged(rows_reading(cs.deviations), INEQ_TOL))
+        assert all(row["pass"] for row in judged(cs.deviations))
 
     def test_dimensions(self):
         rng = np.random.default_rng(20)
@@ -737,8 +750,8 @@ class TestCompoundStates:
         # read 1.86e-9 and compound_tau_mix 1.30e-9, and the report failed
         s = effect_sum_off_the_identity_in_every_entry()
         assert run_scenario(s)["overall_pass"]
-        rows = rows_reading(compound_states(analyze(s.ensemble, s.instrument)).deviations)
-        assert max(c.lhs for c in rows) <= 1e-14, rows
+        rows = judged(compound_states(analyze(s.ensemble, s.instrument)).deviations)
+        assert max(row["lhs"] for row in rows) <= 1e-14, rows
 
     @pytest.mark.parametrize("seed", range(5))
     def test_consistency_random(self, seed):
@@ -747,25 +760,25 @@ class TestCompoundStates:
         ins = random_instrument(
             e.dim, int(rng.integers(2, 4)), int(rng.integers(2, 4)), 2, seed=700 + seed
         )
-        rows = rows_reading(compound_states(analyze(e, ins)).deviations)
-        assert all(row["pass"] for row in judged(rows, INEQ_TOL)), rows
+        rows = judged(compound_states(analyze(e, ins)).deviations)
+        assert all(row["pass"] for row in rows), rows
 
 
 class TestScutaruChains:
     def test_desk_example(self):
         ms = analyze(zero_plus_ensemble(), projective_qubit())
-        checks = {c.name: c for c in rows_reading(scutaru_chains(ms, compound_states(ms)), entropy_panel(ms))}
-        assert all(row["pass"] for row in judged(checks.values(), INEQ_TOL)), checks
+        checks = {row["name"]: row for row in judged(scutaru_chains(ms, compound_states(ms)), entropy_panel(ms))}
+        assert all(row["pass"] for row in checks.values()), checks
         # every link sits below I_c
         i_c = ms.classical_mi
-        assert checks["scutaru1_ic_ge_chi_eps_if"].rhs == pytest.approx(i_c)
+        assert checks["scutaru1_ic_ge_chi_eps_if"]["rhs"] == pytest.approx(i_c)
 
     def test_orthogonal_example(self):
         ms = analyze(orthogonal_ensemble(), projective_qubit())
-        checks = {c.name: c for c in rows_reading(scutaru_chains(ms, compound_states(ms)), entropy_panel(ms))}
-        assert all(row["pass"] for row in judged(checks.values(), INEQ_TOL))
+        checks = {row["name"]: row for row in judged(scutaru_chains(ms, compound_states(ms)), entropy_panel(ms))}
+        assert all(row["pass"] for row in checks.values())
         # perfectly distinguishable: the first-chain bound is tight at log 2
-        assert abs(checks["scutaru1_ic_ge_chi_eps_if"].rhs - math.log(2)) < 1e-10
+        assert abs(checks["scutaru1_ic_ge_chi_eps_if"]["rhs"] - math.log(2)) < 1e-10
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random(self, seed):
@@ -776,8 +789,8 @@ class TestScutaruChains:
             seed=900 + seed,
         )
         ms = analyze(e, ins)
-        rows = rows_reading(scutaru_chains(ms, compound_states(ms)), entropy_panel(ms))
-        assert all(row["pass"] for row in judged(rows, INEQ_TOL)), rows
+        rows = judged(scutaru_chains(ms, compound_states(ms)), entropy_panel(ms))
+        assert all(row["pass"] for row in rows), rows
 
 
 class TestMergeOutcomes:
