@@ -135,7 +135,7 @@ def _posteriors(outs: np.ndarray) -> tuple:
     divided by its trace, Hermitian to rounding, as eta_f^a and eta_f are:
     every reader of it is ``eigvalsh``, which reads one triangle, or a row
     judged at its tolerance."""
-    tr = outs.trace(axis1=-2, axis2=-1).real
+    tr = np.einsum("...ii->...", outs).real
     live = tr > NULL_TRACE
     states = np.divide(outs, tr[..., None, None], out=np.zeros_like(outs), where=live[..., None, None])
     probs = np.where(live, tr, 0.0)
