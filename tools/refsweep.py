@@ -20,9 +20,9 @@ also puts every input text through the qinstr of TREE (a checkout holding
 and compares the two reports of each input: the fingerprint, the check names,
 each row's pass flag, the purity class, the Hall skip,
 ``default_state_sensitivity`` and ``overall_pass`` must agree exactly. It
-prints how many reports changed bytes and the largest move of a value (a
-panel entry, the information gain, a row's lhs or rhs) with its input and
-field, and exits 1 on any exact difference or on a move beyond refcheck's
+prints how many reports changed bytes, for each workload and pool and in all,
+and the largest move of a value (a panel entry, the information gain, a row's
+lhs or rhs) with its input and field, and exits 1 on any exact difference or on a move beyond refcheck's
 tolerance. This is the comparison a change that moves values without
 re-recording the references must pass.
 """
@@ -137,8 +137,12 @@ def main(argv=None) -> int:
     inputs, reports = hashlib.sha256(), hashlib.sha256()
     for workload in workloads.SLOTS:
         for pool in workloads.POOL_SEEDS:
+            changed = 0 if parent is None else parent.changed
             checked, problems = sweep(q, workload, pool, inputs, reports, parent)
-            print(f"{workload}/{pool}: {checked} inputs, {len(problems)} mismatches", flush=True)
+            line = f"{workload}/{pool}: {checked} inputs, {len(problems)} mismatches"
+            if parent is not None:
+                line += f", {parent.changed - changed} changed bytes against the parent"
+            print(line, flush=True)
             total += checked
             failed += problems
     for line in failed:
