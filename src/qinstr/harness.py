@@ -470,6 +470,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object of the scenario file, once no key repeats in it: ``json``
+    would keep a repeated key's last value silently."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SchemaError(f"duplicate key {key!r} in the scenario file")
+        obj[key] = value
+    return obj
+
+
 def _stage(exc: Exception) -> str:
     """The stage where exc arose: the first function outside this module on its traceback."""
     codes = [frame.f_code for frame, _ in traceback.walk_tb(exc.__traceback__)]
@@ -485,7 +496,7 @@ def main(argv=None) -> int:
     try:  # read: the file or the flags
         if args.command == "analyze":
             with open(args.scenario, encoding="utf-8") as fh:  # JSON is UTF-8 (RFC 8259)
-                scenario = scenario_from_json(json.load(fh))
+                scenario = scenario_from_json(json.load(fh, object_pairs_hook=_unique_keys))
             flags = {"tol": args.tol, "log_base": args.base}  # judged by Scenario's rules, as the file's options are
             scenario = replace(scenario, **{k: v for k, v in flags.items() if v is not None})
         elif args.command == "random":

@@ -896,6 +896,21 @@ class TestInputContract:
         with pytest.raises(SchemaError, match=f"unknown key {key!r}"):
             scenario_from_json(obj)
 
+    @pytest.mark.parametrize("where, key, value", [
+        ("options", "tol", 1e-6),  # would run at tol 1e-8, the last value
+        ("ensemble", "probs", [0.9, 0.1]),
+        (None, "options", {}),
+    ], ids=["options-tol", "ensemble-probs", "options"])
+    def test_duplicate_key_exit_two(self, tmp_path, capsys, where, key, value):
+        # json keeps a repeated key's last value; the CLI names the key instead
+        obj = example_scenario("zero-one-plus").to_json()
+        text = json.dumps(obj)
+        target = text if where is None else json.dumps(obj[where])
+        path = tmp_path / "scenario.json"
+        path.write_text(text.replace(target, "{" + json.dumps({key: value})[1:-1] + ", " + target[1:], 1))
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err == f"schema error: duplicate key {key!r} in the scenario file\n"
+
     @pytest.mark.parametrize("where,key,value", [
         ("ensemble", "probs", ["0.5", "0.5"]),
         ("ensemble", "probs", [True, 0.0]),  # numpy would read it as [1.0, 0.0]
