@@ -1264,6 +1264,27 @@ def test_a_desk_report_emits_every_row_of_the_table():
     assert {row["name"] for row in report["checks"]} == set(ROW_ORDER)
 
 
+# the orthogonal-projective report's check names, in report order, written
+# out rather than read from ROWS: the order guards above read the table, so a
+# reordering of ROWS fails only here
+DESK_CHECK_NAMES = (
+    "idts_out", "idts_in", "chain_via_out", "chain_via_in", "chain_via_joint",
+    "sww", "holevo", "bl1", "lower_bound", "gl_info_gain_nonneg", *("gl_chain",) * 5,
+    "compound_tr2_eta_if", "compound_tr1_eta_if", "compound_tr2_gamma", "compound_tr1_gamma",
+    "compound_tau_mix",
+    "scutaru1_ic_ge_chi_eps_if", "scutaru1_chi_eps_if_ge_chi_eps_i", "scutaru1_chi_eps_if_ge_chi_eps_f",
+    "scutaru2_ic_ge_chi_eps_i", "scutaru2_ic_ge_chi_tau_f", "scutaru2_chi_eps_i_ge_gamma",
+    "scutaru2_chi_tau_f_ge_gamma",
+    "duality_conditional_law", "duality_ic", "hall_bound", "new_bound", "new_d_term_nonneg",
+    "new_iq_identity", "new_le_holevo", "new_vs_hall_data",
+)
+
+
+def test_the_desk_report_rows_keep_their_pinned_order():
+    report = run_scenario(example_scenario("orthogonal-projective"))
+    assert tuple(row["name"] for row in report["checks"]) == DESK_CHECK_NAMES
+
+
 def test_the_letter_contract_has_one_home():
     """The letters are normalized once, where the Ensemble is built: outside
     qstate only the scenario file's writer and ingest's clamp read them as
