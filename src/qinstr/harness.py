@@ -232,16 +232,16 @@ def scenario_from_json(obj: dict) -> Scenario:
 
 
 def judged_rows(scalars: dict, log_base: str, tol: float) -> list:
-    """The report's check rows, each ``ROWS`` entry whose every term
-    ``scalars`` holds, in its order: so the GL gain row comes only with a
-    purity-preserving instrument and Hall's rows only when the section ran. A
-    side of one list-valued term (``gl_chain``'s) gives one row per entry.
-    Each row is put in the report's unit, under base 2 an entropy row's lhs
-    and rhs in bits, so its slack and its pass are in bits too (a deviation
-    row, kind "dev", reads the same in either base), and judged once by the
-    one tolerance policy: a "ge" row passes iff its slack rhs - lhs is >=
-    -tol, an "eq" or "dev" row iff |slack| <= min(EQ_TOL, tol), and a "data"
-    row always; a NaN slack fails every judged kind."""
+    """The report's check rows, in one pass over ``ROWS``. An entry becomes a
+    row only when ``scalars`` holds each of its terms, so the GL gain row
+    comes only with a purity-preserving instrument and Hall's rows only when
+    the section ran; a side of one list-valued term (``gl_chain``'s) gives
+    one row per entry. Each row is put in the report's unit and judged once
+    by the one tolerance policy: a "ge" row passes iff its slack rhs - lhs is
+    >= -tol, an "eq" or "dev" row iff |slack| <= min(EQ_TOL, tol), and a
+    "data" row always; a NaN slack fails every judged kind. Under base 2 an
+    entropy row's lhs and rhs are in bits, so its slack and its pass are in
+    bits too; a deviation row (kind "dev") reads the same in either base."""
     entropy_unit = NATS_PER_UNIT[log_base]
     eq_tol = min(EQ_TOL, tol)
     rows = []

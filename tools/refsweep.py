@@ -22,8 +22,8 @@ each row's pass flag, the purity class, the Hall skip,
 ``default_state_sensitivity`` and ``overall_pass`` must agree exactly. It
 prints how many reports changed bytes, for each workload and pool and in all,
 and the largest move of a value (a panel entry, the information gain, a row's
-lhs or rhs) with its input and field, and exits 1 on any exact difference or on a move beyond refcheck's
-tolerance. This is the comparison a change that moves values without
+lhs or rhs) with its input and field, and exits 1 on any exact difference or
+on a move beyond refcheck's tolerance. This is the comparison a change that moves values without
 re-recording the references must pass.
 """
 
@@ -141,7 +141,7 @@ def main(argv=None) -> int:
             checked, problems = sweep(q, workload, pool, inputs, reports, parent)
             line = f"{workload}/{pool}: {checked} inputs, {len(problems)} mismatches"
             if parent is not None:
-                line += f", {parent.changed - changed} changed bytes against the parent"
+                line += f", {parent.changed - changed} reports changed bytes against the parent"
             print(line, flush=True)
             total += checked
             failed += problems
