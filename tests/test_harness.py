@@ -905,9 +905,10 @@ class TestInputContract:
         # json keeps a repeated key's last value; the CLI names the key instead
         obj = example_scenario("zero-one-plus").to_json()
         text = json.dumps(obj)
-        target = text if where is None else json.dumps(obj[where])
+        target = text if where is None else json.dumps(obj[where])  # the object that repeats the key
+        repeated = json.dumps({key: value})[1:-1]  # '"key": value', put before the object's own pairs
         path = tmp_path / "scenario.json"
-        path.write_text(text.replace(target, "{" + json.dumps({key: value})[1:-1] + ", " + target[1:], 1))
+        path.write_text(text.replace(target, "{" + repeated + ", " + target[1:], 1))
         assert main(["analyze", str(path)]) == 2
         assert capsys.readouterr().err == f"schema error: duplicate key {key!r} in the scenario file\n"
 
