@@ -222,11 +222,15 @@ def random_ensemble(dim: int, n_letters: int, rng: np.random.Generator) -> Ensem
     return Ensemble(tuple(range(n_letters)), probs, states)
 
 
-def _floored_prior(draws: np.ndarray) -> np.ndarray:
-    """A generated ensemble's letter probabilities from its uniform draws:
-    normalized, raised to PROB_FLOOR and normalized again."""
-    probs = np.maximum(draws / draws.sum(), PROB_FLOOR)
-    return probs / probs.sum()
+def _floored_prior(draws: np.ndarray, slots=True) -> np.ndarray:
+    """A generated ensemble's letter probabilities from its uniform draws
+    (last axis: letter; leading axes, one ensemble each): normalized, raised
+    to PROB_FLOOR and normalized again. A draw outside ``slots`` (a mask that
+    broadcasts against ``draws``) is no letter, and reads 0 throughout, which
+    leaves each sum over the letters in use bit for bit as it was."""
+    draws = np.where(slots, draws, 0.0)
+    probs = np.where(slots, np.maximum(draws / draws.sum(axis=-1, keepdims=True), PROB_FLOOR), 0.0)
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def _ginibre_states(g: np.ndarray) -> np.ndarray:
@@ -297,8 +301,9 @@ def groenewold_lindblad_check(ins: Instrument, trials: int, seed: int, n_demix: 
     The trial states, the demixtures' letters and their barycenters eta form
     one stack, whose gains come from one ``_gains`` call, and the chain rows
     are computed together from priors and outcome laws padded with zeros to
-    three letters. Each demixture's prior is floored by ``_floored_prior`` as
-    it is drawn, as ``random_ensemble`` floors one.
+    three letters. The letters a demixture drew mark its slots, and one
+    ``_floored_prior`` call floors every demixture's prior over its slots, as
+    ``random_ensemble`` floors one.
     """
     rng = np.random.default_rng(seed)
     d1 = ins.dim_in
@@ -308,12 +313,14 @@ def groenewold_lindblad_check(ins: Instrument, trials: int, seed: int, n_demix: 
 
     n_trials = trials if purity_preserving else 0
     draws = [rng.standard_normal((n_trials, 2, d1, d1))]
-    priors = np.zeros((n_demix, 3))  # [demixture, letter], 0 past a demixture's letters
+    n_letters = np.zeros(n_demix, dtype=int)
+    uniforms = np.zeros((n_demix, 3))  # [demixture, letter]
     for j in range(n_demix):  # random_ensemble's draws, in its order
-        n = int(rng.integers(2, 4))
-        priors[j, :n] = _floored_prior(rng.uniform(size=n))
-        draws.append(rng.standard_normal((n, 2, d1, d1)))
-    slots = priors > 0.0  # [demixture, letter] in use
+        n_letters[j] = rng.integers(2, 4)
+        uniforms[j, :n_letters[j]] = rng.uniform(size=n_letters[j])
+        draws.append(rng.standard_normal((n_letters[j], 2, d1, d1)))
+    slots = np.arange(3) < n_letters[:, None]  # [demixture, letter] in use
+    priors = _floored_prior(uniforms, slots)  # 0 past a demixture's letters
     states = _ginibre_states(np.concatenate(draws))
     n_states = len(states)
     letters = np.zeros((n_demix, 3, d1, d1), dtype=np.complex128)

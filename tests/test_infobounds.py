@@ -27,6 +27,7 @@ from qinstr.harness import (
 )
 from qinstr.infobounds import (
     INEQ_TOL,
+    _floored_prior,
     analyze,
     compound_states,
     entropy_panel,
@@ -713,6 +714,22 @@ def test_fill_of_a_live_outcome_reaches_no_number():
     assert ms.live.all()
     assert not any(np.array_equal(m, np.eye(2) / 2) for m in ms.posterior_mean_states)
     assert_fill_reaches_no_number(e, ins, PLUS)
+
+
+def test_floored_prior_over_slots_floors_each_row_alone():
+    # the GL check floors every demixture's prior in one call: each row reads,
+    # bit for bit, the prior its own draws give, and 0 past its letters,
+    # whatever the padding holds; a slot whose draw is exactly 0.0 is a letter
+    rng = np.random.default_rng(11)
+    n_letters = rng.integers(2, 4, size=200)
+    slots = np.arange(3) < n_letters[:, None]
+    draws = rng.uniform(size=(200, 3))
+    draws[0, 1] = 0.0
+    priors = _floored_prior(draws, slots)
+    for row, n, prior in zip(draws, n_letters, priors):
+        assert np.array_equal(prior[:n], _floored_prior(row[:n]))
+        assert not prior[n:].any()
+    assert priors[0, 1] > 0.0
 
 
 @pytest.mark.parametrize("ins, trials, seed, n_demix", GL_CASES)
