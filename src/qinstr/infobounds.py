@@ -107,7 +107,7 @@ class MeasurementStatistics:
     posterior_letter_states: np.ndarray  # [letter, outcome, d2, d2]
     posterior_mean_states: np.ndarray  # rho_f(omega), [outcome, d2, d2]
     post_letter_states: np.ndarray  # eta_f^alpha, [letter, d2, d2]
-    a_priori_eigenvalues: np.ndarray  # eta_i's spectrum (eigvalsh), ascending
+    a_priori_eigenvalues: np.ndarray  # eta_i's spectrum (matcore.eigvalsh), ascending
     post_a_priori: np.ndarray  # eta_f, [d2, d2]
 
     @cached_property
@@ -156,7 +156,7 @@ def analyze(e: Ensemble, ins: Instrument) -> MeasurementStatistics:
     other families are read off it: rho_f(w) = sum_a P_{i|f}(a|w) rho_a(w) (0
     for a null outcome, whose P_{i|f} column is 0), eta_f^a = sum_w I_w(rho_a)
     and eta_f = sum_a P_a eta_f^a. Of eta_i = sum_a P_a rho_a only the
-    spectrum is kept, from one ``eigvalsh``.
+    spectrum is kept, from ``matcore.eigvalsh`` (closed form at d = 2).
     """
     if e.dim != ins.dim_in:
         raise QinstrError(f"ensemble dim {e.dim} vs instrument dim_in {ins.dim_in}")
@@ -182,7 +182,7 @@ def analyze(e: Ensemble, ins: Instrument) -> MeasurementStatistics:
         posterior_letter_states=posts.swapaxes(0, 1),
         posterior_mean_states=mean,
         post_letter_states=post_letter,
-        a_priori_eigenvalues=matcore.lapack(np.linalg.eigvalsh, eta),
+        a_priori_eigenvalues=matcore.eigvalsh(eta),
         post_a_priori=np.einsum("a,aij->ij", e.probs, post_letter),
     )
     for value in vars(ms).values():  # every array field, each view itself too

@@ -7,8 +7,10 @@ eigenvalue is 3e-9; an entropy needs none, and a null cell is NULL_TRACE's.
 Conventions (project-wide): row-major complex128 arrays, eigenvectors stored as
 columns, eigenvalues ascending. Every decomposition is LAPACK's, called
 through ``lapack``, which makes a LAPACK failure a ``NoConvergence`` (the CLI
-exits 2 on it while the file is read, 3 inside a stage); every
-``eigh`` is ``herm_eig``, which takes its matrix or stack as given. The one
+exits 2 on it while the file is read, 3 inside a stage), but the spectrum of
+a 2 x 2 state, which ``eigvalsh`` takes in closed form; every ``eigh`` is
+``herm_eig`` and every spectrum of a derived state is ``eigvalsh``, each
+taking its matrix or stack as given. The one
 Hermiticity rule lives here, ``hermitian_part`` (finite, square, Hermitian
 within HERM_TOL, then (A + A^dag) / 2, on a matrix or a stack; a
 ``QinstrError`` whose message names the part that fails), and runs where
@@ -78,6 +80,24 @@ def herm_eig(a: np.ndarray) -> SpectralDecomp:
     """The one ``eigh``: LAPACK's decomposition of a Hermitian matrix or (..., d, d)
     stack, taken as given (a checked input, or Hermitian by construction)."""
     return SpectralDecomp(*lapack(np.linalg.eigh, a))
+
+
+def eigvalsh(a: np.ndarray) -> np.ndarray:
+    """The one spectrum rule for derived states: the ascending eigenvalues of
+    a Hermitian matrix or (..., d, d) stack, read from its lower triangle and
+    real diagonal alone, as LAPACK's ``eigvalsh`` reads them. At d = 2 they
+    are (a + c)/2 -/+ hypot((a - c)/2, |b|), with b the lower entry, within a
+    few eps of max |a_ij| of LAPACK's, and a NaN read gives NaN; above d = 2
+    they are LAPACK's."""
+    if a.shape[-1] != 2:
+        return lapack(np.linalg.eigvalsh, a)
+    p, q = a[..., 0, 0].real, a[..., 1, 1].real
+    mid = 0.5 * (p + q)
+    r = np.hypot(0.5 * (p - q), np.abs(a[..., 1, 0]))
+    vals = np.empty(a.shape[:-1])
+    np.subtract(mid, r, out=vals[..., 0])
+    np.add(mid, r, out=vals[..., 1])
+    return vals
 
 
 def jacobi_eig(a: np.ndarray) -> SpectralDecomp:

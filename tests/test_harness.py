@@ -680,28 +680,49 @@ class TestCli:
         monkeypatch.setattr(np.linalg, routine, failing)
         return calls
 
-    @pytest.mark.parametrize("routine, ndim, skip, stage", [
-        ("eigh", 3, 1, "hall_section"),
-        ("eigvalsh", 3, 0, "entropy_panel"),
-        ("eigvalsh", 2, 0, "analyze"),
-        ("svd", None, 0, "groenewold_lindblad_check"),
+    @pytest.mark.parametrize("routine, ndim, skip, stage, dim", [
+        ("eigh", 3, 1, "hall_section", 2),
+        ("eigvalsh", 3, 0, "entropy_panel", 3),
+        ("eigvalsh", 2, 0, "analyze", 3),
+        ("svd", None, 0, "groenewold_lindblad_check", 2),
     ], ids=["eigh", "eigvalsh", "eigvalsh-eta", "svd"])
-    def test_lapack_failure_exits_three(self, tmp_path, capsys, monkeypatch, routine, ndim, skip, stage):
+    def test_lapack_failure_exits_three(self, tmp_path, capsys, monkeypatch, routine, ndim, skip, stage, dim):
         # a LinAlgError from a LAPACK call inside a stage (the Hall section's
         # eigh of its eta_w stack, the second eigh of a run after the letters',
         # the entropies' eigvalsh, analyze's eigvalsh of eta_i, the purity
         # class's svd) is a numerical error that names the stage, not a failed
-        # check (exit 1) or a traceback
+        # check (exit 1) or a traceback. The eigvalsh cases run at d = 3: a
+        # 2 x 2 spectrum is taken in closed form, with no LAPACK call
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(random_scenario(2, 2, 2, 2, 2, 5).to_json()))
+        path.write_text(json.dumps(random_scenario(dim, dim, 2, 2, 2, 5).to_json()))
         calls = self._fail_lapack(monkeypatch, routine, ndim, skip)
         assert main(["analyze", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"numerical error: {stage}: ") and err.endswith("did not converge\n")
         assert err.count("\n") == 1
         calls.clear()
-        assert main(["random", "--trials", "1", "--kraus", "2"]) == 3
+        assert main(["random", "--trials", "1", "--kraus", "2", "--d1", str(dim), "--d2", str(dim)]) == 3
         assert capsys.readouterr().err.startswith(f"numerical error: {stage}: ")
+
+    def test_non_finite_qubit_state_exits_three(self, tmp_path, capsys, monkeypatch):
+        # the closed-form 2 x 2 spectrum cannot raise LinAlgError: a derived
+        # state with a NaN entry reads a NaN spectrum, and the stage whose
+        # entropies read it fails with NoConvergence, which names the stage
+        real = infobounds._posteriors
+
+        def poisoned(outs):
+            probs, states = real(outs)
+            states[..., 1, 0] = np.nan
+            return probs, states
+
+        monkeypatch.setattr(infobounds, "_posteriors", poisoned)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(random_scenario(2, 2, 2, 2, 2, 5).to_json()))
+        line = "numerical error: entropy_panel: von Neumann entropy of a derived state is not finite\n"
+        assert main(["analyze", str(path)]) == 3
+        assert capsys.readouterr().err == line
+        assert main(["random", "--trials", "1", "--kraus", "2"]) == 3
+        assert capsys.readouterr().err == line
 
     def test_lapack_failure_at_ingest_exits_two(self, tmp_path, capsys, monkeypatch):
         # the letters' batched eigh runs while analyze reads its file, so a
@@ -1367,37 +1388,51 @@ def test_lapack_has_one_binding():
         assert "lapack" not in imported, path.stem
 
 
-# the LAPACK calls of analyze, the entropy panel and the Scutaru chains;
-# compound_states and judged_rows make none
+# the LAPACK calls of analyze, the entropy panel and the Scutaru chains at
+# d1 = d2 = 3, where every spectrum is LAPACK's; compound_states and
+# judged_rows make none
 PANEL_LAPACK = {"analyze": {"eigvalsh": 1}, "entropy_panel": {"eigvalsh": 1}, "scutaru_chains": {"eigvalsh": 3}}
 # the Hall section's: the eigh of its eta_w stack and the eigvalsh of its entropies
 HALL_LAPACK = {"eigh": 1, "eigvalsh": 1}
+# at d1 = d2 = 2 every spectrum is a 2 x 2 one, in closed form, but the
+# Scutaru chains' 4 x 4 compound states'; the Hall section keeps its eigh
+QUBIT_LAPACK = {"scutaru_chains": {"eigvalsh": 1}}
+QUBIT_HALL_LAPACK = {"eigh": 1}
 
 
 @pytest.mark.parametrize("name, hall", [
-    ("orthogonal-projective", HALL_LAPACK),
-    ("zero-one-plus", HALL_LAPACK),
-    ("identity-instrument", HALL_LAPACK),
+    ("orthogonal-projective", QUBIT_HALL_LAPACK),
+    ("zero-one-plus", QUBIT_HALL_LAPACK),
+    ("identity-instrument", QUBIT_HALL_LAPACK),
     ("singular-eta", None),
+    ("qutrits", HALL_LAPACK),
 ])
 def test_lapack_calls_per_stage_are_pinned(tmp_path, monkeypatch, name, hall):
     """Every LAPACK call of `qinstr analyze`, by stage and routine, on the desk
-    scenarios and on two copies of |0> under the projective qubit instrument,
-    whose a priori state is singular, so the Hall section is never entered.
-    Ingest decomposes the letters once, since no letter here needs its clamp;
-    analyze takes eta_i's spectrum alone, and the Hall section's eigh
-    decomposes the eta_w of every live outcome, null cells or none."""
+    scenarios, on two copies of |0> under the projective qubit instrument,
+    whose a priori state is singular, so the Hall section is never entered,
+    and on a one-Kraus scenario with d1 = d2 = 3, where every ``eigvalsh``
+    stage calls LAPACK. Ingest decomposes the letters once, since no letter
+    here needs its clamp; analyze takes eta_i's spectrum alone, and the Hall
+    section's eigh decomposes the eta_w of every live outcome, null cells or
+    none."""
     if name == "singular-eta":
         ket0 = pure_state([1, 0])
         s = Scenario(Ensemble((0, 1), np.array([0.5, 0.5]), (ket0, ket0)),
                      example_scenario("zero-one-plus").instrument)
+    elif name == "qutrits":
+        s = random_scenario(3, 3, 3, 3, 1, 7)
     else:
         s = example_scenario(name)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(s.to_json()))
     counts, entered = lapack_calls(monkeypatch)
     assert main(["analyze", str(path)]) == 0
-    expected = {"scenario_from_json": {"eigh": 1}, **PANEL_LAPACK, "groenewold_lindblad_check": {"eigvalsh": 2}}
+    expected = {"scenario_from_json": {"eigh": 1}}
+    if name == "qutrits":
+        expected.update(PANEL_LAPACK, groenewold_lindblad_check={"eigvalsh": 2})
+    else:
+        expected.update(QUBIT_LAPACK)
     if hall is not None:
         expected["hall_section"] = hall
     assert counts == expected

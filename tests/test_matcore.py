@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import qinstr
 from qinstr import harness, matcore
+from qinstr.entropy import vn_entropies
 from qinstr.errors import NoConvergence, QinstrError
 from qinstr.qstate import DensityMatrix
 
@@ -98,6 +99,71 @@ class TestSolvers:
 
     def test_backend_identified(self):
         assert qinstr.EIG_BACKEND == "lapack"
+
+
+def two_by_two_stacks(n=2500, seed=0) -> dict:
+    """n Hermitian 2 x 2 matrices of each kind the closed form must meet:
+    Ginibre states, pure states, lambda I, diagonal, and indefinite ones
+    scaled by 1e150 and 1e-150 (half each)."""
+    rng = np.random.default_rng(seed)
+
+    def gaussian():
+        return rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+
+    g = gaussian()
+    psi = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    h = gaussian()
+    eye = np.eye(2, dtype=complex)
+    return {
+        "ginibre": g @ g.conj().swapaxes(-1, -2),
+        "pure": psi[:, :, None] * psi[:, None, :].conj(),
+        "degenerate": rng.standard_normal(n)[:, None, None] * eye,
+        "diagonal": rng.standard_normal((n, 2))[:, :, None] * eye,
+        "scaled": (h + h.conj().swapaxes(-1, -2)) * np.repeat([1e150, 1e-150], n // 2)[:, None, None],
+    }
+
+
+class TestEigvalsh:
+    """matcore.eigvalsh: LAPACK's spectrum above d = 2, the closed form at d = 2."""
+
+    @pytest.mark.parametrize("kind", ["ginibre", "pure", "degenerate", "diagonal", "scaled"])
+    def test_closed_form_matches_lapack(self, kind):
+        a = two_by_two_stacks()[kind]
+        ref = np.linalg.eigvalsh(a)
+        err = np.abs(matcore.eigvalsh(a) - ref).max(axis=-1)
+        scale = np.abs(a).max(axis=(-2, -1))
+        assert (err <= 8 * np.finfo(np.float64).eps * scale).all()
+
+    @pytest.mark.parametrize("dim", [1, 3, 5])
+    def test_above_two_is_lapack(self, dim):
+        a = np.stack([random_hermitian(dim, seed) for seed in range(4)])
+        assert np.array_equal(matcore.eigvalsh(a), np.linalg.eigvalsh(a))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 2, 2), (3, 4, 2, 2), (0, 2, 2)])
+    def test_ascending_with_leading_shape_kept(self, shape):
+        a = two_by_two_stacks(n=12)["ginibre"][:int(np.prod(shape[:-2]))].reshape(shape)
+        vals = matcore.eigvalsh(a)
+        assert vals.shape == shape[:-1]
+        assert (np.diff(vals, axis=-1) >= 0).all()
+
+    def test_reads_the_lower_triangle_and_real_diagonal(self):
+        # as LAPACK's eigvalsh: junk above the diagonal and an imaginary part
+        # on it leave the spectrum as it was
+        a = two_by_two_stacks(n=100)["ginibre"]
+        junk = a.copy()
+        junk[:, 0, 1] = 7.0 - 3.0j
+        junk[:, [0, 1], [0, 1]] += 5.0j
+        assert np.array_equal(matcore.eigvalsh(junk), matcore.eigvalsh(a))
+        assert np.array_equal(np.linalg.eigvalsh(junk), np.linalg.eigvalsh(a))
+
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 0), (1, 1)])
+    def test_nan_read_gives_nan_and_no_convergence(self, entry):
+        a = np.stack([np.eye(2, dtype=complex) / 2] * 3)
+        a[1][entry] = np.nan
+        vals = matcore.eigvalsh(a)
+        assert np.isnan(vals[1]).all() and np.isfinite(vals[[0, 2]]).all()
+        with pytest.raises(NoConvergence, match="entropy of a derived state is not finite"):
+            vn_entropies(a)
 
 
 @pytest.mark.parametrize("m, match", [
