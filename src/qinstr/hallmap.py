@@ -7,7 +7,8 @@ J has Kraus operators sqrt(P_a) rho_a^{1/2} eta^{-1/2} (M. J. W. Hall, PRA 55,
 sigma_w = eta_w^{1/2} E(w) eta_w^{1/2} / P_f(w) and on eta, where eta_w is the
 dual state of outcome w's live letters (eta itself when w holds no null cell),
 J_a(sigma_w) = P_a rho_a^{1/2} E(w) rho_a^{1/2} / P_f(w) and J_a(eta) = P_a rho_a:
-eta^{-1/2} cancels. So the section is computed from the scenario's own arrays,
+eta^{-1/2} cancels, and J's law on eta is P_i with the letters as its a
+posteriori states. So the section is computed from the scenario's own arrays,
 and J and the dual ensemble, built one state at a time, are the oracle the
 tests hold it to (``tests/oracle.py``). The states it derives (sigma_w, J's a
 posteriori states) stay plain arrays: the rules of a state serve inputs only
@@ -39,19 +40,21 @@ def hall_section(ms: MeasurementStatistics) -> dict:
     - ``chi_dual``, chi{P_f, sigma_w} against eta_i, Hall's bound on I_c;
     - ``d_term``, D = sum_w P_f(w) I_q{sigma_w; J} of the strengthened bound
       I_c <= chi_initial - D, and ``dual_least_gain``, its least part;
-    - ``dual_eta_gain``, I_q{eta; J}, which equals chi_initial.
+    - ``dual_eta_gain``, I_q{eta; J} = S(eta) - sum_a P_a S(rho_a), read from
+      the scenario's entropies (``ms.entropies``), as chi_initial is.
 
     Every live outcome takes the dual state of its live letters,
     eta_w = sum_a P_a [cell (a, w) live] rho_a, which is eta_i when w holds no
     null cell, so J reads the nulls P_{i|f} reads and its gains stay >= 0.
     Each rho_a^{1/2} and eta_w^{1/2} come from one stacked form, on the
     support, over ``Ensemble.spectra`` and the eta_w's, decomposed by one
-    batched ``herm_eig``. J's a posteriori states come from one
-    ``_posteriors`` call on the stack P_a rho_a^{1/2} X rho_a^{1/2}, X running
-    over E(w) / P_f(w) and I, with ``analyze``'s null cells set to 0. The
-    entropies come from one ``vn_entropies`` call, and eta_i's is the
-    scenario's (``ms.entropies``). I_c and chi_initial are the panel's, which
-    the rows read: the section computes neither.
+    batched ``herm_eig``. J's a posteriori states on the sigma_w come from one
+    ``_posteriors`` call on the stack P_a rho_a^{1/2} E(w) rho_a^{1/2} / P_f(w),
+    with ``analyze``'s null cells set to 0; those on eta are the letters, so
+    no identity input is decomposed. The sigma_w's and J's a posteriori
+    states' entropies come from one ``vn_entropies`` call; eta_i's and the
+    letters' are the scenario's (``ms.entropies``). I_c and chi_initial are
+    the panel's, which the rows read: the section computes neither.
 
     ``harness.run_scenario`` calls it only when eta's least eigenvalue
     (``ms.a_priori_eigenvalues``) is above INVERTIBILITY_TOL, and otherwise
@@ -62,26 +65,27 @@ def hall_section(ms: MeasurementStatistics) -> dict:
     """
     e = ms.ensemble
     p_f = ms.output_marginal[ms.live]
-    x = np.concatenate([ms.instrument.effects[ms.live] / p_f[:, None, None], np.eye(e.dim)[None]])
+    x = ms.instrument.effects[ms.live] / p_f[:, None, None]
     held = ms.cond_out_given_in[:, ms.live] > 0.0  # analyze's live cells
     eta_w = np.einsum("wa,aij->wij", e.probs * held.T, e.states)
 
     n_l = len(e.letters)
     lam, u = (np.concatenate(parts) for parts in zip(e.spectra, matcore.herm_eig(eta_w)))
     roots = (u * np.sqrt(np.where(lam > SUPPORT_CUTOFF, lam, 0.0))[:, None]) @ u.conj().swapaxes(-1, -2)
-    outs = e.probs[:, None, None, None] * (roots[:n_l, None] @ x @ roots[:n_l, None])  # [letter, input]
-    outs[:, :-1][~held] = 0.0
-    law, posts = _posteriors(outs)  # P_J(a | input), [letter, input]
-    sigma = roots[n_l:] @ x[:-1] @ roots[n_l:]
+    outs = e.probs[:, None, None, None] * (roots[:n_l, None] @ x @ roots[:n_l, None])  # [letter, outcome]
+    outs[~held] = 0.0
+    law, posts = _posteriors(outs)  # P_J(a | sigma_w), [letter, outcome]
+    sigma = roots[n_l:] @ x @ roots[n_l:]
     s_all = vn_entropies(np.concatenate([posts.reshape(-1, e.dim, e.dim), sigma]))
     s_post, s_sigma = s_all[:law.size], s_all[law.size:]
-    gains = _info_gain(np.append(s_sigma, ms.entropies.eta_i), law.T, s_post.reshape(law.shape).T)
+    gains = _info_gain(s_sigma, law.T, s_post.reshape(law.shape).T)
+    s = ms.entropies
 
     return {
-        "dual_law_dev": (p_f * np.abs(law[:, :-1] - ms.cond_in_given_out[:, ms.live])).max(),
-        "dual_classical_mi": mutual_info(p_f[:, None] * law[:, :-1].T),
-        "chi_dual": chi_against(p_f, s_sigma, ms.entropies.eta_i),
-        "d_term": p_f @ gains[:-1],
-        "dual_least_gain": gains[:-1].min(),
-        "dual_eta_gain": gains[-1],
+        "dual_law_dev": (p_f * np.abs(law - ms.cond_in_given_out[:, ms.live])).max(),
+        "dual_classical_mi": mutual_info(p_f[:, None] * law.T),
+        "chi_dual": chi_against(p_f, s_sigma, s.eta_i),
+        "d_term": p_f @ gains,
+        "dual_least_gain": gains.min(),
+        "dual_eta_gain": _info_gain(s.eta_i, e.probs, s.letters),
     }

@@ -19,7 +19,9 @@ from qinstr.errors import QinstrError
 from qinstr.hallmap import hall_section
 from qinstr.harness import (
     ACCEPTANCE_GRID,
+    EXAMPLE_NAMES,
     Scenario,
+    example_scenario,
     main,
     random_scenario,
     run_scenario,
@@ -210,6 +212,18 @@ class TestNewBound:
         idt = report["new_iq_identity"]
         assert abs(idt["slack"]) < 1e-9
         assert abs(idt["rhs"] - 0.4164955306996875) < 1e-10
+
+    def test_iq_identity_reads_zero_slack(self):
+        # J_a(eta) = P_a rho_a: J's law on eta is P_i and its a posteriori
+        # states are the letters, so I_q{eta; J} is read from the scenario's
+        # entropies as chi_initial is, and the row's two sides are one float
+        # on the desk scenarios and the 72 grid shapes (the per-state oracle
+        # still builds J on eta, test_hall_rows_match_the_per_state_oracle)
+        scenarios = [example_scenario(name) for name in EXAMPLE_NAMES] + [
+            random_scenario(*shape, splitmix64(index)) for index, shape in enumerate(ACCEPTANCE_GRID)]
+        for s in scenarios:
+            row = {c["name"]: c for c in run_scenario(s)["checks"]}["new_iq_identity"]
+            assert row["slack"] == 0.0 and row["lhs"] == row["rhs"], row
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random(self, seed):
