@@ -9,10 +9,14 @@ scenario_from_json -> run_scenario -> emit_report). A stage is found in the
 run: a qinstr function or property getter that ``run.analyze_json`` or
 ``run_scenario`` calls directly, but ``run_scenario`` itself and the frames
 of comprehensions and generator expressions (code names that start with
-"<"). For each stage, in run order, it prints the mean per scenario of three
+"<"). For each stage, in run order, it prints the mean per scenario of four
 counts: qinstr-level Python calls, C calls (``sys.setprofile``'s ``c_call``
-events) and LAPACK calls by routine, counted through ``matcore.lapack``, the
-one binding every module calls LAPACK by. A call is charged to the outermost
+events), LAPACK calls by routine, counted through ``matcore.lapack``, the
+one binding every module calls LAPACK by, and the spectra taken (matrices
+decomposed) by path: ``closed``, the 2 x 2 closed form of
+``matcore.eigvalsh``; ``lapack``, the matrices of LAPACK's ``eigh`` and
+``eigvalsh`` calls; ``jacobi``, ``matcore.jacobi_eig`` (ingest's clamp).
+Their sum is the eigendecompositions per scenario. A call is charged to the outermost
 stage on its stack; OTHER takes the calls outside every stage (json.loads,
 and run_scenario's own lines). A stage that never runs on a workload has no
 row.
@@ -34,11 +38,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scenariobench"))
 
+import numpy as np  # noqa: E402
 import run  # noqa: E402
 import workloads  # noqa: E402
 
 OTHER = "(other)"
 ROUTINES = ("eigh", "eigvalsh", "svd")
+SPECTRAL = ("eigh", "eigvalsh")  # the LAPACK routines that take a spectrum
+PATHS = ("closed", "lapack", "jacobi")  # the spectra, by path
 
 
 def inputs(q, workload: str) -> list:
@@ -53,7 +60,7 @@ def inputs(q, workload: str) -> list:
 
 class Tally:
     """The profile hook and the counts of one pass: {stage: Counter}, with
-    the keys "python", "c" and one per LAPACK routine."""
+    the keys "python", "c", one per LAPACK routine and one per PATHS entry."""
 
     def __init__(self, q):
         self.package = str(Path(q.harness.__file__).resolve().parent)
@@ -69,9 +76,9 @@ class Tally:
             self.kinds[code] = ours, (ours and code not in self.callers and not code.co_name.startswith("<"))
         return self.kinds[code]
 
-    def add(self, key: str) -> None:
+    def add(self, key: str, n: int = 1) -> None:
         counts = self.counts.setdefault(self.stage, Counter())
-        counts[key] += 1
+        counts[key] += n
 
     def profile(self, frame, event, arg) -> None:
         if event == "call":
@@ -90,36 +97,63 @@ class Tally:
 def count_pass(q, texts: list) -> dict:
     """{stage: Counter} summed over one pass of ``texts``."""
     tally = Tally(q)
-    real = q.matcore.lapack
+    real = {name: getattr(q.matcore, name) for name in ("lapack", "eigvalsh", "jacobi_eig")}
+    taken = Counter()  # spectra by path, over the pass
+
+    def spectra(a) -> int:
+        return int(np.prod(np.shape(a)[:-2]))
 
     def lapack(routine, *args, **kwargs):
         tally.add(routine.__name__)
-        return real(routine, *args, **kwargs)
+        if routine.__name__ in SPECTRAL:
+            taken["lapack"] += spectra(args[0])
+            tally.add("lapack", spectra(args[0]))
+        return real["lapack"](routine, *args, **kwargs)
 
-    tally.skip = {lapack.__code__, count_pass.__code__}
-    q.matcore.lapack = lapack
+    def eigvalsh(a):
+        before = taken["lapack"]
+        vals = real["eigvalsh"](a)
+        if taken["lapack"] == before:  # no LAPACK call: the closed form
+            tally.add("closed", spectra(a))
+        return vals
+
+    def jacobi_eig(a):
+        tally.add("jacobi")
+        return real["jacobi_eig"](a)
+
+    wrappers = {"lapack": lapack, "eigvalsh": eigvalsh, "jacobi_eig": jacobi_eig}
+    tally.skip = {count_pass.__code__, spectra.__code__, *(fn.__code__ for fn in wrappers.values())}
+    for name, fn in wrappers.items():
+        setattr(q.matcore, name, fn)
     sys.setprofile(tally.profile)
     try:
         for text in texts:
             run.analyze_json(q.harness, text)
     finally:
         sys.setprofile(None)
-        q.matcore.lapack = real
+        for name, fn in real.items():
+            setattr(q.matcore, name, fn)
     return tally.counts
 
 
 def table(counts: dict, n: int) -> list:
     """The printed rows: mean per scenario of each count, per stage in run
-    order, then OTHER."""
-    routines = sorted(set(ROUTINES).union(*(c.keys() for c in counts.values())) - {"python", "c"})
-    lines = [f"{'stage':<26} {'python':>9} {'c':>9}" + "".join(f" {r:>9}" for r in routines)]
+    order, then OTHER, then the total; the spectra by path stand apart, right
+    of a bar."""
+    routines = sorted(set(ROUTINES).union(*(c.keys() for c in counts.values())) - {"python", "c", *PATHS})
+    keys = ("python", "c", *routines, *PATHS)
+
+    def row(label: str, counts: Counter) -> str:
+        cells = [f" {counts[key] / n:9.2f}" for key in keys]
+        return f"{label:<26}" + "".join(cells[:-len(PATHS)]) + " |" + "".join(cells[-len(PATHS):])
+
+    header = [f" {key:>9}" for key in keys]
+    lines = [f"{'stage':<26}" + "".join(header[:-len(PATHS)]) + " |" + "".join(header[-len(PATHS):])]
     total = Counter()
     for stage in sorted(counts, key=lambda stage: stage == OTHER):
         total.update(counts[stage])
-        lines.append(f"{stage:<26}" + "".join(
-            f" {counts[stage][key] / n:9.2f}" for key in ("python", "c", *routines)))
-    lines.append(f"{'total':<26}" + "".join(
-        f" {total[key] / n:9.2f}" for key in ("python", "c", *routines)))
+        lines.append(row(stage, counts[stage]))
+    lines.append(row("total", total))
     return lines
 
 
