@@ -133,8 +133,8 @@ def _posteriors(outs: np.ndarray) -> tuple:
     state exactly 0, as a null outcome's block I_w(rho) is 0; every other stage
     reads nullness off those exact zeros. A live cell's state is its output
     divided by its trace, Hermitian to rounding, as eta_f^a and eta_f are:
-    every reader of it is ``eigvalsh``, which reads one triangle, or a row
-    judged at its tolerance."""
+    every reader of it is ``matcore.eigvalsh``, which reads the lower
+    triangle and the real diagonal, or a row judged at its tolerance."""
     tr = np.einsum("...ii->...", outs).real
     live = tr > NULL_TRACE
     states = np.divide(outs, tr[..., None, None], out=np.zeros_like(outs), where=live[..., None, None])

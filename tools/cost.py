@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scenariobench"))
 
-import numpy as np  # noqa: E402
 import run  # noqa: E402
 import workloads  # noqa: E402
 
@@ -98,23 +98,21 @@ def count_pass(q, texts: list) -> dict:
     """{stage: Counter} summed over one pass of ``texts``."""
     tally = Tally(q)
     real = {name: getattr(q.matcore, name) for name in ("lapack", "eigvalsh", "jacobi_eig")}
-    taken = Counter()  # spectra by path, over the pass
-
-    def spectra(a) -> int:
-        return int(np.prod(np.shape(a)[:-2]))
+    lapack_calls = 0  # over the pass, so that a closed-form spectrum shows as none made
 
     def lapack(routine, *args, **kwargs):
+        nonlocal lapack_calls
+        lapack_calls += 1
         tally.add(routine.__name__)
         if routine.__name__ in SPECTRAL:
-            taken["lapack"] += spectra(args[0])
-            tally.add("lapack", spectra(args[0]))
+            tally.add("lapack", math.prod(args[0].shape[:-2]))
         return real["lapack"](routine, *args, **kwargs)
 
     def eigvalsh(a):
-        before = taken["lapack"]
+        before = lapack_calls
         vals = real["eigvalsh"](a)
-        if taken["lapack"] == before:  # no LAPACK call: the closed form
-            tally.add("closed", spectra(a))
+        if lapack_calls == before:
+            tally.add("closed", math.prod(a.shape[:-2]))
         return vals
 
     def jacobi_eig(a):
@@ -122,7 +120,7 @@ def count_pass(q, texts: list) -> dict:
         return real["jacobi_eig"](a)
 
     wrappers = {"lapack": lapack, "eigvalsh": eigvalsh, "jacobi_eig": jacobi_eig}
-    tally.skip = {count_pass.__code__, spectra.__code__, *(fn.__code__ for fn in wrappers.values())}
+    tally.skip = {count_pass.__code__, Tally.add.__code__, *(fn.__code__ for fn in wrappers.values())}
     for name, fn in wrappers.items():
         setattr(q.matcore, name, fn)
     sys.setprofile(tally.profile)
@@ -143,17 +141,15 @@ def table(counts: dict, n: int) -> list:
     routines = sorted(set(ROUTINES).union(*(c.keys() for c in counts.values())) - {"python", "c", *PATHS})
     keys = ("python", "c", *routines, *PATHS)
 
-    def row(label: str, counts: Counter) -> str:
-        cells = [f" {counts[key] / n:9.2f}" for key in keys]
+    def line(label: str, cells: list) -> str:
         return f"{label:<26}" + "".join(cells[:-len(PATHS)]) + " |" + "".join(cells[-len(PATHS):])
 
-    header = [f" {key:>9}" for key in keys]
-    lines = [f"{'stage':<26}" + "".join(header[:-len(PATHS)]) + " |" + "".join(header[-len(PATHS):])]
+    lines = [line("stage", [f" {key:>9}" for key in keys])]
     total = Counter()
     for stage in sorted(counts, key=lambda stage: stage == OTHER):
         total.update(counts[stage])
-        lines.append(row(stage, counts[stage]))
-    lines.append(row("total", total))
+        lines.append(line(stage, [f" {counts[stage][key] / n:9.2f}" for key in keys]))
+    lines.append(line("total", [f" {total[key] / n:9.2f}" for key in keys]))
     return lines
 
 
