@@ -9,6 +9,10 @@ state and its outcome law, the action of one map and of the instrument, a
 Choi-matrix rebuild of an instrument, the information gain and the purity of
 one state, a random mixed state, the coarse-graining of two outcomes, and
 Hall's J and dual ensemble, which ``hallmap.hall_section`` does without.
+``per_state_scalars`` puts them together into every scalar a report reads
+but the GL check's, the one oracle that
+``test_reference.test_report_matches_the_per_state_oracle`` holds each report
+to.
 A state is a ``DensityMatrix`` here, a type only the oracles and the tests
 build: the a priori state (``a_priori_state``) is one, a law is a checked
 ``ClassicalDist`` and ``vn_entropy`` is one state's entropy. The tests' random
@@ -215,14 +219,13 @@ def a_posteriori(ins: Instrument, rho: DensityMatrix) -> AposterioriFamily:
     """Normalized conditional states by the null-cell rule of ``_posteriors``,
     but a null outcome's state is the fill I/d2, not 0, as a ``DensityMatrix``
     has trace 1; no number reads it, since its probability is 0."""
-    fill = maximally_mixed(ins.dim_out)
     probs, states = [], []
-    for outcome, m in zip(ins.outcomes, ins.maps):
+    for m in ins.maps:
         out = map_action(m, rho.mat)
         tr = float(np.trace(out).real)
         live = tr > NULL_TRACE
         probs.append(tr if live else 0.0)
-        states.append(DensityMatrix(out / tr) if live else fill)
+        states.append(DensityMatrix(out / tr) if live else maximally_mixed(ins.dim_out))
     probs = np.array(probs)
     dist = ClassicalDist(ins.outcomes, probs / probs.sum())
     return AposterioriFamily(dist, tuple(states))
@@ -325,3 +328,85 @@ def dual_ensemble(ins: Instrument, eta: DensityMatrix) -> DualEnsemble:
         where=p_f > SUPPORT_CUTOFF,
     )
     return DualEnsemble(probs=probs, states=states)
+
+
+def per_state_scalars(e: Ensemble, ins: Instrument) -> dict:
+    """Every scalar a report reads but the GL check's, in nats, by the name its
+    stage gives it (``infobounds.ROWS``): the panel, ``quantum_info_gain``, the
+    five compound deviations at their exact value 0.0, the five Scutaru chi's
+    and, when eta's least eigenvalue is above INVERTIBILITY_TOL, Hall's six
+    scalars through J (``build_hall_instrument``) and the dual ensemble.
+
+    Each chi is a mean relative entropy (``q_rel_entropy``) of states built one
+    at a time by ``a_posteriori`` and ``total_channel``; the compound states
+    are summed one cell at a time with ``np.kron``. A cell, an outcome or a
+    member is left out only where ``a_posteriori`` gave it probability
+    exactly 0, by its NULL_TRACE rule.
+    """
+    letters = [DensityMatrix(rho) for rho in e.states]
+    eta_i = a_priori_state(e)
+    eta_f = total_channel(ins, eta_i)
+    grid = [a_posteriori(ins, rho) for rho in letters]  # rho_a(w) = grid[a].states[w]
+    post = [total_channel(ins, rho) for rho in letters]  # eta_f^a
+    mean = a_posteriori(ins, eta_i).states  # rho_f(w)
+    joint = e.probs[:, None] * np.array([fam.probs.probs for fam in grid])  # [letter, outcome]
+    p_f = joint.sum(axis=0)
+    live = np.flatnonzero(p_f)
+    cond = joint[:, live] / p_f[live]  # P_{i|f}(a|w), [letter, live outcome]
+
+    def chi(weights, members, barycenter):
+        return sum(w * q_rel_entropy(m, barycenter) for w, m in zip(weights, members) if w)
+
+    def mutual(law):
+        """I_c of a joint law, S_c(law | the product of its marginals)."""
+        cells = tuple(np.ndindex(law.shape))
+        product = np.outer(law.sum(axis=1), law.sum(axis=0))
+        return c_rel_entropy(ClassicalDist(cells, law.ravel()), ClassicalDist(cells, product.ravel()))
+
+    def mixture(weights, mats):
+        return DensityMatrix(sum(w * m for w, m in zip(weights, mats)))
+
+    products = [np.kron(rho.mat, out.mat) for rho, out in zip(letters, post)]  # rho_a (x) eta_f^a
+    eps_if = [mixture(c, products) for c in cond.T]
+    eps_i = [mixture(c, [rho.mat for rho in letters]) for c in cond.T]
+    eps_f = [mixture(c, [out.mat for out in post]) for c in cond.T]
+    tau_f = [mixture(fam.probs.probs[live], [mean[w].mat for w in live]) for fam in grid]
+    eta_if = mixture(e.probs, products)
+    gamma_if = mixture(p_f[live], [np.kron(x.mat, mean[w].mat) for x, w in zip(eps_i, live)])
+    i_c = mutual(joint)
+    chi_joint = chi(joint.ravel(), [x for fam in grid for x in fam.states], eta_f)
+    scalars = {
+        "chi_initial": chi(e.probs, letters, eta_i),
+        "chi_post": chi(e.probs, post, eta_f),
+        "chi_out": chi(p_f, mean, eta_f),
+        "chi_joint": chi_joint,
+        "mean_chi_given_out": sum(chi(joint[:, w], [fam.states[w] for fam in grid], mean[w]) for w in live),
+        "mean_chi_given_in": sum(chi(joint[a], grid[a].states, post[a]) for a in range(len(letters))),
+        "classical_mi": i_c,
+        # S(omega_AWB | omega_A x omega_W x eta_f) of the letter-outcome-output state
+        "tripartite": i_c + chi_joint,
+        "quantum_info_gain": quantum_info_gain(ins, eta_i),
+        **dict.fromkeys(("tr2_eta_if_dev", "tr1_eta_if_dev", "tr2_gamma_dev", "tr1_gamma_dev", "tau_mix_dev"), 0.0),
+        "chi_eps_if": chi(p_f[live], eps_if, eta_if),
+        "chi_eps_i": chi(p_f[live], eps_i, eta_i),
+        "chi_eps_f": chi(p_f[live], eps_f, eta_f),
+        "chi_tau_f": chi(e.probs, tau_f, eta_f),
+        "gamma_rel": q_rel_entropy(gamma_if, DensityMatrix(np.kron(eta_i.mat, eta_f.mat))),
+    }
+
+    if eta_i.spectral().eigenvalues[0] > INVERTIBILITY_TOL:
+        h = build_hall_instrument(e, eta_i)
+        dual = dual_ensemble(ins, eta_i)
+        q_f = dual.probs.probs[live]
+        sigmas = [DensityMatrix(dual.states[w]) for w in live]
+        law = np.array([a_posteriori(h, sigma).probs.probs for sigma in sigmas]).T  # P_J(a | sigma_w)
+        gains = np.array([quantum_info_gain(h, sigma) for sigma in sigmas])
+        scalars.update({
+            "dual_law_dev": np.max(q_f * np.abs(law - cond)),
+            "dual_classical_mi": mutual(q_f * law),
+            "chi_dual": chi(q_f, sigmas, eta_i),
+            "d_term": q_f @ gains,
+            "dual_least_gain": gains.min(),
+            "dual_eta_gain": quantum_info_gain(h, eta_i),
+        })
+    return scalars

@@ -2,11 +2,13 @@
 a channel, and a channel on H2 after the instrument, a merge of two outcomes
 and a merge of two letters are each a channel, so the panel entries that read
 the channel's output cannot rise, and those that read neither side of it stay.
-A unitary on H2, and an outcome split by a coin and merged back, are channels
-with an inverse: every entry stays. The relations need no recorded reference.
-Each runs at 1e-12 on the acceptance grid, on the benchmark's rank_deficient
-edge slots and on the hand-built null-cell scenarios, its random channel
-seeded by its case."""
+An outcome split by a coin and merged back is a channel with an inverse, and
+it puts two proportional Kraus operators in one outcome: every entry stays. (A
+unitary on H2 is another such channel; ``test_symmetry.rotate_output`` holds
+the whole report under it.) The relations need no recorded reference. Each
+runs at 1e-12 on the acceptance grid, on the benchmark's rank_deficient edge
+slots and on the hand-built null-cell scenarios, its random channel seeded by
+its case."""
 
 import numpy as np
 import pytest
@@ -58,12 +60,6 @@ def merged_letters(s, seed):
     return merge_letters(s.ensemble), s.instrument
 
 
-def unitary_after(s, seed):
-    # a one-Kraus channel is a unitary: the polar part of a Ginibre draw, Haar-distributed
-    d2 = s.instrument.dim_out
-    return s.ensemble, after_channel(s.instrument, random_instrument(d2, d2, 1, 1, seed=seed))
-
-
 def split_and_merged_back(s, seed):
     ins, c = s.instrument, 0.3
     kraus = (np.sqrt(c) * ins.maps[0].kraus, *(m.kraus for m in ins.maps[1:]), np.sqrt(1 - c) * ins.maps[0].kraus)
@@ -91,7 +87,6 @@ RELATIONS = {
         ("chi_initial", "chi_post", "chi_joint", "mean_chi_given_out", "classical_mi", "tripartite"),
         ("chi_out",),
     ),
-    "unitary_after": (unitary_after, (), PANEL),
     "split_and_merged_back": (split_and_merged_back, (), PANEL),
 }
 
@@ -126,10 +121,6 @@ class TestDataProcessing:
     @GRID
     def test_merging_letters_orders_the_panel(self, index, shape):
         assert_ordered(random_scenario(*shape, seed=index), "merged_letters", index)
-
-    @GRID
-    def test_a_unitary_after_the_instrument_moves_no_entry(self, index, shape):
-        assert_ordered(random_scenario(*shape, seed=index), "unitary_after", index)
 
     @GRID
     def test_an_outcome_split_by_a_coin_and_merged_back_moves_no_entry(self, index, shape):

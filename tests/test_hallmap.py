@@ -36,17 +36,13 @@ from qinstr.infobounds import (
 from qinstr.instrument import NULL_TRACE, Instrument, KrausMap, random_instrument
 from qinstr.qstate import Ensemble, pure_state
 from oracle import (
-    ClassicalDist,
     a_posteriori,
     a_priori_state,
     build_hall_instrument,
-    c_rel_entropy,
     dual_ensemble,
     maximally_mixed,
     outcome_probs,
     purity,
-    quantum_info_gain,
-    vn_entropy,
 )
 
 
@@ -218,7 +214,8 @@ class TestNewBound:
         # states are the letters, so I_q{eta; J} is read from the scenario's
         # entropies as chi_initial is, and the row's two sides are one float
         # on the desk scenarios and the 72 grid shapes (the per-state oracle
-        # still builds J on eta, test_hall_rows_match_the_per_state_oracle)
+        # still builds J on eta, oracle.per_state_scalars, which
+        # test_report_matches_the_per_state_oracle holds the row to)
         scenarios = [example_scenario(name) for name in EXAMPLE_NAMES] + [
             random_scenario(*shape, splitmix64(index)) for index, shape in enumerate(ACCEPTANCE_GRID)]
         for s in scenarios:
@@ -420,55 +417,3 @@ def test_wrong_law_on_an_outcome_of_weight_1e_3_fails_duality(shift, monkeypatch
     row = {row["name"]: row for row in judged(hall_section(ms), entropy_panel(ms))}["duality_conditional_law"]
     assert abs(row["lhs"] - 1e-3 * shift) <= 1e-15
     assert not row["pass"]
-
-def per_state_hall_rows(e, ins) -> dict:
-    """The eight Hall rows, (lhs, rhs) by name, one state at a time: J from
-    ``build_hall_instrument``, the dual ensemble from ``dual_ensemble``, every
-    law from ``a_posteriori`` and every gain from ``quantum_info_gain``."""
-    eta = a_priori_state(e)
-    h = build_hall_instrument(e, eta)
-    dual = dual_ensemble(ins, eta)
-    letters = [qstate.DensityMatrix(rho) for rho in e.states]
-    joint = np.array([p * a_posteriori(ins, rho).probs.probs for p, rho in zip(e.probs, letters)])
-    p_f = joint.sum(axis=0)
-
-    def info(joint):
-        cells = tuple(np.ndindex(joint.shape))
-        product = np.outer(joint.sum(axis=1), joint.sum(axis=0))
-        return c_rel_entropy(
-            ClassicalDist(cells, joint.ravel()), ClassicalDist(cells, product.ravel())
-        )
-
-    live = [w for w, p in enumerate(dual.probs.probs) if p > NULL_TRACE]
-    sigmas = [qstate.DensityMatrix(dual.states[w]) for w in live]
-    q_f = dual.probs.probs[live]
-    law = np.array([a_posteriori(h, sigma).probs.probs for sigma in sigmas])  # [outcome, letter]
-    dual_joint = q_f[:, None] * law
-    gains = np.array([quantum_info_gain(h, sigma) for sigma in sigmas])
-    i_c = info(joint)
-    chi_initial = vn_entropy(eta) - sum(p * vn_entropy(rho) for p, rho in zip(e.probs, letters))
-    chi_dual = vn_entropy(eta) - sum(q * vn_entropy(sigma) for q, sigma in zip(q_f, sigmas))
-    new_rhs = chi_initial - q_f @ gains
-    return {
-        "duality_conditional_law": (np.max(q_f[:, None] * np.abs(law - (joint / p_f).T[live])), 0.0),
-        "duality_ic": (info(dual_joint / dual_joint.sum()), i_c),
-        "hall_bound": (i_c, chi_dual),
-        "new_bound": (i_c, new_rhs),
-        "new_d_term_nonneg": (0.0, gains.min()),
-        "new_iq_identity": (quantum_info_gain(h, eta), chi_initial),
-        "new_le_holevo": (new_rhs, chi_initial),
-        "new_vs_hall_data": (new_rhs, chi_dual),
-    }
-
-
-@pytest.mark.parametrize("seed", (0, 1))
-@pytest.mark.parametrize("shape", ACCEPTANCE_GRID)
-def test_hall_rows_match_the_per_state_oracle(shape, seed):
-    s = random_scenario(*shape, seed=seed)
-    ms = analyze(s.ensemble, s.instrument)
-    rows = judged(hall_section(ms), entropy_panel(ms))
-    expected = per_state_hall_rows(s.ensemble, s.instrument)
-    assert [row["name"] for row in rows] == list(expected)
-    for row in rows:
-        lhs, rhs = expected[row["name"]]
-        assert abs(row["lhs"] - lhs) <= 1e-12 and abs(row["rhs"] - rhs) <= 1e-12, (row, lhs, rhs)

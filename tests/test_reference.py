@@ -1,26 +1,25 @@
 """The package is what the product loads, the per-state oracle
-(``tests/oracle.py``) stands apart from the stacked pipeline it checks, and a
-report does not depend on the Kraus representation of its instrument: the
-paper identifies an instrument with its channel."""
+(``tests/oracle.py``) stands apart from the stacked pipeline it checks, and
+every number of a report but the GL check's equals the oracle's
+(``oracle.per_state_scalars``, judged by ``harness.judged_rows``) within
+1e-12: each panel entry, the information gain and both sides of each row."""
 
 import ast
-import dataclasses
+import functools
 import inspect
 import json
-import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import oracle
-from oracle import channel_roundtrip
 from qinstr import harness
-from qinstr.harness import ACCEPTANCE_GRID, example_scenario, random_scenario, run_scenario
+from qinstr.harness import ACCEPTANCE_GRID, EXAMPLE_NAMES, example_scenario, random_scenario, run_scenario
 from test_harness import RUN_SCENARIO_CALLS
+from test_symmetry import EDGE_SLOTS, edge_id, edge_scenario
 
 PACKAGE = Path(harness.__file__).resolve().parent
 ORACLE = (
@@ -40,6 +39,7 @@ ORACLE = (
     "DualEnsemble",
     "build_hall_instrument",
     "dual_ensemble",
+    "per_state_scalars",
 )
 
 
@@ -83,22 +83,33 @@ class TestLayout:
         assert [fn.__name__ for fn in read if fn in stages] == []
 
 
-def _close(x: float, y: float) -> bool:
-    return x == y if math.isinf(x) or math.isinf(y) else abs(x - y) <= 1e-12
+# the desk scenarios, the 72 grid shapes on seeds 0 and 1, and the 24
+# rank_deficient edge slots, where eta is singular and Hall is skipped.
+# Left out: TestNullCells' NULL_CELL_SCENARIOS. Their live cells of trace
+# near NULL_TRACE lie below the oracle's SUPPORT_CUTOFF rules, so on three of
+# the five a support test reads +inf, and on one a live outcome's dual state
+# is cut to 0, which no DensityMatrix holds; they keep their fill and symmetry
+# tests. Left out too: the gl_* rows, which test_batched_gl_matches_sequential
+# holds; their replay by sequential_gl takes 3.2 s on the 144 grid scenarios
+# (2-vCPU VM).
+ORACLE_INPUTS = {
+    **{name: functools.partial(example_scenario, name) for name in EXAMPLE_NAMES},
+    **{f"grid-{seed}-" + "-".join(map(str, shape)): functools.partial(random_scenario, *shape, seed=seed)
+       for seed in (0, 1) for shape in ACCEPTANCE_GRID},
+    **{f"edge-{edge_id(slot)}": functools.partial(edge_scenario, slot) for slot in EDGE_SLOTS},
+}
 
 
-@pytest.mark.parametrize("seed", (0, 1))
-@pytest.mark.parametrize("shape", ACCEPTANCE_GRID)
-def test_report_does_not_depend_on_the_kraus_representation(shape, seed):
-    s = random_scenario(*shape, seed=seed)
-    rebuilt = channel_roundtrip(s.instrument)
-    assert not np.array_equal(rebuilt.kraus_stack, s.instrument.kraus_stack)
-    a = run_scenario(s)
-    b = run_scenario(dataclasses.replace(s, instrument=rebuilt))
-    assert b["purity_preserving"] == a["purity_preserving"]
-    assert b["hall_skipped"] == a["hall_skipped"]
-    assert [c["name"] for c in b["checks"]] == [c["name"] for c in a["checks"]]
-    assert b["panel"].keys() == a["panel"].keys()
-    assert all(_close(b["panel"][k], a["panel"][k]) for k in a["panel"])
-    assert all(_close(cb["lhs"], ca["lhs"]) and _close(cb["rhs"], ca["rhs"]) for ca, cb in zip(a["checks"], b["checks"]))
-    assert _close(b["quantum_info_gain"], a["quantum_info_gain"])
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
+def test_report_matches_the_per_state_oracle(name):
+    s = ORACLE_INPUTS[name]()
+    report = run_scenario(s)
+    scalars = oracle.per_state_scalars(s.ensemble, s.instrument)
+    unit = harness.NATS_PER_UNIT[s.log_base]
+    for key, value in (*report["panel"].items(), ("quantum_info_gain", report["quantum_info_gain"])):
+        assert abs(value - scalars[key] / unit) <= 1e-12, (key, value, scalars[key])
+    checks = [c for c in report["checks"] if not c["name"].startswith("gl_")]
+    rows = harness.judged_rows(scalars, s.log_base, s.tol)
+    assert [row["name"] for row in rows] == [c["name"] for c in checks]
+    for row, c in zip(rows, checks):
+        assert abs(row["lhs"] - c["lhs"]) <= 1e-12 and abs(row["rhs"] - c["rhs"]) <= 1e-12, (row, c)

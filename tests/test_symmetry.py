@@ -1,7 +1,9 @@
 """A report depends on its scenario only through the ensemble as a state and
 the instrument as a channel. So relabelling outcomes or letters, a unitary on
-either space, and splitting an outcome by a coin that ignores the letter move
-no panel entry and no check. These hold without any recorded reference."""
+either space, splitting an outcome by a coin that ignores the letter, and
+another Kraus representation of each outcome's map (the paper identifies an
+instrument with its channel) move no panel entry and no check. These hold
+without any recorded reference."""
 
 import dataclasses
 import functools
@@ -12,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracle import haar_unitary
+from oracle import channel_roundtrip, haar_unitary
 from qinstr import harness, infobounds, instrument, qstate
 from qinstr.harness import ACCEPTANCE_GRID, random_scenario, run_scenario
 from qinstr.infobounds import analyze
@@ -69,6 +71,13 @@ def split_outcome(s, seed):
     return dataclasses.replace(s, instrument=_instrument(ins, (*ins.outcomes, "split"), kraus))
 
 
+def rebuild_kraus(s, seed):
+    """Each outcome's Kraus operators refactored from its Choi matrix
+    (``oracle.channel_roundtrip``): the same channel, and other operators on
+    every grid scenario (``test_the_kraus_rebuild_moves_every_grid_operator``)."""
+    return dataclasses.replace(s, instrument=channel_roundtrip(s.instrument))
+
+
 @functools.lru_cache(maxsize=None)
 def _scenario_and_report(shape, seed):
     s = random_scenario(*shape, seed=seed)
@@ -101,6 +110,7 @@ TRANSFORM_CASES = [
     (rotate_output, False),
     (rotate_input, True),
     (split_outcome, False),
+    (rebuild_kraus, False),
 ]
 TRANSFORMS = pytest.mark.parametrize("transform, moves_gl", TRANSFORM_CASES)
 
@@ -140,6 +150,15 @@ def _assert_invariant(s, a, transform, seed, moves_gl):
 @pytest.mark.parametrize("shape", ACCEPTANCE_GRID)
 def test_report_is_invariant(shape, seed, transform, moves_gl):
     _assert_invariant(*_scenario_and_report(shape, seed), transform, seed, moves_gl)
+
+
+def test_the_kraus_rebuild_moves_every_grid_operator():
+    # the projectors of the basis edge slots are their own Choi factors, so
+    # there the rebuild gives them back exactly
+    for seed in (0, 1):
+        for shape in ACCEPTANCE_GRID:
+            ins = random_scenario(*shape, seed=seed).instrument
+            assert not np.array_equal(channel_roundtrip(ins).kraus_stack, ins.kraus_stack), (shape, seed)
 
 
 @TRANSFORMS
