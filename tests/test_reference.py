@@ -17,7 +17,8 @@ import pytest
 
 import oracle
 from qinstr import harness
-from qinstr.harness import ACCEPTANCE_GRID, EXAMPLE_NAMES, example_scenario, random_scenario, run_scenario
+from qinstr.harness import ACCEPTANCE_GRID, EXAMPLE_NAMES, example_scenario, random_scenario, run_scenario, splitmix64
+from test_acceptance import MASTER_SEED, TRIALS
 from test_harness import RUN_SCENARIO_CALLS
 from test_symmetry import EDGE_SLOTS, edge_id, edge_scenario
 
@@ -83,8 +84,9 @@ class TestLayout:
         assert [fn.__name__ for fn in read if fn in stages] == []
 
 
-# the desk scenarios, the 72 grid shapes on seeds 0 and 1, and the 24
-# rank_deficient edge slots, where eta is singular and Hall is skipped.
+# the desk scenarios, the 72 grid shapes on seeds 0 and 1, the 24
+# rank_deficient edge slots, where eta is singular and Hall is skipped, and
+# the 200 scenarios of the acceptance suite, whose reports the criteria judge.
 # Left out: TestNullCells' NULL_CELL_SCENARIOS. Their live cells of trace
 # near NULL_TRACE lie below the oracle's SUPPORT_CUTOFF rules, so on three of
 # the five a support test reads +inf, and on one a live outcome's dual state
@@ -97,6 +99,9 @@ ORACLE_INPUTS = {
     **{f"grid-{seed}-" + "-".join(map(str, shape)): functools.partial(random_scenario, *shape, seed=seed)
        for seed in (0, 1) for shape in ACCEPTANCE_GRID},
     **{f"edge-{edge_id(slot)}": functools.partial(edge_scenario, slot) for slot in EDGE_SLOTS},
+    **{f"suite-{index}": functools.partial(
+        random_scenario, *ACCEPTANCE_GRID[index % len(ACCEPTANCE_GRID)], seed=splitmix64(MASTER_SEED + index))
+       for index in range(TRIALS)},
 }
 
 
