@@ -28,8 +28,8 @@ def _entropy(vals: np.ndarray) -> np.ndarray:
 def vn_entropies(stack) -> np.ndarray:
     """The von Neumann entropy of each derived state (a state by construction,
     ``qstate``) of an (n, d, d) stack, from one ``matcore.eigvalsh`` call
-    (closed form at d = 2, one batched LAPACK call above); a non-finite one
-    raises NoConvergence."""
+    (a closed form at d = 2 and on a large 3 x 3 stack, LAPACK elsewhere); a
+    non-finite one raises NoConvergence."""
     s = _entropy(matcore.eigvalsh(stack))
     if not np.isfinite(s).all():
         raise NoConvergence("von Neumann entropy of a derived state is not finite")

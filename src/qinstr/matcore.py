@@ -7,8 +7,10 @@ eigenvalue is 3e-9; an entropy needs none, and a null cell is NULL_TRACE's.
 Conventions (project-wide): row-major complex128 arrays, eigenvectors stored as
 columns, eigenvalues ascending. Every decomposition is LAPACK's, called
 through ``lapack``, which makes a LAPACK failure a ``NoConvergence`` (the CLI
-exits 2 on it while the file is read, 3 inside a stage), but the spectrum of
-a 2 x 2 state, which ``eigvalsh`` takes in closed form; every ``eigh`` is
+exits 2 on it while the file is read, 3 inside a stage), but the spectra
+``eigvalsh`` takes in closed form: every 2 x 2 one, and on a stack of
+TRIG_STACK or more 3 x 3 matrices each one whose eigenvalues lie apart
+(TRIG_GUARD); every ``eigh`` is
 ``herm_eig`` and every spectrum of a derived state is ``eigvalsh``, each
 taking its matrix or stack as given. The one
 Hermiticity rule lives here, ``hermitian_part`` (finite, square, Hermitian
@@ -41,6 +43,18 @@ HERM_TOL = 1e-10  # Hermiticity; qstate also judges traces, sums and positivity 
 SUPPORT_CUTOFF = 1e-12  # eigenvalues at or below it lie outside a square root's support
 MAX_SWEEPS = 100
 OFF_DIAG_TOL = 1e-13
+# a stack of TRIG_STACK or more 3 x 3 matrices takes ``_trig3``'s form: ~33 us
+# of numpy calls and ~0.1 us a matrix, against LAPACK's ~1.2 us a matrix
+# (2-vCPU Xeon VM, numpy 2.4), so they cross at ~25 matrices, at ~40 when a
+# quarter of the stack falls back; at 64 the form takes 50-60 us against 80
+TRIG_STACK = 64
+# against 40-digit mpmath the form is off by <= 1.6 eps max|a_ij| / sqrt(1 - |r|):
+# acos is ill-conditioned at a double eigenvalue (|r| = 1), which a pure state
+# has at 0 (off by 4.5e7 eps). A matrix with 1 - |r| <= TRIG_GUARD goes to
+# LAPACK, so the form stays within 16 eps, beside LAPACK's own ~6
+TRIG_GUARD = 1e-2
+_TRIG_ROWS, _TRIG_COLS = (0, 1, 2, 1, 2, 2), (0, 1, 2, 0, 0, 1)  # the diagonal, then b10, b20, b21
+_TRIG_OFFSETS = 2 * np.pi / 3 * np.array([1.0, -1.0, 0.0])  # ascending for acos(r)/3 in [0, pi/3]
 
 
 class SpectralDecomp(NamedTuple):
@@ -87,8 +101,11 @@ def eigvalsh(a: np.ndarray) -> np.ndarray:
     a Hermitian matrix or (..., d, d) stack, read from its lower triangle and
     real diagonal alone, as LAPACK's ``eigvalsh`` reads them. At d = 2 they
     are (a + c)/2 -/+ hypot((a - c)/2, |b|), with b the lower entry, within a
-    few eps of max |a_ij| of LAPACK's, and a NaN read gives NaN; above d = 2
-    they are LAPACK's."""
+    few eps of max |a_ij| of LAPACK's, and a NaN read gives NaN; a stack of
+    TRIG_STACK or more 3 x 3 matrices takes ``_trig3``'s form, and every other
+    spectrum is LAPACK's."""
+    if a.shape[-1] == 3 and a.size >= 9 * TRIG_STACK:
+        return _trig3(a)
     if a.shape[-1] != 2:
         return lapack(np.linalg.eigvalsh, a)
     p, q = a[..., 0, 0].real, a[..., 1, 1].real
@@ -97,6 +114,28 @@ def eigvalsh(a: np.ndarray) -> np.ndarray:
     vals = np.empty(a.shape[:-1])
     np.subtract(mid, r, out=vals[..., 0])
     np.add(mid, r, out=vals[..., 1])
+    return vals
+
+
+def _trig3(a: np.ndarray) -> np.ndarray:
+    """Smith's spectrum (Commun. ACM 4, 168, 1961) of each matrix of a (..., 3, 3)
+    stack, from its lower triangle and real diagonal: q + 2p cos(acos(r)/3 +
+    2 pi k/3), q = tr(A)/3, 6p^2 = tr((A - qI)^2), r = det(A - qI)/(2p^3). Each
+    matrix with 1 - |r| <= TRIG_GUARD (a near-double pair, c I, zero, a NaN
+    read) goes to one LAPACK call, as in Kopp's hybrid (arXiv:physics/0610206)."""
+    e = a[..., _TRIG_ROWS, _TRIG_COLS]
+    q = e[..., :3].real.sum(axis=-1, keepdims=True) / 3
+    dev = e[..., :3].real - q
+    sq = np.abs(e[..., 3:]) ** 2  # |b10|^2, |b20|^2, |b21|^2
+    p = np.sqrt(((dev * dev).sum(axis=-1) + 2 * sq.sum(axis=-1)) / 6)
+    det = (dev.prod(axis=-1) - (dev * sq[..., ::-1]).sum(axis=-1)
+           + 2 * (e[..., 3] * e[..., 5] * e[..., 4].conj()).real)
+    two_p3 = 2 * p ** 3
+    ok = np.abs(det) < (1 - TRIG_GUARD) * two_p3
+    r = np.divide(det, two_p3, out=np.zeros_like(det), where=ok)
+    vals = q + 2 * p[..., None] * np.cos(np.arccos(r)[..., None] / 3 + _TRIG_OFFSETS)
+    if not ok.all():
+        vals[~ok] = lapack(np.linalg.eigvalsh, a[~ok])
     return vals
 
 

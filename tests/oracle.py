@@ -77,16 +77,17 @@ def vn_entropy(rho: DensityMatrix) -> float:
 
 
 def fidelity_like_support_check(sigma: DensityMatrix, tau: DensityMatrix) -> bool:
-    """True iff supp(sigma) is contained in supp(tau)."""
+    """True iff supp(sigma) is contained in supp(tau): sigma's block on the
+    kernel of tau (its eigenvalues <= 0) is within NULL_TRACE of 0."""
     if sigma.dim != tau.dim:
         raise QinstrError(f"dims {sigma.dim} and {tau.dim} differ")
     vals, vecs = tau.spectral()
-    keep = vals <= matcore.SUPPORT_CUTOFF
+    keep = vals <= 0.0
     if not np.any(keep):
         return True
     comp = vecs[:, keep]  # columns spanning the kernel of tau
     block = comp.conj().T @ sigma.mat @ comp
-    return float(np.max(np.abs(block))) <= matcore.SUPPORT_CUTOFF
+    return float(np.max(np.abs(block))) <= NULL_TRACE
 
 
 def maximally_mixed(dim: int) -> DensityMatrix:
@@ -115,8 +116,9 @@ def q_rel_entropy(sigma: DensityMatrix, tau: DensityMatrix) -> float:
     Evaluated through both spectral decompositions:
     sum_j l_j log l_j - sum_{jk} l_j |<u_j|v_k>|^2 log m_k,
     exact on the supports without forming log of a matrix difference. The
-    first sum reads every l_j > 0, as an entropy does (``entropy._entropy``);
-    the support test and log m_k read tau's support, m_k > SUPPORT_CUTOFF.
+    first sum reads every l_j > 0, as an entropy does (``entropy._entropy``),
+    and log m_k every m_k > 0; weight beyond NULL_TRACE, the pipeline's null
+    rule, on tau's kernel (m_k <= 0) reads +inf.
     """
     if sigma.dim != tau.dim:
         raise QinstrError(f"dims {sigma.dim} and {tau.dim} differ")
@@ -132,22 +134,23 @@ def q_rel_entropy(sigma: DensityMatrix, tau: DensityMatrix) -> float:
         total += lj * math.log(lj)
         for k, mk in enumerate(tvals):
             w = overlap[j, k]
-            if mk > SUPPORT_CUTOFF:
+            if mk > 0.0:
                 total -= lj * w * math.log(mk)
-            elif lj * w > SUPPORT_CUTOFF:
+            elif lj * w > NULL_TRACE:
                 return INF  # residual weight on the kernel of tau
     return total
 
 
 def c_rel_entropy(p: ClassicalDist, q: ClassicalDist) -> float:
-    """Kullback-Leibler divergence, with 0 log(0/q) = 0."""
+    """Kullback-Leibler divergence, with 0 log(0/q) = 0 and p log(p/0) = +inf
+    on exact zeros, which is how the pipeline marks a null cell."""
     if p.labels != q.labels:
         raise QinstrError("distributions live on different label sets")
     total = 0.0
     for pj, qj in zip(p.probs, q.probs):
-        if pj <= SUPPORT_CUTOFF:
+        if pj == 0.0:
             continue
-        if qj <= SUPPORT_CUTOFF:
+        if qj == 0.0:
             return INF
         total += pj * math.log(pj / qj)
     return total
@@ -317,7 +320,8 @@ def build_hall_instrument(e: Ensemble, eta: DensityMatrix) -> Instrument:
 def dual_ensemble(ins: Instrument, eta: DensityMatrix) -> DualEnsemble:
     """sigma_i(omega) = eta^{1/2} E(omega) eta^{1/2} / P_f(omega), where ``eta``
     is the a priori state, and P_f its outcome law (``outcome_probs``, which
-    also checks eta's dimension against the instrument's)."""
+    also checks eta's dimension against the instrument's); a null outcome,
+    P_f(omega) exactly 0, holds the zero matrix."""
     probs = outcome_probs(ins, eta)
     sqrt_eta = matcore.spectral_apply(eta.spectral(), np.sqrt)
     p_f = probs.probs[:, None, None]
@@ -325,7 +329,7 @@ def dual_ensemble(ins: Instrument, eta: DensityMatrix) -> DualEnsemble:
         sqrt_eta @ ins.effects @ sqrt_eta,
         p_f,
         out=np.zeros_like(ins.effects),
-        where=p_f > SUPPORT_CUTOFF,
+        where=p_f > 0.0,
     )
     return DualEnsemble(probs=probs, states=states)
 

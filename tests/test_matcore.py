@@ -1,5 +1,6 @@
 import json
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,8 +124,62 @@ def two_by_two_stacks(n=2500, seed=0) -> dict:
     }
 
 
+def three_by_three_stacks(n=2500, seed=0) -> dict:
+    """n 3 x 3 states of each kind Smith's form must meet or hand to LAPACK:
+    Ginibre, rank two, rank one, a near-double pair at 0 and one away from 0
+    (gaps log-spaced from 1e-15 to 0.3, across TRIG_GUARD), diagonal, c I,
+    and the zero matrix."""
+    rng = np.random.default_rng(seed)
+
+    def rotated(spectra):
+        u, _ = np.linalg.qr(rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3)))
+        return (u * spectra[:, None, :]) @ u.conj().swapaxes(-1, -2)
+
+    g = rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))
+    h = rng.standard_normal((n, 3, 2)) + 1j * rng.standard_normal((n, 3, 2))
+    psi = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    gap = np.logspace(-15, np.log10(0.3), n)
+    stacks = {
+        "ginibre": g @ g.conj().swapaxes(-1, -2),
+        "rank-two": h @ h.conj().swapaxes(-1, -2),
+        "rank-one": psi[:, :, None] * psi[:, None, :].conj(),
+        "pair-at-zero": rotated(np.stack([0 * gap, gap, 1 - gap], axis=-1)),
+        "pair-away": rotated(np.stack([0.2 + 0 * gap, 0.4 - gap / 2, 0.4 + gap / 2], axis=-1)),
+        "diagonal": rng.uniform(size=(n, 3))[:, :, None] * np.eye(3, dtype=complex),
+        "multiple-of-i": rng.uniform(size=n)[:, None, None] * np.eye(3, dtype=complex),
+    }
+    stacks = {kind: a / np.trace(a, axis1=-2, axis2=-1).real[:, None, None] for kind, a in stacks.items()}
+    return {**stacks, "zero": np.zeros((n, 3, 3), dtype=complex)}
+
+
+def well_separated(n) -> np.ndarray:
+    """n Ginibre states whose eigenvalues lie a fifth of their spread apart or
+    more, by LAPACK, so that 1 - |r| is far above TRIG_GUARD."""
+    a = three_by_three_stacks()["ginibre"]
+    vals = np.linalg.eigvalsh(a)
+    return a[np.diff(vals, axis=-1).min(axis=-1) >= 0.2 * np.ptp(vals, axis=-1)][:n]
+
+
+THREE_BY_THREE = ["ginibre", "rank-two", "rank-one", "pair-at-zero", "pair-away", "diagonal", "multiple-of-i", "zero"]
+
+
+def lapack_spectra(monkeypatch) -> list:
+    """The stacks ``matcore.eigvalsh`` hands to LAPACK, as it hands them."""
+    calls = []
+    real = matcore.lapack
+
+    def counted(routine, a, *args, **kwargs):
+        calls.append(a)
+        return real(routine, a, *args, **kwargs)
+
+    monkeypatch.setattr(matcore, "lapack", counted)
+    return calls
+
+
 class TestEigvalsh:
-    """matcore.eigvalsh: LAPACK's spectrum above d = 2, the closed form at d = 2."""
+    """matcore.eigvalsh: the closed form at d = 2, Smith's form on a stack of
+    TRIG_STACK or more 3 x 3 matrices, with LAPACK where two eigenvalues nearly
+    coincide, and LAPACK's spectrum everywhere else."""
 
     @pytest.mark.parametrize("kind", ["ginibre", "pure", "degenerate", "diagonal", "scaled"])
     def test_closed_form_matches_lapack(self, kind):
@@ -134,10 +189,54 @@ class TestEigvalsh:
         scale = np.abs(a).max(axis=(-2, -1))
         assert (err <= 8 * np.finfo(np.float64).eps * scale).all()
 
-    @pytest.mark.parametrize("dim", [1, 3, 5])
-    def test_above_two_is_lapack(self, dim):
-        a = np.stack([random_hermitian(dim, seed) for seed in range(4)])
+    @pytest.mark.parametrize("dim, n", [(1, 64), (3, 63), (3, 1), (4, 64), (5, 64)])
+    def test_off_the_gate_is_one_lapack_call(self, monkeypatch, dim, n):
+        # d = 1 and d >= 4 at any size, and a 3 x 3 stack below TRIG_STACK
+        assert (n < matcore.TRIG_STACK) == (dim == 3)
+        a = np.stack([random_hermitian(dim, seed) for seed in range(n)])
+        calls = lapack_spectra(monkeypatch)
         assert np.array_equal(matcore.eigvalsh(a), np.linalg.eigvalsh(a))
+        assert len(calls) == 1 and calls[0] is a
+
+    @pytest.mark.parametrize("kind", THREE_BY_THREE)
+    def test_trigonometric_form_matches_lapack(self, kind):
+        # worst measured on 4 x 2500 states of each kind: 14.1 eps max|a_ij|
+        # (Ginibre); the form's own bound is 16 eps, and LAPACK's ~6
+        a = three_by_three_stacks()[kind]
+        err = np.abs(matcore.eigvalsh(a) - np.linalg.eigvalsh(a)).max(axis=-1)
+        assert (err <= 24 * np.finfo(np.float64).eps * np.abs(a).max(axis=(-2, -1))).all()
+
+    @pytest.mark.parametrize("kind", THREE_BY_THREE)
+    def test_trigonometric_entropies_match_mpmath(self, kind):
+        # the von Neumann entropy of every 10th state against 40-digit mpmath:
+        # worst measured on 400 states of each kind, 106 eps (rank two; LAPACK 38),
+        # as an eigenvalue off by a few eps near 0 moves -l log l by 36 times that
+        a = three_by_three_stacks(n=400, seed=7)[kind]
+        s = vn_entropies(a)
+        with mpmath.workdps(40):
+            for i in range(0, len(a), 10):
+                lower = np.tril(a[i], -1) + np.diag(a[i].diagonal().real)
+                exact = mpmath.eighe(mpmath.matrix((lower + np.tril(a[i], -1).conj().T).tolist()))[0]
+                entropy = -mpmath.fsum(x * mpmath.log(x) for x in exact if x > 0)
+                assert abs(s[i] - float(entropy)) <= 256 * np.finfo(np.float64).eps, (i, s[i], entropy)
+
+    def test_the_guard_hands_lapack_what_the_form_cannot_hold(self, monkeypatch):
+        # a stack of TRIG_STACK well-separated states, with a rank-one state,
+        # I/3, zero and a NaN read planted in it: only those, in order and as
+        # given, reach LAPACK, and theirs are LAPACK's spectra bit for bit; the
+        # rest make no LAPACK call
+        a = well_separated(matcore.TRIG_STACK)
+        planted = [3, 17, 40, 41]
+        a[3] = three_by_three_stacks(n=1)["rank-one"][0]
+        a[17] = np.eye(3) / 3
+        a[40] = 0.0
+        a[41] = np.eye(3) / 3
+        a[41, 2, 1] = np.nan
+        calls = lapack_spectra(monkeypatch)
+        vals = matcore.eigvalsh(a)
+        assert len(calls) == 1 and np.array_equal(calls[0], a[planted], equal_nan=True)
+        assert np.array_equal(vals[planted], np.linalg.eigvalsh(a[planted]), equal_nan=True)
+        assert np.isnan(vals[41]).any() and np.isfinite(np.delete(vals, 41, axis=0)).all()
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 2, 2), (3, 4, 2, 2), (0, 2, 2)])
     def test_ascending_with_leading_shape_kept(self, shape):
@@ -146,13 +245,17 @@ class TestEigvalsh:
         assert vals.shape == shape[:-1]
         assert (np.diff(vals, axis=-1) >= 0).all()
 
-    def test_reads_the_lower_triangle_and_real_diagonal(self):
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_reads_the_lower_triangle_and_real_diagonal(self, dim):
         # as LAPACK's eigvalsh: junk above the diagonal and an imaginary part
-        # on it leave the spectrum as it was
-        a = two_by_two_stacks(n=100)["ginibre"]
+        # on it leave the spectrum as it was (at d = 3, on a stack that takes
+        # Smith's form, part of it through the guard)
+        a = two_by_two_stacks(n=100)["ginibre"] if dim == 2 else np.concatenate(
+            [three_by_three_stacks(n=50)[kind] for kind in ("ginibre", "rank-one")])
         junk = a.copy()
-        junk[:, 0, 1] = 7.0 - 3.0j
-        junk[:, [0, 1], [0, 1]] += 5.0j
+        upper = np.triu_indices(dim, 1)
+        junk[:, upper[0], upper[1]] = 7.0 - 3.0j
+        junk[:, range(dim), range(dim)] += 5.0j
         assert np.array_equal(matcore.eigvalsh(junk), matcore.eigvalsh(a))
         assert np.array_equal(np.linalg.eigvalsh(junk), np.linalg.eigvalsh(a))
 

@@ -17,9 +17,11 @@ import pytest
 
 import oracle
 from qinstr import harness
-from qinstr.harness import ACCEPTANCE_GRID, EXAMPLE_NAMES, example_scenario, random_scenario, run_scenario, splitmix64
+from qinstr.harness import (
+    ACCEPTANCE_GRID, EXAMPLE_NAMES, Scenario, example_scenario, random_scenario, run_scenario, splitmix64)
 from test_acceptance import MASTER_SEED, TRIALS
 from test_harness import RUN_SCENARIO_CALLS
+from test_infobounds import NULL_CELL_SCENARIOS
 from test_symmetry import EDGE_SLOTS, edge_id, edge_scenario
 
 PACKAGE = Path(harness.__file__).resolve().parent
@@ -85,15 +87,12 @@ class TestLayout:
 
 
 # the desk scenarios, the 72 grid shapes on seeds 0 and 1, the 24
-# rank_deficient edge slots, where eta is singular and Hall is skipped, and
-# the 200 scenarios of the acceptance suite, whose reports the criteria judge.
-# Left out: TestNullCells' NULL_CELL_SCENARIOS. Their live cells of trace
-# near NULL_TRACE lie below the oracle's SUPPORT_CUTOFF rules, so on three of
-# the five a support test reads +inf, and on one a live outcome's dual state
-# is cut to 0, which no DensityMatrix holds; they keep their fill and symmetry
-# tests. Left out too: the gl_* rows, which test_batched_gl_matches_sequential
-# holds; their replay by sequential_gl takes 3.2 s on the 144 grid scenarios
-# (2-vCPU VM).
+# rank_deficient edge slots, where eta is singular and Hall is skipped, the
+# 200 scenarios of the acceptance suite, whose reports the criteria judge, and
+# TestNullCells' NULL_CELL_SCENARIOS, whose live cells of trace near
+# NULL_TRACE the oracle reads by the pipeline's exact zeros. Left out: the
+# gl_* rows, which test_batched_gl_matches_sequential holds; their replay by
+# sequential_gl takes 3.2 s on the 144 grid scenarios (2-vCPU VM).
 ORACLE_INPUTS = {
     **{name: functools.partial(example_scenario, name) for name in EXAMPLE_NAMES},
     **{f"grid-{seed}-" + "-".join(map(str, shape)): functools.partial(random_scenario, *shape, seed=seed)
@@ -102,10 +101,20 @@ ORACLE_INPUTS = {
     **{f"suite-{index}": functools.partial(
         random_scenario, *ACCEPTANCE_GRID[index % len(ACCEPTANCE_GRID)], seed=splitmix64(MASTER_SEED + index))
        for index in range(TRIALS)},
+    **{f"null-{name}": functools.partial(Scenario, *pair) for name, pair in NULL_CELL_SCENARIOS.items()},
+}
+# the oracle's dual ensemble takes every dual state from all of eta, where
+# hall_section takes a live outcome's from its live letters alone: outcome A
+# holds a null cell (P(A|0) = 1e-15) beside a live one, so the two dual states
+# differ by 2.5e-4 and the unweighted dual_least_gain by 2.3e-3
+ORACLE_XFAIL = {
+    "null-null_cell_beside_a_near_cutoff_live_cell": "the oracle's dual state is not the live letters' (CHANGES.md, FOUND)",
 }
 
 
-@pytest.mark.parametrize("name", ORACLE_INPUTS)
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.xfail(strict=True, reason=ORACLE_XFAIL[name])) if name in ORACLE_XFAIL
+    else name for name in ORACLE_INPUTS])
 def test_report_matches_the_per_state_oracle(name):
     s = ORACLE_INPUTS[name]()
     report = run_scenario(s)

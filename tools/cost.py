@@ -13,9 +13,11 @@ of comprehensions and generator expressions (code names that start with
 counts: qinstr-level Python calls, C calls (``sys.setprofile``'s ``c_call``
 events), LAPACK calls by routine, counted through ``matcore.lapack``, the
 one binding every module calls LAPACK by, and the spectra taken (matrices
-decomposed) by path: ``closed``, the 2 x 2 closed form of
-``matcore.eigvalsh``; ``lapack``, the matrices of LAPACK's ``eigh`` and
-``eigvalsh`` calls; ``jacobi``, ``matcore.jacobi_eig`` (ingest's clamp).
+decomposed) by path: ``closed``, the matrices of each ``matcore.eigvalsh``
+call less those it hands to ``matcore.lapack`` (its 2 x 2 closed form, and
+its 3 x 3 trigonometric form, whose guard hands some matrices of a stack to
+LAPACK); ``lapack``, the matrices of LAPACK's ``eigh`` and ``eigvalsh`` calls;
+``jacobi``, ``matcore.jacobi_eig`` (ingest's clamp).
 Their sum is the eigendecompositions per scenario. A call is charged to the outermost
 stage on its stack; OTHER takes the calls outside every stage (json.loads,
 and run_scenario's own lines). A stage that never runs on a workload has no
@@ -98,21 +100,21 @@ def count_pass(q, texts: list) -> dict:
     """{stage: Counter} summed over one pass of ``texts``."""
     tally = Tally(q)
     real = {name: getattr(q.matcore, name) for name in ("lapack", "eigvalsh", "jacobi_eig")}
-    lapack_calls = 0  # over the pass, so that a closed-form spectrum shows as none made
+    lapack_spectra = 0  # over the pass, so that a call's spectra in closed form show as the rest
 
     def lapack(routine, *args, **kwargs):
-        nonlocal lapack_calls
-        lapack_calls += 1
+        nonlocal lapack_spectra
         tally.add(routine.__name__)
         if routine.__name__ in SPECTRAL:
-            tally.add("lapack", math.prod(args[0].shape[:-2]))
+            n = math.prod(args[0].shape[:-2])
+            tally.add("lapack", n)
+            lapack_spectra += n
         return real["lapack"](routine, *args, **kwargs)
 
     def eigvalsh(a):
-        before = lapack_calls
+        before = lapack_spectra
         vals = real["eigvalsh"](a)
-        if lapack_calls == before:
-            tally.add("closed", math.prod(a.shape[:-2]))
+        tally.add("closed", math.prod(a.shape[:-2]) - (lapack_spectra - before))
         return vals
 
     def jacobi_eig(a):
