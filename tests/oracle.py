@@ -290,10 +290,13 @@ def merge_outcomes(ins: Instrument, w1, w2) -> Instrument:
 
 @dataclass(frozen=True)
 class DualEnsemble:
-    """Outcome-indexed ensemble whose barycenter is the original a priori state."""
+    """Outcome-indexed ensemble of dual states, each of the letters live under
+    its outcome; its barycenter is the a priori state when no outcome holds a
+    null cell."""
 
     probs: ClassicalDist
     states: np.ndarray  # [outcome, d1, d1]; the zero matrix on null outcomes
+    held: np.ndarray  # [letter, outcome]: True on the live cells
 
 
 def build_hall_instrument(e: Ensemble, eta: DensityMatrix) -> Instrument:
@@ -317,21 +320,47 @@ def build_hall_instrument(e: Ensemble, eta: DensityMatrix) -> Instrument:
     return Instrument(e.letters, maps)
 
 
-def dual_ensemble(ins: Instrument, eta: DensityMatrix) -> DualEnsemble:
-    """sigma_i(omega) = eta^{1/2} E(omega) eta^{1/2} / P_f(omega), where ``eta``
-    is the a priori state, and P_f its outcome law (``outcome_probs``, which
-    also checks eta's dimension against the instrument's); a null outcome,
-    P_f(omega) exactly 0, holds the zero matrix."""
-    probs = outcome_probs(ins, eta)
-    sqrt_eta = matcore.spectral_apply(eta.spectral(), np.sqrt)
-    p_f = probs.probs[:, None, None]
-    states = np.divide(
-        sqrt_eta @ ins.effects @ sqrt_eta,
-        p_f,
-        out=np.zeros_like(ins.effects),
-        where=p_f > 0.0,
-    )
-    return DualEnsemble(probs=probs, states=states)
+def dual_states(e: Ensemble, held: np.ndarray, effects: np.ndarray) -> np.ndarray:
+    """eta_w^{1/2} E(w) eta_w^{1/2} / Tr[eta_w E(w)] for each effect E(w), with
+    eta_w = sum_a P_a rho_a over the letters ``held[:, w]`` marks: Hall's dual
+    state of E(w) on their mixture, the zero matrix where no letter is held."""
+    states = np.zeros_like(effects)
+    for w, effect in enumerate(effects):
+        if held[:, w].any():
+            eta_w = sum(p * rho for p, rho, h in zip(e.probs, e.states, held[:, w]) if h)
+            root = matcore.spectral_apply(matcore.herm_eig(eta_w), np.sqrt)
+            states[w] = root @ effect @ root / np.trace(eta_w @ effect).real
+    return states
+
+
+def dual_ensemble(e: Ensemble, ins: Instrument) -> DualEnsemble:
+    """The dual ensemble under the pipeline's null rule: outcome omega's state
+    is the dual state (``dual_states``) of the letters whose cell (a, omega)
+    is live by ``a_posteriori``'s rule, which is eta's when omega holds no
+    null cell, at the outcome law of the live cells; a null outcome, of
+    probability exactly 0, holds no letter and so the zero matrix."""
+    grid = np.array([a_posteriori(ins, DensityMatrix(rho)).probs.probs for rho in e.states])  # [letter, outcome]
+    held = grid > 0.0
+    return DualEnsemble(ClassicalDist(ins.outcomes, e.probs @ grid), dual_states(e, held, ins.effects), held)
+
+
+def live_letters_hall_read(e: Ensemble, held: np.ndarray, sigma: DensityMatrix) -> tuple:
+    """J's law on ``sigma`` over every letter (0 off ``held``) and its
+    information gain there, where J is Hall's instrument of the letters
+    ``held`` marks, at their priors renormalized. Their mixture can be
+    singular (one pure letter), so the letters and ``sigma``, which lives on
+    the mixture's range, are first compressed to that range (eigenvalues above
+    SUPPORT_CUTOFF), where J is defined."""
+    labels = tuple(a for a, h in zip(e.letters, held) if h)
+    probs = e.probs[held] / e.probs[held].sum()
+    vals, vecs = a_priori_state(Ensemble(labels, probs, e.states[held])).spectral()
+    v = vecs[:, vals > SUPPORT_CUTOFF]  # an isometry onto the range
+    live = Ensemble(labels, probs, v.conj().T @ e.states[held] @ v)
+    h = build_hall_instrument(live, a_priori_state(live))
+    compressed = DensityMatrix(v.conj().T @ sigma.mat @ v)
+    law = np.zeros(len(e.letters))
+    law[held] = a_posteriori(h, compressed).probs.probs
+    return law, quantum_info_gain(h, compressed)
 
 
 def per_state_scalars(e: Ensemble, ins: Instrument) -> dict:
@@ -339,7 +368,10 @@ def per_state_scalars(e: Ensemble, ins: Instrument) -> dict:
     stage gives it (``infobounds.ROWS``): the panel, ``quantum_info_gain``, the
     five compound deviations at their exact value 0.0, the five Scutaru chi's
     and, when eta's least eigenvalue is above INVERTIBILITY_TOL, Hall's six
-    scalars through J (``build_hall_instrument``) and the dual ensemble.
+    scalars: J's law and gain on each live outcome's dual state
+    (``dual_ensemble``) through the J of its live letters
+    (``live_letters_hall_read``), and I_q{eta; J} through the J of all of them
+    (``build_hall_instrument``).
 
     Each chi is a mean relative entropy (``q_rel_entropy``) of states built one
     at a time by ``a_posteriori`` and ``total_channel``; the compound states
@@ -399,18 +431,22 @@ def per_state_scalars(e: Ensemble, ins: Instrument) -> dict:
     }
 
     if eta_i.spectral().eigenvalues[0] > INVERTIBILITY_TOL:
-        h = build_hall_instrument(e, eta_i)
-        dual = dual_ensemble(ins, eta_i)
+        dual = dual_ensemble(e, ins)
         q_f = dual.probs.probs[live]
         sigmas = [DensityMatrix(dual.states[w]) for w in live]
-        law = np.array([a_posteriori(h, sigma).probs.probs for sigma in sigmas]).T  # P_J(a | sigma_w)
-        gains = np.array([quantum_info_gain(h, sigma) for sigma in sigmas])
+        reads = [live_letters_hall_read(e, dual.held[:, w], sigma) for w, sigma in zip(live, sigmas)]
+        law = np.array([law_w for law_w, _ in reads]).T  # P_J(a | sigma_w)
+        gains = np.array([gain for _, gain in reads])
+        # Hall's chi is that of eta's own dual states, whose barycenter is eta:
+        # the live letters' dual state shares their spectrum up to the null
+        # cells' weight, but not their eigenvectors
+        hall_duals = dual_states(e, np.ones((len(letters), len(live)), bool), ins.effects[live])
         scalars.update({
             "dual_law_dev": np.max(q_f * np.abs(law - cond)),
             "dual_classical_mi": mutual(q_f * law),
-            "chi_dual": chi(q_f, sigmas, eta_i),
+            "chi_dual": chi(q_f, [DensityMatrix(sigma) for sigma in hall_duals], eta_i),
             "d_term": q_f @ gains,
             "dual_least_gain": gains.min(),
-            "dual_eta_gain": quantum_info_gain(h, eta_i),
+            "dual_eta_gain": quantum_info_gain(build_hall_instrument(e, eta_i), eta_i),
         })
     return scalars

@@ -181,13 +181,6 @@ def stage_scalars(monkeypatch) -> dict:
 
 
 class TestRunScenario:
-    def test_zero_one_plus_values(self):
-        report = run_scenario(example_scenario("zero-one-plus"))
-        assert report["overall_pass"]
-        assert abs(report["panel"]["classical_mi"] - 0.21576155433883565) < 1e-4
-        assert abs(report["panel"]["chi_initial"] - 0.4164955306996875) < 1e-4
-        assert report["hall_skipped"] is None
-
     def test_orthogonal_projective_log2(self):
         report = run_scenario(example_scenario("orthogonal-projective"))
         assert report["overall_pass"]
@@ -738,8 +731,8 @@ class TestCli:
         assert capsys.readouterr().err.startswith("numerical error: random_ensemble: ")
 
 
-class TestTolEnv:
-    def test_default_without_env(self):
+class TestDefaultTol:
+    def test_a_file_without_tol_runs_at_ineq_tol(self):
         obj = example_scenario("zero-one-plus").to_json()
         del obj["options"]["tol"]
         assert scenario_from_json(obj).tol == 1e-8

@@ -41,7 +41,9 @@ ORACLE = (
     "outcome_probs",
     "DualEnsemble",
     "build_hall_instrument",
+    "dual_states",
     "dual_ensemble",
+    "live_letters_hall_read",
     "per_state_scalars",
 )
 
@@ -103,18 +105,9 @@ ORACLE_INPUTS = {
        for index in range(TRIALS)},
     **{f"null-{name}": functools.partial(Scenario, *pair) for name, pair in NULL_CELL_SCENARIOS.items()},
 }
-# the oracle's dual ensemble takes every dual state from all of eta, where
-# hall_section takes a live outcome's from its live letters alone: outcome A
-# holds a null cell (P(A|0) = 1e-15) beside a live one, so the two dual states
-# differ by 2.5e-4 and the unweighted dual_least_gain by 2.3e-3
-ORACLE_XFAIL = {
-    "null-null_cell_beside_a_near_cutoff_live_cell": "the oracle's dual state is not the live letters' (CHANGES.md, FOUND)",
-}
 
 
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=pytest.mark.xfail(strict=True, reason=ORACLE_XFAIL[name])) if name in ORACLE_XFAIL
-    else name for name in ORACLE_INPUTS])
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
 def test_report_matches_the_per_state_oracle(name):
     s = ORACLE_INPUTS[name]()
     report = run_scenario(s)
