@@ -164,6 +164,17 @@ class TestVerifyDuality:
         assert abs(report["duality_ic"]["rhs"] - 0.2157615543388356) < 1e-10
         assert abs(report["duality_ic"]["lhs"] - 0.2157615543388356) < 1e-9
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        e = random_ensemble(int(rng.integers(2, 4)), int(rng.integers(2, 4)), rng)
+        ins = random_instrument(
+            e.dim, int(rng.integers(2, 4)), int(rng.integers(2, 4)), int(rng.integers(1, 3)),
+            seed=200 + seed,
+        )
+        report = hall_checks(e, ins, DUALITY)
+        assert all(row["pass"] for row in report.values()), report
+
 
 class TestHallBound:
     def test_desk_example(self):
@@ -172,6 +183,17 @@ class TestHallBound:
         check = report["hall_bound"]
         assert check["lhs"] == pytest.approx(0.2157615543388356, abs=1e-10)
         assert check["rhs"] >= check["lhs"]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        e = random_ensemble(int(rng.integers(2, 4)), int(rng.integers(2, 4)), rng)
+        ins = random_instrument(
+            e.dim, int(rng.integers(2, 4)), int(rng.integers(2, 4)), int(rng.integers(1, 3)),
+            seed=400 + seed,
+        )
+        report = hall_checks(e, ins, HALL)
+        assert all(row["pass"] for row in report.values())
 
 
 class TestNewBound:
@@ -205,6 +227,17 @@ class TestNewBound:
         for s in scenarios:
             row = {c["name"]: c for c in run_scenario(s)["checks"]}["new_iq_identity"]
             assert row["slack"] == 0.0 and row["lhs"] == row["rhs"], row
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        e = random_ensemble(int(rng.integers(2, 4)), int(rng.integers(2, 4)), rng)
+        ins = random_instrument(
+            e.dim, int(rng.integers(2, 4)), int(rng.integers(2, 4)), int(rng.integers(1, 3)),
+            seed=600 + seed,
+        )
+        report = hall_checks(e, ins, NEW)
+        assert all(row["pass"] for row in report.values()), report
 
     def test_strictly_improves_somewhere(self):
         # the D term is strictly positive on some instance

@@ -33,6 +33,20 @@ class TestHermEig:
         assert abs(abs(vecs[0, 0]) - 1 / np.sqrt(2)) < 1e-12
         assert abs(abs(vecs[1, 1]) - 1 / np.sqrt(2)) < 1e-12
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_reconstruction(self, seed):
+        a = random_hermitian(4, seed)
+        vals, vecs = matcore.herm_eig(a)
+        recon = (vecs * vals) @ vecs.conj().T
+        assert np.max(np.abs(recon - a)) < 1e-9
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(4))) < 1e-9
+        assert np.all(np.diff(vals) >= 0)
+
+    def test_matches_numpy(self):
+        a = random_hermitian(7, 42)
+        vals, _ = matcore.herm_eig(a)
+        assert np.allclose(vals, np.linalg.eigvalsh(a), atol=1e-10)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_is_numpy_eigh_bit_for_bit(self, seed):
         # herm_eig takes its input as given: LAPACK's eigenvalues and
