@@ -37,7 +37,13 @@ def hall_section(ms: MeasurementStatistics) -> dict:
       J's law on the dual states, P_a Tr[rho_a E(w)] / P_f(w) from the
       effects, against P_{i|f} from the channel, on the scale of the joint law;
     - ``dual_classical_mi``, I_c read off J's joint law P_f(w) P_J(a | sigma_w);
-    - ``chi_dual``, chi{P_f, sigma_w} against eta_i, Hall's bound on I_c;
+    - ``chi_dual``, Hall's bound on I_c, S(eta_i) - sum_w P_f(w) S(sigma_w).
+      When an outcome holds a null cell, sum_w P_f(w) sigma_w is not eta_i,
+      so this is not chi{P_f, sigma_w} against eta_i. It is chi of eta's own
+      dual ensemble {P_f(w), eta^{1/2} E(w) eta^{1/2} / P_f(w)}, whose
+      barycenter is eta: sigma_w has the spectrum of
+      E(w)^{1/2} eta_w E(w)^{1/2} / P_f(w), and eta's dual state that of the
+      same form on eta, which differs by the null cells' weight alone;
     - ``d_term``, D = sum_w P_f(w) I_q{sigma_w; J} of the strengthened bound
       I_c <= chi_initial - D, and ``dual_least_gain``, its least part;
     - ``dual_eta_gain``, I_q{eta; J} = S(eta) - sum_a P_a S(rho_a), read from

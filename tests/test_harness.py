@@ -1143,23 +1143,28 @@ def test_written_key_sets_are_the_read_key_sets(scenario):
     assert set(obj["instrument"]) == set(harness.INSTRUMENT_KEYS)
 
 
+# each module of the package, by name, as its ast tree, parsed once for the
+# structural tests below
+PACKAGE_TREES = {path.stem: ast.parse(path.read_text())
+                 for path in sorted(Path(harness.__file__).resolve().parent.glob("*.py"))}
+
+
 def test_the_scenario_file_is_read_and_written_only_in_harness():
     """No module but harness defines a reader, a writer, a typing rule or a
     key set of the scenario file, and none but errors and harness names the
     error its typing rules raise."""
-    package = Path(harness.__file__).resolve().parent
     defined, naming_schema_error = {}, set()
-    for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for module, tree in PACKAGE_TREES.items():
+        for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef) and re.fullmatch(r"\w+_(from|to)_json|as_\w+", node.name):
-                defined.setdefault(node.name, set()).add(path.stem)
+                defined.setdefault(node.name, set()).add(module)
             elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple):
                 for t in node.targets:
                     if isinstance(t, ast.Name) and t.id.endswith("_KEYS"):
-                        defined.setdefault(t.id, set()).add(path.stem)
+                        defined.setdefault(t.id, set()).add(module)
             if "SchemaError" in (getattr(node, "id", None), getattr(node, "attr", None),
                                  getattr(node, "name", None)):
-                naming_schema_error.add(path.stem)
+                naming_schema_error.add(module)
     assert {"ENSEMBLE_KEYS", "stack_from_json", "as_object"} <= set(defined)
     assert {name: modules for name, modules in defined.items() if modules != {"harness"}} == {}
     assert naming_schema_error == {"errors", "harness"}
@@ -1168,7 +1173,6 @@ def test_the_scenario_file_is_read_and_written_only_in_harness():
 def reading_sites(hit) -> set:
     """Each place in the package where ``hit(node)`` holds for an ast node,
     as "module.Class.function", by an ast walk."""
-    package = Path(harness.__file__).resolve().parent
     sites = set()
 
     def visit(node, module, scope):
@@ -1179,8 +1183,8 @@ def reading_sites(hit) -> set:
         for child in ast.iter_child_nodes(node):
             visit(child, module, scope)
 
-    for path in sorted(package.glob("*.py")):
-        visit(ast.parse(path.read_text()), path.stem, ())
+    for module, tree in PACKAGE_TREES.items():
+        visit(tree, module, ())
     return sites
 
 
@@ -1203,13 +1207,12 @@ def test_the_instrument_contract_has_one_home():
     module but instrument names its tolerance POVM_SUM_TOL, and outside
     instrument only Scenario.to_json reads a KrausMap's operators as given
     (``.kraus``); every stage reads the Instrument's normalized arrays."""
-    package = Path(harness.__file__).resolve().parent
     naming_tol = set()
-    for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for module, tree in PACKAGE_TREES.items():
+        for node in ast.walk(tree):
             if "POVM_SUM_TOL" in (getattr(node, "id", None), getattr(node, "attr", None),
                                   getattr(node, "name", None)):
-                naming_tol.add(path.stem)
+                naming_tol.add(module)
     assert naming_tol == {"instrument"}
     assert attribute_readers("kraus", "instrument") == {"harness.Scenario.to_json"}
 
@@ -1220,8 +1223,7 @@ def test_each_support_rule_has_one_home():
     reads no constant of the package; and SUPPORT_CUTOFF is the support of a
     square root, read only where one is taken: Hall's roots, spectral_apply
     and random_instrument's normalizer guard."""
-    package = Path(harness.__file__).resolve().parent
-    constants = {target.id for path in package.glob("*.py") for node in ast.parse(path.read_text()).body
+    constants = {target.id for tree in PACKAGE_TREES.values() for node in tree.body
                  if isinstance(node, ast.Assign) for target in node.targets
                  if isinstance(target, ast.Name) and target.id.isupper()}
     assert {"NULL_TRACE", "SUPPORT_CUTOFF"} <= constants
@@ -1236,11 +1238,10 @@ def test_each_row_is_named_once_in_the_table():
     its terms: each row name is a string constant of the package exactly once,
     inside ROWS. A row is built in one place, harness.judged_rows, the only
     reader of ROWS and the only place that writes a row's slack."""
-    package = Path(harness.__file__).resolve().parent
     names = {name for name, *_ in ROWS}
     anywhere, in_table = Counter(), Counter()
-    for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for tree in PACKAGE_TREES.values():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Constant) and node.value in names:
                 anywhere[node.value] += 1
             elif isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["ROWS"]:
@@ -1312,12 +1313,11 @@ def test_the_letter_contract_has_one_home():
 def test_no_module_reads_the_environment():
     """A scenario is a function of its arguments alone: no module of the
     package names os.environ, os.getenv or environ."""
-    package = Path(harness.__file__).resolve().parent
     reading = set()
-    for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for module, tree in PACKAGE_TREES.items():
+        for node in ast.walk(tree):
             if {"environ", "getenv"} & {getattr(node, key, None) for key in ("id", "attr", "name")}:
-                reading.add(path.stem)
+                reading.add(module)
     assert reading == set()
 
 
@@ -1325,16 +1325,14 @@ def test_the_error_classes_are_three():
     """An error is its phase and its message: errors defines QinstrError,
     SchemaError and NoConvergence alone, and every raise in the package that
     is not of a built-in exception names one of them."""
-    package = Path(harness.__file__).resolve().parent
-    tree = ast.parse((package / "errors.py").read_text())
-    assert [node.name for node in tree.body if isinstance(node, ast.ClassDef)] == [
+    assert [node.name for node in PACKAGE_TREES["errors"].body if isinstance(node, ast.ClassDef)] == [
         "QinstrError", "SchemaError", "NoConvergence"]
     raised = {}
-    for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for module, tree in PACKAGE_TREES.items():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                raised.setdefault(ast.unparse(exc), set()).add(path.stem)
+                raised.setdefault(ast.unparse(exc), set()).add(module)
     toolkit = {name: modules for name, modules in raised.items() if not hasattr(builtins, name)}
     assert set(toolkit) <= {"QinstrError", "SchemaError", "NoConvergence"}, toolkit
     assert toolkit["SchemaError"] == {"harness"}
@@ -1374,11 +1372,10 @@ def lapack_calls(monkeypatch) -> tuple:
 def test_lapack_has_one_binding():
     """No module but matcore imports ``lapack`` by name: each calls it as
     ``matcore.lapack``, so ``lapack_calls`` sees every call."""
-    package = Path(harness.__file__).resolve().parent
-    for path in sorted(package.glob("*.py")):
-        imported = {alias.name for node in ast.walk(ast.parse(path.read_text()))
+    for module, tree in PACKAGE_TREES.items():
+        imported = {alias.name for node in ast.walk(tree)
                     if isinstance(node, ast.ImportFrom) for alias in node.names}
-        assert "lapack" not in imported, path.stem
+        assert "lapack" not in imported, module
 
 
 # the LAPACK calls of analyze, the entropy panel and the Scutaru chains at

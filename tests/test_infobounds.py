@@ -44,7 +44,6 @@ from oracle import (
     map_action,
     maximally_mixed,
     merge_outcomes,
-    q_rel_entropy,
     quantum_info_gain,
     random_density,
 )
@@ -224,24 +223,6 @@ class TestClassicalMutualInfo:
         assert abs(ms.classical_mi - math.log(2)) <= 1e-15
         assert abs(ms.classical_mi - brute_force_mi(ms.joint)) <= 1e-15
 
-    def test_entropy_combination_crosscheck(self):
-        # I_c = H(P_i) + H(P_f) - H(P_if)
-        rng = np.random.default_rng(4)
-        e = random_ensemble(2, 3, rng)
-        ins = random_instrument(2, 2, 4, 2, seed=5)
-        ms = analyze(e, ins)
-
-        def shannon(p):
-            p = p[p > 1e-15]
-            return float(-(p * np.log(p)).sum())
-
-        expected = (
-            shannon(ms.ensemble.probs)
-            + shannon(ms.output_marginal)
-            - shannon(ms.joint.ravel())
-        )
-        assert abs(ms.classical_mi - expected) < 1e-10
-
     def test_rare_letter_is_finite(self):
         # P_i x P_f = 1e-14 on the rare cell: I_c is H(p), not +inf
         eps = 1e-7
@@ -277,42 +258,8 @@ class TestEntropyPanel:
         assert abs(panel["chi_initial"] - math.log(2)) < 1e-10
         assert abs(panel["classical_mi"] - math.log(2)) < 1e-10
 
-    def test_chi_initial_matches_relative_entropy_form(self):
-        # chi_initial = sum_a P_a S(rho_a | eta), one state at a time
-        rng = np.random.default_rng(6)
-        e = random_ensemble(3, 3, rng)
-        ins = random_instrument(3, 2, 2, 2, seed=7)
-        ms = analyze(e, ins)
-        eta = a_priori_state(e)
-        expected = sum(p * q_rel_entropy(DensityMatrix(s), eta) for p, s in zip(e.probs, e.states))
-        assert abs(entropy_panel(ms)["chi_initial"] - expected) < 1e-10
-
 
 class TestIdentitiesAndBounds:
-    @pytest.mark.parametrize("seed", range(10))
-    def test_identities_random(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        e = random_ensemble(int(rng.integers(2, 4)), int(rng.integers(2, 4)), rng)
-        ins = random_instrument(
-            e.dim, int(rng.integers(2, 4)), int(rng.integers(2, 4)), int(rng.integers(1, 3)),
-            seed=200 + seed,
-        )
-        panel = entropy_panel(analyze(e, ins))
-        rows = judged(panel, kind="eq")
-        assert all(row["pass"] for row in rows), rows
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_bounds_random(self, seed):
-        rng = np.random.default_rng(300 + seed)
-        e = random_ensemble(int(rng.integers(2, 4)), int(rng.integers(2, 4)), rng)
-        ins = random_instrument(
-            e.dim, int(rng.integers(2, 4)), int(rng.integers(2, 4)), int(rng.integers(1, 3)),
-            seed=400 + seed,
-        )
-        panel = entropy_panel(analyze(e, ins))
-        rows = judged(panel, kind="ge")
-        assert all(row["pass"] for row in rows), rows
-
     def test_identities_on_desk_example(self):
         panel = entropy_panel(analyze(zero_plus_ensemble(), projective_qubit()))
         checks = {row["name"]: row for row in judged(panel, kind="eq")}
@@ -351,37 +298,6 @@ class TestQuantumInfoGain:
                 found_negative = True
                 break
         assert found_negative
-
-
-class TestGroenewoldLindblad:
-    def test_projective_is_purity_preserving(self):
-        pp, gl = groenewold_lindblad_check(projective_qubit(), trials=50, seed=0, n_demix=5)
-        rows = judged(gl)
-        assert pp
-        assert all(row["pass"] for row in rows)
-        assert {row["name"]: row for row in rows}["gl_info_gain_nonneg"]["slack"] >= -1e-8
-
-    def test_rank1_random_is_purity_preserving(self):
-        ins = random_instrument(2, 3, 3, 1, seed=42)
-        pp, gl = groenewold_lindblad_check(ins, trials=50, seed=1, n_demix=5)
-        rows = judged(gl)
-        assert pp
-        assert all(row["pass"] for row in rows)
-
-    def test_depolarizing_like_is_not(self):
-        # two-Kraus single-outcome channel mixes pure inputs
-        ins = random_instrument(2, 2, 1, 2, seed=7)
-        pp, gl = groenewold_lindblad_check(ins, trials=50, seed=2, n_demix=5)
-        rows = judged(gl)
-        assert not pp
-        assert "gl_info_gain_nonneg" not in {row["name"] for row in rows}
-        assert all(row["pass"] for row in rows)  # chain inequality still holds
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_chain_inequality_random(self, seed):
-        ins = random_instrument(3, 2, 3, 2, seed=500 + seed)
-        rows = judged(groenewold_lindblad_check(ins, trials=20, seed=seed, n_demix=3)[1])
-        assert all(row["pass"] for row in rows), rows
 
 
 def sequential_gl(ins, trials, seed, n_demix=5):
@@ -449,6 +365,9 @@ class TestPurityClass:
     @pytest.mark.parametrize("ins, expected", [
         (measure_and_prepare(), True),
         (perturbed_pair(1e-7), True),
+        # relative second singular values 1e-6 and 1e-5, either side of RANK_ONE_TOL
+        (perturbed_pair(2e-6), True),
+        (perturbed_pair(2e-5), False),
         (perturbed_pair(1e-3), False),
         (with_zero_outcome(), True),
         (merge_outcomes(random_instrument(2, 2, 3, 1, seed=8), 0, 1), False),
@@ -485,21 +404,13 @@ class TestReportInfoGain:
     """The report's I_q(eta_i) comes from analyze's eta column, not from a
     second application of the instrument."""
 
-    @staticmethod
-    def _check(s):
+    def test_null_outcome(self):
+        s = Scenario(ensemble=orthogonal_ensemble(), instrument=with_zero_outcome())
         ms = analyze(s.ensemble, s.instrument)
+        assert ms.output_marginal[2] == 0.0
         reference = quantum_info_gain(s.instrument, a_priori_state(s.ensemble))
         assert abs(ms.info_gain - reference) <= 1e-12
         assert abs(run_scenario(s)["quantum_info_gain"] - reference) <= 1e-12
-
-    @pytest.mark.parametrize("shape", ACCEPTANCE_GRID[::7])
-    def test_random(self, shape):
-        self._check(random_scenario(*shape, seed=sum(shape)))
-
-    def test_null_outcome(self):
-        s = Scenario(ensemble=orthogonal_ensemble(), instrument=with_zero_outcome())
-        assert analyze(s.ensemble, s.instrument).output_marginal[2] == 0.0
-        self._check(s)
 
 
 def diagonal_instrument(effects, kraus=1, seed=0):
@@ -767,16 +678,6 @@ class TestCompoundStates:
         rows = judged(compound_states(analyze(s.ensemble, s.instrument)).deviations)
         assert max(row["lhs"] for row in rows) <= 1e-14, rows
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_consistency_random(self, seed):
-        rng = np.random.default_rng(600 + seed)
-        e = random_ensemble(int(rng.integers(2, 4)), int(rng.integers(2, 4)), rng)
-        ins = random_instrument(
-            e.dim, int(rng.integers(2, 4)), int(rng.integers(2, 4)), 2, seed=700 + seed
-        )
-        rows = judged(compound_states(analyze(e, ins)).deviations)
-        assert all(row["pass"] for row in rows), rows
-
 
 class TestScutaruChains:
     def test_desk_example(self):
@@ -793,34 +694,3 @@ class TestScutaruChains:
         assert all(row["pass"] for row in checks.values())
         # perfectly distinguishable: the first-chain bound is tight at log 2
         assert abs(checks["scutaru1_ic_ge_chi_eps_if"]["rhs"] - math.log(2)) < 1e-10
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_random(self, seed):
-        rng = np.random.default_rng(800 + seed)
-        e = random_ensemble(int(rng.integers(2, 4)), int(rng.integers(2, 4)), rng)
-        ins = random_instrument(
-            e.dim, int(rng.integers(2, 4)), int(rng.integers(2, 4)), int(rng.integers(1, 3)),
-            seed=900 + seed,
-        )
-        ms = analyze(e, ins)
-        rows = judged(scutaru_chains(ms, compound_states(ms)), entropy_panel(ms))
-        assert all(row["pass"] for row in rows), rows
-
-
-class TestMergeOutcomes:
-    def test_preserves_normalization(self):
-        ins = random_instrument(2, 2, 3, 2, seed=30)
-        merged = merge_outcomes(ins, ins.outcomes[0], ins.outcomes[1])
-        assert len(merged.outcomes) == 2
-        total = merged.effects.sum(axis=0)
-        assert np.max(np.abs(total - np.eye(2))) < 1e-9
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_coarse_graining_never_increases_ic(self, seed):
-        rng = np.random.default_rng(1000 + seed)
-        e = random_ensemble(2, 3, rng)
-        ins = random_instrument(2, 2, 3, 2, seed=1100 + seed)
-        merged = merge_outcomes(ins, ins.outcomes[0], ins.outcomes[1])
-        ic_fine = analyze(e, ins).classical_mi
-        ic_coarse = analyze(e, merged).classical_mi
-        assert ic_coarse <= ic_fine + 1e-10

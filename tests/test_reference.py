@@ -88,17 +88,37 @@ class TestLayout:
         assert [fn.__name__ for fn in read if fn in stages] == []
 
 
-# the desk scenarios, the 72 grid shapes on seeds 0 and 1, the 24
-# rank_deficient edge slots, where eta is singular and Hall is skipped, the
-# 200 scenarios of the acceptance suite, whose reports the criteria judge, and
-# TestNullCells' NULL_CELL_SCENARIOS, whose live cells of trace near
-# NULL_TRACE the oracle reads by the pipeline's exact zeros. Left out: the
-# gl_* rows, which test_batched_gl_matches_sequential holds; their replay by
-# sequential_gl takes 3.2 s on the 144 grid scenarios (2-vCPU VM).
+# Shapes (d1, d2, letters, outcomes, Kraus operators) beyond the grid's
+# d <= 3: each (d1, d2) from {2, 3, 4, 5} with max(d1, d2) >= 4, where the
+# compound states reach 25 x 25, but those that random_instrument cannot
+# normalize (outcomes * Kraus * d2 < d1); and the wide workload's nine.
+LARGE_SHAPES = tuple(
+    (d1, d2, nl, no, kp)
+    for d1 in (2, 3, 4, 5)
+    for d2 in (2, 3, 4, 5)
+    if max(d1, d2) >= 4
+    for nl in (2, 4)
+    for no in (2, 4)
+    for kp in (1, 2)
+    if no * kp * d2 >= d1
+)
+WIDE_SHAPES = tuple((5, 5, nl, no, 2) for nl in (2, 3, 4) for no in (2, 3, 4))
+
+# the desk scenarios, the 72 grid shapes on seeds 0 and 1, the d = 4-5 shapes
+# above, the 24 rank_deficient edge slots, where eta is singular and Hall is
+# skipped, the 200 scenarios of the acceptance suite, whose reports the
+# criteria judge, and TestNullCells' NULL_CELL_SCENARIOS, whose live cells of
+# trace near NULL_TRACE the oracle reads by the pipeline's exact zeros. Left
+# out: the gl_* rows, which test_batched_gl_matches_sequential holds; their
+# replay by sequential_gl takes 3.2 s on the 144 grid scenarios (2-vCPU VM).
 ORACLE_INPUTS = {
     **{name: functools.partial(example_scenario, name) for name in EXAMPLE_NAMES},
     **{f"grid-{seed}-" + "-".join(map(str, shape)): functools.partial(random_scenario, *shape, seed=seed)
        for seed in (0, 1) for shape in ACCEPTANCE_GRID},
+    **{"large-0-" + "-".join(map(str, shape)): functools.partial(random_scenario, *shape, seed=0)
+       for shape in LARGE_SHAPES},
+    **{"wide-1-" + "-".join(map(str, shape)): functools.partial(random_scenario, *shape, seed=1)
+       for shape in WIDE_SHAPES},
     **{f"edge-{edge_id(slot)}": functools.partial(edge_scenario, slot) for slot in EDGE_SLOTS},
     **{f"suite-{index}": functools.partial(
         random_scenario, *ACCEPTANCE_GRID[index % len(ACCEPTANCE_GRID)], seed=splitmix64(MASTER_SEED + index))
@@ -111,6 +131,7 @@ ORACLE_INPUTS = {
 def test_report_matches_the_per_state_oracle(name):
     s = ORACLE_INPUTS[name]()
     report = run_scenario(s)
+    assert report["overall_pass"] is True
     scalars = oracle.per_state_scalars(s.ensemble, s.instrument)
     unit = harness.NATS_PER_UNIT[s.log_base]
     for key, value in (*report["panel"].items(), ("quantum_info_gain", report["quantum_info_gain"])):

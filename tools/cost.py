@@ -33,7 +33,6 @@ pass, two passes are counted; the tool exits 1 if they differ.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from collections import Counter
@@ -41,6 +40,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scenariobench"))
 
+import refsweep  # noqa: E402
 import run  # noqa: E402
 import workloads  # noqa: E402
 
@@ -52,12 +52,7 @@ PATHS = ("closed", "lapack", "jacobi")  # the spectra, by path
 
 def inputs(q, workload: str) -> list:
     """The scenario JSON of variant 0 of every main-pool slot of ``workload``."""
-    mix = q.harness.splitmix64
-    return [
-        json.dumps(workloads.make_scenario(
-            q, workload, slot, workloads.scenario_seed(mix, workload, "main", slot, 0)).to_json())
-        for slot in range(len(workloads.SLOTS[workload]))
-    ]
+    return [refsweep.input_text(q, workload, "main", slot, 0) for slot in range(len(workloads.SLOTS[workload]))]
 
 
 class Tally:

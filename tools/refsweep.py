@@ -97,18 +97,23 @@ class ParentComparison:
         return bool(self.exact) or not self.largest[0] <= refcheck.TOL
 
 
+def input_text(q, workload: str, pool: str, slot: int, variant: int) -> str:
+    """The scenario JSON of one benchmark input, generated as the benchmark
+    generates it; ``tools/cost.py`` reads its inputs through this too."""
+    seed = workloads.scenario_seed(q.harness.splitmix64, workload, pool, slot, variant)
+    return json.dumps(workloads.make_scenario(q, workload, slot, seed).to_json())
+
+
 def sweep(q, workload: str, pool: str, inputs, reports, parent=None) -> tuple:
     """(inputs checked, mismatch lines) for one workload and pool; each input
     text and each report text is fed to the ``inputs`` and ``reports`` hashes,
     and each report to ``parent`` (a ParentComparison) when one is given."""
     refs = refcheck.load_reference(workload, pool)["reports"]
-    mix = q.harness.splitmix64
     checked, problems = 0, []
     for slot in range(len(workloads.SLOTS[workload])):
         for variant in range(workloads.VARIANTS):
             key = f"{slot}:{variant}"
-            seed = workloads.scenario_seed(mix, workload, pool, slot, variant)
-            text = json.dumps(workloads.make_scenario(q, workload, slot, seed).to_json())
+            text = input_text(q, workload, pool, slot, variant)
             inputs.update(text.encode() + b"\n")
             report = None
             try:
