@@ -10,8 +10,8 @@ Choi-matrix rebuild of an instrument, the information gain and the purity of
 one state, a random mixed state, the coarse-graining of two outcomes, and
 Hall's J and dual ensemble, which ``hallmap.hall_section`` does without.
 ``per_state_scalars`` puts them together into every scalar a report reads
-but the GL check's, the one oracle that
-``test_reference.test_report_matches_the_per_state_oracle`` holds each report
+but the GL check's, which
+``test_corpus.test_report_matches_the_per_state_oracle`` holds each report
 to.
 A state is a ``DensityMatrix`` here, a type only the oracles and the tests
 build: the a priori state (``a_priori_state``) is one, a law is a checked
@@ -23,12 +23,23 @@ exists: it is test code, outside the package, and nothing here calls the
 stacked path it checks (``instrument.Instrument.channel_matrix``,
 ``instrument._posteriors``, ``entropy.vn_entropies``) or a stage of
 ``harness.run_scenario`` (``tests/test_reference.py``).
+
+Beside ``per_state_scalars`` stand the other two oracles, each a table of
+callables that need no recorded reference. A report depends on its scenario
+only through the ensemble as a state and the instrument as a channel, so each
+of ``TRANSFORMS`` (relabelled outcomes or letters, a unitary on either space,
+an outcome split by a coin that ignores the letter, and another Kraus
+representation of each outcome's map) moves no number of it. Mutual
+entropies do not increase under a channel, so each of ``RELATIONS`` (a merge
+of two outcomes, a channel on H2 after the instrument, a merge of two
+letters, and an outcome split by a coin and merged back) orders two panels.
+``tests/corpus.py`` names the inputs all three run on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -38,7 +49,7 @@ from qinstr.entropy import _entropy
 from qinstr.errors import QinstrError
 from qinstr.hallmap import INVERTIBILITY_TOL, SINGULAR
 from qinstr.infobounds import _ginibre_states
-from qinstr.instrument import NULL_TRACE, Instrument, KrausMap
+from qinstr.instrument import NULL_TRACE, Instrument, KrausMap, random_instrument
 from qinstr.matcore import HERM_TOL, SUPPORT_CUTOFF
 from qinstr.qstate import PROB_TOL, DensityMatrix, Ensemble
 
@@ -450,3 +461,130 @@ def per_state_scalars(e: Ensemble, ins: Instrument) -> dict:
             "dual_eta_gain": quantum_info_gain(build_hall_instrument(e, eta_i), eta_i),
         })
     return scalars
+
+
+def _instrument(ins: Instrument, outcomes, kraus) -> Instrument:
+    return Instrument(tuple(outcomes), tuple(KrausMap(ins.dim_in, ins.dim_out, k) for k in kraus))
+
+
+def permute_outcomes(s, seed):
+    ins = s.instrument
+    order = np.roll(np.arange(len(ins.outcomes)), 1)
+    ins = _instrument(ins, [ins.outcomes[w] for w in order], [ins.maps[w].kraus for w in order])
+    return replace(s, instrument=ins)
+
+
+def permute_letters(s, seed):
+    e = s.ensemble
+    order = np.roll(np.arange(len(e.letters)), 1)
+    e = Ensemble(tuple(e.letters[a] for a in order), e.probs[order], e.states[order])
+    return replace(s, ensemble=e)
+
+
+def rotate_output(s, seed):
+    """K -> V K for a unitary V on H2."""
+    ins = s.instrument
+    v = haar_unitary(ins.dim_out, np.random.default_rng(seed))
+    return replace(s, instrument=_instrument(ins, ins.outcomes, [v @ m.kraus for m in ins.maps]))
+
+
+def rotate_input(s, seed):
+    """rho -> U rho U^dag and K -> K U^dag for a unitary U on H1."""
+    e, ins = s.ensemble, s.instrument
+    u = haar_unitary(e.dim, np.random.default_rng(seed))
+    e = Ensemble(e.letters, e.probs, u @ e.states @ u.conj().T)
+    ins = _instrument(ins, ins.outcomes, [m.kraus @ u.conj().T for m in ins.maps])
+    return replace(s, ensemble=e, instrument=ins)
+
+
+def split_outcome(s, seed):
+    """Outcome 0's Kraus operators K become c K and s K, with c^2 + s^2 = 1."""
+    ins = s.instrument
+    theta = np.random.default_rng(seed).uniform(0.2, 1.4)
+    kraus = [np.cos(theta) * ins.maps[0].kraus, *(m.kraus for m in ins.maps[1:]), np.sin(theta) * ins.maps[0].kraus]
+    return replace(s, instrument=_instrument(ins, (*ins.outcomes, "split"), kraus))
+
+
+def rebuild_kraus(s, seed):
+    """Each outcome's Kraus operators refactored from its Choi matrix
+    (``channel_roundtrip``), padded with a zero operator, and the first factor
+    and the pad mixed by a seeded 2 x 2 unitary: the same channel, and other
+    operators on every input, the basis slots' projectors too, which are
+    their own Choi factors."""
+    ins = channel_roundtrip(s.instrument)
+    u = haar_unitary(2, np.random.default_rng(seed))
+    kraus = [np.concatenate([u[0, 0] * m.kraus[:1], m.kraus[1:], u[1, 0] * m.kraus[:1]]) for m in ins.maps]
+    ins = _instrument(ins, ins.outcomes, kraus)
+    assert not np.array_equal(ins.kraus_stack, s.instrument.kraus_stack)
+    return replace(s, instrument=ins)
+
+
+# transform: (scenario, seed) -> a scenario of the same report, and whether it
+# moves the gl_* rows: the random states of the Groenewold-Lindblad trials are
+# drawn in a fixed basis of H1, so a rotation of H1 moves them
+TRANSFORMS = {
+    "permute_outcomes": (permute_outcomes, False),
+    "permute_letters": (permute_letters, False),
+    "rotate_output": (rotate_output, False),
+    "rotate_input": (rotate_input, True),
+    "split_outcome": (split_outcome, False),
+    "rebuild_kraus": (rebuild_kraus, False),
+}
+
+
+def merged_outcomes(s, seed):
+    ins = s.instrument
+    return s.ensemble, merge_outcomes(ins, ins.outcomes[0], ins.outcomes[1])
+
+
+def channel_after(s, seed):
+    """The instrument followed by a random two-Kraus channel on H2: each Kraus
+    operator K becomes the products C K, one per Kraus operator C of the channel."""
+    ins = s.instrument
+    c = random_instrument(ins.dim_out, ins.dim_out, 1, 2, seed=seed).maps[0].kraus
+    return s.ensemble, _instrument(ins, ins.outcomes, [(c[:, None] @ m.kraus).reshape(-1, *m.kraus.shape[1:])
+                                                       for m in ins.maps])
+
+
+def merged_letters(s, seed):
+    """Letters 0 and 1 merged into their mixture, at the sum of their priors."""
+    e = s.ensemble
+    p = e.probs[:2].sum()
+    mix = np.einsum("a,aij->ij", e.probs[:2], e.states[:2]) / p
+    e = Ensemble(("0+1", *e.letters[2:]), np.array([p, *e.probs[2:]]), np.concatenate([mix[None], e.states[2:]]))
+    return e, s.instrument
+
+
+def split_and_merged_back(s, seed):
+    """An outcome split by a coin and merged back: a channel with an inverse,
+    which puts two proportional Kraus operators in one outcome. (A unitary on
+    H2 is another; ``rotate_output`` holds the whole report under it.)"""
+    ins, c = s.instrument, 0.3
+    kraus = (np.sqrt(c) * ins.maps[0].kraus, *(m.kraus for m in ins.maps[1:]), np.sqrt(1 - c) * ins.maps[0].kraus)
+    return s.ensemble, merge_outcomes(_instrument(ins, (*ins.outcomes, "split"), kraus), ins.outcomes[0], "split")
+
+
+# relation: (channel, panel entries that cannot rise, entries that stay, None
+# for every entry); a channel takes (scenario, seed) to the (ensemble,
+# instrument) after it. Merging two outcomes is a channel on the outcome
+# register, after the instrument, and merging two letters one on the letter
+# register, before it; mean chi given out has no order under the first and
+# mean chi given in none under the second.
+RELATIONS = {
+    "merged_outcomes": (
+        merged_outcomes,
+        ("classical_mi", "chi_out", "chi_joint", "mean_chi_given_in", "tripartite"),
+        ("chi_initial", "chi_post"),
+    ),
+    "channel_after": (
+        channel_after,
+        ("chi_post", "chi_out", "chi_joint", "mean_chi_given_in", "mean_chi_given_out", "tripartite"),
+        ("chi_initial", "classical_mi"),
+    ),
+    "merged_letters": (
+        merged_letters,
+        ("chi_initial", "chi_post", "chi_joint", "mean_chi_given_out", "classical_mi", "tripartite"),
+        ("chi_out",),
+    ),
+    "split_and_merged_back": (split_and_merged_back, (), None),
+}

@@ -8,25 +8,21 @@ import numpy as np
 import pytest
 
 import conftest
+import corpus
+from corpus import MASTER_SEED, TRIALS
 
 from qinstr import matcore
 from qinstr.harness import (
-    ACCEPTANCE_GRID,
     emit_report,
     example_scenario,
     main,
-    random_scenario,
     run_acceptance_suite,
     run_scenario,
-    splitmix64,
 )
 from qinstr.infobounds import INEQ_TOL
 from qinstr.instrument import random_instrument
 from qinstr.qstate import DensityMatrix
-from oracle import a_priori_state, per_state_scalars, q_rel_entropy, quantum_info_gain, random_density, total_channel
-
-MASTER_SEED = 20240817
-TRIALS = 200
+from oracle import a_priori_state, q_rel_entropy, quantum_info_gain, random_density, total_channel
 
 INEQUALITY_NAMES = (
     "sww",
@@ -101,14 +97,12 @@ def test_criterion_2_identity_suite(suite):
             for c in _named(r, name):
                 worst = max(worst, abs(c["slack"]))
     # the identity rows agree by construction, so every panel chi is also held
-    # to its relative-entropy form, the per-state oracle's
+    # to its relative-entropy form, the per-state oracle's, which the corpus
+    # keeps for each suite scenario
     worst_chi = 0.0
-    for index, r in enumerate(reports):
-        d1, d2, nl, no, kp = ACCEPTANCE_GRID[index % len(ACCEPTANCE_GRID)]
-        s = random_scenario(d1, d2, nl, no, kp, splitmix64(MASTER_SEED + index))
-        scalars = per_state_scalars(s.ensemble, s.instrument)
+    for r, inp in zip(reports, corpus.FAMILIES["suite"]):
         for name in PANEL_CHIS:
-            worst_chi = max(worst_chi, abs(r["panel"][name] - scalars[name]))
+            worst_chi = max(worst_chi, abs(r["panel"][name] - inp.scalars[name]))
     _verdict(
         2,
         worst <= 1e-9 and worst_chi <= 1e-10,
@@ -118,7 +112,7 @@ def test_criterion_2_identity_suite(suite):
 
 
 def test_criterion_3_desk_zero_one_plus():
-    report = run_scenario(example_scenario("zero-one-plus"))
+    report = corpus.INPUTS["zero-one-plus"].report
     i_c = report["panel"]["classical_mi"]
     chi = report["panel"]["chi_initial"]
     sww = _named(report, "sww")[0]
@@ -132,13 +126,13 @@ def test_criterion_3_desk_zero_one_plus():
 
 
 def test_criterion_4_desk_orthogonal_projective():
-    report = run_scenario(example_scenario("orthogonal-projective"))
+    desk = corpus.INPUTS["orthogonal-projective"]
+    report, s = desk.report, desk.scenario
     i_c = report["panel"]["classical_mi"]
     chi = report["panel"]["chi_initial"]
     holevo = _named(report, "holevo")[0]
     from oracle import build_hall_instrument
 
-    s = example_scenario("orthogonal-projective")
     h = build_hall_instrument(s.ensemble, a_priori_state(s.ensemble))
     # with orthogonal pure letters the Kraus operator M(a) is the projector
     # |a><a|, i.e. the letter state itself
@@ -182,9 +176,8 @@ def test_criterion_6_groenewold_lindblad(suite):
     rank1_all_pp = True
     min_gain_slack = math.inf
     found_non_pp_multi = False
-    for index, r in enumerate(reports):
-        kraus_per_outcome = ACCEPTANCE_GRID[index % len(ACCEPTANCE_GRID)][4]
-        if kraus_per_outcome == 1:
+    for r, inp in zip(reports, corpus.FAMILIES["suite"]):
+        if len(inp.scenario.instrument.maps[0].kraus) == 1:
             if not r["purity_preserving"]:
                 rank1_all_pp = False
         elif not r["purity_preserving"]:
@@ -208,11 +201,10 @@ def test_every_instrument_outside_the_purity_class_has_a_pure_witness(suite):
     superposition does, by more than INEQ_TOL."""
     reports, _, _ = suite
     witnessed = []
-    for index, r in enumerate(reports):
+    for r, inp in zip(reports, corpus.FAMILIES["suite"]):
         if not r["purity_preserving"]:
-            d1, *shape = ACCEPTANCE_GRID[index % len(ACCEPTANCE_GRID)]
-            ins = random_scenario(d1, *shape, splitmix64(MASTER_SEED + index)).instrument
-            family = [*np.eye(d1), np.ones(d1)]
+            ins = inp.scenario.instrument
+            family = [*np.eye(ins.dim_in), np.ones(ins.dim_in)]
             witnessed.append(min(quantum_info_gain(ins, conftest.pure(v)) for v in family))
     assert witnessed and max(witnessed) < -INEQ_TOL, max(witnessed)
 

@@ -4,7 +4,7 @@ a rare letter leaves eta an eigenvalue below SUPPORT_CUTOFF, the
 relative-entropy form's support test reads +inf; these tests hold the report
 finite and passing there. The relative-entropy form itself is the
 per-state oracle's (``oracle.per_state_scalars``), which
-``test_reference.test_report_matches_the_per_state_oracle`` holds every
+``test_corpus.test_report_matches_the_per_state_oracle`` holds every
 report number to."""
 
 import json

@@ -64,9 +64,9 @@ from qinstr.infobounds import INEQ_TOL, analyze
 from qinstr.instrument import POVM_SUM_TOL, Instrument, KrausMap, random_instrument
 from qinstr.matcore import HERM_TOL
 from qinstr.qstate import DensityMatrix, Ensemble, pure_state
-from conftest import KIND
+import corpus
+from conftest import KIND, downstream, refill, right_normalized
 from oracle import haar_unitary, quantum_info_gain, random_density
-from test_infobounds import downstream, refill, right_normalized
 
 
 def judged_run(s: Scenario) -> tuple:
@@ -351,9 +351,8 @@ def test_acceptance_grid_rows_sit_at_rounding():
     # the generator's Jacobi normalizer leaves effect sums off the identity by
     # up to ~1e-13, which reaches no row: the instrument is normalized when
     # it is built
-    off = [(shape, name, slack) for index, shape in enumerate(ACCEPTANCE_GRID)
-           for kind, name, slack in judged_slacks(random_scenario(*shape, seed=index))
-           if kind in ("eq", "dev") and abs(slack) > 4e-15]
+    off = [(inp.name, row["name"], row["slack"]) for inp in corpus.FAMILIES["grid"]
+           for row in inp.report["checks"] if KIND[row["name"]] in ("eq", "dev") and abs(row["slack"]) > 4e-15]
     assert off == []
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import corpus
 from conftest import (
     KET0,
     KET1,
@@ -18,15 +19,11 @@ from qinstr import hallmap, matcore, qstate
 from qinstr.errors import QinstrError
 from qinstr.hallmap import hall_section
 from qinstr.harness import (
-    ACCEPTANCE_GRID,
-    EXAMPLE_NAMES,
     Scenario,
-    example_scenario,
     main,
     random_scenario,
     run_scenario,
     scenario_from_json,
-    splitmix64,
 )
 from qinstr.infobounds import (
     analyze,
@@ -44,7 +41,6 @@ from oracle import (
     outcome_probs,
     purity,
 )
-from test_infobounds import NULL_CELL_SCENARIOS
 
 
 DUALITY = ("duality_conditional_law", "duality_ic")
@@ -140,7 +136,7 @@ class TestDualEnsemble:
     def test_an_outcome_with_a_null_cell_takes_its_live_letters_dual_state(self):
         # P(A|0) = 1e-15 is null and P(A|1) = 4e-12 live: sigma_A is the dual
         # state of |1> alone, where eta's would put 2.5e-4 on |0>
-        e, ins = NULL_CELL_SCENARIOS["null_cell_beside_a_near_cutoff_live_cell"]
+        e, ins = corpus.NULL_CELL_SCENARIOS["null_cell_beside_a_near_cutoff_live_cell"]
         dual = dual_ensemble(e, ins)
         assert dual.held.tolist() == [[False, True], [True, True]]
         assert np.max(np.abs(dual.states[0] - KET1.mat)) <= 1e-15
@@ -197,14 +193,12 @@ class TestNewBound:
         # J_a(eta) = P_a rho_a: J's law on eta is P_i and its a posteriori
         # states are the letters, so I_q{eta; J} is read from the scenario's
         # entropies as chi_initial is, and the row's two sides are one float
-        # on the desk scenarios and the 72 grid shapes (the per-state oracle
-        # still builds J on eta, oracle.per_state_scalars, which
+        # on the desk scenarios and the 144 grid scenarios (the per-state
+        # oracle still builds J on eta, oracle.per_state_scalars, which
         # test_report_matches_the_per_state_oracle holds the row to)
-        scenarios = [example_scenario(name) for name in EXAMPLE_NAMES] + [
-            random_scenario(*shape, splitmix64(index)) for index, shape in enumerate(ACCEPTANCE_GRID)]
-        for s in scenarios:
-            row = {c["name"]: c for c in run_scenario(s)["checks"]}["new_iq_identity"]
-            assert row["slack"] == 0.0 and row["lhs"] == row["rhs"], row
+        for inp in corpus.FAMILIES["desk"] + corpus.FAMILIES["grid"]:
+            row = {c["name"]: c for c in inp.report["checks"]}["new_iq_identity"]
+            assert row["slack"] == 0.0 and row["lhs"] == row["rhs"], (inp.name, row)
 
     def test_strictly_improves_somewhere(self):
         # the D term is strictly positive on some instance
@@ -307,16 +301,15 @@ def test_d_term_is_the_mean_chi_given_out_for_one_kraus_instruments():
     K_w rho_a K_w^dag share their nonzero spectrum, and so do eta's, so the
     D-term is mean_chi_given_out and new_bound's slack is sww's. The two sides
     come from different code: J's gains on the dual states, and the panel's
-    grid. With two Kraus operators per outcome D is larger."""
-    for index in range(2 * len(ACCEPTANCE_GRID)):
-        shape = ACCEPTANCE_GRID[index % len(ACCEPTANCE_GRID)]
-        checks = run_scenario(random_scenario(*shape, splitmix64(20240817 + index)))["checks"]
-        report = {c["name"]: c for c in checks}
+    grid. With two Kraus operators per outcome D is larger. On the
+    acceptance suite's 200 scenarios."""
+    for inp in corpus.FAMILIES["suite"]:
+        report = {c["name"]: c for c in inp.report["checks"]}
         gap = report["sww"]["slack"] - report["new_bound"]["slack"]  # D - mean_chi_given_out
-        if shape[-1] == 1:
-            assert abs(gap) <= 1e-12, (shape, gap)
+        if len(inp.scenario.instrument.maps[0].kraus) == 1:
+            assert abs(gap) <= 1e-12, (inp.name, gap)
         else:
-            assert gap >= 1e-3, (shape, gap)
+            assert gap >= 1e-3, (inp.name, gap)
 
 
 @pytest.mark.parametrize("t", [1e-8, 1e-9, 1e-10, 1e-11, 3e-12])

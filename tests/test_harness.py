@@ -3,7 +3,6 @@ import builtins
 import csv
 import dataclasses
 import errno
-import inspect
 import io
 import json
 import math
@@ -19,11 +18,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import corpus
 import oracle
-from conftest import KIND, counted, judged
+from conftest import (
+    GOLDEN_GENERATED,
+    GOLDEN_PURE_LETTERS,
+    KIND,
+    RUN_SCENARIO_CALLS,
+    counted,
+    effect_sum_off_the_identity_in_every_entry,
+    golden_pure_letters,
+    judged,
+    scaled_zero_one_plus,
+)
 from qinstr import harness, infobounds, instrument, matcore, qstate
 from qinstr.harness import (
-    ACCEPTANCE_GRID,
     EXAMPLE_NAMES,
     Scenario,
     _fingerprint,
@@ -40,8 +49,6 @@ from qinstr.errors import NoConvergence, QinstrError, SchemaError
 from qinstr.infobounds import ROWS, _gains, groenewold_lindblad_check, random_pure
 from qinstr.instrument import Instrument, random_instrument
 from qinstr.qstate import DensityMatrix, Ensemble, pure_state
-from test_infobounds import NULL_CELL_SCENARIOS, effect_sum_off_the_identity_in_every_entry, scaled_zero_one_plus
-from test_symmetry import rotate_input
 
 
 class TestSplitmix:
@@ -107,27 +114,6 @@ class TestScenarioJson:
         report = json.loads(capsys.readouterr().out)
         assert report["log_base"] == "2"
         assert report["fingerprint"] == _fingerprint(dataclasses.replace(s, tol=1e-5, log_base="2"))
-
-
-# The input contract's values: random_scenario(*spec) hashes to its value, and
-# the pure-letter scenario to the first value as built, the second read back
-GOLDEN_GENERATED = (
-    ((2, 2, 3, 3, 2, 7), "4dbc43409d64acd4"),
-    ((3, 2, 2, 4, 1, 99), "9bec63adee0774ee"),
-    ((5, 5, 3, 3, 2, 11), "7fc10edea4eeda1b"),
-)
-GOLDEN_PURE_LETTERS = ("cb12254c3f3b049b", "f20fe675733174fa")
-
-
-def golden_pure_letters() -> Scenario:
-    """Two pure letters in d1 = 3, whose tiny negative eigenvalues ingest clamps."""
-    rng = np.random.default_rng(5)
-    states = (random_pure(3, rng), random_pure(3, rng))
-    return Scenario(
-        ensemble=Ensemble((0, 1), np.array([0.3, 0.7]), states),
-        instrument=random_instrument(3, 2, 3, 1, seed=5),
-        seed=5,
-    )
 
 
 class TestGoldenFingerprints:
@@ -385,29 +371,6 @@ def mixed_letters_at_the_trace_edge() -> Scenario:
     return Scenario(ensemble, example_scenario("zero-one-plus").instrument)
 
 
-def qinstr_calls(fn) -> list:
-    """The qinstr functions that fn's body calls, in the order of its source,
-    as (module, name, function): the module is the one fn looks the name up
-    in, fn's own for a bare name (``analyze``) and the named module for an
-    attribute (``hallmap.hall_section``)."""
-    home = sys.modules[fn.__module__]
-    calls = []
-    for node in ast.walk(ast.parse(inspect.getsource(fn))):
-        if not isinstance(node, ast.Call):
-            continue
-        if isinstance(node.func, ast.Name):
-            module, name = home, node.func.id
-        elif isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name):
-            module, name = getattr(home, node.func.value.id, None), node.func.attr
-        else:
-            continue
-        called = getattr(module, name, None) if inspect.ismodule(module) else None
-        if inspect.isfunction(called) and called.__module__.startswith("qinstr."):
-            calls.append(((node.lineno, node.col_offset), (module, name, called)))
-    return [call for _, call in sorted(calls, key=lambda c: c[0])]
-
-
-RUN_SCENARIO_CALLS = qinstr_calls(run_scenario)
 # every stage run_scenario calls, a function of another qinstr module, with
 # the module it reads the stage from: read off run_scenario's own body, so a
 # stage added or renamed there is a stage here
@@ -450,7 +413,7 @@ class TestCli:
 
     @pytest.mark.parametrize("make", [
         scaled_zero_one_plus,
-        lambda: rotate_input(Scenario(*NULL_CELL_SCENARIOS["letter_with_little_live_weight"]), 1),
+        lambda: oracle.rotate_input(corpus.INPUTS["null-letter_with_little_live_weight"].scenario, 1),
         mixed_letters_at_the_trace_edge,
         effect_sum_off_the_identity_in_every_entry,
     ], ids=["scaled-effect-sum", "rotated-near-null", "a-priori-trace", "effect-sum-in-every-entry"])
@@ -1258,18 +1221,10 @@ def test_each_row_is_named_once_in_the_table():
 ROW_ORDER = {name: index for index, (name, *_) in enumerate(ROWS)}
 
 
-@pytest.mark.parametrize("name", EXAMPLE_NAMES)
-def test_desk_report_rows_follow_the_table(name):
-    order = [ROW_ORDER[row["name"]] for row in run_scenario(example_scenario(name))["checks"]]
-    assert order == sorted(order)
-
-
-def test_grid_report_rows_follow_the_table():
-    # the 72 acceptance shapes, each once, seeded as the acceptance suite seeds them
-    reports, _ = run_acceptance_suite(len(ACCEPTANCE_GRID))
-    for report in reports:
-        order = [ROW_ORDER[row["name"]] for row in report["checks"]]
-        assert order == sorted(order), report["fingerprint"]
+def test_report_rows_follow_the_table():
+    for inp in corpus.INPUTS.values():
+        order = [ROW_ORDER[row["name"]] for row in inp.report["checks"]]
+        assert order == sorted(order), inp.name
 
 
 def test_a_desk_report_emits_every_row_of_the_table():

@@ -10,19 +10,22 @@ from conftest import (
     KET0,
     KET1,
     PLUS,
+    downstream,
+    effect_sum_off_the_identity_in_every_entry,
     judged,
     orthogonal_ensemble,
     projective_qubit,
+    refill,
+    right_normalized,
+    scaled_zero_one_plus,
     zero_plus_ensemble,
 )
+from corpus import NULL_CELL_SCENARIOS, diagonal_instrument
 from qinstr.errors import QinstrError
-from qinstr.hallmap import hall_section
 from qinstr.harness import (
     ACCEPTANCE_GRID,
     Scenario,
-    example_scenario,
     judged_rows,
-    random_scenario,
     run_scenario,
 )
 from qinstr.infobounds import (
@@ -40,7 +43,6 @@ from qinstr.instrument import NULL_TRACE, Instrument, KrausMap, _posteriors, ran
 from qinstr.qstate import DensityMatrix, Ensemble, pure_state
 from oracle import (
     a_priori_state,
-    haar_unitary,
     map_action,
     maximally_mixed,
     merge_outcomes,
@@ -60,17 +62,6 @@ def measure_and_prepare(p=0.3):
         for w, ket in ((p, v), (1 - p, u))
     )
     return Instrument(("v", "u"), maps)
-
-
-def right_normalized(groups):
-    """The instrument with one outcome per group of raw d x d Kraus operators,
-    every operator right-multiplied by S^{-1/2}, S = sum K^dag K, as
-    random_instrument normalizes."""
-    vals, vecs = np.linalg.eigh(sum(k.conj().T @ k for group in groups for k in group))
-    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    d = len(inv_sqrt)
-    return Instrument(tuple(range(len(groups))),
-                      tuple(KrausMap(d, d, tuple(k @ inv_sqrt for k in group)) for group in groups))
 
 
 def perturbed_pair(eps):
@@ -413,113 +404,33 @@ class TestReportInfoGain:
         assert abs(run_scenario(s)["quantum_info_gain"] - reference) <= 1e-12
 
 
-def diagonal_instrument(effects, kraus=1, seed=0):
-    """One outcome per row of ``effects`` (each row the diagonal of E(w), the
-    columns summing to 1), with Kraus operators U diag(sqrt(E(w)) / sqrt(kraus))
-    for random unitaries U, so the a posteriori states are not diagonal."""
-    effects = np.asarray(effects, dtype=float)
-    rng = np.random.default_rng(seed)
-    d = effects.shape[1]
-    maps = tuple(
-        KrausMap(d, d, tuple(haar_unitary(d, rng) @ np.diag(np.sqrt(row / kraus)) for _ in range(kraus)))
-        for row in effects
-    )
-    return Instrument(tuple(range(len(effects))), maps)
-
-
-def refill(ms, state):
-    """``ms`` with the a posteriori state of every null cell (a grid cell of
-    P(w | a) exactly 0, an outcome of P_f(w) exactly 0) replaced by ``state``."""
-    grid = ms.posterior_letter_states.copy()
-    grid[ms.cond_out_given_in == 0.0] = state
-    mean = ms.posterior_mean_states.copy()
-    mean[ms.output_marginal == 0.0] = state
-    return dataclasses.replace(ms, posterior_letter_states=grid, posterior_mean_states=mean)
-
-
-def downstream(ms):
-    """Every number the pipeline takes from ``ms``: the panel, I_q(eta), the
-    compound states and their rows, the Scutaru chains and the Hall section,
-    or the error it raises (``test_hallmap.test_near_null_dual_outcome_is_analyzed``)."""
-    cs = compound_states(ms)
-    panel = entropy_panel(ms)
-    rows = judged({**cs.deviations, **scutaru_chains(ms, cs)}, panel)
-    try:
-        rows += judged(hall_section(ms), panel)
-    except QinstrError as exc:
-        rows.append(repr(exc))
-    arrays = [a.tobytes() for a in (cs.eps_if, cs.eps_i, cs.eps_f, cs.eta_if, cs.tau_f, cs.gamma_if)]
-    return panel, ms.info_gain, rows, arrays
-
-
 def assert_fill_reaches_no_number(e, ins, state):
     ms = analyze(e, ins)
     assert (ms.cond_out_given_in == 0.0).any()
     assert downstream(refill(ms, state.mat)) == downstream(ms)
 
 
-# TestNullCells' hand-built scenarios, (ensemble, instrument) by name; outcome
-# A is 0 and B is 1. tests/test_symmetry.py runs them through its
-# transformations, by these names. Three names describe the scenario as an
-# earlier rule saw it, which also called an outcome null when its weight P_f
-# was <= 1e-12; now a cell of trace <= NULL_TRACE (1.4e-14) is the only null,
-# and an outcome is null iff every cell under it is. The cut-off the other
-# two names mean is NULL_TRACE.
-NULL_CELL_SCENARIOS = {
-    # P(A|0) = 0.9e-14 is a null cell under the live outcome A, so rho_f(A)
-    # is letter 1's cell state alone
-    "sub_cutoff_cell_under_a_live_column": (
-        orthogonal_ensemble(), diagonal_instrument([[0.9e-14, 0.8], [1 - 0.9e-14, 0.2]])),
-    # P(A|1) = 7e-10 is live, so outcome A is live although P_f(A) = 7e-13
-    # (the earlier rule called column A null and dropped it from tau_f(1))
-    "live_cell_under_a_null_column": (
-        Ensemble((0, 1), np.array([0.999, 0.001]), (KET0.mat, KET1.mat)),
-        diagonal_instrument([[0.0, 7e-10], [1.0, 1 - 7e-10]])),
-    # P(B|1) = 1 is live, so outcome B is live although P_f(B) = 1e-13, and
-    # tau_f(1) is rho_f(B) (the earlier rule left letter 1 no live weight)
-    "letter_with_no_live_weight": (
-        Ensemble((0, 1), np.array([1 - 1e-13, 1e-13]), (KET0.mat, KET1.mat)),
-        diagonal_instrument([[1.0, 0.0], [0.0, 1.0]])),
-    # letter 1's cells P(A|1) = 2e-12 and P(B|1) are both live, so tau_f(1)
-    # mixes rho_f(A) and rho_f(B) although P_f(B) = 1e-15 (the earlier rule
-    # kept only A and renormalized letter 1 by 2e-12)
-    "letter_with_little_live_weight": (
-        Ensemble((0, 1), np.array([1 - 1e-15, 1e-15]), (KET0.mat, KET1.mat)),
-        diagonal_instrument([[1.0, 2e-12], [0.0, 1 - 2e-12]])),
-    # P(A|0) = 1e-15 is null and P(A|1) = 4e-12 live, so outcome A is live at
-    # P_f(A) = 2e-12 and Hall's J must read the |0> cell of A as null too
-    "null_cell_beside_a_near_cutoff_live_cell": (
-        orthogonal_ensemble(), diagonal_instrument([[1e-15, 4e-12], [1 - 1e-15, 1 - 4e-12]])),
-}
-
-
 class TestNullCells:
     """A posteriori states are defined only up to null sets: whatever state a
     null cell holds, no number moves."""
 
-    def test_sub_cutoff_cell_under_a_live_column(self):
-        assert_fill_reaches_no_number(*NULL_CELL_SCENARIOS["sub_cutoff_cell_under_a_live_column"], PLUS)
+    # each report of these passes: test_corpus.test_report_matches_the_per_state_oracle
+    @pytest.mark.parametrize("name", NULL_CELL_SCENARIOS)
+    def test_fill_reaches_no_number(self, name):
+        assert_fill_reaches_no_number(*NULL_CELL_SCENARIOS[name], PLUS)
 
     def test_live_cell_under_a_null_column(self):
-        e, ins = NULL_CELL_SCENARIOS["live_cell_under_a_null_column"]
-        assert_fill_reaches_no_number(e, ins, PLUS)
-        ms = analyze(e, ins)
+        ms = analyze(*NULL_CELL_SCENARIOS["live_cell_under_a_null_column"])
         assert ms.live.all()
         assert abs(np.trace(compound_states(ms).tau_f[1]).real - 1.0) <= 1e-15
 
     def test_letter_with_no_live_weight(self):
-        e, ins = NULL_CELL_SCENARIOS["letter_with_no_live_weight"]
-        assert_fill_reaches_no_number(e, ins, PLUS)
-        ms = analyze(e, ins)
+        ms = analyze(*NULL_CELL_SCENARIOS["letter_with_no_live_weight"])
         assert np.array_equal(compound_states(ms).tau_f[1], ms.posterior_mean_states[1])
-        assert run_scenario(Scenario(e, ins))["overall_pass"]
 
     def test_letter_with_little_live_weight(self):
-        e, ins = NULL_CELL_SCENARIOS["letter_with_little_live_weight"]
-        assert_fill_reaches_no_number(e, ins, PLUS)
-        tau_f = compound_states(analyze(e, ins)).tau_f
+        tau_f = compound_states(analyze(*NULL_CELL_SCENARIOS["letter_with_little_live_weight"])).tau_f
         assert abs(np.trace(tau_f[1]).real - 1.0) <= 1e-15
-        assert run_scenario(Scenario(e, ins))["overall_pass"]
 
     def test_null_flag_reads_the_one_null_cell_rule(self):
         # the one rule (instrument._posteriors) decides on a cell's trace, not
@@ -570,37 +481,10 @@ class TestNullCells:
         assert_fill_reaches_no_number(e, ins, random_density(d, np.random.default_rng(seed)))
 
 
-def scaled_zero_one_plus() -> Scenario:
-    """The zero-one-plus desk scenario with every Kraus entry scaled by
-    sqrt(1 + 3e-10): the effects sum to (1 + 3e-10) I, which ingest accepts
-    (POVM_SUM_TOL = 1e-9) and the Instrument normalizes once, when it is
-    built."""
-    s = example_scenario("zero-one-plus")
-    scale = math.sqrt(1 + 3e-10)
-    ins = Instrument(s.instrument.outcomes, tuple(KrausMap(2, 2, scale * m.kraus) for m in s.instrument.maps))
-    return Scenario(s.ensemble, ins)
-
-
 def test_effect_sum_within_its_tolerance_is_analyzed():
     # a derived state is a state by construction and is not judged again at
     # HERM_TOL = 1e-10, which the effect sum's error once failed
     assert run_scenario(scaled_zero_one_plus())["overall_pass"]
-
-
-def effect_sum_off_the_identity_in_every_entry() -> Scenario:
-    """random_scenario(3, 2, 2, 2, 1, 7)'s Kraus operators right-multiplied by
-    (I + c J)^(1/2), with J the all-ones matrix and c = 0.999e-9, so that the
-    effects sum to I + c J: every entry is within POVM_SUM_TOL of the
-    identity's, while the operator norm of the deviation is 3c. The letters
-    are psi psi^dag, psi = (0.88, b, b) near J's range, at prior 1 - 1e-6,
-    and |1><1| at 1e-6."""
-    ins = random_scenario(3, 2, 2, 2, 1, 7).instrument
-    c = 0.999e-9
-    root = np.eye(3) + (math.sqrt(1 + 3 * c) - 1) / 3 * np.ones((3, 3))
-    ins = Instrument(ins.outcomes, tuple(KrausMap(3, 2, m.kraus @ root) for m in ins.maps))
-    b = math.sqrt((1 - 0.88 ** 2) / 2)
-    letters = (pure_state([0.88, b, b]), pure_state([0, 1, 0]))
-    return Scenario(Ensemble((0, 1), np.array([1 - 1e-6, 1e-6]), letters), ins)
 
 
 def test_fill_of_a_live_outcome_reaches_no_number():

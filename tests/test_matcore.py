@@ -86,7 +86,7 @@ class TestSolvers:
             matcore.jacobi_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_backend_identified(self):
-        assert qinstr.EIG_BACKEND == "lapack"
+        assert qinstr.EIG_BACKEND == "lapack+closed2+trig3"
 
 
 def two_by_two_stacks(n=2500, seed=0) -> dict:

@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import GOLDEN_GENERATED, GOLDEN_PURE_LETTERS, golden_pure_letters
 from qinstr import harness
 from qinstr.harness import EXAMPLE_NAMES, emit_report, example_scenario, random_scenario, run_scenario
-from test_harness import GOLDEN_GENERATED, GOLDEN_PURE_LETTERS, golden_pure_letters
 
 try:
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
