@@ -293,7 +293,7 @@ def run_scenario(s: Scenario) -> dict:
     ms = analyze(s.ensemble, s.instrument)
     panel = entropy_panel(ms)
 
-    purity_preserving, gl_scalars = groenewold_lindblad_check(
+    gl_scalars = groenewold_lindblad_check(
         s.instrument, trials=s.gl_trials, seed=s.seed, n_demix=s.gl_demix
     )
 
@@ -319,7 +319,7 @@ def run_scenario(s: Scenario) -> dict:
         "panel": {k: float(v) / unit for k, v in panel.items()},
         "checks": rows,
         "quantum_info_gain": float(ms.info_gain) / unit,
-        "purity_preserving": purity_preserving,
+        "purity_preserving": s.instrument.purity_preserving,
         "hall_skipped": hall_skipped,
         "default_state_sensitivity": sensitivity,
         "overall_pass": all(row["pass"] for row in rows),

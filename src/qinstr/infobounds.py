@@ -18,11 +18,6 @@ from .qstate import Ensemble, pure_state
 
 EQ_TOL = 1e-9
 INEQ_TOL = 1e-8
-# The class gates gl_info_gain_nonneg, judged at INEQ_TOL. An outcome of
-# relative second singular value r takes a pure state to a gain of about
-# -r**2 ln(1 / r**2); at r <= 3e-6 the least over near-rank-one Ginibre
-# instruments (d = 2, 3) was -3.3e-10, above -INEQ_TOL / 10.
-RANK_ONE_TOL = 3e-6
 PROB_FLOOR = 0.05  # letter probabilities of a generated ensemble are raised to it, then renormalized
 
 
@@ -254,45 +249,14 @@ def _gains(ins: Instrument, rhos: np.ndarray) -> tuple:
     return _info_gain(vn_entropies(rhos), probs.T, s_post.T), probs
 
 
-def _rank_one(a: np.ndarray) -> np.ndarray:
-    """Whether each matrix of a stack has rank <= 1 (a zero matrix has): its
-    second singular value is at most RANK_ONE_TOL times its first."""
-    if min(a.shape[-2:]) < 2:
-        return np.ones(len(a), dtype=bool)
-    s = matcore.lapack(np.linalg.svd, a, compute_uv=False)
-    return s[:, 1] <= RANK_ONE_TOL * s[:, 0]
-
-
-def _preserves_purity(ins: Instrument) -> bool:
-    """Whether the instrument takes every pure state to a pure state or to 0,
-    outcome by outcome: Ozawa's exact class (J. Math. Phys. 27, 759, 1986).
-
-    An outcome preserves purity iff its Kraus operators are all proportional
-    to one operator (the stacked vec(K_k) have rank <= 1), or they all share
-    one rank-1 range (measure-and-prepare: [K_1 | K_2 | ...] has rank <= 1).
-    The zero operators that pad ``Instrument.kraus_stack`` change neither rank,
-    and the stack's right-normalization by the invertible I - D/2 keeps both
-    rank answers.
-    """
-    kraus = ins.kraus_stack
-    n_o, width, d2, d1 = kraus.shape
-    proportional = _rank_one(kraus.reshape(n_o, width, d2 * d1))
-    if proportional.all():
-        return True
-    one_range = _rank_one(kraus.swapaxes(1, 2).reshape(n_o, d2, width * d1))
-    return bool((proportional | one_range).all())
-
-
-def groenewold_lindblad_check(ins: Instrument, trials: int, seed: int, n_demix: int) -> tuple[bool, dict]:
-    """Exact purity classification plus the information-gain scalars.
-
-    Returns (purity_preserving, scalars). The class is Ozawa's, read off the
-    Kraus operators (``_preserves_purity``). ``gl_least_gain``, the least gain
-    over the trial states, is given only for instruments classified
-    purity-preserving; the chain inequality I_c + sum_a P_a I_q(rho_a) <=
-    I_q(eta) (the instrument-level equivalent of the strengthened Holevo
-    bound) is read unconditionally on random demixtures, its sides listed one
-    entry per demixture (``gl_chain_lhs``, ``gl_chain_rhs``).
+def groenewold_lindblad_check(ins: Instrument, trials: int, seed: int, n_demix: int) -> dict:
+    """The information-gain scalars. ``gl_least_gain``, the least gain over
+    the trial states, is given only for an instrument of Ozawa's purity class
+    (``Instrument.purity_preserving``); the chain inequality I_c + sum_a P_a
+    I_q(rho_a) <= I_q(eta) (the instrument-level equivalent of the
+    strengthened Holevo bound) is read unconditionally on random demixtures,
+    its sides listed one entry per demixture (``gl_chain_lhs``,
+    ``gl_chain_rhs``).
 
     The random numbers are those ``random_pure``, the tests' ``random_density``
     and ``random_ensemble`` would draw, trial after trial; only the draws loop.
@@ -309,9 +273,7 @@ def groenewold_lindblad_check(ins: Instrument, trials: int, seed: int, n_demix: 
     d1 = ins.dim_in
 
     rng.standard_normal((trials, 2, d1))
-    purity_preserving = _preserves_purity(ins)
-
-    n_trials = trials if purity_preserving else 0
+    n_trials = trials if ins.purity_preserving else 0
     draws = [rng.standard_normal((n_trials, 2, d1, d1))]
     n_letters = np.zeros(n_demix, dtype=int)
     uniforms = np.zeros((n_demix, 3))  # [demixture, letter]
@@ -334,9 +296,9 @@ def groenewold_lindblad_check(ins: Instrument, trials: int, seed: int, n_demix: 
     laws[slots] = cond[:, n_trials:n_states].T
     lhs = mutual_info(priors[:, :, None] * laws) + (priors * letter_gains).sum(axis=1)
     scalars = {"gl_chain_lhs": lhs.tolist(), "gl_chain_rhs": gains[n_states:].tolist()}
-    if purity_preserving:
+    if ins.purity_preserving:
         scalars["gl_least_gain"] = float(gains[:n_trials].min())
-    return purity_preserving, scalars
+    return scalars
 
 
 @dataclass(frozen=True)

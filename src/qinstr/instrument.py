@@ -11,12 +11,15 @@ The analysis applies an instrument to stacks through
 ``Instrument.channel_matrix``; ``_posteriors`` holds the a posteriori rule
 and the one null decision, at NULL_TRACE, on the rounding's scale; the
 outcome law the pipeline reads is ``analyze``'s P_f, from the same channel.
+Ozawa's purity class is a property of that channel alone,
+``Instrument.purity_preserving``, read off the Kraus stack on first read.
 The per-state forms the tests check them against, one map's action and
 ``outcome_probs`` among them, are test code (``tests/oracle.py``)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +32,11 @@ POVM_SUM_TOL = 1e-9  # sum of an instrument's effects against the identity
 # summing to I, rounding leaves an exactly null cell within 1 eps (<= 1.8e-16
 # after a unitary on H1, d <= 5): a 64-fold margin, with no norm or dimension factor
 NULL_TRACE = 64 * np.finfo(np.float64).eps  # 1.42e-14
+# The class gates gl_info_gain_nonneg, judged at INEQ_TOL. An outcome of
+# relative second singular value r takes a pure state to a gain of about
+# -r**2 ln(1 / r**2); at r <= 3e-6 the least over near-rank-one Ginibre
+# instruments (d = 2, 3) was -3.3e-10, above -INEQ_TOL / 10.
+RANK_ONE_TOL = 3e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,6 +124,36 @@ class Instrument:
     @property
     def dim_out(self) -> int:
         return self.maps[0].dim_out
+
+    @cached_property
+    def purity_preserving(self) -> bool:
+        """Whether the instrument takes every pure state to a pure state or to 0,
+        outcome by outcome: Ozawa's exact class (J. Math. Phys. 27, 759, 1986),
+        computed on first read and kept.
+
+        An outcome preserves purity iff its Kraus operators are all proportional
+        to one operator (the stacked vec(K_k) have rank <= 1), or they all share
+        one rank-1 range (measure-and-prepare: [K_1 | K_2 | ...] has rank <= 1).
+        The zero operators that pad ``kraus_stack`` change neither rank, and the
+        stack's right-normalization by the invertible I - D/2 keeps both rank
+        answers.
+        """
+        kraus = self.kraus_stack
+        n_o, width, d2, d1 = kraus.shape
+        proportional = _rank_one(kraus.reshape(n_o, width, d2 * d1))
+        if proportional.all():
+            return True
+        one_range = _rank_one(kraus.swapaxes(1, 2).reshape(n_o, d2, width * d1))
+        return bool((proportional | one_range).all())
+
+
+def _rank_one(a: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a stack has rank <= 1 (a zero matrix has): its
+    second singular value is at most RANK_ONE_TOL times its first."""
+    if min(a.shape[-2:]) < 2:
+        return np.ones(len(a), dtype=bool)
+    s = matcore.lapack(np.linalg.svd, a, compute_uv=False)
+    return s[:, 1] <= RANK_ONE_TOL * s[:, 0]
 
 
 def _apply_to_stack(ins: Instrument, rhos: np.ndarray) -> np.ndarray:

@@ -12,7 +12,9 @@ Hall's J and dual ensemble, which ``hallmap.hall_section`` does without.
 ``per_state_scalars`` puts them together into every scalar a report reads
 but the GL check's, which
 ``test_corpus.test_report_matches_the_per_state_oracle`` holds each report
-to.
+to, and ``sequential_gl`` into the GL check's rows and a sampled purity
+class, which ``test_corpus.test_gl_rows_match_the_sequential_oracle`` holds
+each report's ``gl_*`` rows and ``purity_preserving`` to.
 A state is a ``DensityMatrix`` here, a type only the oracles and the tests
 build: the a priori state (``a_priori_state``) is one, a law is a checked
 ``ClassicalDist`` and ``vn_entropy`` is one state's entropy. The tests' random
@@ -24,7 +26,7 @@ stacked path it checks (``instrument.Instrument.channel_matrix``,
 ``instrument._posteriors``, ``entropy.vn_entropies``) or a stage of
 ``harness.run_scenario`` (``tests/test_reference.py``).
 
-Beside ``per_state_scalars`` stand the other two oracles, each a table of
+Beside these two stand the other two oracles, each a table of
 callables that need no recorded reference. A report depends on its scenario
 only through the ensemble as a state and the instrument as a channel, so each
 of ``TRANSFORMS`` (relabelled outcomes or letters, a unitary on either space,
@@ -33,7 +35,7 @@ representation of each outcome's map) moves no number of it. Mutual
 entropies do not increase under a channel, so each of ``RELATIONS`` (a merge
 of two outcomes, a channel on H2 after the instrument, a merge of two
 letters, and an outcome split by a coin and merged back) orders two panels.
-``tests/corpus.py`` names the inputs all three run on.
+``tests/corpus.py`` names the inputs all four run on.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from qinstr import matcore
 from qinstr.entropy import _entropy
 from qinstr.errors import QinstrError
 from qinstr.hallmap import INVERTIBILITY_TOL, SINGULAR
-from qinstr.infobounds import _ginibre_states
+from qinstr.infobounds import _ginibre_states, random_ensemble, random_pure
 from qinstr.instrument import NULL_TRACE, Instrument, KrausMap, random_instrument
 from qinstr.matcore import HERM_TOL, SUPPORT_CUTOFF
 from qinstr.qstate import PROB_TOL, DensityMatrix, Ensemble
@@ -374,6 +376,13 @@ def live_letters_hall_read(e: Ensemble, held: np.ndarray, sigma: DensityMatrix) 
     return law, quantum_info_gain(h, compressed)
 
 
+def classical_mutual_info(law: np.ndarray) -> float:
+    """I_c of a joint law, S_c(law | the product of its marginals)."""
+    cells = tuple(np.ndindex(law.shape))
+    product = np.outer(law.sum(axis=1), law.sum(axis=0))
+    return c_rel_entropy(ClassicalDist(cells, law.ravel()), ClassicalDist(cells, product.ravel()))
+
+
 def per_state_scalars(e: Ensemble, ins: Instrument) -> dict:
     """Every scalar a report reads but the GL check's, in nats, by the name its
     stage gives it (``infobounds.ROWS``): the panel, ``quantum_info_gain``, the
@@ -404,12 +413,6 @@ def per_state_scalars(e: Ensemble, ins: Instrument) -> dict:
     def chi(weights, members, barycenter):
         return sum(w * q_rel_entropy(m, barycenter) for w, m in zip(weights, members) if w)
 
-    def mutual(law):
-        """I_c of a joint law, S_c(law | the product of its marginals)."""
-        cells = tuple(np.ndindex(law.shape))
-        product = np.outer(law.sum(axis=1), law.sum(axis=0))
-        return c_rel_entropy(ClassicalDist(cells, law.ravel()), ClassicalDist(cells, product.ravel()))
-
     def mixture(weights, mats):
         return DensityMatrix(sum(w * m for w, m in zip(weights, mats)))
 
@@ -420,7 +423,7 @@ def per_state_scalars(e: Ensemble, ins: Instrument) -> dict:
     tau_f = [mixture(fam.probs.probs[live], [mean[w].mat for w in live]) for fam in grid]
     eta_if = mixture(e.probs, products)
     gamma_if = mixture(p_f[live], [np.kron(x.mat, mean[w].mat) for x, w in zip(eps_i, live)])
-    i_c = mutual(joint)
+    i_c = classical_mutual_info(joint)
     chi_joint = chi(joint.ravel(), [x for fam in grid for x in fam.states], eta_f)
     scalars = {
         "chi_initial": chi(e.probs, letters, eta_i),
@@ -454,13 +457,45 @@ def per_state_scalars(e: Ensemble, ins: Instrument) -> dict:
         hall_duals = dual_states(e, np.ones((len(letters), len(live)), bool), ins.effects[live])
         scalars.update({
             "dual_law_dev": np.max(q_f * np.abs(law - cond)),
-            "dual_classical_mi": mutual(q_f * law),
+            "dual_classical_mi": classical_mutual_info(q_f * law),
             "chi_dual": chi(q_f, [DensityMatrix(sigma) for sigma in hall_duals], eta_i),
             "d_term": q_f @ gains,
             "dual_least_gain": gains.min(),
             "dual_eta_gain": quantum_info_gain(build_hall_instrument(e, eta_i), eta_i),
         })
     return scalars
+
+
+def sequential_gl(ins: Instrument, trials: int, seed: int, n_demix: int) -> tuple:
+    """The GL check one state at a time, and the purity class it samples:
+    (class, rows), each row (name, lhs, rhs) in nats, in report order. The
+    class holds iff no outcome takes any of ``trials`` random pure states to
+    an output of purity below 1 - 1e-8; the gain trials (for that class
+    only) and the demixtures draw on from the same generator, in the order
+    ``infobounds.groenewold_lindblad_check`` draws. A demixture's I_c is that
+    of its letters' ``a_posteriori`` laws."""
+    rng = np.random.default_rng(seed)
+    d1 = ins.dim_in
+    min_purity = 1.0
+    for _ in range(trials):
+        rho = random_pure(d1, rng)
+        for m in ins.maps:
+            out = map_action(m, rho)
+            tr = float(np.trace(out).real)
+            if tr > 1e-12:
+                min_purity = min(min_purity, float(np.trace(out @ out).real) / tr**2)
+    purity_preserving = min_purity >= 1.0 - 1e-8
+    rows = []
+    if purity_preserving:
+        gains = [quantum_info_gain(ins, random_density(d1, rng)) for _ in range(trials)]
+        rows.append(("gl_info_gain_nonneg", 0.0, min(gains)))
+    for _ in range(n_demix):
+        e = random_ensemble(d1, int(rng.integers(2, 4)), rng)
+        letters = [DensityMatrix(rho) for rho in e.states]
+        joint = e.probs[:, None] * np.array([a_posteriori(ins, rho).probs.probs for rho in letters])
+        lhs = classical_mutual_info(joint) + sum(p * quantum_info_gain(ins, rho) for p, rho in zip(e.probs, letters))
+        rows.append(("gl_chain", lhs, quantum_info_gain(ins, a_priori_state(e))))
+    return purity_preserving, rows
 
 
 def _instrument(ins: Instrument, outcomes, kraus) -> Instrument:

@@ -2,7 +2,9 @@
 pairs its table leaves out, with no recorded reference; a case is (input,
 oracle), and a seeded oracle's draws take the input's seeds. Within 1e-12:
 every number of a report but the GL check's is ``oracle.per_state_scalars``'
-(judged by ``harness.judged_rows``); no transformation of
+(judged by ``harness.judged_rows``); its GL rows are ``oracle.sequential_gl``'s
+at the scenario's own trials, seed and demixtures, and its purity class is
+the one that oracle samples; no transformation of
 ``oracle.TRANSFORMS`` moves a panel entry or a check; and under each channel
 of ``oracle.RELATIONS`` the panel entries that read its output do not rise,
 and those that read neither side of it stay."""
@@ -10,7 +12,7 @@ and those that read neither side of it stay."""
 import pytest
 
 import corpus
-from oracle import RELATIONS, TRANSFORMS
+from oracle import RELATIONS, TRANSFORMS, sequential_gl
 from qinstr import harness
 from qinstr.harness import run_scenario
 from qinstr.infobounds import analyze, entropy_panel
@@ -36,6 +38,19 @@ def test_report_matches_the_per_state_oracle(inp):
     assert [row["name"] for row in rows] == [c["name"] for c in checks]
     for row, c in zip(rows, checks):
         assert abs(row["lhs"] - c["lhs"]) <= TOL and abs(row["rhs"] - c["rhs"]) <= TOL, (row, c)
+
+
+@pytest.mark.parametrize("inp", corpus.inputs("sequential_gl"), ids=name_of)
+def test_gl_rows_match_the_sequential_oracle(inp):
+    corpus.RAN["sequential_gl", inp.family] += 1
+    s, report = inp.scenario, inp.report
+    preserving, checks = sequential_gl(s.instrument, s.gl_trials, s.seed, s.gl_demix)
+    assert report["purity_preserving"] == preserving
+    unit = harness.NATS_PER_UNIT[s.log_base]
+    rows = [c for c in report["checks"] if c["name"].startswith("gl_")]
+    assert [row["name"] for row in rows] == [name for name, _, _ in checks]
+    for row, (_, lhs, rhs) in zip(rows, checks):
+        assert abs(row["lhs"] - lhs / unit) <= TOL and abs(row["rhs"] - rhs / unit) <= TOL, (row, lhs, rhs)
 
 
 @pytest.mark.parametrize("inp, name, seed", [

@@ -1180,6 +1180,17 @@ def test_the_instrument_contract_has_one_home():
     assert attribute_readers("kraus", "instrument") == {"harness.Scenario.to_json"}
 
 
+def test_the_purity_class_has_one_home():
+    """Ozawa's purity class is a property of the instrument as a channel:
+    only instrument reads RANK_ONE_TOL or the Kraus stack it is read off,
+    and the class is read where the GL check draws by it and where the
+    report writes it."""
+    assert constant_readers("RANK_ONE_TOL") == {"instrument._rank_one"}
+    assert attribute_readers("kraus_stack", "instrument") == set()
+    assert attribute_readers("purity_preserving", "instrument") == {
+        "infobounds.groenewold_lindblad_check", "harness.run_scenario"}
+
+
 def test_each_support_rule_has_one_home():
     """A cell is null at or below instrument.NULL_TRACE, which only
     _posteriors reads; an entropy reads every positive eigenvalue, so entropy

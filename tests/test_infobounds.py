@@ -36,18 +36,17 @@ from qinstr.infobounds import (
     entropy_panel,
     groenewold_lindblad_check,
     random_ensemble,
-    random_pure,
     scutaru_chains,
 )
 from qinstr.instrument import NULL_TRACE, Instrument, KrausMap, _posteriors, random_instrument
 from qinstr.qstate import DensityMatrix, Ensemble, pure_state
 from oracle import (
     a_priori_state,
-    map_action,
     maximally_mixed,
     merge_outcomes,
     quantum_info_gain,
     random_density,
+    sequential_gl,
 )
 
 
@@ -291,33 +290,6 @@ class TestQuantumInfoGain:
         assert found_negative
 
 
-def sequential_gl(ins, trials, seed, n_demix=5):
-    """The GL check one DensityMatrix at a time, from the per-state functions."""
-    rng = np.random.default_rng(seed)
-    d1 = ins.dim_in
-    min_purity = 1.0
-    for _ in range(trials):
-        rho = random_pure(d1, rng)
-        for m in ins.maps:
-            out = map_action(m, rho)
-            tr = float(np.trace(out).real)
-            if tr > 1e-12:
-                min_purity = min(min_purity, float(np.trace(out @ out).real) / tr**2)
-    purity_preserving = min_purity >= 1.0 - 1e-8
-    checks = []
-    if purity_preserving:
-        gains = [quantum_info_gain(ins, random_density(d1, rng)) for _ in range(trials)]
-        checks.append(("gl_info_gain_nonneg", 0.0, min(gains)))
-    for _ in range(n_demix):
-        e = random_ensemble(d1, int(rng.integers(2, 4)), rng)
-        ms = analyze(e, ins)
-        rhs = ms.classical_mi + sum(
-            p * quantum_info_gain(ins, DensityMatrix(rho)) for p, rho in zip(e.probs, e.states)
-        )
-        checks.append(("gl_chain", rhs, quantum_info_gain(ins, a_priori_state(e))))
-    return purity_preserving, checks
-
-
 GL_CASES = [
     (random_instrument(d1, d2, no, kp, seed=index), 20, index, 5)
     for index, (d1, d2, _nl, no, kp) in enumerate(ACCEPTANCE_GRID)
@@ -340,10 +312,10 @@ GL_CASES = [
 
 
 class TestPurityClass:
-    """The exact (Ozawa) purity class of groenewold_lindblad_check."""
+    """The exact (Ozawa) purity class, ``Instrument.purity_preserving``."""
 
     def test_projective_and_depolarizing(self):
-        assert groenewold_lindblad_check(projective_qubit(), trials=2, seed=0, n_demix=5)[0]
+        assert projective_qubit().purity_preserving
         # Kraus operators |k><j| / sqrt(2): every input goes to I/2
         units = tuple(
             np.outer(np.eye(2)[k], np.eye(2)[j]).astype(complex) / np.sqrt(2)
@@ -351,7 +323,7 @@ class TestPurityClass:
             for j in range(2)
         )
         depolarize = Instrument((0,), (KrausMap(2, 2, units),))
-        assert not groenewold_lindblad_check(depolarize, trials=2, seed=0, n_demix=5)[0]
+        assert not depolarize.purity_preserving
 
     @pytest.mark.parametrize("ins, expected", [
         (measure_and_prepare(), True),
@@ -367,7 +339,7 @@ class TestPurityClass:
         (random_instrument(2, 2, 1, 2, seed=7), False),
     ])
     def test_classes(self, ins, expected):
-        assert groenewold_lindblad_check(ins, trials=2, seed=0, n_demix=5)[0] == expected
+        assert ins.purity_preserving == expected
 
 
 def near_rank_one_pair(r, seed=0):
@@ -386,9 +358,8 @@ def test_purity_preserving_class_has_no_negative_pure_gain():
     {|0>, |1>, |+>} misses it by 4.5 times the tolerance, so BLAS digits do
     not decide the outcome: the instrument must not be so classified."""
     ins = near_rank_one_pair(3e-5)
-    preserving = groenewold_lindblad_check(ins, trials=2, seed=0, n_demix=0)[0]
     least = min(quantum_info_gain(ins, ket) for ket in (KET0, KET1, PLUS))
-    assert not preserving or least >= -INEQ_TOL, least
+    assert not ins.purity_preserving or least >= -INEQ_TOL, least
 
 
 class TestReportInfoGain:
@@ -525,10 +496,9 @@ def test_floored_prior_over_slots_floors_each_row_alone():
 
 @pytest.mark.parametrize("ins, trials, seed, n_demix", GL_CASES)
 def test_batched_gl_matches_sequential(ins, trials, seed, n_demix):
-    pp, gl = groenewold_lindblad_check(ins, trials=trials, seed=seed, n_demix=n_demix)
-    rows = judged(gl)
+    rows = judged(groenewold_lindblad_check(ins, trials=trials, seed=seed, n_demix=n_demix))
     ref_pp, ref_checks = sequential_gl(ins, trials, seed, n_demix)
-    assert pp == ref_pp
+    assert ins.purity_preserving == ref_pp
     assert all(row["pass"] for row in rows), rows
     assert [row["name"] for row in rows] == [name for name, _, _ in ref_checks]
     for row, (_name, lhs, rhs) in zip(rows, ref_checks):

@@ -120,6 +120,28 @@ def test_every_array_field_is_read_only(build):
     assert [name for name, a in arrays.items() if a.flags.writeable] == []
 
 
+def test_the_purity_class_is_computed_once_on_first_read(monkeypatch):
+    # building takes no LAPACK call: the class is read off the Kraus stack on
+    # first read, by two svd calls here (no outcome's operators are
+    # proportional, so their common range is tested too), and kept read-only
+    calls = []
+    real = matcore.lapack
+
+    def lapack(routine, *args, **kwargs):
+        calls.append(routine.__name__)
+        return real(routine, *args, **kwargs)
+
+    monkeypatch.setattr(matcore, "lapack", lapack)
+    ins = random_instrument(3, 3, 4, 2, seed=7)
+    assert calls == []
+    assert ins.purity_preserving is False
+    assert calls == ["svd", "svd"]
+    assert ins.purity_preserving is False
+    assert calls == ["svd", "svd"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ins.purity_preserving = True
+
+
 class TestKrausMap:
     def test_empty_kraus_tuple_rejected(self):
         with pytest.raises(QinstrError, match="a Kraus map needs at least one Kraus operator"):
