@@ -110,20 +110,28 @@ class MeasurementStatistics:
         """Every state's entropy: the output side (the posterior grid, rho_f(w),
         eta_f^a and eta_f) from one batched vn_entropies call; the letters and
         eta_i from their spectra (``Ensemble.spectra``,
-        ``a_priori_eigenvalues``)."""
+        ``a_priori_eigenvalues``). The grid columns and rho_f(w) of an outcome
+        of ``Instrument.pure_outputs`` are pure states or 0: they read exactly
+        0.0 and take no spectrum."""
         n_l, n_o = self.joint.shape
         d2 = self.instrument.dim_out
+        mixed = _mixed_outputs(self.instrument)
+        means = self.posterior_mean_states[mixed]
+        n_mean = len(means)
+        n_grid = n_l * n_mean
         s = vn_entropies(np.concatenate([
-            self.posterior_letter_states.reshape(-1, d2, d2),
-            self.posterior_mean_states,
+            self.posterior_letter_states[:, mixed].reshape(-1, d2, d2),
+            means,
             self.post_letter_states,
             self.post_a_priori[None],
         ]))
-        n_grid = n_l * n_o
+        grid, mean = np.zeros((n_l, n_o)), np.zeros(n_o)
+        grid[:, mixed] = s[:n_grid].reshape(n_l, n_mean)
+        mean[mixed] = s[n_grid:n_grid + n_mean]
         return ScenarioEntropies(
-            grid=s[:n_grid].reshape(n_l, n_o),
-            mean=s[n_grid:n_grid + n_o],
-            post=s[n_grid + n_o:-1],
+            grid=grid,
+            mean=mean,
+            post=s[n_grid + n_mean:-1],
             eta_f=s[-1],
             letters=_entropy(self.ensemble.spectra.eigenvalues),
             eta_i=float(_entropy(self.a_priori_eigenvalues)),
@@ -243,10 +251,30 @@ def _info_gain(s_in, probs, s_post) -> np.ndarray:
 
 def _gains(ins: Instrument, rhos: np.ndarray) -> tuple:
     """The information gain of each state of a stack (``_info_gain``) and the
-    outcome probabilities [outcome, n]."""
+    outcome probabilities [outcome, n]. The outputs of an outcome of
+    ``ins.pure_outputs`` are pure states or 0: their entropies read exactly
+    0.0 and take no spectrum. The inputs and the other outputs take theirs
+    from one ``vn_entropies`` call per matrix size, one when d1 = d2."""
     probs, posts = _posteriors(_apply_to_stack(ins, rhos))
-    s_post = vn_entropies(posts.reshape(-1, ins.dim_out, ins.dim_out)).reshape(probs.shape)
-    return _info_gain(vn_entropies(rhos), probs.T, s_post.T), probs
+    n, d1, d2 = len(rhos), ins.dim_in, ins.dim_out
+    mixed = _mixed_outputs(ins)
+    outs = posts[mixed]  # [outcome, n, d2, d2]
+    if d1 == d2:
+        s = vn_entropies(np.concatenate([rhos, outs.reshape(-1, d2, d2)]))
+        s_in, s_out = s[:n], s[n:]
+    else:
+        s_in, s_out = vn_entropies(rhos), vn_entropies(outs.reshape(-1, d2, d2))
+    s_post = np.zeros(probs.shape)
+    s_post[mixed] = s_out.reshape(outs.shape[:2])
+    return _info_gain(s_in, probs.T, s_post.T), probs
+
+
+def _mixed_outputs(ins: Instrument):
+    """The outcomes whose outputs take a spectrum, those outside
+    ``ins.pure_outputs``: a mask, or every outcome as a slice, so that a
+    reader copies no state when no outcome is masked."""
+    pure = ins.pure_outputs
+    return ~pure if pure.any() else slice(None)
 
 
 def groenewold_lindblad_check(ins: Instrument, trials: int, seed: int, n_demix: int) -> dict:

@@ -12,7 +12,11 @@ The analysis applies an instrument to stacks through
 and the one null decision, at NULL_TRACE, on the rounding's scale; the
 outcome law the pipeline reads is ``analyze``'s P_f, from the same channel.
 Ozawa's purity class is a property of that channel alone,
-``Instrument.purity_preserving``, read off the Kraus stack on first read.
+``Instrument.purity_preserving``, read off the Kraus stack on first read, by
+the same SVD pass as ``Instrument.pure_outputs``, the [outcome] mask of the
+outcomes whose operators share one rank-one range to rounding (second
+singular value of [K_1 | K_2 | ...] at most NULL_TRACE times its first), so
+that every output of the outcome is one pure state or 0, of entropy exactly 0.
 The per-state forms the tests check them against, one map's action and
 ``outcome_probs`` among them, are test code (``tests/oracle.py``)."""
 
@@ -32,6 +36,10 @@ POVM_SUM_TOL = 1e-9  # sum of an instrument's effects against the identity
 # summing to I, rounding leaves an exactly null cell within 1 eps (<= 1.8e-16
 # after a unitary on H1, d <= 5): a 64-fold margin, with no norm or dimension factor
 NULL_TRACE = 64 * np.finfo(np.float64).eps  # 1.42e-14
+# The pure-output mask reads it as a relative second singular value, of the
+# same rounding: operators with one common range read a few eps (<= 1.5 eps
+# over 400 Haar-drawn measure-and-prepare outcomes at d = 3, exactly 0 on a
+# projector)
 # The class gates gl_info_gain_nonneg, judged at INEQ_TOL. An outcome of
 # relative second singular value r takes a pure state to a gain of about
 # -r**2 ln(1 / r**2); at r <= 3e-6 the least over near-rank-one Ginibre
@@ -129,31 +137,54 @@ class Instrument:
     def purity_preserving(self) -> bool:
         """Whether the instrument takes every pure state to a pure state or to 0,
         outcome by outcome: Ozawa's exact class (J. Math. Phys. 27, 759, 1986),
-        computed on first read and kept.
+        computed on first read and kept (``_purity``)."""
+        return self._purity[0]
+
+    @cached_property
+    def pure_outputs(self) -> np.ndarray:
+        """The read-only [outcome] mask of the outcomes whose every output is one
+        pure state or 0 (measure-and-prepare), so of entropy exactly 0, which
+        the entropy readers take without a spectrum: [K_1 | K_2 | ...] has
+        rank <= 1 to rounding. Computed on first read and kept (``_purity``)."""
+        return self._purity[1]
+
+    @cached_property
+    def _purity(self) -> tuple:
+        """The purity class and the pure-output mask, from one pass of at most
+        two SVDs of the Kraus stack.
 
         An outcome preserves purity iff its Kraus operators are all proportional
         to one operator (the stacked vec(K_k) have rank <= 1), or they all share
-        one rank-1 range (measure-and-prepare: [K_1 | K_2 | ...] has rank <= 1).
-        The zero operators that pad ``kraus_stack`` change neither rank, and the
+        one rank-1 range (measure-and-prepare: [K_1 | K_2 | ...] has rank <= 1),
+        each at RANK_ONE_TOL. The common range is tested first, since the mask
+        reads its singular values too, at NULL_TRACE, not at RANK_ONE_TOL: an
+        outcome of relative second singular value r = 1.4e-6 is in the class,
+        but its outputs have entropy ~r**2 ln(1 / r**2) = 5e-11, far above
+        rounding. Only when some outcome has no common range are the operators
+        tested for proportionality. The
+        zero operators that pad ``kraus_stack`` change neither rank, and the
         stack's right-normalization by the invertible I - D/2 keeps both rank
         answers.
         """
         kraus = self.kraus_stack
         n_o, width, d2, d1 = kraus.shape
-        proportional = _rank_one(kraus.reshape(n_o, width, d2 * d1))
-        if proportional.all():
-            return True
-        one_range = _rank_one(kraus.swapaxes(1, 2).reshape(n_o, d2, width * d1))
-        return bool((proportional | one_range).all())
+        ranges = kraus.swapaxes(1, 2).reshape(n_o, d2, width * d1)  # [K_1 | K_2 | ...]
+        one_range, pure = _rank_one(ranges, RANK_ONE_TOL, NULL_TRACE)
+        pure.setflags(write=False)
+        if one_range.all():
+            return True, pure
+        proportional, = _rank_one(kraus.reshape(n_o, width, d2 * d1), RANK_ONE_TOL)
+        return bool((proportional | one_range).all()), pure
 
 
-def _rank_one(a: np.ndarray) -> np.ndarray:
-    """Whether each matrix of a stack has rank <= 1 (a zero matrix has): its
-    second singular value is at most RANK_ONE_TOL times its first."""
+def _rank_one(a: np.ndarray, *tols: float) -> tuple:
+    """For each tolerance, whether each matrix of a stack has rank <= 1 at it
+    (a zero matrix has): its second singular value is at most tol times its
+    first. One SVD serves every tolerance."""
     if min(a.shape[-2:]) < 2:
-        return np.ones(len(a), dtype=bool)
+        return tuple(np.ones(len(a), dtype=bool) for _ in tols)
     s = matcore.lapack(np.linalg.svd, a, compute_uv=False)
-    return s[:, 1] <= RANK_ONE_TOL * s[:, 0]
+    return tuple(s[:, 1] <= tol * s[:, 0] for tol in tols)
 
 
 def _apply_to_stack(ins: Instrument, rhos: np.ndarray) -> np.ndarray:

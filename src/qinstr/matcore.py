@@ -11,8 +11,10 @@ exits 2 on it while the file is read, 3 inside a stage), but the spectra
 ``eigvalsh`` takes in closed form: every 2 x 2 one, and on a stack of
 TRIG_STACK or more 3 x 3 matrices each one whose eigenvalues lie apart
 (TRIG_GUARD); every ``eigh`` is
-``herm_eig`` and every spectrum of a derived state is ``eigvalsh``, each
-taking its matrix or stack as given. The one
+``herm_eig`` and every spectrum a derived state takes is ``eigvalsh``'s, each
+taking its matrix or stack as given. A derived state of an outcome of
+``Instrument.pure_outputs`` takes none: it is pure or 0, of entropy exactly 0
+(``infobounds._gains``, ``MeasurementStatistics.entropies``). The one
 Hermiticity rule lives here, ``hermitian_part`` (finite, square, Hermitian
 within HERM_TOL, then (A + A^dag) / 2, on a matrix or a stack; a
 ``QinstrError`` whose message names the part that fails), and runs where

@@ -640,13 +640,14 @@ class TestCli:
         ("eigh", 3, 1, "hall_section", 2),
         ("eigvalsh", 3, 0, "entropy_panel", 3),
         ("eigvalsh", 2, 0, "analyze", 3),
-        ("svd", None, 0, "groenewold_lindblad_check", 2),
+        ("svd", None, 0, "entropy_panel", 2),
     ], ids=["eigh", "eigvalsh", "eigvalsh-eta", "svd"])
     def test_lapack_failure_exits_three(self, tmp_path, capsys, monkeypatch, routine, ndim, skip, stage, dim):
         # a LinAlgError from a LAPACK call inside a stage (the Hall section's
         # eigh of its eta_w stack, the second eigh of a run after the letters',
-        # the entropies' eigvalsh, analyze's eigvalsh of eta_i, the purity
-        # class's svd) is a numerical error that names the stage, not a failed
+        # the entropies' eigvalsh, analyze's eigvalsh of eta_i, the svd of the
+        # purity class and the pure-output mask, which the entropies read
+        # first) is a numerical error that names the stage, not a failed
         # check (exit 1) or a traceback. The eigvalsh cases run at d = 3: a
         # 2 x 2 spectrum is taken in closed form, with no LAPACK call
         path = tmp_path / "scenario.json"
@@ -1181,19 +1182,26 @@ def test_the_instrument_contract_has_one_home():
 
 
 def test_the_purity_class_has_one_home():
-    """Ozawa's purity class is a property of the instrument as a channel:
-    only instrument reads RANK_ONE_TOL or the Kraus stack it is read off,
-    and the class is read where the GL check draws by it and where the
-    report writes it."""
-    assert constant_readers("RANK_ONE_TOL") == {"instrument._rank_one"}
+    """Ozawa's purity class and the pure-output mask are properties of the
+    instrument as a channel, from one pass: only that pass reads RANK_ONE_TOL,
+    only instrument reads the Kraus stack they are read off, the class is read
+    where the GL check draws by it and where the report writes it, and the
+    mask by one helper, which the two places that take an output's entropy
+    call: the scenario's entropies and the GL check's gains."""
+    assert constant_readers("RANK_ONE_TOL") == {"instrument.Instrument._purity"}
     assert attribute_readers("kraus_stack", "instrument") == set()
+    assert attribute_readers("_purity", "instrument") == set()
     assert attribute_readers("purity_preserving", "instrument") == {
         "infobounds.groenewold_lindblad_check", "harness.run_scenario"}
+    assert attribute_readers("pure_outputs", "instrument") == {"infobounds._mixed_outputs"}
+    assert constant_readers("_mixed_outputs") == {"infobounds.MeasurementStatistics.entropies", "infobounds._gains"}
 
 
 def test_each_support_rule_has_one_home():
     """A cell is null at or below instrument.NULL_TRACE, which only
-    _posteriors reads; an entropy reads every positive eigenvalue, so entropy
+    _posteriors reads, and the purity pass, whose pure-output mask reads it
+    as a relative singular value on the same rounding's scale; an entropy
+    reads every positive eigenvalue, so entropy
     reads no constant of the package; and SUPPORT_CUTOFF is the support of a
     square root, read only where one is taken: Hall's roots, spectral_apply
     and random_instrument's normalizer guard."""
@@ -1201,7 +1209,7 @@ def test_each_support_rule_has_one_home():
                  if isinstance(node, ast.Assign) for target in node.targets
                  if isinstance(target, ast.Name) and target.id.isupper()}
     assert {"NULL_TRACE", "SUPPORT_CUTOFF"} <= constants
-    assert constant_readers("NULL_TRACE") == {"instrument._posteriors"}
+    assert constant_readers("NULL_TRACE") == {"instrument._posteriors", "instrument.Instrument._purity"}
     assert {site for name in constants for site in constant_readers(name) if site.split(".")[0] == "entropy"} == set()
     assert constant_readers("SUPPORT_CUTOFF") == {
         "hallmap.hall_section", "matcore.spectral_apply", "instrument.random_instrument"}
@@ -1346,13 +1354,17 @@ def test_lapack_has_one_binding():
 
 # the LAPACK calls of analyze, the entropy panel and the Scutaru chains at
 # d1 = d2 = 3, where every spectrum is LAPACK's; compound_states and
-# judged_rows make none
-PANEL_LAPACK = {"analyze": {"eigvalsh": 1}, "entropy_panel": {"eigvalsh": 1}, "scutaru_chains": {"eigvalsh": 3}}
+# judged_rows make none. The entropy panel is the first to read
+# Instrument.pure_outputs, so it makes the purity pass's svd calls: one on a
+# one-Kraus instrument, two when an outcome's operators have no common range
+PANEL_LAPACK = {"analyze": {"eigvalsh": 1}, "entropy_panel": {"eigvalsh": 1, "svd": 1},
+                "scutaru_chains": {"eigvalsh": 3}}
 # the Hall section's: the eigh of its eta_w stack and the eigvalsh of its entropies
 HALL_LAPACK = {"eigh": 1, "eigvalsh": 1}
 # at d1 = d2 = 2 every spectrum is a 2 x 2 one, in closed form, but the
-# Scutaru chains' 4 x 4 compound states'; the Hall section keeps its eigh
-QUBIT_LAPACK = {"scutaru_chains": {"eigvalsh": 1}}
+# Scutaru chains' 4 x 4 compound states'; the Hall section keeps its eigh,
+# and the entropy panel the purity pass's svd
+QUBIT_LAPACK = {"entropy_panel": {"svd": 1}, "scutaru_chains": {"eigvalsh": 1}}
 QUBIT_HALL_LAPACK = {"eigh": 1}
 
 
@@ -1369,7 +1381,8 @@ def test_lapack_calls_per_stage_are_pinned(tmp_path, monkeypatch, name, hall):
     whose a priori state is singular, so the Hall section is never entered,
     and on a one-Kraus scenario with d1 = d2 = 3, where every ``eigvalsh``
     stage calls LAPACK. Ingest decomposes the letters once, since no letter
-    here needs its clamp; analyze takes eta_i's spectrum alone, and the Hall
+    here needs its clamp; analyze takes eta_i's spectrum alone, the GL check
+    takes its inputs' and outputs' spectra from one call, as d1 = d2, and the Hall
     section's eigh decomposes the eta_w of every live outcome, null cells or
     none."""
     if name == "singular-eta":
@@ -1386,7 +1399,7 @@ def test_lapack_calls_per_stage_are_pinned(tmp_path, monkeypatch, name, hall):
     assert main(["analyze", str(path)]) == 0
     expected = {"scenario_from_json": {"eigh": 1}}
     if name == "qutrits":
-        expected.update(PANEL_LAPACK, groenewold_lindblad_check={"eigvalsh": 2})
+        expected.update(PANEL_LAPACK, groenewold_lindblad_check={"eigvalsh": 1})
     else:
         expected.update(QUBIT_LAPACK)
     if hall is not None:
@@ -1409,9 +1422,11 @@ def test_run_scenario_does_no_per_state_work(monkeypatch):
     eigvalsh calls; a per-cell path (one validated state, one herm_eig each)
     would raise the LAPACK counts by tens. The GL check takes every gain from
     one stacked _gains call, on the one-Kraus scenario too, which is
-    purity-preserving and so draws trial states; on the two-Kraus one the
-    purity class adds two svd calls. Every LAPACK call is pinned, by stage
-    (``lapack_calls``)."""
+    purity-preserving and so draws trial states, and its spectra from one
+    eigvalsh call, as d1 = d2. The entropy panel reads the pure-output mask
+    first, so it makes the purity pass's svd calls: two on the two-Kraus
+    scenario, whose outcomes have no common range, and one on the one-Kraus
+    scenario. Every LAPACK call is pinned, by stage (``lapack_calls``)."""
     names = ("states", "gl_gains")
     counts = dict.fromkeys(names, 0)
     in_gl = []
@@ -1431,7 +1446,7 @@ def test_run_scenario_does_no_per_state_work(monkeypatch):
     monkeypatch.setattr(harness, "groenewold_lindblad_check", gl_check)
     monkeypatch.setattr(infobounds, "_gains", gains)
     lapack, _ = lapack_calls(monkeypatch)
-    for kraus, gl in ((2, {"eigvalsh": 2, "svd": 2}), (1, {"eigvalsh": 2})):
+    for kraus, svd in ((2, 2), (1, 1)):
         s = random_scenario(3, 3, 4, 4, kraus, 7)
         counts.update(dict.fromkeys(names, 0))
         lapack.clear()
@@ -1440,7 +1455,8 @@ def test_run_scenario_does_no_per_state_work(monkeypatch):
         assert report["purity_preserving"] == (kraus == 1)
         assert counts["states"] == 0
         assert counts["gl_gains"] == 1
-        assert lapack == {**PANEL_LAPACK, "groenewold_lindblad_check": gl, "hall_section": HALL_LAPACK}
+        assert lapack == {**PANEL_LAPACK, "entropy_panel": {"eigvalsh": 1, "svd": svd},
+                          "groenewold_lindblad_check": {"eigvalsh": 1}, "hall_section": HALL_LAPACK}
 
 
 def test_scenario_from_json_does_no_per_letter_work(monkeypatch):

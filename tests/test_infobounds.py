@@ -20,7 +20,8 @@ from conftest import (
     scaled_zero_one_plus,
     zero_plus_ensemble,
 )
-from corpus import NULL_CELL_SCENARIOS, diagonal_instrument
+from corpus import FAMILIES, NULL_CELL_SCENARIOS, diagonal_instrument
+from qinstr import infobounds, matcore
 from qinstr.errors import QinstrError
 from qinstr.harness import (
     ACCEPTANCE_GRID,
@@ -30,7 +31,9 @@ from qinstr.harness import (
 )
 from qinstr.infobounds import (
     INEQ_TOL,
+    ScenarioEntropies,
     _floored_prior,
+    _gains,
     analyze,
     compound_states,
     entropy_panel,
@@ -38,10 +41,19 @@ from qinstr.infobounds import (
     random_ensemble,
     scutaru_chains,
 )
-from qinstr.instrument import NULL_TRACE, Instrument, KrausMap, _posteriors, random_instrument
+from qinstr.instrument import (
+    NULL_TRACE,
+    RANK_ONE_TOL,
+    Instrument,
+    KrausMap,
+    _apply_to_stack,
+    _posteriors,
+    random_instrument,
+)
 from qinstr.qstate import DensityMatrix, Ensemble, pure_state
 from oracle import (
     a_priori_state,
+    haar_unitary,
     maximally_mixed,
     merge_outcomes,
     quantum_info_gain,
@@ -360,6 +372,90 @@ def test_purity_preserving_class_has_no_negative_pure_gain():
     ins = near_rank_one_pair(3e-5)
     least = min(quantum_info_gain(ins, ket) for ket in (KET0, KET1, PLUS))
     assert not ins.purity_preserving or least >= -INEQ_TOL, least
+
+
+
+def prepared_beside_mixing(seed=3):
+    """d1 = d2 = 3, {u_k} a Haar basis: outcomes 0 and 1 measure and prepare,
+    each with two Kraus operators sqrt(e) |phi_w><u_k| sharing the range of a
+    random ket phi_w; outcome 2, {sqrt(0.5) |u_0><u_0|, sqrt(0.6) |u_1><u_2|},
+    has two ranges, so it mixes. The effects sum to I."""
+    rng = np.random.default_rng(seed)
+    u = haar_unitary(3, rng)
+    kets = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+    groups = [[np.sqrt(e) * np.outer(ket, u[:, k].conj()) for e, k in terms]
+              for ket, terms in zip(kets, (((0.5, 0), (0.3, 1)), ((0.7, 1), (0.4, 2))))]
+    groups.append([np.sqrt(0.5) * np.outer(u[:, 0], u[:, 0].conj()), np.sqrt(0.6) * np.outer(u[:, 1], u[:, 2].conj())])
+    return Instrument((0, 1, 2), tuple(KrausMap(3, 3, tuple(group)) for group in groups))
+
+
+PURE_OUTPUT_CASES = {
+    **{inp.name: inp.scenario for inp in FAMILIES["edge"] if "basis" in inp.name},
+    "prepared-beside-mixing": Scenario(random_ensemble(3, 3, np.random.default_rng(5)), prepared_beside_mixing()),
+    "measure-and-prepare": Scenario(random_ensemble(2, 3, np.random.default_rng(6)), measure_and_prepare()),
+}
+
+
+@pytest.mark.parametrize("name", PURE_OUTPUT_CASES)
+def test_pure_outputs_take_no_spectrum(monkeypatch, name):
+    """Every output of an outcome of ``Instrument.pure_outputs`` is one pure
+    state or 0: its entropies, in the scenario's grid and rho_f(w) and in the
+    GL check's gains, read exactly 0.0, and none of its states reaches
+    ``matcore.eigvalsh``. The masked states are made NaN where
+    ``_posteriors`` returns them, so a spectrum of any of them would hold a
+    NaN; every other entropy reads as without the NaNs, bit for bit."""
+    s = PURE_OUTPUT_CASES[name]
+    ins = s.instrument
+    pure = ins.pure_outputs
+    assert pure.any() and not pure.flags.writeable
+    rhos = np.stack([random_density(ins.dim_in, np.random.default_rng(seed)).mat for seed in range(4)])
+    expected, expected_gains = analyze(s.ensemble, ins).entropies, _gains(ins, rhos)[0]
+    # the states skipped are pure to rounding, or null
+    posts = np.concatenate([analyze(s.ensemble, ins).posterior_letter_states[:, pure].reshape(-1, ins.dim_out, ins.dim_out),
+                            _posteriors(_apply_to_stack(ins, rhos))[1][pure].reshape(-1, ins.dim_out, ins.dim_out)])
+    assert np.abs(np.linalg.eigvalsh(posts)[:, :-1]).max() <= 1e-15
+
+    spectra, s_post = [], []
+    real_eigvalsh, real_info_gain = matcore.eigvalsh, infobounds._info_gain
+
+    def eigvalsh(a):
+        spectra.append(np.array(a))
+        return real_eigvalsh(a)
+
+    def poisoned(outs):
+        probs, states = _posteriors(outs)
+        states = states.copy()
+        states[pure] = np.nan
+        return probs, states
+
+    def info_gain(s_in, probs, s_out):
+        s_post.append(s_out)
+        return real_info_gain(s_in, probs, s_out)
+
+    monkeypatch.setattr(matcore, "eigvalsh", eigvalsh)
+    monkeypatch.setattr(infobounds, "_posteriors", poisoned)
+    monkeypatch.setattr(infobounds, "_info_gain", info_gain)
+    got = analyze(s.ensemble, ins).entropies
+    gains = _gains(ins, rhos)[0]
+    assert spectra and not any(np.isnan(a).any() for a in spectra)
+    assert (got.grid[:, pure] == 0.0).all() and (got.mean[pure] == 0.0).all()
+    assert (s_post[0][:, pure] == 0.0).all()
+    for field in ScenarioEntropies._fields:
+        assert np.array_equal(getattr(got, field), getattr(expected, field)), field
+    assert np.array_equal(gains, expected_gains)
+
+
+def test_the_class_tolerance_is_not_the_pure_output_rule():
+    """Outcome A of ``letter_with_little_live_weight`` has relative second
+    singular value 1.4e-6: at RANK_ONE_TOL it is in Ozawa's class, but its
+    outputs have entropy ~r**2 ln(1 / r**2), so it is not a pure-output
+    outcome, whose rule is on the rounding's scale (NULL_TRACE)."""
+    ins = NULL_CELL_SCENARIOS["letter_with_little_live_weight"][1]
+    s = np.linalg.svd(ins.kraus_stack[0].swapaxes(0, 1).reshape(2, -1), compute_uv=False)
+    assert NULL_TRACE < s[1] / s[0] <= RANK_ONE_TOL
+    assert ins.purity_preserving
+    assert ins.pure_outputs.tolist() == [False, True]
 
 
 class TestReportInfoGain:

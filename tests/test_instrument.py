@@ -121,9 +121,10 @@ def test_every_array_field_is_read_only(build):
 
 
 def test_the_purity_class_is_computed_once_on_first_read(monkeypatch):
-    # building takes no LAPACK call: the class is read off the Kraus stack on
-    # first read, by two svd calls here (no outcome's operators are
-    # proportional, so their common range is tested too), and kept read-only
+    # building takes no LAPACK call: the class and the pure-output mask are
+    # read off the Kraus stack on the first read of either, by one pass of
+    # two svd calls here (no outcome's operators share one range, so they are
+    # tested for proportionality too), and kept read-only
     calls = []
     real = matcore.lapack
 
@@ -132,14 +133,21 @@ def test_the_purity_class_is_computed_once_on_first_read(monkeypatch):
         return real(routine, *args, **kwargs)
 
     monkeypatch.setattr(matcore, "lapack", lapack)
-    ins = random_instrument(3, 3, 4, 2, seed=7)
-    assert calls == []
-    assert ins.purity_preserving is False
-    assert calls == ["svd", "svd"]
-    assert ins.purity_preserving is False
-    assert calls == ["svd", "svd"]
+    for first in ("purity_preserving", "pure_outputs"):
+        ins = random_instrument(3, 3, 4, 2, seed=7)
+        assert calls == []
+        getattr(ins, first)
+        assert calls == ["svd", "svd"]
+        assert ins.purity_preserving is False
+        assert ins.pure_outputs.tolist() == [False] * 4
+        assert calls == ["svd", "svd"]
+        calls.clear()
     with pytest.raises(dataclasses.FrozenInstanceError):
         ins.purity_preserving = True
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ins.pure_outputs = np.ones(4, dtype=bool)
+    with pytest.raises(ValueError):
+        ins.pure_outputs[0] = True
 
 
 class TestKrausMap:
