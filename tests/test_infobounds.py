@@ -374,7 +374,6 @@ def test_purity_preserving_class_has_no_negative_pure_gain():
     assert not ins.purity_preserving or least >= -INEQ_TOL, least
 
 
-
 def prepared_beside_mixing(seed=3):
     """d1 = d2 = 3, {u_k} a Haar basis: outcomes 0 and 1 measure and prepare,
     each with two Kraus operators sqrt(e) |phi_w><u_k| sharing the range of a
@@ -410,11 +409,12 @@ def test_pure_outputs_take_no_spectrum(monkeypatch, name):
     pure = ins.pure_outputs
     assert pure.any() and not pure.flags.writeable
     rhos = np.stack([random_density(ins.dim_in, np.random.default_rng(seed)).mat for seed in range(4)])
-    expected, expected_gains = analyze(s.ensemble, ins).entropies, _gains(ins, rhos)[0]
+    ms, d2 = analyze(s.ensemble, ins), ins.dim_out
+    expected, expected_gains = ms.entropies, _gains(ins, rhos)[0]
     # the states skipped are pure to rounding, or null
-    posts = np.concatenate([analyze(s.ensemble, ins).posterior_letter_states[:, pure].reshape(-1, ins.dim_out, ins.dim_out),
-                            _posteriors(_apply_to_stack(ins, rhos))[1][pure].reshape(-1, ins.dim_out, ins.dim_out)])
-    assert np.abs(np.linalg.eigvalsh(posts)[:, :-1]).max() <= 1e-15
+    skipped = np.concatenate([ms.posterior_letter_states[:, pure].reshape(-1, d2, d2),
+                              _posteriors(_apply_to_stack(ins, rhos))[1][pure].reshape(-1, d2, d2)])
+    assert np.abs(np.linalg.eigvalsh(skipped)[:, :-1]).max() <= 1e-15
 
     spectra, s_post = [], []
     real_eigvalsh, real_info_gain = matcore.eigvalsh, infobounds._info_gain
