@@ -16,8 +16,9 @@ Ozawa's purity class is a property of that channel alone,
 the same SVD pass as ``Instrument.pure_outputs``, the [outcome] mask of the
 outcomes whose operators share one rank-one range to rounding (second
 singular value of [K_1 | K_2 | ...] at most NULL_TRACE times its first), so
-that every output of the outcome is one pure state or 0, of entropy exactly 0.
-The per-state forms the tests check them against, one map's action and
+that every output of the outcome is one pure state or 0, of entropy exactly 0;
+the purity of each outcome's output of the identity, which needs no SVD,
+rules outcomes out of the mask first (PURE_PRETEST). The per-state forms the tests check them against, one map's action and
 ``outcome_probs`` among them, are test code (``tests/oracle.py``)."""
 
 from __future__ import annotations
@@ -40,6 +41,12 @@ NULL_TRACE = 64 * np.finfo(np.float64).eps  # 1.42e-14
 # same rounding: operators with one common range read a few eps (<= 1.5 eps
 # over 400 Haar-drawn measure-and-prepare outcomes at d = 3, exactly 0 on a
 # projector)
+# An outcome's output of the identity, M = sum_k K_k K_k^dag, has purity
+# tr(M^2) / tr(M)^2 = 1 - 2 (s2 / s1)^2 + ...: inside the mask its deficit is
+# below 1e-27, under the rounding of the purity itself (a few eps), so a
+# deficit above PURE_PRETEST puts an outcome outside the mask (s2 / s1 > 1e-7)
+# with no SVD, and the mask takes one only when some outcome passes
+PURE_PRETEST = 1e-12
 # The class gates gl_info_gain_nonneg, judged at INEQ_TOL. An outcome of
 # relative second singular value r takes a pure state to a gain of about
 # -r**2 ln(1 / r**2); at r <= 3e-6 the least over near-rank-one Ginibre
@@ -151,29 +158,38 @@ class Instrument:
     @cached_property
     def _purity(self) -> tuple:
         """The purity class and the pure-output mask, from one pass of at most
-        two SVDs of the Kraus stack.
+        two SVDs of the Kraus stack, as many as the class alone takes when it
+        takes any.
 
         An outcome preserves purity iff its Kraus operators are all proportional
         to one operator (the stacked vec(K_k) have rank <= 1), or they all share
         one rank-1 range (measure-and-prepare: [K_1 | K_2 | ...] has rank <= 1),
-        each at RANK_ONE_TOL. The common range is tested first, since the mask
-        reads its singular values too, at NULL_TRACE, not at RANK_ONE_TOL: an
-        outcome of relative second singular value r = 1.4e-6 is in the class,
-        but its outputs have entropy ~r**2 ln(1 / r**2) = 5e-11, far above
-        rounding. Only when some outcome has no common range are the operators
-        tested for proportionality. The
+        each at RANK_ONE_TOL. The common range is tested only when some outcome's
+        operators are not proportional, or when some outcome's output of the
+        identity is pure within PURE_PRETEST, since the mask reads the same
+        singular values, at NULL_TRACE, not at RANK_ONE_TOL: an outcome of
+        relative second singular value r = 1.4e-6 is in the class, but its
+        outputs have entropy ~r**2 ln(1 / r**2) = 5e-11, far above rounding. So
+        an instrument of one generic Kraus operator per outcome takes no SVD. The
         zero operators that pad ``kraus_stack`` change neither rank, and the
         stack's right-normalization by the invertible I - D/2 keeps both rank
         answers.
         """
         kraus = self.kraus_stack
         n_o, width, d2, d1 = kraus.shape
+        proportional, = _rank_one(kraus.reshape(n_o, width, d2 * d1), RANK_ONE_TOL)
         ranges = kraus.swapaxes(1, 2).reshape(n_o, d2, width * d1)  # [K_1 | K_2 | ...]
+        if proportional.all():
+            # the output of the identity, R R^dag; a lone operator's effect
+            # K^dag K, kept, has the spectrum of K K^dag
+            m = self.effects if width == 1 else ranges @ ranges.conj().swapaxes(1, 2)
+            tr = m.reshape(n_o, -1)[:, ::m.shape[-1] + 1].real.sum(axis=1)
+            if not ((np.abs(m) ** 2).sum(axis=(1, 2)) >= (1.0 - PURE_PRETEST) * tr ** 2).any():
+                pure = np.zeros(n_o, dtype=bool)
+                pure.setflags(write=False)
+                return True, pure
         one_range, pure = _rank_one(ranges, RANK_ONE_TOL, NULL_TRACE)
         pure.setflags(write=False)
-        if one_range.all():
-            return True, pure
-        proportional, = _rank_one(kraus.reshape(n_o, width, d2 * d1), RANK_ONE_TOL)
         return bool((proportional | one_range).all()), pure
 
 

@@ -19,17 +19,19 @@ BASE = {"scenarios_per_s": 350.0, "scenario_ms_p50": 2.8, "scenario_ms_tail": 3.
         "ok_frac": 1.0, "setup_s": 0.07, "peak_rss_mb": 45.0}
 
 
-def pairs(throughput_pairs, **change):
+def pairs(throughput_pairs, change_failed=0, **change):
     """One pair per (parent, change) scenarios_per_s reading; every other
     metric reads BASE on the parent and BASE updated by ``change`` on the
-    change."""
-    return [{"parent": {**BASE, "scenarios_per_s": p}, "change": {**BASE, **change, "scenarios_per_s": c}}
+    change. No parent run fails a scenario, and each change run fails
+    ``change_failed``."""
+    return [{"parent": {**BASE, "scenarios_per_s": p}, "parent_failed": 0,
+             "change": {**BASE, **change, "scenarios_per_s": c}, "change_failed": change_failed}
             for p, c in throughput_pairs]
 
 
 def verdicts(runs):
     metrics = benchpair.summarize(runs, BETTER)
-    return benchpair.claims(metrics, BETTER, len(runs)), *benchpair.regressions(metrics, BETTER, BOUNDS)
+    return benchpair.claims(metrics, BETTER, runs), *benchpair.regressions(metrics, BETTER, BOUNDS, runs)
 
 
 def test_a_tree_against_itself_claims_nothing():
@@ -62,6 +64,14 @@ def test_a_claim_needs_a_median_beyond_the_parent_spread():
     assert verdicts(runs)[0] == []
 
 
+def test_a_gain_with_more_failures_claims_nothing():
+    # ten wins far beyond the parent's spread, but every change run fails a
+    # scenario that no parent run fails
+    parent = [348.0, 349.0, 350.0, 350.0, 351.0, 351.0, 352.0, 352.0, 353.0, 354.0]
+    assert verdicts(pairs((p, p + 20.0) for p in parent))[0] == ["scenarios_per_s"]
+    assert verdicts(pairs(((p, p + 20.0) for p in parent), change_failed=1))[0] == []
+
+
 def test_a_move_beyond_the_bound_is_a_regression():
     # peak_rss_mb is 6 % worse, past its 5 % bound; p50 2 % worse, within its 20 %
     runs = pairs(((350.0, 350.0),) * 5, peak_rss_mb=BASE["peak_rss_mb"] * 1.06,
@@ -72,3 +82,11 @@ def test_a_move_beyond_the_bound_is_a_regression():
 def test_runs_spread_wider_than_the_bound_are_unresolved():
     parent = [250.0, 300.0, 350.0, 400.0, 450.0]
     assert verdicts(pairs(zip(parent, parent))) == ([], [], ["scenarios_per_s"])
+
+
+def test_a_wide_spread_is_resolved_when_every_change_run_reads_better():
+    # both sides spread 40 % (wider than the 20 % bound), but the slowest
+    # change run beats the fastest parent run
+    parent = [250.0, 300.0, 350.0, 400.0, 450.0]
+    assert verdicts(pairs((p, p + 250.0) for p in parent)) == ([], [], [])
+    assert verdicts(pairs((p, p + 150.0) for p in parent)) == ([], [], ["scenarios_per_s"])

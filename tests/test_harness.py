@@ -1183,12 +1183,13 @@ def test_the_instrument_contract_has_one_home():
 
 def test_the_purity_class_has_one_home():
     """Ozawa's purity class and the pure-output mask are properties of the
-    instrument as a channel, from one pass: only that pass reads RANK_ONE_TOL,
-    only instrument reads the Kraus stack they are read off, the class is read
-    where the GL check draws by it and where the report writes it, and the
-    mask by one helper, which the two places that take an output's entropy
-    call: the scenario's entropies and the GL check's gains."""
+    instrument as a channel, from one pass: only that pass reads RANK_ONE_TOL
+    and PURE_PRETEST, only instrument reads the Kraus stack they are read off,
+    the class is read where the GL check draws by it and where the report
+    writes it, and the mask by one helper, which the two places that take an
+    output's entropy call: the scenario's entropies and the GL check's gains."""
     assert constant_readers("RANK_ONE_TOL") == {"instrument.Instrument._purity"}
+    assert constant_readers("PURE_PRETEST") == {"instrument.Instrument._purity"}
     assert attribute_readers("kraus_stack", "instrument") == set()
     assert attribute_readers("_purity", "instrument") == set()
     assert attribute_readers("purity_preserving", "instrument") == {
@@ -1355,17 +1356,20 @@ def test_lapack_has_one_binding():
 # the LAPACK calls of analyze, the entropy panel and the Scutaru chains at
 # d1 = d2 = 3, where every spectrum is LAPACK's; compound_states and
 # judged_rows make none. The entropy panel is the first to read
-# Instrument.pure_outputs, so it makes the purity pass's svd calls: one on a
-# one-Kraus instrument, two when an outcome's operators have no common range
-PANEL_LAPACK = {"analyze": {"eigvalsh": 1}, "entropy_panel": {"eigvalsh": 1, "svd": 1},
-                "scutaru_chains": {"eigvalsh": 3}}
+# Instrument.pure_outputs, so it makes the purity pass's svd calls, if any:
+# none on a one-Kraus instrument with no pure-output outcome
+PANEL_LAPACK = {"analyze": {"eigvalsh": 1}, "entropy_panel": {"eigvalsh": 1}, "scutaru_chains": {"eigvalsh": 3}}
 # the Hall section's: the eigh of its eta_w stack and the eigvalsh of its entropies
 HALL_LAPACK = {"eigh": 1, "eigvalsh": 1}
 # at d1 = d2 = 2 every spectrum is a 2 x 2 one, in closed form, but the
-# Scutaru chains' 4 x 4 compound states'; the Hall section keeps its eigh,
-# and the entropy panel the purity pass's svd
-QUBIT_LAPACK = {"entropy_panel": {"svd": 1}, "scutaru_chains": {"eigvalsh": 1}}
+# Scutaru chains' 4 x 4 compound states'; the Hall section keeps its eigh
+QUBIT_LAPACK = {"scutaru_chains": {"eigvalsh": 1}}
 QUBIT_HALL_LAPACK = {"eigh": 1}
+
+
+# the scenarios above whose instrument has a pure-output outcome, so that
+# the purity pass takes its one svd
+PURE_OUTPUT_DESK = {"orthogonal-projective", "zero-one-plus", "singular-eta"}
 
 
 @pytest.mark.parametrize("name, hall", [
@@ -1384,7 +1388,10 @@ def test_lapack_calls_per_stage_are_pinned(tmp_path, monkeypatch, name, hall):
     here needs its clamp; analyze takes eta_i's spectrum alone, the GL check
     takes its inputs' and outputs' spectra from one call, as d1 = d2, and the Hall
     section's eigh decomposes the eta_w of every live outcome, null cells or
-    none."""
+    none. The entropy panel reads the pure-output mask first: the one svd of
+    the purity pass is taken where some outcome's output of the identity is
+    pure (the two projective instruments), and none on the identity
+    instrument or the qutrits' generic one-Kraus one."""
     if name == "singular-eta":
         ket0 = pure_state([1, 0])
         s = Scenario(Ensemble((0, 1), np.array([0.5, 0.5]), (ket0, ket0)),
@@ -1404,6 +1411,8 @@ def test_lapack_calls_per_stage_are_pinned(tmp_path, monkeypatch, name, hall):
         expected.update(QUBIT_LAPACK)
     if hall is not None:
         expected["hall_section"] = hall
+    if name in PURE_OUTPUT_DESK:
+        expected["entropy_panel"] = {**expected.get("entropy_panel", {}), "svd": 1}
     assert counts == expected
     assert ("hall_section" in entered) == (hall is not None)
 
@@ -1425,8 +1434,9 @@ def test_run_scenario_does_no_per_state_work(monkeypatch):
     purity-preserving and so draws trial states, and its spectra from one
     eigvalsh call, as d1 = d2. The entropy panel reads the pure-output mask
     first, so it makes the purity pass's svd calls: two on the two-Kraus
-    scenario, whose outcomes have no common range, and one on the one-Kraus
-    scenario. Every LAPACK call is pinned, by stage (``lapack_calls``)."""
+    scenario, whose outcomes have no common range, and none on the one-Kraus
+    scenario, whose outputs of the identity are mixed. Every LAPACK call is
+    pinned, by stage (``lapack_calls``)."""
     names = ("states", "gl_gains")
     counts = dict.fromkeys(names, 0)
     in_gl = []
@@ -1446,7 +1456,7 @@ def test_run_scenario_does_no_per_state_work(monkeypatch):
     monkeypatch.setattr(harness, "groenewold_lindblad_check", gl_check)
     monkeypatch.setattr(infobounds, "_gains", gains)
     lapack, _ = lapack_calls(monkeypatch)
-    for kraus, svd in ((2, 2), (1, 1)):
+    for kraus, svd in ((2, 2), (1, 0)):
         s = random_scenario(3, 3, 4, 4, kraus, 7)
         counts.update(dict.fromkeys(names, 0))
         lapack.clear()
@@ -1455,7 +1465,7 @@ def test_run_scenario_does_no_per_state_work(monkeypatch):
         assert report["purity_preserving"] == (kraus == 1)
         assert counts["states"] == 0
         assert counts["gl_gains"] == 1
-        assert lapack == {**PANEL_LAPACK, "entropy_panel": {"eigvalsh": 1, "svd": svd},
+        assert lapack == {**PANEL_LAPACK, "entropy_panel": {"eigvalsh": 1, **({"svd": svd} if svd else {})},
                           "groenewold_lindblad_check": {"eigvalsh": 1}, "hall_section": HALL_LAPACK}
 
 

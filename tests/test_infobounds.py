@@ -403,7 +403,9 @@ def test_pure_outputs_take_no_spectrum(monkeypatch, name):
     GL check's gains, read exactly 0.0, and none of its states reaches
     ``matcore.eigvalsh``. The masked states are made NaN where
     ``_posteriors`` returns them, so a spectrum of any of them would hold a
-    NaN; every other entropy reads as without the NaNs, bit for bit."""
+    NaN; every other entropy reads as without the NaNs, bit for bit. With
+    the mask read as all false, every state takes its spectrum, and every
+    entropy and gain agrees with the skip's within 1e-14."""
     s = PURE_OUTPUT_CASES[name]
     ins = s.instrument
     pure = ins.pure_outputs
@@ -411,6 +413,14 @@ def test_pure_outputs_take_no_spectrum(monkeypatch, name):
     rhos = np.stack([random_density(ins.dim_in, np.random.default_rng(seed)).mat for seed in range(4)])
     ms, d2 = analyze(s.ensemble, ins), ins.dim_out
     expected, expected_gains = ms.entropies, _gains(ins, rhos)[0]
+    with monkeypatch.context() as patch:
+        patch.setattr(Instrument, "pure_outputs", property(lambda i: np.zeros(len(i.maps), dtype=bool)))
+        assert not ins.pure_outputs.any()
+        unskipped = analyze(s.ensemble, ins).entropies
+        unskipped_gains = _gains(ins, rhos)[0]
+    for field in ScenarioEntropies._fields:
+        np.testing.assert_allclose(getattr(expected, field), getattr(unskipped, field), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(expected_gains, unskipped_gains, rtol=0, atol=1e-14)
     # the states skipped are pure to rounding, or null
     skipped = np.concatenate([ms.posterior_letter_states[:, pure].reshape(-1, d2, d2),
                               _posteriors(_apply_to_stack(ins, rhos))[1][pure].reshape(-1, d2, d2)])

@@ -8,12 +8,13 @@ from qinstr import matcore
 from qinstr.errors import QinstrError
 from qinstr.harness import example_scenario
 from qinstr.infobounds import analyze
-from qinstr.instrument import Instrument, KrausMap, _apply_to_stack, _posteriors, random_instrument
+from qinstr.instrument import NULL_TRACE, Instrument, KrausMap, _apply_to_stack, _posteriors, random_instrument
 from qinstr.qstate import DensityMatrix
 from oracle import (
     a_posteriori,
     apply_outcome,
     channel_roundtrip,
+    haar_unitary,
     map_action,
     maximally_mixed,
     merge_outcomes,
@@ -123,8 +124,8 @@ def test_every_array_field_is_read_only(build):
 def test_the_purity_class_is_computed_once_on_first_read(monkeypatch):
     # building takes no LAPACK call: the class and the pure-output mask are
     # read off the Kraus stack on the first read of either, by one pass of
-    # two svd calls here (no outcome's operators share one range, so they are
-    # tested for proportionality too), and kept read-only
+    # two svd calls here (no outcome's operators are proportional, so their
+    # common range is tested too), and kept read-only
     calls = []
     real = matcore.lapack
 
@@ -148,6 +149,42 @@ def test_the_purity_class_is_computed_once_on_first_read(monkeypatch):
         ins.pure_outputs = np.ones(4, dtype=bool)
     with pytest.raises(ValueError):
         ins.pure_outputs[0] = True
+
+
+def near_rank_one(r, width, seed=4):
+    """d = 3, one outcome per basis ket u_k of a Haar basis, each with
+    ``width`` equal-weight copies of K_k = a |v_k><u_k| + r |v_{k+1}><u_{k+1}|,
+    a = sqrt(1 - r**2), {v_k} another Haar basis: its relative second
+    singular value is r / a, and the effects sum to I."""
+    rng = np.random.default_rng(seed)
+    u, v = haar_unitary(3, rng), haar_unitary(3, rng)
+    a = np.sqrt(1.0 - r * r)
+    ops = [a * np.outer(v[:, k], u[:, k].conj()) + r * np.outer(v[:, (k + 1) % 3], u[:, (k + 1) % 3].conj())
+           for k in range(3)]
+    return Instrument((0, 1, 2), tuple(KrausMap(3, 3, (k / np.sqrt(width),) * width) for k in ops))
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("r", [0.0, 1e-15, 1e-14, 3e-14, 1e-13, 1e-9, 1e-7, 1e-6, 1e-5, 1e-3])
+def test_the_pure_output_pretest_spares_an_svd_only_outside_the_mask(monkeypatch, r, width):
+    # an instrument whose operators are proportional outcome by outcome is in
+    # the class with no svd of their common range; the mask takes that svd
+    # only when some outcome's output of the identity is pure within
+    # PURE_PRETEST, which r <= 7e-7 is. Either way the mask is the rule
+    # s2 <= NULL_TRACE s1 on [K_1 | K_2 | ...], here on each K_k alone
+    calls = []
+    real = matcore.lapack
+
+    def lapack(routine, *args, **kwargs):
+        calls.append(routine.__name__)
+        return real(routine, *args, **kwargs)
+
+    monkeypatch.setattr(matcore, "lapack", lapack)
+    ins = near_rank_one(r, width)
+    assert ins.purity_preserving is True
+    s = np.linalg.svd(ins.kraus_stack[:, 0], compute_uv=False)
+    assert ins.pure_outputs.tolist() == (s[:, 1] <= NULL_TRACE * s[:, 0]).tolist() == [r < 1.4e-14] * 3
+    assert calls == ["svd"] * ((width > 1) + (r <= 1e-7))
 
 
 class TestKrausMap:

@@ -1,12 +1,13 @@
 """Run paired benchmark runs of two source trees and judge them by the claim rule.
 
     python3 tools/benchpair.py PARENT_TREE CHANGE_TREE --workload rank_deficient \\
-        [--holdout] --pairs 10 --seed 541 --seconds 6 --out BENCH_name.json
+        [--holdout] --pairs 10 --seed 541 --out BENCH_name.json
 
 Each tree is a checkout holding ``scenariobench/run.py`` and ``src/qinstr``.
 Pair i runs each tree's own ``scenariobench/run.py`` as a subprocess, on run
-seed ``--seed`` + i for both trees; the parent runs first in even pairs and
-the change in odd ones. Every run's end-to-end metrics are kept. Per metric,
+seed ``--seed`` + i for both trees and for the ``run_seconds`` that
+``BENCHMARK.json`` sets; the parent runs first in even pairs and the change in
+odd ones. Every run's end-to-end metrics are kept. Per metric,
 the medians and quartiles over the runs of each tree, ``change_rel`` (change
 median / parent median - 1) and ``wins`` (pairs in which the change reads
 better; a tie counts for neither side) are printed and, with ``--out``,
@@ -19,11 +20,13 @@ as end to end (the change tree's copy):
 
 - claims: the metrics that meet the claim rule: at least 10 pairs, wins in
   at least 9 of 10 of them, and a median that moves the better way by more
-  than the distance between the parent's quartiles;
+  than the distance between the parent's quartiles; none at all when the
+  change's runs fail more scenarios in sum than the parent's;
 - regressions: the metrics whose change median is worse than the parent's by
   more than the metric's relative bound, and, as unresolved, those whose
   runs on either tree spread over more than the bound (quartile distance
-  over median), so that no such move could be seen.
+  over median), so that no such move could be seen, unless every change run
+  reads better than every parent run.
 
 The tool exits 1 if a run fails or prints no result line, and 0 otherwise,
 whatever the verdicts: it reports, and the reader judges.
@@ -93,12 +96,20 @@ def summarize(runs: list, better: dict) -> dict:
     return metrics
 
 
-def claims(metrics: dict, better: dict, pairs: int) -> list:
-    """The metrics that meet the claim rule: at least CLAIM_WINS[1] pairs,
-    wins in at least CLAIM_WINS of them, and a median moved the better way by
-    more than the parent's quartile distance."""
+def failed(runs: list, side: str) -> int:
+    """The scenarios that failed over every run of one side."""
+    return sum(r[f"{side}_failed"] for r in runs)
+
+
+def claims(metrics: dict, better: dict, runs: list) -> list:
+    """The metrics that meet the claim rule over ``runs``: at least
+    CLAIM_WINS[1] pairs, wins in at least CLAIM_WINS of them, and a median
+    moved the better way by more than the parent's quartile distance; none
+    when the change fails more scenarios than the parent, since a gain
+    bought with failures is no gain."""
     met = []
-    if pairs < CLAIM_WINS[1]:
+    pairs = len(runs)
+    if pairs < CLAIM_WINS[1] or failed(runs, "change") > failed(runs, "parent"):
         return met
     for name, m in metrics.items():
         q1, q3 = m["parent_quartiles"]
@@ -108,19 +119,21 @@ def claims(metrics: dict, better: dict, pairs: int) -> list:
     return met
 
 
-def regressions(metrics: dict, better: dict, bounds: dict) -> tuple:
+def regressions(metrics: dict, better: dict, bounds: dict, runs: list) -> tuple:
     """(worse, unresolved): the metrics whose change median is worse than the
     parent's by more than their relative bound, and those whose runs on
-    either side spread (quartile distance over median) wider than it."""
+    either side spread (quartile distance over median) wider than it, unless
+    every change run of ``runs`` reads better than every parent run."""
     worse, unresolved = [], []
     for name, m in metrics.items():
         bound = bounds[name]
+        sign = 1.0 if better[name] == "higher" else -1.0
         p_med, c_med = m["parent_median"], m["change_median"]
-        limit = p_med * (1.0 - bound) if better[name] == "higher" else p_med * (1.0 + bound)
-        if (c_med < limit) if better[name] == "higher" else (c_med > limit):
+        if sign * (c_med - p_med) < -bound * abs(p_med):
             worse.append(name)
-        elif any(med and (q3 - q1) / abs(med) > bound
-                 for med, (q1, q3) in ((p_med, m["parent_quartiles"]), (c_med, m["change_quartiles"]))):
+        elif (any(med and (q3 - q1) / abs(med) > bound
+                  for med, (q1, q3) in ((p_med, m["parent_quartiles"]), (c_med, m["change_quartiles"])))
+              and not min(sign * r["change"][name] for r in runs) > max(sign * r["parent"][name] for r in runs)):
             unresolved.append(name)
     return worse, unresolved
 
@@ -150,14 +163,13 @@ def main(argv=None) -> int:
     parser.add_argument("--holdout", action="store_true", help="use the held-out input pool")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="the first pair's run seed")
-    parser.add_argument("--seconds", type=float, help="each run's length (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--out", type=Path, help="the BENCH_*.json file to write into")
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     pool = "holdout" if args.holdout else "main"
     trees = {"parent": args.parent, "change": args.change}
 
@@ -182,8 +194,8 @@ def main(argv=None) -> int:
         return 1
 
     metrics = summarize(runs, better)
-    worse, unresolved = regressions(metrics, better, bounds)
-    entry = {"pairs": args.pairs, "seeds": seeds, "metrics": metrics, "claims": claims(metrics, better, args.pairs),
+    worse, unresolved = regressions(metrics, better, bounds, runs)
+    entry = {"pairs": args.pairs, "seeds": seeds, "metrics": metrics, "claims": claims(metrics, better, runs),
              "regressions": worse, "unresolved": unresolved, "runs": runs}
     print("\n".join(report(args.workload, pool, entry)))
 
