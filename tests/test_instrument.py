@@ -187,6 +187,23 @@ def test_the_pure_output_pretest_spares_an_svd_only_outside_the_mask(monkeypatch
     assert calls == ["svd"] * ((width > 1) + (r <= 1e-7))
 
 
+def test_the_pretest_reads_each_outcomes_range_not_its_effect():
+    # outcome w's two operators sqrt(1 - r**2) |v_w><e_w| and r |v_w><e_(1-w)|
+    # share the range of v_w, so its outputs are pure and it is in the mask;
+    # they are proportional only at RANK_ONE_TOL (relative r = 1e-6), so
+    # its effect has purity deficit 2 r**2 = 2e-12, beyond PURE_PRETEST: a
+    # pre-test on the effects, not on the outputs of the identity, would
+    # rule both outcomes out with no svd
+    r = 1e-6
+    kets = np.array([[0.6, 0.8j], [1.0, 0.0]])
+    e = np.eye(2)
+    ins = Instrument((0, 1), tuple(
+        KrausMap(2, 2, (np.sqrt(1 - r * r) * np.outer(ket, e[w]), r * np.outer(ket, e[1 - w])))
+        for w, ket in enumerate(kets)))
+    assert ins.purity_preserving is True
+    assert ins.pure_outputs.tolist() == [True, True]
+
+
 class TestKrausMap:
     def test_empty_kraus_tuple_rejected(self):
         with pytest.raises(QinstrError, match="a Kraus map needs at least one Kraus operator"):
