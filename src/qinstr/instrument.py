@@ -18,8 +18,9 @@ outcomes whose operators share one rank-one range to rounding (second
 singular value of [K_1 | K_2 | ...] at most NULL_TRACE times its first), so
 that every output of the outcome is one pure state or 0, of entropy exactly 0;
 the purity of each outcome's output of the identity, which needs no SVD,
-rules outcomes out of the mask first (PURE_PRETEST). The per-state forms the tests check them against, one map's action and
-``outcome_probs`` among them, are test code (``tests/oracle.py``)."""
+rules outcomes out of the mask first (PURE_PRETEST). The per-state forms
+the tests check them against, one map's action and ``outcome_probs`` among
+them, are test code (``tests/oracle.py``)."""
 
 from __future__ import annotations
 
@@ -158,20 +159,20 @@ class Instrument:
     @cached_property
     def _purity(self) -> tuple:
         """The purity class and the pure-output mask, from one pass of at most
-        two SVDs of the Kraus stack, as many as the class alone takes when it
-        takes any.
+        two SVDs of the Kraus stack.
 
         An outcome preserves purity iff its Kraus operators are all proportional
         to one operator (the stacked vec(K_k) have rank <= 1), or they all share
         one rank-1 range (measure-and-prepare: [K_1 | K_2 | ...] has rank <= 1),
-        each at RANK_ONE_TOL. The common range is tested only when some outcome's
-        operators are not proportional, or when some outcome's output of the
-        identity is pure within PURE_PRETEST, since the mask reads the same
-        singular values, at NULL_TRACE, not at RANK_ONE_TOL: an outcome of
+        each at RANK_ONE_TOL. The class tests the common range only when some
+        outcome's operators are not proportional. The mask reads the same
+        singular values at NULL_TRACE, not at RANK_ONE_TOL (an outcome of
         relative second singular value r = 1.4e-6 is in the class, but its
-        outputs have entropy ~r**2 ln(1 / r**2) = 5e-11, far above rounding. So
-        an instrument of one generic Kraus operator per outcome takes no SVD. The
-        zero operators that pad ``kraus_stack`` change neither rank, and the
+        outputs have entropy ~r**2 ln(1 / r**2) = 5e-11, far above rounding),
+        and needs them only when some outcome's output of the identity is pure
+        within PURE_PRETEST. So an instrument of one generic Kraus operator
+        per outcome takes no SVD, and the mask adds at most one to the class's.
+        The zero operators that pad ``kraus_stack`` change neither rank, and the
         stack's right-normalization by the invertible I - D/2 keeps both rank
         answers.
         """
