@@ -208,7 +208,7 @@ def ensemble_from_json(obj: dict) -> Ensemble:
     letters = as_labels("letters", obj["letters"])
     probs = as_numbers("probs", obj["probs"])
     e = Ensemble(letters, probs, stack_from_json("states", obj["states"]))
-    clamped = _clamped(e.given_states, e.spectra.eigenvalues[:, 0])
+    clamped = _clamped(e.given_states, e.eigenvalues[:, 0])
     return e if clamped is None else Ensemble(letters, probs, clamped)
 
 

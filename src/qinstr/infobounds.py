@@ -109,7 +109,7 @@ class MeasurementStatistics:
     def entropies(self) -> ScenarioEntropies:
         """Every state's entropy: the output side (the posterior grid, rho_f(w),
         eta_f^a and eta_f) from one batched vn_entropies call; the letters and
-        eta_i from their spectra (``Ensemble.spectra``,
+        eta_i from their spectra (``Ensemble.eigenvalues``,
         ``a_priori_eigenvalues``). The grid columns and rho_f(w) of an outcome
         of ``Instrument.pure_outputs`` are pure states or 0: they read exactly
         0.0 and take no spectrum."""
@@ -133,7 +133,7 @@ class MeasurementStatistics:
             mean=mean,
             post=s[n_grid + n_mean:-1],
             eta_f=s[-1],
-            letters=_entropy(self.ensemble.spectra.eigenvalues),
+            letters=_entropy(self.ensemble.eigenvalues),
             eta_i=float(_entropy(self.a_priori_eigenvalues)),
         )
 
@@ -391,8 +391,8 @@ def scutaru_chains(ms: MeasurementStatistics, cs: CompoundStates) -> dict:
     """The five chi's of both compound-state inequality chains, which the
     ``scutaru*`` rows of ``ROWS`` compare with each other and with the
     panel's I_c. S(eta_i) and S(eta_f) are the scenario's (``ms.entropies``);
-    the compound states' entropies come from one batched vn_entropies call
-    per dimension."""
+    the compound states' entropies come from three vn_entropies calls, one
+    each on H1 (x) H2, H1 and H2: two of one size when d1 = d2."""
     n_o = len(cs.eps_f)
     p_i = ms.ensemble.probs
     p_f = ms.output_marginal

@@ -1,8 +1,9 @@
 """Dense complex linear algebra: Hermitian eigendecomposition, spectral
 functions on the support, Kronecker products and partial traces. The support
-is a square root's, above SUPPORT_CUTOFF (``spectral_apply``, Hall's roots,
-``random_instrument``'s normalizer), as the root of a 1e-17 rounding
-eigenvalue is 3e-9; an entropy needs none, and a null cell is NULL_TRACE's.
+is a square root's, above SUPPORT_CUTOFF (Hall's roots, of each live
+E(w) / P_f(w); ``spectral_apply``; ``random_instrument``'s normalizer), as
+the root of a 1e-17 rounding eigenvalue is 3e-9; an entropy needs none, and
+a null cell is NULL_TRACE's.
 
 Conventions (project-wide): row-major complex128 arrays, eigenvectors stored as
 columns, eigenvalues ascending. Every decomposition is LAPACK's, called
@@ -104,12 +105,12 @@ def eigvalsh(a: np.ndarray) -> np.ndarray:
     real diagonal alone, as LAPACK's ``eigvalsh`` reads them. At d = 2 they
     are (a + c)/2 -/+ hypot((a - c)/2, |b|), with b the lower entry, within a
     few eps of max |a_ij| of LAPACK's, and a NaN read gives NaN; a stack of
-    TRIG_STACK or more 3 x 3 matrices takes ``_trig3``'s form, and every other
-    spectrum is LAPACK's."""
+    TRIG_STACK or more 3 x 3 matrices takes ``_trig3``'s form, an empty
+    stack takes no call, and every other spectrum is LAPACK's."""
     if a.shape[-1] == 3 and a.size >= 9 * TRIG_STACK:
         return _trig3(a)
     if a.shape[-1] != 2:
-        return lapack(np.linalg.eigvalsh, a)
+        return lapack(np.linalg.eigvalsh, a) if a.size else np.zeros(a.shape[:-1])
     p, q = a[..., 0, 0].real, a[..., 1, 1].real
     mid = 0.5 * (p + q)
     r = np.hypot(0.5 * (p - q), np.abs(a[..., 1, 0]))

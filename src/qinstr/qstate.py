@@ -87,8 +87,8 @@ class Ensemble:
     one, is checked by the rules of a state (``_checked``; its Hermitian part
     is kept), and is built once, to its contract: every stage reads the
     read-only fields built from the checked stack, ``states``, each letter
-    divided by its trace, and ``spectra`` ([letter, d] and [letter, d, d]),
-    the one batched decomposition with its eigenvalues divided alike. The
+    divided by its trace, and ``eigenvalues`` ([letter, d], ascending), the
+    one batched decomposition's, divided alike; no eigenvector is kept. The
     checked stack as given, which the scenario file writes and its
     fingerprint hashes, is kept in ``given_states`` for the file alone.
     """
@@ -96,7 +96,7 @@ class Ensemble:
     letters: tuple
     probs: np.ndarray
     states: np.ndarray
-    spectra: matcore.SpectralDecomp = field(init=False, repr=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False)
     given_states: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -116,7 +116,7 @@ class Ensemble:
             raise QinstrError(f"letter probabilities sum to {probs.sum()}, not 1")
         if states.ndim != 3:
             raise QinstrError(f"expected a [letter, d, d] stack, got shape {states.shape}")
-        given, (vals, vecs) = _checked(states)
+        given, (vals, _) = _checked(states)
         tr = given.trace(axis1=-2, axis2=-1).real
         states, vals = given / tr[:, None, None], vals / tr[:, None]
         probs = probs.copy()
@@ -125,7 +125,7 @@ class Ensemble:
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "spectra", matcore.SpectralDecomp(vals, vecs))
+        object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "given_states", given)
 
     @property

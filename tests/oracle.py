@@ -326,7 +326,7 @@ def build_hall_instrument(e: Ensemble, eta: DensityMatrix) -> Instrument:
     if vals[0] <= INVERTIBILITY_TOL:
         raise QinstrError(SINGULAR)
     inv_sqrt = matcore.spectral_apply(eta.spectral(), lambda x: x ** -0.5)
-    lam, u = e.spectra  # each letter's square root, on its support
+    lam, u = matcore.herm_eig(e.states)  # each letter's square root, on its support
     roots = (u * np.sqrt(np.where(lam > SUPPORT_CUTOFF, lam, 0.0))[:, None]) @ u.conj().swapaxes(-1, -2)
     kraus = np.sqrt(e.probs)[:, None, None] * roots @ inv_sqrt
     maps = tuple(KrausMap(e.dim, e.dim, k) for k in kraus[:, None])

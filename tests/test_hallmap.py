@@ -282,7 +282,7 @@ class TestHallSection:
     def test_run_scenario_builds_the_a_priori_state_once(self, monkeypatch):
         # the one matcore.herm_eig of a run on a built scenario (the call a
         # traced benchmark run counts as matcore.eig) is the Hall section's
-        # eta_w stack, and no stage builds a DensityMatrix: a derived state
+        # stack of live effects, and no stage builds a DensityMatrix: a derived state
         # is a plain array. Every stage calls herm_eig through matcore, so
         # this counts each call
         s = random_scenario(3, 2, 3, 3, 2, seed=11)
@@ -294,6 +294,30 @@ class TestHallSection:
         assert report["hall_skipped"] is None
         assert report["default_state_sensitivity"] is None
         assert counts == {"herm_eig": 1, "states": 0}
+
+
+@pytest.mark.parametrize("s, live", [
+    (random_scenario(3, 2, 3, 3, 2, seed=11), [True] * 3),
+    (Scenario(zero_plus_ensemble(), Instrument((0, 1, 2), projective_qubit().maps + (
+        KrausMap(2, 2, (np.zeros((2, 2), dtype=complex),)),))), [True, True, False]),
+], ids=["random", "null-outcome"])
+def test_hall_section_decomposes_only_the_live_effects(s, live, monkeypatch):
+    """J is read in the frame of the effect it measures: the section's one
+    herm_eig takes the stack E(w) / P_f(w) of the live outcomes, as given,
+    and no letter and no dual state is decomposed."""
+    ms = analyze(s.ensemble, s.instrument)
+    calls = []
+    real = matcore.herm_eig
+
+    def herm_eig(a):
+        calls.append(np.array(a))
+        return real(a)
+
+    monkeypatch.setattr(matcore, "herm_eig", herm_eig)
+    hall_section(ms)
+    assert ms.live.tolist() == live
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], s.instrument.effects[ms.live] / ms.output_marginal[ms.live][:, None, None])
 
 
 def test_d_term_is_the_mean_chi_given_out_for_one_kraus_instruments():

@@ -1280,7 +1280,7 @@ def test_the_letter_contract_has_one_home():
     """The letters are normalized once, where the Ensemble is built: outside
     qstate only the scenario file's writer and ingest's clamp read them as
     given (``.given_states``); every stage reads the normalized ``states``
-    and ``spectra``."""
+    and ``eigenvalues``."""
     assert attribute_readers("given_states", "qstate") == {
         "harness.Scenario.to_json", "harness.ensemble_from_json"}
 
@@ -1359,7 +1359,7 @@ def test_lapack_has_one_binding():
 # Instrument.pure_outputs, so it makes the purity pass's svd calls, if any:
 # none on a one-Kraus instrument with no pure-output outcome
 PANEL_LAPACK = {"analyze": {"eigvalsh": 1}, "entropy_panel": {"eigvalsh": 1}, "scutaru_chains": {"eigvalsh": 3}}
-# the Hall section's: the eigh of its eta_w stack and the eigvalsh of its entropies
+# the Hall section's: the eigh of its live effects and the eigvalsh of its entropies
 HALL_LAPACK = {"eigh": 1, "eigvalsh": 1}
 # at d1 = d2 = 2 every spectrum is a 2 x 2 one, in closed form, but the
 # Scutaru chains' 4 x 4 compound states'; the Hall section keeps its eigh

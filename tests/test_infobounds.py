@@ -456,6 +456,26 @@ def test_pure_outputs_take_no_spectrum(monkeypatch, name):
     assert np.array_equal(gains, expected_gains)
 
 
+def test_an_empty_stack_of_outputs_takes_no_lapack_call(monkeypatch):
+    """Every outcome of ``measure_and_prepare`` (d1 = 2, d2 = 3) is in
+    ``pure_outputs``, so the GL check's gains take only the inputs' spectra,
+    2 x 2 ones in closed form; the empty (0, 3, 3) stack of outputs left
+    reaches no LAPACK call."""
+    ins = measure_and_prepare()
+    assert ins.pure_outputs.all() and ins.purity_preserving
+    calls = []
+    real = matcore.lapack
+
+    def lapack(routine, a, *args, **kwargs):
+        calls.append((routine.__name__, a.shape))
+        return real(routine, a, *args, **kwargs)
+
+    monkeypatch.setattr(matcore, "lapack", lapack)
+    scalars = groenewold_lindblad_check(ins, 50, 4, 3)
+    assert calls == []
+    assert scalars["gl_least_gain"] >= -INEQ_TOL
+
+
 def test_the_class_tolerance_is_not_the_pure_output_rule():
     """Outcome A of ``letter_with_little_live_weight`` has relative second
     singular value 1.4e-6: at RANK_ONE_TOL it is in Ozawa's class, but its

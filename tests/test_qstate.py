@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ def ingest(m) -> Ensemble:
 def read(m) -> tuple:
     """One state read by ingest: the matrix the stages read and its eigenvalues."""
     e = ingest(m)
-    return e.states[0], e.spectra.eigenvalues[0]
+    return e.states[0], e.eigenvalues[0]
 
 
 class TestValidateDensity:
@@ -196,7 +197,7 @@ class TestJson:
                 "states": [matrix_to_json(m) for m in mats],
             })
             assert not e.states.flags.writeable
-            for m, letter, vals in zip(mats, e.states, e.spectra.eigenvalues):
+            for m, letter, vals in zip(mats, e.states, e.eigenvalues):
                 one, one_vals = read(m)
                 assert np.array_equal(letter, one)
                 assert np.array_equal(vals, one_vals)
@@ -206,8 +207,7 @@ class TestJson:
         e = Ensemble((0, 1), np.array([0.5, 0.5]), (KET0.mat, PLUS.mat))
         stacked = Ensemble((0, 1), np.array([0.5, 0.5]), np.stack([KET0.mat, PLUS.mat]))
         assert np.array_equal(e.states, stacked.states)
-        for a, b in zip(e.spectra, stacked.spectra):
-            assert np.array_equal(a, b)
+        assert np.array_equal(e.eigenvalues, stacked.eigenvalues)
         with pytest.raises(QinstrError, match="minimum eigenvalue -5.000e-01 below -1.0e-10"):
             Ensemble((0, 1), np.array([0.5, 0.5]), np.stack([KET0.mat, np.diag([1.5, -0.5])]))
         # ragged letters, and letters that are not numbers, form no stack;
@@ -262,8 +262,8 @@ class TestDecomposeOnce:
 
     def test_ensemble_decomposes_its_letters_once(self, monkeypatch):
         # a sequence of letters is stacked, checked by the rules of a state and
-        # decomposed by one batched eigh, whose spectra are the ones each
-        # letter's own decomposition gives
+        # decomposed by one batched eigh, whose eigenvalues are the ones each
+        # letter's own decomposition gives; no eigenvector is kept
         rng = np.random.default_rng(2)
         letters = tuple(ginibre(3, rng) for _ in range(3))
         probs = np.array([0.2, 0.3, 0.5])
@@ -273,15 +273,15 @@ class TestDecomposeOnce:
         assert counts == {"eigh": 1}
         for i, rho in enumerate(map(DensityMatrix, letters)):
             assert np.array_equal(e.states[i], rho.mat)
-            assert np.array_equal(e.spectra.eigenvalues[i], rho.spectral().eigenvalues)
-            assert np.array_equal(e.spectra.eigenvectors[i], rho.spectral().eigenvectors)
-        assert not e.states.flags.writeable and not e.spectra.eigenvectors.flags.writeable
+            assert np.array_equal(e.eigenvalues[i], rho.spectral().eigenvalues)
+        assert not e.states.flags.writeable and not e.eigenvalues.flags.writeable
+        assert [f.name for f in fields(Ensemble)] == ["letters", "probs", "states", "eigenvalues", "given_states"]
 
     def test_letters_are_normalized_once_and_kept_as_given(self, monkeypatch):
         # letters whose traces are off 1 within HERM_TOL are kept as given
         # (their Hermitian part) for the scenario file, and the stages read
-        # each divided by its trace, with its eigenvalues divided alike and its
-        # eigenvectors as decomposed: still one eigh
+        # each divided by its trace, with its eigenvalues divided alike: still
+        # one eigh
         rng = np.random.default_rng(4)
         letters = np.array([(1.0 + eps) * ginibre(3, rng) for eps in (0.9e-10, -0.9e-10, 0.0)])
         counts = {"eigh": 0}
@@ -292,11 +292,10 @@ class TestDecomposeOnce:
             tr = np.trace(rho.mat).real
             assert np.array_equal(e.given_states[i], rho.mat)
             assert np.array_equal(e.states[i], rho.mat / tr)
-            assert np.array_equal(e.spectra.eigenvalues[i], rho.spectral().eigenvalues / tr)
-            assert np.array_equal(e.spectra.eigenvectors[i], rho.spectral().eigenvectors)
+            assert np.array_equal(e.eigenvalues[i], rho.spectral().eigenvalues / tr)
             assert abs(np.trace(e.states[i]).real - 1.0) <= 4e-16
         assert not (e.given_states.flags.writeable or e.states.flags.writeable
-                    or e.spectra.eigenvalues.flags.writeable)
+                    or e.eigenvalues.flags.writeable)
 
     def test_clamping_redecomposes(self, monkeypatch):
         counts = {"eigh": 0, "jacobi_eig": 0}
