@@ -57,8 +57,8 @@ def hall_section(ms: MeasurementStatistics) -> dict:
     J's a posteriori states are the letters, so no identity input is
     decomposed. The entropies of the sigma_w's and of J's a posteriori
     states come from one ``vn_entropies`` call; eta_i's and the letters' are
-    the scenario's (``ms.entropies``).
-    I_c and chi_initial are the panel's: the section computes neither.
+    the scenario's (``ms.entropies``). I_c and chi_initial are the panel's:
+    the section computes neither.
 
     ``harness.run_scenario`` calls it only when eta's least eigenvalue
     (``ms.a_priori_eigenvalues``) is above INVERTIBILITY_TOL, and otherwise
